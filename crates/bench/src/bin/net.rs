@@ -1,7 +1,7 @@
 //! Socket data-plane throughput sweep (`bench net`).
 //!
 //! Usage: `cargo run -p couplink-bench --release --bin net -- \
-//!     [--full] [--mutate] [--out FILE] [--check BASELINE]`
+//!     [--full] [--out FILE] [--check BASELINE]`
 //!
 //! Drives the real `couplink-node` mesh over loopback — every program its
 //! own OS process — across a grid of payload sizes × frame mixes on both
@@ -13,24 +13,12 @@
 //! `--check` baseline diff, throughput and syscall figures under `wall_s`
 //! (informational, never baseline-gated).
 //!
-//! Two gates with teeth:
-//!
-//! * **syscalls-per-frame** — on the designated *load* points (many small
-//!   frames from many ranks bunching on few mesh links) the vectored
-//!   writer must coalesce well enough that `net_syscalls / net_frames`
-//!   stays under [`SYSCALLS_PER_FRAME_MAX`]. A writer that degrades to
-//!   one `write` per frame sits at ≥ 1.0 and fails loudly.
-//! * **legacy speedup** — the largest UDS payload point is re-run with
-//!   `COUPLINK_NET_LEGACY=1` in the node environment (same binary; the
-//!   nodes fall back to the per-element codec, per-frame header copies,
-//!   bytewise crc32 and per-frame `write` calls). Best-of-two payload
-//!   throughput on the new path must be at least [`SPEEDUP_MIN`]× the
-//!   legacy path.
-//!
-//! `--mutate` runs the *whole* sweep with the legacy environment: the
-//! per-frame writes must then trip the syscalls-per-frame gate, proving
-//! the gate would catch a regression that quietly dropped the vectored
-//! path. `ci.sh` runs it as the negative control.
+//! The gate with teeth is **syscalls-per-frame**: on the designated *load*
+//! points (many small frames from many ranks bunching on few mesh links)
+//! the vectored writer must coalesce well enough that
+//! `net_syscalls / net_frames` stays under [`SYSCALLS_PER_FRAME_MAX`]. A
+//! writer that degrades to one `write` per frame sits at ≥ 1.0 and fails
+//! loudly — a unit test feeds [`gate_point`] exactly that report.
 //!
 //! Every run also asserts tx/rx conservation on its merged counters:
 //! clean mesh sessions must receive exactly the frames and bytes they
@@ -49,14 +37,8 @@ use std::time::{Duration, Instant};
 /// Load-point coalescing budget: mean write syscalls per tx frame.
 const SYSCALLS_PER_FRAME_MAX: f64 = 0.5;
 
-/// The new data plane must move payload bytes at least this many times
-/// faster than the legacy per-element/per-frame path on the largest UDS
-/// sweep point.
-const SPEEDUP_MIN: f64 = 2.0;
-
 struct Options {
     full: bool,
-    mutate: bool,
     out: PathBuf,
     check: Option<PathBuf>,
 }
@@ -64,7 +46,6 @@ struct Options {
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         full: false,
-        mutate: false,
         out: PathBuf::from("results/BENCH_couplink_net.json"),
         check: None,
     };
@@ -73,7 +54,6 @@ fn parse_args() -> Result<Options, String> {
         match arg.as_str() {
             "--full" => opts.full = true,
             "--smoke" => opts.full = false,
-            "--mutate" => opts.mutate = true,
             "--out" => opts.out = PathBuf::from(args.next().ok_or("--out needs a path")?),
             "--check" => {
                 opts.check = Some(PathBuf::from(args.next().ok_or("--check needs a path")?))
@@ -97,8 +77,6 @@ struct Point {
     /// Syscalls-per-frame gate applies (small-frame, many-rank mixes
     /// where coalescing is the whole story).
     load_gate: bool,
-    /// Largest UDS payload point — the legacy speedup gate runs here.
-    speedup_gate: bool,
 }
 
 impl Point {
@@ -127,7 +105,6 @@ fn sweep(full: bool) -> Vec<Point> {
             procs: 8,
             count: if full { 400 } else { 200 },
             load_gate: true,
-            speedup_gate: false,
         },
         Point {
             name: "net_uds_mid_64k",
@@ -137,7 +114,6 @@ fn sweep(full: bool) -> Vec<Point> {
             procs: 2,
             count: if full { 120 } else { 60 },
             load_gate: false,
-            speedup_gate: false,
         },
         Point {
             name: "net_uds_big_2m",
@@ -147,7 +123,6 @@ fn sweep(full: bool) -> Vec<Point> {
             procs: 2,
             count: if full { 160 } else { 80 },
             load_gate: false,
-            speedup_gate: true,
         },
         Point {
             name: "net_tcp_mid_64k",
@@ -157,7 +132,6 @@ fn sweep(full: bool) -> Vec<Point> {
             procs: 2,
             count: if full { 120 } else { 60 },
             load_gate: false,
-            speedup_gate: false,
         },
     ];
     if full {
@@ -169,7 +143,6 @@ fn sweep(full: bool) -> Vec<Point> {
             procs: 8,
             count: 400,
             load_gate: true,
-            speedup_gate: false,
         });
         pts.push(Point {
             name: "net_tcp_big_1m",
@@ -179,7 +152,6 @@ fn sweep(full: bool) -> Vec<Point> {
             procs: 2,
             count: 120,
             load_gate: false,
-            speedup_gate: false,
         });
     }
     pts
@@ -231,16 +203,11 @@ struct PointRun {
     counters: CounterSnapshot,
 }
 
-fn run_point(pt: &Point, node_bin: &Path, legacy: bool) -> Result<PointRun, String> {
+fn run_point(pt: &Point, node_bin: &Path) -> Result<PointRun, String> {
     let plan = plan_for(pt);
     let opts = NetOptions {
         backend: pt.backend,
         deadline: Duration::from_secs(180),
-        env: if legacy {
-            vec![("COUPLINK_NET_LEGACY".into(), "1".into())]
-        } else {
-            Vec::new()
-        },
         ..NetOptions::new(node_bin.to_path_buf())
     };
     let start = Instant::now();
@@ -307,10 +274,12 @@ fn measure(pt: &Point, run: &PointRun) -> ScenarioMeasure {
     m
 }
 
-/// Clean bench sessions must conserve frames and bytes across the mesh:
-/// a tx/rx mismatch means metering (or the quiesce protocol) regressed.
-fn check_conservation(pt: &Point, run: &PointRun, violations: &mut Vec<String>) {
-    let c = &run.counters;
+/// The per-point gates over one run's merged counters. Clean bench
+/// sessions must conserve frames and bytes across the mesh (a tx/rx
+/// mismatch means metering or the quiesce protocol regressed), and load
+/// points must stay under the coalescing budget.
+fn gate_point(pt: &Point, c: &CounterSnapshot) -> Vec<String> {
+    let mut violations = Vec::new();
     let healthy =
         c.net_reconnects == 0 && c.net_codec_rejects == 0 && c.retransmits == 0 && c.timeouts == 0;
     if healthy && (c.net_rx_frames != c.net_frames || c.net_rx_bytes != c.net_bytes) {
@@ -320,6 +289,15 @@ fn check_conservation(pt: &Point, run: &PointRun, violations: &mut Vec<String>) 
             pt.name, c.net_frames, c.net_bytes, c.net_rx_frames, c.net_rx_bytes
         ));
     }
+    let spf = c.net_syscalls as f64 / c.net_frames.max(1) as f64;
+    if pt.load_gate && spf > SYSCALLS_PER_FRAME_MAX {
+        violations.push(format!(
+            "{}: {spf:.3} write syscalls per frame exceeds the \
+             {SYSCALLS_PER_FRAME_MAX} coalescing budget (per-frame writes?)",
+            pt.name
+        ));
+    }
+    violations
 }
 
 fn main() -> ExitCode {
@@ -340,15 +318,10 @@ fn main() -> ExitCode {
     for pt in sweep(opts.full) {
         let mib = pt.payload_bytes() as f64 / (1024.0 * 1024.0);
         println!(
-            "running {} ({:?}, {} ranks, {} steps, {:.1} MiB payload{}) ...",
-            pt.name,
-            pt.backend,
-            pt.procs,
-            pt.count,
-            mib,
-            if opts.mutate { ", LEGACY codec" } else { "" }
+            "running {} ({:?}, {} ranks, {} steps, {:.1} MiB payload) ...",
+            pt.name, pt.backend, pt.procs, pt.count, mib
         );
-        let run = match run_point(&pt, &node_bin, opts.mutate) {
+        let run = match run_point(&pt, &node_bin) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -364,60 +337,8 @@ fn main() -> ExitCode {
             run.counters.net_frames,
             run.counters.net_syscalls,
         );
-        check_conservation(&pt, &run, &mut violations);
-        if pt.load_gate && spf > SYSCALLS_PER_FRAME_MAX {
-            violations.push(format!(
-                "{}: {spf:.3} write syscalls per frame exceeds the \
-                 {SYSCALLS_PER_FRAME_MAX} coalescing budget (per-frame writes?)",
-                pt.name
-            ));
-        }
-        let mut m = measure(&pt, &run);
-
-        if pt.speedup_gate && !opts.mutate {
-            // Best-of-two on each codec: the run above plus one more on
-            // the new path, two on the legacy path. Best-of damps the
-            // worst of CI noise without hiding a real regression.
-            println!(
-                "running {} again + 2x legacy for the speedup gate ...",
-                pt.name
-            );
-            let mut best_new = bps;
-            let mut best_legacy: f64 = 0.0;
-            for legacy in [true, false, true] {
-                let r = match run_point(&pt, &node_bin, legacy) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let v = pt.payload_bytes() as f64 / r.wall_s.max(1e-12);
-                let best = if legacy {
-                    &mut best_legacy
-                } else {
-                    &mut best_new
-                };
-                *best = best.max(v);
-            }
-            let speedup = best_new / best_legacy.max(1e-12);
-            println!(
-                "  new {:.1} MiB/s vs legacy {:.1} MiB/s: {speedup:.2}x",
-                best_new / (1024.0 * 1024.0),
-                best_legacy / (1024.0 * 1024.0)
-            );
-            m.wall_s
-                .push(("legacy_payload_bytes_per_sec".into(), best_legacy));
-            m.wall_s.push(("speedup_vs_legacy".into(), speedup));
-            if speedup < SPEEDUP_MIN {
-                violations.push(format!(
-                    "{}: new data plane only {speedup:.2}x the legacy path \
-                     (need {SPEEDUP_MIN:.1}x)",
-                    pt.name
-                ));
-            }
-        }
-        scenarios.push(m);
+        violations.extend(gate_point(&pt, &run.counters));
+        scenarios.push(measure(&pt, &run));
     }
 
     let report = BenchReport {
@@ -474,5 +395,37 @@ fn main() -> ExitCode {
             eprintln!("  - {v}");
         }
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use couplink_metrics::EngineMetrics;
+
+    /// The negative control for the coalescing gate: a writer that issues
+    /// one `write` per frame reports 1.0 syscalls per frame, which a load
+    /// point must reject — while the same counters pass on a bulk point,
+    /// and a coalescing writer passes on the load point.
+    #[test]
+    fn per_frame_writes_fail_the_coalescing_gate() {
+        let pts = sweep(false);
+        let load = pts.iter().find(|p| p.load_gate).expect("a load point");
+        let bulk = pts.iter().find(|p| !p.load_gate).expect("a bulk point");
+        let mut c = EngineMetrics::new().snapshot().counters;
+        (c.net_frames, c.net_rx_frames) = (3200, 3200);
+        (c.net_bytes, c.net_rx_bytes) = (4 << 20, 4 << 20);
+        c.net_syscalls = c.net_frames;
+        let got = gate_point(load, &c);
+        assert!(
+            matches!(&got[..], [v] if v.contains("1.000 write syscalls per frame")),
+            "{got:?}"
+        );
+        assert!(gate_point(bulk, &c).is_empty());
+        c.net_syscalls = c.net_frames / 4;
+        assert!(gate_point(load, &c).is_empty());
+        // Conservation bites on every point.
+        c.net_rx_frames -= 1;
+        assert!(gate_point(bulk, &c)[0].contains("conservation"));
     }
 }

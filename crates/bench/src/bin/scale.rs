@@ -39,10 +39,9 @@
 //! thread-per-task aggregate imports/sec, plus a *fairness* check: the
 //! slowest session's wall time must stay within
 //! [`SESSION_FAIRNESS_RATIO`]× of the fastest (round-robin scheduling
-//! means co-resident sessions finish together). Under `--sessions`,
-//! `--mutate` switches the pool to a deliberately unfair scheduler
-//! (always poll the lowest session first) instead of sleeping; the
-//! fairness check must then fail.
+//! means co-resident sessions finish together). `--mutate` has no meaning
+//! here: the starvation check's negative control is a unit test feeding
+//! [`check_fairness`] the per-session walls of a starved run.
 //!
 //! # `--ranks N1,N2,…`
 //!
@@ -90,8 +89,8 @@ const SESSION_SPEEDUP_MIN: f64 = 1.5;
 
 /// Fairness (starvation) bound for `--sessions`: slowest session wall /
 /// fastest session wall. Round-robin keeps co-resident sessions in
-/// lockstep (ratio near 1); an unfair scheduler lets low-numbered
-/// sessions finish many times earlier.
+/// lockstep (ratio near 1); a scheduler that favours some sessions lets
+/// them finish many times earlier.
 const SESSION_FAIRNESS_RATIO: f64 = 2.5;
 
 struct Options {
@@ -150,6 +149,9 @@ fn parse_args() -> Result<Options, String> {
             }
             other => return Err(format!("unknown argument {other:?} (see the doc comment)")),
         }
+    }
+    if opts.mutate && opts.sessions.is_some() {
+        return Err("--mutate does not apply to --sessions (see the doc comment)".into());
     }
     Ok(opts)
 }
@@ -330,12 +332,11 @@ fn run_sessions(
     pt: GridPoint,
     iters: usize,
     workers: Option<usize>,
-    unfair: bool,
 ) -> Result<SessionsRun, String> {
     let rows_per_rank = 4;
     let extent = Extent2::new(pt.procs * rows_per_rank, 64);
     let decomp = Decomposition::row_block(extent, pt.procs).expect("row-block decomposition");
-    let mut set = SessionSet::new(&ExecutorOptions { workers, unfair });
+    let mut set = SessionSet::new(&ExecutorOptions { workers });
     for _ in 0..n {
         set.add_session(scale_topology(pt), FabricOptions::default());
     }
@@ -405,26 +406,37 @@ fn run_sessions(
     })
 }
 
-fn fairness_ratio(run: &SessionsRun) -> f64 {
-    let min = run
-        .session_walls
-        .iter()
-        .cloned()
-        .fold(f64::INFINITY, f64::min);
-    let max = run.session_walls.iter().cloned().fold(0.0f64, f64::max);
+/// Fastest and slowest session wall.
+fn wall_spread(session_walls: &[f64]) -> (f64, f64) {
+    let min = session_walls.iter().cloned().fold(f64::INFINITY, f64::min);
+    let max = session_walls.iter().cloned().fold(0.0f64, f64::max);
+    (min, max)
+}
+
+/// Slowest session wall over fastest session wall.
+fn fairness_ratio(session_walls: &[f64]) -> f64 {
+    let (min, max) = wall_spread(session_walls);
     max / min.max(1e-12)
+}
+
+/// The starvation check: co-resident sessions must finish within
+/// [`SESSION_FAIRNESS_RATIO`]× of each other.
+fn check_fairness(name: &str, session_walls: &[f64]) -> Option<String> {
+    let ratio = fairness_ratio(session_walls);
+    (ratio > SESSION_FAIRNESS_RATIO).then(|| {
+        format!(
+            "{name}: starvation — slowest session took {ratio:.2}x the \
+             fastest (bound {SESSION_FAIRNESS_RATIO:.1}x)"
+        )
+    })
 }
 
 /// Folds one `--sessions` run into a scenario: aggregate throughput plus
 /// the per-session wall spread the fairness gate reads.
 fn measure_sessions(name: &str, run: &SessionsRun) -> ScenarioMeasure {
     let mut m = ScenarioMeasure::from_metrics(name, &run.snapshot);
-    let min = run
-        .session_walls
-        .iter()
-        .cloned()
-        .fold(f64::INFINITY, f64::min);
-    let max = run.session_walls.iter().cloned().fold(0.0f64, f64::max);
+    let walls = &run.session_walls;
+    let (min, max) = wall_spread(walls);
     m.wall_s.push(("run".into(), run.wall_s));
     m.wall_s.push((
         "import_iter".into(),
@@ -437,7 +449,7 @@ fn measure_sessions(name: &str, run: &SessionsRun) -> ScenarioMeasure {
     m.wall_s.push(("session_wall_min".into(), min));
     m.wall_s.push(("session_wall_max".into(), max));
     m.wall_s
-        .push(("session_fairness_ratio".into(), fairness_ratio(run)));
+        .push(("session_fairness_ratio".into(), fairness_ratio(walls)));
     m
 }
 
@@ -457,17 +469,12 @@ fn run_sessions_mode(opts: &Options, n: usize) -> Result<(BenchReport, Vec<Strin
 
     let pooled_name = format!("sessions_pooled_s{n}_p{}x{}", pt.pairs, pt.procs);
     println!(
-        "running {pooled_name} ({iters} iters/rank, {} tasks over default workers{}) ...",
-        n * tasks_per_session,
-        if opts.mutate {
-            ", UNFAIR scheduler"
-        } else {
-            ""
-        }
+        "running {pooled_name} ({iters} iters/rank, {} tasks over default workers) ...",
+        n * tasks_per_session
     );
-    let pooled = run_sessions(n, pt, iters, None, opts.mutate)?;
+    let pooled = run_sessions(n, pt, iters, None)?;
     let pooled_ips = pooled.total_imports as f64 / pooled.wall_s.max(1e-12);
-    let ratio = fairness_ratio(&pooled);
+    let ratio = fairness_ratio(&pooled.session_walls);
     println!("  {pooled_ips:>10.0} imports/s aggregate  (session wall spread {ratio:.2}x)",);
     let iter_ms = pooled.wall_s * 1000.0 / pooled.total_imports.max(1) as f64;
     if iter_ms > opts.gate_ms {
@@ -477,38 +484,29 @@ fn run_sessions_mode(opts: &Options, n: usize) -> Result<(BenchReport, Vec<Strin
             opts.gate_ms
         ));
     }
-    if ratio > SESSION_FAIRNESS_RATIO {
-        violations.push(format!(
-            "{pooled_name}: starvation — slowest session took {ratio:.2}x the \
-             fastest (bound {SESSION_FAIRNESS_RATIO:.1}x)"
-        ));
-    }
+    violations.extend(check_fairness(&pooled_name, &pooled.session_walls));
     let mut pooled_scenario = measure_sessions(&pooled_name, &pooled);
 
-    if !opts.mutate {
-        let tpt_name = format!("sessions_threadlike_s{n}_p{}x{}", pt.pairs, pt.procs);
-        println!(
-            "running {tpt_name} ({iters} iters/rank, one worker per task: {}) ...",
-            n * tasks_per_session
-        );
-        let tpt = run_sessions(n, pt, iters, Some(n * tasks_per_session), false)?;
-        let tpt_ips = tpt.total_imports as f64 / tpt.wall_s.max(1e-12);
-        let speedup = pooled_ips / tpt_ips.max(1e-12);
-        println!("  {tpt_ips:>10.0} imports/s aggregate  (pooled speedup {speedup:.2}x)");
-        pooled_scenario
-            .wall_s
-            .push(("speedup_vs_thread_per_task".into(), speedup));
-        if speedup < SESSION_SPEEDUP_MIN {
-            violations.push(format!(
-                "{pooled_name}: pooled executor only {speedup:.2}x the \
-                 thread-per-task fabric (need {SESSION_SPEEDUP_MIN:.1}x)"
-            ));
-        }
-        scenarios.push(pooled_scenario);
-        scenarios.push(measure_sessions(&tpt_name, &tpt));
-    } else {
-        scenarios.push(pooled_scenario);
+    let tpt_name = format!("sessions_threadlike_s{n}_p{}x{}", pt.pairs, pt.procs);
+    println!(
+        "running {tpt_name} ({iters} iters/rank, one worker per task: {}) ...",
+        n * tasks_per_session
+    );
+    let tpt = run_sessions(n, pt, iters, Some(n * tasks_per_session))?;
+    let tpt_ips = tpt.total_imports as f64 / tpt.wall_s.max(1e-12);
+    let speedup = pooled_ips / tpt_ips.max(1e-12);
+    println!("  {tpt_ips:>10.0} imports/s aggregate  (pooled speedup {speedup:.2}x)");
+    pooled_scenario
+        .wall_s
+        .push(("speedup_vs_thread_per_task".into(), speedup));
+    if speedup < SESSION_SPEEDUP_MIN {
+        violations.push(format!(
+            "{pooled_name}: pooled executor only {speedup:.2}x the \
+             thread-per-task fabric (need {SESSION_SPEEDUP_MIN:.1}x)"
+        ));
     }
+    scenarios.push(pooled_scenario);
+    scenarios.push(measure_sessions(&tpt_name, &tpt));
 
     Ok((
         BenchReport {
@@ -701,5 +699,26 @@ fn main() -> ExitCode {
             eprintln!("  - {v}");
         }
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The negative control for the starvation check: per-session walls of
+    /// a pool that always serves its low-numbered sessions first (they
+    /// finish many times earlier than the rest) must be rejected, while
+    /// the lockstep spread of round-robin scheduling passes.
+    #[test]
+    fn starved_sessions_fail_the_fairness_check() {
+        let starved: Vec<f64> = (1..=16).map(|s| 0.05 * s as f64).collect();
+        let verdict = check_fairness("sessions_pooled_s16", &starved).expect("must be rejected");
+        assert!(verdict.contains("starvation"), "{verdict}");
+        assert!(verdict.contains("16.00x"), "{verdict}");
+        let lockstep: Vec<f64> = (0..16).map(|s| 0.80 + 0.01 * s as f64).collect();
+        assert_eq!(check_fairness("sessions_pooled_s16", &lockstep), None);
+        // The bound itself is inclusive.
+        assert_eq!(check_fairness("edge", &[1.0, SESSION_FAIRNESS_RATIO]), None);
     }
 }

@@ -428,107 +428,4 @@ mod tests {
             m.snapshot().counters.fields().len() + 3 * HISTOGRAM_BUCKETS
         );
     }
-
-    /// The refactor baseline discipline: the regenerated smoke baseline
-    /// must agree with the committed pre-refactor one on every
-    /// deterministic field — all counters bit-identical, virtual times
-    /// unchanged — with only the executor-specific additions
-    /// (`tasks_polled`, `worker_steal`, `runq_depth_hwm`, the
-    /// `poll_batch_b*` buckets) and the hierarchical-collective additions
-    /// (`ctrl_relay`, `ctrl_coalesced`, `hb_suppressed`, `tree_depth`)
-    /// and socket-transport additions (`net_*`) allowed to appear, and
-    /// those must be zero on the DES-driven report scenarios (the report
-    /// runs non-hierarchical in-process DES couplings; the tree counters
-    /// only move on hierarchical runs, which are gated by `bench scale
-    /// --ranks` instead).
-    #[test]
-    fn executor_refactor_keeps_baseline_counters_bit_identical() {
-        let read = |name: &str| {
-            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../baselines/");
-            let text = std::fs::read_to_string(format!("{path}{name}"))
-                .unwrap_or_else(|e| panic!("reading {name}: {e}"));
-            json::parse(&text).unwrap_or_else(|e| panic!("parsing {name}: {e}"))
-        };
-        let is_executor_field = |key: &str| {
-            key == "tasks_polled"
-                || key == "worker_steal"
-                || key == "runq_depth_hwm"
-                || key.starts_with("poll_batch_b")
-        };
-        let is_hierarchical_field = |key: &str| {
-            matches!(
-                key,
-                "ctrl_relay" | "ctrl_coalesced" | "hb_suppressed" | "tree_depth"
-            )
-        };
-        let is_net_field = |key: &str| key.starts_with("net_");
-        let is_wal_field = |key: &str| key.starts_with("wal_");
-        let pre = read("BENCH_baseline_smoke_pre_executor.json");
-        let post = read("BENCH_baseline_smoke.json");
-        type Sections = Vec<(String, Vec<(String, f64)>)>;
-        let scenarios = |v: &Value| -> Vec<(String, Sections)> {
-            v.get("scenarios")
-                .and_then(Value::as_array)
-                .expect("scenarios array")
-                .iter()
-                .map(|s| {
-                    let name = s.get("name").and_then(Value::as_str).expect("name");
-                    let sections = ["counters", "virtual_s"]
-                        .iter()
-                        .map(|&sec| {
-                            let fields = s
-                                .get(sec)
-                                .and_then(Value::as_object)
-                                .expect("section object")
-                                .iter()
-                                .map(|(k, v)| (k.clone(), v.as_f64().expect("numeric field")))
-                                .collect();
-                            (sec.to_string(), fields)
-                        })
-                        .collect();
-                    (name.to_string(), sections)
-                })
-                .collect()
-        };
-        let pre_s = scenarios(&pre);
-        let post_s = scenarios(&post);
-        assert_eq!(
-            pre_s.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-            post_s.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-            "scenario set changed across the refactor"
-        );
-        for ((name, pre_secs), (_, post_secs)) in pre_s.iter().zip(&post_s) {
-            for ((sec, pre_fields), (_, post_fields)) in pre_secs.iter().zip(post_secs) {
-                for (key, pre_val) in pre_fields {
-                    let post_val = post_fields
-                        .iter()
-                        .find(|(k, _)| k == key)
-                        .unwrap_or_else(|| panic!("{name}/{sec}/{key} dropped"))
-                        .1;
-                    assert_eq!(
-                        *pre_val, post_val,
-                        "{name}/{sec}/{key} drifted across the executor refactor"
-                    );
-                }
-                for (key, post_val) in post_fields {
-                    if pre_fields.iter().any(|(k, _)| k == key) {
-                        continue;
-                    }
-                    assert!(
-                        is_executor_field(key)
-                            || is_hierarchical_field(key)
-                            || is_net_field(key)
-                            || is_wal_field(key),
-                        "{name}/{sec}/{key} is new but not an executor, tree, \
-                         socket-transport or WAL counter"
-                    );
-                    assert_eq!(
-                        *post_val, 0.0,
-                        "{name}/{sec}/{key}: executor, tree, socket and WAL counters \
-                         must be zero on DES runs"
-                    );
-                }
-            }
-        }
-    }
 }

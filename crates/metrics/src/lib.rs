@@ -395,7 +395,7 @@ pub struct EngineMetrics {
     pub net_syscalls: Counter,
     /// Frames written as part of a multi-frame vectored burst (frames that
     /// shared their write syscall with at least one other frame; 0 on
-    /// DES/threaded and in legacy per-frame mode).
+    /// DES/threaded).
     pub net_writev_frames: Counter,
     /// Tx frame buffers recycled from the writer-thread pool instead of
     /// freshly allocated (0 on DES/threaded).
@@ -579,7 +579,7 @@ pub struct CounterSnapshot {
     /// runtime); one vectored syscall may carry many frames.
     pub net_syscalls: u64,
     /// Frames that shared a vectored write syscall with at least one
-    /// other frame (0 off the socket runtime / in legacy per-frame mode).
+    /// other frame (0 off the socket runtime).
     pub net_writev_frames: u64,
     /// Tx frame buffers recycled from the pool (0 off the socket runtime).
     pub net_pool_hits: u64,

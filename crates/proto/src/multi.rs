@@ -126,6 +126,9 @@ impl MultiExport {
             }
             out.per_conn.push(fx);
         }
+        // An earlier connection may send-and-release `t` in this very step
+        // while a later one buffers it: the shared copy is then still held.
+        out.freed.retain(|f| !self.refcount.contains_key(f));
         Ok(out)
     }
 
@@ -248,6 +251,43 @@ mod tests {
         let (_, freed) = m.on_request(1, RequestId(0), ts(20.0)).unwrap();
         assert_eq!(freed.len(), 5);
         assert_eq!(m.shared_buffered_len(), 0);
+    }
+
+    /// One export step in which an earlier connection sends the object and
+    /// lets go of it at once (its next request is already past it) while a
+    /// later connection buffers it: the shared copy is still held, so it
+    /// must not be reported freed — the store would drop an object the
+    /// second connection is about to be asked for.
+    #[test]
+    fn object_released_and_rebuffered_in_one_export_is_not_freed() {
+        let mut m = multi(&[(MatchPolicy::RegL, 1.0), (MatchPolicy::RegU, 1.0)]);
+        m.on_request(0, RequestId(0), ts(5.0)).unwrap();
+        m.on_buddy_help(0, RequestId(0), RepAnswer::Match(ts(4.5)))
+            .unwrap();
+        m.on_request(0, RequestId(1), ts(8.0)).unwrap();
+        let fx = m.on_export(ts(4.5)).unwrap();
+        assert_eq!(
+            fx.per_conn[0].action,
+            Some(ExportAction::BufferAndSend {
+                request: RequestId(0)
+            })
+        );
+        assert_eq!(
+            fx.per_conn[0].freed,
+            vec![ts(4.5)],
+            "connection 0 is done with it"
+        );
+        assert_eq!(fx.per_conn[1].action, Some(ExportAction::Buffer));
+        assert!(fx.copy);
+        assert!(
+            fx.freed.is_empty(),
+            "connection 1 still holds {:?}",
+            fx.freed
+        );
+        assert_eq!(m.shared_buffered_len(), 1);
+        // Connection 1's request finds it where the store still has it.
+        let (rfx, _) = m.on_request(1, RequestId(0), ts(4.0)).unwrap();
+        assert_eq!(rfx.send, Some(ts(4.5)));
     }
 
     #[test]

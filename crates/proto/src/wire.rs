@@ -115,31 +115,8 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 // ---------------------------------------------------------------------------
-// Legacy-codec switch.
-// ---------------------------------------------------------------------------
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// When set, the codec's internal frame paths fall back to the pre-
-/// optimization implementations: byte-at-a-time CRC and per-element `f64`
-/// payload encode/decode. The wire bytes are identical either way — this
-/// exists so `bench net --mutate` can measure the legacy data plane with
-/// the same binary and prove the zero-copy path's speedup is real.
-static LEGACY_CODEC: AtomicBool = AtomicBool::new(false);
-
-/// Switches the process-global legacy-codec mode (see [`legacy_codec`]).
-pub fn set_legacy_codec(on: bool) {
-    LEGACY_CODEC.store(on, Ordering::Relaxed);
-}
-
-/// Whether the legacy (pre-optimization) codec paths are active.
-pub fn legacy_codec() -> bool {
-    LEGACY_CODEC.load(Ordering::Relaxed)
-}
-
-// ---------------------------------------------------------------------------
 // CRC-32 (IEEE 802.3): slice-by-8 with const-built tables, plus the
-// byte-at-a-time reference both the proptests and legacy mode use.
+// byte-at-a-time reference the proptests compare it against.
 // ---------------------------------------------------------------------------
 
 /// Number of slice-by-N tables (8 input bytes folded per step).
@@ -204,24 +181,13 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// The original byte-at-a-time CRC-32. Kept as the independent reference
-/// the property tests compare [`crc32`] against, and as the legacy-mode
-/// implementation.
+/// the property tests compare [`crc32`] against.
 pub fn crc32_reference(bytes: &[u8]) -> u32 {
     let mut c = !0u32;
     for &b in bytes {
         c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
-}
-
-/// The CRC the frame paths use: identical values either way, but legacy
-/// mode pays the byte-at-a-time cost.
-fn frame_crc(bytes: &[u8]) -> u32 {
-    if legacy_codec() {
-        crc32_reference(bytes)
-    } else {
-        crc32(bytes)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -384,7 +350,7 @@ pub fn encode_frame_into(kind: u8, body: &[u8], out: &mut Vec<u8>) {
     out.push(WIRE_VERSION);
     out.push(kind);
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&frame_crc(body).to_le_bytes());
+    out.extend_from_slice(&crc32(body).to_le_bytes());
     out.extend_from_slice(body);
 }
 
@@ -486,7 +452,7 @@ impl FrameWriter {
     pub fn finish(mut self) -> Vec<u8> {
         let body_len = self.buf.len() - HEADER_LEN;
         debug_assert!(body_len <= MAX_BODY as usize, "frame body over MAX_BODY");
-        let crc = frame_crc(&self.buf[HEADER_LEN..]);
+        let crc = crc32(&self.buf[HEADER_LEN..]);
         self.buf[0..2].copy_from_slice(&MAGIC.to_le_bytes());
         self.buf[2] = WIRE_VERSION;
         self.buf[3] = self.kind;
@@ -643,7 +609,7 @@ impl FrameDecoder {
         // Consume the frame whether or not the checksum holds: a bad body
         // is recoverable precisely because the framing stays intact.
         self.start += total;
-        if frame_crc(&self.buf[body.clone()]) != crc {
+        if crc32(&self.buf[body.clone()]) != crc {
             return Err(WireError::BadChecksum);
         }
         Ok(Some(FrameSlot { kind, body }))
@@ -916,13 +882,6 @@ pub struct WireRect {
     pub cols: u64,
 }
 
-fn put_rect(w: &mut BodyWriter, r: WireRect) {
-    w.u64(r.row0);
-    w.u64(r.col0);
-    w.u64(r.rows);
-    w.u64(r.cols);
-}
-
 fn take_rect(r: &mut BodyReader<'_>) -> Result<WireRect, WireError> {
     Ok(WireRect {
         row0: r.u64()?,
@@ -978,21 +937,6 @@ pub fn encode_payload_with(
     owned: WireRect,
     data: &[f64],
 ) -> Vec<u8> {
-    if legacy_codec() {
-        // Reference path: per-element serialize plus a header+body concat,
-        // kept as the byte-compatibility oracle for the bulk encoder.
-        let mut w = BodyWriter::with_capacity(8 + 8 * 8 + 8 + 8 + 8 * data.len());
-        w.u32(conn.0);
-        w.u32(dst.0);
-        w.u64(req.0);
-        put_rect(&mut w, rect);
-        put_rect(&mut w, owned);
-        w.u64(data.len() as u64);
-        for &v in data {
-            w.f64(v);
-        }
-        return encode_frame(KIND_PAYLOAD, &w.into_body());
-    }
     let mut w = FrameWriter::with_buffer(KIND_PAYLOAD, buf);
     w.reserve(8 + 8 * 8 + 8 + 8 + 8 * data.len());
     w.u32(conn.0);
@@ -1031,25 +975,14 @@ pub fn decode_payload(body: &[u8]) -> Result<PayloadFrame, WireError> {
             what: "payload length vs body",
         });
     }
-    let data = if legacy_codec() {
-        // Reference path: per-element deserialize, the oracle for the
-        // bulk fill below.
-        let mut data = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            data.push(r.f64()?);
-        }
-        data
-    } else {
-        // Bulk path: one correctly-sized allocation filled straight from
-        // the body bytes — this vector becomes the importer-side shared
-        // array, so the socket-to-array path is a single copy.
-        let raw = r.raw(n as usize * 8)?;
-        let mut data = vec![0f64; n as usize];
-        for (d, ch) in data.iter_mut().zip(raw.chunks_exact(8)) {
-            *d = f64::from_le_bytes(ch.try_into().expect("8 bytes"));
-        }
-        data
-    };
+    // One correctly-sized allocation filled straight from the body bytes —
+    // this vector becomes the importer-side shared array, so the
+    // socket-to-array path is a single copy.
+    let raw = r.raw(n as usize * 8)?;
+    let mut data = vec![0f64; n as usize];
+    for (d, ch) in data.iter_mut().zip(raw.chunks_exact(8)) {
+        *d = f64::from_le_bytes(ch.try_into().expect("8 bytes"));
+    }
     r.finish()?;
     Ok(PayloadFrame {
         conn,

@@ -16,13 +16,12 @@
 use crate::cost::CostModel;
 use crate::des::coupled::{ActionKind, SimError};
 use crate::des::{EventQueue, SimTime};
-use crate::engine::reliable::expendable;
 use crate::engine::{
-    ctrl_class, deliver_all, tree, ChaosConfig, ChaosState, CrashTarget, Endpoint, EngineError,
-    Expiry, ExportNode, ImportNode, Outgoing, Reliability, RepNode, RetryPolicy, Topology,
-    Transport, WireMeta,
+    proc_side, send_step, ChaosConfig, ChaosState, CrashTarget, Endpoint, EngineError, Expiry,
+    ExportNode, ImportNode, MemWal, Outgoing, ProcSide, Reliability, RepCrash, RepNode,
+    RetryPolicy, SendDecision, SendKind, Topology, Wal, WireMeta,
 };
-use couplink_metrics::{CtrlClass, EngineMetrics, MetricsSnapshot, Phase};
+use couplink_metrics::{EngineMetrics, MetricsSnapshot, Phase};
 use couplink_proto::{
     ConnectionId, CtrlMsg, ExportStats, ImportState, PortError, RepAnswer, RequestId, Trace,
 };
@@ -158,6 +157,13 @@ enum Ev {
         msg: CtrlMsg,
         meta: Option<WireMeta>,
     },
+    /// A link-layer ack from `from` reaches `to` (the original sender). Its
+    /// own variant so the hot `Deliver` event stays small.
+    Ack {
+        to: Endpoint,
+        from: Endpoint,
+        seq: u64,
+    },
     /// A piece of matched data arrives at an importing process.
     Piece {
         prog: usize,
@@ -165,33 +171,11 @@ enum Ev {
         conn: ConnectionId,
         req: RequestId,
     },
-    /// A link-layer ack from `from` reaches `to` (the original sender).
-    AckMsg {
-        to: Endpoint,
-        from: Endpoint,
-        seq: u64,
-    },
     /// Poll the reliability layer for expired ack deadlines.
     RetryCheck,
-    /// A crashed rep restarts from its journal.
-    RepRestart { prog: usize },
-    /// Members' heartbeat staleness check concludes the rep is dead: the
-    /// lowest-rank live process takes over as successor.
-    HbCheck { prog: usize },
-}
-
-/// Bookkeeping for one armed crash fault (simulator side: rep targets).
-#[derive(Debug)]
-struct FaultRun {
-    fault: crate::engine::CrashFault,
-    /// Messages the target rep has consumed so far.
-    consumed: u64,
-    /// The crash has happened.
-    fired: bool,
-    /// The rep is currently dead (crashed, not yet recovered).
-    dead: bool,
-    /// Virtual time of the crash.
-    crash_time: f64,
+    /// A crashed rep comes back: the configured restart, or the members'
+    /// heartbeat staleness check promoting the lowest-rank live successor.
+    RepRecover,
 }
 
 struct ExpRec {
@@ -228,118 +212,6 @@ struct ImpDrive {
     wait_start: Vec<f64>,
 }
 
-/// Schedules engine messages as simulator events with modelled latencies.
-struct DesTransport<'a> {
-    queue: &'a mut EventQueue<Ev>,
-    topo: &'a Topology,
-    cost: &'a CostModel,
-    /// The endpoint emitting this step's messages (the reliability layer
-    /// keys its links by directed `(from, to)` pairs).
-    from: Endpoint,
-    /// Extra delay before network costs (the emitting call's own cost).
-    delay: f64,
-    /// Seeded fault injection for control messages, if enabled.
-    chaos: Option<&'a mut ChaosState>,
-    /// Ack/timeout/retransmit state, armed only for fault plans the
-    /// transport cannot heal by itself.
-    rel: Option<&'a mut Reliability>,
-    /// Monotone per-run counter feeding the permanent-loss draw: every
-    /// delivery attempt draws independently.
-    nonce: &'a mut u64,
-    /// Degradation knob: suppress every buddy-help delivery (the announce
-    /// still registers, times out and is metered as a degraded buffer).
-    drop_buddy_help: bool,
-    /// Run-wide instrumentation.
-    metrics: &'a EngineMetrics,
-}
-
-impl Transport for DesTransport<'_> {
-    type Error = SimError;
-
-    fn ctrl(&mut self, to: Endpoint, msg: CtrlMsg) -> Result<(), SimError> {
-        self.metrics.ctrl(ctrl_class(&msg)).inc();
-        if matches!(msg, CtrlMsg::Coalesced { .. }) {
-            self.metrics.ctrl_coalesced.inc();
-        }
-        self.metrics
-            .phases
-            .add_virtual(Phase::Ctrl, self.cost.ctrl_time());
-        let nominal = self.delay + self.cost.ctrl_time();
-        let meta = match self.rel.as_deref_mut() {
-            None => None,
-            Some(rel) => {
-                let meta = rel.register(self.from, to, &msg, self.queue.now().0);
-                // Both the degradation knob and a permanent-loss draw make
-                // this copy vanish; the pending entry just registered is
-                // what later retransmits (or abandons) it.
-                if self.drop_buddy_help && expendable(&msg) {
-                    return Ok(());
-                }
-                let n = *self.nonce;
-                *self.nonce += 1;
-                if let Some(chaos) = self.chaos.as_deref() {
-                    if chaos.config().lost(n, to, &msg) {
-                        return Ok(());
-                    }
-                }
-                meta
-            }
-        };
-        match self.chaos.as_deref_mut() {
-            None => {
-                self.queue.schedule(nominal, Ev::Deliver { to, msg, meta });
-            }
-            Some(chaos) => {
-                // Chaos plans absolute delivery times (possibly several, for
-                // duplicated commutative messages) on top of the nominal
-                // arrival, with FIFO-class streams clamped to their
-                // watermark so per-stream order is preserved.
-                let base_at = self.queue.now().0 + nominal;
-                for at in chaos.deliveries(base_at, to, &msg) {
-                    self.queue
-                        .schedule_at(SimTime(at), Ev::Deliver { to, msg, meta });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn transfer(
-        &mut self,
-        from: Endpoint,
-        conn: ConnectionId,
-        req: RequestId,
-        _m: Timestamp,
-    ) -> Result<(), SimError> {
-        let Endpoint::Proc { rank, .. } = from else {
-            return Err(SimError::Config("data transfer emitted by a rep".into()));
-        };
-        self.metrics.transfers.inc();
-        let ct = self.topo.conn(conn);
-        for t in ct.plan.sends_from(rank) {
-            let bytes = t.rect.cells() * std::mem::size_of::<f64>();
-            self.metrics.bytes_transferred.add(bytes as u64);
-            self.metrics
-                .phases
-                .add_virtual(Phase::Transfer, self.cost.data_time(bytes));
-            self.queue.schedule(
-                self.delay + self.cost.data_time(bytes),
-                Ev::Piece {
-                    prog: ct.importer_prog,
-                    rank: t.dst,
-                    conn,
-                    req,
-                },
-            );
-        }
-        Ok(())
-    }
-}
-
-/// Coalesced buddy-help frames stashed per `(prog, rank)` until the
-/// matching forward request arrives.
-type HelpStash = HashMap<(usize, usize), Vec<(ConnectionId, RequestId, RepAnswer)>>;
-
 /// The topology simulator. Construct with [`TopologySim::new`], optionally
 /// enable traces with [`TopologySim::trace`], run with [`TopologySim::run`].
 pub struct TopologySim {
@@ -360,31 +232,17 @@ pub struct TopologySim {
     chaos: Option<ChaosState>,
     buddy_help: bool,
     hierarchical: bool,
-    /// Mutation 3: relay rank 0 silently drops coalesced answers on its
-    /// first subtree edge (armed by the simulation-test harness only).
-    relay_drop: bool,
-    /// Coalesced buddy-help that arrived at `(prog, rank)` before the
-    /// matching forward request (tree frames commute, so chaos delays can
-    /// reorder them past the FIFO-ordered forward); applied on arrival.
-    help_stash: HelpStash,
-    /// Highest forward-request id `(prog, rank)` has seen per connection —
-    /// the gate deciding whether early help must be stashed (the export
-    /// port cannot distinguish "never forwarded here yet" from "resolved
-    /// and pruned" once any request completed).
-    fwd_seen: HashMap<(usize, usize, ConnectionId), u64>,
     /// Timeout/backoff parameters used when the reliability layer arms.
     policy: RetryPolicy,
     /// Armed at run start iff the fault plan needs it; `None` keeps the
     /// event schedule bit-identical to the pre-reliability engine.
     rel: Option<Reliability>,
-    fault: Option<FaultRun>,
-    /// Per program: `(wire metadata, message)` of everything its rep has
-    /// consumed, in consumption order — the recovery journal.
-    journals: Vec<Vec<(WireMeta, CtrlMsg)>>,
+    /// The armed rep crash fault.
+    crash: Option<RepCrash>,
+    /// The delivery journal a crashed rep is rebuilt from.
+    wal: MemWal,
     /// Earliest virtual time a `RetryCheck` event is already scheduled for.
     retry_at: Option<f64>,
-    /// Permanent-loss attempt counter (see `DesTransport::nonce`).
-    nonce: u64,
     drop_buddy_help: bool,
     metrics: Arc<EngineMetrics>,
 }
@@ -502,7 +360,13 @@ impl TopologySim {
                 } else {
                     (0..p.procs)
                         .map(|rank| {
-                            let mut node = ExportNode::new(&topo, pi, rank, cfg.buffer_capacity);
+                            let mut node = ExportNode::new(
+                                &topo,
+                                pi,
+                                rank,
+                                cfg.buffer_capacity,
+                                cfg.hierarchical,
+                            );
                             node.set_metrics(Arc::clone(&metrics));
                             node
                         })
@@ -541,17 +405,8 @@ impl TopologySim {
             })
             .collect();
         let matches = vec![Vec::new(); topo.conns.len()];
-        let journals = vec![Vec::new(); topo.programs.len()];
         if cfg.hierarchical {
-            // Every process derives the identical tree from the topology,
-            // so the depth is a shared property of the run.
-            let depth = topo
-                .programs
-                .iter()
-                .map(|p| tree::depth(p.procs))
-                .max()
-                .unwrap_or(0);
-            metrics.tree_depth.set(depth as u64);
+            metrics.tree_depth.set(topo.tree_depth() as u64);
         }
         Ok(TopologySim {
             topo,
@@ -569,9 +424,6 @@ impl TopologySim {
             chaos: None,
             buddy_help: cfg.buddy_help,
             hierarchical: cfg.hierarchical,
-            relay_drop: false,
-            help_stash: HashMap::new(),
-            fwd_seen: HashMap::new(),
             policy: RetryPolicy {
                 // Virtual-time scales: control latency and chaos jitter are
                 // a few milliseconds, so the first ack deadline sits well
@@ -583,10 +435,9 @@ impl TopologySim {
                 ..RetryPolicy::default()
             },
             rel: None,
-            fault: None,
-            journals,
+            crash: None,
+            wal: MemWal::new(),
             retry_at: None,
-            nonce: 0,
             drop_buddy_help: false,
             metrics,
         })
@@ -605,14 +456,8 @@ impl TopologySim {
     /// crash targets are a threaded-fabric fault and are ignored here.
     pub fn chaos(&mut self, cfg: ChaosConfig) {
         if let Some(fault) = cfg.crash {
-            if matches!(fault.target, CrashTarget::Rep(_)) {
-                self.fault = Some(FaultRun {
-                    fault,
-                    consumed: 0,
-                    fired: false,
-                    dead: false,
-                    crash_time: 0.0,
-                });
+            if let CrashTarget::Rep(prog) = fault.target {
+                self.crash = Some(RepCrash::new(prog, fault));
             }
         }
         self.chaos = Some(ChaosState::new(cfg));
@@ -657,11 +502,12 @@ impl TopologySim {
 
     /// Arms the third deliberate bug, for mutation-testing the oracles on a
     /// hierarchical topology: relay rank 0 silently drops every coalesced
-    /// answer broadcast on its first subtree edge (before the reliability
-    /// layer ever sees the send, so nothing retransmits it). The starved
-    /// subtree never completes its imports; the liveness oracle must fire.
+    /// answer broadcast on its first subtree edge (see
+    /// [`ImportNode::arm_relay_drop`]).
     pub fn arm_relay_drop(&mut self) {
-        self.relay_drop = true;
+        for node in self.imp_nodes.iter_mut().flatten() {
+            node.arm_relay_drop();
+        }
     }
 
     /// Enables Figure-5 style event tracing for one connection on one
@@ -693,7 +539,11 @@ impl TopologySim {
                 .as_ref()
                 .is_some_and(|c| c.config().needs_reliability());
         if needs_rel {
-            self.rel = Some(Reliability::new(self.policy, Arc::clone(&self.metrics)));
+            let loss = self.chaos.as_ref().map(|c| *c.config());
+            self.rel = Some(
+                Reliability::new(self.policy, Arc::clone(&self.metrics))
+                    .with_faults(self.drop_buddy_help, loss),
+            );
         }
         // Kick off every process: exporters compute before their first
         // export; importers pay startup + compute before their first call.
@@ -797,19 +647,7 @@ impl TopologySim {
                 }
                 let next = d.recs[rank].iter < d.count;
                 let compute = d.compute[rank];
-                let mut tx = DesTransport {
-                    queue: &mut self.queue,
-                    topo: &self.topo,
-                    cost: &self.cost,
-                    from: Endpoint::Proc { prog, rank },
-                    delay: call_cost,
-                    chaos: self.chaos.as_mut(),
-                    rel: self.rel.as_mut(),
-                    nonce: &mut self.nonce,
-                    drop_buddy_help: self.drop_buddy_help,
-                    metrics: &self.metrics,
-                };
-                deliver_all(&mut tx, Endpoint::Proc { prog, rank }, fx.msgs)?;
+                self.emit(Endpoint::Proc { prog, rank }, call_cost, fx.msgs)?;
                 if next {
                     self.queue
                         .schedule(call_cost + compute, Ev::Export { drive, rank });
@@ -828,23 +666,17 @@ impl TopologySim {
                 let (_req, msg) = self.imp_nodes[prog][rank].begin_import(conn, ts)?;
                 self.imp_drives[drive].waiting[rank] = true;
                 self.imp_drives[drive].wait_start[rank] = self.queue.now().0;
-                let mut tx = DesTransport {
-                    queue: &mut self.queue,
-                    topo: &self.topo,
-                    cost: &self.cost,
-                    from: Endpoint::Proc { prog, rank },
-                    delay: 0.0,
-                    chaos: self.chaos.as_mut(),
-                    rel: self.rel.as_mut(),
-                    nonce: &mut self.nonce,
-                    drop_buddy_help: self.drop_buddy_help,
-                    metrics: &self.metrics,
-                };
-                deliver_all(&mut tx, Endpoint::Proc { prog, rank }, vec![msg])?;
+                self.emit(Endpoint::Proc { prog, rank }, 0.0, vec![msg])?;
                 self.check_import_done(drive, rank)?;
             }
 
             Ev::Deliver { to, msg, meta } => self.deliver(to, meta, msg)?,
+
+            Ev::Ack { to, from, seq } => {
+                if let Some(rel) = self.rel.as_mut() {
+                    rel.on_ack(to, from, seq);
+                }
+            }
 
             Ev::Piece {
                 prog,
@@ -857,201 +689,148 @@ impl TopologySim {
                 self.check_import_done(drive, rank)?;
             }
 
-            Ev::AckMsg { to, from, seq } => {
-                if let Some(rel) = self.rel.as_mut() {
-                    rel.on_ack(to, from, seq);
-                }
-            }
-
             Ev::RetryCheck => self.on_retry_check(),
 
-            Ev::RepRestart { prog } | Ev::HbCheck { prog } => self.recover_rep(prog)?,
+            Ev::RepRecover => self.recover_rep()?,
         }
         Ok(())
     }
 
-    /// Delivers one wire packet, running it through the reliability layer's
-    /// dedup/hold-back and the crash fault when those are armed.
+    /// Delivers one wire packet: sequenced packets run through the engine's
+    /// receive step (dedup, hold-back, journal-before-ack) and the crash
+    /// window when those are armed.
     fn deliver(
         &mut self,
         to: Endpoint,
         meta: Option<WireMeta>,
         msg: CtrlMsg,
     ) -> Result<(), SimError> {
-        let Some(meta) = meta else {
+        let (Some(meta), Some(rel)) = (meta, self.rel.as_mut()) else {
             // Fault-free path: no sequencing, no acks, no crashes.
             return self.consume(to, msg);
         };
-        if let Endpoint::Rep { prog } = to {
-            if self.rep_dead(prog) {
+        if let Some(crash) = self.crash.as_mut().filter(|c| c.rep() == to) {
+            if crash.is_dead() {
                 // Deliveries to a dead rep vanish unacked; their senders
                 // keep retransmitting them to the recovered rep.
                 return Ok(());
             }
-            if self.crash_due(prog) {
-                self.crash_rep(prog);
+            if let Some(after) = crash.fires(self.queue.now().0, HB_TIMEOUT) {
+                // Held-back, unacked messages die with the rep.
+                rel.crash_endpoint(to);
+                self.queue.schedule(after, Ev::RepRecover);
                 return Ok(());
             }
         }
-        let got = self
-            .rel
-            .as_mut()
-            .expect("sequenced packet without reliability layer")
-            .receive(meta, to, msg);
-        for seq in &got.acks {
-            self.send_ack(to, meta.from, *seq);
+        let got = rel.admit(meta, to, msg, |rec| self.wal.append(rec));
+        for seq in got.acks {
+            // Best-effort: an ack may be lost or duplicated; the sender's
+            // retransmit plus the receiver's re-ack heal a lost one.
+            self.send(SendKind::Ack, to, meta.from, CtrlMsg::Ack { seq }, 0.0);
         }
-        for (dm, m) in got.deliver {
-            if let Endpoint::Rep { prog } = to {
-                // Journal *before* consumption: journal = processed = acked
-                // is the crash-recovery invariant.
-                self.journals[prog].push((dm, m));
-                if let Some(f) = self.fault.as_mut() {
-                    if f.fault.target == CrashTarget::Rep(prog) {
-                        f.consumed += 1;
-                    }
-                }
+        for (_, m) in got.deliver {
+            if let Some(crash) = self.crash.as_mut().filter(|c| c.rep() == to) {
+                crash.consumed();
             }
             self.consume(to, m)?;
         }
         Ok(())
     }
 
-    /// Whether `prog`'s rep is currently crashed.
-    fn rep_dead(&self, prog: usize) -> bool {
-        self.fault
-            .as_ref()
-            .is_some_and(|f| f.dead && f.fault.target == CrashTarget::Rep(prog))
-    }
-
-    /// Whether the armed crash fault fires on the next packet for `prog`'s
-    /// rep: it has consumed its quota, so the arriving packet kills it.
-    fn crash_due(&self, prog: usize) -> bool {
-        self.fault.as_ref().is_some_and(|f| {
-            !f.fired && f.fault.target == CrashTarget::Rep(prog) && f.consumed >= f.fault.after_msgs
-        })
-    }
-
-    /// Kills `prog`'s rep: wipes its receive-side reliability state (held
-    /// back, unacked messages die with it) and schedules recovery — either
-    /// the configured restart or the heartbeat-timeout failover check.
-    fn crash_rep(&mut self, prog: usize) {
-        let now = self.queue.now().0;
-        let restart_after = {
-            let f = self.fault.as_mut().expect("crash_due checked");
-            f.fired = true;
-            f.dead = true;
-            f.crash_time = now;
-            f.fault.restart_after
+    /// Brings the crashed rep back from the delivery journal and restores
+    /// its receive-side dedup/ordering state.
+    fn recover_rep(&mut self) -> Result<(), SimError> {
+        let Some(crash) = self.crash.as_mut() else {
+            return Ok(());
         };
-        if let Some(rel) = self.rel.as_mut() {
-            rel.crash_endpoint(Endpoint::Rep { prog });
-        }
-        match restart_after {
-            Some(d) => self.queue.schedule(d, Ev::RepRestart { prog }),
-            None => self.queue.schedule(HB_TIMEOUT, Ev::HbCheck { prog }),
-        }
-    }
-
-    /// Brings `prog`'s rep role back — the restarted process or the
-    /// lowest-rank live successor — by replaying the consumed-message
-    /// journal and restoring the receive-side dedup/ordering state, then
-    /// meters the recovery.
-    fn recover_rep(&mut self, prog: usize) -> Result<(), SimError> {
-        let crash_time = match self.fault.as_mut() {
-            Some(f) if f.dead => {
-                f.dead = false;
-                f.crash_time
+        let (ep, prog) = (crash.rep(), crash.prog());
+        let journal = self.wal.delivered(ep);
+        let (now, bh, hier) = (self.queue.now().0, self.buddy_help, self.hierarchical);
+        if let Some(rep) = crash.recover(now, &self.topo, bh, hier, &journal, &self.metrics)? {
+            self.reps[prog] = Some(rep);
+            if let Some(rel) = self.rel.as_mut() {
+                rel.restore_delivered(ep, &journal);
             }
-            _ => return Ok(()),
-        };
-        let mut rep = RepNode::new(&self.topo, prog, self.buddy_help, self.hierarchical);
-        let msgs: Vec<CtrlMsg> = self.journals[prog].iter().map(|&(_, m)| m).collect();
-        rep.replay(&self.topo, &msgs)?;
-        self.reps[prog] = Some(rep);
-        let metas: Vec<WireMeta> = self.journals[prog].iter().map(|&(m, _)| m).collect();
-        if let Some(rel) = self.rel.as_mut() {
-            rel.restore_delivered(Endpoint::Rep { prog }, &metas);
         }
-        self.metrics.failovers.inc();
-        self.metrics
-            .recovery_ms
-            .observe(((self.queue.now().0 - crash_time) * 1000.0) as u64);
         Ok(())
     }
 
-    /// Sends a link-layer ack `from → to` (best-effort: unsequenced, may be
-    /// lost or duplicated; the sender's retransmit + receiver's re-ack heal
-    /// a lost one).
-    fn send_ack(&mut self, from: Endpoint, to: Endpoint, seq: u64) {
-        self.metrics.ctrl(CtrlClass::Ack).inc();
-        self.metrics
-            .phases
-            .add_virtual(Phase::Ctrl, self.cost.ctrl_time());
-        let msg = CtrlMsg::Ack { seq };
-        let n = self.nonce;
-        self.nonce += 1;
-        let base = self.queue.now().0 + self.cost.ctrl_time();
-        match self.chaos.as_mut() {
-            Some(chaos) => {
-                if chaos.config().lost(n, to, &msg) {
-                    return;
-                }
-                for at in chaos.deliveries(base, to, &msg) {
-                    self.queue
-                        .schedule_at(SimTime(at), Ev::AckMsg { to, from, seq });
-                }
+    /// Moves one engine step's messages, `delay` seconds (the emitting
+    /// call's own cost) before network costs.
+    fn emit(&mut self, from: Endpoint, delay: f64, msgs: Vec<Outgoing>) -> Result<(), SimError> {
+        for m in msgs {
+            match m {
+                Outgoing::Ctrl { to, msg } => self.send(SendKind::Origin, from, to, msg, delay),
+                Outgoing::Relay { to, msg } => self.send(SendKind::Relay, from, to, msg, delay),
+                Outgoing::Transfer { conn, req, .. } => self.transfer(from, conn, req, delay)?,
             }
-            None => self
-                .queue
-                .schedule_at(SimTime(base), Ev::AckMsg { to, from, seq }),
         }
+        Ok(())
     }
 
-    /// Re-sends an expired pending message (same wire metadata, fresh loss
-    /// draw).
-    fn resend(&mut self, to: Endpoint, meta: WireMeta, msg: CtrlMsg) {
-        self.metrics.ctrl(ctrl_class(&msg)).inc();
-        if matches!(msg, CtrlMsg::Coalesced { .. }) {
-            self.metrics.ctrl_coalesced.inc();
-        }
-        self.metrics
-            .phases
-            .add_virtual(Phase::Ctrl, self.cost.ctrl_time());
-        if self.drop_buddy_help && expendable(&msg) {
+    /// Runs one control message through the engine's send step and, if it
+    /// leaves, schedules its arrival after the modelled latency — at the
+    /// chaos-planned instants (possibly several, for duplicated
+    /// commutative messages; FIFO-class streams clamped to their
+    /// watermark) when fault injection is on.
+    fn send(&mut self, kind: SendKind, from: Endpoint, to: Endpoint, msg: CtrlMsg, delay: f64) {
+        let ctrl_time = self.cost.ctrl_time();
+        self.metrics.phases.add_virtual(Phase::Ctrl, ctrl_time);
+        let now = self.queue.now().0;
+        let rel = self.rel.as_mut();
+        let SendDecision::Deliver(meta) = send_step(&self.metrics, rel, kind, from, to, &msg, now)
+        else {
             return;
-        }
-        let n = self.nonce;
-        self.nonce += 1;
-        let base = self.queue.now().0 + self.cost.ctrl_time();
+        };
+        let nominal = delay + ctrl_time;
+        let ev = || match msg {
+            CtrlMsg::Ack { seq } => Ev::Ack { to, from, seq },
+            _ => Ev::Deliver { to, msg, meta },
+        };
         match self.chaos.as_mut() {
+            None => self.queue.schedule(nominal, ev()),
             Some(chaos) => {
-                if chaos.config().lost(n, to, &msg) {
-                    return;
-                }
-                for at in chaos.deliveries(base, to, &msg) {
-                    self.queue.schedule_at(
-                        SimTime(at),
-                        Ev::Deliver {
-                            to,
-                            msg,
-                            meta: Some(meta),
-                        },
-                    );
+                for at in chaos.deliveries(now + nominal, to, &msg) {
+                    self.queue.schedule_at(SimTime(at), ev());
                 }
             }
-            None => self.queue.schedule_at(
-                SimTime(base),
-                Ev::Deliver {
-                    to,
-                    msg,
-                    meta: Some(meta),
-                },
-            ),
         }
     }
 
-    /// Processes every expired ack deadline: retransmits ride back out,
+    /// Expands one data transfer into a piece event per destination rank
+    /// of the connection's redistribution plan.
+    fn transfer(
+        &mut self,
+        from: Endpoint,
+        conn: ConnectionId,
+        req: RequestId,
+        delay: f64,
+    ) -> Result<(), SimError> {
+        let Endpoint::Proc { rank, .. } = from else {
+            return Err(SimError::Config("data transfer emitted by a rep".into()));
+        };
+        self.metrics.transfers.inc();
+        let ct = self.topo.conn(conn);
+        for t in ct.plan.sends_from(rank) {
+            let bytes = t.rect.cells() * std::mem::size_of::<f64>();
+            let data_time = self.cost.data_time(bytes);
+            self.metrics.bytes_transferred.add(bytes as u64);
+            self.metrics.phases.add_virtual(Phase::Transfer, data_time);
+            self.queue.schedule(
+                delay + data_time,
+                Ev::Piece {
+                    prog: ct.importer_prog,
+                    rank: t.dst,
+                    conn,
+                    req,
+                },
+            );
+        }
+        Ok(())
+    }
+
+    /// Processes every expired ack deadline: retransmits ride back out
+    /// with their original wire metadata and a fresh loss draw;
     /// abandonments just stop (an expendable one was already metered; a
     /// reliable one leaves unresolved work for the liveness oracle).
     fn on_retry_check(&mut self) {
@@ -1062,9 +841,8 @@ impl TopologySim {
             None => return,
         };
         for e in due {
-            match e {
-                Expiry::Resend { to, meta, msg } => self.resend(to, meta, msg),
-                Expiry::Abandon { .. } => {}
+            if let Expiry::Resend { to, meta, msg } = e {
+                self.send(SendKind::Resend(meta), meta.from, to, msg, 0.0);
             }
         }
     }
@@ -1085,7 +863,7 @@ impl TopologySim {
 
     /// Hands one control message to its node — the pre-reliability delivery
     /// path, shared by fault-free runs and packets that cleared the
-    /// reliability layer.
+    /// reliability layer — and moves whatever the node emits.
     fn consume(&mut self, to: Endpoint, msg: CtrlMsg) -> Result<(), SimError> {
         match to {
             Endpoint::Rep { prog } => {
@@ -1102,223 +880,34 @@ impl TopologySim {
                     } = out
                     {
                         self.matches[conn.0 as usize].push(match answer {
-                            couplink_proto::RepAnswer::Match(m) => Some(*m),
-                            couplink_proto::RepAnswer::NoMatch => None,
+                            RepAnswer::Match(m) => Some(*m),
+                            RepAnswer::NoMatch => None,
                         });
                     }
                 }
-                let mut tx = DesTransport {
-                    queue: &mut self.queue,
-                    topo: &self.topo,
-                    cost: &self.cost,
-                    from: Endpoint::Rep { prog },
-                    delay: 0.0,
-                    chaos: self.chaos.as_mut(),
-                    rel: self.rel.as_mut(),
-                    nonce: &mut self.nonce,
-                    drop_buddy_help: self.drop_buddy_help,
-                    metrics: &self.metrics,
-                };
-                deliver_all(&mut tx, Endpoint::Rep { prog }, outs)?;
+                self.emit(to, 0.0, outs)
             }
-            Endpoint::Proc { prog, rank } => match msg {
-                CtrlMsg::ForwardRequest { conn, req, ts } => {
+            Endpoint::Proc { prog, rank } => match proc_side(&msg) {
+                Some((ProcSide::Export, conn)) => {
                     let drive = self.exp_drive_of[&conn];
-                    let iter_now = self.exp_drives[drive].recs[rank].iter;
-                    self.exp_drives[drive].recs[rank]
-                        .request_arrivals
-                        .push((conn, iter_now));
-                    let fx = self.exp_nodes[prog][rank].on_request(conn, req, ts)?;
-                    let mut tx = DesTransport {
-                        queue: &mut self.queue,
-                        topo: &self.topo,
-                        cost: &self.cost,
-                        from: Endpoint::Proc { prog, rank },
-                        delay: 0.0,
-                        chaos: self.chaos.as_mut(),
-                        rel: self.rel.as_mut(),
-                        nonce: &mut self.nonce,
-                        drop_buddy_help: self.drop_buddy_help,
-                        metrics: &self.metrics,
-                    };
-                    deliver_all(&mut tx, Endpoint::Proc { prog, rank }, fx.msgs)?;
+                    if matches!(msg, CtrlMsg::ForwardRequest { .. }) {
+                        let rec = &mut self.exp_drives[drive].recs[rank];
+                        rec.request_arrivals.push((conn, rec.iter));
+                    }
+                    let fx = self.exp_nodes[prog][rank].on_msg(msg)?;
+                    self.emit(to, 0.0, fx.msgs)?;
                     self.wake_blocked(drive, rank);
-                    if self.hierarchical {
-                        let seen = self.fwd_seen.entry((prog, rank, conn)).or_insert(req.0);
-                        *seen = (*seen).max(req.0);
-                        // Apply help that overtook this forward, then relay
-                        // the request to the subtree.
-                        let stashed: Vec<_> = match self.help_stash.get_mut(&(prog, rank)) {
-                            None => Vec::new(),
-                            Some(list) => {
-                                let (now, later) =
-                                    list.drain(..).partition(|&(c, r, _)| c == conn && r == req);
-                                *list = later;
-                                now
-                            }
-                        };
-                        for (c, r, a) in stashed {
-                            self.apply_help(prog, rank, c, r, a)?;
-                        }
-                        let procs = self.topo.programs[prog].procs;
-                        for child in tree::children(rank, procs) {
-                            self.relay_ctrl(
-                                Endpoint::Proc { prog, rank },
-                                Endpoint::Proc { prog, rank: child },
-                                CtrlMsg::ForwardRequest { conn, req, ts },
-                            );
-                        }
-                    }
+                    Ok(())
                 }
-                CtrlMsg::Coalesced {
-                    conn,
-                    req,
-                    answer,
-                    bcast,
-                    help,
-                } => {
-                    if help {
-                        let forwarded = self
-                            .fwd_seen
-                            .get(&(prog, rank, conn))
-                            .is_some_and(|&m| m >= req.0);
-                        if forwarded {
-                            self.apply_help(prog, rank, conn, req, answer)?;
-                        } else {
-                            // The export port cannot tell "not forwarded
-                            // here yet" apart from "resolved and pruned";
-                            // hold the help until the forward arrives.
-                            self.help_stash
-                                .entry((prog, rank))
-                                .or_default()
-                                .push((conn, req, answer));
-                        }
-                    }
-                    if bcast {
-                        self.imp_nodes[prog][rank].on_answer(conn, req, answer)?;
-                        let drive = self.imp_drive_of[&conn];
-                        self.check_import_done(drive, rank)?;
-                    }
-                    let procs = self.topo.programs[prog].procs;
-                    for child in tree::children(rank, procs) {
-                        self.relay_ctrl(
-                            Endpoint::Proc { prog, rank },
-                            Endpoint::Proc { prog, rank: child },
-                            msg,
-                        );
-                    }
+                Some((ProcSide::Import, conn)) => {
+                    let outs = self.imp_nodes[prog][rank].on_msg(msg)?;
+                    self.check_import_done(self.imp_drive_of[&conn], rank)?;
+                    self.emit(to, 0.0, outs)
                 }
-                CtrlMsg::BuddyHelp { conn, req, answer } => {
-                    let drive = self.exp_drive_of[&conn];
-                    let fx = self.exp_nodes[prog][rank].on_buddy_help(conn, req, answer)?;
-                    let mut tx = DesTransport {
-                        queue: &mut self.queue,
-                        topo: &self.topo,
-                        cost: &self.cost,
-                        from: Endpoint::Proc { prog, rank },
-                        delay: 0.0,
-                        chaos: self.chaos.as_mut(),
-                        rel: self.rel.as_mut(),
-                        nonce: &mut self.nonce,
-                        drop_buddy_help: self.drop_buddy_help,
-                        metrics: &self.metrics,
-                    };
-                    deliver_all(&mut tx, Endpoint::Proc { prog, rank }, fx.msgs)?;
-                    self.wake_blocked(drive, rank);
-                }
-                CtrlMsg::AnswerBcast { conn, req, answer } => {
-                    self.imp_nodes[prog][rank].on_answer(conn, req, answer)?;
-                    let drive = self.imp_drive_of[&conn];
-                    self.check_import_done(drive, rank)?;
-                }
-                other => {
-                    return Err(SimError::Config(format!(
-                        "unroutable process message {other:?}"
-                    )))
-                }
+                None => Err(SimError::Config(format!(
+                    "unroutable process message {msg:?}"
+                ))),
             },
-        }
-        Ok(())
-    }
-
-    /// Applies one buddy-help announcement (flat or coalesced) to an
-    /// exporting process and moves whatever it emits.
-    fn apply_help(
-        &mut self,
-        prog: usize,
-        rank: usize,
-        conn: ConnectionId,
-        req: RequestId,
-        answer: RepAnswer,
-    ) -> Result<(), SimError> {
-        let drive = self.exp_drive_of[&conn];
-        let fx = self.exp_nodes[prog][rank].on_buddy_help(conn, req, answer)?;
-        let mut tx = DesTransport {
-            queue: &mut self.queue,
-            topo: &self.topo,
-            cost: &self.cost,
-            from: Endpoint::Proc { prog, rank },
-            delay: 0.0,
-            chaos: self.chaos.as_mut(),
-            rel: self.rel.as_mut(),
-            nonce: &mut self.nonce,
-            drop_buddy_help: self.drop_buddy_help,
-            metrics: &self.metrics,
-        };
-        deliver_all(&mut tx, Endpoint::Proc { prog, rank }, fx.msgs)?;
-        self.wake_blocked(drive, rank);
-        Ok(())
-    }
-
-    /// Relays one hierarchical tree frame one hop down the subtree. Relay
-    /// hops are metered as `ctrl_relay` (plus `ctrl_coalesced` for
-    /// coalesced frames) instead of per-class origin traffic, and ride the
-    /// same reliability and chaos disciplines as origin sends.
-    fn relay_ctrl(&mut self, from: Endpoint, to: Endpoint, msg: CtrlMsg) {
-        if self.relay_drop {
-            if let (Endpoint::Proc { rank: fr, .. }, Endpoint::Proc { rank: tr, .. }) = (from, to) {
-                if fr == 0
-                    && tr == tree::BRANCH
-                    && matches!(msg, CtrlMsg::Coalesced { bcast: true, .. })
-                {
-                    return;
-                }
-            }
-        }
-        self.metrics.ctrl_relay.inc();
-        if matches!(msg, CtrlMsg::Coalesced { .. }) {
-            self.metrics.ctrl_coalesced.inc();
-        }
-        self.metrics
-            .phases
-            .add_virtual(Phase::Ctrl, self.cost.ctrl_time());
-        let nominal = self.cost.ctrl_time();
-        let meta = match self.rel.as_mut() {
-            None => None,
-            Some(rel) => {
-                let meta = rel.register(from, to, &msg, self.queue.now().0);
-                if self.drop_buddy_help && expendable(&msg) {
-                    return;
-                }
-                let n = self.nonce;
-                self.nonce += 1;
-                if let Some(chaos) = self.chaos.as_ref() {
-                    if chaos.config().lost(n, to, &msg) {
-                        return;
-                    }
-                }
-                meta
-            }
-        };
-        match self.chaos.as_mut() {
-            None => self.queue.schedule(nominal, Ev::Deliver { to, msg, meta }),
-            Some(chaos) => {
-                let base_at = self.queue.now().0 + nominal;
-                for at in chaos.deliveries(base_at, to, &msg) {
-                    self.queue
-                        .schedule_at(SimTime(at), Ev::Deliver { to, msg, meta });
-                }
-            }
         }
     }
 

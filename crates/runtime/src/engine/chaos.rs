@@ -1,7 +1,7 @@
 //! Deterministic fault injection for control-plane traffic.
 //!
-//! The simulation-testing harness (`couplink-simtest`) wraps each runtime's
-//! [`Transport`](super::Transport) with *chaos*: seeded per-message delay,
+//! The simulation-testing harness (`couplink-simtest`) arms each runtime's
+//! delivery path with *chaos*: seeded per-message delay,
 //! duplication and bounded drop-with-retry. Every decision is a pure
 //! function of the [`ChaosConfig`] seed and a per-transport message counter,
 //! so a failing run replays exactly from its seed.

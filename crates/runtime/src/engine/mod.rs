@@ -12,17 +12,12 @@
 //! - [`ImportNode`]: one per importing process; one
 //!   [`couplink_proto::ImportPort`] per imported region.
 //!
-//! Nodes consume [`couplink_proto::CtrlMsg`] values and emit [`Outgoing`]
-//! messages in a deterministic order. What *varies* between runtimes is only
-//! how messages move and what time means, captured by two traits:
-//!
-//! - [`Transport`]: delivers a control message to an [`Endpoint`] and
-//!   executes a data transfer (expanding it into per-destination pieces via
-//!   the connection's redistribution plan). The discrete-event simulator
-//!   schedules events with modelled latencies; the threaded fabric sends on
-//!   channels.
-//! - [`Clock`]: reads the current time — virtual seconds in the simulator,
-//!   wall-clock in the fabric — so shared code can stamp outcomes.
+//! Nodes consume [`couplink_proto::CtrlMsg`] values (`on_msg`) and emit
+//! [`Outgoing`] messages in a deterministic order; the per-message send and
+//! receive disciplines live in [`reliable`] ([`reliable::send_step`],
+//! [`Reliability::admit`]). A runtime supplies only what is its own: a
+//! [`Clock`], how a delivery is scheduled, where acks travel and where the
+//! journal lives (see `DESIGN.md`, "What a runtime supplies").
 //!
 //! The topology itself ([`Topology`]) is runtime-neutral: N programs, any
 //! acyclic-or-cyclic set of connections, multi-importer export regions.
@@ -35,9 +30,12 @@ pub mod topology;
 pub mod tree;
 
 pub use chaos::{ChaosConfig, ChaosState, CrashFault, CrashTarget};
-pub use node::{EngineError, ExportFx, ExportNode, ImportNode, RepNode};
+pub use node::{EngineError, ExportFx, ExportNode, ImportNode, RepCrash, RepNode};
 pub use oracle::OracleViolation;
-pub use reliable::{Expiry, MemWal, Reliability, RetryPolicy, Wal, WalRecord, WireMeta};
+pub use reliable::{
+    send_step, Expiry, MemWal, Reliability, RetryPolicy, SendDecision, SendKind, Wal, WalRecord,
+    WireMeta,
+};
 pub use topology::{
     ConnTopo, ExportRegionTopo, ImportRegionTopo, ProgramTopo, Topology, TopologyError,
 };
@@ -95,6 +93,15 @@ pub enum Outgoing {
         /// The message.
         msg: CtrlMsg,
     },
+    /// One hop of a tree frame a rank forwards down its subtree. The node
+    /// decides *whether* a relay happens; the runtime only how the hop is
+    /// metered (as `ctrl_relay`, not per-class origin traffic) and moved.
+    Relay {
+        /// The tree child.
+        to: Endpoint,
+        /// The relayed frame.
+        msg: CtrlMsg,
+    },
     /// A matched object must be transferred from the emitting process to
     /// the connection's importer. The transport expands this into one piece
     /// per destination rank using the connection's redistribution plan.
@@ -108,40 +115,31 @@ pub enum Outgoing {
     },
 }
 
-/// How messages move for one runtime. Implementations are cheap views
-/// carrying whatever context the runtime needs (event queue + cost model,
-/// or channel handles + object stores).
-pub trait Transport {
-    /// The runtime's failure type.
-    type Error;
-
-    /// Moves one control message to its endpoint.
-    fn ctrl(&mut self, to: Endpoint, msg: CtrlMsg) -> Result<(), Self::Error>;
-
-    /// Executes one data transfer emitted by `from`.
-    fn transfer(
-        &mut self,
-        from: Endpoint,
-        conn: ConnectionId,
-        req: RequestId,
-        m: Timestamp,
-    ) -> Result<(), Self::Error>;
+/// Which node of a process a delivered control message is for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProcSide {
+    /// The rank's [`ExportNode`]: forwarded requests and buddy-help.
+    Export,
+    /// The rank's [`ImportNode`]: collective answers.
+    Import,
 }
 
-/// Delivers every outgoing message of a node step through a transport, in
-/// emission order.
-pub fn deliver_all<T: Transport>(
-    transport: &mut T,
-    from: Endpoint,
-    msgs: Vec<Outgoing>,
-) -> Result<(), T::Error> {
-    for m in msgs {
-        match m {
-            Outgoing::Ctrl { to, msg } => transport.ctrl(to, msg)?,
-            Outgoing::Transfer { conn, req, m } => transport.transfer(from, conn, req, m)?,
-        }
+/// Routes a message addressed to a process endpoint to the node that
+/// consumes it, with the connection it concerns (`None` for rep-only and
+/// link-layer messages).
+pub fn proc_side(msg: &CtrlMsg) -> Option<(ProcSide, ConnectionId)> {
+    match *msg {
+        CtrlMsg::ForwardRequest { conn, .. }
+        | CtrlMsg::BuddyHelp { conn, .. }
+        | CtrlMsg::Coalesced {
+            conn, bcast: false, ..
+        } => Some((ProcSide::Export, conn)),
+        CtrlMsg::AnswerBcast { conn, .. }
+        | CtrlMsg::Coalesced {
+            conn, bcast: true, ..
+        } => Some((ProcSide::Import, conn)),
+        _ => None,
     }
-    Ok(())
 }
 
 /// What time means for one runtime: virtual seconds in the simulator,
@@ -149,15 +147,4 @@ pub fn deliver_all<T: Transport>(
 pub trait Clock {
     /// Seconds since the runtime's epoch.
     fn now(&self) -> f64;
-}
-
-/// A clock reading a fixed value (useful for tests and for runtimes that
-/// advance time externally).
-#[derive(Debug, Clone, Copy)]
-pub struct FixedClock(pub f64);
-
-impl Clock for FixedClock {
-    fn now(&self) -> f64 {
-        self.0
-    }
 }

@@ -4,10 +4,13 @@
 //! process (or rep) of one program and translates their effects into
 //! [`Outgoing`] messages in a fixed, runtime-independent order. The drivers
 //! (discrete-event simulator, threaded fabric) only move these messages and
-//! execute data transfers; every protocol decision lives here.
+//! execute data transfers; every protocol decision lives here — including
+//! the rank side of the distribution tree: the forward watermark, the
+//! stash for help that overtook its forward, and the relay to
+//! [`tree::children`].
 
 use super::topology::Topology;
-use super::{tree, Endpoint, Outgoing};
+use super::{tree, CrashFault, Endpoint, Outgoing, WireMeta};
 use couplink_metrics::EngineMetrics;
 use couplink_proto::{
     CtrlMsg, ExportAction, ExportPort, ImportError, ImportPort, ImportState, MultiExport,
@@ -89,6 +92,21 @@ pub struct ExportFx {
     /// Per-connection actions of an export step, in region connection
     /// order (empty for request/buddy-help steps).
     pub actions: Vec<(couplink_proto::ConnectionId, ExportAction)>,
+    /// The region the step ran on: `freed` (and every transfer in `msgs`)
+    /// refers to this region's object store.
+    pub region: usize,
+}
+
+/// One [`Outgoing::Relay`] of `msg` per tree child.
+fn relays(
+    prog: usize,
+    children: impl Iterator<Item = usize>,
+    msg: CtrlMsg,
+) -> impl Iterator<Item = Outgoing> {
+    children.map(move |rank| Outgoing::Relay {
+        to: Endpoint::Proc { prog, rank },
+        msg,
+    })
 }
 
 /// The export side of one process: every region it exports, each with its
@@ -104,13 +122,32 @@ pub struct ExportNode {
     /// trace lines report the requested timestamp, which the wire message
     /// does not carry).
     req_ts: HashMap<(couplink_proto::ConnectionId, RequestId), Timestamp>,
+    /// Ranks in this program — the size of its distribution tree.
+    procs: usize,
+    /// Whether forwards arrive down the distribution tree (and must be
+    /// relayed to this rank's subtree) instead of flat from the rep.
+    hierarchical: bool,
+    /// Highest forwarded request id seen per connection. Coalesced help at
+    /// or below the watermark is applied; help that overtook its forward
+    /// (tree frames commute, so chaos delays and retransmits reorder them
+    /// past the FIFO-ordered forward) is stashed — the port cannot tell
+    /// "not forwarded here yet" from "resolved and pruned" on its own.
+    fwd_seen: HashMap<couplink_proto::ConnectionId, u64>,
+    /// Coalesced help waiting for its forward (see `fwd_seen`).
+    help_stash: Vec<(couplink_proto::ConnectionId, RequestId, RepAnswer)>,
     /// Run-wide instrumentation shared with every other node.
     metrics: Arc<EngineMetrics>,
 }
 
 impl ExportNode {
     /// Builds the export node for process `rank` of program `prog`.
-    pub fn new(topo: &Topology, prog: usize, rank: usize, capacity: Option<usize>) -> Self {
+    pub fn new(
+        topo: &Topology,
+        prog: usize,
+        rank: usize,
+        capacity: Option<usize>,
+        hierarchical: bool,
+    ) -> Self {
         let mut regions = Vec::new();
         let mut by_conn = HashMap::new();
         for (ri, region) in topo.programs[prog].exports.iter().enumerate() {
@@ -138,6 +175,10 @@ impl ExportNode {
             regions,
             by_conn,
             req_ts: HashMap::new(),
+            procs: topo.programs[prog].procs,
+            hierarchical,
+            fwd_seen: HashMap::new(),
+            help_stash: Vec::new(),
             metrics: Arc::new(EngineMetrics::new()),
         }
     }
@@ -241,6 +282,7 @@ impl ExportNode {
         let mut out = ExportFx {
             copy: fx.copy,
             freed: fx.freed.clone(),
+            region,
             ..Default::default()
         };
         for (slot, pfx) in fx.per_conn.iter().enumerate() {
@@ -290,8 +332,55 @@ impl ExportNode {
         Ok(out)
     }
 
+    /// Handles one control message delivered to this process's export side
+    /// ([`super::ProcSide::Export`]): a forwarded request, flat buddy-help,
+    /// or a coalesced help frame travelling the distribution tree. Tree
+    /// frames are relayed to this rank's subtree exactly once per delivery.
+    pub fn on_msg(&mut self, msg: CtrlMsg) -> Result<ExportFx, EngineError> {
+        let mut out = match msg {
+            CtrlMsg::ForwardRequest { conn, req, ts } => {
+                let mut out = self.on_request(conn, req, ts)?;
+                if self.hierarchical {
+                    let seen = self.fwd_seen.entry(conn).or_insert(req.0);
+                    *seen = (*seen).max(req.0);
+                    let (ready, later) = std::mem::take(&mut self.help_stash)
+                        .into_iter()
+                        .partition(|&(c, r, _)| c == conn && r == req);
+                    self.help_stash = later;
+                    for (c, r, a) in ready {
+                        let fx = self.on_buddy_help(c, r, a)?;
+                        out.msgs.extend(fx.msgs);
+                        out.freed.extend(fx.freed);
+                    }
+                }
+                out
+            }
+            CtrlMsg::BuddyHelp { conn, req, answer } => self.on_buddy_help(conn, req, answer)?,
+            CtrlMsg::Coalesced {
+                conn,
+                req,
+                answer,
+                bcast: false,
+                help: true,
+            } => {
+                if self.fwd_seen.get(&conn).is_some_and(|&m| m >= req.0) {
+                    self.on_buddy_help(conn, req, answer)?
+                } else {
+                    self.help_stash.push((conn, req, answer));
+                    ExportFx::default()
+                }
+            }
+            _ => return Err(EngineError::UnexpectedMessage("not an export-side message")),
+        };
+        if self.hierarchical && !matches!(msg, CtrlMsg::BuddyHelp { .. }) {
+            let children = tree::children(self.rank, self.procs);
+            out.msgs.extend(relays(self.prog, children, msg));
+        }
+        Ok(out)
+    }
+
     /// A forwarded import request reaches this process.
-    pub fn on_request(
+    fn on_request(
         &mut self,
         conn: couplink_proto::ConnectionId,
         req: RequestId,
@@ -312,6 +401,7 @@ impl ExportNode {
         }
         let mut out = ExportFx {
             freed,
+            region: ri,
             ..Default::default()
         };
         out.msgs.push(Outgoing::Ctrl {
@@ -329,8 +419,8 @@ impl ExportNode {
         Ok(out)
     }
 
-    /// A buddy-help message reaches this process.
-    pub fn on_buddy_help(
+    /// A buddy-help announcement (flat or coalesced) reaches this process.
+    fn on_buddy_help(
         &mut self,
         conn: couplink_proto::ConnectionId,
         req: RequestId,
@@ -352,6 +442,7 @@ impl ExportNode {
         }
         let mut out = ExportFx {
             freed,
+            region: ri,
             ..Default::default()
         };
         if let Some(m) = fx.send {
@@ -506,22 +597,6 @@ impl RepNode {
         Ok(out)
     }
 
-    /// Rebuilds a successor rep's aggregation state by replaying the
-    /// crashed rep's consumed-message journal in consumption order,
-    /// *discarding* the regenerated outgoing traffic: everything the dead
-    /// rep consumed it had also already emitted responses for (consumption
-    /// and emission are one atomic step in both runtimes), and any copies
-    /// still in flight are deduplicated by the reliability layer. The
-    /// journal stands in for the paper-style member re-announcements — it
-    /// carries the same per-member information, already collectively
-    /// ordered.
-    pub fn replay(&mut self, topo: &Topology, journal: &[CtrlMsg]) -> Result<(), EngineError> {
-        for msg in journal {
-            let _regenerated = self.on_msg(topo, *msg)?;
-        }
-        Ok(())
-    }
-
     fn push_delivers(
         &self,
         _topo: &Topology,
@@ -609,6 +684,96 @@ impl RepNode {
     }
 }
 
+/// The crash window of one rep under a [`CrashFault`], the same on every
+/// runtime: packet-granular death (once the rep has consumed `after_msgs`
+/// messages, the *next arriving packet* kills it and is itself lost
+/// unacked), a dead window in which everything arriving dies unacked (the
+/// senders keep retransmitting), and recovery by journal replay. The
+/// runtime supplies the clock, schedules the recovery, and wipes/restores
+/// its reliability layer's receive state for the endpoint.
+#[derive(Debug)]
+pub struct RepCrash {
+    prog: usize,
+    fault: CrashFault,
+    consumed: u64,
+    fired: bool,
+    /// Clock reading at the crash, while the rep is dead.
+    dead_since: Option<f64>,
+}
+
+impl RepCrash {
+    /// Arms `fault` on program `prog`'s rep.
+    pub fn new(prog: usize, fault: CrashFault) -> Self {
+        RepCrash {
+            prog,
+            fault,
+            consumed: 0,
+            fired: false,
+            dead_since: None,
+        }
+    }
+
+    /// The program whose rep is targeted.
+    pub fn prog(&self) -> usize {
+        self.prog
+    }
+
+    /// The targeted rep's endpoint.
+    pub fn rep(&self) -> Endpoint {
+        Endpoint::Rep { prog: self.prog }
+    }
+
+    /// Whether the rep is currently dead (crashed, not yet recovered).
+    pub fn is_dead(&self) -> bool {
+        self.dead_since.is_some()
+    }
+
+    /// Counts one message delivered to the live rep.
+    pub fn consumed(&mut self) {
+        self.consumed += 1;
+    }
+
+    /// A packet reaches the live rep at `now`. Returns the seconds until
+    /// recovery is due — the configured restart, or `hb_timeout` for the
+    /// heartbeat-failover path — exactly when this packet is the fatal one.
+    pub fn fires(&mut self, now: f64, hb_timeout: f64) -> Option<f64> {
+        if self.fired || self.consumed < self.fault.after_msgs {
+            return None;
+        }
+        self.fired = true;
+        self.dead_since = Some(now);
+        Some(self.fault.restart_after.unwrap_or(hb_timeout))
+    }
+
+    /// Brings the rep role back at `now` — the restarted process or the
+    /// lowest-rank live successor — by replaying the dead rep's delivery
+    /// journal in consumption order, *discarding* the regenerated outgoing
+    /// traffic: everything the dead rep consumed it had also already
+    /// emitted responses for (consumption and emission are one atomic
+    /// step), and copies still in flight are deduplicated by the
+    /// reliability layer. Meters the failover; `None` if the rep is alive.
+    pub fn recover(
+        &mut self,
+        now: f64,
+        topo: &Topology,
+        buddy_help: bool,
+        hierarchical: bool,
+        journal: &[(WireMeta, CtrlMsg)],
+        metrics: &EngineMetrics,
+    ) -> Result<Option<RepNode>, EngineError> {
+        let Some(t0) = self.dead_since.take() else {
+            return Ok(None);
+        };
+        let mut fresh = RepNode::new(topo, self.prog, buddy_help, hierarchical);
+        for &(_, msg) in journal {
+            let _regenerated = fresh.on_msg(topo, msg)?;
+        }
+        metrics.failovers.inc();
+        metrics.recovery_ms.observe(((now - t0) * 1000.0) as u64);
+        Ok(Some(fresh))
+    }
+}
+
 /// The import side of one process: one [`ImportPort`] per imported region.
 #[derive(Debug)]
 pub struct ImportNode {
@@ -616,6 +781,10 @@ pub struct ImportNode {
     rank: usize,
     /// Ports in program import-region order, keyed by connection.
     ports: HashMap<couplink_proto::ConnectionId, ImportPort>,
+    /// Ranks in this program — the size of its distribution tree.
+    procs: usize,
+    /// Mutation-testing hook (see [`ImportNode::arm_relay_drop`]).
+    relay_drop: bool,
     /// Run-wide instrumentation shared with every other node.
     metrics: Arc<EngineMetrics>,
 }
@@ -633,8 +802,19 @@ impl ImportNode {
             prog,
             rank,
             ports,
+            procs: topo.programs[prog].procs,
+            relay_drop: false,
             metrics: Arc::new(EngineMetrics::new()),
         }
+    }
+
+    /// Arms the third mutation-testing hook: relay rank 0 silently drops
+    /// every coalesced answer broadcast on its first subtree edge — before
+    /// any runtime's send step sees it, so nothing ever retransmits it.
+    /// The starved subtree never completes its imports; the liveness
+    /// oracle must fire. A no-op on every other rank.
+    pub fn arm_relay_drop(&mut self) {
+        self.relay_drop = self.rank == 0;
     }
 
     /// Shares run-wide instrumentation with this node (a private instance is
@@ -669,8 +849,33 @@ impl ImportNode {
         Ok((req, msg))
     }
 
+    /// Handles one control message delivered to this process's import side
+    /// ([`super::ProcSide::Import`]): a flat answer broadcast, or a
+    /// coalesced one travelling the distribution tree, which is applied
+    /// and relayed to this rank's subtree exactly once per delivery.
+    pub fn on_msg(&mut self, msg: CtrlMsg) -> Result<Vec<Outgoing>, EngineError> {
+        match msg {
+            CtrlMsg::AnswerBcast { conn, req, answer } => {
+                self.on_answer(conn, req, answer)?;
+                Ok(Vec::new())
+            }
+            CtrlMsg::Coalesced {
+                conn,
+                req,
+                answer,
+                bcast: true,
+                ..
+            } => {
+                self.on_answer(conn, req, answer)?;
+                let children = tree::children(self.rank, self.procs);
+                Ok(relays(self.prog, children.skip(usize::from(self.relay_drop)), msg).collect())
+            }
+            _ => Err(EngineError::UnexpectedMessage("not an import-side message")),
+        }
+    }
+
     /// The rep's broadcast answer arrives.
-    pub fn on_answer(
+    fn on_answer(
         &mut self,
         conn: couplink_proto::ConnectionId,
         req: RequestId,
@@ -710,5 +915,174 @@ impl ImportNode {
     /// Completes the finished import, returning its collective answer.
     pub fn finish(&mut self, conn: couplink_proto::ConnectionId) -> Option<RepAnswer> {
         self.ports.get_mut(&conn)?.finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use couplink_layout::{Decomposition, Extent2};
+    use couplink_proto::ConnectionId;
+    use couplink_time::{ts, MatchPolicy, Tolerance};
+
+    const CONN: ConnectionId = ConnectionId(0);
+
+    /// Six ranks on both sides: rank 0's subtree children are ranks 4, 5.
+    fn topo() -> Topology {
+        let d = Decomposition::row_block(Extent2::new(12, 12), 6).expect("decomp");
+        Topology::pair(d, d, MatchPolicy::RegL, Tolerance::new(0.5).expect("tol")).expect("topo")
+    }
+
+    fn relayed_to(msgs: &[Outgoing], frame: CtrlMsg) -> Vec<usize> {
+        msgs.iter()
+            .filter_map(|m| match m {
+                Outgoing::Relay {
+                    to: Endpoint::Proc { rank, .. },
+                    msg,
+                } if *msg == frame => Some(*rank),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn transfers(msgs: &[Outgoing]) -> usize {
+        let is_transfer = |m: &&Outgoing| matches!(m, Outgoing::Transfer { .. });
+        msgs.iter().filter(is_transfer).count()
+    }
+
+    /// Coalesced help that overtakes its forward is stashed (relayed, not
+    /// applied), applied exactly once when the forward lands, and every
+    /// accepted frame is relayed to `tree::children` exactly once.
+    #[test]
+    fn early_coalesced_help_is_stashed_then_applied_once() {
+        let mut node = ExportNode::new(&topo(), 0, 0, None, true);
+        node.on_export(0, ts(1.0)).expect("export");
+        let help = CtrlMsg::Coalesced {
+            conn: CONN,
+            req: RequestId(0),
+            answer: RepAnswer::Match(ts(1.0)),
+            bcast: false,
+            help: true,
+        };
+        let early = node.on_msg(help).expect("early help");
+        assert_eq!(
+            transfers(&early.msgs),
+            0,
+            "help before its forward must not apply"
+        );
+        assert_eq!(relayed_to(&early.msgs, help), vec![4, 5]);
+        assert_eq!(node.port_stats(CONN).sends, 0);
+
+        // REGL cannot decide 1.2 from {1.0} alone: PENDING, until the
+        // stashed help settles it and the piece goes out.
+        let fwd = CtrlMsg::ForwardRequest {
+            conn: CONN,
+            req: RequestId(0),
+            ts: ts(1.2),
+        };
+        let landed = node.on_msg(fwd).expect("forward");
+        assert!(matches!(
+            landed.msgs[0],
+            Outgoing::Ctrl {
+                to: Endpoint::Rep { prog: 0 },
+                msg: CtrlMsg::Response { .. }
+            }
+        ));
+        assert_eq!(
+            transfers(&landed.msgs),
+            1,
+            "stashed help applied: {landed:?}"
+        );
+        assert_eq!(relayed_to(&landed.msgs, fwd), vec![4, 5]);
+        assert_eq!(node.port_stats(CONN).sends, 1);
+
+        // The stash is empty now: the next forward applies nothing extra,
+        // and help at or below the watermark applies on arrival.
+        node.on_export(0, ts(2.0)).expect("export");
+        let fwd1 = CtrlMsg::ForwardRequest {
+            conn: CONN,
+            req: RequestId(1),
+            ts: ts(2.2),
+        };
+        let next = node.on_msg(fwd1).expect("second forward");
+        assert_eq!(transfers(&next.msgs), 0);
+        assert_eq!(relayed_to(&next.msgs, fwd1), vec![4, 5]);
+        let help1 = CtrlMsg::Coalesced {
+            conn: CONN,
+            req: RequestId(1),
+            answer: RepAnswer::Match(ts(2.0)),
+            bcast: false,
+            help: true,
+        };
+        let on_time = node.on_msg(help1).expect("on-time help");
+        assert_eq!(transfers(&on_time.msgs), 1);
+        assert_eq!(relayed_to(&on_time.msgs, help1), vec![4, 5]);
+        assert_eq!(node.port_stats(CONN).sends, 2);
+    }
+
+    /// A coalesced answer broadcast reaches the import port and is relayed
+    /// to the subtree once; a leaf relays nothing; the armed relay-drop
+    /// mutation cuts rank 0's first subtree edge only.
+    #[test]
+    fn coalesced_answer_is_applied_and_relayed_once() {
+        let topo = topo();
+        let bcast = CtrlMsg::Coalesced {
+            conn: CONN,
+            req: RequestId(0),
+            answer: RepAnswer::NoMatch,
+            bcast: true,
+            help: false,
+        };
+        for (rank, armed, expect) in [
+            (0, false, vec![4, 5]),
+            (5, true, vec![]),
+            (0, true, vec![5]),
+        ] {
+            let mut node = ImportNode::new(&topo, 1, rank);
+            if armed {
+                node.arm_relay_drop();
+            }
+            let (req, _call) = node.begin_import(CONN, ts(1.0)).expect("import");
+            assert_eq!(req, RequestId(0));
+            let out = node.on_msg(bcast).expect("broadcast");
+            assert_eq!(relayed_to(&out, bcast), expect, "rank {rank} armed {armed}");
+            assert_eq!(out.len(), expect.len(), "only relays are emitted");
+            // NO MATCH needs no pieces: the answer alone finishes the import.
+            assert_eq!(node.finish(CONN), Some(RepAnswer::NoMatch));
+        }
+    }
+
+    /// Flat mode: the rep reaches every rank itself, so no node relays.
+    #[test]
+    fn flat_mode_emits_no_relay() {
+        let topo = topo();
+        let mut exp = ExportNode::new(&topo, 0, 0, None, false);
+        exp.on_export(0, ts(1.0)).expect("export");
+        let fwd = exp
+            .on_msg(CtrlMsg::ForwardRequest {
+                conn: CONN,
+                req: RequestId(0),
+                ts: ts(1.2),
+            })
+            .expect("forward");
+        let help = exp
+            .on_msg(CtrlMsg::BuddyHelp {
+                conn: CONN,
+                req: RequestId(0),
+                answer: RepAnswer::Match(ts(1.0)),
+            })
+            .expect("help");
+        assert_eq!(transfers(&help.msgs), 1);
+        let mut imp = ImportNode::new(&topo, 1, 0);
+        imp.begin_import(CONN, ts(1.2)).expect("import");
+        let answer = imp
+            .on_msg(CtrlMsg::AnswerBcast {
+                conn: CONN,
+                req: RequestId(0),
+                answer: RepAnswer::NoMatch,
+            })
+            .expect("answer");
+        let relays = |msgs: &[Outgoing]| msgs.iter().any(|m| matches!(m, Outgoing::Relay { .. }));
+        assert!(!relays(&fwd.msgs) && !relays(&help.msgs) && !relays(&answer));
     }
 }

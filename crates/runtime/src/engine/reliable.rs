@@ -9,7 +9,15 @@
 //! state machine through the [`Clock`](super::Clock) abstraction: the
 //! discrete-event simulator feeds virtual time and schedules a retry-check
 //! event at [`Reliability::next_deadline`]; the threaded fabric feeds wall
-//! time from its relay thread.
+//! time from its pump task.
+//!
+//! It also owns the two per-message disciplines every runtime shares, so no
+//! caller re-implements them: [`send_step`] (meter → register → forced
+//! buddy-help loss → replay suppression → loss draw) on the way out, and
+//! [`Reliability::admit`] (dedup/hold-back → ack metering →
+//! journal-before-ack) on the way in. A runtime only adds what is its own:
+//! a latency and an event on one side, a shard lock and a mailbox push on
+//! the other.
 //!
 //! # Delivery disciplines
 //!
@@ -53,8 +61,8 @@
 //! loss run (`0.2^32`), turning a would-be infinite loop into a metered
 //! abandonment the liveness oracle then reports.
 
-use super::{chaos, Endpoint};
-use couplink_metrics::EngineMetrics;
+use super::{chaos, ctrl_class, ChaosConfig, Endpoint};
+use couplink_metrics::{CtrlClass, EngineMetrics};
 use couplink_proto::CtrlMsg;
 use couplink_time::Timestamp;
 use std::collections::BTreeMap;
@@ -294,6 +302,97 @@ pub struct Reliability {
     send: BTreeMap<(Endpoint, Endpoint), SendLink>,
     recv: BTreeMap<(Endpoint, Endpoint), RecvLink>,
     metrics: Arc<EngineMetrics>,
+    /// Degradation knob: every expendable send registers but never leaves.
+    drop_buddy_help: bool,
+    /// The fault plan feeding the permanent-loss draw, if any.
+    loss: Option<ChaosConfig>,
+    /// Monotone per-attempt counter feeding the loss draw: every attempt
+    /// (first send, retransmit or ack) draws independently, so a retried
+    /// message is eventually delivered with probability one.
+    nonce: u64,
+    /// A restarted process is replaying its journal (see
+    /// [`Reliability::set_replaying`]).
+    replaying: bool,
+}
+
+/// How one message enters the wire — the parameter of [`send_step`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SendKind {
+    /// Traffic the sender originated: metered per class, registered.
+    Origin,
+    /// A tree hop forwarded down a subtree: metered as `ctrl_relay`,
+    /// registered like origin traffic.
+    Relay,
+    /// A retransmit of a pending entry: metered per class, keeps its
+    /// original metadata (no re-registration).
+    Resend(WireMeta),
+    /// A link-layer ack leaving its receiver: already metered by
+    /// [`Reliability::admit`], never registered, still subject to loss.
+    Ack,
+}
+
+/// What [`send_step`] decided for one message.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SendDecision {
+    /// Hand it to the wire with this metadata (`None` when unsequenced).
+    Deliver(Option<WireMeta>),
+    /// Registered (or still pending) but deliberately not moved: forced
+    /// buddy-help loss, or journal replay regenerating traffic whose
+    /// delivery comes from the journal. The pending entry retransmits or
+    /// abandons it later.
+    Suppressed,
+    /// Lost on this attempt by the seeded draw; the retransmit heals it.
+    Lost,
+}
+
+/// The one per-message send step every runtime calls before moving a
+/// control message: meter it, register it with the reliability layer
+/// (when armed), and decide whether this copy leaves at all. `rel: None`
+/// is the fault-free fast path — two counter increments, no lock, no
+/// allocation.
+pub fn send_step(
+    metrics: &EngineMetrics,
+    rel: Option<&mut Reliability>,
+    kind: SendKind,
+    from: Endpoint,
+    to: Endpoint,
+    msg: &CtrlMsg,
+    now: f64,
+) -> SendDecision {
+    if matches!(kind, SendKind::Resend(_)) && rel.as_ref().is_some_and(|r| r.replaying) {
+        // A retransmit landing mid-replay would deliver (and ack) while
+        // journaling is off; the entry stays pending for after replay.
+        return SendDecision::Suppressed;
+    }
+    match kind {
+        SendKind::Origin | SendKind::Resend(_) => metrics.ctrl(ctrl_class(msg)).inc(),
+        SendKind::Relay => metrics.ctrl_relay.inc(),
+        SendKind::Ack => {}
+    }
+    if matches!(msg, CtrlMsg::Coalesced { .. }) {
+        metrics.ctrl_coalesced.inc();
+    }
+    let Some(rel) = rel else {
+        return SendDecision::Deliver(None);
+    };
+    let meta = match kind {
+        SendKind::Origin | SendKind::Relay => rel.register(from, to, msg, now),
+        SendKind::Resend(meta) => Some(meta),
+        SendKind::Ack => None,
+    };
+    // From here on the copy may vanish; the pending entry just registered
+    // is what later retransmits (or abandons) it.
+    if (rel.drop_buddy_help && expendable(msg)) || (rel.replaying && meta.is_some()) {
+        return SendDecision::Suppressed;
+    }
+    if let Some(cfg) = &rel.loss {
+        let n = rel.nonce;
+        rel.nonce += 1;
+        if cfg.lost(n, to, msg) {
+            return SendDecision::Lost;
+        }
+    }
+    SendDecision::Deliver(meta)
 }
 
 impl Reliability {
@@ -304,7 +403,27 @@ impl Reliability {
             send: BTreeMap::new(),
             recv: BTreeMap::new(),
             metrics,
+            drop_buddy_help: false,
+            loss: None,
+            nonce: 0,
+            replaying: false,
         }
+    }
+
+    /// Arms the faults [`send_step`] applies on this layer's links: forced
+    /// buddy-help loss and the fault plan's permanent-loss draw.
+    pub fn with_faults(mut self, drop_buddy_help: bool, loss: Option<ChaosConfig>) -> Self {
+        self.drop_buddy_help = drop_buddy_help;
+        self.loss = loss;
+        self
+    }
+
+    /// Enters or leaves journal-replay mode. While replaying, regenerated
+    /// sequenced traffic is registered (rebuilding sequence counters and
+    /// pending state) but not moved — deliveries come exclusively from the
+    /// journal injection — and retransmits wait for replay to end.
+    pub fn set_replaying(&mut self, replaying: bool) {
+        self.replaying = replaying;
     }
 
     /// The active policy.
@@ -391,6 +510,30 @@ impl Reliability {
             }
         }
         out
+    }
+
+    /// The one receive step every runtime calls on an arriving sequenced
+    /// packet: [`receive`](Reliability::receive) it, meter each ack it owes
+    /// as `Ack` control traffic, and journal every accepted delivery
+    /// *before* the caller can let an ack escape — an acked message must
+    /// survive a crash, because its sender will never retransmit it. The
+    /// caller moves the acks (an event, an in-place `on_ack`, a socket
+    /// frame) and hands the deliveries to their node, in order. `journal`
+    /// is the runtime's [`Wal::append`] (a no-op while a journal is being
+    /// replayed: its records are already durable).
+    pub fn admit(
+        &mut self,
+        meta: WireMeta,
+        to: Endpoint,
+        msg: CtrlMsg,
+        mut journal: impl FnMut(&WalRecord),
+    ) -> Received {
+        let got = self.receive(meta, to, msg);
+        self.metrics.ctrl(CtrlClass::Ack).add(got.acks.len() as u64);
+        for &(meta, msg) in &got.deliver {
+            journal(&WalRecord::Delivered { ep: to, meta, msg });
+        }
+        got
     }
 
     /// All sends whose ack deadline expired at `now`: retransmits (with
@@ -498,8 +641,8 @@ impl Reliability {
     /// metadata of every message it had consumed before the crash — the
     /// successor's re-announcement step. After this, retransmits of
     /// already-journaled messages are re-acked instead of re-processed.
-    pub fn restore_delivered(&mut self, ep: Endpoint, journal: &[WireMeta]) {
-        for meta in journal {
+    pub fn restore_delivered(&mut self, ep: Endpoint, journal: &[(WireMeta, CtrlMsg)]) {
+        for (meta, _) in journal {
             let link = self.recv.entry((meta.from, ep)).or_default();
             link.delivered.insert(meta.seq);
             if let Some(k) = meta.ord {
@@ -705,6 +848,127 @@ mod tests {
         assert_eq!(r.pending_len(), 0);
     }
 
+    /// The send step, as a table: {origin, relay, resend} × {unarmed,
+    /// armed, forced buddy-help loss, replaying, lost}. The frame is a
+    /// coalesced help announcement, so every rule bites: it is classed as
+    /// buddy-help, counted as coalesced, expendable and sequenced.
+    #[test]
+    fn send_step_table() {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Mode {
+            Unarmed,
+            Armed,
+            DropHelp,
+            Replaying,
+            Lost,
+        }
+        let frame = CtrlMsg::Coalesced {
+            conn: ConnectionId(0),
+            req: RequestId(0),
+            answer: RepAnswer::NoMatch,
+            bcast: false,
+            help: true,
+        };
+        let total_loss = ChaosConfig {
+            loss_prob: 1.0,
+            ..ChaosConfig::from_seed(1)
+        };
+        let old = WireMeta {
+            from: REP,
+            seq: 41,
+            ord: None,
+        };
+        let first = WireMeta {
+            from: REP,
+            seq: 0,
+            ord: None,
+        };
+        for mode in [
+            Mode::Unarmed,
+            Mode::Armed,
+            Mode::DropHelp,
+            Mode::Replaying,
+            Mode::Lost,
+        ] {
+            for kind in [SendKind::Origin, SendKind::Relay, SendKind::Resend(old)] {
+                let resend = matches!(kind, SendKind::Resend(_));
+                if mode == Mode::Unarmed && resend {
+                    continue; // nothing is ever pending without a layer
+                }
+                let m = Arc::new(EngineMetrics::new());
+                let mut layer = (mode != Mode::Unarmed).then(|| {
+                    let mut r = Reliability::new(RetryPolicy::default(), m.clone()).with_faults(
+                        mode == Mode::DropHelp,
+                        (mode == Mode::Lost).then_some(total_loss),
+                    );
+                    r.set_replaying(mode == Mode::Replaying);
+                    r
+                });
+                let got = send_step(&m, layer.as_mut(), kind, REP, EXP, &frame, 0.0);
+                let case = format!("{mode:?} x {kind:?}");
+
+                let meta = if resend { old } else { first };
+                let want = match mode {
+                    Mode::Unarmed => SendDecision::Deliver(None),
+                    Mode::Armed => SendDecision::Deliver(Some(meta)),
+                    Mode::DropHelp | Mode::Replaying => SendDecision::Suppressed,
+                    Mode::Lost => SendDecision::Lost,
+                };
+                assert_eq!(got, want, "{case}");
+                // Origin and relay sends register even when the copy then
+                // vanishes; a resend never re-registers.
+                let pending = layer.as_ref().map_or(0, Reliability::pending_len);
+                assert_eq!(
+                    pending,
+                    usize::from(!resend && mode != Mode::Unarmed),
+                    "{case}"
+                );
+                // Metering: per class for origin/resend, `ctrl_relay` for a
+                // relay hop, `ctrl_coalesced` either way — except a resend
+                // deferred by replay, which never happened.
+                let metered = u64::from(!(resend && mode == Mode::Replaying));
+                let relay = u64::from(kind == SendKind::Relay);
+                let c = m.snapshot().counters;
+                assert_eq!(
+                    c.ctrl(CtrlClass::BuddyHelp),
+                    metered - relay * metered,
+                    "{case}"
+                );
+                assert_eq!(c.ctrl_relay, relay, "{case}");
+                assert_eq!(c.ctrl_coalesced, metered, "{case}");
+                assert_eq!(c.ctrl_total(), c.ctrl(CtrlClass::BuddyHelp), "{case}");
+            }
+        }
+    }
+
+    /// Acks ride the send step unregistered and unmetered (the receive
+    /// step already counted them), but still draw for loss; the receive
+    /// step journals every delivery it acks.
+    #[test]
+    fn acks_are_metered_at_admit_and_journaled_before_they_leave() {
+        let m = Arc::new(EngineMetrics::new());
+        let mut r = Reliability::new(RetryPolicy::default(), m.clone());
+        let meta = r.register(EXP, REP, &resp(0), 0.0).unwrap();
+        let mut wal = MemWal::new();
+        let got = r.admit(meta, REP, resp(0), |rec| wal.append(rec));
+        assert_eq!(got.acks, vec![meta.seq]);
+        assert_eq!(wal.delivered(REP), vec![(meta, resp(0))]);
+        assert_eq!(m.snapshot().counters.ctrl(CtrlClass::Ack), 1);
+        let ack = CtrlMsg::Ack { seq: meta.seq };
+        let sent = send_step(&m, Some(&mut r), SendKind::Ack, REP, EXP, &ack, 0.0);
+        assert_eq!(sent, SendDecision::Deliver(None));
+        assert_eq!(
+            m.snapshot().counters.ctrl(CtrlClass::Ack),
+            1,
+            "not metered twice"
+        );
+        // A duplicate is re-acked (and the re-ack metered) but not re-journaled.
+        let dup = r.admit(meta, REP, resp(0), |rec| wal.append(rec));
+        assert_eq!((dup.acks.len(), dup.deliver.len()), (1, 0));
+        assert_eq!(wal.delivered(REP).len(), 1);
+        assert_eq!(m.snapshot().counters.ctrl(CtrlClass::Ack), 2);
+    }
+
     /// The in-memory WAL is the journal the failover replay has always
     /// used: per-endpoint delivery logs in order, export records ignored.
     #[test]
@@ -752,9 +1016,7 @@ mod tests {
         let m2 = r.register(EXP, REP, &fwd(2), 0.0).unwrap();
         let mut journal = Vec::new();
         for (meta, msg) in [(m0, fwd(0)), (m1, fwd(1))] {
-            for (dm, _) in r.receive(meta, REP, msg).deliver {
-                journal.push(dm);
-            }
+            journal.extend(r.receive(meta, REP, msg).deliver);
         }
         // m2 arrives but the rep crashes before consuming anything more:
         // pretend it was held back... it is ord 2 == next_ord, so it WOULD

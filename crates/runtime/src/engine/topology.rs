@@ -285,6 +285,14 @@ impl Topology {
         &self.conns[id.0 as usize]
     }
 
+    /// Depth of the deepest program's distribution tree. Every process
+    /// derives the identical [`tree`](super::tree) from the topology, so
+    /// the depth is a shared property of a hierarchical run.
+    pub fn tree_depth(&self) -> usize {
+        let depths = self.programs.iter().map(|p| super::tree::depth(p.procs));
+        depths.max().unwrap_or(0)
+    }
+
     /// Program index by name.
     pub fn program_idx(&self, name: &str) -> Option<usize> {
         self.programs.iter().position(|p| p.name == name)

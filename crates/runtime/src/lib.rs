@@ -25,10 +25,11 @@
 //! exporter rep forwards each request to every exporter process, aggregates
 //! the collective responses, answers the importer, and (optionally) sends
 //! buddy-help to the PENDING processes. That flow is implemented **once**,
-//! in [`engine`], as runtime-agnostic nodes exchanging messages over a
-//! [`engine::Transport`]; the two runtimes are thin drivers moving those
-//! messages — the simulator through its event queue with modelled
-//! latencies, the fabric over real channels. Both accept arbitrary
+//! in [`engine`], as runtime-agnostic nodes consuming control messages and
+//! emitting [`engine::Outgoing`] effects, with one send step and one
+//! receive step ([`engine::reliable`]); the runtimes are thin drivers
+//! moving those messages — the simulator through its event queue with
+//! modelled latencies, the fabric through task mailboxes. Both accept arbitrary
 //! multi-program topologies ([`engine::Topology`]), not just a single
 //! exporter→importer pair.
 

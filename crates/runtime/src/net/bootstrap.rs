@@ -45,10 +45,6 @@ pub struct NetOptions {
     /// Chaos: SIGKILL one node at its `APP_DONE` and restart it from its
     /// journal.
     pub kill_restart: Option<KillSpec>,
-    /// Extra environment variables for every spawned node — how the
-    /// benchmark flips `COUPLINK_NET_LEGACY` per run without mutating
-    /// the parent's own environment.
-    pub env: Vec<(String, String)>,
 }
 
 /// Kill-and-restart chaos, driven by the parent: the victim is SIGKILLed
@@ -75,7 +71,6 @@ impl NetOptions {
             misclaim: None,
             durable: false,
             kill_restart: None,
-            env: Vec::new(),
         }
     }
 }
@@ -515,7 +510,6 @@ fn spawn_node(
     if let Some(c) = claim {
         cmd.arg("--claim").arg(c.to_string());
     }
-    cmd.envs(opts.env.iter().map(|(k, v)| (k.as_str(), v.as_str())));
     cmd.spawn()
         .map_err(|e| BootstrapError::Spawn(format!("{}: {e}", opts.node_bin.display())))
 }

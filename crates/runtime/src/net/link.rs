@@ -13,26 +13,12 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use couplink_metrics::EngineMetrics;
 use couplink_proto::wire::{Frame, FrameDecoder, FrameSlot, WireError};
 use parking_lot::Mutex;
-
-/// Whether the legacy (pre-vectored, per-frame) data plane was requested
-/// via `COUPLINK_NET_LEGACY=1`. The bench `--mutate` negative sets this to
-/// measure the old per-frame-`write` path with the same binary; the codec
-/// half of the switch is mirrored into
-/// [`couplink_proto::wire::set_legacy_codec`] by the node entry point.
-pub fn net_legacy() -> bool {
-    static LEGACY: OnceLock<bool> = OnceLock::new();
-    *LEGACY.get_or_init(|| {
-        std::env::var("COUPLINK_NET_LEGACY")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-    })
-}
 
 /// Which OS transport carries the session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -278,9 +264,11 @@ const POOL_CLASSES: usize = 33;
 /// allocation back once the bytes are on the wire — steady-state traffic
 /// stops allocating per frame.
 ///
-/// Classes are powers of two. `put` shelves a buffer under
-/// `floor(log2(capacity))`, `take(cap)` pops from `ceil(log2(cap))`, so a
-/// recycled buffer is always large enough for the request it serves.
+/// Classes are powers of two. `take(cap)` pops from `ceil(log2(cap))` and
+/// on a miss allocates the whole class (`1 << class` bytes), so the buffer
+/// `put` later shelves under `floor(log2(capacity))` lands exactly where
+/// the next same-sized `take` looks — and a recycled buffer is always
+/// large enough for the request it serves.
 pub struct BufPool {
     shelves: Mutex<Vec<Vec<Vec<u8>>>>,
     metrics: Option<Arc<EngineMetrics>>,
@@ -312,7 +300,14 @@ impl BufPool {
                 m.net_pool_misses.inc();
             }
         }
-        hit.unwrap_or_else(|| Vec::with_capacity(cap))
+        hit.unwrap_or_else(|| {
+            // Oversize requests (no class) are never shelved; size them exactly.
+            Vec::with_capacity(if class < POOL_CLASSES {
+                1 << class
+            } else {
+                cap
+            })
+        })
     }
 
     /// Shelves an allocation for reuse (dropped when its class is full).
@@ -454,9 +449,6 @@ impl LinkWriter {
         let depth = Arc::new(AtomicU64::new(0));
         let (t_dead, t_salvage, t_depth) =
             (Arc::clone(&dead), Arc::clone(&salvage), Arc::clone(&depth));
-        // The legacy data plane coalesces nothing: every frame is its own
-        // syscall, exactly like the old per-frame `write_all` loop.
-        let burst_frames = if net_legacy() { 1 } else { BURST_FRAMES };
         let thread = std::thread::Builder::new()
             .name(format!("couplink-net-wr-{label}"))
             .spawn(move || {
@@ -467,7 +459,7 @@ impl LinkWriter {
                     // vectored write. An empty queue flushes immediately.
                     let mut bytes = first.len();
                     batch.push(first);
-                    while batch.len() < burst_frames && bytes < BURST_BYTES {
+                    while batch.len() < BURST_FRAMES && bytes < BURST_BYTES {
                         match rx.try_recv() {
                             Ok(f) => {
                                 bytes += f.len();

@@ -77,7 +77,7 @@ use crate::threaded::{ExecutorOptions, FabricOptions, SessionSet};
 
 use super::codec::{self, NodeFault, NodeReport};
 use super::link::{
-    frame_kind, net_legacy, Addr, BufPool, Conn, FrameReader, LinkWriter, Listener, SocketBackend,
+    frame_kind, Addr, BufPool, Conn, FrameReader, LinkWriter, Listener, SocketBackend,
 };
 use super::wal::FileWal;
 
@@ -509,9 +509,6 @@ pub fn node_main(args: NodeArgs) -> i32 {
 }
 
 fn run_node(args: &NodeArgs) -> Result<(), String> {
-    // The legacy-data-plane switch covers both halves: per-frame writes
-    // (link layer) and the reference per-element codec (proto layer).
-    wire::set_legacy_codec(net_legacy());
     std::thread::Builder::new()
         .name("couplink-node-watchdog".into())
         .spawn(|| {

@@ -24,9 +24,7 @@
 //!
 //! Fairness: each shard keeps one FIFO per *session* and round-robins
 //! across sessions, so one chatty session cannot starve its siblings on a
-//! shared pool. The deliberately `unfair` knob (always poll the
-//! lowest-numbered session) exists solely for the negative starvation test
-//! in `bench scale --sessions --mutate`.
+//! shared pool.
 //!
 //! Workers own one shard each and steal from the others when their own
 //! runs dry (metered as `worker_steal`). A panicking poll is contained
@@ -60,11 +58,6 @@ pub struct ExecutorOptions {
     /// Worker (and run-queue shard) count; `None` uses
     /// [`std::thread::available_parallelism`].
     pub workers: Option<usize>,
-    /// Deliberately unfair scheduling: always poll the lowest-numbered
-    /// session with queued tasks instead of round-robining. Exists only so
-    /// the starvation gate in `bench scale --sessions --mutate` has a
-    /// broken scheduler to catch; never enable it otherwise.
-    pub unfair: bool,
 }
 
 /// What one task poll did and when it wants to run again.
@@ -179,7 +172,6 @@ struct Shard {
 
 struct ExecInner {
     shards: Vec<Shard>,
-    unfair: bool,
     stop: AtomicBool,
     timer_seq: AtomicU64,
     /// Task counter feeding home-shard assignment (round-robin).
@@ -264,11 +256,9 @@ impl ExecInner {
         }
         let n = q.sessions.len();
         for i in 0..n {
-            let s = if self.unfair { i } else { (q.cursor + i) % n };
+            let s = (q.cursor + i) % n;
             if let Some(entry) = q.sessions[s].pop_front() {
-                if !self.unfair {
-                    q.cursor = (s + 1) % n;
-                }
+                q.cursor = (s + 1) % n;
                 q.queued -= 1;
                 entry.metrics.runq_depth.sub(1);
                 entry.state.store(RUNNING, Ordering::Release);
@@ -434,7 +424,6 @@ impl Executor {
                     cv: Condvar::new(),
                 })
                 .collect(),
-            unfair: opts.unfair,
             stop: AtomicBool::new(false),
             timer_seq: AtomicU64::new(0),
             next_task: AtomicU64::new(0),
@@ -566,10 +555,7 @@ mod tests {
     /// the run-queue depth HWM stays bounded by the task count.
     #[test]
     fn runq_depth_hwm_bounded_by_task_count() {
-        let exec = Executor::new(&ExecutorOptions {
-            workers: Some(2),
-            unfair: false,
-        });
+        let exec = Executor::new(&ExecutorOptions { workers: Some(2) });
         let session = exec.add_session();
         let metrics = Arc::new(EngineMetrics::new());
         let polls = Arc::new(AtomicUsize::new(0));
@@ -613,10 +599,7 @@ mod tests {
     /// A finished task is never polled again and `wait_done` observes it.
     #[test]
     fn done_task_is_retired() {
-        let exec = Executor::new(&ExecutorOptions {
-            workers: Some(1),
-            unfair: false,
-        });
+        let exec = Executor::new(&ExecutorOptions { workers: Some(1) });
         let session = exec.add_session();
         let metrics = Arc::new(EngineMetrics::new());
         let polls = Arc::new(AtomicUsize::new(0));
@@ -661,10 +644,7 @@ mod tests {
     /// no external schedules.
     #[test]
     fn timer_wheel_repolls_without_schedules() {
-        let exec = Executor::new(&ExecutorOptions {
-            workers: Some(1),
-            unfair: false,
-        });
+        let exec = Executor::new(&ExecutorOptions { workers: Some(1) });
         let session = exec.add_session();
         let metrics = Arc::new(EngineMetrics::new());
         let polls = Arc::new(AtomicUsize::new(0));
@@ -685,10 +665,7 @@ mod tests {
     /// An idle worker steals queued tasks from a busy sibling's shard.
     #[test]
     fn idle_worker_steals_from_busy_shard() {
-        let exec = Executor::new(&ExecutorOptions {
-            workers: Some(2),
-            unfair: false,
-        });
+        let exec = Executor::new(&ExecutorOptions { workers: Some(2) });
         let session = exec.add_session();
         let metrics = Arc::new(EngineMetrics::new());
         let polls = Arc::new(AtomicUsize::new(0));
@@ -732,10 +709,7 @@ mod tests {
                 panic!("injected poll panic");
             }
         }
-        let exec = Executor::new(&ExecutorOptions {
-            workers: Some(1),
-            unfair: false,
-        });
+        let exec = Executor::new(&ExecutorOptions { workers: Some(1) });
         let session = exec.add_session();
         let metrics = Arc::new(EngineMetrics::new());
         let caught = Arc::new(Mutex::new(None));

@@ -17,6 +17,13 @@
 //! - one **pump task** per session when the reliability layer is armed,
 //!   woken by the per-shard timer wheel at the earliest retry deadline.
 //!
+//! Every protocol decision — what a delivered message does at a rank or a
+//! rep, whether a tree frame is relayed, whether a send is registered,
+//! suppressed or lost, what a receive acks and journals — is the engine's
+//! (`on_msg`, [`send_step`], [`Reliability::admit`]). The fabric adds only
+//! what is its own: the shard lock around a link's reliability state, the
+//! mailbox (or socket) push, and the pump wake-up.
+//!
 //! Per-process [`ExportAccess`]/[`ImportAccess`] handles are unchanged:
 //! application threads drive them exactly like an SPMD rank calling the
 //! framework library. A [`SessionSet`] multiplexes N independent
@@ -31,19 +38,18 @@
 //! one copy serves every importer, and an object is dropped only when no
 //! connection can still need it.
 
-use crate::engine::chaos::{commutes, ChaosConfig, CrashFault, CrashTarget};
-use crate::engine::reliable::expendable;
+use crate::engine::chaos::{commutes, ChaosConfig, CrashTarget};
 use crate::engine::{
-    ctrl_class, deliver_all, tree, Clock, Endpoint, EngineError, Expiry, ExportFx, ExportNode,
-    ImportNode, MemWal, Outgoing, Reliability, RepNode, RetryPolicy, Topology, Transport, Wal,
-    WalRecord, WireMeta,
+    proc_side, send_step, Clock, Endpoint, EngineError, Expiry, ExportFx, ExportNode, ImportNode,
+    MemWal, Outgoing, ProcSide, Reliability, RepCrash, RepNode, RetryPolicy, SendDecision,
+    SendKind, Topology, Wal, WalRecord, WireMeta,
 };
 use crate::threaded::executor::{
     Executor, ExecutorOptions, PanicSink, Poll, SessionId, Task, TaskHandle,
 };
 use crate::threaded::{ExportOutcome, ThreadedError};
 use couplink_layout::{LocalArray, Rect, SharedArray};
-use couplink_metrics::{CtrlClass, EngineMetrics, MetricsSnapshot, Phase};
+use couplink_metrics::{EngineMetrics, MetricsSnapshot, Phase};
 use couplink_proto::{
     ConnectionId, CtrlMsg, ExportStats, ImportState, RepAnswer, RequestId, Trace,
 };
@@ -244,12 +250,12 @@ pub struct FabricReport {
 /// mailbox to its task handle. A push before the bind just queues (the
 /// bind schedules the task if anything is already waiting), so no message
 /// can be lost to the construction race.
-struct Mailbox<T> {
-    q: Mutex<VecDeque<T>>,
+struct Mailbox {
+    q: Mutex<VecDeque<Msg>>,
     task: OnceLock<TaskHandle>,
 }
 
-impl<T> Mailbox<T> {
+impl Mailbox {
     fn new() -> Self {
         Mailbox {
             q: Mutex::new(VecDeque::new()),
@@ -261,7 +267,7 @@ impl<T> Mailbox<T> {
     /// the message — once the task has finished, mirroring a send on a
     /// disconnected channel (shutdown or a recorded error; the caller
     /// surfaces those separately).
-    fn push(&self, msg: T) -> bool {
+    fn push(&self, msg: Msg) -> bool {
         if self.task.get().is_some_and(TaskHandle::is_done) {
             return false;
         }
@@ -282,7 +288,7 @@ impl<T> Mailbox<T> {
         }
     }
 
-    fn pop(&self) -> Option<T> {
+    fn pop(&self) -> Option<Msg> {
         self.q.lock().pop_front()
     }
 
@@ -291,39 +297,18 @@ impl<T> Mailbox<T> {
     }
 }
 
-// --- internal messages ---
+/// A control message with its wire metadata (`None` when unsequenced).
+type Packet = (Option<WireMeta>, CtrlMsg);
 
-enum AgentMsg {
+/// One mailbox entry, the same for every task kind: control messages in
+/// wire form (the consuming engine node dispatches on them), singly or as
+/// a coalesced flush.
+enum Msg {
     Ctrl(Option<WireMeta>, CtrlMsg),
-    /// A coalesced rep flush: several control messages for this agent,
+    /// A coalesced rep flush: several control messages for this task,
     /// pushed as one mailbox entry (per-link FIFO order preserved).
-    Batch(Vec<(Option<WireMeta>, CtrlMsg)>),
-    Shutdown,
-}
-
-enum RepMsg {
-    Ctrl(Option<WireMeta>, CtrlMsg),
-    /// A coalesced rep-to-rep flush (see [`AgentMsg::Batch`]).
-    Batch(Vec<(Option<WireMeta>, CtrlMsg)>),
-    Shutdown,
-}
-
-enum ImpMsg {
-    Answer {
-        meta: Option<WireMeta>,
-        req: RequestId,
-        answer: RepAnswer,
-    },
-    /// A coalesced answer broadcast travelling the distribution tree: the
-    /// importer applies it like an [`ImpMsg::Answer`] *and* relays it to
-    /// its tree children (the mailbox's conn disambiguates the wire form).
-    Coalesced {
-        meta: Option<WireMeta>,
-        req: RequestId,
-        answer: RepAnswer,
-    },
-    /// A coalesced answer-broadcast flush for this importer rank.
-    AnswerBatch(Vec<(Option<WireMeta>, RequestId, RepAnswer)>),
+    Batch(Vec<Packet>),
+    /// A payload piece (importer mailboxes only).
     Piece {
         req: RequestId,
         /// The sub-rectangle of `payload` this piece delivers.
@@ -402,13 +387,7 @@ fn link_shard(from: Endpoint, to: Endpoint) -> usize {
 /// (`crash_endpoint`, `due`, `pending_len`) simply visit every shard.
 struct NetRel {
     shards: Vec<Mutex<Reliability>>,
-    /// Monotone per-attempt nonce feeding the seeded permanent-loss draws:
-    /// every attempt (first send or retransmit) draws independently, so a
-    /// retried message is eventually delivered with probability one.
-    nonce: AtomicU64,
     clock: Arc<WallClock>,
-    /// See [`FabricOptions::drop_buddy_help`].
-    drop_buddy_help: bool,
     /// First retransmit interval of the retry policy (for pump wakeups:
     /// a fresh registration's deadline is `now + base_timeout`).
     base_timeout: f64,
@@ -438,15 +417,14 @@ impl NetRel {
         metrics: &Arc<EngineMetrics>,
         clock: Arc<WallClock>,
         drop_buddy_help: bool,
+        loss: Option<ChaosConfig>,
     ) -> Self {
         let base_timeout = policy.base_timeout;
+        let shard =
+            || Reliability::new(policy, Arc::clone(metrics)).with_faults(drop_buddy_help, loss);
         NetRel {
-            shards: (0..REL_SHARDS)
-                .map(|_| Mutex::new(Reliability::new(policy, Arc::clone(metrics))))
-                .collect(),
-            nonce: AtomicU64::new(0),
+            shards: (0..REL_SHARDS).map(|_| Mutex::new(shard())).collect(),
             clock,
-            drop_buddy_help,
             base_timeout,
             pump_until: AtomicU64::new(f64::INFINITY.to_bits()),
             pump_stop: Mutex::new(false),
@@ -483,15 +461,24 @@ impl NetRel {
 
     /// Restores delivered-journal receive state, routing each entry to the
     /// shard owning its link.
-    fn restore_delivered(&self, ep: Endpoint, journal: &[WireMeta]) {
-        let mut per_shard: Vec<Vec<WireMeta>> = vec![Vec::new(); REL_SHARDS];
-        for &m in journal {
-            per_shard[link_shard(m.from, ep)].push(m);
+    fn restore_delivered(&self, ep: Endpoint, journal: &[(WireMeta, CtrlMsg)]) {
+        let mut per_shard = vec![Vec::new(); REL_SHARDS];
+        for &entry in journal {
+            per_shard[link_shard(entry.0.from, ep)].push(entry);
         }
-        for (shard, metas) in self.shards.iter().zip(per_shard) {
-            if !metas.is_empty() {
-                shard.lock().restore_delivered(ep, &metas);
+        for (shard, entries) in self.shards.iter().zip(per_shard) {
+            if !entries.is_empty() {
+                shard.lock().restore_delivered(ep, &entries);
             }
+        }
+    }
+
+    /// A fresh ack settled a pending send: the shutdown drain blocks until
+    /// pending traffic empties, and this ack may be the one that empties it.
+    fn fresh_ack(&self) {
+        if self.draining.load(Ordering::Acquire) {
+            let _guard = self.pump_stop.lock();
+            self.pump_cv.notify_one();
         }
     }
 
@@ -571,14 +558,6 @@ fn hosts(local: Option<usize>, prog: usize) -> bool {
 struct ExpState {
     node: ExportNode,
     stores: Vec<BTreeMap<Timestamp, SharedArray>>,
-    /// Hierarchical mode: highest forwarded request id seen per connection.
-    /// Coalesced help for a request at or below the watermark is applied;
-    /// help that overtook its forward (chaos delays, retransmit reordering)
-    /// is stashed until the forward arrives — the port cannot distinguish
-    /// "not yet forwarded" from "resolved and pruned" on its own.
-    fwd_seen: HashMap<ConnectionId, u64>,
-    /// Coalesced help waiting for its forward (see `fwd_seen`).
-    help_stash: Vec<(ConnectionId, RequestId, RepAnswer)>,
 }
 
 /// Shared between an application thread and its agent task. The condvar
@@ -605,11 +584,11 @@ type PieceMap = Arc<Mutex<HashMap<RequestId, Vec<(Rect, SharedArray)>>>>;
 pub(crate) struct Net {
     topo: Arc<Topology>,
     /// Per-program rep mailbox (`None` if the program has no connections).
-    to_rep: Vec<Option<Arc<Mailbox<RepMsg>>>>,
+    to_rep: Vec<Option<Arc<Mailbox>>>,
     /// Per-process agent mailbox (`None` for non-exporting processes).
-    to_agent: Vec<Vec<Option<Arc<Mailbox<AgentMsg>>>>>,
+    to_agent: Vec<Vec<Option<Arc<Mailbox>>>>,
     /// Per-connection importer mailboxes, indexed by importer rank.
-    to_imp: Vec<Vec<Arc<Mailbox<ImpMsg>>>>,
+    to_imp: Vec<Vec<Arc<Mailbox>>>,
     /// First protocol error anywhere in the fabric.
     err: ErrSlot,
     /// Fault injection for commutative control messages, if enabled.
@@ -622,19 +601,11 @@ pub(crate) struct Net {
     /// Outbound links to the peer processes hosting the other programs
     /// (`None` in a single-process session).
     links: Option<Arc<dyn RemoteLinks>>,
-    /// Whether ranks relay collectives along the distribution tree.
-    hierarchical: bool,
     /// The session's write-ahead journal (`Some` exactly when the
     /// reliability layer is armed): every admitted sequenced delivery and
     /// every application export lands here before its acks or dependent
     /// frames can escape the process.
     wal: Option<WalHandle>,
-    /// `true` while a restarted process replays its journal: regenerated
-    /// sequenced traffic is registered (rebuilding sequence counters and
-    /// pending state) but not routed — deliveries come exclusively from
-    /// the journal injection, and anything never delivered is retransmitted
-    /// by the pump once replay ends.
-    replaying: AtomicBool,
     /// `false` while replaying: re-admitting a journaled delivery must not
     /// journal it again (replay stays idempotent if the process dies
     /// mid-replay).
@@ -658,10 +629,13 @@ impl Net {
     }
 
     /// Enters journal-replay mode: regenerated sequenced traffic is
-    /// registered but not routed, and re-admitted deliveries are not
-    /// re-journaled. See [`Net::replaying`] / [`Net::wal_active`].
+    /// registered but not routed (see [`Reliability::set_replaying`]), and
+    /// re-admitted deliveries are not re-journaled (see
+    /// [`Net::wal_active`]).
     pub(crate) fn begin_replay(&self) {
-        self.replaying.store(true, Ordering::Release);
+        for shard in self.rel.iter().flat_map(|rel| &rel.shards) {
+            timed_lock(shard, &self.metrics).set_replaying(true);
+        }
         self.wal_active.store(false, Ordering::Release);
     }
 
@@ -672,12 +646,11 @@ impl Net {
     /// count-exact (see [`Reliability::fast_forward_seqs`]), and a fresh
     /// send must never collide with a sequence number a peer already saw.
     pub(crate) fn end_replay(&self) {
-        if let Some(rel) = &self.rel {
-            for shard in &rel.shards {
-                timed_lock(shard, &self.metrics).fast_forward_seqs(RESTART_SEQ_GAP);
-            }
+        for shard in self.rel.iter().flat_map(|rel| &rel.shards) {
+            let mut layer = timed_lock(shard, &self.metrics);
+            layer.fast_forward_seqs(RESTART_SEQ_GAP);
+            layer.set_replaying(false);
         }
-        self.replaying.store(false, Ordering::Release);
         self.wal_active.store(true, Ordering::Release);
     }
 
@@ -702,10 +675,8 @@ impl Net {
     /// process, not here.
     pub(crate) fn apply_remote_ack(&self, sender: Endpoint, acker: Endpoint, seq: u64) {
         let Some(rel) = &self.rel else { return };
-        let fresh = timed_lock(rel.shard(sender, acker), &self.metrics).on_ack(sender, acker, seq);
-        if fresh && rel.draining.load(Ordering::Acquire) {
-            let _guard = rel.pump_stop.lock();
-            rel.pump_cv.notify_one();
+        if timed_lock(rel.shard(sender, acker), &self.metrics).on_ack(sender, acker, seq) {
+            rel.fresh_ack();
         }
     }
 
@@ -720,465 +691,270 @@ impl Net {
         rect: Rect,
         payload: SharedArray,
     ) {
-        let _ = self.to_imp[conn.0 as usize][dst].push(ImpMsg::Piece { req, rect, payload });
+        let _ = self.to_imp[conn.0 as usize][dst].push(Msg::Piece { req, rect, payload });
     }
 
-    /// Moves one control message toward its endpoint. With the reliability
-    /// layer armed the message is first registered (sequenced, pending
-    /// until acked) and may be permanently lost on this attempt — the pump
-    /// task retransmits it. With chaos enabled, commutative messages
-    /// detour through the relay thread, which delivers each seeded copy at
-    /// its planned instant; everything else (and every message once the
-    /// relay has drained at shutdown) routes directly.
-    fn ctrl(&self, from: Endpoint, to: Endpoint, msg: CtrlMsg) {
-        self.metrics.ctrl(ctrl_class(&msg)).inc();
-        if matches!(msg, CtrlMsg::Coalesced { .. }) {
-            self.metrics.ctrl_coalesced.inc();
+    /// Runs one message through the engine's send step, under its link's
+    /// shard lock when the reliability layer is armed (the fault-free path
+    /// takes no lock). A fresh registration's deadline may be earlier than
+    /// the pump's timer, so the pump is nudged.
+    fn gate(&self, kind: SendKind, from: Endpoint, to: Endpoint, msg: &CtrlMsg) -> SendDecision {
+        let Some(rel) = &self.rel else {
+            return send_step(&self.metrics, None, kind, from, to, msg, 0.0);
+        };
+        let now = rel.clock.now();
+        let mut layer = timed_lock(rel.shard(from, to), &self.metrics);
+        let decision = send_step(&self.metrics, Some(&mut layer), kind, from, to, msg, now);
+        drop(layer);
+        if matches!(kind, SendKind::Origin | SendKind::Relay) && !msg.is_link_layer() {
+            rel.wake_pump_before(now + rel.base_timeout);
         }
-        self.send(from, to, msg);
+        decision
     }
 
-    /// Moves one *relayed* control message — a hop a rank forwards down
-    /// its subtree rather than traffic it originated. Metered as
-    /// `ctrl_relay` instead of per-class origin traffic, so the scaling
-    /// oracles can bound the rep's O(k) origin fan-out separately from the
-    /// O(N) total tree traffic. Same reliability/chaos path as [`Net::ctrl`].
-    fn relay(&self, from: Endpoint, to: Endpoint, msg: CtrlMsg) {
-        self.metrics.ctrl_relay.inc();
-        if matches!(msg, CtrlMsg::Coalesced { .. }) {
-            self.metrics.ctrl_coalesced.inc();
-        }
-        self.send(from, to, msg);
-    }
-
-    fn send(&self, from: Endpoint, to: Endpoint, msg: CtrlMsg) {
-        let mut meta = None;
-        if let Some(rel) = &self.rel {
-            let now = rel.clock.now();
-            meta = timed_lock(rel.shard(from, to), &self.metrics).register(from, to, &msg, now);
-            if meta.is_some() {
-                rel.wake_pump_before(now + rel.base_timeout);
+    /// Moves one control message toward its endpoint. With chaos enabled,
+    /// commutative messages detour through the relay thread, which
+    /// delivers each seeded copy at its planned instant; everything else
+    /// (and every message once the relay has drained at shutdown) routes
+    /// directly.
+    fn send(&self, kind: SendKind, from: Endpoint, to: Endpoint, msg: CtrlMsg) {
+        let SendDecision::Deliver(meta) = self.gate(kind, from, to, &msg) else {
+            return; // suppressed or lost; the pump retransmits what is pending
+        };
+        if let Some(chaos) = self.chaos.as_ref().filter(|_| commutes(&msg)) {
+            let n = chaos.counter.fetch_add(1, Ordering::Relaxed);
+            let now = Instant::now();
+            let mut relayed = false;
+            for d in chaos.cfg.extra_delays(n, to, &msg) {
+                let due = now + Duration::from_secs_f64(d);
+                let copy = RelayMsg::Deliver { due, to, meta, msg };
+                relayed |= chaos.relay.send(copy).is_ok();
             }
-            if rel.drop_buddy_help && expendable(&msg) {
-                // Degradation knob: the announcement was sent (and is
-                // pending) but never arrives; its expendable retry budget
-                // runs out and the abandonment is metered.
+            if relayed {
                 return;
             }
-            if meta.is_some() && self.replaying.load(Ordering::Acquire) {
-                // Journal replay: the registration above rebuilt the
-                // sequence counter and pending entry, but the delivery (if
-                // it happened) comes from the journal injection — routing
-                // the regenerated copy would race it. Anything never
-                // delivered stays pending for the pump to retransmit once
-                // replay ends.
-                return;
-            }
-            if let Some(chaos) = &self.chaos {
-                let n = rel.nonce.fetch_add(1, Ordering::Relaxed);
-                if chaos.cfg.lost(n, to, &msg) {
-                    return; // lost on the wire; the pump retransmits
-                }
-            }
-        }
-        if let Some(chaos) = &self.chaos {
-            if commutes(&msg) {
-                let n = chaos.counter.fetch_add(1, Ordering::Relaxed);
-                let now = Instant::now();
-                let mut relayed = false;
-                for d in chaos.cfg.extra_delays(n, to, &msg) {
-                    relayed |= chaos
-                        .relay
-                        .send(RelayMsg::Deliver {
-                            due: now + Duration::from_secs_f64(d),
-                            to,
-                            meta,
-                            msg,
-                        })
-                        .is_ok();
-                }
-                if relayed {
-                    return;
-                }
-                // Relay already gone (shutdown drained it): fall through to
-                // one direct delivery so nothing is ever lost.
-            }
+            // Relay already gone (shutdown drained it): fall through to
+            // one direct delivery so nothing is ever lost.
         }
         self.route(to, meta, msg);
     }
 
-    /// Retransmits an expired pending message: metered, subject to the same
-    /// permanent-loss draws, routed directly. No re-registration (the
-    /// pending entry already exists) and no chaos detour — retransmission
-    /// is the recovery path; jittering it again only slows convergence.
+    /// Retransmits an expired pending message, routed directly: no chaos
+    /// detour — retransmission is the recovery path; jittering it again
+    /// only slows convergence.
     fn resend(&self, to: Endpoint, meta: WireMeta, msg: CtrlMsg) {
-        let Some(rel) = &self.rel else { return };
-        if self.replaying.load(Ordering::Acquire) {
-            // A retransmit that lands mid-replay would deliver (and ack) a
-            // message while journaling is off, breaking the journal =
-            // delivered invariant. The entry stays pending; the pump
-            // retries after replay ends.
-            return;
+        if let SendDecision::Deliver(meta) = self.gate(SendKind::Resend(meta), meta.from, to, &msg)
+        {
+            self.route(to, meta, msg);
         }
-        self.metrics.ctrl(ctrl_class(&msg)).inc();
-        if matches!(msg, CtrlMsg::Coalesced { .. }) {
-            self.metrics.ctrl_coalesced.inc();
-        }
-        if rel.drop_buddy_help && expendable(&msg) {
-            return;
-        }
-        if let Some(chaos) = &self.chaos {
-            let n = rel.nonce.fetch_add(1, Ordering::Relaxed);
-            if chaos.cfg.lost(n, to, &msg) {
-                return;
-            }
-        }
-        self.route(to, Some(meta), msg);
     }
 
-    /// Runs one arriving message through the reliability layer: dedup,
-    /// FIFO hold-back, ack generation. When the sender is in this process
-    /// its acks are applied to its pending state in place — the shared
-    /// layer plays the role of an instantaneous ack channel (still metered
-    /// as `Ack` control traffic); the DES models the ack's network latency
-    /// explicitly. When the sender lives in another process the acks
-    /// travel back over its socket link instead and land via
+    /// Moves control-only engine output (rep, importer and import-call
+    /// steps never emit transfers).
+    fn emit_ctrl(
+        &self,
+        from: Endpoint,
+        outs: impl IntoIterator<Item = Outgoing>,
+    ) -> Result<(), ThreadedError> {
+        for out in outs {
+            match out {
+                Outgoing::Ctrl { to, msg } => self.send(SendKind::Origin, from, to, msg),
+                Outgoing::Relay { to, msg } => self.send(SendKind::Relay, from, to, msg),
+                Outgoing::Transfer { .. } => {
+                    return Err(ThreadedError::Config(
+                        "control step emitted a data transfer".into(),
+                    ))
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs one arriving message through the engine's receive step and
+    /// hands every now-deliverable message to `deliver`, in order. When the
+    /// sender is in this process its acks are applied to its pending state
+    /// in place — the shared layer plays the role of an instantaneous ack
+    /// channel; the DES models the ack's network latency explicitly. When
+    /// the sender lives in another process the acks travel back over its
+    /// socket link (after the journal append) and land via
     /// [`Net::apply_remote_ack`]. Unsequenced messages (and everything
-    /// when the layer is unarmed) pass through.
+    /// when the layer is unarmed) pass straight through.
     fn admit(
         &self,
         to: Endpoint,
         meta: Option<WireMeta>,
         msg: CtrlMsg,
-    ) -> Vec<(Option<WireMeta>, CtrlMsg)> {
+        mut deliver: impl FnMut(CtrlMsg) -> Result<(), ThreadedError>,
+    ) -> Result<(), ThreadedError> {
         let (Some(rel), Some(meta)) = (&self.rel, meta) else {
-            return vec![(None, msg)];
+            return deliver(msg);
         };
+        let local_sender = self.is_local(meta.from);
         let mut fresh_acks = false;
-        let mut wire_acks = Vec::new();
-        let remote_sender = !self.is_local(meta.from);
         let received = {
             let mut layer = timed_lock(rel.shard(meta.from, to), &self.metrics);
-            let received = layer.receive(meta, to, msg);
-            for seq in &received.acks {
-                self.metrics.ctrl(CtrlClass::Ack).inc();
-                if remote_sender {
-                    wire_acks.push(*seq);
-                } else {
+            // Skipped during replay: the records being re-admitted are
+            // already on disk.
+            let journaling = self.wal_active.load(Ordering::Acquire);
+            let wal = self.wal.as_ref().filter(|_| journaling);
+            let received = layer.admit(meta, to, msg, |rec| {
+                if let Some(wal) = wal {
+                    wal.append(rec);
+                }
+            });
+            if local_sender {
+                for seq in &received.acks {
                     fresh_acks |= layer.on_ack(meta.from, to, *seq);
                 }
             }
             received
         };
-        // Journal every accepted delivery *before* its ack can escape the
-        // process: an acked message must survive a crash (the sender will
-        // never retransmit it), so the append — and, at the link layer, the
-        // sync — strictly precedes `send_ack`. Skipped during replay: the
-        // records being re-admitted are already on disk.
-        if let Some(wal) = &self.wal {
-            if self.wal_active.load(Ordering::Acquire) {
-                for &(m, msg) in &received.deliver {
-                    wal.append(&WalRecord::Delivered {
-                        ep: to,
-                        meta: m,
-                        msg,
-                    });
-                }
-            }
-        }
-        if let (Some(links), false) = (&self.links, wire_acks.is_empty()) {
-            for seq in wire_acks {
+        if let (Some(links), false) = (&self.links, local_sender) {
+            for seq in received.acks {
                 links.send_ack(meta.from, to, seq);
             }
         }
-        if fresh_acks && rel.draining.load(Ordering::Acquire) {
-            // The drain blocks until pending traffic empties; every fresh
-            // ack may be the one that empties it.
-            let _guard = rel.pump_stop.lock();
-            rel.pump_cv.notify_one();
+        if fresh_acks {
+            rel.fresh_ack();
         }
         received
             .deliver
             .into_iter()
-            .map(|(m, msg)| (Some(m), msg))
-            .collect()
+            .try_for_each(|(_, m)| deliver(m))
     }
 
-    /// Coalesced rep fan-out: delivers a whole engine step's (or mailbox
-    /// drain's) control messages with one shard-lock acquisition and one
-    /// mailbox push per *destination*, instead of one of each per message.
-    /// Messages to one destination keep their emission order (per-link
-    /// FIFO is what the protocol relies on; cross-destination order was
-    /// never guaranteed by the mailboxes anyway). Only used when chaos is
-    /// off — fault injection needs per-packet delivery decisions — so the
-    /// permanent-loss draw never applies here; `drop_buddy_help` (which
-    /// arms reliability without chaos) is honored per message.
-    fn ctrl_flush(&self, from: Endpoint, msgs: Vec<(Endpoint, CtrlMsg)>) {
-        debug_assert!(self.chaos.is_none(), "coalesced flush bypasses chaos");
-        // Group by destination, preserving per-destination order.
-        let mut groups: Vec<(Endpoint, Vec<CtrlMsg>)> = Vec::new();
+    /// Coalesced rep fan-out: delivers a whole mailbox drain's control
+    /// messages with one mailbox push per *mailbox* touched instead of one
+    /// per message. Messages to one destination keep their emission order
+    /// (per-link FIFO is what the protocol relies on; cross-destination
+    /// order was never guaranteed by the mailboxes anyway). Fault
+    /// injection needs per-packet delivery decisions, so with chaos armed
+    /// every message goes out on its own.
+    fn flush(&self, from: Endpoint, msgs: Vec<(Endpoint, CtrlMsg)>) {
+        if self.chaos.is_some() {
+            for (to, msg) in msgs {
+                self.send(SendKind::Origin, from, to, msg);
+            }
+            return;
+        }
+        let mut groups: Vec<(Endpoint, Vec<Packet>)> = Vec::new();
         for (to, msg) in msgs {
+            let SendDecision::Deliver(meta) = self.gate(SendKind::Origin, from, to, &msg) else {
+                continue;
+            };
             match groups.iter_mut().find(|(t, _)| *t == to) {
-                Some((_, g)) => g.push(msg),
-                None => groups.push((to, vec![msg])),
+                Some((_, group)) => group.push((meta, msg)),
+                None => groups.push((to, vec![(meta, msg)])),
             }
         }
-        for (to, group) in groups {
-            let mut batch: Vec<(Option<WireMeta>, CtrlMsg)> = Vec::with_capacity(group.len());
-            if let Some(rel) = &self.rel {
-                let now = rel.clock.now();
-                let mut registered = false;
-                {
-                    let mut layer = timed_lock(rel.shard(from, to), &self.metrics);
-                    for msg in group {
-                        self.metrics.ctrl(ctrl_class(&msg)).inc();
-                        if matches!(msg, CtrlMsg::Coalesced { .. }) {
-                            self.metrics.ctrl_coalesced.inc();
-                        }
-                        let meta = layer.register(from, to, &msg, now);
-                        registered |= meta.is_some();
-                        if rel.drop_buddy_help && expendable(&msg) {
-                            // Sent-but-never-arrives: stays pending until
-                            // its expendable budget is abandoned.
-                            continue;
-                        }
-                        if meta.is_some() && self.replaying.load(Ordering::Acquire) {
-                            // Replay suppression, as in `send`.
-                            continue;
-                        }
-                        batch.push((meta, msg));
-                    }
-                }
-                if registered {
-                    rel.wake_pump_before(now + rel.base_timeout);
-                }
-            } else {
-                for msg in group {
-                    self.metrics.ctrl(ctrl_class(&msg)).inc();
-                    if matches!(msg, CtrlMsg::Coalesced { .. }) {
-                        self.metrics.ctrl_coalesced.inc();
-                    }
-                    batch.push((None, msg));
-                }
-            }
+        for (to, batch) in groups {
             self.route_batch(to, batch);
         }
     }
 
-    /// Pushes one destination's coalesced batch: one mailbox push per
-    /// *mailbox* touched. A process endpoint splits into its agent mailbox
-    /// (forwarded requests, buddy-help) and per-connection import
-    /// mailboxes (answer broadcasts) — the same split [`Net::route`]
-    /// applies per message, so per-mailbox FIFO order is preserved.
-    fn route_batch(&self, to: Endpoint, mut batch: Vec<(Option<WireMeta>, CtrlMsg)>) {
-        if !self.is_local(to) {
-            if let Some(links) = &self.links {
-                for (meta, msg) in batch {
-                    links.send_ctrl(to, meta, msg);
-                }
+    /// Pushes one destination's coalesced batch, split into one run per
+    /// mailbox it touches — a process endpoint has an agent mailbox and
+    /// one importer mailbox per imported region — so per-mailbox FIFO
+    /// order is preserved.
+    fn route_batch(&self, to: Endpoint, batch: Vec<Packet>) {
+        if !self.is_local(to) || batch.len() == 1 {
+            for (meta, msg) in batch {
+                self.route(to, meta, msg);
             }
             return;
         }
-        if batch.len() == 1 {
-            let (meta, msg) = batch.pop().expect("len checked");
-            return self.route(to, meta, msg);
-        }
-        match to {
-            Endpoint::Rep { prog } => {
-                if batch.is_empty() {
-                    return;
-                }
-                self.metrics.ctrl_batches.inc();
-                if let Some(mb) = &self.to_rep[prog] {
-                    if mb.push(RepMsg::Batch(batch)) {
-                        self.metrics.queue_depth.add(1);
-                    }
-                }
+        let mut runs: Vec<(&Arc<Mailbox>, Vec<Packet>)> = Vec::new();
+        for (meta, msg) in batch {
+            let Some(mb) = self.mailbox(to, &msg) else {
+                continue;
+            };
+            match runs.iter_mut().find(|(m, _)| Arc::ptr_eq(m, mb)) {
+                Some((_, run)) => run.push((meta, msg)),
+                None => runs.push((mb, vec![(meta, msg)])),
             }
-            Endpoint::Proc { prog, rank } => {
-                let mut agent_run: Vec<(Option<WireMeta>, CtrlMsg)> = Vec::new();
-                // Per-connection answer runs (an importer rank has one
-                // mailbox per imported region).
-                let mut answer_runs: Vec<(ConnectionId, Vec<_>)> = Vec::new();
-                for (meta, msg) in batch {
-                    match msg {
-                        CtrlMsg::AnswerBcast { conn, req, answer } => {
-                            match answer_runs.iter_mut().find(|(c, _)| *c == conn) {
-                                Some((_, run)) => run.push((meta, req, answer)),
-                                None => answer_runs.push((conn, vec![(meta, req, answer)])),
-                            }
-                        }
-                        CtrlMsg::Coalesced {
-                            conn,
-                            req,
-                            answer,
-                            bcast: true,
-                            help: false,
-                        } => {
-                            // Not folded into the per-conn answer run: the
-                            // importer task must see the coalesced form to
-                            // take up its relay duty.
-                            let _ = self.to_imp[conn.0 as usize][rank].push(ImpMsg::Coalesced {
-                                meta,
-                                req,
-                                answer,
-                            });
-                        }
-                        m @ (CtrlMsg::ForwardRequest { .. }
-                        | CtrlMsg::BuddyHelp { .. }
-                        | CtrlMsg::Coalesced {
-                            bcast: false,
-                            help: true,
-                            ..
-                        }
-                        | CtrlMsg::Heartbeat { .. }) => agent_run.push((meta, m)),
-                        _ => record_err(&self.err, "unroutable process message"),
-                    }
-                }
-                if agent_run.len() >= 2 {
-                    self.metrics.ctrl_batches.inc();
-                }
-                match agent_run.len() {
-                    0 => {}
-                    1 => {
-                        let (meta, msg) = agent_run.pop().expect("len checked");
-                        self.route(to, meta, msg);
-                    }
-                    _ => {
-                        if let Some(mb) = &self.to_agent[prog][rank] {
-                            if mb.push(AgentMsg::Batch(agent_run)) {
-                                self.metrics.queue_depth.add(1);
-                            }
-                        }
-                    }
-                }
-                for (conn, mut run) in answer_runs {
-                    let mb = &self.to_imp[conn.0 as usize][rank];
-                    if run.len() == 1 {
-                        let (meta, req, answer) = run.pop().expect("len checked");
-                        let _ = mb.push(ImpMsg::Answer { meta, req, answer });
-                    } else {
-                        self.metrics.ctrl_batches.inc();
-                        let _ = mb.push(ImpMsg::AnswerBatch(run));
-                    }
-                }
+        }
+        for (mb, mut run) in runs {
+            if run.len() == 1 {
+                let (meta, msg) = run.pop().expect("len checked");
+                self.push(mb, Msg::Ctrl(meta, msg));
+            } else {
+                self.metrics.ctrl_batches.inc();
+                self.push(mb, Msg::Batch(run));
             }
         }
     }
 
-    /// Routes one control message. Pushes are best-effort: a retired
-    /// mailbox means its task already finished (shutdown or a recorded
-    /// error), which the caller surfaces separately. A destination hosted
-    /// by another process is handed to its socket link instead.
+    /// Routes one control message: to its socket link when the destination
+    /// is hosted by another process, to its task's mailbox otherwise.
     fn route(&self, to: Endpoint, meta: Option<WireMeta>, msg: CtrlMsg) {
         if !self.is_local(to) {
             if let Some(links) = &self.links {
                 links.send_ctrl(to, meta, msg);
             }
-            return;
+        } else if let Some(mb) = self.mailbox(to, &msg) {
+            self.push(mb, Msg::Ctrl(meta, msg));
         }
-        match to {
-            Endpoint::Rep { prog } => {
-                if let Some(mb) = &self.to_rep[prog] {
-                    if mb.push(RepMsg::Ctrl(meta, msg)) {
-                        self.metrics.queue_depth.add(1);
-                    }
-                }
+    }
+
+    /// The mailbox of the task consuming `msg` at local endpoint `to`: the
+    /// rep's, or for a process the agent's (export side, heartbeats) or the
+    /// connection's importer's (import side). `None` for a program without
+    /// such a task.
+    fn mailbox(&self, to: Endpoint, msg: &CtrlMsg) -> Option<&Arc<Mailbox>> {
+        match (to, proc_side(msg)) {
+            (Endpoint::Rep { prog }, _) => self.to_rep[prog].as_ref(),
+            (Endpoint::Proc { rank, .. }, Some((ProcSide::Import, conn))) => {
+                Some(&self.to_imp[conn.0 as usize][rank])
             }
-            Endpoint::Proc { prog, rank } => match msg {
-                CtrlMsg::AnswerBcast { conn, req, answer } => {
-                    let _ = self.to_imp[conn.0 as usize][rank].push(ImpMsg::Answer {
-                        meta,
-                        req,
-                        answer,
-                    });
-                }
-                CtrlMsg::Coalesced {
-                    conn,
-                    req,
-                    answer,
-                    bcast: true,
-                    help: false,
-                } => {
-                    let _ = self.to_imp[conn.0 as usize][rank].push(ImpMsg::Coalesced {
-                        meta,
-                        req,
-                        answer,
-                    });
-                }
-                m @ (CtrlMsg::ForwardRequest { .. }
-                | CtrlMsg::BuddyHelp { .. }
-                | CtrlMsg::Coalesced {
-                    bcast: false,
-                    help: true,
-                    ..
-                }
-                | CtrlMsg::Heartbeat { .. }) => {
-                    if let Some(mb) = &self.to_agent[prog][rank] {
-                        if mb.push(AgentMsg::Ctrl(meta, m)) {
-                            self.metrics.queue_depth.add(1);
-                        }
-                    }
-                }
-                _ => record_err(&self.err, "unroutable process message"),
-            },
+            (Endpoint::Proc { prog, rank }, Some((ProcSide::Export, _))) => {
+                self.to_agent[prog][rank].as_ref()
+            }
+            (Endpoint::Proc { prog, rank }, None) if matches!(msg, CtrlMsg::Heartbeat { .. }) => {
+                self.to_agent[prog][rank].as_ref()
+            }
+            _ => {
+                record_err(&self.err, "unroutable process message");
+                None
+            }
         }
     }
-}
 
-/// Transport for messages emitted by an exporting process: control goes
-/// through the routing table; a transfer packs the matched object from the
-/// region's shared store into per-destination pieces.
-struct ProcTransport<'a> {
-    net: &'a Net,
-    from: Endpoint,
-    node: &'a ExportNode,
-    stores: &'a [BTreeMap<Timestamp, SharedArray>],
-}
-
-impl Transport for ProcTransport<'_> {
-    type Error = ThreadedError;
-
-    fn ctrl(&mut self, to: Endpoint, msg: CtrlMsg) -> Result<(), ThreadedError> {
-        self.net.ctrl(self.from, to, msg);
-        Ok(())
+    /// Pushes a control entry, best-effort: a retired mailbox means its
+    /// task already finished (shutdown or a recorded error), which the
+    /// caller surfaces separately.
+    fn push(&self, mb: &Mailbox, entry: Msg) {
+        if mb.push(entry) {
+            self.metrics.queue_depth.add(1);
+        }
     }
 
+    /// Executes one data transfer emitted by exporter `rank`: the matched
+    /// object goes from its region's shared `store` to every destination
+    /// rank of the connection's redistribution plan.
     fn transfer(
-        &mut self,
-        from: Endpoint,
+        &self,
+        rank: usize,
+        store: &BTreeMap<Timestamp, SharedArray>,
         conn: ConnectionId,
         req: RequestId,
         m: Timestamp,
-    ) -> Result<(), ThreadedError> {
-        let Endpoint::Proc { rank, .. } = from else {
-            return Err(ThreadedError::Config("rep emitted a data transfer".into()));
-        };
-        let region = self
-            .node
-            .region_of(conn)
-            .ok_or_else(|| ThreadedError::Config("transfer on a foreign connection".into()))?;
-        let obj = match self.stores[region].get(&m) {
-            Some(o) => o,
-            // The object must be buffered when a send is requested; a
-            // missing object would already have been reported as a
-            // collective violation by the port.
-            None => return Ok(()),
-        };
-        self.net.metrics.transfers.inc();
-        let _span = self.net.metrics.phases.wall_span(Phase::Transfer);
-        let ct = self.net.topo.conn(conn);
+    ) {
+        // The object must be buffered when a send is requested; a missing
+        // object would already have been reported as a collective
+        // violation by the port.
+        let Some(obj) = store.get(&m) else { return };
+        self.metrics.transfers.inc();
+        let _span = self.metrics.phases.wall_span(Phase::Transfer);
+        let ct = self.topo.conn(conn);
         for t in ct.plan.sends_from(rank) {
-            self.net
-                .metrics
-                .bytes_transferred
-                .add((t.rect.cells() * std::mem::size_of::<f64>()) as u64);
+            let bytes = t.rect.cells() * std::mem::size_of::<f64>();
+            self.metrics.bytes_transferred.add(bytes as u64);
             let dst = Endpoint::Proc {
                 prog: ct.importer_prog,
                 rank: t.dst,
             };
-            if !self.net.is_local(dst) {
-                if let Some(links) = &self.net.links {
+            if !self.is_local(dst) {
+                if let Some(links) = &self.links {
                     links.send_piece(conn, t.dst, req, t.rect, obj);
                 }
                 continue;
@@ -1187,39 +963,38 @@ impl Transport for ProcTransport<'_> {
             // clone); the importer reads its sub-rectangle straight out of
             // the shared buffer. Best-effort: the importer may already be
             // shutting down.
-            let _ = self.net.to_imp[conn.0 as usize][t.dst].push(ImpMsg::Piece {
+            let _ = self.to_imp[conn.0 as usize][t.dst].push(Msg::Piece {
                 req,
                 rect: t.rect,
                 payload: obj.clone(),
             });
         }
-        Ok(())
     }
 }
 
-/// Transport for rep tasks: control only.
-struct RepTransport<'a> {
-    net: &'a Net,
+/// Moves one export-side engine step's messages (sends strictly before
+/// frees, per the [`ExportFx`] contract), then applies the freed timestamps
+/// to the stepped region's store.
+fn apply_fx(
+    net: &Net,
     from: Endpoint,
-}
-
-impl Transport for RepTransport<'_> {
-    type Error = ThreadedError;
-
-    fn ctrl(&mut self, to: Endpoint, msg: CtrlMsg) -> Result<(), ThreadedError> {
-        self.net.ctrl(self.from, to, msg);
-        Ok(())
+    state: &mut ExpState,
+    fx: ExportFx,
+) -> Result<(), ThreadedError> {
+    let Endpoint::Proc { rank, .. } = from else {
+        return Err(ThreadedError::Config("rep emitted an export step".into()));
+    };
+    let store = &mut state.stores[fx.region];
+    for out in fx.msgs {
+        match out {
+            Outgoing::Transfer { conn, req, m } => net.transfer(rank, store, conn, req, m),
+            ctrl => net.emit_ctrl(from, [ctrl])?,
+        }
     }
-
-    fn transfer(
-        &mut self,
-        _from: Endpoint,
-        _conn: ConnectionId,
-        _req: RequestId,
-        _m: Timestamp,
-    ) -> Result<(), ThreadedError> {
-        Err(ThreadedError::Config("rep emitted a data transfer".into()))
+    for t in &fx.freed {
+        store.remove(t);
     }
+    Ok(())
 }
 
 fn record_err(slot: &ErrSlot, e: impl fmt::Display) {
@@ -1248,30 +1023,6 @@ fn record_crash(slot: &ErrSlot, detail: String) {
 fn crash_sink(err: &ErrSlot, who: String) -> PanicSink {
     let err = err.clone();
     Arc::new(move |detail| record_crash(&err, format!("{who} panicked: {detail}")))
-}
-
-/// Delivers one engine step's messages (sends strictly before frees, per
-/// the [`ExportFx`] contract) and applies the freed timestamps to the
-/// stepped region's store.
-fn apply_fx(
-    net: &Net,
-    from: Endpoint,
-    state: &mut ExpState,
-    region: usize,
-    fx: ExportFx,
-) -> Result<(), ThreadedError> {
-    let ExpState { node, stores, .. } = state;
-    let mut tp = ProcTransport {
-        net,
-        from,
-        node,
-        stores,
-    };
-    deliver_all(&mut tp, from, fx.msgs)?;
-    for t in &fx.freed {
-        stores[region].remove(t);
-    }
-    Ok(())
 }
 
 /// The per-process export API of the framework: one handle per exported
@@ -1352,16 +1103,11 @@ impl ExportAccess {
             state.stores[self.region].insert(ts, SharedArray::copy_from(data));
         }
         let actions = std::mem::take(&mut fx.actions);
-        apply_fx(
-            &self.net,
-            Endpoint::Proc {
-                prog: self.prog,
-                rank: self.rank,
-            },
-            &mut state,
-            self.region,
-            fx,
-        )?;
+        let me = Endpoint::Proc {
+            prog: self.prog,
+            rank: self.rank,
+        };
+        apply_fx(&self.net, me, &mut state, fx)?;
         drop(state);
         let elapsed = Duration::from_secs_f64((self.clock.now() - t0).max(0.0));
         Ok(actions
@@ -1439,12 +1185,7 @@ impl ImportAccess {
             prog: self.prog,
             rank: self.rank,
         };
-        match call {
-            Outgoing::Ctrl { to, msg } => self.net.ctrl(me, to, msg),
-            Outgoing::Transfer { .. } => {
-                return Err(ThreadedError::Config("import emitted a transfer".into()))
-            }
-        }
+        self.net.emit_ctrl(me, [call])?;
         let deadline = Instant::now() + self.timeout;
         let mut node = self.cell.node.lock();
         loop {
@@ -1483,101 +1224,29 @@ impl ImportAccess {
     }
 }
 
-fn agent_step(
-    net: &Net,
-    cell: &ExpCell,
-    prog: usize,
-    rank: usize,
-    msg: CtrlMsg,
-) -> Result<(), ThreadedError> {
+/// One delivered message through the rank's export node, under the cell
+/// lock it shares with the exporting application thread.
+fn agent_step(net: &Net, cell: &ExpCell, me: Endpoint, msg: CtrlMsg) -> Result<(), ThreadedError> {
     let mut state = timed_lock(&cell.state, &net.metrics);
-    let me = Endpoint::Proc { prog, rank };
-    let procs = net.topo.programs[prog].procs;
-    match msg {
-        CtrlMsg::ForwardRequest { conn, req, ts } => {
-            let fx = state.node.on_request(conn, req, ts)?;
-            apply_conn_fx(net, me, &mut state, conn, fx)?;
-            if net.hierarchical {
-                // Advance the watermark, apply any help that overtook this
-                // forward, then relay the forward down the subtree.
-                let seen = state.fwd_seen.entry(conn).or_insert(req.0);
-                *seen = (*seen).max(req.0);
-                let (ready, later): (Vec<_>, Vec<_>) = std::mem::take(&mut state.help_stash)
-                    .into_iter()
-                    .partition(|&(c, r, _)| c == conn && r == req);
-                state.help_stash = later;
-                for (c, r, a) in ready {
-                    let fx = state.node.on_buddy_help(c, r, a)?;
-                    apply_conn_fx(net, me, &mut state, c, fx)?;
-                }
-                for child in tree::children(rank, procs) {
-                    net.relay(
-                        me,
-                        Endpoint::Proc { prog, rank: child },
-                        CtrlMsg::ForwardRequest { conn, req, ts },
-                    );
-                }
-            }
-        }
-        CtrlMsg::BuddyHelp { conn, req, answer } => {
-            let fx = state.node.on_buddy_help(conn, req, answer)?;
-            apply_conn_fx(net, me, &mut state, conn, fx)?;
-        }
-        CtrlMsg::Coalesced {
-            conn,
-            req,
-            answer,
-            bcast: false,
-            help: true,
-        } => {
-            // Apply only once the matching forward has been seen — the
-            // export port cannot tell "not yet forwarded" from "resolved
-            // and pruned", so help that overtakes its forward is stashed.
-            if state.fwd_seen.get(&conn).is_some_and(|&m| m >= req.0) {
-                let fx = state.node.on_buddy_help(conn, req, answer)?;
-                apply_conn_fx(net, me, &mut state, conn, fx)?;
-            } else {
-                state.help_stash.push((conn, req, answer));
-            }
-            for child in tree::children(rank, procs) {
-                net.relay(
-                    me,
-                    Endpoint::Proc { prog, rank: child },
-                    CtrlMsg::Coalesced {
-                        conn,
-                        req,
-                        answer,
-                        bcast: false,
-                        help: true,
-                    },
-                );
-            }
-        }
-        _ => return Err(ThreadedError::Config("unexpected agent message".into())),
-    }
+    let fx = state.node.on_msg(msg)?;
+    apply_fx(net, me, &mut state, fx)?;
     drop(state);
     // Buffer space may have been freed: wake a stalled exporter thread.
     cell.freed.notify_all();
     Ok(())
 }
 
-/// Applies an engine effect set for `conn`'s region (shared by every
-/// message kind [`agent_step`] consumes).
-fn apply_conn_fx(
-    net: &Net,
-    me: Endpoint,
-    state: &mut ExpState,
-    conn: ConnectionId,
-    fx: ExportFx,
-) -> Result<(), ThreadedError> {
-    let region = state
-        .node
-        .region_of(conn)
-        .ok_or_else(|| ThreadedError::Config("agent message on a foreign connection".into()))?;
-    apply_fx(net, me, state, region, fx)
-}
-
 // --- executor tasks ---
+
+/// A finished poll (shutdown marker, or a recorded error).
+fn poll_done(msgs: u64) -> Poll {
+    Poll {
+        msgs,
+        done: true,
+        deadline: None,
+        more: false,
+    }
+}
 
 /// The agent state machine: one per exporting process. Each poll drains a
 /// bounded burst of forwarded requests and buddy-help; an injected agent
@@ -1590,63 +1259,49 @@ struct AgentTask {
     prog: usize,
     rank: usize,
     crash_after: Option<u64>,
-    mbox: Arc<Mailbox<AgentMsg>>,
+    mbox: Arc<Mailbox>,
     consumed: u64,
+}
+
+impl AgentTask {
+    fn on_ctrl(&mut self, meta: Option<WireMeta>, msg: CtrlMsg) -> Result<(), ThreadedError> {
+        if matches!(msg, CtrlMsg::Heartbeat { .. }) {
+            // Members just observe rep liveness; recovery itself is
+            // modeled in the rep task below.
+            return Ok(());
+        }
+        if self.crash_after.is_some_and(|k| self.consumed >= k) {
+            panic!("injected agent crash after {} messages", self.consumed);
+        }
+        let me = Endpoint::Proc {
+            prog: self.prog,
+            rank: self.rank,
+        };
+        self.net.admit(me, meta, msg, |m| {
+            self.consumed += 1;
+            agent_step(&self.net, &self.cell, me, m)
+        })
+    }
 }
 
 impl Task for AgentTask {
     fn poll(&mut self, _now: Instant) -> Poll {
         let mut msgs = 0u64;
         for _ in 0..REP_BATCH {
-            let batch = match self.mbox.pop() {
+            let step = match self.mbox.pop() {
                 None => break,
-                Some(AgentMsg::Shutdown) => {
-                    return Poll {
-                        msgs,
-                        done: true,
-                        deadline: None,
-                        more: false,
-                    }
-                }
-                Some(AgentMsg::Ctrl(meta, m)) => {
-                    self.net.metrics.queue_depth.sub(1);
-                    msgs += 1;
-                    vec![(meta, m)]
-                }
-                Some(AgentMsg::Batch(ms)) => {
-                    self.net.metrics.queue_depth.sub(1);
-                    msgs += 1;
-                    ms
-                }
+                Some(Msg::Shutdown) => return poll_done(msgs),
+                Some(Msg::Ctrl(meta, m)) => self.on_ctrl(meta, m),
+                Some(Msg::Batch(ms)) => ms
+                    .into_iter()
+                    .try_for_each(|(meta, m)| self.on_ctrl(meta, m)),
+                Some(Msg::Piece { .. }) => Err(ThreadedError::Config("piece for an agent".into())),
             };
-            for (meta, m) in batch {
-                if matches!(m, CtrlMsg::Heartbeat { .. }) {
-                    // Members just observe rep liveness; recovery itself is
-                    // modeled in the rep task below.
-                    continue;
-                }
-                if self.crash_after.is_some_and(|k| self.consumed >= k) {
-                    // Injected process crash (`CrashTarget::Agent`): a real
-                    // panic, caught by the executor. The arriving packet
-                    // dies with the task, unacked.
-                    panic!("injected agent crash after {} messages", self.consumed);
-                }
-                let me = Endpoint::Proc {
-                    prog: self.prog,
-                    rank: self.rank,
-                };
-                for (_, m) in self.net.admit(me, meta, m) {
-                    self.consumed += 1;
-                    if let Err(e) = agent_step(&self.net, &self.cell, self.prog, self.rank, m) {
-                        record_err(&self.net.err, e);
-                        return Poll {
-                            msgs,
-                            done: true,
-                            deadline: None,
-                            more: false,
-                        };
-                    }
-                }
+            self.net.metrics.queue_depth.sub(1);
+            msgs += 1;
+            if let Err(e) = step {
+                record_err(&self.net.err, e);
+                return poll_done(msgs);
             }
         }
         Poll {
@@ -1659,43 +1314,36 @@ impl Task for AgentTask {
 }
 
 /// The rep state machine: consumes control messages through the
-/// reliability layer (when armed), journals every delivery, heartbeats its
-/// members on a periodic timer, and — if targeted by a crash fault — dies
-/// and recovers in place across polls.
+/// reliability layer (when armed), heartbeats its members on a periodic
+/// timer, and — if targeted by a crash fault — dies and recovers in place
+/// across polls.
 ///
-/// The crash is packet-granular, matching the simulator: once the rep has
-/// consumed `after_msgs` messages, the *next arriving packet* kills it and
-/// is itself lost unacked. While dead the rep discards its mailbox on
-/// every poll (everything unacked — senders keep retransmitting) and its
-/// timer is armed at the restart instant. Recovery — after `restart_after`
-/// wall seconds, or after members notice `HB_TIMEOUT` of heartbeat silence
-/// and promote the deterministic successor — rebuilds the aggregation
-/// state by replaying the delivery journal, then restores the reliability
-/// layer's receive state so retransmits of already-consumed messages dedup
-/// and held-back messages re-deliver in order. The successor inherits the
-/// journal because journal replay is deterministic: any member that
-/// recorded the same deliveries rebuilds the same state.
+/// The crash window is the engine's [`RepCrash`], packet-granular like the
+/// simulator's. While dead the rep discards its mailbox on every poll
+/// (everything unacked — senders keep retransmitting) and its timer is
+/// armed at the recovery instant: `restart_after` wall seconds, or
+/// `HB_TIMEOUT` of heartbeat silence after which members promote the
+/// deterministic successor. The successor inherits the journal because
+/// journal replay is deterministic: any member that recorded the same
+/// deliveries rebuilds the same state.
 ///
 /// The crash-while-queued case the pooled executor introduces — the fatal
 /// packet is sitting in the mailbox while the task waits for a worker —
 /// behaves identically: the crash triggers at *consumption*, whenever the
-/// poll happens, and the dead window starts from that poll's `now`.
+/// poll happens, and the dead window starts from that poll.
 struct RepTask {
     net: Arc<Net>,
     topo: Arc<Topology>,
     prog: usize,
     buddy_help: bool,
     hierarchical: bool,
-    fault: Option<CrashFault>,
-    mbox: Arc<Mailbox<RepMsg>>,
+    crash: Option<RepCrash>,
+    mbox: Arc<Mailbox>,
     node: RepNode,
-    consumed: u64,
-    crash_armed: bool,
     beat: u64,
     next_beat: Option<Instant>,
-    /// While `Some`, the rep is dead and restarts at this instant.
+    /// While `Some`, the rep is dead and recovers at this instant.
     dead_until: Option<Instant>,
-    crashed_at: Option<Instant>,
     /// Members that can receive heartbeats (exporting processes have agent
     /// tasks; importing application threads are only reachable mid-import
     /// and watch the rep through the error slot instead).
@@ -1705,23 +1353,44 @@ struct RepTask {
     /// metered as `hb_suppressed`) when real traffic already proved the
     /// link alive within the heartbeat window.
     last_send: HashMap<usize, Instant>,
-    /// Coalesced fan-out needs per-packet fault decisions to be off; with
-    /// chaos armed the rep falls back to per-message polls (and the crash
-    /// fault keeps its packet-granular semantics).
-    batching: bool,
 }
 
 impl RepTask {
     /// Discards everything queued while the rep is dead (unacked — the
-    /// senders keep retransmitting). A shutdown marker still terminates.
-    fn discard_mailbox(&self) -> bool {
+    /// senders keep retransmitting), then sleeps until `du`. A shutdown
+    /// marker still terminates.
+    fn dead_poll(&self, msgs: u64, du: Instant) -> Poll {
         while let Some(m) = self.mbox.pop() {
             match m {
-                RepMsg::Shutdown => return true,
-                RepMsg::Ctrl(..) | RepMsg::Batch(..) => self.net.metrics.queue_depth.sub(1),
+                Msg::Shutdown => return poll_done(msgs),
+                _ => self.net.metrics.queue_depth.sub(1),
             }
         }
-        false
+        Poll {
+            msgs,
+            done: false,
+            deadline: Some(du),
+            more: false,
+        }
+    }
+
+    /// Rebuilds the aggregation state from the session's delivery journal
+    /// (the WAL's per-endpoint log — in-memory for the in-process failover,
+    /// file-backed in the socket runtime) and restores the reliability
+    /// layer's receive state, so retransmits of already-consumed messages
+    /// dedup and held-back messages re-deliver in order.
+    fn recover(&mut self, ep: Endpoint) -> Result<(), ThreadedError> {
+        let (Some(crash), Some(rel), Some(wal)) = (&mut self.crash, &self.net.rel, &self.net.wal)
+        else {
+            return Ok(());
+        };
+        let journal = wal.delivered(ep);
+        let (now, bh, hier) = (rel.clock.now(), self.buddy_help, self.hierarchical);
+        if let Some(node) = crash.recover(now, &self.topo, bh, hier, &journal, &self.net.metrics)? {
+            self.node = node;
+            rel.restore_delivered(ep, &journal);
+        }
+        Ok(())
     }
 }
 
@@ -1730,53 +1399,12 @@ impl Task for RepTask {
         let ep = Endpoint::Rep { prog: self.prog };
         if let Some(du) = self.dead_until {
             if now < du {
-                // Still dead: everything arriving dies unacked.
-                if self.discard_mailbox() {
-                    return Poll {
-                        msgs: 0,
-                        done: true,
-                        deadline: None,
-                        more: false,
-                    };
-                }
-                return Poll {
-                    msgs: 0,
-                    done: false,
-                    deadline: Some(du),
-                    more: false,
-                };
+                return self.dead_poll(0, du);
             }
-            // Restart: rebuild the aggregation state from the session's
-            // delivery journal (the WAL's per-endpoint log — in-memory for
-            // the in-process failover, file-backed in the socket runtime).
             self.dead_until = None;
-            self.node = RepNode::new(&self.topo, self.prog, self.buddy_help, self.hierarchical);
-            let journal = self
-                .net
-                .wal
-                .as_ref()
-                .map(|w| w.delivered(ep))
-                .unwrap_or_default();
-            let msgs: Vec<CtrlMsg> = journal.iter().map(|&(_, m)| m).collect();
-            if let Err(e) = self.node.replay(&self.topo, &msgs) {
-                record_err(&self.net.err, ThreadedError::from(e));
-                return Poll {
-                    msgs: 0,
-                    done: true,
-                    deadline: None,
-                    more: false,
-                };
-            }
-            if let Some(rel) = &self.net.rel {
-                let metas: Vec<WireMeta> = journal.iter().map(|&(mm, _)| mm).collect();
-                rel.restore_delivered(ep, &metas);
-            }
-            self.net.metrics.failovers.inc();
-            if let Some(t0) = self.crashed_at.take() {
-                self.net
-                    .metrics
-                    .recovery_ms
-                    .observe(t0.elapsed().as_millis() as u64);
+            if let Err(e) = self.recover(ep) {
+                record_err(&self.net.err, e);
+                return poll_done(0);
             }
         }
         // Periodic heartbeat while the reliability layer is armed.
@@ -1799,14 +1427,12 @@ impl Task for RepTask {
                             self.net.metrics.hb_suppressed.inc();
                             continue;
                         }
-                        self.net.ctrl(
-                            ep,
-                            Endpoint::Proc {
-                                prog: self.prog,
-                                rank: r,
-                            },
-                            CtrlMsg::Heartbeat { beat: self.beat },
-                        );
+                        let to = Endpoint::Proc {
+                            prog: self.prog,
+                            rank: r,
+                        };
+                        let beat = CtrlMsg::Heartbeat { beat: self.beat };
+                        self.net.send(SendKind::Origin, ep, to, beat);
                     }
                     self.next_beat = Some(now + HB_INTERVAL);
                 }
@@ -1815,112 +1441,59 @@ impl Task for RepTask {
         }
         // Drain the mailbox burst: everything already queued (up to the
         // coalescing bound) is folded into one engine pass whose fan-out
-        // flushes coalesced. A shutdown marker found mid-drain still
-        // processes everything received before it.
-        let cap = if self.batching { REP_BATCH } else { 1 };
-        let mut burst: Vec<(Option<WireMeta>, CtrlMsg)> = Vec::new();
+        // flushes coalesced. Fault injection needs per-packet decisions, so
+        // with chaos armed the burst is one message (and the crash fault
+        // keeps its packet-granular semantics). A shutdown marker found
+        // mid-drain still processes everything received before it.
+        let cap = if self.net.chaos.is_none() {
+            REP_BATCH
+        } else {
+            1
+        };
+        let mut burst: Vec<Packet> = Vec::new();
         let mut shutdown = false;
         let mut msgs = 0u64;
         while burst.len() < cap {
             match self.mbox.pop() {
                 None => break,
-                Some(RepMsg::Shutdown) => {
+                Some(Msg::Shutdown) => {
                     shutdown = true;
                     break;
                 }
-                Some(RepMsg::Ctrl(meta, m)) => {
-                    self.net.metrics.queue_depth.sub(1);
-                    msgs += 1;
-                    burst.push((meta, m));
-                }
-                Some(RepMsg::Batch(ms)) => {
-                    self.net.metrics.queue_depth.sub(1);
-                    msgs += 1;
-                    burst.extend(ms);
-                }
+                Some(Msg::Ctrl(meta, m)) => burst.push((meta, m)),
+                Some(Msg::Batch(ms)) => burst.extend(ms),
+                Some(Msg::Piece { .. }) => continue,
             }
+            self.net.metrics.queue_depth.sub(1);
+            msgs += 1;
         }
         let mut outgoing: Vec<(Endpoint, CtrlMsg)> = Vec::new();
         for (meta, m) in burst {
-            if self.crash_armed {
-                // Chaos (and therefore a crash fault) implies per-message
-                // bursts, so the fatal packet is always the whole burst.
-                let f = self.fault.expect("crash_armed implies a fault");
-                if matches!(f.target, CrashTarget::Rep(p) if p == self.prog)
-                    && self.consumed >= f.after_msgs
-                {
-                    self.crash_armed = false;
-                    let crashed_at = Instant::now();
-                    if let Some(rel) = &self.net.rel {
-                        rel.crash_endpoint(ep);
-                    }
+            if let (Some(crash), Some(rel)) = (&mut self.crash, &self.net.rel) {
+                if let Some(after) = crash.fires(rel.clock.now(), HB_TIMEOUT.as_secs_f64()) {
                     // The fatal packet and everything arriving while dead
                     // die unacked; the pump keeps retransmitting them.
-                    let du =
-                        crashed_at + f.restart_after.map_or(HB_TIMEOUT, Duration::from_secs_f64);
-                    self.crashed_at = Some(crashed_at);
+                    rel.crash_endpoint(ep);
+                    let du = Instant::now() + Duration::from_secs_f64(after);
                     self.dead_until = Some(du);
-                    if self.discard_mailbox() {
-                        return Poll {
-                            msgs,
-                            done: true,
-                            deadline: None,
-                            more: false,
-                        };
-                    }
-                    return Poll {
-                        msgs,
-                        done: false,
-                        deadline: Some(du),
-                        more: false,
-                    };
+                    return self.dead_poll(msgs, du);
                 }
             }
-            for (_dm, m) in self.net.admit(ep, meta, m) {
-                self.consumed += 1;
-                let step = self
-                    .node
-                    .on_msg(&self.topo, m)
-                    .map_err(ThreadedError::from)
-                    .and_then(|outs| -> Result<(), ThreadedError> {
-                        if self.batching {
-                            for o in outs {
-                                match o {
-                                    Outgoing::Ctrl { to, msg } => outgoing.push((to, msg)),
-                                    Outgoing::Transfer { .. } => {
-                                        return Err(ThreadedError::Config(
-                                            "rep emitted a data transfer".into(),
-                                        ))
-                                    }
-                                }
-                            }
-                            Ok(())
-                        } else {
-                            for o in &outs {
-                                if let Outgoing::Ctrl {
-                                    to: Endpoint::Proc { rank, .. },
-                                    ..
-                                } = o
-                                {
-                                    self.last_send.insert(*rank, now);
-                                }
-                            }
-                            let mut tp = RepTransport {
-                                net: &self.net,
-                                from: ep,
-                            };
-                            deliver_all(&mut tp, ep, outs)
-                        }
-                    });
-                if let Err(e) = step {
-                    record_err(&self.net.err, e);
-                    return Poll {
-                        msgs,
-                        done: true,
-                        deadline: None,
-                        more: false,
-                    };
+            let step = self.net.admit(ep, meta, m, |m| {
+                if let Some(crash) = &mut self.crash {
+                    crash.consumed();
                 }
+                for out in self.node.on_msg(&self.topo, m)? {
+                    match out {
+                        Outgoing::Ctrl { to, msg } => outgoing.push((to, msg)),
+                        _ => return Err(ThreadedError::Config("rep emitted a data hop".into())),
+                    }
+                }
+                Ok(())
+            });
+            if let Err(e) = step {
+                record_err(&self.net.err, e);
+                return poll_done(msgs);
             }
         }
         if !outgoing.is_empty() {
@@ -1929,12 +1502,12 @@ impl Task for RepTask {
                     self.last_send.insert(rank, now);
                 }
             }
-            self.net.ctrl_flush(ep, outgoing);
+            self.net.flush(ep, outgoing);
         }
         Poll {
             msgs,
             done: shutdown,
-            deadline: self.dead_until.or(self.next_beat),
+            deadline: self.next_beat,
             more: !shutdown && !self.mbox.is_empty(),
         }
     }
@@ -1950,7 +1523,7 @@ struct ImpTask {
     prog: usize,
     rank: usize,
     conn: ConnectionId,
-    mbox: Arc<Mailbox<ImpMsg>>,
+    mbox: Arc<Mailbox>,
     cell: Arc<ImpCell>,
     pieces: PieceMap,
     /// Pieces already accepted, keyed `(request, rectangle)`. Pieces are
@@ -1963,146 +1536,71 @@ struct ImpTask {
 
 impl ImpTask {
     /// Runs one received answer through the reliability layer (dedup of
-    /// retransmitted broadcasts) and into the import node.
-    fn on_answer_msg(
-        &self,
-        me: Endpoint,
-        meta: Option<WireMeta>,
-        req: RequestId,
-        answer: RepAnswer,
-    ) -> Result<(), ThreadedError> {
-        // Re-wrap into wire form so the reliability layer can dedup
-        // retransmitted answers before delivery.
-        let wire = CtrlMsg::AnswerBcast {
-            conn: self.conn,
-            req,
-            answer,
+    /// retransmitted broadcasts) and the import node, then moves the tree
+    /// relays the node emits — once per *accepted* delivery, each hop
+    /// independently registered, so a lost relay is healed by this rank's
+    /// retransmits rather than the rep's.
+    fn on_ctrl(&self, meta: Option<WireMeta>, msg: CtrlMsg) -> Result<(), ThreadedError> {
+        let me = Endpoint::Proc {
+            prog: self.prog,
+            rank: self.rank,
         };
-        for (_, m) in self.net.admit(me, meta, wire) {
-            if let CtrlMsg::AnswerBcast { req, answer, .. } = m {
-                self.cell.node.lock().on_answer(self.conn, req, answer)?;
-            }
-        }
-        Ok(())
+        self.net.admit(me, meta, msg, |m| {
+            let relays = self.cell.node.lock().on_msg(m)?;
+            self.net.emit_ctrl(me, relays)
+        })
     }
 
-    /// Runs a coalesced tree-broadcast answer through the reliability layer,
-    /// applies it to the import node, and relays it to this rank's subtree.
-    /// The relay happens once per *accepted* delivery (dedup upstream), and
-    /// each hop is independently registered, so a lost relay is healed by
-    /// this rank's retransmits rather than the rep's.
-    fn on_coalesced_msg(
-        &self,
-        me: Endpoint,
-        meta: Option<WireMeta>,
+    fn on_piece(
+        &mut self,
         req: RequestId,
-        answer: RepAnswer,
+        rect: Rect,
+        payload: SharedArray,
     ) -> Result<(), ThreadedError> {
-        let wire = CtrlMsg::Coalesced {
-            conn: self.conn,
-            req,
-            answer,
-            bcast: true,
-            help: false,
-        };
-        for (_, m) in self.net.admit(me, meta, wire) {
-            if let CtrlMsg::Coalesced { req, answer, .. } = m {
-                self.cell.node.lock().on_answer(self.conn, req, answer)?;
-                let procs = self.net.topo.programs[self.prog].procs;
-                for child in tree::children(self.rank, procs) {
-                    self.net.relay(
-                        me,
-                        Endpoint::Proc {
-                            prog: self.prog,
-                            rank: child,
-                        },
-                        CtrlMsg::Coalesced {
-                            conn: self.conn,
-                            req,
-                            answer,
-                            bcast: true,
-                            help: false,
-                        },
-                    );
-                }
-            }
+        if !self.seen_pieces.insert((req, rect)) {
+            // Duplicate (exporter replay or link reconnect resend):
+            // already held, drop it.
+            return Ok(());
         }
-        Ok(())
+        // Piece strictly before the node can flip to `Done`: a waiter
+        // woken by the condvar must see every piece.
+        self.pieces
+            .lock()
+            .entry(req)
+            .or_default()
+            .push((rect, payload));
+        Ok(self.cell.node.lock().on_piece(self.conn, req)?)
     }
 }
 
 impl Task for ImpTask {
     fn poll(&mut self, _now: Instant) -> Poll {
-        let me = Endpoint::Proc {
-            prog: self.prog,
-            rank: self.rank,
-        };
         let mut msgs = 0u64;
         let mut done = false;
-        let mut failed: Option<ThreadedError> = None;
         for _ in 0..REP_BATCH {
-            match self.mbox.pop() {
+            let step = match self.mbox.pop() {
                 None => break,
-                Some(ImpMsg::Shutdown) => {
+                Some(Msg::Shutdown) => {
                     done = true;
                     break;
                 }
-                Some(ImpMsg::Answer { meta, req, answer }) => {
-                    msgs += 1;
-                    if let Err(e) = self.on_answer_msg(me, meta, req, answer) {
-                        failed = Some(e);
-                        break;
-                    }
+                Some(Msg::Piece { req, rect, payload }) => self.on_piece(req, rect, payload),
+                Some(Msg::Ctrl(meta, m)) => {
+                    self.net.metrics.queue_depth.sub(1);
+                    self.on_ctrl(meta, m)
                 }
-                Some(ImpMsg::Coalesced { meta, req, answer }) => {
-                    msgs += 1;
-                    if let Err(e) = self.on_coalesced_msg(me, meta, req, answer) {
-                        failed = Some(e);
-                        break;
-                    }
+                Some(Msg::Batch(ms)) => {
+                    self.net.metrics.queue_depth.sub(1);
+                    ms.into_iter()
+                        .try_for_each(|(meta, m)| self.on_ctrl(meta, m))
                 }
-                Some(ImpMsg::AnswerBatch(answers)) => {
-                    msgs += 1;
-                    for (meta, req, answer) in answers {
-                        if let Err(e) = self.on_answer_msg(me, meta, req, answer) {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                    if failed.is_some() {
-                        break;
-                    }
-                }
-                Some(ImpMsg::Piece { req, rect, payload }) => {
-                    msgs += 1;
-                    if !self.seen_pieces.insert((req, rect)) {
-                        // Duplicate (exporter replay or link reconnect
-                        // resend): already held, drop it.
-                        continue;
-                    }
-                    // Piece strictly before the node can flip to `Done`:
-                    // a waiter woken by the condvar must see every piece.
-                    self.pieces
-                        .lock()
-                        .entry(req)
-                        .or_default()
-                        .push((rect, payload));
-                    if let Err(e) = self
-                        .cell
-                        .node
-                        .lock()
-                        .on_piece(self.conn, req)
-                        .map_err(ThreadedError::from)
-                    {
-                        failed = Some(e);
-                        break;
-                    }
-                }
+            };
+            msgs += 1;
+            if let Err(e) = step {
+                record_err(&self.net.err, e);
+                done = true;
+                break;
             }
-        }
-        if let Some(e) = failed {
-            record_err(&self.net.err, e);
-            done = true;
         }
         // The node's state may have advanced: wake the blocked importer.
         self.cell.cv.notify_all();
@@ -2271,9 +1769,9 @@ struct Session {
     exports: Vec<Vec<Vec<Option<ExportAccess>>>>,
     /// `[prog][rank][imported region]`, taken once each.
     imports: Vec<Vec<Vec<Option<ImportAccess>>>>,
-    reps: Vec<(Arc<Mailbox<RepMsg>>, TaskHandle)>,
-    agents: Vec<(Arc<Mailbox<AgentMsg>>, TaskHandle)>,
-    imps: Vec<(Arc<Mailbox<ImpMsg>>, TaskHandle)>,
+    reps: Vec<(Arc<Mailbox>, TaskHandle)>,
+    agents: Vec<(Arc<Mailbox>, TaskHandle)>,
+    imps: Vec<(Arc<Mailbox>, TaskHandle)>,
     pump: Option<TaskHandle>,
     relay: Option<(Sender<RelayMsg>, JoinHandle<()>)>,
     net: Arc<Net>,
@@ -2334,6 +1832,7 @@ impl Session {
                 &metrics,
                 clock.clone(),
                 opts.drop_buddy_help,
+                opts.chaos,
             )
         });
 
@@ -2341,8 +1840,8 @@ impl Session {
         // In a partial session only the hosted program's endpoints get
         // mailboxes: foreign destinations are forwarded by `Net::route`
         // before any mailbox lookup, so the holes are never touched.
-        let mut rep_boxes: Vec<Option<Arc<Mailbox<RepMsg>>>> = Vec::new();
-        let mut agent_boxes: Vec<Vec<Option<Arc<Mailbox<AgentMsg>>>>> = Vec::new();
+        let mut rep_boxes: Vec<Option<Arc<Mailbox>>> = Vec::new();
+        let mut agent_boxes: Vec<Vec<Option<Arc<Mailbox>>>> = Vec::new();
         for (pi, p) in topo.programs.iter().enumerate() {
             let coupled = (!p.exports.is_empty() || !p.imports.is_empty()) && hosts(local, pi);
             rep_boxes.push(coupled.then(|| Arc::new(Mailbox::new())));
@@ -2353,7 +1852,7 @@ impl Session {
                     .collect(),
             );
         }
-        let mut imp_boxes: Vec<Vec<Arc<Mailbox<ImpMsg>>>> = Vec::new();
+        let mut imp_boxes: Vec<Vec<Arc<Mailbox>>> = Vec::new();
         for ct in &topo.conns {
             let procs = topo.programs[ct.importer_prog].procs;
             imp_boxes.push((0..procs).map(|_| Arc::new(Mailbox::new())).collect());
@@ -2376,22 +1875,14 @@ impl Session {
             rel,
             local,
             links,
-            hierarchical: opts.hierarchical,
             // Armed reliability always journals (the rep failover replays
             // it); without an explicit backend the journal is in-memory.
             wal: needs_rel.then(|| opts.wal.clone().unwrap_or_else(WalHandle::mem)),
-            replaying: AtomicBool::new(false),
             wal_active: AtomicBool::new(true),
             metrics: Arc::clone(&metrics),
         });
         if opts.hierarchical {
-            let depth = topo
-                .programs
-                .iter()
-                .map(|p| tree::depth(p.procs))
-                .max()
-                .unwrap_or(0);
-            metrics.tree_depth.set(depth as u64);
+            metrics.tree_depth.set(topo.tree_depth() as u64);
         }
         // The chaos relay stays a dedicated thread; see `relay_loop`.
         let relay = relay_channel.map(|(_, tx, rx)| {
@@ -2425,7 +1916,8 @@ impl Session {
                     prog_cells.push(None);
                     continue;
                 };
-                let mut node = ExportNode::new(&topo, pi, rank, opts.buffer_capacity);
+                let mut node =
+                    ExportNode::new(&topo, pi, rank, opts.buffer_capacity, opts.hierarchical);
                 node.set_metrics(Arc::clone(&metrics));
                 for &(tp, tr, tc) in &opts.traces {
                     if tp == pi && tr == rank {
@@ -2434,12 +1926,7 @@ impl Session {
                 }
                 let stores = (0..p.exports.len()).map(|_| BTreeMap::new()).collect();
                 let cell = Arc::new(ExpCell {
-                    state: Mutex::new(ExpState {
-                        node,
-                        stores,
-                        fwd_seen: HashMap::new(),
-                        help_stash: Vec::new(),
-                    }),
+                    state: Mutex::new(ExpState { node, stores }),
                     freed: Condvar::new(),
                 });
                 let crash_after = crash.and_then(|f| match f.target {
@@ -2475,7 +1962,7 @@ impl Session {
             let Some(mbox) = rep_box.clone() else {
                 continue;
             };
-            let fault = crash.filter(|f| matches!(f.target, CrashTarget::Rep(p) if p == pi));
+            let fault = crash.filter(|f| f.target == CrashTarget::Rep(pi));
             let members: Vec<usize> = (0..topo.programs[pi].procs)
                 .filter(|&r| agent_boxes[pi][r].is_some())
                 .collect();
@@ -2489,18 +1976,14 @@ impl Session {
                     prog: pi,
                     buddy_help: opts.buddy_help,
                     hierarchical: opts.hierarchical,
-                    fault,
+                    crash: fault.map(|f| RepCrash::new(pi, f)),
                     mbox: mbox.clone(),
                     node: RepNode::new(&topo, pi, opts.buddy_help, opts.hierarchical),
-                    consumed: 0,
-                    crash_armed: fault.is_some(),
                     beat: 0,
                     next_beat: None,
                     dead_until: None,
-                    crashed_at: None,
                     members,
                     last_send: HashMap::new(),
-                    batching: opts.chaos.is_none(),
                 }),
             );
             mbox.bind(handle.clone());
@@ -2695,17 +2178,17 @@ impl Session {
             let _ = h.join();
         }
         for (mb, _) in &self.reps {
-            let _ = mb.push(RepMsg::Shutdown);
+            let _ = mb.push(Msg::Shutdown);
         }
         let rep_handles: Vec<TaskHandle> = self.reps.iter().map(|(_, h)| h.clone()).collect();
         exec.wait_done(&rep_handles);
         for (mb, _) in &self.agents {
-            let _ = mb.push(AgentMsg::Shutdown);
+            let _ = mb.push(Msg::Shutdown);
         }
         let agent_handles: Vec<TaskHandle> = self.agents.iter().map(|(_, h)| h.clone()).collect();
         exec.wait_done(&agent_handles);
         for (mb, _) in &self.imps {
-            let _ = mb.push(ImpMsg::Shutdown);
+            let _ = mb.push(Msg::Shutdown);
         }
         let imp_handles: Vec<TaskHandle> = self.imps.iter().map(|(_, h)| h.clone()).collect();
         exec.wait_done(&imp_handles);
@@ -2974,6 +2457,14 @@ impl Fabric {
         self.set.shutdown_session(0)
     }
 
+    /// Arms the relay-drop mutation on every importing process, for
+    /// mutation-testing the oracles (see [`ImportNode::arm_relay_drop`]).
+    pub fn arm_relay_drop(&self) {
+        for cell in &self.set.session(0).imp_cells {
+            cell.node.lock().arm_relay_drop();
+        }
+    }
+
     /// Test hook: the exporting process's shared engine cell.
     #[cfg(test)]
     fn cell(&self, prog: usize, rank: usize) -> Arc<ExpCell> {
@@ -2986,8 +2477,9 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{ConnTopo, ExportRegionTopo, ImportRegionTopo, ProgramTopo};
+    use crate::engine::{ConnTopo, CrashFault, ExportRegionTopo, ImportRegionTopo, ProgramTopo};
     use couplink_layout::{Decomposition, Extent2, LocalArray, RedistPlan};
+    use couplink_metrics::CtrlClass;
     use couplink_time::{ts, MatchPolicy, Tolerance};
 
     /// One exported region (single rank) feeding two overlapping REGL
@@ -3415,10 +2907,7 @@ mod tests {
     /// drained session is polled after `shutdown_session` returns.
     #[test]
     fn session_set_isolates_sessions_and_stops_polling_after_shutdown() {
-        let mut set = SessionSet::new(&ExecutorOptions {
-            workers: Some(2),
-            ..ExecutorOptions::default()
-        });
+        let mut set = SessionSet::new(&ExecutorOptions { workers: Some(2) });
         let (t0, exp_d, imp_d) = pair_topology();
         let (t1, _, _) = pair_topology();
         let s0 = set.add_session(t0, FabricOptions::default());

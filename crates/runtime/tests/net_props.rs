@@ -128,9 +128,9 @@ fn buf_pool_classes_recycle_and_meter() {
     assert_eq!(metrics.net_pool_misses.get(), 1);
     assert_eq!(metrics.net_pool_hits.get(), 0);
 
-    // Return it. `put` shelves by floor(log2(capacity)) while `take`
-    // asks by ceil, so only a power-of-two-aligned request is promised
-    // the recycled allocation — and any hit has enough room.
+    // Return it. `put` shelves by floor(log2(capacity)), `take` asks by
+    // ceil and allocates the whole class on a miss, so the recycled
+    // allocation comes back — and any hit has enough room.
     pool.put(buf);
     let again = pool.take(1024);
     assert_eq!(again.capacity(), 1024, "recycled allocation came back");
@@ -150,4 +150,20 @@ fn buf_pool_classes_recycle_and_meter() {
     let still_miss = pool.take(1);
     assert!(still_miss.capacity() >= 1);
     assert_eq!(metrics.net_pool_misses.get(), 3);
+
+    // The steady-state tx cycle: real frames are never power-of-two sized
+    // (payload plus envelope). The miss rounds the allocation up to its
+    // class, so the same-sized frame after it is served from the shelf.
+    let frame = pool.take(4096 + 120);
+    assert_eq!(frame.capacity(), 8192, "a miss allocates the whole class");
+    assert_eq!(metrics.net_pool_misses.get(), 4);
+    pool.put(frame);
+    let recycled = pool.take(4096 + 120);
+    assert_eq!(recycled.capacity(), 8192);
+    assert_eq!(
+        metrics.net_pool_hits.get(),
+        2,
+        "non-power-of-two cycle hits"
+    );
+    assert_eq!(metrics.net_pool_misses.get(), 4);
 }

@@ -43,9 +43,11 @@ pub enum Mutation {
     /// announcement whose match was already exported locally is dropped
     /// without sending the piece.
     StaleSkip,
-    /// [`TopologySim::arm_relay_drop`]: a hierarchical relay rank silently
-    /// drops the coalesced answer broadcast on one subtree edge, starving
-    /// every rank below it.
+    /// [`TopologySim::arm_relay_drop`] / [`Fabric::arm_relay_drop`]: a
+    /// hierarchical relay rank silently drops the coalesced answer
+    /// broadcast on one subtree edge, starving every rank below it. The
+    /// drop lives in the engine's import node, so it is armed — and must be
+    /// caught — on the simulator and on the threaded fabric alike.
     RelayDrop,
 }
 
@@ -332,10 +334,13 @@ fn des_liveness(
 /// Runs the scenario on the threaded fabric (real threads, real channels,
 /// real memcpys) and checks the single-runtime oracles. Returns the
 /// counter snapshot too (`None` when shutdown failed before reporting),
-/// and accepts the degradation knob for the buddy-help-loss tests.
+/// and accepts the degradation knob for the buddy-help-loss tests and the
+/// relay-drop mutation (the one deliberately unsound rule that lives in the
+/// engine's nodes rather than the export ports).
 pub fn run_threaded(
     s: &Scenario,
     drop_buddy_help: bool,
+    relay_drop: bool,
 ) -> Result<(Matches, Option<CounterSnapshot>, Vec<OracleViolation>), String> {
     let topology = s.build_topology()?;
     let view = topology.clone();
@@ -360,6 +365,9 @@ pub fn run_threaded(
     // under pressure must not leak into unbounded run-queue growth.
     let task_budget = session_task_count(&topology, &opts) as u64;
     let mut fabric = Fabric::new(topology, opts);
+    if relay_drop {
+        fabric.arm_relay_drop();
+    }
 
     let mut exp_threads = Vec::new();
     for (i, e) in s.exporters.iter().enumerate() {
@@ -487,7 +495,7 @@ pub fn run_threaded(
 /// Runs the scenario on the threaded fabric and checks the single-runtime
 /// oracles (fault-injection as configured by the scenario, no degradation).
 pub fn check_threaded(s: &Scenario) -> Result<(Matches, Vec<OracleViolation>), String> {
-    let (matches, _, violations) = run_threaded(s, false)?;
+    let (matches, _, violations) = run_threaded(s, false, false)?;
     Ok((matches, violations))
 }
 
@@ -849,7 +857,7 @@ pub fn check_scenario_socket(
     backend: SocketBackend,
 ) -> Result<Vec<OracleViolation>, String> {
     let (des_matches, mut violations) = check_des(s, None)?;
-    let (thr_matches, thr_counters, thr_violations) = run_threaded(s, false)?;
+    let (thr_matches, thr_counters, thr_violations) = run_threaded(s, false, false)?;
     violations.extend(thr_violations);
     let (sock_matches, sock_counters, sock_violations) = run_socket(s, backend, false)?;
     violations.extend(sock_violations);
@@ -901,10 +909,11 @@ pub fn check_scenario(s: &Scenario) -> Result<Vec<OracleViolation>, String> {
 /// simulator and searches the seed space for a scenario where the broken
 /// rule discards a match, a transfer, or a whole subtree's answers —
 /// which the safety oracles must catch (buffer safety for the export-side
-/// skips, buffer safety or liveness for the dropped relay edge). Returns
-/// the first caught seed, the shrunk scenario and its violations; `None`
-/// means the oracles never fired (which the caller should treat as a test
-/// failure).
+/// skips, buffer safety or liveness for the dropped relay edge). The relay
+/// drop is then re-armed on the threaded fabric, which must starve the
+/// same subtree of the shrunk scenario. Returns the first caught seed, the
+/// shrunk scenario and its violations (both runtimes'); `None` means the
+/// oracles never fired (which the caller should treat as a test failure).
 pub fn mutation_smoke(
     max_seeds: u64,
     mutation: Mutation,
@@ -942,10 +951,17 @@ pub fn mutation_smoke(
         }
         if caught(&s) {
             let shrunk = crate::shrink::shrink(&s, caught);
-            let violations = match check_des(&shrunk, Some(mutation)) {
+            let mut violations = match check_des(&shrunk, Some(mutation)) {
                 Ok((_, v)) => v,
                 Err(_) => Vec::new(),
             };
+            if mutation == Mutation::RelayDrop {
+                let (_, _, threaded) = run_threaded(&shrunk, false, true).ok()?;
+                if !threaded.iter().any(|v| mutation.is_expected_catch(v)) {
+                    return None;
+                }
+                violations.extend(threaded);
+            }
             return Some((seed, shrunk, violations));
         }
     }
@@ -1031,8 +1047,8 @@ mod tests {
 
     /// The sabotaged distribution tree — relay rank 0 silently dropping
     /// the coalesced answer broadcast on its first subtree edge — must be
-    /// caught: the starved subtree wedges (liveness) or an owed match
-    /// never arrives (buffer safety).
+    /// caught on both in-process runtimes: the starved subtree wedges
+    /// (liveness) or an owed match never arrives (buffer safety).
     #[test]
     fn relay_drop_mutation_is_caught() {
         let (seed, shrunk, violations) = mutation_smoke(50, Mutation::RelayDrop)
@@ -1042,6 +1058,12 @@ mod tests {
                 .iter()
                 .any(|v| Mutation::RelayDrop.is_expected_catch(v)),
             "seed {seed} shrunk to {shrunk:?} without the expected violation: {violations:?}"
+        );
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.to_string().contains("timed out")),
+            "the threaded fabric's starved importer never timed out: {violations:?}"
         );
     }
 
@@ -1251,7 +1273,7 @@ mod tests {
                 restart_after: None,
             }),
         });
-        let (_, _, violations) = run_threaded(&s, false).expect("harness");
+        let (_, _, violations) = run_threaded(&s, false, false).expect("harness");
         assert!(
             violations
                 .iter()
