@@ -32,11 +32,14 @@
 #                       negative test proving the gate rejects the flat
 #                       O(N) fan-out)
 #  10. multi-session   (16 sessions multiplexed on the pooled executor
-#                       under the same wall budget: pooled must beat
-#                       one-worker-per-task by 1.5x aggregate imports/sec
-#                       and schedule sessions fairly; the starvation check's
-#                       negative control is a unit test over fabricated
-#                       per-session walls, run by stage 3)
+#                       under the same wall budget, scheduled fairly; the
+#                       starvation check's negative control is a unit test
+#                       over fabricated per-session walls, run by stage 3.
+#                       The ratio to a one-worker-per-task run is recorded
+#                       as wall_s.speedup_vs_thread_per_task and gates
+#                       nothing: it reads 0.9-1.8x on unchanged code on a
+#                       2-core box; executor throughput is gated by
+#                       `bench e2e` ctrl_small / multirate_cycle)
 #  11. socket           (fixed-seed corpus on the socket runtime: every
 #                       program its own OS process on loopback UDS, all
 #                       three runtimes must agree on matches and protocol

@@ -32,16 +32,18 @@
 //!
 //! The multi-session axis (mode `scale-sessions`): N independent
 //! topologies multiplexed on one [`SessionSet`] worker pool, deliberately
-//! oversubscribed (N × tasks-per-session ≫ cores). The same workload runs
-//! twice — on the default-sized pool, and with one worker per task
-//! (emulating the pre-executor thread-per-process fabric) — and the gate
-//! requires the pooled run to sustain ≥ [`SESSION_SPEEDUP_MIN`]× the
-//! thread-per-task aggregate imports/sec, plus a *fairness* check: the
-//! slowest session's wall time must stay within
-//! [`SESSION_FAIRNESS_RATIO`]× of the fastest (round-robin scheduling
-//! means co-resident sessions finish together). `--mutate` has no meaning
-//! here: the starvation check's negative control is a unit test feeding
-//! [`check_fairness`] the per-session walls of a starved run.
+//! oversubscribed (N × tasks-per-session ≫ cores). The gates are the
+//! per-iteration wall budget and a *fairness* check: the slowest session's
+//! wall time must stay within [`SESSION_FAIRNESS_RATIO`]× of the fastest
+//! (round-robin scheduling means co-resident sessions finish together).
+//! The same workload also runs with one worker per task (the pre-executor
+//! thread-per-process shape) and the ratio is recorded under `wall_s` as
+//! `speedup_vs_thread_per_task` — informational like every other wall
+//! figure: on a 2-core box it reads 0.9–1.8× on unchanged code, so it gates
+//! nothing (the executor's throughput is gated by `bench e2e`'s
+//! `ctrl_small` / `multirate_cycle` `imports_per_s`). `--mutate` has no
+//! meaning here: the starvation check's negative control is a unit test
+//! feeding [`check_fairness`] the per-session walls of a starved run.
 //!
 //! # `--ranks N1,N2,…`
 //!
@@ -82,10 +84,6 @@ const DEFAULT_GATE_MS: f64 = 50.0;
 /// The `--mutate` stall sleeps this multiple of the gate budget per
 /// import iteration — far enough past the budget that the gate must trip.
 const MUTATE_STALL_FACTOR: f64 = 4.0;
-
-/// Pooled executor must beat thread-per-task by at least this factor in
-/// aggregate imports/sec on the oversubscribed `--sessions` workload.
-const SESSION_SPEEDUP_MIN: f64 = 1.5;
 
 /// Fairness (starvation) bound for `--sessions`: slowest session wall /
 /// fastest session wall. Round-robin keeps co-resident sessions in
@@ -454,9 +452,9 @@ fn measure_sessions(name: &str, run: &SessionsRun) -> ScenarioMeasure {
 }
 
 /// The `--sessions` mode: the oversubscribed multi-session workload on
-/// the pooled executor vs one-worker-per-task (the thread-per-process
-/// shape), with the speedup and fairness gates described in the module
-/// doc.
+/// the pooled executor under the wall-budget and fairness gates, then once
+/// more with one worker per task (the thread-per-process shape) to record
+/// the ratio — see the module doc.
 fn run_sessions_mode(opts: &Options, n: usize) -> Result<(BenchReport, Vec<String>), String> {
     let pt = GridPoint {
         pairs: 4,
@@ -499,12 +497,6 @@ fn run_sessions_mode(opts: &Options, n: usize) -> Result<(BenchReport, Vec<Strin
     pooled_scenario
         .wall_s
         .push(("speedup_vs_thread_per_task".into(), speedup));
-    if speedup < SESSION_SPEEDUP_MIN {
-        violations.push(format!(
-            "{pooled_name}: pooled executor only {speedup:.2}x the \
-             thread-per-task fabric (need {SESSION_SPEEDUP_MIN:.1}x)"
-        ));
-    }
     scenarios.push(pooled_scenario);
     scenarios.push(measure_sessions(&tpt_name, &tpt));
 

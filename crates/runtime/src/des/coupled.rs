@@ -17,17 +17,13 @@
 //! simulation is fully deterministic: same configuration, same report.
 
 use crate::cost::CostModel;
-use crate::des::topo::{ExportSchedule, ImportSchedule, TopologyConfig, TopologySim};
-use crate::engine::{Topology, TopologyError};
+use crate::des::topo::{ExportSchedule, ImportSchedule, SimError, TopologyConfig, TopologySim};
+use crate::engine::{ActionKind, Topology, TopologyError};
 use couplink_layout::Decomposition;
 use couplink_metrics::MetricsSnapshot;
-use couplink_proto::export_port::{ExportAction, PortError};
-use couplink_proto::import_port::ImportError;
-use couplink_proto::rep::RepError;
 use couplink_proto::{ConnectionId, Trace};
-use couplink_time::{MatchPolicy, TimestampError, Tolerance};
+use couplink_time::{MatchPolicy, Tolerance};
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// Configuration of a coupled-pair simulation.
 #[derive(Debug, Clone)]
@@ -70,27 +66,6 @@ pub struct CoupledConfig {
     /// stalls when its buffer is full and resumes when control traffic
     /// frees space — the §6 finite-buffer-space scenario.
     pub buffer_capacity: Option<usize>,
-}
-
-/// What happened to one export call (Figure-4 series data point kind).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ActionKind {
-    /// Copied into the framework buffer.
-    Copy,
-    /// Copied and immediately sent (the known match).
-    CopySend,
-    /// Memcpy skipped.
-    Skip,
-}
-
-impl From<ExportAction> for ActionKind {
-    fn from(a: ExportAction) -> Self {
-        match a {
-            ExportAction::Buffer => ActionKind::Copy,
-            ExportAction::BufferAndSend { .. } => ActionKind::CopySend,
-            ExportAction::Skip => ActionKind::Skip,
-        }
-    }
 }
 
 /// Results of a coupled-pair run.
@@ -187,56 +162,6 @@ impl CoupledReport {
             return 0.0;
         }
         s[from..to].iter().sum::<f64>() / (to - from) as f64
-    }
-}
-
-/// Error aborting a simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SimError {
-    /// An exporter port rejected an event.
-    Port(PortError),
-    /// A rep rejected an event.
-    Rep(RepError),
-    /// An importer port rejected an event.
-    Import(ImportError),
-    /// A timestamp in the schedule was not finite.
-    Timestamp(TimestampError),
-    /// The configuration was inconsistent.
-    Config(String),
-}
-
-impl fmt::Display for SimError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SimError::Port(e) => write!(f, "export port: {e}"),
-            SimError::Rep(e) => write!(f, "rep: {e}"),
-            SimError::Import(e) => write!(f, "import port: {e}"),
-            SimError::Timestamp(e) => write!(f, "timestamp: {e}"),
-            SimError::Config(s) => write!(f, "bad configuration: {s}"),
-        }
-    }
-}
-
-impl std::error::Error for SimError {}
-
-impl From<PortError> for SimError {
-    fn from(e: PortError) -> Self {
-        SimError::Port(e)
-    }
-}
-impl From<RepError> for SimError {
-    fn from(e: RepError) -> Self {
-        SimError::Rep(e)
-    }
-}
-impl From<ImportError> for SimError {
-    fn from(e: ImportError) -> Self {
-        SimError::Import(e)
-    }
-}
-impl From<TimestampError> for SimError {
-    fn from(e: TimestampError) -> Self {
-        SimError::Timestamp(e)
     }
 }
 

@@ -14,20 +14,72 @@
 //! hand-written pair loop, so Figure-4 outputs are bit-for-bit stable.
 
 use crate::cost::CostModel;
-use crate::des::coupled::{ActionKind, SimError};
 use crate::des::{EventQueue, SimTime};
 use crate::engine::{
-    proc_side, send_step, ChaosConfig, ChaosState, CrashTarget, Endpoint, EngineError, Expiry,
-    ExportNode, ImportNode, MemWal, Outgoing, ProcSide, Reliability, RepCrash, RepNode,
+    proc_side, send_step, ActionKind, ChaosConfig, ChaosState, CrashTarget, Endpoint, EngineError,
+    Expiry, ExportNode, ImportNode, MemWal, Outgoing, ProcSide, Reliability, RepCrash, RepNode,
     RetryPolicy, SendDecision, SendKind, Topology, Wal, WireMeta,
 };
 use couplink_metrics::{EngineMetrics, MetricsSnapshot, Phase};
+use couplink_proto::import_port::ImportError;
+use couplink_proto::rep::RepError;
 use couplink_proto::{
     ConnectionId, CtrlMsg, ExportStats, ImportState, PortError, RepAnswer, RequestId, Trace,
 };
-use couplink_time::{PeriodicSchedule, Timestamp};
+use couplink_time::{PeriodicSchedule, Timestamp, TimestampError};
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
+
+/// Error aborting a simulation.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SimError {
+    /// An exporter port rejected an event.
+    Port(PortError),
+    /// A rep rejected an event.
+    Rep(RepError),
+    /// An importer port rejected an event.
+    Import(ImportError),
+    /// A timestamp in the schedule was not finite.
+    Timestamp(TimestampError),
+    /// The configuration was inconsistent.
+    Config(String),
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimError::Port(e) => write!(f, "export port: {e}"),
+            SimError::Rep(e) => write!(f, "rep: {e}"),
+            SimError::Import(e) => write!(f, "import port: {e}"),
+            SimError::Timestamp(e) => write!(f, "timestamp: {e}"),
+            SimError::Config(s) => write!(f, "bad configuration: {s}"),
+        }
+    }
+}
+
+impl std::error::Error for SimError {}
+
+impl From<PortError> for SimError {
+    fn from(e: PortError) -> Self {
+        SimError::Port(e)
+    }
+}
+impl From<RepError> for SimError {
+    fn from(e: RepError) -> Self {
+        SimError::Rep(e)
+    }
+}
+impl From<ImportError> for SimError {
+    fn from(e: ImportError) -> Self {
+        SimError::Import(e)
+    }
+}
+impl From<TimestampError> for SimError {
+    fn from(e: TimestampError) -> Self {
+        SimError::Timestamp(e)
+    }
+}
 
 impl From<EngineError> for SimError {
     fn from(e: EngineError) -> Self {

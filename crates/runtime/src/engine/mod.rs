@@ -41,6 +41,7 @@ pub use topology::{
 };
 
 use couplink_metrics::CtrlClass;
+use couplink_proto::export_port::ExportAction;
 use couplink_proto::{ConnectionId, CtrlMsg, RequestId};
 use couplink_time::Timestamp;
 
@@ -113,6 +114,27 @@ pub enum Outgoing {
         /// Timestamp of the matched object.
         m: Timestamp,
     },
+}
+
+/// What happened to one export call (Figure-4 series data point kind).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub enum ActionKind {
+    /// Copied into the framework buffer.
+    Copy,
+    /// Copied and immediately sent (the known match).
+    CopySend,
+    /// Memcpy skipped.
+    Skip,
+}
+
+impl From<ExportAction> for ActionKind {
+    fn from(a: ExportAction) -> Self {
+        match a {
+            ExportAction::Buffer => ActionKind::Copy,
+            ExportAction::BufferAndSend { .. } => ActionKind::CopySend,
+            ExportAction::Skip => ActionKind::Skip,
+        }
+    }
 }
 
 /// Which node of a process a delivered control message is for.

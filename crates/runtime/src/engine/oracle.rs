@@ -45,7 +45,7 @@
 //! fault-free fast path stays bit-identical to the pre-reliability engine).
 
 use super::tree;
-use couplink_metrics::{CounterSnapshot, CtrlClass};
+use couplink_metrics::{CounterSnapshot, CtrlClass, INERT};
 use couplink_proto::{ConnectionId, Trace};
 use couplink_time::{evaluate, ExportHistory, MatchPolicy, MatchResult, Timestamp, Tolerance};
 use std::collections::BTreeSet;
@@ -499,30 +499,16 @@ pub fn check_ctrl_scaling(
 }
 
 /// Checks that a run configured **without** permanent faults left the
-/// reliability machinery untouched: no retransmits, timeouts, failovers or
-/// degraded buffers, and no ack/heartbeat traffic. The reliability layer is
-/// armed only when the fault plan needs it, so any nonzero count here means
-/// the fault-free fast path is no longer inert (and bit-identical baselines
-/// are at risk).
+/// reliability and recovery machinery untouched: every counter the metrics
+/// table flags `inert` (retransmits, timeouts, failovers, degraded buffers,
+/// ack/heartbeat traffic, socket reconnects and codec rejects, journal
+/// replays and truncations) reads 0. The machinery is armed only when the
+/// fault plan needs it, so any nonzero count here means the fault-free fast
+/// path is no longer inert (and bit-identical baselines are at risk).
 pub fn check_fault_free(counters: &CounterSnapshot) -> Result<(), OracleViolation> {
-    let fields = [
-        ("retransmits", counters.retransmits),
-        ("timeouts", counters.timeouts),
-        ("failovers", counters.failovers),
-        ("degraded_buffers", counters.degraded_buffers),
-        ("acks", counters.ctrl(CtrlClass::Ack)),
-        ("heartbeats", counters.ctrl(CtrlClass::Heartbeat)),
-        // The socket transport must be equally inert on a clean run: no
-        // reconnects, and every inbound frame decoded cleanly.
-        ("net_reconnects", counters.net_reconnects),
-        ("net_codec_rejects", counters.net_codec_rejects),
-        // A clean run never replays or truncates a write-ahead journal
-        // (appends are legal durability overhead; recovery is not).
-        ("wal_replayed", counters.wal_replayed),
-        ("wal_truncated", counters.wal_truncated),
-    ];
-    for (name, value) in fields {
-        if value != 0 {
+    let inert = CounterSnapshot::flagged(INERT);
+    for (name, value) in counters.fields() {
+        if value != 0 && inert.contains(&name) {
             return Err(OracleViolation::MetricConsistency {
                 conn: ConnectionId(0),
                 detail: format!(
@@ -635,47 +621,10 @@ mod tests {
         let mut counters = CounterSnapshot {
             memcpy_paid: 4,
             memcpy_skipped: 1,
-            bytes_buffered: 0,
-            bytes_transferred: 0,
-            ctrl_sent: [0; 9],
             transfers: 6,
             export_calls: 5,
             import_calls: 2,
-            buffer_stalls: 0,
-            retransmits: 0,
-            timeouts: 0,
-            failovers: 0,
-            degraded_buffers: 0,
-            payload_allocs: 0,
-            ctrl_batches: 0,
-            ctrl_relay: 0,
-            ctrl_coalesced: 0,
-            hb_suppressed: 0,
-            net_frames: 0,
-            net_bytes: 0,
-            net_reconnects: 0,
-            net_codec_rejects: 0,
-            net_syscalls: 0,
-            net_writev_frames: 0,
-            net_pool_hits: 0,
-            net_pool_misses: 0,
-            net_rx_frames: 0,
-            net_rx_bytes: 0,
-            wal_appends: 0,
-            wal_bytes: 0,
-            wal_replayed: 0,
-            wal_truncated: 0,
-            lock_wait_ns: 0,
-            buffered_hwm: 0,
-            queue_depth_hwm: 0,
-            runq_depth_hwm: 0,
-            tree_depth: 0,
-            net_rx_buf_hwm: 0,
-            tasks_polled: 0,
-            worker_steal: 0,
-            occupancy: [0; couplink_metrics::HISTOGRAM_BUCKETS],
-            recovery_ms: [0; couplink_metrics::HISTOGRAM_BUCKETS],
-            poll_batch: [0; couplink_metrics::HISTOGRAM_BUCKETS],
+            ..Default::default()
         };
         // 2 owed matches × 3 exporter processes = 6 transfers: consistent.
         check_metric_consistency(&counters, &[(ConnectionId(0), owed, 3)])
@@ -690,6 +639,34 @@ mod tests {
         let err = check_metric_consistency(&counters, &[(ConnectionId(0), owed, 3)]).unwrap_err();
         assert!(matches!(err, OracleViolation::MetricConsistency { .. }));
         assert!(err.to_string().contains("ground-truth replay owes 6"));
+    }
+
+    /// Every `inert` row of the metrics table trips the gate on its own,
+    /// and the violation names it.
+    #[test]
+    fn fault_free_gate_names_each_inert_counter() {
+        let clean = CounterSnapshot::default();
+        check_fault_free(&clean).expect("all-zero counters are inert");
+        let inert = CounterSnapshot::flagged(INERT);
+        assert!(inert.len() >= 10, "the table lost inert rows: {inert:?}");
+        for name in &inert {
+            let mut json = clean.to_json();
+            let couplink_metrics::json::Value::Object(fields) = &mut json else {
+                panic!("snapshot encodes as an object");
+            };
+            let slot = fields
+                .iter_mut()
+                .find(|(k, _)| k == name)
+                .expect("inert row");
+            slot.1 = 1u64.into();
+            let dirty = CounterSnapshot::from_json(&json).expect("decodes");
+            let err = check_fault_free(&dirty).unwrap_err().to_string();
+            assert!(err.contains(&format!("{name} = 1")), "{err}");
+        }
+        let mut busy = clean;
+        busy.ctrl_sent[CtrlClass::Response as usize] = 4;
+        busy.wal_appends = 9;
+        check_fault_free(&busy).expect("unflagged rows are not gated");
     }
 
     #[test]

@@ -936,7 +936,11 @@ mod tests {
                 );
                 assert_eq!(c.ctrl_relay, relay, "{case}");
                 assert_eq!(c.ctrl_coalesced, metered, "{case}");
-                assert_eq!(c.ctrl_total(), c.ctrl(CtrlClass::BuddyHelp), "{case}");
+                assert_eq!(
+                    c.ctrl_sent.iter().sum::<u64>(),
+                    c.ctrl(CtrlClass::BuddyHelp),
+                    "{case}"
+                );
             }
         }
     }

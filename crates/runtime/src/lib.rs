@@ -42,16 +42,15 @@ pub mod net;
 pub mod threaded;
 
 pub use cost::CostModel;
-pub use des::coupled::{ActionKind, CoupledConfig, CoupledReport, CoupledSim, Schedule};
+pub use des::coupled::{CoupledConfig, CoupledReport, CoupledSim, Schedule};
 pub use des::topo::{
-    ExportSchedule, ExportSeries, ImportSchedule, TopoReport, TopologyConfig, TopologySim,
+    ExportSchedule, ExportSeries, ImportSchedule, SimError, TopoReport, TopologyConfig, TopologySim,
 };
 pub use engine::{
-    ChaosConfig, ChaosState, CrashFault, CrashTarget, OracleViolation, Reliability, RetryPolicy,
-    Topology, TopologyError,
+    ActionKind, ChaosConfig, ChaosState, CrashFault, CrashTarget, OracleViolation, Reliability,
+    RetryPolicy, Topology, TopologyError,
 };
 pub use threaded::{
-    session_task_count, CoupledPair, ExecutorOptions, ExportAccess, ExporterHandle, Fabric,
-    FabricOptions, FabricReport, ImportAccess, ImporterHandle, PairConfig, SessionSet,
-    ThreadedError,
+    session_task_count, ExecutorOptions, ExportAccess, Fabric, FabricOptions, FabricReport,
+    ImportAccess, SessionSet, ThreadedError,
 };

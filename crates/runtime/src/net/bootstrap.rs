@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use couplink_metrics::{CounterSnapshot, EngineMetrics};
+use couplink_metrics::CounterSnapshot;
 use couplink_proto::{ConnectionId, ExportStats, Trace};
 use couplink_time::{ts, Timestamp};
 
@@ -191,8 +191,42 @@ impl Drop for Children {
 
 static SESSION_SEQ: AtomicU64 = AtomicU64::new(0);
 
-fn zero_counters() -> CounterSnapshot {
-    EngineMetrics::default().snapshot().counters
+/// Reads a connecting child's `HELLO` and admits it as the program it
+/// claims — or answers `FATAL` and refuses: a protocol version other than
+/// [`codec::RT_VERSION`] (PLAN and REPORT layouts are only defined within
+/// one version), a wrong session token, a program index outside the
+/// topology or already holding a writer in `joined`.
+fn admit_hello(
+    conn: Conn,
+    token: &str,
+    joined: &[Option<Conn>],
+) -> Result<(usize, Conn, FrameReader), BootstrapError> {
+    conn.set_read_timeout(Some(Duration::from_secs(30)))?;
+    let writer = conn.try_clone()?;
+    let mut reader = FrameReader::new(conn);
+    let body = read_frame(&mut reader, codec::KIND_HELLO, "hello")?;
+    let (version, peer_token, prog) =
+        codec::decode_hello(&body).map_err(|e| BootstrapError::Wire(format!("hello: {e}")))?;
+    let refuse = |mut writer: Conn, reason: &str, why: BootstrapError| {
+        let _ = writer.write_all(&codec::encode_fatal(reason));
+        Err(why)
+    };
+    if version != codec::RT_VERSION {
+        let skew = BootstrapError::VersionSkew { got: version };
+        return refuse(writer, "protocol version mismatch", skew);
+    }
+    if peer_token != token {
+        return refuse(writer, "bad session token", BootstrapError::BadToken);
+    }
+    if prog >= joined.len() {
+        let bad = BootstrapError::BadProgram { got: prog };
+        return refuse(writer, "program index out of range", bad);
+    }
+    if joined[prog].is_some() {
+        let dup = BootstrapError::DuplicateProgram { prog };
+        return refuse(writer, "program index already claimed", dup);
+    }
+    Ok((prog, writer, reader))
 }
 
 fn read_frame(
@@ -307,31 +341,7 @@ pub fn run_plan(plan: &NodePlan, opts: &NetOptions) -> Result<NetReport, Bootstr
             }
             Err(e) => return Err(e.into()),
         };
-        conn.set_read_timeout(Some(Duration::from_secs(30)))?;
-        let mut writer = conn.try_clone()?;
-        let mut reader = FrameReader::new(conn);
-        let body = read_frame(&mut reader, codec::KIND_HELLO, "hello")?;
-        let (version, peer_token, prog) =
-            codec::decode_hello(&body).map_err(|e| BootstrapError::Wire(format!("hello: {e}")))?;
-        let reject = |writer: &mut Conn, reason: &str| {
-            let _ = writer.write_all(&codec::encode_fatal(reason));
-        };
-        if version != codec::RT_VERSION {
-            reject(&mut writer, "protocol version mismatch");
-            return Err(BootstrapError::VersionSkew { got: version });
-        }
-        if peer_token != token {
-            reject(&mut writer, "bad session token");
-            return Err(BootstrapError::BadToken);
-        }
-        if prog >= n {
-            reject(&mut writer, "program index out of range");
-            return Err(BootstrapError::BadProgram { got: prog });
-        }
-        if writers[prog].is_some() {
-            reject(&mut writer, "program index already claimed");
-            return Err(BootstrapError::DuplicateProgram { prog });
-        }
+        let (prog, writer, reader) = admit_hello(conn, &token, &writers)?;
         writers[prog] = Some(writer);
         readers[prog] = Some(reader);
         joined += 1;
@@ -664,13 +674,13 @@ fn merge(conns: usize, reports: Vec<Option<NodeReport>>) -> NetReport {
         export_errors: Vec::new(),
         shutdown_errors: Vec::new(),
         crashed: Vec::new(),
-        counters: zero_counters(),
+        counters: CounterSnapshot::default(),
         process_counters: Vec::with_capacity(reports.len()),
     };
     for (prog, slot) in reports.into_iter().enumerate() {
         let Some(rep) = slot else {
             out.crashed.push(prog);
-            out.process_counters.push(zero_counters());
+            out.process_counters.push(CounterSnapshot::default());
             continue;
         };
         for (conn, per_rank) in rep.stats {
@@ -718,4 +728,58 @@ pub fn program_indices(plan: &NodePlan) -> Result<HashMap<String, usize>, Bootst
         .enumerate()
         .map(|(i, p)| (p.name.clone(), i))
         .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use couplink_proto::wire::{self, BodyWriter};
+
+    /// Dials a fresh listener with one `HELLO` announcing `version`;
+    /// returns the parent's verdict and the frame the child got back.
+    fn hello_with_version(version: u32) -> (Result<usize, BootstrapError>, Option<(u8, String)>) {
+        let dir = std::env::temp_dir();
+        let name = format!("couplink-hello-{}-{version}", std::process::id());
+        let listener = Listener::bind(SocketBackend::Uds, &dir, &name).expect("bind");
+        let addr = listener.addr().expect("addr");
+        let child = std::thread::spawn(move || {
+            let mut conn = Conn::dial(&addr).expect("dial");
+            let mut hello = BodyWriter::new();
+            hello.u32(version);
+            hello.str("tok");
+            hello.u32(1);
+            let frame = wire::encode_frame(codec::KIND_HELLO, &hello.into_body());
+            conn.write_all(&frame).expect("send hello");
+            conn.set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("timeout");
+            let reply = FrameReader::new(conn).next(&mut || {}).ok().flatten();
+            reply.map(|f| (f.kind, codec::decode_fatal(&f.body).unwrap_or_default()))
+        });
+        let conn = listener.accept().expect("accept");
+        let verdict = admit_hello(conn, "tok", &[None, None]).map(|(prog, ..)| prog);
+        let reply = child.join().expect("child thread");
+        let _ = std::fs::remove_file(dir.join(format!("{name}.sock")));
+        (verdict, reply)
+    }
+
+    /// PLAN and REPORT bytes changed with `RT_VERSION` 2, so a node built
+    /// at version 1 must be turned away at `HELLO`, with a `FATAL` telling
+    /// it why — before any frame whose layout it would misread.
+    #[test]
+    fn hello_with_the_old_rt_version_is_refused_with_fatal() {
+        assert_eq!(codec::RT_VERSION, 2, "bump this test with the version");
+        let (verdict, reply) = hello_with_version(codec::RT_VERSION - 1);
+        assert!(
+            matches!(verdict, Err(BootstrapError::VersionSkew { got: 1 })),
+            "{verdict:?}"
+        );
+        assert_eq!(
+            reply,
+            Some((codec::KIND_FATAL, "protocol version mismatch".into()))
+        );
+
+        let (verdict, reply) = hello_with_version(codec::RT_VERSION);
+        assert!(matches!(verdict, Ok(1)), "{verdict:?}");
+        assert_eq!(reply, None, "an admitted child hears nothing until PLAN");
+    }
 }

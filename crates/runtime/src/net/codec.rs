@@ -9,24 +9,25 @@
 //! sends home. All kinds live at [`wire::KIND_RUNTIME_BASE`] and above so
 //! they can never collide with the proto layer's own frames.
 //!
-//! Everything here is hand-rolled little-endian on [`BodyWriter`] /
-//! [`BodyReader`] — decoding is bounds-checked and returns typed
-//! [`WireError`]s, never panics, exactly like the layer below.
+//! Everything here is little-endian on [`BodyWriter`] / [`BodyReader`] —
+//! decoding is bounds-checked and returns typed [`WireError`]s, never
+//! panics, exactly like the layer below. The PLAN and REPORT records are
+//! declared once each, as a field list over the `Wire` trait.
 
 use std::collections::HashMap;
 
 use couplink_config::parse;
 use couplink_layout::{Decomposition, Extent2, Rect};
-use couplink_metrics::CounterSnapshot;
+use couplink_metrics::{json, CounterSnapshot};
 use couplink_proto::wire::{self as wire, BodyReader, BodyWriter, WireError, WireRect};
 use couplink_proto::{CtrlMsg, ExportStats, ProcResponse, RepAnswer, Trace, TraceEvent};
-use couplink_time::ts;
+use couplink_time::Timestamp;
 
 use crate::engine::{ChaosConfig, CrashFault, CrashTarget, Endpoint, Topology, WireMeta};
 
 /// Version of the runtime envelope protocol (checked in both handshakes,
 /// independently of the frame-container version below it).
-pub const RT_VERSION: u32 = 1;
+pub const RT_VERSION: u32 = 2;
 
 const BASE: u8 = wire::KIND_RUNTIME_BASE;
 /// Child → parent: first frame on the bootstrap link.
@@ -55,6 +56,9 @@ pub const KIND_APP_DONE: u8 = BASE + 10;
 pub const KIND_DRAIN: u8 = BASE + 11;
 /// Child → parent: the final [`NodeReport`].
 pub const KIND_REPORT: u8 = BASE + 12;
+/// Node → node: last frame on a mesh link before an orderly half-close
+/// (unmetered, like the hello that opened it); an EOF without it is a drop.
+pub const KIND_MESH_BYE: u8 = BASE + 13;
 
 // --- plan ---
 
@@ -242,79 +246,54 @@ pub struct NodeReport {
 
 // --- small frames ---
 
-/// Encodes the bootstrap (or, with [`KIND_MESH_HELLO`], mesh) hello.
+/// Encodes the bootstrap (or, with [`KIND_MESH_HELLO`], mesh) hello. Its
+/// layout never changes with [`RT_VERSION`]: skew must stay detectable.
 pub fn encode_hello(kind: u8, token: &str, prog: usize) -> Vec<u8> {
-    let mut w = BodyWriter::with_capacity(16 + token.len());
-    w.u32(RT_VERSION);
-    w.str(token);
-    w.u32(prog as u32);
-    wire::encode_frame(kind, &w.into_body())
+    frame(kind, |w| {
+        w.u32(RT_VERSION);
+        w.str(token);
+        w.u32(prog as u32);
+    })
 }
 
 /// Decodes a hello body into `(version, token, claimed program)`.
 pub fn decode_hello(body: &[u8]) -> Result<(u32, String, usize), WireError> {
-    let mut r = BodyReader::new(body);
-    let version = r.u32()?;
-    let token = r.str()?.to_string();
-    let prog = r.u32()? as usize;
-    r.finish()?;
-    Ok((version, token, prog))
+    let (version, token, prog): (u32, String, u32) = decode_record(body)?;
+    Ok((version, token, prog as usize))
 }
 
 /// Encodes a fatal-error frame.
 pub fn encode_fatal(reason: &str) -> Vec<u8> {
-    let mut w = BodyWriter::with_capacity(4 + reason.len());
-    w.str(reason);
-    wire::encode_frame(KIND_FATAL, &w.into_body())
+    frame(KIND_FATAL, |w| w.str(reason))
 }
 
 /// Decodes a fatal-error body.
 pub fn decode_fatal(body: &[u8]) -> Result<String, WireError> {
-    let mut r = BodyReader::new(body);
-    let reason = r.str()?.to_string();
-    r.finish()?;
-    Ok(reason)
+    decode_record(body)
 }
 
 /// Encodes a single-string frame (used by [`KIND_LISTENING`]).
 pub fn encode_listening(addr: &str) -> Vec<u8> {
-    let mut w = BodyWriter::with_capacity(4 + addr.len());
-    w.str(addr);
-    wire::encode_frame(KIND_LISTENING, &w.into_body())
+    frame(KIND_LISTENING, |w| w.str(addr))
 }
 
 /// Decodes a [`KIND_LISTENING`] body.
 pub fn decode_listening(body: &[u8]) -> Result<String, WireError> {
-    let mut r = BodyReader::new(body);
-    let addr = r.str()?.to_string();
-    r.finish()?;
-    Ok(addr)
+    decode_record(body)
 }
 
 /// Encodes the peer address table, indexed by program.
 pub fn encode_peers(addrs: &[String]) -> Vec<u8> {
-    let mut w = BodyWriter::new();
-    w.u32(addrs.len() as u32);
-    for a in addrs {
-        w.str(a);
-    }
-    wire::encode_frame(KIND_PEERS, &w.into_body())
+    frame(KIND_PEERS, |w| put_slice(addrs, w))
 }
 
 /// Decodes a [`KIND_PEERS`] body.
 pub fn decode_peers(body: &[u8]) -> Result<Vec<String>, WireError> {
-    let mut r = BodyReader::new(body);
-    let n = r.u32()? as usize;
-    let mut addrs = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        addrs.push(r.str()?.to_string());
-    }
-    r.finish()?;
-    Ok(addrs)
+    decode_record(body)
 }
 
 /// Encodes a body-less frame ([`KIND_READY`], [`KIND_GO`],
-/// [`KIND_APP_DONE`], [`KIND_DRAIN`]).
+/// [`KIND_APP_DONE`], [`KIND_DRAIN`], [`KIND_MESH_BYE`]).
 pub fn encode_bare(kind: u8) -> Vec<u8> {
     wire::encode_frame(kind, &[])
 }
@@ -448,660 +427,338 @@ pub fn rect_from(r: WireRect) -> Rect {
     )
 }
 
-// --- plan encoding ---
+// --- the `Wire` trait: plan and report records ---
 
-fn put_chaos(w: &mut BodyWriter, c: &ChaosConfig) {
-    w.u64(c.seed);
-    w.f64(c.max_delay);
-    w.f64(c.duplicate_prob);
-    w.f64(c.drop_prob);
-    w.f64(c.retry_delay);
-    w.f64(c.loss_prob);
-    match c.crash {
-        None => w.u8(0),
-        Some(f) => {
-            w.u8(1);
-            match f.target {
-                CrashTarget::Rep(prog) => {
-                    w.u8(0);
-                    w.u32(prog as u32);
-                    w.u32(0);
-                }
-                CrashTarget::Agent { prog, rank } => {
-                    w.u8(1);
-                    w.u32(prog as u32);
-                    w.u32(rank as u32);
-                }
+/// A value with one wire form on [`BodyWriter`] / [`BodyReader`]: `put`
+/// appends it, `take` reads it back — bounds-checked, a typed
+/// [`WireError`] on hostile input, never a panic. Every PLAN / REPORT
+/// record below is a field list over the impls here, so its encoder and
+/// decoder cannot drift apart.
+trait Wire: Sized {
+    /// Appends the value.
+    fn put(&self, w: &mut BodyWriter);
+    /// Reads one value.
+    fn take(r: &mut BodyReader) -> Result<Self, WireError>;
+}
+
+/// Builds one frame of `kind` around the body `put` writes.
+fn frame(kind: u8, put: impl FnOnce(&mut BodyWriter)) -> Vec<u8> {
+    let mut w = BodyWriter::with_capacity(256);
+    put(&mut w);
+    wire::encode_frame(kind, &w.into_body())
+}
+
+/// Decodes a body that is exactly one record (trailing bytes are refused).
+fn decode_record<T: Wire>(body: &[u8]) -> Result<T, WireError> {
+    let mut r = BodyReader::new(body);
+    let record = T::take(&mut r)?;
+    r.finish()?;
+    Ok(record)
+}
+
+macro_rules! wire_prim {
+    ($($ty:ident),*) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut BodyWriter) {
+                w.$ty(*self);
             }
-            w.u64(f.after_msgs);
-            match f.restart_after {
-                None => w.u8(0),
-                Some(s) => {
-                    w.u8(1);
-                    w.f64(s);
-                }
+            fn take(r: &mut BodyReader) -> Result<Self, WireError> {
+                r.$ty()
             }
+        }
+    )*};
+}
+wire_prim!(u32, u64, f64);
+
+impl Wire for usize {
+    fn put(&self, w: &mut BodyWriter) {
+        w.u64(*self as u64);
+    }
+    fn take(r: &mut BodyReader) -> Result<Self, WireError> {
+        usize::try_from(r.u64()?).map_err(|_| WireError::Malformed { what: "usize" })
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, w: &mut BodyWriter) {
+        w.u8(*self as u8);
+    }
+    fn take(r: &mut BodyReader) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(WireError::BadTag { what: "bool", tag }),
         }
     }
 }
 
-fn take_chaos(r: &mut BodyReader) -> Result<ChaosConfig, WireError> {
-    let seed = r.u64()?;
-    let max_delay = r.f64()?;
-    let duplicate_prob = r.f64()?;
-    let drop_prob = r.f64()?;
-    let retry_delay = r.f64()?;
-    let loss_prob = r.f64()?;
-    let crash = match r.u8()? {
-        0 => None,
-        1 => {
-            let tag = r.u8()?;
-            let prog = r.u32()? as usize;
-            let rank = r.u32()? as usize;
-            let target = match tag {
-                0 => CrashTarget::Rep(prog),
-                1 => CrashTarget::Agent { prog, rank },
-                t => {
-                    return Err(WireError::BadTag {
-                        what: "crash target",
-                        tag: t,
-                    })
-                }
-            };
-            let after_msgs = r.u64()?;
-            let restart_after = match r.u8()? {
-                0 => None,
-                1 => Some(r.f64()?),
-                t => {
-                    return Err(WireError::BadTag {
-                        what: "crash restart",
-                        tag: t,
-                    })
-                }
-            };
-            Some(CrashFault {
-                target,
-                after_msgs,
-                restart_after,
-            })
+impl Wire for String {
+    fn put(&self, w: &mut BodyWriter) {
+        w.str(self);
+    }
+    fn take(r: &mut BodyReader) -> Result<Self, WireError> {
+        Ok(r.str()?.to_string())
+    }
+}
+
+impl Wire for Timestamp {
+    fn put(&self, w: &mut BodyWriter) {
+        w.f64(self.value());
+    }
+    fn take(r: &mut BodyReader) -> Result<Self, WireError> {
+        r.timestamp()
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut BodyWriter) {
+        self.is_some().put(w);
+        if let Some(v) = self {
+            v.put(w);
         }
-        t => {
-            return Err(WireError::BadTag {
-                what: "chaos presence",
-                tag: t,
-            })
+    }
+    fn take(r: &mut BodyReader) -> Result<Self, WireError> {
+        Ok(if bool::take(r)? {
+            Some(T::take(r)?)
+        } else {
+            None
+        })
+    }
+}
+
+fn put_slice<T: Wire>(items: &[T], w: &mut BodyWriter) {
+    w.u32(items.len() as u32);
+    for item in items {
+        item.put(w);
+    }
+}
+
+/// The clamp rule: every element occupies at least one body byte, so a
+/// count beyond the bytes left is a lie — reserve no more than that and
+/// let the element reads run into [`WireError::Truncated`].
+fn clamped_capacity(count: usize, r: &BodyReader) -> usize {
+    count.min(r.remaining())
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut BodyWriter) {
+        put_slice(self, w);
+    }
+    fn take(r: &mut BodyReader) -> Result<Self, WireError> {
+        let count = r.u32()? as usize;
+        let mut items = Vec::with_capacity(clamped_capacity(count, r));
+        for _ in 0..count {
+            items.push(T::take(r)?);
+        }
+        Ok(items)
+    }
+}
+
+macro_rules! wire_tuple {
+    ($($t:ident),+) => {
+        #[allow(non_snake_case)]
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            fn put(&self, w: &mut BodyWriter) {
+                let ($($t,)+) = self;
+                $($t.put(w);)+
+            }
+            fn take(r: &mut BodyReader) -> Result<Self, WireError> {
+                Ok(($($t::take(r)?,)+))
+            }
         }
     };
-    Ok(ChaosConfig {
-        seed,
-        max_delay,
-        duplicate_prob,
-        drop_prob,
-        retry_delay,
-        loss_prob,
-        crash,
-    })
+}
+wire_tuple!(A, B);
+wire_tuple!(A, B, C);
+wire_tuple!(A, B, C, D);
+
+/// A struct's wire form is its fields in the listed order.
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident),* }) => {
+        impl Wire for $ty {
+            fn put(&self, w: &mut BodyWriter) {
+                $(self.$field.put(w);)*
+            }
+            fn take(r: &mut BodyReader) -> Result<Self, WireError> {
+                $(let $field = Wire::take(r)?;)*
+                Ok($ty { $($field),* })
+            }
+        }
+    };
 }
 
-fn put_fault(w: &mut BodyWriter, f: &NodeFault) {
-    match *f {
-        NodeFault::AbortAfterExports { prog, rank, after } => {
-            w.u8(1);
-            w.u32(prog as u32);
-            w.u32(rank as u32);
-            w.u64(after as u64);
+/// An enum's wire form is a tag byte, then the variant's fields in the
+/// listed order; any other tag is [`WireError::BadTag`] naming `$what`.
+macro_rules! wire_enum {
+    ($ty:ident, $what:literal {
+        $($tag:literal => $variant:ident $({ $($f:ident),* })? $(( $($t:ident),* ))?,)*
+    }) => {
+        impl Wire for $ty {
+            fn put(&self, w: &mut BodyWriter) {
+                match self {
+                    $($ty::$variant $({ $($f),* })? $(( $($t),* ))? => {
+                        w.u8($tag);
+                        $($($f.put(w);)*)?
+                        $($($t.put(w);)*)?
+                    })*
+                }
+            }
+            fn take(r: &mut BodyReader) -> Result<Self, WireError> {
+                match r.u8()? {
+                    $($tag => {
+                        $($(let $f = Wire::take(r)?;)*)?
+                        $($(let $t = Wire::take(r)?;)*)?
+                        Ok($ty::$variant $({ $($f),* })? $(( $($t),* ))?)
+                    })*
+                    tag => Err(WireError::BadTag { what: $what, tag }),
+                }
+            }
         }
-        NodeFault::StallMeshReader { prog } => {
-            w.u8(2);
-            w.u32(prog as u32);
-        }
-        NodeFault::DropAnswers { conn } => {
-            w.u8(3);
-            w.u32(conn);
-        }
-        NodeFault::DrainEarly { prog } => {
-            w.u8(4);
-            w.u32(prog as u32);
-        }
-        NodeFault::SeverLink {
-            prog,
-            peer,
-            after_tx,
-        } => {
-            w.u8(5);
-            w.u32(prog as u32);
-            w.u32(peer as u32);
-            w.u64(after_tx);
-        }
+    };
+}
+
+wire_struct!(ExportSpec {
+    program,
+    region,
+    t0,
+    dt,
+    count,
+    compute
+});
+wire_struct!(ImportSpec {
+    program,
+    region,
+    t0,
+    dt,
+    count,
+    compute,
+    startup
+});
+wire_enum!(CrashTarget, "crash target" {
+    0 => Rep(prog),
+    1 => Agent { prog, rank },
+});
+wire_struct!(CrashFault {
+    target,
+    after_msgs,
+    restart_after
+});
+wire_struct!(ChaosConfig {
+    seed,
+    max_delay,
+    duplicate_prob,
+    drop_prob,
+    retry_delay,
+    loss_prob,
+    crash
+});
+wire_enum!(NodeFault, "node fault" {
+    1 => AbortAfterExports { prog, rank, after },
+    2 => StallMeshReader { prog },
+    3 => DropAnswers { conn },
+    4 => DrainEarly { prog },
+    5 => SeverLink { prog, peer, after_tx },
+});
+wire_struct!(NodePlan {
+    config_text,
+    grid,
+    exports,
+    imports,
+    buddy_help,
+    import_timeout_s,
+    time_scale,
+    verify_values,
+    traces,
+    chaos,
+    fault,
+    hierarchical,
+    wal_dir,
+    restart
+});
+
+wire_struct!(ExportStats {
+    requests,
+    exports,
+    memcpys,
+    skips,
+    sends,
+    freed_sent,
+    freed_unsent,
+    buddy_helps,
+    buffered_hwm,
+    buffer_full_stalls,
+    unnecessary_by_request,
+    unnecessary_inter_region
+});
+wire_enum!(ProcResponse, "trace reply" {
+    1 => Match(m),
+    2 => NoMatch,
+    3 => Pending { latest },
+});
+wire_enum!(RepAnswer, "trace answer" {
+    1 => Match(m),
+    2 => NoMatch,
+});
+wire_enum!(TraceEvent, "trace event" {
+    1 => Export { t, copied },
+    2 => Request { x, reply },
+    3 => BuddyHelp { x, answer },
+    4 => Remove { freed },
+    5 => Send { m },
+});
+
+impl Wire for Trace {
+    fn put(&self, w: &mut BodyWriter) {
+        put_slice(self.events(), w);
+    }
+    fn take(r: &mut BodyReader) -> Result<Self, WireError> {
+        Ok(Trace::from_events(Wire::take(r)?))
     }
 }
 
-fn take_fault(r: &mut BodyReader) -> Result<NodeFault, WireError> {
-    match r.u8()? {
-        1 => Ok(NodeFault::AbortAfterExports {
-            prog: r.u32()? as usize,
-            rank: r.u32()? as usize,
-            after: r.u64()? as usize,
-        }),
-        2 => Ok(NodeFault::StallMeshReader {
-            prog: r.u32()? as usize,
-        }),
-        3 => Ok(NodeFault::DropAnswers { conn: r.u32()? }),
-        4 => Ok(NodeFault::DrainEarly {
-            prog: r.u32()? as usize,
-        }),
-        5 => Ok(NodeFault::SeverLink {
-            prog: r.u32()? as usize,
-            peer: r.u32()? as usize,
-            after_tx: r.u64()?,
-        }),
-        t => Err(WireError::BadTag {
-            what: "node fault",
-            tag: t,
-        }),
+// Counters travel as their canonical JSON encoding: `to_json`/`from_json`
+// loop over the one counter table (histogram arrays included), so the wire
+// can never drift from the snapshot definition.
+impl Wire for CounterSnapshot {
+    fn put(&self, w: &mut BodyWriter) {
+        w.str(&json::emit(&self.to_json()));
+    }
+    fn take(r: &mut BodyReader) -> Result<Self, WireError> {
+        let malformed = |what| move |_| WireError::Malformed { what };
+        let value = json::parse(r.str()?).map_err(malformed("counter snapshot json"))?;
+        CounterSnapshot::from_json(&value).map_err(malformed("counter snapshot fields"))
     }
 }
+
+wire_struct!(NodeReport {
+    prog,
+    stats,
+    traces,
+    matches,
+    imports_done,
+    export_errors,
+    shutdown_error,
+    counters
+});
 
 /// Encodes a [`KIND_PLAN`] frame.
 pub fn encode_plan(plan: &NodePlan) -> Vec<u8> {
-    let mut w = BodyWriter::with_capacity(256 + plan.config_text.len());
-    w.str(&plan.config_text);
-    w.u32(plan.grid.0 as u32);
-    w.u32(plan.grid.1 as u32);
-    w.u32(plan.exports.len() as u32);
-    for e in &plan.exports {
-        w.str(&e.program);
-        w.u32(e.region as u32);
-        w.f64(e.t0);
-        w.f64(e.dt);
-        w.u64(e.count as u64);
-        w.u32(e.compute.len() as u32);
-        for &c in &e.compute {
-            w.f64(c);
-        }
-    }
-    w.u32(plan.imports.len() as u32);
-    for i in &plan.imports {
-        w.str(&i.program);
-        w.u32(i.region as u32);
-        w.f64(i.t0);
-        w.f64(i.dt);
-        w.u64(i.count as u64);
-        w.f64(i.compute);
-        w.f64(i.startup);
-    }
-    w.u8(plan.buddy_help as u8);
-    w.f64(plan.import_timeout_s);
-    w.f64(plan.time_scale);
-    w.u8(plan.verify_values as u8);
-    w.u32(plan.traces.len() as u32);
-    for &(p, r, c) in &plan.traces {
-        w.u32(p as u32);
-        w.u32(r as u32);
-        w.u32(c);
-    }
-    match &plan.chaos {
-        None => w.u8(0),
-        Some(c) => {
-            w.u8(1);
-            put_chaos(&mut w, c);
-        }
-    }
-    match &plan.fault {
-        None => w.u8(0),
-        Some(f) => {
-            w.u8(1);
-            put_fault(&mut w, f);
-        }
-    }
-    w.u8(plan.hierarchical as u8);
-    match &plan.wal_dir {
-        None => w.u8(0),
-        Some(d) => {
-            w.u8(1);
-            w.str(d);
-        }
-    }
-    w.u8(plan.restart as u8);
-    wire::encode_frame(KIND_PLAN, &w.into_body())
-}
-
-fn take_bool(r: &mut BodyReader, what: &'static str) -> Result<bool, WireError> {
-    match r.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        t => Err(WireError::BadTag { what, tag: t }),
-    }
+    frame(KIND_PLAN, |w| plan.put(w))
 }
 
 /// Decodes a [`KIND_PLAN`] body.
 pub fn decode_plan(body: &[u8]) -> Result<NodePlan, WireError> {
-    let mut r = BodyReader::new(body);
-    let config_text = r.str()?.to_string();
-    let grid = (r.u32()? as usize, r.u32()? as usize);
-    let n_exp = r.u32()? as usize;
-    let mut exports = Vec::with_capacity(n_exp.min(1024));
-    for _ in 0..n_exp {
-        let program = r.str()?.to_string();
-        let region = r.u32()? as usize;
-        let t0 = r.f64()?;
-        let dt = r.f64()?;
-        let count = r.u64()? as usize;
-        let n_c = r.u32()? as usize;
-        let mut compute = Vec::with_capacity(n_c.min(1024));
-        for _ in 0..n_c {
-            compute.push(r.f64()?);
-        }
-        exports.push(ExportSpec {
-            program,
-            region,
-            t0,
-            dt,
-            count,
-            compute,
-        });
-    }
-    let n_imp = r.u32()? as usize;
-    let mut imports = Vec::with_capacity(n_imp.min(1024));
-    for _ in 0..n_imp {
-        imports.push(ImportSpec {
-            program: r.str()?.to_string(),
-            region: r.u32()? as usize,
-            t0: r.f64()?,
-            dt: r.f64()?,
-            count: r.u64()? as usize,
-            compute: r.f64()?,
-            startup: r.f64()?,
-        });
-    }
-    let buddy_help = take_bool(&mut r, "plan buddy-help")?;
-    let import_timeout_s = r.f64()?;
-    let time_scale = r.f64()?;
-    let verify_values = take_bool(&mut r, "plan verify")?;
-    let n_tr = r.u32()? as usize;
-    let mut traces = Vec::with_capacity(n_tr.min(4096));
-    for _ in 0..n_tr {
-        traces.push((r.u32()? as usize, r.u32()? as usize, r.u32()?));
-    }
-    let chaos = match r.u8()? {
-        0 => None,
-        1 => Some(take_chaos(&mut r)?),
-        t => {
-            return Err(WireError::BadTag {
-                what: "plan chaos",
-                tag: t,
-            })
-        }
-    };
-    let fault = match r.u8()? {
-        0 => None,
-        1 => Some(take_fault(&mut r)?),
-        t => {
-            return Err(WireError::BadTag {
-                what: "plan fault",
-                tag: t,
-            })
-        }
-    };
-    let hierarchical = take_bool(&mut r, "plan hierarchical")?;
-    let wal_dir = match r.u8()? {
-        0 => None,
-        1 => Some(r.str()?.to_string()),
-        t => {
-            return Err(WireError::BadTag {
-                what: "plan wal-dir",
-                tag: t,
-            })
-        }
-    };
-    let restart = take_bool(&mut r, "plan restart")?;
-    r.finish()?;
-    Ok(NodePlan {
-        config_text,
-        grid,
-        exports,
-        imports,
-        buddy_help,
-        import_timeout_s,
-        time_scale,
-        verify_values,
-        traces,
-        chaos,
-        fault,
-        hierarchical,
-        wal_dir,
-        restart,
-    })
-}
-
-// --- report encoding ---
-
-fn put_stats(w: &mut BodyWriter, s: &ExportStats) {
-    w.u64(s.requests);
-    w.u64(s.exports);
-    w.u64(s.memcpys);
-    w.u64(s.skips);
-    w.u64(s.sends);
-    w.u64(s.freed_sent);
-    w.u64(s.freed_unsent);
-    w.u64(s.buddy_helps);
-    w.u64(s.buffered_hwm as u64);
-    w.u64(s.buffer_full_stalls);
-    w.u32(s.unnecessary_by_request.len() as u32);
-    for &u in &s.unnecessary_by_request {
-        w.u64(u);
-    }
-    w.u64(s.unnecessary_inter_region);
-}
-
-fn take_stats(r: &mut BodyReader) -> Result<ExportStats, WireError> {
-    let requests = r.u64()?;
-    let exports = r.u64()?;
-    let memcpys = r.u64()?;
-    let skips = r.u64()?;
-    let sends = r.u64()?;
-    let freed_sent = r.u64()?;
-    let freed_unsent = r.u64()?;
-    let buddy_helps = r.u64()?;
-    let buffered_hwm = r.u64()? as usize;
-    let buffer_full_stalls = r.u64()?;
-    let n = r.u32()? as usize;
-    let mut unnecessary_by_request = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        unnecessary_by_request.push(r.u64()?);
-    }
-    let unnecessary_inter_region = r.u64()?;
-    Ok(ExportStats {
-        requests,
-        exports,
-        memcpys,
-        skips,
-        sends,
-        freed_sent,
-        freed_unsent,
-        buddy_helps,
-        buffered_hwm,
-        buffer_full_stalls,
-        unnecessary_by_request,
-        unnecessary_inter_region,
-    })
-}
-
-fn put_trace(w: &mut BodyWriter, trace: &Trace) {
-    let events = trace.events();
-    w.u32(events.len() as u32);
-    for ev in events {
-        match ev {
-            TraceEvent::Export { t, copied } => {
-                w.u8(1);
-                w.f64(t.value());
-                w.u8(*copied as u8);
-            }
-            TraceEvent::Request { x, reply } => {
-                w.u8(2);
-                w.f64(x.value());
-                match reply {
-                    ProcResponse::Match(m) => {
-                        w.u8(1);
-                        w.f64(m.value());
-                    }
-                    ProcResponse::NoMatch => w.u8(2),
-                    ProcResponse::Pending { latest: None } => w.u8(3),
-                    ProcResponse::Pending { latest: Some(l) } => {
-                        w.u8(4);
-                        w.f64(l.value());
-                    }
-                }
-            }
-            TraceEvent::BuddyHelp { x, answer } => {
-                w.u8(3);
-                w.f64(x.value());
-                match answer {
-                    RepAnswer::Match(m) => {
-                        w.u8(1);
-                        w.f64(m.value());
-                    }
-                    RepAnswer::NoMatch => w.u8(2),
-                }
-            }
-            TraceEvent::Remove { freed } => {
-                w.u8(4);
-                w.u32(freed.len() as u32);
-                for t in freed {
-                    w.f64(t.value());
-                }
-            }
-            TraceEvent::Send { m } => {
-                w.u8(5);
-                w.f64(m.value());
-            }
-        }
-    }
-}
-
-fn take_trace(r: &mut BodyReader) -> Result<Trace, WireError> {
-    let n = r.u32()? as usize;
-    let mut events = Vec::with_capacity(n.min(65536));
-    for _ in 0..n {
-        let ev = match r.u8()? {
-            1 => TraceEvent::Export {
-                t: ts(r.f64()?),
-                copied: take_bool(r, "trace export copied")?,
-            },
-            2 => {
-                let x = ts(r.f64()?);
-                let reply = match r.u8()? {
-                    1 => ProcResponse::Match(ts(r.f64()?)),
-                    2 => ProcResponse::NoMatch,
-                    3 => ProcResponse::Pending { latest: None },
-                    4 => ProcResponse::Pending {
-                        latest: Some(ts(r.f64()?)),
-                    },
-                    t => {
-                        return Err(WireError::BadTag {
-                            what: "trace reply",
-                            tag: t,
-                        })
-                    }
-                };
-                TraceEvent::Request { x, reply }
-            }
-            3 => {
-                let x = ts(r.f64()?);
-                let answer = match r.u8()? {
-                    1 => RepAnswer::Match(ts(r.f64()?)),
-                    2 => RepAnswer::NoMatch,
-                    t => {
-                        return Err(WireError::BadTag {
-                            what: "trace answer",
-                            tag: t,
-                        })
-                    }
-                };
-                TraceEvent::BuddyHelp { x, answer }
-            }
-            4 => {
-                let k = r.u32()? as usize;
-                let mut freed = Vec::with_capacity(k.min(65536));
-                for _ in 0..k {
-                    freed.push(ts(r.f64()?));
-                }
-                TraceEvent::Remove { freed }
-            }
-            5 => TraceEvent::Send { m: ts(r.f64()?) },
-            t => {
-                return Err(WireError::BadTag {
-                    what: "trace event",
-                    tag: t,
-                })
-            }
-        };
-        events.push(ev);
-    }
-    Ok(Trace::from_events(events))
-}
-
-// Counters travel as their canonical JSON encoding: `to_json`/`from_json`
-// already enumerate every field (including the histogram arrays) and are
-// exercised by the bench report round-trip, so the wire can never drift
-// from the snapshot definition.
-fn put_counters(w: &mut BodyWriter, c: &CounterSnapshot) {
-    w.str(&couplink_metrics::json::emit(&c.to_json()));
-}
-
-fn take_counters(r: &mut BodyReader) -> Result<CounterSnapshot, WireError> {
-    let text = r.str()?;
-    let value = couplink_metrics::json::parse(text).map_err(|_| WireError::Malformed {
-        what: "counter snapshot json",
-    })?;
-    CounterSnapshot::from_json(&value).map_err(|_| WireError::Malformed {
-        what: "counter snapshot fields",
-    })
-}
-
-fn put_opt_str(w: &mut BodyWriter, s: Option<&str>) {
-    match s {
-        None => w.u8(0),
-        Some(s) => {
-            w.u8(1);
-            w.str(s);
-        }
-    }
-}
-
-fn take_opt_str(r: &mut BodyReader) -> Result<Option<String>, WireError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.str()?.to_string())),
-        t => Err(WireError::BadTag {
-            what: "optional string",
-            tag: t,
-        }),
-    }
+    decode_record(body)
 }
 
 /// Encodes a [`KIND_REPORT`] frame.
 pub fn encode_report(rep: &NodeReport) -> Vec<u8> {
-    let mut w = BodyWriter::with_capacity(1024);
-    w.u32(rep.prog as u32);
-    w.u32(rep.stats.len() as u32);
-    for (conn, per_rank) in &rep.stats {
-        w.u32(*conn);
-        w.u32(per_rank.len() as u32);
-        for s in per_rank {
-            put_stats(&mut w, s);
-        }
-    }
-    w.u32(rep.traces.len() as u32);
-    for (prog, rank, conn, trace) in &rep.traces {
-        w.u32(*prog as u32);
-        w.u32(*rank as u32);
-        w.u32(*conn);
-        put_trace(&mut w, trace);
-    }
-    w.u32(rep.matches.len() as u32);
-    for (conn, got) in &rep.matches {
-        w.u32(*conn);
-        w.u32(got.len() as u32);
-        for m in got {
-            match m {
-                None => w.u8(0),
-                Some(v) => {
-                    w.u8(1);
-                    w.f64(*v);
-                }
-            }
-        }
-    }
-    w.u32(rep.imports_done.len() as u32);
-    for (prog, rank, done, err) in &rep.imports_done {
-        w.u32(*prog as u32);
-        w.u32(*rank as u32);
-        w.u64(*done);
-        put_opt_str(&mut w, err.as_deref());
-    }
-    w.u32(rep.export_errors.len() as u32);
-    for (prog, rank, err) in &rep.export_errors {
-        w.u32(*prog as u32);
-        w.u32(*rank as u32);
-        w.str(err);
-    }
-    put_opt_str(&mut w, rep.shutdown_error.as_deref());
-    put_counters(&mut w, &rep.counters);
-    wire::encode_frame(KIND_REPORT, &w.into_body())
+    frame(KIND_REPORT, |w| rep.put(w))
 }
 
 /// Decodes a [`KIND_REPORT`] body.
 pub fn decode_report(body: &[u8]) -> Result<NodeReport, WireError> {
-    let mut r = BodyReader::new(body);
-    let prog = r.u32()? as usize;
-    let n_stats = r.u32()? as usize;
-    let mut stats = Vec::with_capacity(n_stats.min(4096));
-    for _ in 0..n_stats {
-        let conn = r.u32()?;
-        let n_ranks = r.u32()? as usize;
-        let mut per_rank = Vec::with_capacity(n_ranks.min(4096));
-        for _ in 0..n_ranks {
-            per_rank.push(take_stats(&mut r)?);
-        }
-        stats.push((conn, per_rank));
-    }
-    let n_traces = r.u32()? as usize;
-    let mut traces = Vec::with_capacity(n_traces.min(4096));
-    for _ in 0..n_traces {
-        let prog = r.u32()? as usize;
-        let rank = r.u32()? as usize;
-        let conn = r.u32()?;
-        traces.push((prog, rank, conn, take_trace(&mut r)?));
-    }
-    let n_matches = r.u32()? as usize;
-    let mut matches = Vec::with_capacity(n_matches.min(4096));
-    for _ in 0..n_matches {
-        let conn = r.u32()?;
-        let n_got = r.u32()? as usize;
-        let mut got = Vec::with_capacity(n_got.min(65536));
-        for _ in 0..n_got {
-            got.push(match r.u8()? {
-                0 => None,
-                1 => Some(r.f64()?),
-                t => {
-                    return Err(WireError::BadTag {
-                        what: "match presence",
-                        tag: t,
-                    })
-                }
-            });
-        }
-        matches.push((conn, got));
-    }
-    let n_done = r.u32()? as usize;
-    let mut imports_done = Vec::with_capacity(n_done.min(4096));
-    for _ in 0..n_done {
-        imports_done.push((
-            r.u32()? as usize,
-            r.u32()? as usize,
-            r.u64()?,
-            take_opt_str(&mut r)?,
-        ));
-    }
-    let n_eerr = r.u32()? as usize;
-    let mut export_errors = Vec::with_capacity(n_eerr.min(4096));
-    for _ in 0..n_eerr {
-        export_errors.push((r.u32()? as usize, r.u32()? as usize, r.str()?.to_string()));
-    }
-    let shutdown_error = take_opt_str(&mut r)?;
-    let counters = take_counters(&mut r)?;
-    r.finish()?;
-    Ok(NodeReport {
-        prog,
-        stats,
-        traces,
-        matches,
-        imports_done,
-        export_errors,
-        shutdown_error,
-        counters,
-    })
+    decode_record(body)
 }
 
 #[cfg(test)]
@@ -1109,6 +766,7 @@ mod tests {
     use super::*;
     use couplink_proto::wire::FrameDecoder;
     use couplink_proto::{ConnectionId, RequestId};
+    use couplink_time::ts;
 
     fn one_frame(bytes: &[u8]) -> (u8, Vec<u8>) {
         let mut dec = FrameDecoder::new();
@@ -1158,9 +816,10 @@ mod tests {
         assert_eq!(decode_ack_env(&body).unwrap(), (s, a, 99));
     }
 
-    #[test]
-    fn plan_roundtrip_with_chaos_and_fault() {
-        let plan = NodePlan {
+    /// A plan with every optional part present: chaos with a crash, a
+    /// node fault, traces, a journal directory.
+    fn full_plan() -> NodePlan {
+        NodePlan {
             config_text: "E0 c0 /bin/e0 2\nI0 c0 /bin/i0 2\n#\nE0.r I0.m REG 0.25\n".into(),
             grid: (8, 8),
             exports: vec![ExportSpec {
@@ -1206,7 +865,12 @@ mod tests {
             hierarchical: true,
             wal_dir: Some("/tmp/wal-x".into()),
             restart: true,
-        };
+        }
+    }
+
+    #[test]
+    fn plan_roundtrip_with_chaos_and_fault() {
+        let plan = full_plan();
         let (kind, body) = one_frame(&encode_plan(&plan));
         assert_eq!(kind, KIND_PLAN);
         assert_eq!(decode_plan(&body).unwrap(), plan);
@@ -1216,15 +880,16 @@ mod tests {
         assert_eq!(topo.conns.len(), 1);
     }
 
-    #[test]
-    fn report_roundtrip() {
-        let mut counters = couplink_metrics::EngineMetrics::default()
-            .snapshot()
-            .counters;
-        counters.net_frames = 7;
+    /// A report with stats, a trace of every event kind, matches and
+    /// every kind of error.
+    fn full_report() -> NodeReport {
+        let mut counters = CounterSnapshot {
+            net_frames: 7,
+            ..Default::default()
+        };
         counters.ctrl_sent[1] = 3;
         counters.occupancy[2] = 5;
-        let rep = NodeReport {
+        NodeReport {
             prog: 1,
             stats: vec![
                 (
@@ -1276,37 +941,94 @@ mod tests {
             export_errors: vec![(0, 1, "process crashed: boom".into())],
             shutdown_error: Some("rep failed: x".into()),
             counters,
-        };
+        }
+    }
+
+    #[test]
+    fn report_roundtrip() {
+        let rep = full_report();
         let (kind, body) = one_frame(&encode_report(&rep));
         assert_eq!(kind, KIND_REPORT);
         assert_eq!(decode_report(&body).unwrap(), rep);
     }
 
+    /// Hostile bytes: every proper prefix of a full PLAN / REPORT body is
+    /// `Truncated`, one trailing byte is refused, and overwriting any one
+    /// byte yields a value or a typed error — never a panic.
     #[test]
-    fn truncated_plan_is_a_typed_error() {
-        let mut dec = FrameDecoder::new();
-        let frame = encode_plan(&NodePlan {
-            config_text: "E0 c0 /bin/e0 1\nI0 c0 /bin/i0 1\n#\nE0.r I0.m CLOSEST 0.1\n".into(),
-            grid: (8, 8),
-            exports: Vec::new(),
-            imports: Vec::new(),
-            buddy_help: false,
-            import_timeout_s: 1.0,
-            time_scale: 1.0,
-            verify_values: false,
-            traces: Vec::new(),
-            chaos: None,
-            fault: None,
-            hierarchical: false,
-            wal_dir: None,
-            restart: false,
-        });
-        dec.extend(&frame);
-        let f = dec.next_frame().unwrap().unwrap();
-        let cut = f.body.len() - 3;
-        assert!(matches!(
-            decode_plan(&f.body[..cut]),
-            Err(WireError::Truncated)
-        ));
+    fn cut_padded_or_corrupted_records_are_typed_errors() {
+        fn sweep<T: Wire + std::fmt::Debug>(frame: &[u8]) {
+            let (_, body) = one_frame(frame);
+            decode_record::<T>(&body).expect("the intact body decodes");
+            for cut in 0..body.len() {
+                let got = decode_record::<T>(&body[..cut]);
+                assert!(
+                    matches!(got, Err(WireError::Truncated)),
+                    "cut {cut}: {got:?}"
+                );
+            }
+            let mut padded = body.clone();
+            padded.push(0);
+            let trailing = "trailing bytes";
+            let got = decode_record::<T>(&padded);
+            assert!(matches!(got, Err(WireError::Malformed { what }) if what == trailing));
+            for at in 0..body.len() {
+                for byte in [0x00, 0x7F, 0xEE, 0xFF] {
+                    let mut corrupt = body.clone();
+                    corrupt[at] = byte;
+                    let _ = decode_record::<T>(&corrupt);
+                }
+            }
+        }
+        sweep::<NodePlan>(&encode_plan(&full_plan()));
+        sweep::<NodeReport>(&encode_report(&full_report()));
+    }
+
+    #[test]
+    fn every_unknown_tag_byte_is_bad_tag() {
+        fn check<T: Wire + std::fmt::Debug>(what: &str, valid: &[u8]) {
+            for tag in (0..=u8::MAX).filter(|t| !valid.contains(t)) {
+                let mut body = vec![tag];
+                body.extend([0; 32]);
+                match T::take(&mut BodyReader::new(&body)) {
+                    Err(WireError::BadTag { what: w, tag: t }) => assert_eq!((w, t), (what, tag)),
+                    other => panic!("{what} tag {tag}: {other:?}"),
+                }
+            }
+        }
+        check::<bool>("bool", &[0, 1]);
+        check::<Option<u64>>("bool", &[0, 1]);
+        check::<CrashTarget>("crash target", &[0, 1]);
+        check::<NodeFault>("node fault", &[1, 2, 3, 4, 5]);
+        check::<ProcResponse>("trace reply", &[1, 2, 3]);
+        check::<RepAnswer>("trace answer", &[1, 2]);
+        check::<TraceEvent>("trace event", &[1, 2, 3, 4, 5]);
+    }
+
+    /// A hostile element count cannot size an allocation: the reservation
+    /// is clamped to the bytes actually left, and the reads then run dry.
+    #[test]
+    fn hostile_element_count_is_clamped_before_allocation() {
+        let mut body = u32::MAX.to_le_bytes().to_vec();
+        body.extend([0xAB; 12]);
+        assert_eq!(body.len(), 16);
+        let mut r = BodyReader::new(&body);
+        let count = r.u32().unwrap() as usize;
+        assert_eq!(clamped_capacity(count, &r), 12);
+        let got = decode_record::<Vec<u64>>(&body);
+        assert!(matches!(got, Err(WireError::Truncated)), "{got:?}");
+        let got = decode_record::<Vec<(usize, usize, u32, Trace)>>(&body);
+        assert!(matches!(got, Err(WireError::Truncated)), "{got:?}");
+    }
+
+    /// A non-finite timestamp in a trace is malformed input, not a panic.
+    #[test]
+    fn non_finite_trace_timestamp_is_malformed() {
+        let mut body = BodyWriter::new();
+        body.u8(5);
+        body.f64(f64::NAN);
+        let body = body.into_body();
+        let got = decode_record::<TraceEvent>(&body);
+        assert!(matches!(got, Err(WireError::Malformed { what }) if what == "timestamp"));
     }
 }

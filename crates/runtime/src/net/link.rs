@@ -557,6 +557,20 @@ impl LinkWriter {
         }
     }
 
+    /// Ends the link in an orderly way: `bye` goes straight to the socket
+    /// ahead of the half-close — unmetered, like the hello that opened the
+    /// link — so the peer can tell this EOF from a drop. A writer that is
+    /// dead or still holds queued frames (a peer that stopped reading) may
+    /// be mid-frame and only half-closes.
+    pub(crate) fn close_orderly(&self, bye: &[u8]) {
+        if let Some(c) = &self.ctl {
+            if self.idle() && !self.is_dead() {
+                let _ = c.try_clone().and_then(|mut w| w.write_all(bye));
+            }
+        }
+        self.half_close();
+    }
+
     /// Tears the writer down and returns every unwritten frame in send
     /// order: hangs up the queue, joins the thread (so the salvage is
     /// complete), and drains the salvage buffer.

@@ -45,7 +45,10 @@
 //! replays salvaged payload pieces (control and acks are *dropped*: the
 //! reliability pump retransmits sequenced control, and a retransmitted
 //! message re-triggers its ack), and `net_reconnects` is metered on each
-//! side that re-established a link.
+//! side that re-established a link. An *orderly* close is told apart from a
+//! drop by the bare `MESH_BYE` frame a draining node writes ahead of its
+//! half-close: an EOF after it never re-dials, even when it outruns this
+//! node's own `DRAIN`.
 //!
 //! # Durability discipline
 //!
@@ -214,8 +217,9 @@ impl SocketLinks {
 
     /// Flushes the data plane for the counter snapshot: waits (bounded)
     /// until every writer has drained its queue — so every frame that will
-    /// ever be tx-metered has been — then half-closes each link so peers
-    /// observe EOF after the last real frame. The bound covers the
+    /// ever be tx-metered has been — then says `MESH_BYE` and half-closes
+    /// each link, so peers observe an *orderly* EOF after the last real
+    /// frame and never mistake it for a drop. The bound covers the
     /// pathological case of a peer that stopped reading (stall fault): its
     /// link is cut mid-stream, which such a run cannot tell apart from the
     /// fault itself.
@@ -231,9 +235,10 @@ impl SocketLinks {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
+        let bye = codec::encode_bare(codec::KIND_MESH_BYE);
         for s in &self.slots {
             if let Some(w) = &s.lock().writer {
-                w.half_close();
+                w.close_orderly(&bye);
             }
         }
     }
@@ -371,8 +376,14 @@ fn mesh_reader_loop(mut reader: FrameReader, peer: usize, ctx: Arc<MeshCtx>) {
     let metrics = Arc::clone(&ctx.metrics);
     let mut reject = || metrics.net_codec_rejects.inc();
     loop {
+        // Set by the peer's `MESH_BYE`: the EOF that follows is its orderly
+        // teardown, whatever this node's own drain state says.
+        let mut orderly = false;
         let down = loop {
             match reader.next_slot(&mut reject) {
+                // Unmetered on both sides, like the hello that opened the
+                // link, so the tx/rx sums still conserve.
+                Ok(Some(slot)) if slot.kind == codec::KIND_MESH_BYE => orderly = true,
                 Ok(Some(slot)) => {
                     // Receive-side mirror of the writer's tx meters; mesh
                     // hellos are excluded on both sides, so on a clean run
@@ -407,6 +418,12 @@ fn mesh_reader_loop(mut reader: FrameReader, peer: usize, ctx: Arc<MeshCtx>) {
             ctx.set.lock().fail_session(ctx.sid, down);
             return;
         };
+        if orderly {
+            // The peer read its `DRAIN` before this node's main thread
+            // stored `draining`: a clean close that must not re-dial the
+            // peer's still-live accept loop (and meter a reconnect).
+            return;
+        }
         // Reconnect is armed: the link matters until the coordinated
         // drain even if our own apps are done — a restarted peer needs
         // every survivor to rejoin its mesh before it can serve anyone.

@@ -226,6 +226,17 @@ impl Default for FabricOptions {
     }
 }
 
+impl FabricOptions {
+    /// Whether these options arm the reliability layer (sequence numbers,
+    /// acks, retransmit pump, journal): only when a fault that needs it is
+    /// configured or a journal is asked for — a plain run pays nothing.
+    fn needs_reliability(&self) -> bool {
+        self.drop_buddy_help
+            || self.wal.is_some()
+            || self.chaos.is_some_and(|c| c.needs_reliability())
+    }
+}
+
 /// What [`Fabric::shutdown`] returns.
 #[derive(Debug)]
 pub struct FabricReport {
@@ -1739,10 +1750,7 @@ fn relay_loop(net: Arc<Net>, rx: Receiver<RelayMsg>) {
 /// invariant bounds the session's `runq_depth` high-water mark by exactly
 /// this number — the bound `simtest --stress` asserts.
 pub fn session_task_count(topo: &Topology, opts: &FabricOptions) -> usize {
-    let needs_rel = opts.drop_buddy_help
-        || opts.wal.is_some()
-        || opts.chaos.is_some_and(|c| c.needs_reliability());
-    let mut n = usize::from(needs_rel);
+    let mut n = usize::from(opts.needs_reliability());
     for p in &topo.programs {
         if !p.exports.is_empty() || !p.imports.is_empty() {
             n += 1; // rep task
@@ -1818,9 +1826,7 @@ impl Session {
         // Reliability is armed only when the faults require it — see
         // `NetRel`. Wall-clock retry timescales: first retransmit after
         // 50 ms, backing off to 400 ms.
-        let needs_rel = opts.drop_buddy_help
-            || opts.wal.is_some()
-            || opts.chaos.is_some_and(|c| c.needs_reliability());
+        let needs_rel = opts.needs_reliability();
         let rel = needs_rel.then(|| {
             NetRel::new(
                 RetryPolicy {

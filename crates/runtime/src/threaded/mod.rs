@@ -14,8 +14,6 @@
 //!
 //! The protocol itself lives in [`crate::engine`]; this module is the thin
 //! driver moving the engine's messages between task mailboxes ([`fabric`]).
-//! The classic single-pair API ([`CoupledPair`]) is a wrapper over a
-//! two-program topology.
 
 pub mod executor;
 pub mod fabric;
@@ -26,11 +24,9 @@ pub use fabric::{
     SessionSet, WalHandle, WallClock,
 };
 
-use crate::engine::{EngineError, Topology};
-use couplink_layout::LocalArray;
+use crate::engine::{ActionKind, EngineError};
 use couplink_proto::export_port::PortError;
 use couplink_proto::import_port::ImportError;
-use couplink_time::{MatchPolicy, Timestamp, Tolerance};
 use std::fmt;
 use std::time::Duration;
 
@@ -91,205 +87,59 @@ impl From<EngineError> for ThreadedError {
     }
 }
 
-/// Configuration of a threaded coupled pair (one connection).
-#[derive(Debug, Clone)]
-pub struct PairConfig {
-    /// Decomposition of the array over the exporting program.
-    pub exporter_decomp: couplink_layout::Decomposition,
-    /// Decomposition of the same array over the importing program.
-    pub importer_decomp: couplink_layout::Decomposition,
-    /// Match policy.
-    pub policy: MatchPolicy,
-    /// Tolerance.
-    pub tolerance: f64,
-    /// Whether buddy-help is enabled.
-    pub buddy_help: bool,
-    /// How long an `import` waits before giving up.
-    pub import_timeout: Duration,
-    /// Per-process framework buffer capacity in objects (`None` =
-    /// unbounded). With a bound, `export` blocks while the buffer is full
-    /// and resumes when control traffic frees space (§6's finite-buffer
-    /// scenario); it gives up with [`ThreadedError::Timeout`] after the
-    /// import timeout.
-    pub buffer_capacity: Option<usize>,
-}
-
-impl PairConfig {
-    /// A sensible default timeout.
-    pub fn new(
-        exporter_decomp: couplink_layout::Decomposition,
-        importer_decomp: couplink_layout::Decomposition,
-        policy: MatchPolicy,
-        tolerance: f64,
-        buddy_help: bool,
-    ) -> Self {
-        PairConfig {
-            exporter_decomp,
-            importer_decomp,
-            policy,
-            tolerance,
-            buddy_help,
-            import_timeout: Duration::from_secs(30),
-            buffer_capacity: None,
-        }
-    }
-}
-
 /// What one `export` call did, with its measured duration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExportOutcome {
     /// Whether the object was copied, copied-and-sent, or skipped.
-    pub action: crate::des::coupled::ActionKind,
+    pub action: ActionKind,
     /// Wall-clock duration of the export call (the Figure 4 measurement).
     pub elapsed: Duration,
-}
-
-/// The per-process exporter API of a coupled pair.
-pub struct ExporterHandle {
-    access: ExportAccess,
-}
-
-impl ExporterHandle {
-    /// This process's rank in the exporting program.
-    pub fn rank(&self) -> usize {
-        self.access.rank()
-    }
-
-    /// Exports the process's piece of the distributed array at simulation
-    /// time `ts`. The framework buffers (clones) the piece unless it can
-    /// prove the object will never be needed.
-    pub fn export(
-        &mut self,
-        ts: Timestamp,
-        data: &LocalArray,
-    ) -> Result<ExportOutcome, ThreadedError> {
-        let mut outcomes = self.access.export(ts, data)?;
-        Ok(outcomes.remove(0))
-    }
-
-    /// A snapshot of this process's export statistics.
-    pub fn stats(&self) -> couplink_proto::ExportStats {
-        self.access.stats().remove(0)
-    }
-
-    /// Number of objects currently buffered by the framework for this
-    /// process.
-    pub fn buffered_len(&self) -> usize {
-        self.access.buffered_len()
-    }
-}
-
-/// The per-process importer API of a coupled pair.
-pub struct ImporterHandle {
-    access: ImportAccess,
-}
-
-impl ImporterHandle {
-    /// This process's rank in the importing program.
-    pub fn rank(&self) -> usize {
-        self.access.rank()
-    }
-
-    /// Collectively imports the data matched to `ts` into `dest` (this
-    /// process's piece). Blocks until the framework answers. Returns the
-    /// matched timestamp, or `None` if the request had no match (in which
-    /// case `dest` is untouched).
-    pub fn import(
-        &mut self,
-        ts: Timestamp,
-        dest: &mut LocalArray,
-    ) -> Result<Option<Timestamp>, ThreadedError> {
-        self.access.import(ts, dest)
-    }
-}
-
-/// A running coupled pair: one exporting and one importing program connected
-/// by one region connection — a two-program [`Fabric`].
-pub struct CoupledPair {
-    fabric: Fabric,
-    exporters: Vec<Option<ExporterHandle>>,
-    importers: Vec<Option<ImporterHandle>>,
-}
-
-impl CoupledPair {
-    /// Builds the pair and spawns its control threads.
-    pub fn new(cfg: PairConfig) -> Result<Self, ThreadedError> {
-        let tol =
-            Tolerance::new(cfg.tolerance).map_err(|e| ThreadedError::Config(e.to_string()))?;
-        let topo = Topology::pair(cfg.exporter_decomp, cfg.importer_decomp, cfg.policy, tol)
-            .map_err(|e| ThreadedError::Config(e.to_string()))?;
-        let ne = topo.programs[0].procs;
-        let ni = topo.programs[1].procs;
-        let mut fabric = Fabric::new(
-            topo,
-            FabricOptions {
-                buddy_help: cfg.buddy_help,
-                import_timeout: cfg.import_timeout,
-                buffer_capacity: cfg.buffer_capacity,
-                traces: Vec::new(),
-                chaos: None,
-                drop_buddy_help: false,
-                hierarchical: false,
-                wal: None,
-            },
-        );
-        let exporters = (0..ne)
-            .map(|rank| {
-                Some(ExporterHandle {
-                    access: fabric.take_export(0, rank, 0),
-                })
-            })
-            .collect();
-        let importers = (0..ni)
-            .map(|rank| {
-                Some(ImporterHandle {
-                    access: fabric.take_import(1, rank, 0),
-                })
-            })
-            .collect();
-        Ok(CoupledPair {
-            fabric,
-            exporters,
-            importers,
-        })
-    }
-
-    /// Takes the handle for exporter process `rank` (once).
-    pub fn take_exporter(&mut self, rank: usize) -> ExporterHandle {
-        self.exporters[rank]
-            .take()
-            .expect("exporter handle already taken")
-    }
-
-    /// Takes the handle for importer process `rank` (once).
-    pub fn take_importer(&mut self, rank: usize) -> ImporterHandle {
-        self.importers[rank]
-            .take()
-            .expect("importer handle already taken")
-    }
-
-    /// Stops all control threads and returns per-exporter-rank statistics.
-    /// Call after the application threads have finished and dropped their
-    /// handles.
-    pub fn shutdown(self) -> Result<Vec<couplink_proto::ExportStats>, ThreadedError> {
-        let mut report = self.fabric.shutdown()?;
-        Ok(report.stats.remove(0))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use couplink_layout::{Decomposition, Extent2};
-    use couplink_time::ts;
+    use crate::engine::Topology;
+    use couplink_layout::{Decomposition, Extent2, LocalArray};
+    use couplink_time::{ts, MatchPolicy, Tolerance};
     use std::time::Instant;
 
-    fn pair(buddy: bool) -> (CoupledPair, Decomposition, Decomposition) {
+    /// One REGL connection: exporter program 0 (`take_export(0, rank, 0)`),
+    /// importer program 1 (`take_import(1, rank, 0)`).
+    fn pair_fabric(
+        exp: Decomposition,
+        imp: Decomposition,
+        tolerance: f64,
+        opts: FabricOptions,
+    ) -> Fabric {
+        let tol = Tolerance::new(tolerance).unwrap();
+        Fabric::new(
+            Topology::pair(exp, imp, MatchPolicy::RegL, tol).unwrap(),
+            opts,
+        )
+    }
+
+    fn pair(buddy_help: bool) -> (Fabric, Decomposition, Decomposition) {
         let e = Extent2::new(32, 32);
         let exp = Decomposition::block_2d(e, 2, 2).unwrap();
         let imp = Decomposition::row_block(e, 2).unwrap();
-        let cfg = PairConfig::new(exp, imp, MatchPolicy::RegL, 2.5, buddy);
-        (CoupledPair::new(cfg).unwrap(), exp, imp)
+        let opts = FabricOptions {
+            buddy_help,
+            ..FabricOptions::default()
+        };
+        (pair_fabric(exp, imp, 2.5, opts), exp, imp)
+    }
+
+    /// An 8×8 grid in row blocks: `exporters` ranks feeding one importer.
+    fn small_pair(
+        exporters: usize,
+        tolerance: f64,
+        opts: FabricOptions,
+    ) -> (Fabric, Decomposition, Decomposition) {
+        let e = Extent2::new(8, 8);
+        let exp = Decomposition::row_block(e, exporters).unwrap();
+        let imp = Decomposition::row_block(e, 1).unwrap();
+        (pair_fabric(exp, imp, tolerance, opts), exp, imp)
     }
 
     /// Full end-to-end coupled run on real threads: 4 exporter threads, 2
@@ -299,7 +149,7 @@ mod tests {
         let (mut pair, exp_d, imp_d) = pair(true);
         let mut exp_threads = Vec::new();
         for rank in 0..4 {
-            let mut h = pair.take_exporter(rank);
+            let mut h = pair.take_export(0, rank, 0);
             let owned = exp_d.owned(rank);
             exp_threads.push(std::thread::spawn(move || {
                 for i in 0..60 {
@@ -313,7 +163,7 @@ mod tests {
         }
         let mut imp_threads = Vec::new();
         for rank in 0..2 {
-            let mut h = pair.take_importer(rank);
+            let mut h = pair.take_import(1, rank, 0);
             let owned = imp_d.owned(rank);
             imp_threads.push(std::thread::spawn(move || {
                 let mut got = Vec::new();
@@ -346,8 +196,8 @@ mod tests {
         }
         // Stats are read after every import completed: each exporter rank
         // transferred exactly its share of the 3 matched objects.
-        let stats = pair.shutdown().unwrap();
-        for s in &stats {
+        let report = pair.shutdown().unwrap();
+        for s in &report.stats[0] {
             assert_eq!(s.sends, 3, "{s:?}");
             assert_eq!(s.exports, 60);
         }
@@ -361,7 +211,7 @@ mod tests {
             let (mut pair, exp_d, imp_d) = pair(buddy);
             let mut threads = Vec::new();
             for rank in 0..4 {
-                let mut h = pair.take_exporter(rank);
+                let mut h = pair.take_export(0, rank, 0);
                 let owned = exp_d.owned(rank);
                 threads.push(std::thread::spawn(move || {
                     for i in 0..50 {
@@ -376,7 +226,7 @@ mod tests {
                     }
                 }));
             }
-            let mut imp = pair.take_importer(0);
+            let mut imp = pair.take_import(1, 0, 0);
             let owned = imp_d.owned(0);
             let mut sums = Vec::new();
             for j in 1..=2 {
@@ -384,7 +234,7 @@ mod tests {
                 let m = imp.import(ts(20.0 * j as f64), &mut dest).unwrap();
                 sums.push((m, dest.sum()));
             }
-            let mut imp1 = pair.take_importer(1);
+            let mut imp1 = pair.take_import(1, 1, 0);
             let owned1 = imp_d.owned(1);
             for j in 1..=2 {
                 let mut dest = LocalArray::zeros(owned1);
@@ -406,7 +256,7 @@ mod tests {
         let (mut pair, exp_d, imp_d) = pair(true);
         let mut exp_threads = Vec::new();
         for rank in 0..4 {
-            let mut h = pair.take_exporter(rank);
+            let mut h = pair.take_export(0, rank, 0);
             let owned = exp_d.owned(rank);
             exp_threads.push(std::thread::spawn(move || {
                 // Exports jump straight over [17.5, 20].
@@ -418,7 +268,7 @@ mod tests {
         }
         let mut imp_threads = Vec::new();
         for rank in 0..2 {
-            let mut h = pair.take_importer(rank);
+            let mut h = pair.take_import(1, rank, 0);
             let owned = imp_d.owned(rank);
             imp_threads.push(std::thread::spawn(move || {
                 let mut dest = LocalArray::zeros(owned);
@@ -441,7 +291,7 @@ mod tests {
         // buddy-help the non-matching exports in flight should skip.
         let mut imp_threads = Vec::new();
         for rank in 0..2 {
-            let mut h = pair.take_importer(rank);
+            let mut h = pair.take_import(1, rank, 0);
             let owned = imp_d.owned(rank);
             imp_threads.push(std::thread::spawn(move || {
                 let mut dest = LocalArray::zeros(owned);
@@ -451,7 +301,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         let mut exp_threads = Vec::new();
         for rank in 0..4 {
-            let mut h = pair.take_exporter(rank);
+            let mut h = pair.take_export(0, rank, 0);
             let owned = exp_d.owned(rank);
             exp_threads.push(std::thread::spawn(move || {
                 let mut skips = 0;
@@ -459,7 +309,7 @@ mod tests {
                     let t = 1.6 + i as f64;
                     let data = LocalArray::zeros(owned);
                     let out = h.export(ts(t), &data).unwrap();
-                    if out.action == crate::des::coupled::ActionKind::Skip {
+                    if out[0].action == ActionKind::Skip {
                         skips += 1;
                     }
                 }
@@ -481,15 +331,14 @@ mod tests {
 
     #[test]
     fn bounded_buffer_blocks_export_until_request_frees_space() {
-        let e = Extent2::new(8, 8);
-        let exp = Decomposition::row_block(e, 1).unwrap();
-        let imp = Decomposition::row_block(e, 1).unwrap();
-        let mut cfg = PairConfig::new(exp, imp, MatchPolicy::RegL, 2.5, true);
-        cfg.buffer_capacity = Some(5);
-        cfg.import_timeout = Duration::from_secs(10);
-        let mut pair = CoupledPair::new(cfg).unwrap();
-        let mut exporter = pair.take_exporter(0);
-        let mut importer = pair.take_importer(0);
+        let opts = FabricOptions {
+            buffer_capacity: Some(5),
+            import_timeout: Duration::from_secs(10),
+            ..FabricOptions::default()
+        };
+        let (mut pair, exp, imp) = small_pair(1, 2.5, opts);
+        let mut exporter = pair.take_export(0, 0, 0);
+        let mut importer = pair.take_import(1, 0, 0);
         let owned = exp.owned(0);
         let exporter_thread = std::thread::spawn(move || {
             let data = LocalArray::zeros(owned);
@@ -501,7 +350,7 @@ mod tests {
             for i in 1..=20 {
                 exporter.export(ts(1.6 + i as f64), &data).unwrap();
             }
-            (exporter.stats(), start.elapsed())
+            (exporter.stats().remove(0), start.elapsed())
         });
         std::thread::sleep(Duration::from_millis(200));
         let mut dest = LocalArray::zeros(imp.owned(0));
@@ -520,13 +369,12 @@ mod tests {
 
     #[test]
     fn import_timeout_fires() {
-        let e = Extent2::new(8, 8);
-        let exp = Decomposition::row_block(e, 1).unwrap();
-        let imp = Decomposition::row_block(e, 1).unwrap();
-        let mut cfg = PairConfig::new(exp, imp, MatchPolicy::RegL, 1.0, true);
-        cfg.import_timeout = Duration::from_millis(100);
-        let mut pair = CoupledPair::new(cfg).unwrap();
-        let mut h = pair.take_importer(0);
+        let opts = FabricOptions {
+            import_timeout: Duration::from_millis(100),
+            ..FabricOptions::default()
+        };
+        let (mut pair, _, imp) = small_pair(1, 1.0, opts);
+        let mut h = pair.take_import(1, 0, 0);
         let mut dest = LocalArray::zeros(imp.owned(0));
         // Nobody ever exports: the import must time out, not hang.
         assert_eq!(h.import(ts(5.0), &mut dest), Err(ThreadedError::Timeout));
@@ -536,14 +384,13 @@ mod tests {
 
     #[test]
     fn collective_violation_surfaces_at_shutdown() {
-        let e = Extent2::new(8, 8);
-        let exp = Decomposition::row_block(e, 2).unwrap();
-        let imp = Decomposition::row_block(e, 1).unwrap();
-        let mut cfg = PairConfig::new(exp, imp, MatchPolicy::RegL, 1.0, true);
-        cfg.import_timeout = Duration::from_millis(500);
-        let mut pair = CoupledPair::new(cfg).unwrap();
-        let mut e0 = pair.take_exporter(0);
-        let mut e1 = pair.take_exporter(1);
+        let opts = FabricOptions {
+            import_timeout: Duration::from_millis(500),
+            ..FabricOptions::default()
+        };
+        let (mut pair, exp, imp) = small_pair(2, 1.0, opts);
+        let mut e0 = pair.take_export(0, 0, 0);
+        let mut e1 = pair.take_export(0, 1, 0);
         let d0 = LocalArray::zeros(exp.owned(0));
         let d1 = LocalArray::zeros(exp.owned(1));
         // Rank 0 and rank 1 export different timestamp sequences — a direct
@@ -551,7 +398,7 @@ mod tests {
         // reaches a *definitive* (and conflicting) local answer.
         e0.export(ts(4.5), &d0).unwrap();
         e1.export(ts(4.8), &d1).unwrap();
-        let imp_h = pair.take_importer(0);
+        let imp_h = pair.take_import(1, 0, 0);
         let owned = imp.owned(0);
         let import_result = std::thread::spawn(move || {
             let mut imp_h = imp_h;
@@ -593,18 +440,14 @@ mod tests {
     #[test]
     fn shutdown_drains_pending_buddy_help() {
         for _ in 0..20 {
-            let e = Extent2::new(8, 8);
-            let exp = Decomposition::row_block(e, 2).unwrap();
-            let imp = Decomposition::row_block(e, 1).unwrap();
-            let cfg = PairConfig::new(exp, imp, MatchPolicy::RegL, 0.5, true);
-            let mut pair = CoupledPair::new(cfg).unwrap();
-            let mut e0 = pair.take_exporter(0);
-            let mut e1 = pair.take_exporter(1);
+            let (mut pair, exp, imp) = small_pair(2, 0.5, FabricOptions::default());
+            let mut e0 = pair.take_export(0, 0, 0);
+            let mut e1 = pair.take_export(0, 1, 0);
             let d0 = LocalArray::zeros(exp.owned(0));
             let d1 = LocalArray::zeros(exp.owned(1));
             e0.export(ts(1.0), &d0).unwrap();
             e1.export(ts(1.0), &d1).unwrap();
-            let mut imp_h = pair.take_importer(0);
+            let mut imp_h = pair.take_import(1, 0, 0);
             let owned = imp.owned(0);
             let importer = std::thread::spawn(move || {
                 let mut dest = LocalArray::zeros(owned);
@@ -619,7 +462,7 @@ mod tests {
             drop(e1);
             // Shut down immediately: the rep may not have sent rank 1's
             // buddy-help yet. The fixed ordering must deliver it anyway.
-            let stats = pair.shutdown().unwrap();
+            let stats = pair.shutdown().unwrap().stats.remove(0);
             assert_eq!(
                 stats[1].buddy_helps, 1,
                 "rank 1's buddy-help was dropped at shutdown: {stats:?}"
@@ -627,9 +470,8 @@ mod tests {
         }
     }
 
-    /// A general three-program topology through the fabric directly: one
-    /// exported region feeding two importers with different policies —
-    /// Figure 2 in miniature, impossible with the old pair-only runtime.
+    /// A general three-program topology: one exported region feeding two
+    /// importers with different policies — Figure 2 in miniature.
     #[test]
     fn fanout_topology_runs_end_to_end() {
         use couplink_config::{parse, RegionRef};

@@ -2,7 +2,7 @@
 
 use crate::scenario::{Scenario, GRID};
 use couplink_layout::LocalArray;
-use couplink_metrics::CounterSnapshot;
+use couplink_metrics::{CounterSnapshot, EXACT};
 use couplink_proto::{ConnectionId, Trace};
 use couplink_runtime::cost::CostModel;
 use couplink_runtime::engine::oracle::{
@@ -798,51 +798,26 @@ pub fn check_socket(
     Ok((matches, violations))
 }
 
-/// The control-message classes whose counts are *deterministic* given the
-/// match decisions (one per import call / request / decided answer /
-/// per-rank forward or broadcast) — Response updates and BuddyHelp depend
-/// on response timing and are excluded. Indices into
-/// `CounterSnapshot::ctrl_sent`, i.e. `CtrlClass::ALL` order.
-const DETERMINISTIC_CTRL: [(usize, &str); 5] = [
-    (0, "ImportCall"),
-    (1, "ImportRequest"),
-    (2, "ForwardRequest"),
-    (5, "Answer"),
-    (6, "AnswerBcast"),
-];
-
 /// Cross-runtime counter equivalence for fault-free runs: the socket
 /// processes' *summed* snapshots must agree with the threaded run on every
-/// protocol counter whose value is determined by the (already equal) match
-/// decisions. This is the acceptance bar for "same engine, different
-/// transport" — the wire moved the messages without inventing or losing
-/// any.
+/// counter the metrics table flags `exact` — those whose value is
+/// determined by the (already equal) match decisions: calls, transfers, and
+/// the control classes with one message per import call / request / decided
+/// answer / per-rank forward or broadcast (`Response` updates and
+/// `BuddyHelp` depend on response timing and are not). This is the
+/// acceptance bar for "same engine, different transport" — the wire moved
+/// the messages without inventing or losing any.
 pub fn check_counter_equivalence(
     threaded: &CounterSnapshot,
     socket: &CounterSnapshot,
     out: &mut Vec<OracleViolation>,
 ) {
-    let pairs = [
-        ("import_calls", threaded.import_calls, socket.import_calls),
-        ("export_calls", threaded.export_calls, socket.export_calls),
-        ("transfers", threaded.transfers, socket.transfers),
-    ];
-    for (name, a, b) in pairs {
-        if a != b {
+    let exact = CounterSnapshot::flagged(EXACT);
+    for ((name, a), (_, b)) in threaded.fields().into_iter().zip(socket.fields()) {
+        if a != b && exact.contains(&name) {
             out.push(OracleViolation::MetricConsistency {
                 conn: ConnectionId(0),
                 detail: format!("{name} differs across transports: threaded {a}, socket {b}"),
-            });
-        }
-    }
-    for (idx, name) in DETERMINISTIC_CTRL {
-        let (a, b) = (threaded.ctrl_sent[idx], socket.ctrl_sent[idx]);
-        if a != b {
-            out.push(OracleViolation::MetricConsistency {
-                conn: ConnectionId(0),
-                detail: format!(
-                    "ctrl {name} count differs across transports: threaded {a}, socket {b}"
-                ),
             });
         }
     }
