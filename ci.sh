@@ -23,7 +23,13 @@
 #   8. scale smoke     (threaded weak/strong scaling sweep with a
 #                       per-iteration wall-clock budget; plus a negative
 #                       test proving the throughput gate catches an
-#                       injected stall)
+#                       injected stall. The same sweep gates hand-offs from
+#                       counters: under one cross-worker steal per import
+#                       and at least half of all task polls chained on the
+#                       thread that woke the task; chaining cannot be
+#                       switched off, so that gate's negative control is a
+#                       unit test over a fabricated snapshot, run by
+#                       stage 3)
 #   9. scale ranks     (hierarchical collective sweep at 32/64/128 ranks
 #                       per program on the threaded fabric: rep-origin
 #                       control messages per import must stay within the
@@ -33,12 +39,14 @@
 #                       O(N) fan-out)
 #  10. multi-session   (16 sessions multiplexed on the pooled executor
 #                       under the same wall budget, scheduled fairly; the
-#                       starvation check's negative control is a unit test
-#                       over fabricated per-session walls, run by stage 3.
-#                       The ratio to a one-worker-per-task run is recorded
-#                       as wall_s.speedup_vs_thread_per_task and gates
-#                       nothing: it reads 0.9-1.8x on unchanged code on a
-#                       2-core box; executor throughput is gated by
+#                       drivers are a closed loop, one step of credit per
+#                       exporter, so every import goes through the pool;
+#                       the starvation check's negative control is a unit
+#                       test over fabricated per-session walls, run by
+#                       stage 3. The ratio to a one-worker-per-task run is
+#                       recorded as wall_s.speedup_vs_thread_per_task and
+#                       gates nothing: it reads 1.0-1.4x on unchanged code
+#                       on a 2-core box; executor throughput is gated by
 #                       `bench e2e` ctrl_small / multirate_cycle)
 #  11. socket           (fixed-seed corpus on the socket runtime: every
 #                       program its own OS process on loopback UDS, all
@@ -66,7 +74,9 @@
 #                       root workspace: build it and run its own tests
 #                       against the workspace crates, so a runtime refactor
 #                       that breaks the benchmark adapter's view of the
-#                       public API fails here, not at benchmark time)
+#                       public API fails here, not at benchmark time; and
+#                       the frozen package and BENCHMARK.json must be
+#                       unmodified in the working tree)
 #
 # Nightly-only extras (run when CI_NIGHTLY=1, skipped gracefully otherwise):
 #   - deep simtest sweep and a deeper DES-vs-threaded property sweep
@@ -171,6 +181,7 @@ COUPLINK_NODE_BIN=target/release/couplink-node \
 echo "== bench e2e: the out-of-workspace benchmark builds and passes its tests"
 cargo build --release --offline --manifest-path crates/bench/src/bin/e2e/Cargo.toml
 cargo test -q --offline --manifest-path crates/bench/src/bin/e2e/Cargo.toml
+git diff --quiet HEAD -- BENCHMARK.json crates/bench/src/bin/e2e
 
 if [[ "${CI_NIGHTLY:-0}" == "1" ]]; then
     echo "== nightly: deep simtest sweep"

@@ -28,6 +28,13 @@
 //! sleep into every import iteration; `ci.sh` uses it to prove the gate
 //! has teeth, mirroring the report gate's 8× memcpy mutation.
 //!
+//! The grid also gates, from counters and not from the wall clock, that a
+//! control chain stays on the thread that set it off ([`check_handoffs`]):
+//! fewer than one cross-worker steal per import, and at least half of all
+//! task polls taken from the polling thread's own run-next list. There is
+//! no way to switch chaining off, so the negative control is a unit test
+//! over a fabricated snapshot.
+//!
 //! # `--sessions N`
 //!
 //! The multi-session axis (mode `scale-sessions`): N independent
@@ -36,10 +43,20 @@
 //! per-iteration wall budget and a *fairness* check: the slowest session's
 //! wall time must stay within [`SESSION_FAIRNESS_RATIO`]× of the fastest
 //! (round-robin scheduling means co-resident sessions finish together).
+//! The drivers are a closed loop: every driver thread starts behind one
+//! barrier (spawning 128 threads takes longer than a session's run, so a
+//! wall measured from before the first spawn ranks sessions by spawn
+//! order), and an exporter leads its importer by at most one step, so
+//! every import waits for its export and the sessions advance through
+//! the shared pool one coupling step at a time. With free-running
+//! exporters an `import()` that finds its data exported runs its own
+//! control chain and never blocks: a rank's 240 imports fit one OS time
+//! slice and the sessions finish in the order the OS first ran their
+//! threads in (2.2–13.6× over twelve runs), which is not the pool's doing.
 //! The same workload also runs with one worker per task (the pre-executor
 //! thread-per-process shape) and the ratio is recorded under `wall_s` as
 //! `speedup_vs_thread_per_task` — informational like every other wall
-//! figure: on a 2-core box it reads 0.9–1.8× on unchanged code, so it gates
+//! figure: on a 2-core box it reads 1.0–1.4×, so it gates
 //! nothing (the executor's throughput is gated by `bench e2e`'s
 //! `ctrl_small` / `multirate_cycle` `imports_per_s`). `--mutate` has no
 //! meaning here: the starvation check's negative control is a unit test
@@ -64,7 +81,7 @@
 use couplink_bench::report::{BenchReport, ScenarioMeasure};
 use couplink_layout::RedistPlan;
 use couplink_layout::{Decomposition, Extent2, LocalArray};
-use couplink_metrics::{CtrlClass, MetricsSnapshot};
+use couplink_metrics::{CounterSnapshot, CtrlClass, MetricsSnapshot};
 use couplink_proto::ConnectionId;
 use couplink_runtime::engine::oracle::check_ctrl_scaling;
 use couplink_runtime::engine::{tree, ConnTopo, ExportRegionTopo, ImportRegionTopo, ProgramTopo};
@@ -74,7 +91,7 @@ use couplink_runtime::{
 use couplink_time::{ts, MatchPolicy, Tolerance};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 /// Per-import-iteration wall budget in milliseconds. One constant shared
@@ -343,18 +360,27 @@ fn run_sessions(
     // aggregate).
     let metrics = set.session_metrics(0);
 
-    let start = Instant::now();
+    // Every driver thread waits here until all are spawned, or the walls
+    // rank the sessions by spawn order.
+    let go = Arc::new(Barrier::new(2 * n * pt.pairs * pt.procs + 1));
     let mut exporters = Vec::new();
-    let mut importers: Vec<Vec<std::thread::JoinHandle<Result<f64, String>>>> = Vec::new();
+    let mut importers: Vec<Vec<std::thread::JoinHandle<Result<Instant, String>>>> = Vec::new();
     for s in 0..n {
         let mut session_imps = Vec::new();
         for k in 0..pt.pairs {
             for rank in 0..pt.procs {
                 let owned = decomp.owned(rank);
                 let mut exp = set.take_export(s, 2 * k, rank, 0);
+                // One credit: the exporter takes it before a step, the
+                // importer returns it after the matching import, so every
+                // import waits for its export and goes through the pool.
+                let (credit, done) = std::sync::mpsc::sync_channel::<()>(1);
+                let ready = go.clone();
                 exporters.push(std::thread::spawn(move || -> Result<(), String> {
                     let data = LocalArray::from_fn(owned, |r, c| (r * 31 + c) as f64);
+                    ready.wait();
                     for i in 0..iters {
+                        let _ = credit.send(());
                         exp.export(ts((i + 1) as f64), &data)
                             .map_err(|e| format!("export {i} failed: {e}"))?;
                     }
@@ -362,8 +388,10 @@ fn run_sessions(
                 }));
                 let owned = decomp.owned(rank);
                 let mut imp = set.take_import(s, 2 * k + 1, rank, 0);
-                session_imps.push(std::thread::spawn(move || -> Result<f64, String> {
+                let ready = go.clone();
+                session_imps.push(std::thread::spawn(move || -> Result<Instant, String> {
                     let mut dest = LocalArray::zeros(owned);
+                    ready.wait();
                     for i in 0..iters {
                         let got = imp
                             .import(ts((i + 1) as f64), &mut dest)
@@ -371,13 +399,16 @@ fn run_sessions(
                         if got.is_none() {
                             return Err(format!("import {i} found no match"));
                         }
+                        let _ = done.recv();
                     }
-                    Ok(start.elapsed().as_secs_f64())
+                    Ok(Instant::now())
                 }));
             }
         }
         importers.push(session_imps);
     }
+    let start = Instant::now();
+    go.wait();
     for t in exporters {
         t.join()
             .map_err(|_| "exporter thread panicked".to_string())??;
@@ -386,10 +417,10 @@ fn run_sessions(
     for session_imps in importers {
         let mut wall: f64 = 0.0;
         for t in session_imps {
-            wall = wall.max(
-                t.join()
-                    .map_err(|_| "importer thread panicked".to_string())??,
-            );
+            let end = t
+                .join()
+                .map_err(|_| "importer thread panicked".to_string())??;
+            wall = wall.max(end.saturating_duration_since(start).as_secs_f64());
         }
         session_walls.push(wall);
     }
@@ -402,6 +433,25 @@ fn run_sessions(
         session_walls,
         snapshot,
     })
+}
+
+/// The hand-off check: an executor that sends every task it wakes to the
+/// task's home shard pays a wake-up per control hop, which shows as
+/// several steals per import and no chained polls.
+fn check_handoffs(name: &str, c: &CounterSnapshot) -> Option<String> {
+    let (steals, imports) = (c.worker_steal, c.import_calls);
+    let (chained, polled) = (c.tasks_chained, c.tasks_polled);
+    if steals >= imports {
+        Some(format!(
+            "{name}: {steals} cross-worker steals over {imports} imports (bound: under 1 per import)"
+        ))
+    } else if 2 * chained < polled {
+        Some(format!(
+            "{name}: only {chained} of {polled} task polls were chained (bound: at least half)"
+        ))
+    } else {
+        None
+    }
 }
 
 /// Fastest and slowest session wall.
@@ -604,6 +654,7 @@ fn run_grid_mode(opts: &Options) -> Result<(BenchReport, Vec<String>), String> {
                     opts.gate_ms
                 ));
             }
+            violations.extend(check_handoffs(&name, &run.snapshot.counters));
             if series == "weak" {
                 largest = Some((name.clone(), per_sec));
             }
@@ -712,5 +763,28 @@ mod tests {
         assert_eq!(check_fairness("sessions_pooled_s16", &lockstep), None);
         // The bound itself is inclusive.
         assert_eq!(check_fairness("edge", &[1.0, SESSION_FAIRNESS_RATIO]), None);
+    }
+
+    /// The negative control for the hand-off check: the counters of the
+    /// executor before run-next lists (`ctrl_small` at commit 1704d88:
+    /// 10.4 polls and 3.4 steals per import, nothing chained) must be
+    /// rejected on both counts; this executor's (0.15 steals, 0.8 of the
+    /// polls chained) pass.
+    #[test]
+    fn unchained_counters_fail_the_handoff_check() {
+        let counters = |worker_steal, tasks_chained| CounterSnapshot {
+            import_calls: 1_000,
+            tasks_polled: 10_400,
+            worker_steal,
+            tasks_chained,
+            ..CounterSnapshot::default()
+        };
+        let verdict = check_handoffs("p", &counters(3_400, 0)).expect("must be rejected");
+        assert!(verdict.contains("3400 cross-worker steals"), "{verdict}");
+        let verdict = check_handoffs("p", &counters(150, 0)).expect("must be rejected");
+        assert!(verdict.contains("only 0 of 10400"), "{verdict}");
+        assert_eq!(check_handoffs("p", &counters(150, 8_300)), None);
+        // Both bounds at their edge: 999 steals, exactly half chained.
+        assert_eq!(check_handoffs("p", &counters(999, 5_200)), None);
     }
 }

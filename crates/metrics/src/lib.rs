@@ -523,6 +523,10 @@ counters! {
     /// Tasks a pool worker stole from another worker's run-queue shard
     /// (threaded session executor only; 0 on DES).
     worker_steal: Counter,
+    /// Task polls a thread took from its own run-next list — tasks it had
+    /// made runnable itself — instead of from a run-queue shard (threaded
+    /// session executor only; 0 on DES).
+    tasks_chained: Counter,
     /// Objects held in framework buffers; the snapshot keeps the peak.
     buffered_objects: Gauge => buffered_hwm,
     /// Pending messages/events per node queue (the DES event queue; the

@@ -12,8 +12,8 @@
 //!   requests and consuming buddy-help while the application thread
 //!   computes (the paper's asynchronous framework engine);
 //! - one **importer task** per (connection, rank), feeding answers and
-//!   pieces into the import node while the application thread blocks on a
-//!   condvar;
+//!   pieces into the import node the application thread's `import()` waits
+//!   on — after that thread has itself polled whatever its call set off;
 //! - one **pump task** per session when the reliability layer is armed,
 //!   woken by the per-shard timer wheel at the earliest retry deadline.
 //!
@@ -24,8 +24,8 @@
 //! what is its own: the shard lock around a link's reliability state, the
 //! mailbox (or socket) push, and the pump wake-up.
 //!
-//! Per-process [`ExportAccess`]/[`ImportAccess`] handles are unchanged:
-//! application threads drive them exactly like an SPMD rank calling the
+//! Application threads drive the per-process [`ExportAccess`] /
+//! [`ImportAccess`] handles exactly like an SPMD rank calling the
 //! framework library. A [`SessionSet`] multiplexes N independent
 //! topologies — each with its own [`EngineMetrics`] — on one pool with
 //! round-robin fairness across sessions.
@@ -45,7 +45,7 @@ use crate::engine::{
     SendKind, Topology, Wal, WalRecord, WireMeta,
 };
 use crate::threaded::executor::{
-    Executor, ExecutorOptions, PanicSink, Poll, SessionId, Task, TaskHandle,
+    publish_run_next, Executor, ExecutorOptions, PanicSink, Poll, SessionId, Task, TaskHandle,
 };
 use crate::threaded::{ExportOutcome, ThreadedError};
 use couplink_layout::{LocalArray, Rect, SharedArray};
@@ -95,6 +95,16 @@ const RESTART_SEQ_GAP: u64 = 1 << 32;
 /// flooded mailbox cannot hold a worker indefinitely.
 const REP_BATCH: usize = 64;
 
+/// The largest piece (bytes a rank owns of an exported region) whose agent
+/// still runs on the thread that woke it, when its pieces leave over a
+/// socket: encoding and checksumming 64 KiB costs a few wake-ups. In
+/// memory the agent copies nothing — what it can cost is the wait for an
+/// `export()`'s buffering copy under the cell lock, sixteen times faster
+/// per byte — so the bound is `16 * LIGHT_PIECE` there. Past it the agent
+/// is a heavy task (`Task::heavy`) and belongs on the pool, beside the
+/// waking thread rather than after it.
+const LIGHT_PIECE: usize = 64 << 10;
+
 /// Wall-clock seconds since the fabric started — the threaded runtime's
 /// [`Clock`].
 #[derive(Debug, Clone)]
@@ -136,8 +146,11 @@ impl WalHandle {
         self.0.lock().append(rec);
     }
 
-    /// Makes every appended record durable (no-op for [`MemWal`]).
+    /// Makes every appended record durable (no-op for [`MemWal`]). A file
+    /// journal waits for the disk here, so the calling thread first
+    /// publishes the tasks it was keeping to poll itself.
     pub fn sync(&self) {
+        publish_run_next();
         self.0.lock().sync();
     }
 
@@ -352,11 +365,14 @@ struct NetChaos {
 
 /// Times a mutex acquisition into the run's `lock_wait_ns` counter. The
 /// uncontended fast path is a bare `try_lock` — no clock read, no counter
-/// touch; only genuine waiting is measured.
+/// touch; only genuine waiting is measured. A thread about to wait first
+/// publishes the tasks it was keeping to poll itself: the holder may be
+/// inside a multi-megabyte `copy_from`, and they must not wait that out.
 fn timed_lock<'a, T>(m: &'a Mutex<T>, metrics: &EngineMetrics) -> MutexGuard<'a, T> {
     if let Some(g) = m.try_lock() {
         return g;
     }
+    publish_run_next();
     let t0 = Instant::now();
     let g = m.lock();
     metrics.lock_wait_ns.add(t0.elapsed().as_nanos() as u64);
@@ -579,8 +595,8 @@ struct ExpCell {
 }
 
 /// Shared between an importing application thread and the rank's importer
-/// tasks: the import node under one lock, and a condvar the tasks signal
-/// whenever the node's state may have advanced (answer or piece landed).
+/// tasks: the import node under one lock, and a condvar a task signals
+/// when it completed an import (or recorded an error).
 struct ImpCell {
     node: Mutex<ImportNode>,
     cv: Condvar,
@@ -1161,10 +1177,12 @@ impl ExportAccess {
 /// The per-process import API of the framework: one handle per imported
 /// region (exactly one connection).
 ///
-/// Unlike the pre-executor fabric the application thread no longer owns
-/// the importer's mailbox — the importer *task* feeds answers and pieces
-/// into the shared [`ImpCell`]; `import()` just waits on its condvar for
-/// the node to reach `Done`.
+/// The importer *task* feeds answers and pieces into the shared
+/// [`ImpCell`]. `import()` would block until the node reaches `Done`
+/// anyway, so before it does it runs the control chain its call set off
+/// ([`TaskHandle::help`]): the rank that completes the collective polls
+/// both reps, the agents and the importer tasks itself and returns without
+/// sleeping; a rank that arrived early waits on the cell's condvar.
 pub struct ImportAccess {
     prog: usize,
     rank: usize,
@@ -1172,6 +1190,8 @@ pub struct ImportAccess {
     cell: Arc<ImpCell>,
     pieces: PieceMap,
     net: Arc<Net>,
+    /// This rank's importer task.
+    task: TaskHandle,
     timeout: Duration,
 }
 
@@ -1196,7 +1216,7 @@ impl ImportAccess {
             prog: self.prog,
             rank: self.rank,
         };
-        self.net.emit_ctrl(me, [call])?;
+        self.task.help(|| self.net.emit_ctrl(me, [call]))?;
         let deadline = Instant::now() + self.timeout;
         let mut node = self.cell.node.lock();
         loop {
@@ -1272,6 +1292,8 @@ struct AgentTask {
     crash_after: Option<u64>,
     mbox: Arc<Mailbox>,
     consumed: u64,
+    /// This rank's pieces are past the [`LIGHT_PIECE`] bound.
+    heavy: bool,
 }
 
 impl AgentTask {
@@ -1321,6 +1343,10 @@ impl Task for AgentTask {
             deadline: None,
             more: !self.mbox.is_empty(),
         }
+    }
+
+    fn heavy(&self) -> bool {
+        self.heavy
     }
 }
 
@@ -1526,9 +1552,10 @@ impl Task for RepTask {
 
 /// The importer-side state machine: one per (connection, importing rank).
 /// Feeds answer broadcasts and data pieces into the rank's shared
-/// [`ImpCell`] and wakes the blocked application thread. Pieces land in
-/// the shared piece map *before* the node observes them, so a woken
-/// importer that sees `Done` always sees the complete piece set.
+/// [`ImpCell`] and wakes the blocked application thread when its import
+/// completes. Pieces land in the shared piece map *before* the node
+/// observes them, so a woken importer that sees `Done` always sees the
+/// complete piece set.
 struct ImpTask {
     net: Arc<Net>,
     prog: usize,
@@ -1543,6 +1570,9 @@ struct ImpTask {
     /// pieces this rank already holds; accepting a duplicate would
     /// double-count `on_piece` and corrupt the import's piece arithmetic.
     seen_pieces: HashSet<(RequestId, Rect)>,
+    /// The request whose completion the application thread was last woken
+    /// for.
+    woke_for: Option<RequestId>,
 }
 
 impl ImpTask {
@@ -1613,8 +1643,17 @@ impl Task for ImpTask {
                 break;
             }
         }
-        // The node's state may have advanced: wake the blocked importer.
-        self.cell.cv.notify_all();
+        // Wake the blocked importer for what it waits for — its import
+        // completed during this poll — and for an error or shutdown it
+        // must observe; an answer or a piece alone leaves it asleep.
+        let completed = msgs > 0
+            && match self.cell.node.lock().state(self.conn) {
+                Some(ImportState::Done { req, .. }) => self.woke_for.replace(req) != Some(req),
+                _ => false,
+            };
+        if completed || done {
+            self.cell.cv.notify_all();
+        }
         Poll {
             msgs,
             done,
@@ -1953,6 +1992,10 @@ impl Session {
                         crash_after,
                         mbox: mbox.clone(),
                         consumed: 0,
+                        heavy: p.exports.iter().any(|e| {
+                            let light = LIGHT_PIECE * if net.links.is_some() { 1 } else { 16 };
+                            e.decomp.owned(rank).cells() * size_of::<f64>() > light
+                        }),
                     }),
                 );
                 mbox.bind(handle.clone());
@@ -2060,10 +2103,11 @@ impl Session {
                                     cell: cell.clone(),
                                     pieces: pieces.clone(),
                                     seen_pieces: HashSet::new(),
+                                    woke_for: None,
                                 }),
                             );
                             mbox.bind(handle.clone());
-                            imps.push((mbox, handle));
+                            imps.push((mbox, handle.clone()));
                             Some(ImportAccess {
                                 prog: pi,
                                 rank,
@@ -2071,6 +2115,7 @@ impl Session {
                                 cell,
                                 pieces,
                                 net: net.clone(),
+                                task: handle,
                                 timeout: opts.import_timeout,
                             })
                         })
@@ -2410,8 +2455,7 @@ impl SessionSet {
 
 /// A running multi-program fabric: the engine's nodes for one
 /// [`Topology`], multiplexed on a private worker pool. A thin wrapper
-/// around a single-session [`SessionSet`] — the pre-executor API,
-/// unchanged.
+/// around a single-session [`SessionSet`].
 pub struct Fabric {
     set: SessionSet,
 }
@@ -2625,49 +2669,35 @@ mod tests {
         fabric.shutdown().unwrap();
     }
 
-    /// The coalesced fan-out path is live on a fault-free fabric: the
-    /// collective answer to a multi-rank importer goes out as at least one
-    /// multi-message batch, and batching stays invisible to the protocol
-    /// (the imports above already asserted values; here we pin the
-    /// counter). Batching needs the scheduler to catch a rep with a
-    /// multi-message mailbox backlog — likely but interleaving-dependent,
-    /// so the run retries on a fresh fabric before declaring the path
-    /// dead.
+    /// The coalesced fan-out path is live on a fault-free fabric: two
+    /// requests drained in one rep poll leave for the one exporter rank's
+    /// agent as one multi-message batch. The backlog is loaded by hand —
+    /// both connections' requests queued before the rep is scheduled once —
+    /// because application timing no longer builds one: the thread that
+    /// pushes to an idle rep polls it right after the push, so a rep
+    /// driven by `import()` calls sees its messages one at a time.
     #[test]
     fn rep_fanout_batches_on_fault_free_fabric() {
-        let mut last = None;
-        for _attempt in 0..4 {
-            let (topo, exp_d, imp_a, imp_b) = fanout_topology();
-            let mut fabric = Fabric::new(topo, FabricOptions::default());
-            let metrics = fabric.metrics();
-            let mut exp = fabric.take_export(0, 0, 0);
-            let data = LocalArray::from_fn(exp_d.owned(0), |r, c| (r + c) as f64);
-            let mut threads = Vec::new();
-            for (prog, rank, decomp) in [(1usize, 0usize, imp_a), (1, 1, imp_a), (2, 0, imp_b)] {
-                let mut imp = fabric.take_import(prog, rank, 0);
-                let owned = decomp.owned(rank);
-                threads.push(std::thread::spawn(move || {
-                    let mut dest = LocalArray::zeros(owned);
-                    for j in 1..=24 {
-                        let m = imp.import(ts(j as f64), &mut dest).unwrap();
-                        assert_eq!(m, Some(ts(j as f64)));
-                    }
-                }));
+        let (topo, ..) = fanout_topology();
+        let fabric = Fabric::new(topo, FabricOptions::default());
+        let metrics = fabric.metrics();
+        let net = fabric.set.session_net(0);
+        let rep = net.to_rep[0].as_ref().expect("exporter rep");
+        {
+            let mut q = rep.q.lock();
+            for conn in [ConnectionId(0), ConnectionId(1)] {
+                let (req, ts) = (RequestId(0), ts(2.0));
+                q.push_back(Msg::Ctrl(None, CtrlMsg::ImportRequest { conn, req, ts }));
+                metrics.queue_depth.add(1);
             }
-            for j in 1..=24 {
-                exp.export(ts(j as f64), &data).unwrap();
-            }
-            for t in threads {
-                t.join().unwrap();
-            }
-            let snap = metrics.snapshot();
-            fabric.shutdown().unwrap();
-            if snap.counters.ctrl_batches > 0 {
-                return;
-            }
-            last = Some(snap);
         }
-        panic!("expected coalesced rep fan-out on a fault-free fabric in 4 runs: {last:?}");
+        rep.task.get().expect("bound").schedule();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while metrics.ctrl_batches.get() == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(metrics.ctrl_batches.get(), 1, "{:?}", metrics.snapshot());
+        fabric.shutdown().unwrap();
     }
 
     /// Executor edge case: a rep crash armed on message count fires while
@@ -2965,5 +2995,124 @@ mod tests {
             "session 1 polled after shutdown_session drained it"
         );
         set.shutdown().unwrap();
+    }
+    /// A 2 → 2 lock-step pair: the rank that completes a collective runs
+    /// the control chain itself, so over 2 000 imports most polls are of
+    /// tasks the polling thread woke, and cross-worker steals — several per
+    /// import when every push went to the task's home shard — fall below
+    /// one per import.
+    #[test]
+    fn lockstep_pair_chains_instead_of_stealing() {
+        let d = Decomposition::row_block(Extent2::new(8, 8), 2).expect("decomp");
+        let tol = Tolerance::new(0.25).expect("tolerance");
+        let topo = Topology::pair(d, d, MatchPolicy::RegL, tol).expect("pair");
+        let mut fabric = Fabric::new(topo, FabricOptions::default());
+        let steps = 2_000;
+        let mut threads = Vec::new();
+        for rank in 0..2 {
+            let mut exp = fabric.take_export(0, rank, 0);
+            let mut imp = fabric.take_import(1, rank, 0);
+            let owned = d.owned(rank);
+            threads.push(std::thread::spawn(move || {
+                let data = LocalArray::from_fn(owned, |r, c| (r * 8 + c) as f64);
+                for j in 1..=steps {
+                    exp.export(ts(j as f64), &data).unwrap();
+                }
+            }));
+            threads.push(std::thread::spawn(move || {
+                let mut dest = LocalArray::zeros(owned);
+                for j in 1..=steps {
+                    let m = imp.import(ts(j as f64), &mut dest).unwrap();
+                    assert_eq!(m, Some(ts(j as f64)));
+                }
+            }));
+        }
+        for t in threads {
+            t.join().unwrap();
+        }
+        let c = fabric.shutdown().unwrap().metrics.counters;
+        assert_eq!(c.import_calls, 2 * steps);
+        assert!(c.worker_steal < c.import_calls, "{c:?}");
+        assert!(2 * c.tasks_chained >= c.tasks_polled, "{c:?}");
+    }
+
+    /// A thread about to wait for a contended fabric lock publishes the
+    /// tasks it was keeping first: while this test holds the mutex, the
+    /// task pocketed by the blocked poll is run by the other worker.
+    #[test]
+    fn timed_lock_publishes_run_next_before_it_waits() {
+        use crate::threaded::executor::tests::{spawn_fn, wait_for};
+        let exec = Executor::new(&ExecutorOptions { workers: Some(2) });
+        let session = exec.add_session();
+        let metrics = Arc::new(EngineMetrics::new());
+        let polls = Arc::new(AtomicU64::new(0));
+        let polls2 = polls.clone();
+        let pocketed = spawn_fn(&exec, session, &metrics, move || {
+            polls2.fetch_add(1, Ordering::SeqCst);
+            Poll::idle()
+        });
+        let gate = Arc::new(Mutex::new(()));
+        let armed = Arc::new(AtomicBool::new(false));
+        let blocker = {
+            let (gate, armed, metrics) = (gate.clone(), armed.clone(), metrics.clone());
+            spawn_fn(&exec, session, &metrics.clone(), move || {
+                if armed.load(Ordering::SeqCst) {
+                    pocketed.schedule();
+                    drop(timed_lock(&gate, &metrics));
+                }
+                Poll::idle()
+            })
+        };
+        let held = gate.lock();
+        armed.store(true, Ordering::SeqCst);
+        blocker.schedule();
+        // The blocker cannot return before `held` drops, so this poll can
+        // only come from the other worker, off the shard queue.
+        wait_for(|| polls.load(Ordering::SeqCst) == 2);
+        assert_eq!(metrics.tasks_chained.get(), 0);
+        drop(held);
+        wait_for(|| metrics.lock_wait_ns.get() > 0);
+    }
+
+    /// An injected agent crash under a helping `import()` is still a
+    /// `ProcessCrash`: whichever thread polls the agent — the importing
+    /// one, when the chain stays on it, or a worker — the executor contains
+    /// the panic, the application thread survives and its `import()`
+    /// returns the error (at once when it polled the agent itself, after
+    /// its timeout otherwise: nothing wakes a blocked importer for a
+    /// recorded crash; `executor::tests::panic_on_a_helping_thread_is_contained`
+    /// pins the inline case).
+    #[test]
+    fn agent_panic_under_a_helping_import_is_a_process_crash() {
+        let (topo, _, imp_d) = pair_topology();
+        let opts = FabricOptions {
+            import_timeout: Duration::from_secs(2),
+            chaos: Some(ChaosConfig {
+                seed: 1,
+                max_delay: 0.0,
+                duplicate_prob: 0.0,
+                drop_prob: 0.0,
+                retry_delay: 0.05,
+                loss_prob: 0.0,
+                crash: Some(CrashFault {
+                    target: CrashTarget::Agent { prog: 0, rank: 0 },
+                    after_msgs: 0,
+                    restart_after: None,
+                }),
+            }),
+            ..FabricOptions::default()
+        };
+        let mut fabric = Fabric::new(topo, opts);
+        let mut imp = fabric.take_import(1, 0, 0);
+        let mut dest = LocalArray::zeros(imp_d.owned(0));
+        let got = imp.import(ts(1.0), &mut dest);
+        assert!(
+            matches!(&got, Err(ThreadedError::ProcessCrash(d)) if d.contains("agent 0.0")),
+            "{got:?}"
+        );
+        assert!(matches!(
+            fabric.shutdown(),
+            Err(ThreadedError::ProcessCrash(_))
+        ));
     }
 }
