@@ -14,12 +14,15 @@
 #                       faults — 20% message loss plus a rep crash with
 #                       restart/failover — on both runtimes)
 #   6. stress          (concurrency stress sweep: every program at the
-#                       process ceiling, zero compute skew — the coalesced
-#                       sharded control plane under maximum pressure)
-#   7. bench smoke     (tiny-size benchmark report, schema-validated and
-#                       gated against baselines/BENCH_baseline_smoke.json;
-#                       plus a negative test proving the gate catches an
-#                       injected slowdown)
+#                       process ceiling, zero compute skew — the sharded
+#                       control plane under maximum pressure)
+#   7. bench smoke     (tiny-size DES report — Figure 4 panels, ablation
+#                       points, Figure 7/8 tallies — schema-validated and
+#                       gated against baselines/BENCH_baseline_smoke.json:
+#                       counters exact, virtual times within 5%; plus a
+#                       negative test proving the gate catches an injected
+#                       8x memcpy slowdown. It times no isolated layer:
+#                       `bench e2e`'s layer replay is the one stopwatch)
 #   8. scale smoke     (threaded weak/strong scaling sweep with a
 #                       per-iteration wall-clock budget; plus a negative
 #                       test proving the throughput gate catches an
@@ -43,11 +46,9 @@
 #                       exporter, so every import goes through the pool;
 #                       the starvation check's negative control is a unit
 #                       test over fabricated per-session walls, run by
-#                       stage 3. The ratio to a one-worker-per-task run is
-#                       recorded as wall_s.speedup_vs_thread_per_task and
-#                       gates nothing: it reads 1.0-1.4x on unchanged code
-#                       on a 2-core box; executor throughput is gated by
-#                       `bench e2e` ctrl_small / multirate_cycle)
+#                       stage 3. The workload runs once; executor
+#                       throughput is gated by `bench e2e` ctrl_small /
+#                       multirate_cycle)
 #  11. socket           (fixed-seed corpus on the socket runtime: every
 #                       program its own OS process on loopback UDS, all
 #                       three runtimes must agree on matches and protocol

@@ -18,10 +18,8 @@
 use couplink_bench::report::{compare, BenchReport, GateConfig, ScenarioMeasure};
 use couplink_bench::{ablation_config, figure78_run};
 use couplink_diffusion::fig4::{fig4_config, Fig4Params};
-use couplink_layout::{Decomposition, Extent2, LocalArray, RedistPlan};
-use couplink_proto::{ExporterRep, ProcResponse, Rank, RequestId};
 use couplink_runtime::{CoupledConfig, CoupledSim};
-use couplink_time::{evaluate, ts, ExportHistory, MatchPolicy, Tolerance};
+use couplink_time::MatchPolicy;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -150,101 +148,6 @@ fn fig78_scenarios() -> Vec<ScenarioMeasure> {
         .collect()
 }
 
-/// Times `iters` runs of `f` and returns mean seconds per iteration.
-fn time_iters(iters: usize, mut f: impl FnMut()) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_secs_f64() / iters as f64
-}
-
-/// Wall-only microbenchmarks mirroring the Criterion benches in
-/// `benches/`: matching, redistribution, rep aggregation and the export
-/// memcpy itself. Informational — the gate never compares wall times.
-fn micro_scenarios(smoke: bool) -> Vec<ScenarioMeasure> {
-    let scale = if smoke { 1 } else { 10 };
-    let mut out = Vec::new();
-    let mut push = |name: &str, secs_per_iter: f64| {
-        let mut m = ScenarioMeasure::named(name);
-        m.wall_s = vec![("iter".to_string(), secs_per_iter)];
-        out.push(m);
-    };
-
-    // benches/matching.rs: evaluate over a 10k-export history.
-    let mut history = ExportHistory::new();
-    for i in 0..10_000 {
-        history.record(ts(i as f64 + 0.6)).expect("ascending");
-    }
-    let region = MatchPolicy::RegL.region(ts(7_500.0), Tolerance::new(2.5).expect("tolerance"));
-    push(
-        "micro_matching_evaluate_10k",
-        time_iters(200 * scale, || {
-            std::hint::black_box(evaluate(&region, &history).expect("evaluates"));
-        }),
-    );
-
-    // benches/redist.rs: plan build and in-memory execution, 2x2 -> 32.
-    let e = Extent2::new(1024, 1024);
-    let src = Decomposition::block_2d(e, 2, 2).expect("2x2");
-    let dst = Decomposition::row_block(e, 32).expect("32 rows");
-    push(
-        "micro_redist_plan_build_32",
-        time_iters(20 * scale, || {
-            std::hint::black_box(RedistPlan::build(src, dst).expect("plan"));
-        }),
-    );
-    let plan = RedistPlan::build(src, dst).expect("plan");
-    let src_pieces: Vec<LocalArray> = (0..src.procs())
-        .map(|r| LocalArray::from_fn(src.owned(r), |a, b| (a * 7 + b) as f64))
-        .collect();
-    let mut dst_pieces: Vec<LocalArray> = (0..dst.procs())
-        .map(|r| LocalArray::zeros(dst.owned(r)))
-        .collect();
-    push(
-        "micro_redist_execute_32",
-        time_iters(5 * scale, || {
-            plan.execute(&src_pieces, &mut dst_pieces);
-            std::hint::black_box(dst_pieces[0].as_slice()[0]);
-        }),
-    );
-
-    // benches/rep_aggregation.rs: 100 collective requests over 32 procs.
-    push(
-        "micro_rep_aggregation_32",
-        time_iters(20 * scale, || {
-            let procs = 32;
-            let mut rep = ExporterRep::new(procs, true);
-            for j in 0..100u64 {
-                let x = 20.0 * (j + 1) as f64;
-                rep.on_import_request(RequestId(j), ts(x)).expect("request");
-                for r in 0..procs {
-                    let reply = if r < procs / 2 {
-                        ProcResponse::Pending { latest: None }
-                    } else {
-                        ProcResponse::Match(ts(x - 0.4))
-                    };
-                    rep.on_response(Rank(r as u32), RequestId(j), reply)
-                        .expect("response");
-                }
-            }
-            std::hint::black_box(rep.inflight_len());
-        }),
-    );
-
-    // benches/fig4_export.rs: the raw 2 MiB buffering memcpy.
-    let piece = vec![1.25_f64; 512 * 512];
-    let mut store = vec![0.0_f64; 512 * 512];
-    push(
-        "micro_export_memcpy_2mib",
-        time_iters(50 * scale, || {
-            store.copy_from_slice(&piece);
-            std::hint::black_box(store[0]);
-        }),
-    );
-    out
-}
-
 fn build_report(opts: &Options) -> Result<BenchReport, String> {
     let mut scenarios = Vec::new();
     for (name, cfg) in des_scenarios(opts.smoke) {
@@ -252,7 +155,6 @@ fn build_report(opts: &Options) -> Result<BenchReport, String> {
         scenarios.push(run_des(&name, cfg, opts.mutate)?);
     }
     scenarios.extend(fig78_scenarios());
-    scenarios.extend(micro_scenarios(opts.smoke));
     Ok(BenchReport {
         mode: if opts.smoke { "smoke" } else { "full" }.to_string(),
         scenarios,

@@ -53,12 +53,8 @@
 //! control chain and never blocks: a rank's 240 imports fit one OS time
 //! slice and the sessions finish in the order the OS first ran their
 //! threads in (2.2–13.6× over twelve runs), which is not the pool's doing.
-//! The same workload also runs with one worker per task (the pre-executor
-//! thread-per-process shape) and the ratio is recorded under `wall_s` as
-//! `speedup_vs_thread_per_task` — informational like every other wall
-//! figure: on a 2-core box it reads 1.0–1.4×, so it gates
-//! nothing (the executor's throughput is gated by `bench e2e`'s
-//! `ctrl_small` / `multirate_cycle` `imports_per_s`). `--mutate` has no
+//! The executor's throughput is gated by `bench e2e`'s `ctrl_small` /
+//! `multirate_cycle` `imports_per_s`, not here. `--mutate` has no
 //! meaning here: the starvation check's negative control is a unit test
 //! feeding [`check_fairness`] the per-session walls of a starved run.
 //!
@@ -85,9 +81,7 @@ use couplink_metrics::{CounterSnapshot, CtrlClass, MetricsSnapshot};
 use couplink_proto::ConnectionId;
 use couplink_runtime::engine::oracle::check_ctrl_scaling;
 use couplink_runtime::engine::{tree, ConnTopo, ExportRegionTopo, ImportRegionTopo, ProgramTopo};
-use couplink_runtime::{
-    session_task_count, ExecutorOptions, Fabric, FabricOptions, SessionSet, Topology,
-};
+use couplink_runtime::{session_task_count, Fabric, FabricOptions, SessionSet, Topology};
 use couplink_time::{ts, MatchPolicy, Tolerance};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -342,16 +336,11 @@ struct SessionsRun {
     snapshot: MetricsSnapshot,
 }
 
-fn run_sessions(
-    n: usize,
-    pt: GridPoint,
-    iters: usize,
-    workers: Option<usize>,
-) -> Result<SessionsRun, String> {
+fn run_sessions(n: usize, pt: GridPoint, iters: usize) -> Result<SessionsRun, String> {
     let rows_per_rank = 4;
     let extent = Extent2::new(pt.procs * rows_per_rank, 64);
     let decomp = Decomposition::row_block(extent, pt.procs).expect("row-block decomposition");
-    let mut set = SessionSet::new(&ExecutorOptions { workers });
+    let mut set = SessionSet::new();
     for _ in 0..n {
         set.add_session(scale_topology(pt), FabricOptions::default());
     }
@@ -502,9 +491,7 @@ fn measure_sessions(name: &str, run: &SessionsRun) -> ScenarioMeasure {
 }
 
 /// The `--sessions` mode: the oversubscribed multi-session workload on
-/// the pooled executor under the wall-budget and fairness gates, then once
-/// more with one worker per task (the thread-per-process shape) to record
-/// the ratio — see the module doc.
+/// the pooled executor under the wall-budget and fairness gates.
 fn run_sessions_mode(opts: &Options, n: usize) -> Result<(BenchReport, Vec<String>), String> {
     let pt = GridPoint {
         pairs: 4,
@@ -512,15 +499,14 @@ fn run_sessions_mode(opts: &Options, n: usize) -> Result<(BenchReport, Vec<Strin
     };
     let iters = if opts.full { 400 } else { 240 };
     let tasks_per_session = session_task_count(&scale_topology(pt), &FabricOptions::default());
-    let mut scenarios = Vec::new();
     let mut violations = Vec::new();
 
     let pooled_name = format!("sessions_pooled_s{n}_p{}x{}", pt.pairs, pt.procs);
     println!(
-        "running {pooled_name} ({iters} iters/rank, {} tasks over default workers) ...",
+        "running {pooled_name} ({iters} iters/rank, {} tasks on the pool) ...",
         n * tasks_per_session
     );
-    let pooled = run_sessions(n, pt, iters, None)?;
+    let pooled = run_sessions(n, pt, iters)?;
     let pooled_ips = pooled.total_imports as f64 / pooled.wall_s.max(1e-12);
     let ratio = fairness_ratio(&pooled.session_walls);
     println!("  {pooled_ips:>10.0} imports/s aggregate  (session wall spread {ratio:.2}x)",);
@@ -533,27 +519,11 @@ fn run_sessions_mode(opts: &Options, n: usize) -> Result<(BenchReport, Vec<Strin
         ));
     }
     violations.extend(check_fairness(&pooled_name, &pooled.session_walls));
-    let mut pooled_scenario = measure_sessions(&pooled_name, &pooled);
-
-    let tpt_name = format!("sessions_threadlike_s{n}_p{}x{}", pt.pairs, pt.procs);
-    println!(
-        "running {tpt_name} ({iters} iters/rank, one worker per task: {}) ...",
-        n * tasks_per_session
-    );
-    let tpt = run_sessions(n, pt, iters, Some(n * tasks_per_session))?;
-    let tpt_ips = tpt.total_imports as f64 / tpt.wall_s.max(1e-12);
-    let speedup = pooled_ips / tpt_ips.max(1e-12);
-    println!("  {tpt_ips:>10.0} imports/s aggregate  (pooled speedup {speedup:.2}x)");
-    pooled_scenario
-        .wall_s
-        .push(("speedup_vs_thread_per_task".into(), speedup));
-    scenarios.push(pooled_scenario);
-    scenarios.push(measure_sessions(&tpt_name, &tpt));
 
     Ok((
         BenchReport {
             mode: "scale-sessions".to_string(),
-            scenarios,
+            scenarios: vec![measure_sessions(&pooled_name, &pooled)],
         },
         violations,
     ))

@@ -428,6 +428,10 @@ macro_rules! counters {
                 vec![$((stringify!($snap), Kind::$kind, 0 $(| $flag)*, self.$snap.cells_mut()),)*]
             }
         }
+
+        /// The rows' live field names, in row order.
+        #[cfg(test)]
+        const LIVE_NAMES: &[&str] = &[$(stringify!($live),)*];
     };
 }
 
@@ -465,9 +469,6 @@ counters! {
     /// zero-copy sharing one per buffered object, so equal to `memcpy_paid`
     /// (0 on the DES, which models copies without materializing them).
     payload_allocs: Counter,
-    /// Coalesced control-plane flushes: channel pushes that combined two or
-    /// more rep fan-out messages for one destination. Threaded fabric only.
-    ctrl_batches: Counter,
     /// Control messages re-sent by a relay rank to its distribution-tree
     /// subtree, never double-counted in `ctrl_sent` (0 in flat mode).
     ctrl_relay: Counter,
@@ -903,6 +904,50 @@ mod tests {
             } else {
                 assert!(mentions(name), "{name} is not documented");
             }
+        }
+    }
+
+    /// A counter that nobody writes is not a measurement: every row is
+    /// mutated (`.row.inc(`, `.add(`, `.sub(`, `.set(`, `.observe(`; the
+    /// per-class array through `.ctrl(class)`) somewhere in the other
+    /// crates' sources.
+    #[test]
+    fn every_row_has_a_writer() {
+        fn read_sources(dir: &std::path::Path, out: &mut String) {
+            for entry in std::fs::read_dir(dir).expect("readable source dir") {
+                let path = entry.expect("dir entry").path();
+                if path.is_dir() {
+                    read_sources(&path, out);
+                } else if path.extension().is_some_and(|e| e == "rs") {
+                    // Without whitespace: rustfmt breaks long method chains.
+                    let text = std::fs::read_to_string(&path).expect("utf-8 source");
+                    out.extend(text.split_whitespace());
+                }
+            }
+        }
+        let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        let mut code = String::new();
+        for entry in std::fs::read_dir(crates).expect("crates dir") {
+            let krate = entry.expect("dir entry").path();
+            if !krate.ends_with("metrics") {
+                read_sources(&krate.join("src"), &mut code);
+            }
+        }
+        let writes = [".inc(", ".add(", ".sub(", ".set(", ".observe("];
+        for (live, (_, kind, ..)) in LIVE_NAMES.iter().zip(distinct(0).rows()) {
+            let access = match kind {
+                Kind::PerClass => ".ctrl(".to_string(),
+                _ => format!(".{live}"),
+            };
+            let written = code.match_indices(&access).any(|(at, _)| {
+                let rest = &code[at + access.len()..];
+                let rest = match kind {
+                    Kind::PerClass => rest.split_once(')').map_or("", |(_, after)| after),
+                    _ => rest,
+                };
+                writes.iter().any(|w| rest.starts_with(w))
+            });
+            assert!(written, "{live} has no writer outside crates/metrics");
         }
     }
 

@@ -78,18 +78,10 @@ pub struct CoupledReport {
     pub action_series: Vec<Vec<ActionKind>>,
     /// Per exporter rank: final port statistics.
     pub stats: Vec<couplink_proto::ExportStats>,
-    /// Per exporter rank: virtual seconds spent on unnecessary buffering
-    /// (Equation 2, counts × per-object memcpy time).
-    pub t_ub_seconds: Vec<f64>,
     /// Per importer rank: completed import iterations.
     pub importer_done: Vec<usize>,
     /// Virtual time at which the last event executed.
     pub duration: f64,
-    /// First export iteration whose timestamp lies beyond the final
-    /// request's acceptable region. Exports from here on are buffered no
-    /// matter what (no request can ever resolve them), so they are excluded
-    /// from skip-profile analysis.
-    pub tail_start: usize,
     /// The export/import timestamp schedule of the run (used to convert
     /// request indices to export iterations).
     pub schedule: Schedule,
@@ -239,31 +231,9 @@ impl CoupledSim {
         }
         let rep = sim.run()?;
 
-        // Timestamp upper bound of the final request's acceptable region.
-        let last_x = cfg.import_t0 + (cfg.imports.max(1) - 1) as f64 * cfg.import_dt;
-        let last_hi = match cfg.policy {
-            MatchPolicy::RegL => last_x,
-            MatchPolicy::RegU | MatchPolicy::Reg => last_x + cfg.tolerance,
-        };
-        let tail_start = if cfg.imports == 0 {
-            0
-        } else {
-            let mut i = ((last_hi - cfg.export_t0) / cfg.export_dt).floor() as i64 + 1;
-            i = i.clamp(0, cfg.exports as i64);
-            i as usize
-        };
-
         let series = &rep.export_series[0];
         let ne = cfg.exporter_decomp.procs();
         let stats = rep.stats.into_iter().next().expect("one connection");
-        let t_ub_seconds = stats
-            .iter()
-            .enumerate()
-            .map(|(rank, s)| {
-                let bytes = cfg.exporter_decomp.owned(rank).cells() * std::mem::size_of::<f64>();
-                s.unnecessary_total() as f64 * cfg.cost.memcpy_time(bytes)
-            })
-            .collect();
         Ok(CoupledReport {
             export_time_series: series.times.clone(),
             action_series: series
@@ -272,14 +242,12 @@ impl CoupledSim {
                 .map(|calls| calls.iter().map(|per_conn| per_conn[0].1).collect())
                 .collect(),
             stats,
-            t_ub_seconds,
             importer_done: rep
                 .import_done
                 .into_iter()
                 .next()
                 .expect("one import drive"),
             duration: rep.duration,
-            tail_start,
             schedule: Schedule {
                 export_t0: cfg.export_t0,
                 export_dt: cfg.export_dt,
@@ -481,19 +449,6 @@ mod tests {
             with.stats[slow].buffered_hwm,
             without.stats[slow].buffered_hwm
         );
-    }
-
-    #[test]
-    fn t_ub_counts_convert_to_seconds() {
-        let report = CoupledSim::new(small_config(false, 1e-3))
-            .unwrap()
-            .run()
-            .unwrap();
-        for rank in 0..4 {
-            let per_copy = CostModel::default().memcpy_time(64 * 64 / 4 * 8);
-            let expect = report.stats[rank].unnecessary_total() as f64 * per_copy;
-            assert!((report.t_ub_seconds[rank] - expect).abs() < 1e-12);
-        }
     }
 
     #[test]

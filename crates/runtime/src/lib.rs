@@ -51,6 +51,6 @@ pub use engine::{
     RetryPolicy, Topology, TopologyError,
 };
 pub use threaded::{
-    session_task_count, ExecutorOptions, ExportAccess, Fabric, FabricOptions, FabricReport,
-    ImportAccess, SessionSet, ThreadedError,
+    session_task_count, ExportAccess, Fabric, FabricOptions, FabricReport, ImportAccess,
+    SessionSet, ThreadedError,
 };

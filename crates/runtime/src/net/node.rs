@@ -76,7 +76,7 @@ use parking_lot::Mutex;
 
 use crate::engine::{Endpoint, WalRecord, WireMeta};
 use crate::threaded::fabric::{ExportAccess, Net, RemoteLinks, WalHandle};
-use crate::threaded::{ExecutorOptions, FabricOptions, SessionSet};
+use crate::threaded::{FabricOptions, SessionSet};
 
 use super::codec::{self, NodeFault, NodeReport};
 use super::link::{
@@ -294,7 +294,7 @@ fn dispatch(kind: u8, body: &[u8], net: &Net, drop_answers: Option<u32>) -> Resu
                     return Ok(());
                 }
             }
-            net.deliver_remote_ctrl(to, meta, msg);
+            net.deliver_ctrl(to, meta, msg);
             Ok(())
         }
         codec::KIND_ACK => {
@@ -620,7 +620,7 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
         hierarchical: plan.hierarchical,
         wal: wal_handle.clone(),
     };
-    let set = Arc::new(Mutex::new(SessionSet::new(&ExecutorOptions::default())));
+    let set = Arc::new(Mutex::new(SessionSet::new()));
     let sid = set.lock().add_partial_session(
         topo.clone(),
         opts,
@@ -664,7 +664,7 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
         for rec in &recovered {
             match rec {
                 WalRecord::Delivered { ep, meta, msg } => {
-                    net.deliver_remote_ctrl(*ep, Some(*meta), *msg);
+                    net.deliver_ctrl(*ep, Some(*meta), *msg);
                 }
                 WalRecord::AppExport { ep, region, ts } => {
                     let Endpoint::Proc { prog, rank } = *ep else {

@@ -128,14 +128,6 @@ fn take_run_next() -> Option<Arc<TaskEntry>> {
     Some(entry)
 }
 
-/// How to size and schedule the worker pool.
-#[derive(Debug, Clone, Default)]
-pub struct ExecutorOptions {
-    /// Worker (and run-queue shard) count; `None` uses
-    /// [`std::thread::available_parallelism`].
-    pub workers: Option<usize>,
-}
-
 /// What one task poll did and when it wants to run again.
 pub(crate) struct Poll {
     /// Messages the poll drained (observed into the `poll_batch`
@@ -568,15 +560,12 @@ pub(crate) struct Executor {
 }
 
 impl Executor {
-    pub fn new(opts: &ExecutorOptions) -> Self {
-        let workers = opts
-            .workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-            .max(1);
+    /// One worker (and run-queue shard) per available core.
+    pub fn new() -> Self {
+        Self::with_workers(std::thread::available_parallelism().map_or(1, |n| n.get()))
+    }
+
+    pub(crate) fn with_workers(workers: usize) -> Self {
         let inner = Arc::new(ExecInner {
             shards: (0..workers)
                 .map(|_| Shard {
@@ -610,11 +599,6 @@ impl Executor {
             inner,
             workers: handles,
         }
-    }
-
-    /// Worker (== shard) count.
-    pub fn workers(&self) -> usize {
-        self.inner.shards.len()
     }
 
     /// Registers one more session's fairness queue on every shard.
@@ -722,7 +706,7 @@ pub(crate) mod tests {
     /// the run-queue depth HWM stays bounded by the task count.
     #[test]
     fn runq_depth_hwm_bounded_by_task_count() {
-        let exec = Executor::new(&ExecutorOptions { workers: Some(2) });
+        let exec = Executor::with_workers(2);
         let session = exec.add_session();
         let metrics = Arc::new(EngineMetrics::new());
         let polls = Arc::new(AtomicUsize::new(0));
@@ -766,7 +750,7 @@ pub(crate) mod tests {
     /// A finished task is never polled again and `wait_done` observes it.
     #[test]
     fn done_task_is_retired() {
-        let exec = Executor::new(&ExecutorOptions { workers: Some(1) });
+        let exec = Executor::with_workers(1);
         let session = exec.add_session();
         let metrics = Arc::new(EngineMetrics::new());
         let polls = Arc::new(AtomicUsize::new(0));
@@ -811,7 +795,7 @@ pub(crate) mod tests {
     /// no external schedules.
     #[test]
     fn timer_wheel_repolls_without_schedules() {
-        let exec = Executor::new(&ExecutorOptions { workers: Some(1) });
+        let exec = Executor::with_workers(1);
         let session = exec.add_session();
         let metrics = Arc::new(EngineMetrics::new());
         let polls = Arc::new(AtomicUsize::new(0));
@@ -832,7 +816,7 @@ pub(crate) mod tests {
     /// An idle worker steals queued tasks from a busy sibling's shard.
     #[test]
     fn idle_worker_steals_from_busy_shard() {
-        let exec = Executor::new(&ExecutorOptions { workers: Some(2) });
+        let exec = Executor::with_workers(2);
         let session = exec.add_session();
         let metrics = Arc::new(EngineMetrics::new());
         let polls = Arc::new(AtomicUsize::new(0));
@@ -876,7 +860,7 @@ pub(crate) mod tests {
                 panic!("injected poll panic");
             }
         }
-        let exec = Executor::new(&ExecutorOptions { workers: Some(1) });
+        let exec = Executor::with_workers(1);
         let session = exec.add_session();
         let metrics = Arc::new(EngineMetrics::new());
         let caught = Arc::new(Mutex::new(None));
@@ -956,7 +940,7 @@ pub(crate) mod tests {
     /// after the spawn-time one is a chained one, and none was stolen.
     #[test]
     fn task_woken_inside_a_poll_runs_next_on_the_same_thread() {
-        let exec = Executor::new(&ExecutorOptions { workers: Some(2) });
+        let exec = Executor::with_workers(2);
         let session = exec.add_session();
         let (ma, mb) = (
             Arc::new(EngineMetrics::new()),
@@ -1006,7 +990,7 @@ pub(crate) mod tests {
     /// `export()`, a mesh reader) still goes through the shard queue.
     #[test]
     fn woken_task_is_not_polled_inside_the_waking_poll() {
-        let exec = Executor::new(&ExecutorOptions { workers: Some(1) });
+        let exec = Executor::with_workers(1);
         let session = exec.add_session();
         let (ma, mb) = (
             Arc::new(EngineMetrics::new()),
@@ -1041,7 +1025,7 @@ pub(crate) mod tests {
     /// still going on.
     #[test]
     fn run_next_overflow_is_published_to_another_worker() {
-        let exec = Executor::new(&ExecutorOptions { workers: Some(2) });
+        let exec = Executor::with_workers(2);
         let session = exec.add_session();
         let (ma, mt) = (
             Arc::new(EngineMetrics::new()),
@@ -1088,7 +1072,7 @@ pub(crate) mod tests {
     /// its turn, and one poll in `CHAIN_BUDGET + 1` comes off the queue.
     #[test]
     fn chain_budget_returns_the_worker_to_its_shard_queue() {
-        let exec = Executor::new(&ExecutorOptions { workers: Some(1) });
+        let exec = Executor::with_workers(1);
         let session = exec.add_session();
         let (ml, mq) = (
             Arc::new(EngineMetrics::new()),
@@ -1123,7 +1107,7 @@ pub(crate) mod tests {
     /// worker until the home worker comes back.
     #[test]
     fn push_to_a_busy_home_shard_wakes_the_parked_sibling() {
-        let exec = Executor::new(&ExecutorOptions { workers: Some(2) });
+        let exec = Executor::with_workers(2);
         let session = exec.add_session();
         let mh = Arc::new(EngineMetrics::new());
         let mt = [
@@ -1175,7 +1159,7 @@ pub(crate) mod tests {
     /// to poll the rest of what it woke.
     #[test]
     fn panic_on_a_helping_thread_is_contained() {
-        let exec = Executor::new(&ExecutorOptions { workers: Some(1) });
+        let exec = Executor::with_workers(1);
         let session = exec.add_session();
         let metrics = Arc::new(EngineMetrics::new());
         let caught = Arc::new(Mutex::new(None));
@@ -1218,7 +1202,7 @@ pub(crate) mod tests {
     /// heavy one goes through the shard queue.
     #[test]
     fn heavy_task_is_queued_not_chained() {
-        let exec = Executor::new(&ExecutorOptions { workers: Some(1) });
+        let exec = Executor::with_workers(1);
         let session = exec.add_session();
         let (mw, ml, mh) = (
             Arc::new(EngineMetrics::new()),
@@ -1251,7 +1235,7 @@ pub(crate) mod tests {
     /// times out); a heavy push for shard 1 sends its own.
     #[test]
     fn light_pushes_share_a_wake_up_and_a_heavy_push_gets_its_own() {
-        let exec = Executor::new(&ExecutorOptions { workers: Some(2) });
+        let exec = Executor::with_workers(2);
         let session = exec.add_session();
         let m = Arc::new(EngineMetrics::new());
         // Home shards go round-robin: 0, 1, 0, 1.

@@ -45,7 +45,7 @@ use crate::engine::{
     SendKind, Topology, Wal, WalRecord, WireMeta,
 };
 use crate::threaded::executor::{
-    publish_run_next, Executor, ExecutorOptions, PanicSink, Poll, SessionId, Task, TaskHandle,
+    publish_run_next, Executor, PanicSink, Poll, SessionId, Task, TaskHandle,
 };
 use crate::threaded::{ExportOutcome, ThreadedError};
 use couplink_layout::{LocalArray, Rect, SharedArray};
@@ -90,9 +90,9 @@ const REL_SHARDS: usize = 16;
 /// session — the bootstrap kills a node at most once).
 const RESTART_SEQ_GAP: u64 = 1 << 32;
 
-/// Most mailbox messages a rep (or agent, or importer) folds into one poll:
-/// the coalescing bound and the executor's per-poll work cap, so one
-/// flooded mailbox cannot hold a worker indefinitely.
+/// Most mailbox messages a rep (or agent, or importer) consumes in one
+/// poll: the executor's per-poll work cap, so one flooded mailbox cannot
+/// hold a worker indefinitely.
 const REP_BATCH: usize = 64;
 
 /// The largest piece (bytes a rank owns of an exported region) whose agent
@@ -321,17 +321,11 @@ impl Mailbox {
     }
 }
 
-/// A control message with its wire metadata (`None` when unsequenced).
-type Packet = (Option<WireMeta>, CtrlMsg);
-
-/// One mailbox entry, the same for every task kind: control messages in
-/// wire form (the consuming engine node dispatches on them), singly or as
-/// a coalesced flush.
+/// One mailbox entry, the same for every task kind.
 enum Msg {
+    /// A control message in wire form (the consuming engine node dispatches
+    /// on it) with its wire metadata (`None` when unsequenced).
     Ctrl(Option<WireMeta>, CtrlMsg),
-    /// A coalesced rep flush: several control messages for this task,
-    /// pushed as one mailbox entry (per-link FIFO order preserved).
-    Batch(Vec<Packet>),
     /// A payload piece (importer mailboxes only).
     Piece {
         req: RequestId,
@@ -523,25 +517,48 @@ impl NetRel {
     }
 }
 
-/// First failure anywhere in the fabric: a protocol error reported by a
-/// node (`crash: false`) or a caught control-task panic (`crash: true`).
-#[derive(Debug, Clone)]
-struct FabricErr {
-    crash: bool,
-    detail: String,
+/// The session's first failure — a protocol error reported by a node
+/// (`RepFailed`) or a caught control-task panic (`ProcessCrash`) — and
+/// everything an application call can be blocked on when it happens. Recording is the one failure path: it keeps
+/// the first error and wakes every waiter, so a stalled `export()` or a
+/// blocked `import()` returns it now instead of after its timeout.
+///
+/// A recorder must hold no cell lock (`record` takes each one in turn), which
+/// is why [`Net`] returns its errors and the task polls, the relay and the
+/// mesh readers record them.
+#[derive(Default)]
+struct ErrSlot {
+    first: Mutex<Option<ThreadedError>>,
+    /// Every cell a call can block on, set once the session is built (no
+    /// call can block before that).
+    exp_cells: OnceLock<Vec<Arc<ExpCell>>>,
+    imp_cells: OnceLock<Vec<Arc<ImpCell>>>,
 }
 
-impl FabricErr {
-    fn to_error(&self) -> ThreadedError {
-        if self.crash {
-            ThreadedError::ProcessCrash(self.detail.clone())
-        } else {
-            ThreadedError::RepFailed(self.detail.clone())
+impl ErrSlot {
+    fn check(&self) -> Result<(), ThreadedError> {
+        self.first.lock().clone().map_or(Ok(()), Err)
+    }
+
+    fn record(&self, e: ThreadedError) {
+        self.first.lock().get_or_insert(e);
+        // A waiter checks the slot under its cell's lock: passing through
+        // that lock puts the store above either before its check or after
+        // it started waiting, where the notify reaches it.
+        for cell in self.exp_cells.get().into_iter().flatten() {
+            drop(cell.state.lock());
+            cell.freed.notify_all();
+        }
+        for cell in self.imp_cells.get().into_iter().flatten() {
+            drop(cell.node.lock());
+            cell.cv.notify_all();
         }
     }
-}
 
-type ErrSlot = Arc<Mutex<Option<FabricErr>>>;
+    fn record_err(&self, e: impl fmt::Display) {
+        self.record(ThreadedError::RepFailed(e.to_string()));
+    }
+}
 
 /// Outbound half of a multi-process session: how the fabric forwards
 /// traffic whose destination endpoint lives in another OS process. The
@@ -552,7 +569,7 @@ pub(crate) trait RemoteLinks: Send + Sync {
     /// Forwards one routed control message. The sending process has
     /// already metered it and, when the reliability layer is armed,
     /// registered it as pending — the receiver injects it via
-    /// [`Net::deliver_remote_ctrl`].
+    /// [`Net::deliver_ctrl`].
     fn send_ctrl(&self, to: Endpoint, meta: Option<WireMeta>, msg: CtrlMsg);
 
     /// Carries an ack for the directed link `sender → acker` back to the
@@ -616,8 +633,8 @@ pub(crate) struct Net {
     to_agent: Vec<Vec<Option<Arc<Mailbox>>>>,
     /// Per-connection importer mailboxes, indexed by importer rank.
     to_imp: Vec<Vec<Arc<Mailbox>>>,
-    /// First protocol error anywhere in the fabric.
-    err: ErrSlot,
+    /// First failure anywhere in the fabric.
+    err: Arc<ErrSlot>,
     /// Fault injection for commutative control messages, if enabled.
     chaos: Option<NetChaos>,
     /// Reliability layer, armed only when the faults require it.
@@ -648,11 +665,15 @@ impl Net {
         hosts(self.local, prog)
     }
 
-    /// Injects a control message that arrived over a socket link, exactly
-    /// as if a local task had routed it. Not metered — the sending process
-    /// already counted it, and the parent sums counters across processes.
-    pub(crate) fn deliver_remote_ctrl(&self, to: Endpoint, meta: Option<WireMeta>, msg: CtrlMsg) {
-        self.route(to, meta, msg);
+    /// Injects a control message its sender already metered — one that
+    /// arrived over a socket link (the parent sums counters across
+    /// processes) or comes out of the chaos relay — exactly as if a local
+    /// task had routed it now. For threads outside any task poll: a failure
+    /// is recorded here.
+    pub(crate) fn deliver_ctrl(&self, to: Endpoint, meta: Option<WireMeta>, msg: CtrlMsg) {
+        if let Err(e) = self.route(to, meta, msg) {
+            self.err.record_err(e);
+        }
     }
 
     /// Enters journal-replay mode: regenerated sequenced traffic is
@@ -744,9 +765,15 @@ impl Net {
     /// delivers each seeded copy at its planned instant; everything else
     /// (and every message once the relay has drained at shutdown) routes
     /// directly.
-    fn send(&self, kind: SendKind, from: Endpoint, to: Endpoint, msg: CtrlMsg) {
+    fn send(
+        &self,
+        kind: SendKind,
+        from: Endpoint,
+        to: Endpoint,
+        msg: CtrlMsg,
+    ) -> Result<(), ThreadedError> {
         let SendDecision::Deliver(meta) = self.gate(kind, from, to, &msg) else {
-            return; // suppressed or lost; the pump retransmits what is pending
+            return Ok(()); // suppressed or lost; the pump retransmits what is pending
         };
         if let Some(chaos) = self.chaos.as_ref().filter(|_| commutes(&msg)) {
             let n = chaos.counter.fetch_add(1, Ordering::Relaxed);
@@ -758,21 +785,21 @@ impl Net {
                 relayed |= chaos.relay.send(copy).is_ok();
             }
             if relayed {
-                return;
+                return Ok(());
             }
             // Relay already gone (shutdown drained it): fall through to
             // one direct delivery so nothing is ever lost.
         }
-        self.route(to, meta, msg);
+        self.route(to, meta, msg)
     }
 
     /// Retransmits an expired pending message, routed directly: no chaos
     /// detour — retransmission is the recovery path; jittering it again
     /// only slows convergence.
-    fn resend(&self, to: Endpoint, meta: WireMeta, msg: CtrlMsg) {
-        if let SendDecision::Deliver(meta) = self.gate(SendKind::Resend(meta), meta.from, to, &msg)
-        {
-            self.route(to, meta, msg);
+    fn resend(&self, to: Endpoint, meta: WireMeta, msg: CtrlMsg) -> Result<(), ThreadedError> {
+        match self.gate(SendKind::Resend(meta), meta.from, to, &msg) {
+            SendDecision::Deliver(meta) => self.route(to, meta, msg),
+            _ => Ok(()),
         }
     }
 
@@ -785,8 +812,8 @@ impl Net {
     ) -> Result<(), ThreadedError> {
         for out in outs {
             match out {
-                Outgoing::Ctrl { to, msg } => self.send(SendKind::Origin, from, to, msg),
-                Outgoing::Relay { to, msg } => self.send(SendKind::Relay, from, to, msg),
+                Outgoing::Ctrl { to, msg } => self.send(SendKind::Origin, from, to, msg)?,
+                Outgoing::Relay { to, msg } => self.send(SendKind::Relay, from, to, msg)?,
                 Outgoing::Transfer { .. } => {
                     return Err(ThreadedError::Config(
                         "control step emitted a data transfer".into(),
@@ -850,85 +877,35 @@ impl Net {
             .try_for_each(|(_, m)| deliver(m))
     }
 
-    /// Coalesced rep fan-out: delivers a whole mailbox drain's control
-    /// messages with one mailbox push per *mailbox* touched instead of one
-    /// per message. Messages to one destination keep their emission order
-    /// (per-link FIFO is what the protocol relies on; cross-destination
-    /// order was never guaranteed by the mailboxes anyway). Fault
-    /// injection needs per-packet delivery decisions, so with chaos armed
-    /// every message goes out on its own.
-    fn flush(&self, from: Endpoint, msgs: Vec<(Endpoint, CtrlMsg)>) {
-        if self.chaos.is_some() {
-            for (to, msg) in msgs {
-                self.send(SendKind::Origin, from, to, msg);
-            }
-            return;
-        }
-        let mut groups: Vec<(Endpoint, Vec<Packet>)> = Vec::new();
-        for (to, msg) in msgs {
-            let SendDecision::Deliver(meta) = self.gate(SendKind::Origin, from, to, &msg) else {
-                continue;
-            };
-            match groups.iter_mut().find(|(t, _)| *t == to) {
-                Some((_, group)) => group.push((meta, msg)),
-                None => groups.push((to, vec![(meta, msg)])),
-            }
-        }
-        for (to, batch) in groups {
-            self.route_batch(to, batch);
-        }
-    }
-
-    /// Pushes one destination's coalesced batch, split into one run per
-    /// mailbox it touches — a process endpoint has an agent mailbox and
-    /// one importer mailbox per imported region — so per-mailbox FIFO
-    /// order is preserved.
-    fn route_batch(&self, to: Endpoint, batch: Vec<Packet>) {
-        if !self.is_local(to) || batch.len() == 1 {
-            for (meta, msg) in batch {
-                self.route(to, meta, msg);
-            }
-            return;
-        }
-        let mut runs: Vec<(&Arc<Mailbox>, Vec<Packet>)> = Vec::new();
-        for (meta, msg) in batch {
-            let Some(mb) = self.mailbox(to, &msg) else {
-                continue;
-            };
-            match runs.iter_mut().find(|(m, _)| Arc::ptr_eq(m, mb)) {
-                Some((_, run)) => run.push((meta, msg)),
-                None => runs.push((mb, vec![(meta, msg)])),
-            }
-        }
-        for (mb, mut run) in runs {
-            if run.len() == 1 {
-                let (meta, msg) = run.pop().expect("len checked");
-                self.push(mb, Msg::Ctrl(meta, msg));
-            } else {
-                self.metrics.ctrl_batches.inc();
-                self.push(mb, Msg::Batch(run));
-            }
-        }
-    }
-
     /// Routes one control message: to its socket link when the destination
     /// is hosted by another process, to its task's mailbox otherwise.
-    fn route(&self, to: Endpoint, meta: Option<WireMeta>, msg: CtrlMsg) {
+    fn route(
+        &self,
+        to: Endpoint,
+        meta: Option<WireMeta>,
+        msg: CtrlMsg,
+    ) -> Result<(), ThreadedError> {
         if !self.is_local(to) {
             if let Some(links) = &self.links {
                 links.send_ctrl(to, meta, msg);
             }
-        } else if let Some(mb) = self.mailbox(to, &msg) {
-            self.push(mb, Msg::Ctrl(meta, msg));
+        } else if let Some(mb) = self.mailbox(to, &msg)? {
+            // Best-effort: a retired mailbox means its task already
+            // finished (shutdown or a recorded error), which the caller
+            // surfaces separately.
+            if mb.push(Msg::Ctrl(meta, msg)) {
+                self.metrics.queue_depth.add(1);
+            }
         }
+        Ok(())
     }
 
     /// The mailbox of the task consuming `msg` at local endpoint `to`: the
     /// rep's, or for a process the agent's (export side, heartbeats) or the
     /// connection's importer's (import side). `None` for a program without
     /// such a task.
-    fn mailbox(&self, to: Endpoint, msg: &CtrlMsg) -> Option<&Arc<Mailbox>> {
-        match (to, proc_side(msg)) {
+    fn mailbox(&self, to: Endpoint, msg: &CtrlMsg) -> Result<Option<&Arc<Mailbox>>, ThreadedError> {
+        Ok(match (to, proc_side(msg)) {
             (Endpoint::Rep { prog }, _) => self.to_rep[prog].as_ref(),
             (Endpoint::Proc { rank, .. }, Some((ProcSide::Import, conn))) => {
                 Some(&self.to_imp[conn.0 as usize][rank])
@@ -939,20 +916,8 @@ impl Net {
             (Endpoint::Proc { prog, rank }, None) if matches!(msg, CtrlMsg::Heartbeat { .. }) => {
                 self.to_agent[prog][rank].as_ref()
             }
-            _ => {
-                record_err(&self.err, "unroutable process message");
-                None
-            }
-        }
-    }
-
-    /// Pushes a control entry, best-effort: a retired mailbox means its
-    /// task already finished (shutdown or a recorded error), which the
-    /// caller surfaces separately.
-    fn push(&self, mb: &Mailbox, entry: Msg) {
-        if mb.push(entry) {
-            self.metrics.queue_depth.add(1);
-        }
+            _ => return Err(ThreadedError::Config("unroutable process message".into())),
+        })
     }
 
     /// Executes one data transfer emitted by exporter `rank`: the matched
@@ -1024,32 +989,16 @@ fn apply_fx(
     Ok(())
 }
 
-fn record_err(slot: &ErrSlot, e: impl fmt::Display) {
-    let mut guard = slot.lock();
-    if guard.is_none() {
-        *guard = Some(FabricErr {
-            crash: false,
-            detail: e.to_string(),
-        });
-    }
-}
-
-fn record_crash(slot: &ErrSlot, detail: String) {
-    let mut guard = slot.lock();
-    if guard.is_none() {
-        *guard = Some(FabricErr {
-            crash: true,
-            detail,
-        });
-    }
-}
-
 /// Panic sink for one named control task: a contained poll panic surfaces
 /// as `ProcessCrash` exactly like the per-thread loops' `catch_unwind`
 /// wrappers did.
-fn crash_sink(err: &ErrSlot, who: String) -> PanicSink {
+fn crash_sink(err: &Arc<ErrSlot>, who: String) -> PanicSink {
     let err = err.clone();
-    Arc::new(move |detail| record_crash(&err, format!("{who} panicked: {detail}")))
+    Arc::new(move |detail| {
+        err.record(ThreadedError::ProcessCrash(format!(
+            "{who} panicked: {detail}"
+        )))
+    })
 }
 
 /// The per-process export API of the framework: one handle per exported
@@ -1088,7 +1037,7 @@ impl ExportAccess {
         ts: Timestamp,
         data: &LocalArray,
     ) -> Result<Vec<ExportOutcome>, ThreadedError> {
-        self.check_err()?;
+        self.net.err.check()?;
         let _span = self.net.metrics.phases.wall_span(Phase::Export);
         let t0 = self.clock.now();
         let deadline = Instant::now() + self.block_timeout;
@@ -1098,6 +1047,7 @@ impl ExportAccess {
                 Err(EngineError::Port(couplink_proto::PortError::BufferFull { .. })) => {
                     // Finite buffer: stall until the agent's control traffic
                     // frees space, then retry the same export.
+                    self.net.err.check()?;
                     if self.cell.freed.wait_until(&mut state, deadline).timed_out() {
                         return Err(ThreadedError::Timeout);
                     }
@@ -1165,13 +1115,6 @@ impl ExportAccess {
             .map(|&c| state.node.conn_buffered_len(c))
             .sum()
     }
-
-    fn check_err(&self) -> Result<(), ThreadedError> {
-        if let Some(e) = self.net.err.lock().clone() {
-            return Err(e.to_error());
-        }
-        Ok(())
-    }
 }
 
 /// The per-process import API of the framework: one handle per imported
@@ -1238,17 +1181,13 @@ impl ImportAccess {
                     }
                 };
             }
-            // Fail fast on a recorded fabric error (a crashed task or, in
-            // the socket runtime, a dead peer) instead of sitting out the
-            // full timeout — `fail_fast` wakes this condvar on purpose.
-            if let Some(e) = self.net.err.lock().clone() {
-                return Err(e.to_error());
-            }
+            // A recorded fabric error (a crashed task or, in the socket
+            // runtime, a dead peer) wakes this condvar: fail now instead
+            // of sitting out the full timeout.
+            self.net.err.check()?;
             if self.cell.cv.wait_until(&mut node, deadline).timed_out() {
                 drop(node);
-                if let Some(e) = self.net.err.lock().clone() {
-                    return Err(e.to_error());
-                }
+                self.net.err.check()?;
                 return Err(ThreadedError::Timeout);
             }
         }
@@ -1325,15 +1264,12 @@ impl Task for AgentTask {
                 None => break,
                 Some(Msg::Shutdown) => return poll_done(msgs),
                 Some(Msg::Ctrl(meta, m)) => self.on_ctrl(meta, m),
-                Some(Msg::Batch(ms)) => ms
-                    .into_iter()
-                    .try_for_each(|(meta, m)| self.on_ctrl(meta, m)),
                 Some(Msg::Piece { .. }) => Err(ThreadedError::Config("piece for an agent".into())),
             };
             self.net.metrics.queue_depth.sub(1);
             msgs += 1;
             if let Err(e) = step {
-                record_err(&self.net.err, e);
+                self.net.err.record_err(e);
                 return poll_done(msgs);
             }
         }
@@ -1429,6 +1365,72 @@ impl RepTask {
         }
         Ok(())
     }
+
+    /// The periodic heartbeat to every member, while the reliability layer
+    /// is armed.
+    fn heartbeat(&mut self, ep: Endpoint, now: Instant) -> Result<(), ThreadedError> {
+        if self.net.rel.is_none() {
+            return Ok(());
+        }
+        if self.next_beat.is_some_and(|nb| now < nb) {
+            return Ok(());
+        }
+        // The first poll only arms the timer.
+        if self.next_beat.replace(now + HB_INTERVAL).is_none() {
+            return Ok(());
+        }
+        self.beat += 1;
+        for &r in &self.members {
+            // Piggybacking: real protocol traffic within the heartbeat
+            // window already proved this link alive, so the standalone beat
+            // is suppressed. Failover stays intact — a stalled link carries
+            // no traffic, so its beats keep flowing.
+            if self
+                .last_send
+                .get(&r)
+                .is_some_and(|&t| now.duration_since(t) < HB_INTERVAL)
+            {
+                self.net.metrics.hb_suppressed.inc();
+                continue;
+            }
+            let to = Endpoint::Proc {
+                prog: self.prog,
+                rank: r,
+            };
+            let beat = CtrlMsg::Heartbeat { beat: self.beat };
+            self.net.send(SendKind::Origin, ep, to, beat)?;
+        }
+        Ok(())
+    }
+
+    /// One received message through the reliability layer and the rep
+    /// node; what the node answers leaves at once.
+    fn on_ctrl(
+        &mut self,
+        ep: Endpoint,
+        meta: Option<WireMeta>,
+        msg: CtrlMsg,
+        now: Instant,
+    ) -> Result<(), ThreadedError> {
+        self.net.admit(ep, meta, msg, |m| {
+            if let Some(crash) = &mut self.crash {
+                crash.consumed();
+            }
+            let outs = self.node.on_msg(&self.topo, m)?;
+            if self.net.rel.is_some() {
+                for out in &outs {
+                    if let Outgoing::Ctrl {
+                        to: Endpoint::Proc { rank, .. },
+                        ..
+                    } = out
+                    {
+                        self.last_send.insert(*rank, now);
+                    }
+                }
+            }
+            self.net.emit_ctrl(ep, outs)
+        })
+    }
 }
 
 impl Task for RepTask {
@@ -1440,72 +1442,27 @@ impl Task for RepTask {
             }
             self.dead_until = None;
             if let Err(e) = self.recover(ep) {
-                record_err(&self.net.err, e);
+                self.net.err.record_err(e);
                 return poll_done(0);
             }
         }
-        // Periodic heartbeat while the reliability layer is armed.
-        if self.net.rel.is_some() {
-            match self.next_beat {
-                None => self.next_beat = Some(now + HB_INTERVAL),
-                Some(nb) if now >= nb => {
-                    self.beat += 1;
-                    for &r in &self.members {
-                        // Piggybacking: real protocol traffic within the
-                        // heartbeat window already proved this link alive,
-                        // so the standalone beat is suppressed. Failover
-                        // stays intact — a stalled link carries no traffic,
-                        // so its beats keep flowing.
-                        if self
-                            .last_send
-                            .get(&r)
-                            .is_some_and(|&t| now.duration_since(t) < HB_INTERVAL)
-                        {
-                            self.net.metrics.hb_suppressed.inc();
-                            continue;
-                        }
-                        let to = Endpoint::Proc {
-                            prog: self.prog,
-                            rank: r,
-                        };
-                        let beat = CtrlMsg::Heartbeat { beat: self.beat };
-                        self.net.send(SendKind::Origin, ep, to, beat);
-                    }
-                    self.next_beat = Some(now + HB_INTERVAL);
-                }
-                Some(_) => {}
-            }
-        }
-        // Drain the mailbox burst: everything already queued (up to the
-        // coalescing bound) is folded into one engine pass whose fan-out
-        // flushes coalesced. Fault injection needs per-packet decisions, so
-        // with chaos armed the burst is one message (and the crash fault
-        // keeps its packet-granular semantics). A shutdown marker found
-        // mid-drain still processes everything received before it.
-        let cap = if self.net.chaos.is_none() {
-            REP_BATCH
-        } else {
-            1
-        };
-        let mut burst: Vec<Packet> = Vec::new();
+        let mut step = self.heartbeat(ep, now);
         let mut shutdown = false;
         let mut msgs = 0u64;
-        while burst.len() < cap {
-            match self.mbox.pop() {
+        // A shutdown marker found mid-drain still processes everything
+        // received before it.
+        while step.is_ok() && msgs < REP_BATCH as u64 {
+            let (meta, m) = match self.mbox.pop() {
                 None => break,
                 Some(Msg::Shutdown) => {
                     shutdown = true;
                     break;
                 }
-                Some(Msg::Ctrl(meta, m)) => burst.push((meta, m)),
-                Some(Msg::Batch(ms)) => burst.extend(ms),
+                Some(Msg::Ctrl(meta, m)) => (meta, m),
                 Some(Msg::Piece { .. }) => continue,
-            }
+            };
             self.net.metrics.queue_depth.sub(1);
             msgs += 1;
-        }
-        let mut outgoing: Vec<(Endpoint, CtrlMsg)> = Vec::new();
-        for (meta, m) in burst {
             if let (Some(crash), Some(rel)) = (&mut self.crash, &self.net.rel) {
                 if let Some(after) = crash.fires(rel.clock.now(), HB_TIMEOUT.as_secs_f64()) {
                     // The fatal packet and everything arriving while dead
@@ -1516,30 +1473,11 @@ impl Task for RepTask {
                     return self.dead_poll(msgs, du);
                 }
             }
-            let step = self.net.admit(ep, meta, m, |m| {
-                if let Some(crash) = &mut self.crash {
-                    crash.consumed();
-                }
-                for out in self.node.on_msg(&self.topo, m)? {
-                    match out {
-                        Outgoing::Ctrl { to, msg } => outgoing.push((to, msg)),
-                        _ => return Err(ThreadedError::Config("rep emitted a data hop".into())),
-                    }
-                }
-                Ok(())
-            });
-            if let Err(e) = step {
-                record_err(&self.net.err, e);
-                return poll_done(msgs);
-            }
+            step = self.on_ctrl(ep, meta, m, now);
         }
-        if !outgoing.is_empty() {
-            for &(to, _) in &outgoing {
-                if let Endpoint::Proc { rank, .. } = to {
-                    self.last_send.insert(rank, now);
-                }
-            }
-            self.net.flush(ep, outgoing);
+        if let Err(e) = step {
+            self.net.err.record_err(e);
+            return poll_done(msgs);
         }
         Poll {
             msgs,
@@ -1630,15 +1568,10 @@ impl Task for ImpTask {
                     self.net.metrics.queue_depth.sub(1);
                     self.on_ctrl(meta, m)
                 }
-                Some(Msg::Batch(ms)) => {
-                    self.net.metrics.queue_depth.sub(1);
-                    ms.into_iter()
-                        .try_for_each(|(meta, m)| self.on_ctrl(meta, m))
-                }
             };
             msgs += 1;
             if let Err(e) = step {
-                record_err(&self.net.err, e);
+                self.net.err.record_err(e);
                 done = true;
                 break;
             }
@@ -1671,7 +1604,11 @@ fn pump_tick(net: &Net, rel: &NetRel) {
         let due = shard.lock().due(now);
         for e in due {
             match e {
-                Expiry::Resend { to, meta, msg } => net.resend(to, meta, msg),
+                Expiry::Resend { to, meta, msg } => {
+                    if let Err(e) = net.resend(to, meta, msg) {
+                        net.err.record_err(e);
+                    }
+                }
                 // Abandoned traffic (expendable buddy-help, or the
                 // max-attempts backstop) is already metered by the layer;
                 // nothing to send.
@@ -1756,7 +1693,7 @@ fn relay_loop(net: Arc<Net>, rx: Receiver<RelayMsg>) {
         while i < pending.len() {
             if pending[i].0 <= now {
                 let (_, to, meta, msg) = pending.swap_remove(i);
-                net.route(to, meta, msg);
+                net.deliver_ctrl(to, meta, msg);
             } else {
                 i += 1;
             }
@@ -1774,7 +1711,7 @@ fn relay_loop(net: Arc<Net>, rx: Receiver<RelayMsg>) {
             Some(RelayMsg::Shutdown) | None => {
                 pending.sort_by_key(|p| p.0);
                 for (_, to, meta, msg) in pending {
-                    net.route(to, meta, msg);
+                    net.deliver_ctrl(to, meta, msg);
                 }
                 return;
             }
@@ -1822,12 +1759,10 @@ struct Session {
     pump: Option<TaskHandle>,
     relay: Option<(Sender<RelayMsg>, JoinHandle<()>)>,
     net: Arc<Net>,
-    err: ErrSlot,
+    err: Arc<ErrSlot>,
     traces: Vec<(usize, usize, ConnectionId)>,
     /// Which program this process hosts (`None` = all of them).
     local: Option<usize>,
-    /// Every local import cell, for [`Session::fail_fast`] wake-ups.
-    imp_cells: Vec<Arc<ImpCell>>,
     metrics: Arc<EngineMetrics>,
 }
 
@@ -1858,7 +1793,7 @@ impl Session {
         metrics: Option<Arc<EngineMetrics>>,
     ) -> Self {
         let topo = Arc::new(topo);
-        let err: ErrSlot = Arc::new(Mutex::new(None));
+        let err = Arc::new(ErrSlot::default());
         let clock = Arc::new(WallClock::start());
         let metrics = metrics.unwrap_or_else(|| Arc::new(EngineMetrics::new()));
         let crash = opts.chaos.and_then(|c| c.crash);
@@ -2126,6 +2061,9 @@ impl Session {
             imports.push(prog_imports);
         }
 
+        let exp_cells = cells.iter().flatten().flatten().cloned().collect();
+        let _ = err.exp_cells.set(exp_cells);
+        let _ = err.imp_cells.set(imp_cells);
         Session {
             topo,
             cells,
@@ -2140,22 +2078,7 @@ impl Session {
             err,
             traces: opts.traces,
             local,
-            imp_cells,
             metrics,
-        }
-    }
-
-    /// Records a fatal error and wakes every blocked application call
-    /// (stalled bounded exports, waiting imports) so they observe it now
-    /// instead of after their full timeout. Used by the socket runtime
-    /// when a peer process dies mid-run.
-    fn fail_fast(&self, detail: String) {
-        record_crash(&self.err, detail);
-        for cell in self.cells.iter().flatten().flatten() {
-            cell.freed.notify_all();
-        }
-        for cell in &self.imp_cells {
-            cell.cv.notify_all();
         }
     }
 
@@ -2197,7 +2120,7 @@ impl Session {
             let cap = Instant::now() + DRAIN_CAP;
             loop {
                 pump_tick(&self.net, rel);
-                if self.err.lock().is_some() || Instant::now() >= cap {
+                if self.err.check().is_err() || Instant::now() >= cap {
                     break;
                 }
                 let mut stop = rel.pump_stop.lock();
@@ -2243,9 +2166,7 @@ impl Session {
         }
         let imp_handles: Vec<TaskHandle> = self.imps.iter().map(|(_, h)| h.clone()).collect();
         exec.wait_done(&imp_handles);
-        if let Some(e) = self.err.lock().clone() {
-            return Err(e.to_error());
-        }
+        self.err.check()?;
         let stats = self
             .topo
             .conns
@@ -2293,18 +2214,19 @@ pub struct SessionSet {
     sessions: Vec<Option<Session>>,
 }
 
+impl Default for SessionSet {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl SessionSet {
     /// Creates the worker pool (no sessions yet).
-    pub fn new(opts: &ExecutorOptions) -> Self {
+    pub fn new() -> Self {
         SessionSet {
-            exec: Executor::new(opts),
+            exec: Executor::new(),
             sessions: Vec::new(),
         }
-    }
-
-    /// Worker (and run-queue shard) count of the shared pool.
-    pub fn workers(&self) -> usize {
-        self.exec.workers()
     }
 
     /// Adds one session for a validated topology, spawning its tasks on
@@ -2351,11 +2273,11 @@ impl SessionSet {
         Arc::clone(&self.session(session).net)
     }
 
-    /// Records a fatal error on one session and wakes its blocked
-    /// application calls (see `Session::fail_fast`).
+    /// Records a fatal error on one session (the socket runtime's: a peer
+    /// process died mid-run), which wakes its blocked application calls.
     pub(crate) fn fail_session(&self, session: usize, detail: String) {
         if let Some(Some(s)) = self.sessions.get(session) {
-            s.fail_fast(detail);
+            s.err.record(ThreadedError::ProcessCrash(detail));
         }
     }
 
@@ -2464,7 +2386,7 @@ impl Fabric {
     /// Builds the fabric for a validated topology and spawns its control
     /// tasks on a default-sized worker pool.
     pub fn new(topo: Topology, opts: FabricOptions) -> Self {
-        let mut set = SessionSet::new(&ExecutorOptions::default());
+        let mut set = SessionSet::new();
         set.add_session(topo, opts);
         Fabric { set }
     }
@@ -2510,7 +2432,8 @@ impl Fabric {
     /// Arms the relay-drop mutation on every importing process, for
     /// mutation-testing the oracles (see [`ImportNode::arm_relay_drop`]).
     pub fn arm_relay_drop(&self) {
-        for cell in &self.set.session(0).imp_cells {
+        let imp_cells = self.set.session(0).err.imp_cells.get();
+        for cell in imp_cells.expect("session built") {
             cell.node.lock().arm_relay_drop();
         }
     }
@@ -2529,7 +2452,8 @@ mod tests {
     use super::*;
     use crate::engine::{ConnTopo, CrashFault, ExportRegionTopo, ImportRegionTopo, ProgramTopo};
     use couplink_layout::{Decomposition, Extent2, LocalArray, RedistPlan};
-    use couplink_metrics::CtrlClass;
+    use couplink_metrics::{CtrlClass, Histogram};
+    use couplink_proto::trace::TraceEvent;
     use couplink_time::{ts, MatchPolicy, Tolerance};
 
     /// One exported region (single rank) feeding two overlapping REGL
@@ -2669,35 +2593,65 @@ mod tests {
         fabric.shutdown().unwrap();
     }
 
-    /// The coalesced fan-out path is live on a fault-free fabric: two
-    /// requests drained in one rep poll leave for the one exporter rank's
-    /// agent as one multi-message batch. The backlog is loaded by hand —
-    /// both connections' requests queued before the rep is scheduled once —
-    /// because application timing no longer builds one: the thread that
-    /// pushes to an idle rep polls it right after the push, so a rep
-    /// driven by `import()` calls sees its messages one at a time.
+    /// A chaos-armed rep takes a queued backlog in one poll, exactly like a
+    /// fault-free one: three requests queued before the rep is scheduled
+    /// once are one `poll_batch` sample of 3 (a rep that takes one message
+    /// per poll under chaos records three samples of 1), each is forwarded
+    /// once, and the exporter rank sees connection 0's two in the order
+    /// they were queued. The backlog is loaded by hand because application
+    /// timing does not build one: the thread that pushes to an idle rep
+    /// polls it right after the push.
     #[test]
-    fn rep_fanout_batches_on_fault_free_fabric() {
+    fn chaos_armed_rep_drains_its_backlog_in_one_poll() {
         let (topo, ..) = fanout_topology();
-        let fabric = Fabric::new(topo, FabricOptions::default());
+        let opts = FabricOptions {
+            traces: vec![(0, 0, ConnectionId(0))],
+            chaos: Some(ChaosConfig {
+                seed: 7,
+                max_delay: 0.0,
+                duplicate_prob: 0.0,
+                drop_prob: 0.0,
+                retry_delay: 0.05,
+                loss_prob: 0.0,
+                crash: None,
+            }),
+            ..FabricOptions::default()
+        };
+        let fabric = Fabric::new(topo, opts);
         let metrics = fabric.metrics();
         let net = fabric.set.session_net(0);
         let rep = net.to_rep[0].as_ref().expect("exporter rep");
+        let backlog = [(0, 0, 2.0), (1, 0, 2.0), (0, 1, 4.0)];
         {
             let mut q = rep.q.lock();
-            for conn in [ConnectionId(0), ConnectionId(1)] {
-                let (req, ts) = (RequestId(0), ts(2.0));
+            for (conn, req, x) in backlog {
+                let (conn, req, ts) = (ConnectionId(conn), RequestId(req), ts(x));
                 q.push_back(Msg::Ctrl(None, CtrlMsg::ImportRequest { conn, req, ts }));
                 metrics.queue_depth.add(1);
             }
         }
         rep.task.get().expect("bound").schedule();
+        let forwards = metrics.ctrl(CtrlClass::ForwardRequest);
         let deadline = Instant::now() + Duration::from_secs(10);
-        while metrics.ctrl_batches.get() == 0 && Instant::now() < deadline {
+        while forwards.get() < 3 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(metrics.ctrl_batches.get(), 1, "{:?}", metrics.snapshot());
-        fabric.shutdown().unwrap();
+        let report = fabric.shutdown().unwrap();
+        let c = &report.metrics.counters;
+        assert_eq!(c.ctrl(CtrlClass::ForwardRequest), 3, "{c:?}");
+        // The rep's one poll (the agent it woke may take its three
+        // forwards in one poll too).
+        assert!(c.poll_batch[Histogram::bucket_of(3)] >= 1, "{c:?}");
+        let (.., trace) = &report.traces[0];
+        let seen: Vec<Timestamp> = trace
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Request { x, .. } => Some(*x),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(seen, [ts(2.0), ts(4.0)]);
     }
 
     /// Executor edge case: a rep crash armed on message count fires while
@@ -2943,7 +2897,10 @@ mod tests {
     /// drained session is polled after `shutdown_session` returns.
     #[test]
     fn session_set_isolates_sessions_and_stops_polling_after_shutdown() {
-        let mut set = SessionSet::new(&ExecutorOptions { workers: Some(2) });
+        let mut set = SessionSet {
+            exec: Executor::with_workers(2),
+            sessions: Vec::new(),
+        };
         let (t0, exp_d, imp_d) = pair_topology();
         let (t1, _, _) = pair_topology();
         let s0 = set.add_session(t0, FabricOptions::default());
@@ -3042,7 +2999,7 @@ mod tests {
     #[test]
     fn timed_lock_publishes_run_next_before_it_waits() {
         use crate::threaded::executor::tests::{spawn_fn, wait_for};
-        let exec = Executor::new(&ExecutorOptions { workers: Some(2) });
+        let exec = Executor::with_workers(2);
         let session = exec.add_session();
         let metrics = Arc::new(EngineMetrics::new());
         let polls = Arc::new(AtomicU64::new(0));
@@ -3077,16 +3034,13 @@ mod tests {
     /// An injected agent crash under a helping `import()` is still a
     /// `ProcessCrash`: whichever thread polls the agent — the importing
     /// one, when the chain stays on it, or a worker — the executor contains
-    /// the panic, the application thread survives and its `import()`
-    /// returns the error (at once when it polled the agent itself, after
-    /// its timeout otherwise: nothing wakes a blocked importer for a
-    /// recorded crash; `executor::tests::panic_on_a_helping_thread_is_contained`
-    /// pins the inline case).
+    /// the panic, the application thread survives, and recording the crash
+    /// wakes its `import()`, which returns the error long before the
+    /// (default, 30 s) timeout.
     #[test]
     fn agent_panic_under_a_helping_import_is_a_process_crash() {
         let (topo, _, imp_d) = pair_topology();
         let opts = FabricOptions {
-            import_timeout: Duration::from_secs(2),
             chaos: Some(ChaosConfig {
                 seed: 1,
                 max_delay: 0.0,
@@ -3105,10 +3059,15 @@ mod tests {
         let mut fabric = Fabric::new(topo, opts);
         let mut imp = fabric.take_import(1, 0, 0);
         let mut dest = LocalArray::zeros(imp_d.owned(0));
+        let called = Instant::now();
         let got = imp.import(ts(1.0), &mut dest);
         assert!(
             matches!(&got, Err(ThreadedError::ProcessCrash(d)) if d.contains("agent 0.0")),
             "{got:?}"
+        );
+        assert!(
+            called.elapsed() < Duration::from_secs(1),
+            "import sat out its timeout"
         );
         assert!(matches!(
             fabric.shutdown(),

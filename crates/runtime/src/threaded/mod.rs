@@ -18,7 +18,6 @@
 pub mod executor;
 pub mod fabric;
 
-pub use executor::ExecutorOptions;
 pub use fabric::{
     session_task_count, ExportAccess, Fabric, FabricOptions, FabricReport, ImportAccess,
     SessionSet, WalHandle, WallClock,

@@ -24,8 +24,8 @@ const USAGE: &str =
               restart or heartbeat failover) onto every seed; all oracles
               must still pass on both runtimes
   --stress    concurrency stress: every program at the process ceiling
-              with zero compute/startup skew, fault-free (the coalesced
-              control plane under maximum simultaneous pressure)
+              with zero compute/startup skew, fault-free (the control
+              plane under maximum simultaneous pressure)
   --socket B  also run each seed on the socket runtime (B = uds or tcp):
               every program its own OS process on loopback; checks all
               three runtimes agree on matches and protocol counters

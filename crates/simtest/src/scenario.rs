@@ -163,7 +163,7 @@ impl Scenario {
     /// ranks (row-block over 8 rows), zero compute and zero startup skew —
     /// every rank hammers the control plane simultaneously, the paper's
     /// tightest coupling — and fault-free, so the sharded reliability
-    /// layer stays unarmed and the coalesced rep fan-out path is live.
+    /// layer stays unarmed.
     /// Hierarchical distribution is on, and 6 ranks exceed the tree's
     /// branching factor, so collectives genuinely traverse relay hops.
     /// Timestamp phases still vary by seed, so matching decisions differ
