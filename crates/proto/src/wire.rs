@@ -115,8 +115,20 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3): slice-by-8 with const-built tables, plus the
-// byte-at-a-time reference the proptests compare it against.
+// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320). One checksum, three
+// ways to compute it:
+//
+// * `clmul::fold` — carry-less-multiply folding, 64 bytes per round. Runs
+//   on x86-64 CPUs that have PCLMULQDQ and SSE4.1, for inputs of at least
+//   `clmul::MIN_LEN` bytes: every payload frame, on both ends of a link.
+// * `slice8` — table-driven slice-by-8. The only path on every other
+//   target, on x86-64 without the feature, and for shorter inputs (every
+//   control frame); it also finishes the under-16-byte tail the fold
+//   leaves.
+// * `crc32_reference` — byte at a time, the oracle the tests hold the
+//   other two to.
+//
+// `crc32` picks between the first two; nothing else does.
 // ---------------------------------------------------------------------------
 
 /// Number of slice-by-N tables (8 input bytes folded per step).
@@ -156,11 +168,28 @@ const fn crc32_tables() -> [[u32; 256]; CRC_SLICES] {
 
 static CRC_TABLES: [[u32; 256]; CRC_SLICES] = crc32_tables();
 
-/// CRC-32 (IEEE) of `bytes` — the checksum carried in every frame header.
-/// Slice-by-8: eight input bytes folded per table lookup round.
+/// CRC-32 (IEEE) of `bytes` — the checksum carried in every frame header
+/// and journal record.
+///
+/// The one place the implementation is chosen, from what the code can
+/// observe: on x86-64 with PCLMULQDQ and SSE4.1, an input of at least
+/// `clmul::MIN_LEN` (64) bytes has its 16-byte-multiple prefix folded by
+/// carry-less multiplication and only the tail goes through the tables;
+/// anything else (other targets, older CPUs, control frames) is slice-by-8
+/// throughout. Both compute the same polynomial, so the choice never shows
+/// on the wire.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some((state, tail)) = clmul::fold(bytes) {
+        return !slice8(state, tail);
+    }
+    !slice8(!0, bytes)
+}
+
+/// Advances the raw (un-inverted) CRC register `c` over `bytes`, eight
+/// input bytes per table lookup round.
+fn slice8(mut c: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = !0u32;
     let mut chunks = bytes.chunks_exact(8);
     for ch in &mut chunks {
         let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ c;
@@ -177,17 +206,136 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
 }
 
 /// The original byte-at-a-time CRC-32. Kept as the independent reference
-/// the property tests compare [`crc32`] against.
+/// the tests compare [`crc32`] (both of its arms) against.
 pub fn crc32_reference(bytes: &[u8]) -> u32 {
     let mut c = !0u32;
     for &b in bytes {
         c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
+}
+
+/// The hardware arm of [`crc32`]: the fold-and-Barrett-reduce scheme of
+/// Gopal et al., "Fast CRC Computation for Generic Polynomials Using
+/// PCLMULQDQ Instruction" (Intel, 2009), with the constants for the
+/// bit-reflected IEEE polynomial. All of this file's SIMD `unsafe` is here.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Shortest input [`fold`] takes: the four 16-byte lanes it starts
+    /// from. Also about where it starts to pay — below this a checksum is
+    /// a handful of table rounds, and every control frame body is shorter.
+    pub(super) const MIN_LEN: usize = 64;
+
+    // The paper's constants for this polynomial: x^n mod P(x), bit-reflected
+    // and shifted left by one (a carry-less product of two reflected
+    // operands comes out one bit low), for the distance a fold moves a
+    // lane's two halves — n = 512 ± 32 (K1, K2: four lanes abreast),
+    // 128 ± 32 (K3, K4: one lane onto the next) and 64 (K5: 64 → 32 bits).
+    const K1: i64 = 0x1_5444_2BD4;
+    const K2: i64 = 0x1_C6E4_1596;
+    const K3: i64 = 0x1_7519_97D0;
+    const K4: i64 = 0x0_CCAA_009E;
+    const K5: i64 = 0x1_63CD_6124;
+    /// P(x) itself, 33 bits, reflected.
+    const POLY: i64 = 0x1_DB71_0641;
+    /// Barrett constant: floor(x^64 / P(x)), reflected.
+    const MU: i64 = 0x1_F701_1641;
+
+    /// Folds the longest 16-byte-multiple prefix of `bytes` and returns the
+    /// raw (un-inverted) CRC register after it with the unconsumed tail
+    /// (under 16 bytes) — or `None` when the input is shorter than
+    /// [`MIN_LEN`] or the CPU lacks PCLMULQDQ / SSE4.1, and the caller
+    /// computes the whole checksum from the tables.
+    pub(super) fn fold(bytes: &[u8]) -> Option<(u32, &[u8])> {
+        if bytes.len() < MIN_LEN
+            || !is_x86_feature_detected!("pclmulqdq")
+            || !is_x86_feature_detected!("sse4.1")
+        {
+            return None;
+        }
+        let (lanes, tail) = bytes.as_chunks::<16>();
+        // SAFETY: `fold_lanes` needs the `pclmulqdq` and `sse4.1` target
+        // features, and both were detected on this CPU just above.
+        Some((unsafe { fold_lanes(lanes) }, tail))
+    }
+
+    fn load(lane: &[u8; 16]) -> __m128i {
+        // SAFETY: `lane` is a reference to 16 initialised, readable bytes,
+        // and `_mm_loadu_si128` has no alignment requirement.
+        unsafe { _mm_loadu_si128(lane.as_ptr().cast()) }
+    }
+
+    /// Moves lane `a` forward by the distance `keys` encodes and adds it
+    /// onto lane `b`: `a.lo * keys.lo + a.hi * keys.hi + b` over GF(2).
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold_onto(a: __m128i, b: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(a, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(a, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(b, lo), hi)
+    }
+
+    /// The raw CRC register after `lanes`, starting from the all-ones
+    /// initial value. `lanes.len() >= 4` ([`fold`] checks [`MIN_LEN`]).
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold_lanes(lanes: &[[u8; 16]]) -> u32 {
+        let (first, rest) = lanes.split_at(4);
+        // The initial register value is folded in as data: xor it onto
+        // the first four message bytes.
+        let mut x = [
+            _mm_xor_si128(load(&first[0]), _mm_cvtsi32_si128(!0)),
+            load(&first[1]),
+            load(&first[2]),
+            load(&first[3]),
+        ];
+
+        // Fold by four: each accumulator lane jumps 64 bytes ahead onto the
+        // lane that lines up with it in the next round.
+        let (rounds, singles) = rest.as_chunks::<4>();
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for round in rounds {
+            for (acc, lane) in x.iter_mut().zip(round) {
+                *acc = fold_onto(*acc, load(lane), k1k2);
+            }
+        }
+
+        // Fold by one: collapse the four accumulators, then absorb the
+        // (at most three) whole lanes the last round did not fill.
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut acc = fold_onto(x[0], x[1], k3k4);
+        acc = fold_onto(acc, x[2], k3k4);
+        acc = fold_onto(acc, x[3], k3k4);
+        for lane in singles {
+            acc = fold_onto(acc, load(lane), k3k4);
+        }
+
+        // 128 → 64 bits, then 64 → 32 + 32 bits.
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let acc = _mm_xor_si128(
+            _mm_clmulepi64_si128(acc, k3k4, 0x10),
+            _mm_srli_si128(acc, 8),
+        );
+        let acc = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(acc, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(acc, 4),
+        );
+
+        // Barrett reduction of the remaining 64 bits modulo P(x):
+        // T1 = (acc mod x^32) * MU, T2 = (T1 mod x^32) * P, and the
+        // register is bits 32..64 of acc + T2.
+        let poly_mu = _mm_set_epi64x(MU, POLY);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(acc, low32), poly_mu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), poly_mu, 0x00);
+        _mm_extract_epi32(_mm_xor_si128(acc, t2), 1) as u32
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -999,11 +1147,77 @@ mod tests {
     use super::*;
     use couplink_time::ts;
 
+    /// Deterministic filler: the top byte of a 64-bit LCG (Knuth's MMIX
+    /// constants) per output byte.
+    fn lcg_bytes(n: usize) -> Vec<u8> {
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        (0..n)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (s >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// Pinned values: these fail if anyone changes the polynomial, the bit
+    /// order or the initial/final inversion — which would make every frame
+    /// and journal written by an earlier build unreadable.
     #[test]
     fn crc32_known_vector() {
         // The standard IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // 1 MiB of LCG bytes; the value is what the slice-by-8 `crc32` of
+        // the build before the carry-less-multiply arm existed returns
+        // (and what zlib's does).
+        assert_eq!(crc32(&lcg_bytes(1 << 20)), 0xCFA8_D20E);
+    }
+
+    /// Every arm of the dispatch against the byte-at-a-time oracle, each
+    /// called directly: all lengths 0..=300 at all 16 offsets walk the
+    /// threshold, the fold-by-four and fold-by-one loops, the reduction
+    /// and every table-tail length at every alignment; the long inputs
+    /// straddle lane and round boundaries at real frame sizes (256 KiB +
+    /// 88 is a `socket_bulk` payload body).
+    #[test]
+    fn crc32_arms_agree_with_the_reference() {
+        let buf = lcg_bytes((1 << 20) + 13 + 16);
+        let long = [
+            (1 << 16) - 1,
+            1 << 16,
+            (1 << 16) + 1,
+            (1 << 18) + 87,
+            (1 << 18) + 88,
+            (1 << 20) + 13,
+        ];
+        let mut folded = 0usize;
+        for len in (0..=300).chain(long) {
+            for off in 0..16 {
+                let bytes = &buf[off..off + len];
+                let want = crc32_reference(bytes);
+                assert_eq!(!slice8(!0, bytes), want, "slice8, len {len} offset {off}");
+                assert_eq!(crc32(bytes), want, "dispatch, len {len} offset {off}");
+                #[cfg(target_arch = "x86_64")]
+                match clmul::fold(bytes) {
+                    Some((state, tail)) => {
+                        assert!(len >= clmul::MIN_LEN && tail.len() < 16);
+                        assert_eq!(!slice8(state, tail), want, "clmul, len {len} offset {off}");
+                        folded += 1;
+                    }
+                    // Below the threshold on any CPU; at or above it only
+                    // on one without the feature.
+                    None => assert!(
+                        len < clmul::MIN_LEN || !is_x86_feature_detected!("pclmulqdq"),
+                        "fold declined len {len}"
+                    ),
+                }
+            }
+        }
+        if folded == 0 {
+            println!("clmul arm skipped: not x86-64, or no PCLMULQDQ/SSE4.1 on this CPU");
+        }
     }
 
     #[test]

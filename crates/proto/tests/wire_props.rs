@@ -7,7 +7,7 @@
 use couplink_proto::wire::{
     crc32, crc32_reference, decode_ctrl, decode_payload, encode_ctrl, encode_frame, encode_payload,
     encode_payload_with, BodyWriter, FrameDecoder, FrameWriter, WireError, WireRect, HEADER_LEN,
-    KIND_CTRL, KIND_PAYLOAD, WIRE_VERSION,
+    KIND_CTRL, KIND_PAYLOAD, MAGIC, WIRE_VERSION,
 };
 use couplink_proto::{ConnectionId, CtrlMsg, ProcResponse, Rank, RepAnswer, RequestId};
 use couplink_time::ts;
@@ -182,12 +182,18 @@ proptest! {
         prop_assert_eq!(decode_ctrl(&frame.body).unwrap(), msg);
     }
 
-    /// The slice-by-8 crc32 agrees with the byte-at-a-time reference for
-    /// every input, at every length and alignment.
+    /// `crc32` — whichever arm it dispatches to: the carry-less-multiply
+    /// fold for inputs of 64 bytes and up on x86-64 CPUs that have it, the
+    /// slice-by-8 tables otherwise and for the tail — agrees with the
+    /// byte-at-a-time reference for every input. Lengths run through
+    /// several fold-by-four rounds and skews through a whole 16-byte lane,
+    /// so the threshold, both fold loops, the reduction and every tail
+    /// length are each hit at every alignment. (The unit tests in
+    /// `wire.rs` call the two arms separately.)
     #[test]
     fn crc32_matches_reference(
-        bytes in proptest::collection::vec(0u8..=255, 0..512),
-        skew in 0usize..8,
+        bytes in proptest::collection::vec(0u8..=255, 0..4200),
+        skew in 0usize..16,
     ) {
         let cut = skew.min(bytes.len());
         prop_assert_eq!(crc32(&bytes), crc32_reference(&bytes));
@@ -240,13 +246,16 @@ proptest! {
     }
 
     /// A frame assembled in place by [`FrameWriter`] is byte-identical to
-    /// the old two-buffer `encode_frame` path for every control message.
+    /// the old two-buffer `encode_frame` path for every control message,
+    /// and both to a frame built by hand around `crc32_reference`.
     #[test]
     fn frame_writer_matches_encode_frame(msg in ctrl_msg()) {
         let body = encode_ctrl(&msg);
+        let want = frame_with_reference_crc(KIND_CTRL, &body);
         let mut w = FrameWriter::with_capacity(KIND_CTRL, body.len());
         w.bytes(&body);
-        prop_assert_eq!(w.finish(), encode_frame(KIND_CTRL, &body));
+        prop_assert_eq!(&w.finish(), &want);
+        prop_assert_eq!(&encode_frame(KIND_CTRL, &body), &want);
     }
 
     /// The compacting decoder yields identical frames no matter where the
@@ -300,6 +309,79 @@ proptest! {
                 Ok(None) | Err(_) => break,
             }
         }
+    }
+}
+
+/// A frame assembled by hand around the byte-at-a-time checksum — what
+/// every earlier build put on the wire and into its journals.
+fn frame_with_reference_crc(kind: u8, body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
+    out.extend_from_slice(&MAGIC.to_le_bytes());
+    out.push(WIRE_VERSION);
+    out.push(kind);
+    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32_reference(body).to_le_bytes());
+    out.extend_from_slice(body);
+    out
+}
+
+/// A `socket_bulk`-sized payload frame: a 128 × 256 piece, 256 KiB of
+/// `f64` behind an 88-byte payload header.
+fn bulk_payload_frame(req: u64) -> (Vec<u8>, Vec<f64>) {
+    let owned = WireRect {
+        row0: 0,
+        col0: 0,
+        rows: 128,
+        cols: 256,
+    };
+    let data: Vec<f64> = (0..128 * 256).map(|i| i as f64 * 0.375 - 7.0).collect();
+    let frame = encode_payload(
+        ConnectionId(1),
+        Rank(1),
+        RequestId(req),
+        owned,
+        owned,
+        &data,
+    );
+    (frame, data)
+}
+
+/// A payload frame — far over the fold's threshold, where control frames
+/// (`frame_writer_matches_encode_frame`) are all under it — carries the
+/// same bytes as a build that only had the byte-at-a-time CRC, through
+/// both `FrameWriter::finish` and `encode_frame`.
+#[test]
+fn payload_encoders_are_byte_identical_to_a_reference_crc_frame() {
+    let (frame, _) = bulk_payload_frame(5);
+    let body = &frame[HEADER_LEN..];
+    assert_eq!(body.len(), (1 << 18) + 88);
+    let want = frame_with_reference_crc(KIND_PAYLOAD, body);
+    assert_eq!(frame, want, "encode_payload (FrameWriter::finish)");
+    assert_eq!(encode_frame(KIND_PAYLOAD, body), want, "encode_frame");
+}
+
+/// The receive-side check is kept at payload sizes: one flipped bit in the
+/// first, a middle or the last body byte of a 256 KiB frame is a
+/// `BadChecksum`, and the frame behind it still parses.
+#[test]
+fn large_payload_bit_flips_are_rejected_and_the_stream_recovers() {
+    let (good, data) = bulk_payload_frame(9);
+    let body_len = good.len() - HEADER_LEN;
+    for (at, bit) in [(0, 0), (body_len / 2 + 5, 3), (body_len - 1, 7)] {
+        let mut bad = good.clone();
+        bad[HEADER_LEN + at] ^= 1 << bit;
+        let mut dec = FrameDecoder::new();
+        dec.extend(&bad);
+        dec.extend(&good);
+        assert_eq!(
+            dec.poll_frame(),
+            Err(WireError::BadChecksum),
+            "flip at body byte {at}"
+        );
+        let next = dec.next_frame().expect("recovered").expect("frame");
+        assert_eq!(next.kind, KIND_PAYLOAD);
+        assert_eq!(decode_payload(&next.body).expect("decodes").data, data);
+        assert_eq!(dec.buffered(), 0);
     }
 }
 

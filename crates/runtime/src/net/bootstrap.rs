@@ -191,6 +191,47 @@ impl Drop for Children {
 
 static SESSION_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// First wait of [`poll_until`]'s back-off.
+const POLL_FIRST_WAIT: Duration = Duration::from_micros(50);
+/// Longest wait of [`poll_until`]'s back-off.
+const POLL_MAX_WAIT: Duration = Duration::from_millis(5);
+
+/// Calls `attempt` until it yields a value or `deadline` has passed
+/// (`None`), sleeping between calls: [`POLL_FIRST_WAIT`] at first, doubling
+/// up to [`POLL_MAX_WAIT`]. The one way the orchestrator waits for
+/// something std can only poll — a non-blocking `accept`, a child's exit.
+/// What it waits for is a process a few milliseconds from ready, so a
+/// fixed 5 ms sleep was most of a session's set-up; backing off keeps a
+/// session that is slow to come up from being polled hot.
+fn poll_until<T>(deadline: Instant, mut attempt: impl FnMut() -> Option<T>) -> Option<T> {
+    let mut wait = POLL_FIRST_WAIT;
+    loop {
+        if let Some(v) = attempt() {
+            return Some(v);
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return None;
+        }
+        std::thread::sleep(wait.min(left));
+        wait = (wait * 2).min(POLL_MAX_WAIT);
+    }
+}
+
+/// Accepts the next connection on the (non-blocking) bootstrap listener,
+/// or times out in `phase` at `deadline`.
+fn accept_by(
+    listener: &Listener,
+    deadline: Instant,
+    phase: &'static str,
+) -> Result<Conn, BootstrapError> {
+    let accepted = poll_until(deadline, || match listener.accept() {
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock => None,
+        other => Some(other),
+    });
+    Ok(accepted.ok_or(BootstrapError::Timeout(phase))??)
+}
+
 /// Reads a connecting child's `HELLO` and admits it as the program it
 /// claims — or answers `FATAL` and refuses: a protocol version other than
 /// [`codec::RT_VERSION`] (PLAN and REPORT layouts are only defined within
@@ -330,17 +371,7 @@ pub fn run_plan(plan: &NodePlan, opts: &NetOptions) -> Result<NetReport, Bootstr
     let mut readers: Vec<Option<FrameReader>> = (0..n).map(|_| None).collect();
     let mut joined = 0usize;
     while joined < n {
-        let conn = match listener.accept() {
-            Ok(c) => c,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    return Err(BootstrapError::Timeout("accept"));
-                }
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
-            Err(e) => return Err(e.into()),
-        };
+        let conn = accept_by(&listener, deadline, "accept")?;
         let (prog, writer, reader) = admit_hello(conn, &token, &writers)?;
         writers[prog] = Some(writer);
         readers[prog] = Some(reader);
@@ -486,16 +517,9 @@ pub fn run_plan(plan: &NodePlan, opts: &NetOptions) -> Result<NetReport, Bootstr
     // guard below.
     for child in children.0.iter_mut() {
         let Some(c) = child.as_mut() else { continue };
-        loop {
-            match c.try_wait() {
-                Ok(Some(_)) => {
-                    child.take();
-                    break;
-                }
-                Ok(None) if Instant::now() >= deadline => break,
-                Ok(None) => std::thread::sleep(Duration::from_millis(10)),
-                Err(_) => break,
-            }
+        let exited = poll_until(deadline, || c.try_wait().transpose());
+        if matches!(exited, Some(Ok(_))) {
+            child.take();
         }
     }
     drop(children);
@@ -585,18 +609,7 @@ fn restart_node(
     }
 
     children.0[prog] = Some(spawn_node(opts, boot_addr, token, prog, None)?);
-    let conn = loop {
-        match listener.accept() {
-            Ok(c) => break c,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    return Err(BootstrapError::Timeout("restart accept"));
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(e.into()),
-        }
-    };
+    let conn = accept_by(listener, deadline, "restart accept")?;
     conn.set_read_timeout(Some(Duration::from_secs(30)))?;
     let mut writer = conn.try_clone()?;
     let mut reader = FrameReader::new(conn);
@@ -734,6 +747,77 @@ pub fn program_indices(plan: &NodePlan) -> Result<HashMap<String, usize>, Bootst
 mod tests {
     use super::*;
     use couplink_proto::wire::{self, BodyWriter};
+
+    #[test]
+    fn poll_until_returns_as_soon_as_the_attempt_succeeds() {
+        let mut calls = 0;
+        let start = Instant::now();
+        let got = poll_until(start + Duration::from_secs(30), || {
+            calls += 1;
+            (calls == 4).then_some("up")
+        });
+        assert_eq!(got, Some("up"));
+        assert_eq!(calls, 4, "not called again once it held");
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "no wait for the deadline"
+        );
+        // An attempt that holds at once is never slept on, even past the
+        // deadline: the check comes first.
+        assert_eq!(poll_until(start, || Some(1)), Some(1));
+    }
+
+    #[test]
+    fn poll_until_times_out_at_the_deadline_and_not_before() {
+        let budget = Duration::from_millis(20);
+        let start = Instant::now();
+        let got: Option<()> = poll_until(start + budget, || None);
+        assert_eq!(got, None);
+        assert!(start.elapsed() >= budget, "gave up early");
+    }
+
+    /// The back-off starts short: the old fixed 5 ms sleep made one call in
+    /// the first 2 ms, a first wait of at most 100 µs makes several.
+    #[test]
+    fn poll_until_starts_with_a_short_wait() {
+        assert!(POLL_FIRST_WAIT <= Duration::from_micros(100));
+        assert_eq!(POLL_MAX_WAIT, Duration::from_millis(5));
+        let early_calls = || {
+            let start = Instant::now();
+            let mut early = 0;
+            let _: Option<()> = poll_until(start + Duration::from_millis(10), || {
+                if start.elapsed() < Duration::from_millis(2) {
+                    early += 1;
+                }
+                None
+            });
+            early
+        };
+        // A busy machine only ever makes a sleep longer, so one quick
+        // round in twenty shows the schedule; a 5 ms first wait never
+        // produces one.
+        let best = (0..20).map(|_| early_calls()).find(|&n| n >= 3);
+        assert!(best.is_some(), "never 3 calls inside the first 2 ms");
+    }
+
+    /// A listener nobody dials times out with the phase it was given; one
+    /// that is dialled hands over the connection.
+    #[test]
+    fn accept_by_times_out_with_its_phase_or_accepts() {
+        let dir = std::env::temp_dir();
+        let name = format!("couplink-accept-{}", std::process::id());
+        let listener = Listener::bind(SocketBackend::Uds, &dir, &name).expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let soon = || Instant::now() + Duration::from_millis(10);
+        let verdict = accept_by(&listener, soon(), "restart accept").err();
+        assert!(
+            matches!(verdict, Some(BootstrapError::Timeout("restart accept"))),
+            "{verdict:?}"
+        );
+        let _dialled = Conn::dial(&listener.addr().expect("addr")).expect("dial");
+        assert!(accept_by(&listener, soon(), "accept").is_ok());
+        let _ = std::fs::remove_file(dir.join(format!("{name}.sock")));
+    }
 
     /// Dials a fresh listener with one `HELLO` announcing `version`;
     /// returns the parent's verdict and the frame the child got back.
