@@ -3,6 +3,8 @@
 #
 #   ./ci.sh
 #
+# (`./ci.sh --loc` only prints the non-test line counts.)
+#
 # Fourteen stages, all required:
 #   1. formatting      (cargo fmt --check)
 #   2. lints           (cargo clippy, warnings are errors)
@@ -14,8 +16,9 @@
 #                       faults — 20% message loss plus a rep crash with
 #                       restart/failover — on both runtimes)
 #   6. stress          (concurrency stress sweep: every program at the
-#                       process ceiling, zero compute skew — the sharded
-#                       control plane under maximum pressure)
+#                       process ceiling, zero compute skew, fault-free — the
+#                       executor and the control plane under maximum
+#                       pressure)
 #   7. bench smoke     (tiny-size DES report — Figure 4 panels, ablation
 #                       points, Figure 7/8 tallies — schema-validated and
 #                       gated against baselines/BENCH_baseline_smoke.json:
@@ -86,6 +89,31 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# `./ci.sh --loc`: the one definition of "non-test lines" — each file under
+# crates/*/src (outside the frozen e2e package) and shims/ up to its first
+# `#[cfg(test)]`, per file, per crate and in total.
+loc() {
+    find crates/*/src shims -name '*.rs' -not -path 'crates/bench/src/bin/e2e/*' |
+        sort | xargs awk '
+            FNR == 1 { file[++files] = FILENAME; test = 0 }
+            /#\[cfg\(test\)\]/ { test = 1 }
+            !test { n[FILENAME]++ }
+            END {
+                for (i = 1; i <= files; i++) {
+                    f = file[i]; split(f, p, "/"); c = p[1] "/" p[2] "/"
+                    if (!(c in sum)) crate[++crates] = c
+                    sum[c] += n[f]; total += n[f]
+                    printf "%7d  %s\n", n[f], f
+                }
+                for (i = 1; i <= crates; i++) printf "%7d  %s\n", sum[crate[i]], crate[i]
+                printf "%7d  total\n", total
+            }'
+}
+if [[ "${1:-}" == "--loc" ]]; then
+    loc
+    exit
+fi
+
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -95,6 +123,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+echo "== advisory: non-test lines per crate (./ci.sh --loc lists every file)"
+loc | grep -v '\.rs$'
 
 echo "== simtest: seed corpus + mutation smoke (~30s budget)"
 cargo run --release -q -p couplink-simtest -- --seeds 60

@@ -149,7 +149,7 @@ macro_rules! ctrl_classes {
 
         impl CtrlClass {
             /// All classes, in declaration (`class as usize`) and wire order.
-            pub const ALL: [CtrlClass; 9] = [$(CtrlClass::$class,)*];
+            pub const ALL: [CtrlClass; 8] = [$(CtrlClass::$class,)*];
 
             /// Stable snake_case name (snapshot / JSON key suffix).
             pub fn as_str(self) -> &'static str {
@@ -174,7 +174,7 @@ macro_rules! ctrl_classes {
 
 // One import call / request / decided answer / per-rank forward or broadcast
 // per import is exact; `Response` updates and `BuddyHelp` depend on response
-// timing; acks and heartbeats exist only once reliability is armed.
+// timing; acks exist only once reliability is armed.
 ctrl_classes! {
     /// A process's collective `import` call reaching its own rep.
     ImportCall = "import_call" [EXACT],
@@ -192,8 +192,6 @@ ctrl_classes! {
     AnswerBcast = "answer_bcast" [EXACT],
     /// A reliability-layer acknowledgement of a sequenced message.
     Ack = "ack" [INERT],
-    /// A liveness heartbeat from a rep to its member processes.
-    Heartbeat = "heartbeat" [INERT],
 }
 
 /// Engine phases whose time is accounted separately.
@@ -476,9 +474,6 @@ counters! {
     /// or one match's buddy-help folded into one tree-routed message (0 in
     /// flat mode).
     ctrl_coalesced: Counter,
-    /// Standalone heartbeats suppressed because traffic already crossed the
-    /// link inside the heartbeat window (threaded fabric only).
-    hb_suppressed: Counter,
     /// Wire frames sent by the socket transport (0 on DES/threaded).
     net_frames: Counter,
     /// Bytes written to sockets, headers included (0 on DES/threaded).
@@ -835,7 +830,7 @@ mod tests {
     fn flags_name_the_gated_rows() {
         let inert = CounterSnapshot::flagged(INERT);
         let exact = CounterSnapshot::flagged(EXACT);
-        for name in ["retransmits", "ctrl_ack", "ctrl_heartbeat", "wal_truncated"] {
+        for name in ["retransmits", "ctrl_ack", "wal_truncated"] {
             assert!(inert.iter().any(|n| n == name), "{name} must be inert");
         }
         for name in ["import_calls", "transfers", "ctrl_answer_bcast"] {
@@ -903,6 +898,34 @@ mod tests {
                 }
             } else {
                 assert!(mentions(name), "{name} is not documented");
+            }
+        }
+    }
+
+    /// The documentation names only files that exist: every back-ticked
+    /// token of DESIGN.md, EXPERIMENTS.md and README.md that starts with a
+    /// source directory and ends in a file name with an extension (a
+    /// trailing `:line` aside) is a path from the repository root.
+    #[test]
+    fn documented_paths_exist() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let dirs = [
+            "crates/",
+            "tests/",
+            "examples/",
+            "baselines/",
+            "shims/",
+            "bench/",
+        ];
+        for doc in ["DESIGN.md", "EXPERIMENTS.md", "README.md"] {
+            let text = std::fs::read_to_string(root.join(doc)).expect("readable doc");
+            // Every second piece of a split on '`' is a back-ticked span.
+            for span in text.split('`').skip(1).step_by(2) {
+                let token = span.split([' ', ':']).next().unwrap_or(span);
+                let file = token.rsplit('/').next().unwrap_or(token);
+                if dirs.iter().any(|d| token.starts_with(d)) && file.contains('.') {
+                    assert!(root.join(token).exists(), "{doc} names `{token}`");
+                }
             }
         }
     }

@@ -183,22 +183,15 @@ pub enum CtrlMsg {
         /// Sequence number being acknowledged.
         seq: u64,
     },
-    /// Liveness heartbeat from a rep to a member process. Idempotent:
-    /// carries only the monotone beat index, so duplicates and stale
-    /// reorderings are harmless (receivers keep the max).
-    Heartbeat {
-        /// Monotone beat index from this rep.
-        beat: u64,
-    },
 }
 
 impl CtrlMsg {
-    /// Whether this message belongs to the reliability/liveness layer
-    /// itself (acks and heartbeats), as opposed to the §4 coupling
-    /// protocol. Layer messages are never themselves sequenced — an ack of
-    /// an ack would regress infinitely — and must be idempotent instead.
+    /// Whether this message belongs to the reliability layer itself (an
+    /// ack), as opposed to the §4 coupling protocol. Layer messages are
+    /// never themselves sequenced — an ack of an ack would regress
+    /// infinitely — and must be idempotent instead.
     pub fn is_link_layer(&self) -> bool {
-        matches!(self, CtrlMsg::Ack { .. } | CtrlMsg::Heartbeat { .. })
+        matches!(self, CtrlMsg::Ack { .. })
     }
 }
 

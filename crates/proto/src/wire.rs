@@ -800,7 +800,7 @@ const TAG_BUDDY_HELP: u8 = 5;
 const TAG_ANSWER: u8 = 6;
 const TAG_ANSWER_BCAST: u8 = 7;
 const TAG_ACK: u8 = 8;
-const TAG_HEARTBEAT: u8 = 9;
+// Tag 9 is reserved: `decode_ctrl` rejects it as `BadTag`.
 const TAG_COALESCED: u8 = 10;
 
 const TAG_RESP_MATCH: u8 = 1;
@@ -931,10 +931,6 @@ pub fn encode_ctrl(msg: &CtrlMsg) -> Vec<u8> {
             w.u8(TAG_ACK);
             w.u64(seq);
         }
-        CtrlMsg::Heartbeat { beat } => {
-            w.u8(TAG_HEARTBEAT);
-            w.u64(beat);
-        }
     }
     w.into_body()
 }
@@ -1000,7 +996,6 @@ pub fn decode_ctrl(body: &[u8]) -> Result<CtrlMsg, WireError> {
             }
         }
         TAG_ACK => CtrlMsg::Ack { seq: r.u64()? },
-        TAG_HEARTBEAT => CtrlMsg::Heartbeat { beat: r.u64()? },
         tag => {
             return Err(WireError::BadTag {
                 what: "ctrl message",
@@ -1270,7 +1265,7 @@ mod tests {
     #[test]
     fn decoder_handles_split_and_batched_frames() {
         let a = encode_frame(KIND_CTRL, &encode_ctrl(&CtrlMsg::Ack { seq: 9 }));
-        let b = encode_frame(KIND_CTRL, &encode_ctrl(&CtrlMsg::Heartbeat { beat: 7 }));
+        let b = encode_frame(KIND_CTRL, &encode_ctrl(&CtrlMsg::Ack { seq: 7 }));
         let mut wire: Vec<u8> = a.iter().chain(&b).copied().collect();
         let tail = wire.split_off(5);
         let mut dec = FrameDecoder::new();
@@ -1280,10 +1275,31 @@ mod tests {
         let first = dec.next_frame().expect("ok").expect("frame");
         let second = dec.next_frame().expect("ok").expect("frame");
         assert_eq!(decode_ctrl(&first.body), Ok(CtrlMsg::Ack { seq: 9 }));
+        assert_eq!(decode_ctrl(&second.body), Ok(CtrlMsg::Ack { seq: 7 }));
+    }
+
+    /// Tag 9 is reserved: a well-framed body carrying it is rejected, and
+    /// the decoder goes on to the next frame.
+    #[test]
+    fn reserved_ctrl_tag_is_rejected_and_the_stream_continues() {
+        let reserved = [9u8, 0, 0, 0, 0, 0, 0, 0, 0];
         assert_eq!(
-            decode_ctrl(&second.body),
-            Ok(CtrlMsg::Heartbeat { beat: 7 })
+            decode_ctrl(&reserved),
+            Err(WireError::BadTag {
+                what: "ctrl message",
+                tag: 9
+            })
         );
+        let mut dec = FrameDecoder::new();
+        dec.extend(&encode_frame(KIND_CTRL, &reserved));
+        dec.extend(&encode_frame(
+            KIND_CTRL,
+            &encode_ctrl(&CtrlMsg::Ack { seq: 3 }),
+        ));
+        let first = dec.next_frame().expect("ok").expect("frame");
+        assert!(decode_ctrl(&first.body).is_err());
+        let second = dec.next_frame().expect("ok").expect("frame");
+        assert_eq!(decode_ctrl(&second.body), Ok(CtrlMsg::Ack { seq: 3 }));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 /// finite (non-finite bits are rejected by construction, not carried).
 fn ctrl_msg() -> impl Strategy<Value = CtrlMsg> {
     (
-        0u8..9,
+        0u8..8,
         0u32..1000,
         0u64..u64::MAX,
         0u32..64,
@@ -65,8 +65,7 @@ fn ctrl_msg() -> impl Strategy<Value = CtrlMsg> {
                 4 => CtrlMsg::BuddyHelp { conn, req, answer },
                 5 => CtrlMsg::Answer { conn, req, answer },
                 6 => CtrlMsg::AnswerBcast { conn, req, answer },
-                7 => CtrlMsg::Ack { seq: req.0 },
-                _ => CtrlMsg::Heartbeat { beat: req.0 },
+                _ => CtrlMsg::Ack { seq: req.0 },
             }
         })
 }

@@ -188,13 +188,10 @@ pub struct TopoReport {
     pub metrics: MetricsSnapshot,
 }
 
-/// Virtual-time detection latency of the heartbeat-failover path: how long
-/// after a rep's last heartbeat its members conclude it is dead and promote
-/// a successor. The threaded fabric runs real heartbeats; the simulator
-/// schedules the conclusive staleness check directly at
-/// `crash_time + HB_TIMEOUT`, which is the deterministic equivalent of
-/// members polling `now - last_beat > HB_TIMEOUT` every beat interval.
-const HB_TIMEOUT: f64 = 0.25;
+/// Modelled detection delay, in virtual seconds: how long after a rep
+/// dies without a restart plan its lowest-rank live successor takes over
+/// (`RepRecover` is scheduled at `crash_time + FAILOVER_DELAY`).
+const FAILOVER_DELAY: f64 = 0.25;
 
 #[derive(Debug)]
 enum Ev {
@@ -225,8 +222,8 @@ enum Ev {
     },
     /// Poll the reliability layer for expired ack deadlines.
     RetryCheck,
-    /// A crashed rep comes back: the configured restart, or the members'
-    /// heartbeat staleness check promoting the lowest-rank live successor.
+    /// A crashed rep comes back: the configured restart, or the lowest-rank
+    /// live successor taking over after [`FAILOVER_DELAY`].
     RepRecover,
 }
 
@@ -767,7 +764,7 @@ impl TopologySim {
                 // keep retransmitting them to the recovered rep.
                 return Ok(());
             }
-            if let Some(after) = crash.fires(self.queue.now().0, HB_TIMEOUT) {
+            if let Some(after) = crash.fires(self.queue.now().0, FAILOVER_DELAY) {
                 // Held-back, unacked messages die with the rep.
                 rel.crash_endpoint(to);
                 self.queue.schedule(after, Ev::RepRecover);

@@ -35,15 +35,14 @@
 //!   order is preserved, which [`ChaosState`] enforces with a per-stream
 //!   delivery watermark.
 //!
-//! * **Link layer** — `Ack`, `Heartbeat` (PR 4). These belong to the
-//!   reliability layer itself ([`super::reliable`]) and are *idempotent by
-//!   construction*: acking a sequence number twice is a no-op (the pending
-//!   entry is already gone), and a heartbeat carries only a monotone beat
-//!   index of which receivers keep the max. They are therefore both
-//!   commutative **and** [`duplicable`] — chaos may delay, reorder and
-//!   double-deliver them freely. They are never themselves sequenced (an
-//!   ack of an ack would regress infinitely), so they are also the only
-//!   messages the reliability layer sends best-effort.
+//! * **Link layer** — `Ack` (PR 4). It belongs to the reliability layer
+//!   itself ([`super::reliable`]) and is *idempotent by construction*:
+//!   acking a sequence number twice is a no-op (the pending entry is
+//!   already gone). It is therefore both commutative **and**
+//!   [`duplicable`] — chaos may delay, reorder and double-deliver it
+//!   freely. It is never itself sequenced (an ack of an ack would regress
+//!   infinitely), so it is also the only message the reliability layer
+//!   sends best-effort.
 //!
 //! Drops are always *with retry*: the message is delivered after
 //! [`ChaosConfig::retry_delay`] instead of vanishing. Total extra latency is
@@ -61,9 +60,9 @@
 //!   it without that layer (it would be a guaranteed hang).
 //! * **Crash/restart** ([`CrashFault`]): a rep (or, on the fabric, an agent)
 //!   process dies after consuming its k-th message, optionally coming back
-//!   `restart_after` seconds later. Recovery is rep failover: heartbeats
-//!   detect the death, and a successor rebuilds the aggregation state from
-//!   the consumed-message journal (see `DESIGN.md`, "Fault model &
+//!   `restart_after` seconds later. Recovery is rep failover: after a
+//!   modelled detection delay a successor rebuilds the aggregation state
+//!   from the consumed-message journal (see `DESIGN.md`, "Fault model &
 //!   recovery").
 //!
 //! Both are seeded and deterministic like everything else here.
@@ -114,7 +113,7 @@ pub enum CrashTarget {
 /// A seeded crash/restart fault: the target dies immediately before
 /// consuming its `after_msgs`-th message (that message is lost, unacked),
 /// and optionally restarts `restart_after` seconds later. Without a
-/// restart, recovery waits for the heartbeat-timeout failover path.
+/// restart, a successor takes over after the runtime's failover delay.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrashFault {
     /// Which process dies.
@@ -186,13 +185,10 @@ impl ChaosConfig {
 /// be delivered twice. `Response` qualifies because the rep tracks per-rank
 /// settlement (this was originally the whole commutative class, until the
 /// harness itself caught a duplicated `Answer` double-sending data); the
-/// link-layer `Ack`/`Heartbeat` qualify by construction — acking a seq
-/// twice is a no-op and heartbeat receivers keep the max beat index.
+/// link-layer `Ack` qualifies by construction — acking a seq twice is a
+/// no-op.
 pub fn duplicable(msg: &CtrlMsg) -> bool {
-    matches!(
-        msg,
-        CtrlMsg::Response { .. } | CtrlMsg::Ack { .. } | CtrlMsg::Heartbeat { .. }
-    )
+    matches!(msg, CtrlMsg::Response { .. } | CtrlMsg::Ack { .. })
 }
 
 /// Whether a control message tolerates unbounded reordering and
@@ -207,8 +203,7 @@ pub fn commutes(msg: &CtrlMsg) -> bool {
         // folded buddy-help), which settle a request like the messages it
         // replaces — reordering against other requests is harmless.
         | CtrlMsg::Coalesced { .. }
-        | CtrlMsg::Ack { .. }
-        | CtrlMsg::Heartbeat { .. } => true,
+        | CtrlMsg::Ack { .. } => true,
         CtrlMsg::ImportCall { .. }
         | CtrlMsg::ImportRequest { .. }
         | CtrlMsg::ForwardRequest { .. } => false,
@@ -274,9 +269,7 @@ fn conn_of(msg: &CtrlMsg) -> ConnectionId {
         | CtrlMsg::AnswerBcast { conn, .. }
         | CtrlMsg::Coalesced { conn, .. } => conn,
         // Link-layer messages are commutative, so no FIFO stream exists.
-        CtrlMsg::Ack { .. } | CtrlMsg::Heartbeat { .. } => {
-            unreachable!("link-layer messages have no FIFO stream")
-        }
+        CtrlMsg::Ack { .. } => unreachable!("link-layer messages have no FIFO stream"),
     }
 }
 
@@ -336,7 +329,6 @@ fn msg_bits(msg: &CtrlMsg) -> u64 {
             mix(mix(7, ((conn.0 as u64) << 32) | req.0), answer_bits(answer))
         }
         CtrlMsg::Ack { seq } => mix(8, seq),
-        CtrlMsg::Heartbeat { beat } => mix(9, beat),
         CtrlMsg::Coalesced {
             conn,
             req,
@@ -450,23 +442,22 @@ mod tests {
         }
     }
 
-    /// Ack and Heartbeat are idempotent by construction, so chaos *must*
-    /// be allowed to double-deliver them: at duplication probability 1 the
-    /// plan always carries two copies (and both stay commutative — they
-    /// never touch a FIFO watermark).
+    /// An ack is idempotent by construction, so chaos *must* be allowed to
+    /// double-deliver it: at duplication probability 1 the plan always
+    /// carries two copies (and it stays commutative — it never touches a
+    /// FIFO watermark).
     #[test]
-    fn ack_and_heartbeat_are_duplicable() {
+    fn ack_is_duplicable() {
         let cfg = ChaosConfig {
             duplicate_prob: 1.0,
             ..ChaosConfig::from_seed(13)
         };
         let to = Endpoint::Proc { prog: 0, rank: 1 };
         for n in 0..100 {
-            for msg in [CtrlMsg::Ack { seq: n }, CtrlMsg::Heartbeat { beat: n }] {
-                assert!(msg.is_link_layer());
-                assert!(commutes(&msg) && duplicable(&msg), "{msg:?}");
-                assert_eq!(cfg.extra_delays(n, to, &msg).len(), 2, "{msg:?}");
-            }
+            let msg = CtrlMsg::Ack { seq: n };
+            assert!(msg.is_link_layer());
+            assert!(commutes(&msg) && duplicable(&msg), "{msg:?}");
+            assert_eq!(cfg.extra_delays(n, to, &msg).len(), 2, "{msg:?}");
         }
     }
 

@@ -62,7 +62,6 @@ pub fn ctrl_class(msg: &CtrlMsg) -> CtrlClass {
         CtrlMsg::Coalesced { bcast: true, .. } => CtrlClass::AnswerBcast,
         CtrlMsg::Coalesced { .. } => CtrlClass::BuddyHelp,
         CtrlMsg::Ack { .. } => CtrlClass::Ack,
-        CtrlMsg::Heartbeat { .. } => CtrlClass::Heartbeat,
     }
 }
 

@@ -588,9 +588,9 @@ impl RepNode {
             | CtrlMsg::Coalesced { .. } => {
                 return Err(EngineError::UnexpectedMessage("process message at rep"));
             }
-            // Acks and heartbeats are consumed by the runtimes' reliability
-            // layer before node dispatch; one reaching a node is a bug.
-            CtrlMsg::Ack { .. } | CtrlMsg::Heartbeat { .. } => {
+            // Acks are consumed by the runtimes' reliability layer before
+            // node dispatch; one reaching a node is a bug.
+            CtrlMsg::Ack { .. } => {
                 return Err(EngineError::UnexpectedMessage("link-layer message at rep"));
             }
         }
@@ -734,15 +734,16 @@ impl RepCrash {
     }
 
     /// A packet reaches the live rep at `now`. Returns the seconds until
-    /// recovery is due — the configured restart, or `hb_timeout` for the
-    /// heartbeat-failover path — exactly when this packet is the fatal one.
-    pub fn fires(&mut self, now: f64, hb_timeout: f64) -> Option<f64> {
+    /// recovery is due — the configured restart, or `failover_delay` (the
+    /// modelled detection delay before a successor takes over) without
+    /// one — exactly when this packet is the fatal one.
+    pub fn fires(&mut self, now: f64, failover_delay: f64) -> Option<f64> {
         if self.fired || self.consumed < self.fault.after_msgs {
             return None;
         }
         self.fired = true;
         self.dead_since = Some(now);
-        Some(self.fault.restart_after.unwrap_or(hb_timeout))
+        Some(self.fault.restart_after.unwrap_or(failover_delay))
     }
 
     /// Brings the rep role back at `now` — the restarted process or the

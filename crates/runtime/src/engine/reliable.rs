@@ -37,8 +37,8 @@
 //!   a small retry budget ([`RetryPolicy::expendable_attempts`]) and is
 //!   then abandoned, metered as `degraded_buffers` — the graceful
 //!   degradation to pre-optimization buffering.
-//! * **Link layer** — `Ack`, `Heartbeat`. Never sequenced (an ack of an
-//!   ack would regress infinitely); idempotent by construction instead, so
+//! * **Link layer** — `Ack`. Never sequenced (an ack of an ack would
+//!   regress infinitely); idempotent by construction instead, so
 //!   best-effort delivery suffices: a lost ack is healed by the original
 //!   sender's retransmit, which the receiver dedups and re-acks.
 //!
@@ -706,10 +706,6 @@ mod tests {
     fn link_layer_messages_are_never_sequenced() {
         let mut r = layer();
         assert_eq!(r.register(REP, EXP, &CtrlMsg::Ack { seq: 3 }, 0.0), None);
-        assert_eq!(
-            r.register(REP, EXP, &CtrlMsg::Heartbeat { beat: 1 }, 0.0),
-            None
-        );
         assert_eq!(r.pending_len(), 0);
     }
 

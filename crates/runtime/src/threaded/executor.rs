@@ -10,9 +10,8 @@
 //! under a lock. The **sharded run queues** hold the rest: overflow, tasks
 //! that call themselves heavy, and whatever a thread that cannot run tasks
 //! (an `export()`, a socket reader) wakes; only those cost a lock and a
-//! wake-up. Timers — rep heartbeats, crash-restart sleeps, the
-//! retransmit pump's next deadline — unify into one per-shard timer heap
-//! driven by the same condvar next-deadline machinery the PR 5 pump used.
+//! wake-up. Timers — a crashed rep's recovery instant, the retransmit
+//! pump's next deadline — share one per-shard timer heap.
 //!
 //! The scheduling core is a per-task atomic state machine:
 //!
@@ -158,7 +157,7 @@ impl Poll {
 /// A polled state machine (rep, agent, importer, retransmit pump).
 pub(crate) trait Task: Send {
     /// Drains whatever is runnable right now. `now` is the poll instant —
-    /// tasks compare their own deadlines (heartbeat due, crash restart)
+    /// tasks compare their own deadlines (a crashed rep's recovery instant)
     /// against it rather than re-reading the clock.
     fn poll(&mut self, now: Instant) -> Poll;
 

@@ -15,14 +15,15 @@
 //!   pieces into the import node the application thread's `import()` waits
 //!   on — after that thread has itself polled whatever its call set off;
 //! - one **pump task** per session when the reliability layer is armed,
-//!   woken by the per-shard timer wheel at the earliest retry deadline.
+//!   retransmitting what is due and sleeping toward the earliest retry
+//!   deadline, at most one base timeout at a time.
 //!
 //! Every protocol decision — what a delivered message does at a rank or a
 //! rep, whether a tree frame is relayed, whether a send is registered,
 //! suppressed or lost, what a receive acks and journals — is the engine's
 //! (`on_msg`, [`send_step`], [`Reliability::admit`]). The fabric adds only
-//! what is its own: the shard lock around a link's reliability state, the
-//! mailbox (or socket) push, and the pump wake-up.
+//! what is its own: the lock around the reliability state, the mailbox (or
+//! socket) push, and the pump's timer.
 //!
 //! Application threads drive the per-process [`ExportAccess`] /
 //! [`ImportAccess`] handles exactly like an SPMD rank calling the
@@ -63,25 +64,13 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Wall-clock heartbeat period of a live rep (emitted only while the
-/// reliability layer is armed, so fault-free fabrics carry no extra
-/// traffic). On the executor this is a periodic per-task timer rather than
-/// a mailbox idle timeout: a busy rep still heartbeats on schedule.
-const HB_INTERVAL: Duration = Duration::from_millis(25);
-
-/// Wall-clock detection latency of the heartbeat-failover path: how long
-/// after a rep's death its members conclude it is gone and the successor
-/// takes over.
-const HB_TIMEOUT: Duration = Duration::from_millis(150);
+/// Modelled detection delay: how long after a rep dies without a restart
+/// plan its successor takes over.
+const FAILOVER_DELAY: Duration = Duration::from_millis(150);
 
 /// Hard cap on the shutdown drain: after this long the drain gives up on
 /// still-pending messages (a crashed task's mailbox never acks).
 const DRAIN_CAP: Duration = Duration::from_secs(30);
-
-/// Number of reliability shards the control plane is split across. Links
-/// (directed endpoint pairs) hash onto shards, so two reps' traffic — or
-/// one rep's traffic to two members — contend only when they collide here.
-const REL_SHARDS: usize = 16;
 
 /// Sequence-counter jump applied to every send link when a restarted
 /// process leaves journal replay: far larger than any session's per-link
@@ -373,63 +362,19 @@ fn timed_lock<'a, T>(m: &'a Mutex<T>, metrics: &EngineMetrics) -> MutexGuard<'a,
     g
 }
 
-/// A stable 64-bit code per endpoint, feeding the shard hash.
-fn endpoint_code(e: Endpoint) -> u64 {
-    match e {
-        Endpoint::Proc { prog, rank } => (1 << 62) | ((prog as u64) << 24) | rank as u64,
-        Endpoint::Rep { prog } => (2 << 62) | prog as u64,
-    }
-}
-
-/// The shard a directed link hashes onto (splitmix64 finalizer — the
-/// sequential codes above would otherwise collide every link of one
-/// program onto one shard).
-fn link_shard(from: Endpoint, to: Endpoint) -> usize {
-    let mut z = endpoint_code(from)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(endpoint_code(to));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (z ^ (z >> 31)) as usize % REL_SHARDS
-}
-
 /// The fabric's reliability layer, armed only when the configured faults
 /// require it (permanent loss, a crash fault, or forced buddy-help loss).
 /// Fault-free fabrics carry `None` here and run the exact pre-reliability
 /// message flow — zero protocol overhead, bit-identical outputs.
-///
-/// The layer is **sharded** per directed link: each (from, to) endpoint
-/// pair hashes onto one of [`REL_SHARDS`] independent [`Reliability`]
-/// instances, so the send, receive and ack paths of unrelated links never
-/// contend on one global lock. Sharding is sound because every layer
-/// operation keys on the link — `register(from, to, …)`,
-/// `receive((meta.from), to, …)` and `on_ack(meta.from, to, …)` all
-/// address the same pair — while the endpoint-wide operations
-/// (`crash_endpoint`, `due`, `pending_len`) simply visit every shard.
 struct NetRel {
-    shards: Vec<Mutex<Reliability>>,
+    layer: Mutex<Reliability>,
     clock: Arc<WallClock>,
-    /// First retransmit interval of the retry policy (for pump wakeups:
-    /// a fresh registration's deadline is `now + base_timeout`).
+    /// First retransmit interval of the retry policy: no deadline the
+    /// layer sets is nearer than this, so it also caps the pump's sleep.
     base_timeout: f64,
-    /// Bit pattern of the `f64` clock instant the pump task's timer is
-    /// armed toward (`f64::INFINITY` while it sleeps unbounded). Senders
-    /// compare their new deadline against this to decide whether the pump
-    /// must be re-scheduled early.
-    pump_until: AtomicU64,
-    /// `true` once shutdown has asked the pump task to stop (guarded state
-    /// of `pump_cv` during the drain).
-    pump_stop: Mutex<bool>,
-    /// The shutdown drain's timer: signalled (while draining) on every
-    /// fresh ack so the drain unblocks the moment pending traffic empties.
-    pump_cv: Condvar,
-    /// Whether the shutdown drain is running (acks then signal `pump_cv`).
-    draining: AtomicBool,
-    /// The pump task, once spawned. Senders re-schedule it when they
-    /// register a deadline earlier than `pump_until`; scheduling a running
-    /// task marks it dirty, so the wakeup can never be lost in the gap
-    /// between the pump's deadline scan and its timer re-arm.
-    pump_task: OnceLock<TaskHandle>,
+    /// Set by shutdown once the drain is over: the pump task finishes at
+    /// its next poll.
+    stop: AtomicBool,
 }
 
 impl NetRel {
@@ -440,80 +385,21 @@ impl NetRel {
         drop_buddy_help: bool,
         loss: Option<ChaosConfig>,
     ) -> Self {
-        let base_timeout = policy.base_timeout;
-        let shard =
-            || Reliability::new(policy, Arc::clone(metrics)).with_faults(drop_buddy_help, loss);
+        let layer =
+            Reliability::new(policy, Arc::clone(metrics)).with_faults(drop_buddy_help, loss);
         NetRel {
-            shards: (0..REL_SHARDS).map(|_| Mutex::new(shard())).collect(),
+            layer: Mutex::new(layer),
             clock,
-            base_timeout,
-            pump_until: AtomicU64::new(f64::INFINITY.to_bits()),
-            pump_stop: Mutex::new(false),
-            pump_cv: Condvar::new(),
-            draining: AtomicBool::new(false),
-            pump_task: OnceLock::new(),
+            base_timeout: policy.base_timeout,
+            stop: AtomicBool::new(false),
         }
     }
 
-    /// The shard owning the directed link `from → to`.
-    fn shard(&self, from: Endpoint, to: Endpoint) -> &Mutex<Reliability> {
-        &self.shards[link_shard(from, to)]
-    }
-
-    /// Earliest retry deadline across all shards (clock seconds).
-    fn next_deadline(&self) -> Option<f64> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.lock().next_deadline())
-            .min_by(f64::total_cmp)
-    }
-
-    /// Unacked sequenced messages across all shards.
-    fn pending_total(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().pending_len()).sum()
-    }
-
-    /// Drops every shard's receive state for a crashed endpoint.
-    fn crash_endpoint(&self, ep: Endpoint) {
-        for s in &self.shards {
-            s.lock().crash_endpoint(ep);
-        }
-    }
-
-    /// Restores delivered-journal receive state, routing each entry to the
-    /// shard owning its link.
-    fn restore_delivered(&self, ep: Endpoint, journal: &[(WireMeta, CtrlMsg)]) {
-        let mut per_shard = vec![Vec::new(); REL_SHARDS];
-        for &entry in journal {
-            per_shard[link_shard(entry.0.from, ep)].push(entry);
-        }
-        for (shard, entries) in self.shards.iter().zip(per_shard) {
-            if !entries.is_empty() {
-                shard.lock().restore_delivered(ep, &entries);
-            }
-        }
-    }
-
-    /// A fresh ack settled a pending send: the shutdown drain blocks until
-    /// pending traffic empties, and this ack may be the one that empties it.
-    fn fresh_ack(&self) {
-        if self.draining.load(Ordering::Acquire) {
-            let _guard = self.pump_stop.lock();
-            self.pump_cv.notify_one();
-        }
-    }
-
-    /// Re-schedules the pump task if `deadline` is earlier than the
-    /// instant its timer is armed toward. Scheduling is idempotent and
-    /// dirty-marks a running pump, so at worst the pump polls once
-    /// spuriously and recomputes; a genuinely earlier deadline is always
-    /// observed by the re-poll.
-    fn wake_pump_before(&self, deadline: f64) {
-        if deadline < f64::from_bits(self.pump_until.load(Ordering::Acquire)) {
-            if let Some(h) = self.pump_task.get() {
-                h.schedule();
-            }
-        }
+    /// Seconds until the earliest retry deadline (0 if it has passed),
+    /// `None` with nothing pending.
+    fn until_next_deadline(&self) -> Option<f64> {
+        let next = self.layer.lock().next_deadline()?;
+        Some((next - self.clock.now()).max(0.0))
     }
 }
 
@@ -681,8 +567,8 @@ impl Net {
     /// re-admitted deliveries are not re-journaled (see
     /// [`Net::wal_active`]).
     pub(crate) fn begin_replay(&self) {
-        for shard in self.rel.iter().flat_map(|rel| &rel.shards) {
-            timed_lock(shard, &self.metrics).set_replaying(true);
+        if let Some(rel) = &self.rel {
+            timed_lock(&rel.layer, &self.metrics).set_replaying(true);
         }
         self.wal_active.store(false, Ordering::Release);
     }
@@ -694,8 +580,8 @@ impl Net {
     /// count-exact (see [`Reliability::fast_forward_seqs`]), and a fresh
     /// send must never collide with a sequence number a peer already saw.
     pub(crate) fn end_replay(&self) {
-        for shard in self.rel.iter().flat_map(|rel| &rel.shards) {
-            let mut layer = timed_lock(shard, &self.metrics);
+        if let Some(rel) = &self.rel {
+            let mut layer = timed_lock(&rel.layer, &self.metrics);
             layer.fast_forward_seqs(RESTART_SEQ_GAP);
             layer.set_replaying(false);
         }
@@ -722,9 +608,8 @@ impl Net {
     /// [`Net::admit`]. Metered (as `Ack` traffic) at the generating
     /// process, not here.
     pub(crate) fn apply_remote_ack(&self, sender: Endpoint, acker: Endpoint, seq: u64) {
-        let Some(rel) = &self.rel else { return };
-        if timed_lock(rel.shard(sender, acker), &self.metrics).on_ack(sender, acker, seq) {
-            rel.fresh_ack();
+        if let Some(rel) = &self.rel {
+            timed_lock(&rel.layer, &self.metrics).on_ack(sender, acker, seq);
         }
     }
 
@@ -742,22 +627,16 @@ impl Net {
         let _ = self.to_imp[conn.0 as usize][dst].push(Msg::Piece { req, rect, payload });
     }
 
-    /// Runs one message through the engine's send step, under its link's
-    /// shard lock when the reliability layer is armed (the fault-free path
-    /// takes no lock). A fresh registration's deadline may be earlier than
-    /// the pump's timer, so the pump is nudged.
+    /// Runs one message through the engine's send step, under the layer
+    /// lock when the reliability layer is armed (the fault-free path takes
+    /// no lock).
     fn gate(&self, kind: SendKind, from: Endpoint, to: Endpoint, msg: &CtrlMsg) -> SendDecision {
         let Some(rel) = &self.rel else {
             return send_step(&self.metrics, None, kind, from, to, msg, 0.0);
         };
         let now = rel.clock.now();
-        let mut layer = timed_lock(rel.shard(from, to), &self.metrics);
-        let decision = send_step(&self.metrics, Some(&mut layer), kind, from, to, msg, now);
-        drop(layer);
-        if matches!(kind, SendKind::Origin | SendKind::Relay) && !msg.is_link_layer() {
-            rel.wake_pump_before(now + rel.base_timeout);
-        }
-        decision
+        let mut layer = timed_lock(&rel.layer, &self.metrics);
+        send_step(&self.metrics, Some(&mut layer), kind, from, to, msg, now)
     }
 
     /// Moves one control message toward its endpoint. With chaos enabled,
@@ -844,9 +723,8 @@ impl Net {
             return deliver(msg);
         };
         let local_sender = self.is_local(meta.from);
-        let mut fresh_acks = false;
         let received = {
-            let mut layer = timed_lock(rel.shard(meta.from, to), &self.metrics);
+            let mut layer = timed_lock(&rel.layer, &self.metrics);
             // Skipped during replay: the records being re-admitted are
             // already on disk.
             let journaling = self.wal_active.load(Ordering::Acquire);
@@ -858,7 +736,7 @@ impl Net {
             });
             if local_sender {
                 for seq in &received.acks {
-                    fresh_acks |= layer.on_ack(meta.from, to, *seq);
+                    layer.on_ack(meta.from, to, *seq);
                 }
             }
             received
@@ -867,9 +745,6 @@ impl Net {
             for seq in received.acks {
                 links.send_ack(meta.from, to, seq);
             }
-        }
-        if fresh_acks {
-            rel.fresh_ack();
         }
         received
             .deliver
@@ -901,9 +776,8 @@ impl Net {
     }
 
     /// The mailbox of the task consuming `msg` at local endpoint `to`: the
-    /// rep's, or for a process the agent's (export side, heartbeats) or the
-    /// connection's importer's (import side). `None` for a program without
-    /// such a task.
+    /// rep's, or for a process the agent's (export side) or the connection's
+    /// importer's (import side). `None` for a program without such a task.
     fn mailbox(&self, to: Endpoint, msg: &CtrlMsg) -> Result<Option<&Arc<Mailbox>>, ThreadedError> {
         Ok(match (to, proc_side(msg)) {
             (Endpoint::Rep { prog }, _) => self.to_rep[prog].as_ref(),
@@ -911,9 +785,6 @@ impl Net {
                 Some(&self.to_imp[conn.0 as usize][rank])
             }
             (Endpoint::Proc { prog, rank }, Some((ProcSide::Export, _))) => {
-                self.to_agent[prog][rank].as_ref()
-            }
-            (Endpoint::Proc { prog, rank }, None) if matches!(msg, CtrlMsg::Heartbeat { .. }) => {
                 self.to_agent[prog][rank].as_ref()
             }
             _ => return Err(ThreadedError::Config("unroutable process message".into())),
@@ -1213,8 +1084,7 @@ fn poll_done(msgs: u64) -> Poll {
     Poll {
         msgs,
         done: true,
-        deadline: None,
-        more: false,
+        ..Poll::idle()
     }
 }
 
@@ -1237,11 +1107,6 @@ struct AgentTask {
 
 impl AgentTask {
     fn on_ctrl(&mut self, meta: Option<WireMeta>, msg: CtrlMsg) -> Result<(), ThreadedError> {
-        if matches!(msg, CtrlMsg::Heartbeat { .. }) {
-            // Members just observe rep liveness; recovery itself is
-            // modeled in the rep task below.
-            return Ok(());
-        }
         if self.crash_after.is_some_and(|k| self.consumed >= k) {
             panic!("injected agent crash after {} messages", self.consumed);
         }
@@ -1287,18 +1152,17 @@ impl Task for AgentTask {
 }
 
 /// The rep state machine: consumes control messages through the
-/// reliability layer (when armed), heartbeats its members on a periodic
-/// timer, and — if targeted by a crash fault — dies and recovers in place
-/// across polls.
+/// reliability layer (when armed) and — if targeted by a crash fault —
+/// dies and recovers in place across polls.
 ///
 /// The crash window is the engine's [`RepCrash`], packet-granular like the
 /// simulator's. While dead the rep discards its mailbox on every poll
 /// (everything unacked — senders keep retransmitting) and its timer is
 /// armed at the recovery instant: `restart_after` wall seconds, or
-/// `HB_TIMEOUT` of heartbeat silence after which members promote the
-/// deterministic successor. The successor inherits the journal because
-/// journal replay is deterministic: any member that recorded the same
-/// deliveries rebuilds the same state.
+/// [`FAILOVER_DELAY`], after which the deterministic successor takes
+/// over. The successor inherits the journal because journal replay is
+/// deterministic: any member that recorded the same deliveries rebuilds
+/// the same state.
 ///
 /// The crash-while-queued case the pooled executor introduces — the fatal
 /// packet is sitting in the mailbox while the task waits for a worker —
@@ -1313,19 +1177,8 @@ struct RepTask {
     crash: Option<RepCrash>,
     mbox: Arc<Mailbox>,
     node: RepNode,
-    beat: u64,
-    next_beat: Option<Instant>,
     /// While `Some`, the rep is dead and recovers at this instant.
     dead_until: Option<Instant>,
-    /// Members that can receive heartbeats (exporting processes have agent
-    /// tasks; importing application threads are only reachable mid-import
-    /// and watch the rep through the error slot instead).
-    members: Vec<usize>,
-    /// When this rep last sent protocol traffic to each member, for
-    /// heartbeat piggybacking: a standalone heartbeat is suppressed (and
-    /// metered as `hb_suppressed`) when real traffic already proved the
-    /// link alive within the heartbeat window.
-    last_send: HashMap<usize, Instant>,
 }
 
 impl RepTask {
@@ -1361,44 +1214,7 @@ impl RepTask {
         let (now, bh, hier) = (rel.clock.now(), self.buddy_help, self.hierarchical);
         if let Some(node) = crash.recover(now, &self.topo, bh, hier, &journal, &self.net.metrics)? {
             self.node = node;
-            rel.restore_delivered(ep, &journal);
-        }
-        Ok(())
-    }
-
-    /// The periodic heartbeat to every member, while the reliability layer
-    /// is armed.
-    fn heartbeat(&mut self, ep: Endpoint, now: Instant) -> Result<(), ThreadedError> {
-        if self.net.rel.is_none() {
-            return Ok(());
-        }
-        if self.next_beat.is_some_and(|nb| now < nb) {
-            return Ok(());
-        }
-        // The first poll only arms the timer.
-        if self.next_beat.replace(now + HB_INTERVAL).is_none() {
-            return Ok(());
-        }
-        self.beat += 1;
-        for &r in &self.members {
-            // Piggybacking: real protocol traffic within the heartbeat
-            // window already proved this link alive, so the standalone beat
-            // is suppressed. Failover stays intact — a stalled link carries
-            // no traffic, so its beats keep flowing.
-            if self
-                .last_send
-                .get(&r)
-                .is_some_and(|&t| now.duration_since(t) < HB_INTERVAL)
-            {
-                self.net.metrics.hb_suppressed.inc();
-                continue;
-            }
-            let to = Endpoint::Proc {
-                prog: self.prog,
-                rank: r,
-            };
-            let beat = CtrlMsg::Heartbeat { beat: self.beat };
-            self.net.send(SendKind::Origin, ep, to, beat)?;
+            rel.layer.lock().restore_delivered(ep, &journal);
         }
         Ok(())
     }
@@ -1410,24 +1226,12 @@ impl RepTask {
         ep: Endpoint,
         meta: Option<WireMeta>,
         msg: CtrlMsg,
-        now: Instant,
     ) -> Result<(), ThreadedError> {
         self.net.admit(ep, meta, msg, |m| {
             if let Some(crash) = &mut self.crash {
                 crash.consumed();
             }
             let outs = self.node.on_msg(&self.topo, m)?;
-            if self.net.rel.is_some() {
-                for out in &outs {
-                    if let Outgoing::Ctrl {
-                        to: Endpoint::Proc { rank, .. },
-                        ..
-                    } = out
-                    {
-                        self.last_send.insert(*rank, now);
-                    }
-                }
-            }
             self.net.emit_ctrl(ep, outs)
         })
     }
@@ -1446,7 +1250,7 @@ impl Task for RepTask {
                 return poll_done(0);
             }
         }
-        let mut step = self.heartbeat(ep, now);
+        let mut step = Ok(());
         let mut shutdown = false;
         let mut msgs = 0u64;
         // A shutdown marker found mid-drain still processes everything
@@ -1464,16 +1268,16 @@ impl Task for RepTask {
             self.net.metrics.queue_depth.sub(1);
             msgs += 1;
             if let (Some(crash), Some(rel)) = (&mut self.crash, &self.net.rel) {
-                if let Some(after) = crash.fires(rel.clock.now(), HB_TIMEOUT.as_secs_f64()) {
+                if let Some(after) = crash.fires(rel.clock.now(), FAILOVER_DELAY.as_secs_f64()) {
                     // The fatal packet and everything arriving while dead
                     // die unacked; the pump keeps retransmitting them.
-                    rel.crash_endpoint(ep);
+                    rel.layer.lock().crash_endpoint(ep);
                     let du = Instant::now() + Duration::from_secs_f64(after);
                     self.dead_until = Some(du);
                     return self.dead_poll(msgs, du);
                 }
             }
-            step = self.on_ctrl(ep, meta, m, now);
+            step = self.on_ctrl(ep, meta, m);
         }
         if let Err(e) = step {
             self.net.err.record_err(e);
@@ -1482,7 +1286,7 @@ impl Task for RepTask {
         Poll {
             msgs,
             done: shutdown,
-            deadline: self.next_beat,
+            deadline: None,
             more: !shutdown && !self.mbox.is_empty(),
         }
     }
@@ -1596,84 +1400,48 @@ impl Task for ImpTask {
     }
 }
 
-/// One pump tick: resend everything the retry policy says is due, shard by
-/// shard (each shard's lock is held only while its due list is collected).
+/// One pump tick: resend everything the retry policy says is due (the
+/// layer lock is held only while the due list is collected).
 fn pump_tick(net: &Net, rel: &NetRel) {
-    let now = rel.clock.now();
-    for shard in &rel.shards {
-        let due = shard.lock().due(now);
-        for e in due {
-            match e {
-                Expiry::Resend { to, meta, msg } => {
-                    if let Err(e) = net.resend(to, meta, msg) {
-                        net.err.record_err(e);
-                    }
+    let due = rel.layer.lock().due(rel.clock.now());
+    for e in due {
+        match e {
+            Expiry::Resend { to, meta, msg } => {
+                if let Err(e) = net.resend(to, meta, msg) {
+                    net.err.record_err(e);
                 }
-                // Abandoned traffic (expendable buddy-help, or the
-                // max-attempts backstop) is already metered by the layer;
-                // nothing to send.
-                Expiry::Abandon { .. } => {}
             }
+            // Abandoned traffic (expendable buddy-help, or the max-attempts
+            // backstop) is already metered by the layer; nothing to send.
+            Expiry::Abandon { .. } => {}
         }
     }
 }
 
-/// The retransmit pump as a timer-wheel task: each poll resends what is
-/// due and re-arms its deadline at the earliest pending retry across the
-/// shards. With nothing pending it parks with no timer (an idle session
-/// burns no CPU); a registration with an earlier deadline re-schedules it
-/// through [`NetRel::wake_pump_before`].
-///
-/// The idle-arm race — a sender registering between this task's deadline
-/// scan and its `pump_until` store — is closed by scanning *again* after
-/// publishing the infinite sleep: the second scan and the registration
-/// both take the link's shard lock, so either the scan observes the
-/// registration or the sender observes the published `INFINITY` and
-/// re-schedules this task.
+/// The retransmit pump: each poll resends what is due and sleeps toward
+/// the earliest pending retry, but never longer than `base_timeout`. Every
+/// deadline the layer sets is `now + RetryPolicy::interval(k)`, at least
+/// `base_timeout` ahead of the clock at that moment, so a sleep capped
+/// there cannot pass a deadline registered after this poll's scan — and no
+/// sender has to wake the pump.
 struct PumpTask {
     net: Arc<Net>,
 }
 
 impl Task for PumpTask {
     fn poll(&mut self, now: Instant) -> Poll {
-        let Some(rel) = &self.net.rel else {
-            return Poll {
-                msgs: 0,
-                done: true,
-                deadline: None,
-                more: false,
-            };
-        };
-        if *rel.pump_stop.lock() {
+        let rel = self.net.rel.as_ref();
+        let Some(rel) = rel.filter(|rel| !rel.stop.load(Ordering::Acquire)) else {
             // Shutdown drains pending traffic on the caller's thread
             // (`Session::shutdown`), not here.
-            return Poll {
-                msgs: 0,
-                done: true,
-                deadline: None,
-                more: false,
-            };
-        }
+            return poll_done(0);
+        };
         pump_tick(&self.net, rel);
-        let mut next = rel.next_deadline();
-        if next.is_none() {
-            rel.pump_until
-                .store(f64::INFINITY.to_bits(), Ordering::Release);
-            // Close the lost-wakeup window (see the type doc).
-            next = rel.next_deadline();
-        }
-        match next {
-            Some(d) => {
-                rel.pump_until.store(d.to_bits(), Ordering::Release);
-                let wait = (d - rel.clock.now()).max(0.0);
-                Poll {
-                    msgs: 0,
-                    done: false,
-                    deadline: Some(now + Duration::from_secs_f64(wait)),
-                    more: false,
-                }
-            }
-            None => Poll::idle(),
+        let idle = rel.base_timeout;
+        let wait = rel.until_next_deadline().unwrap_or(idle).min(idle);
+        Poll {
+            deadline: Some(now + Duration::from_secs_f64(wait)),
+            ..Poll::idle()
         }
     }
 }
@@ -1770,8 +1538,7 @@ impl Session {
     /// Builds one session's nodes and spawns its tasks on `exec` under
     /// session id `sid`. Mailboxes are created first (the routing table
     /// must exist before any task runs), then bound to their tasks in
-    /// dependency order: pump, agents, reps, importers — a rep's first
-    /// poll may heartbeat into agent mailboxes, which are already bound.
+    /// dependency order: pump, agents, reps, importers.
     fn new(topo: Topology, opts: FabricOptions, exec: &Executor, sid: SessionId) -> Self {
         Session::new_partial(topo, opts, exec, sid, None, None, None)
     }
@@ -1874,16 +1641,12 @@ impl Session {
             (tx, handle)
         });
         let pump = net.rel.is_some().then(|| {
-            let h = exec.spawn(
+            exec.spawn(
                 sid,
                 metrics.clone(),
                 crash_sink(&err, "retry pump".into()),
                 Box::new(PumpTask { net: net.clone() }),
-            );
-            if let Some(rel) = &net.rel {
-                let _ = rel.pump_task.set(h.clone());
-            }
-            h
+            )
         });
 
         // Exporting processes: engine state + agent tasks.
@@ -1947,9 +1710,6 @@ impl Session {
                 continue;
             };
             let fault = crash.filter(|f| f.target == CrashTarget::Rep(pi));
-            let members: Vec<usize> = (0..topo.programs[pi].procs)
-                .filter(|&r| agent_boxes[pi][r].is_some())
-                .collect();
             let handle = exec.spawn(
                 sid,
                 metrics.clone(),
@@ -1963,11 +1723,7 @@ impl Session {
                     crash: fault.map(|f| RepCrash::new(pi, f)),
                     mbox: mbox.clone(),
                     node: RepNode::new(&topo, pi, opts.buddy_help, opts.hierarchical),
-                    beat: 0,
-                    next_beat: None,
                     dead_until: None,
-                    members,
-                    last_send: HashMap::new(),
                 }),
             );
             mbox.bind(handle.clone());
@@ -2108,40 +1864,26 @@ impl Session {
         // soon as the collective decision is available; lagging ranks are
         // told via buddy-help), so the session may not stop while reliable
         // messages are pending unacked — stopping early would make a lost
-        // `ForwardRequest` permanent and break collective order. Fresh
-        // acks signal `pump_cv`, so the drain unblocks the instant pending
-        // traffic empties; it terminates because loss draws are
-        // independent per attempt and the retry policy's `max_attempts`
-        // backstop abandons anything undeliverable (e.g. a crashed task's
-        // mailbox). A recorded fabric error or `DRAIN_CAP` cuts it short —
-        // the run is already failed or wedged.
+        // `ForwardRequest` permanent and break collective order. The
+        // drain polls (acks arrive on other threads) at the cadence
+        // `SocketLinks::quiesce` uses; it terminates because loss draws
+        // are independent per attempt and the retry policy's
+        // `max_attempts` backstop abandons anything undeliverable (e.g. a
+        // crashed task's mailbox). A recorded fabric error or `DRAIN_CAP`
+        // cuts it short — the run is already failed or wedged.
         if let Some(rel) = &self.net.rel {
-            rel.draining.store(true, Ordering::Release);
             let cap = Instant::now() + DRAIN_CAP;
             loop {
                 pump_tick(&self.net, rel);
+                let Some(wait) = rel.until_next_deadline() else {
+                    break; // nothing pending
+                };
                 if self.err.check().is_err() || Instant::now() >= cap {
                     break;
                 }
-                let mut stop = rel.pump_stop.lock();
-                // Checked under `pump_stop`: the ack that empties pending
-                // traffic notifies while holding this lock, so it either
-                // lands before this check or wakes the wait below.
-                if rel.pending_total() == 0 {
-                    break;
-                }
-                let wait = match rel.next_deadline() {
-                    Some(d) => Duration::from_secs_f64((d - rel.clock.now()).max(0.0)),
-                    // Pending but no deadline can only be a transient
-                    // between a registration's bookkeeping steps.
-                    None => Duration::from_millis(10),
-                };
-                let _ = rel.pump_cv.wait_for(
-                    &mut stop,
-                    wait.min(cap.saturating_duration_since(Instant::now())),
-                );
+                std::thread::sleep(Duration::from_secs_f64(wait.min(0.001)));
             }
-            *rel.pump_stop.lock() = true;
+            rel.stop.store(true, Ordering::Release);
         }
         if let Some(h) = self.pump.take() {
             h.schedule();
@@ -2423,8 +2165,8 @@ impl Fabric {
 
     /// Stops all control tasks and returns per-connection statistics and
     /// the recorded traces. Call after the application threads have
-    /// finished and dropped their handles. See [`Session`]-level shutdown
-    /// ordering notes on `SessionSet::shutdown_session`.
+    /// finished and dropped their handles. The ordering notes are on
+    /// `Session::shutdown`.
     pub fn shutdown(mut self) -> Result<FabricReport, ThreadedError> {
         self.set.shutdown_session(0)
     }
@@ -2712,78 +2454,10 @@ mod tests {
         fabric.shutdown().unwrap();
     }
 
-    /// Heartbeat piggybacking: with the reliability layer armed (a crash
-    /// fault that never fires) and protocol traffic flowing continuously,
-    /// every periodic beat finds its link freshly proven alive — zero
-    /// standalone heartbeats go out, and each suppression is metered.
-    /// Whether a beat tick lands inside the traffic window is
-    /// interleaving-dependent, so the run retries on a fresh fabric.
-    #[test]
-    fn heartbeats_piggyback_on_protocol_traffic() {
-        let mut last = None;
-        for _attempt in 0..4 {
-            let (topo, exp_d, imp_a, imp_b) = fanout_topology();
-            let opts = FabricOptions {
-                chaos: Some(ChaosConfig {
-                    seed: 3,
-                    max_delay: 0.0,
-                    duplicate_prob: 0.0,
-                    drop_prob: 0.0,
-                    retry_delay: 0.05,
-                    loss_prob: 0.0,
-                    // Arms the reliability layer (and with it the
-                    // heartbeat timer) without ever firing: the rep
-                    // would need a million messages to die.
-                    crash: Some(CrashFault {
-                        target: CrashTarget::Rep(0),
-                        after_msgs: 1_000_000,
-                        restart_after: None,
-                    }),
-                }),
-                ..FabricOptions::default()
-            };
-            let mut fabric = Fabric::new(topo, opts);
-            let metrics = fabric.metrics();
-            let mut exp = fabric.take_export(0, 0, 0);
-            let data = LocalArray::from_fn(exp_d.owned(0), |r, c| (r + c) as f64);
-            for j in 1..=24 {
-                exp.export(ts(j as f64), &data).unwrap();
-            }
-            let mut threads = Vec::new();
-            for (prog, rank, decomp) in [(1usize, 0usize, imp_a), (1, 1, imp_a), (2, 0, imp_b)] {
-                let mut imp = fabric.take_import(prog, rank, 0);
-                let owned = decomp.owned(rank);
-                threads.push(std::thread::spawn(move || {
-                    let mut dest = LocalArray::zeros(owned);
-                    for j in 1..=24 {
-                        // Pace the imports so the run spans several
-                        // heartbeat periods with traffic on every link
-                        // well inside each window.
-                        std::thread::sleep(Duration::from_millis(5));
-                        let m = imp.import(ts(j as f64), &mut dest).unwrap();
-                        assert_eq!(m, Some(ts(j as f64)));
-                    }
-                }));
-            }
-            for t in threads {
-                t.join().unwrap();
-            }
-            let snap = metrics.snapshot();
-            fabric.shutdown().unwrap();
-            assert_eq!(snap.counters.failovers, 0, "the armed crash must not fire");
-            if snap.counters.ctrl(CtrlClass::Heartbeat) == 0 && snap.counters.hb_suppressed > 0 {
-                return;
-            }
-            last = Some(snap);
-        }
-        panic!("expected fully piggybacked liveness (0 standalone heartbeats, >0 suppressed) in 4 runs: {last:?}");
-    }
-
-    /// Suppression must not cost failover: a rep that dies *without* a
-    /// restart plan — the stalled-link case, silence on every member link
-    /// — is still taken over after `HB_TIMEOUT`, every import completes,
-    /// and the measured recovery stays within a ~1 s budget (recovery_ms
-    /// histogram bucket 10 = 1024 ms).
+    /// A rep that dies *without* a restart plan is taken over after
+    /// `FAILOVER_DELAY`, every import completes, and the measured recovery
+    /// stays within a ~1 s budget (recovery_ms histogram bucket 10 =
+    /// 1024 ms).
     #[test]
     fn stalled_rep_fails_over_within_recovery_budget() {
         let (topo, exp_d, imp_a, imp_b) = fanout_topology();
@@ -2797,8 +2471,7 @@ mod tests {
                 retry_delay: 0.05,
                 loss_prob: 0.0,
                 crash: Some(CrashFault {
-                    // The exporter program's rep — the hub whose member
-                    // links the piggybacking quiets — goes silent after 3
+                    // The exporter program's rep goes silent after 3
                     // messages and never restarts on its own.
                     target: CrashTarget::Rep(0),
                     after_msgs: 3,
@@ -2886,6 +2559,135 @@ mod tests {
             }],
         };
         (topo, exp_d, imp_d)
+    }
+
+    /// An armed fabric's first retry interval.
+    fn base_timeout(fabric: &Fabric) -> Duration {
+        let net = fabric.set.session_net(0);
+        Duration::from_secs_f64(net.rel.as_ref().expect("armed").base_timeout)
+    }
+
+    /// Permanent loss only, under the first seed whose loss draws — the
+    /// layer numbers them in send order — come out as `draws` says: each
+    /// entry is a send's destination and message and whether that copy is
+    /// lost.
+    fn lossy(draws: &[(Endpoint, CtrlMsg, bool)]) -> ChaosConfig {
+        let cfg = |seed| ChaosConfig {
+            seed,
+            max_delay: 0.0,
+            duplicate_prob: 0.0,
+            drop_prob: 0.0,
+            retry_delay: 0.05,
+            loss_prob: 0.5,
+            crash: None,
+        };
+        (0..100_000)
+            .map(cfg)
+            .find(|c| {
+                let mut nonces = 0..;
+                draws
+                    .iter()
+                    .zip(&mut nonces)
+                    .all(|((to, msg, lost), n)| c.lost(n, *to, msg) == *lost)
+            })
+            .expect("a seed with this loss pattern")
+    }
+
+    /// The pump needs no wake-up from senders: after sitting idle for
+    /// three retry intervals it still retransmits a fresh registration on
+    /// time. The one import's first `ForwardRequest` copy is lost and every
+    /// other copy arrives, so the import completes one retry interval
+    /// late — not at its timeout, as it would behind a pump that parks
+    /// while nothing is pending.
+    #[test]
+    fn idle_pump_still_retransmits_a_fresh_registration_on_time() {
+        let (topo, exp_d, imp_d) = pair_topology();
+        let (conn, req, at) = (ConnectionId(0), RequestId(0), ts(1.0));
+        let (rank, answer) = (couplink_proto::Rank(0), RepAnswer::Match(at));
+        let resp = couplink_proto::ProcResponse::Match(at);
+        let (exp_rep, imp_rep) = (Endpoint::Rep { prog: 0 }, Endpoint::Rep { prog: 1 });
+        let agent = Endpoint::Proc { prog: 0, rank: 0 };
+        let importer = Endpoint::Proc { prog: 1, rank: 0 };
+        let forward = CtrlMsg::ForwardRequest { conn, req, ts: at };
+        let import_call = CtrlMsg::ImportCall { conn, rank, ts: at };
+        let response = CtrlMsg::Response {
+            conn,
+            req,
+            rank,
+            resp,
+        };
+        let opts = FabricOptions {
+            import_timeout: Duration::from_secs(5),
+            chaos: Some(lossy(&[
+                (imp_rep, import_call, false),
+                (exp_rep, CtrlMsg::ImportRequest { conn, req, ts: at }, false),
+                (agent, forward, true),
+                (agent, forward, false),
+                (exp_rep, response, false),
+                (imp_rep, CtrlMsg::Answer { conn, req, answer }, false),
+                (importer, CtrlMsg::AnswerBcast { conn, req, answer }, false),
+            ])),
+            ..FabricOptions::default()
+        };
+        let mut fabric = Fabric::new(topo, opts);
+        let base = base_timeout(&fabric);
+        let mut exp = fabric.take_export(0, 0, 0);
+        let mut imp = fabric.take_import(1, 0, 0);
+        let data = LocalArray::from_fn(exp_d.owned(0), |r, c| (r + c) as f64);
+        exp.export(at, &data).unwrap();
+        std::thread::sleep(3 * base);
+        let mut dest = LocalArray::zeros(imp_d.owned(0));
+        let called = Instant::now();
+        assert_eq!(imp.import(at, &mut dest).unwrap(), Some(at));
+        let took = called.elapsed();
+        let c = fabric.shutdown().unwrap().metrics.counters;
+        assert!(c.retransmits >= 1, "{c:?}");
+        assert!(c.ctrl(CtrlClass::ForwardRequest) >= 2, "{c:?}");
+        assert!(took >= base, "retransmitted early: {took:?}");
+        assert!(took < 4 * base, "retransmitted late: {took:?}");
+    }
+
+    /// The shutdown drain polls. With nothing pending an armed session
+    /// stops at once; with a message whose first copy was lost it returns
+    /// only after the retransmit is acked — one retry interval on, nowhere
+    /// near `DRAIN_CAP`.
+    #[test]
+    fn armed_shutdown_returns_once_nothing_is_pending() {
+        let (exp_rep, imp_rep) = (Endpoint::Rep { prog: 0 }, Endpoint::Rep { prog: 1 });
+        let (conn, req, ts) = (ConnectionId(0), RequestId(0), ts(1.0));
+        let request = CtrlMsg::ImportRequest { conn, req, ts };
+        let forward = CtrlMsg::ForwardRequest { conn, req, ts };
+        let agent = Endpoint::Proc { prog: 0, rank: 0 };
+        let opts = FabricOptions {
+            chaos: Some(lossy(&[
+                (exp_rep, request, true),
+                (exp_rep, request, false),
+                (agent, forward, false),
+            ])),
+            ..FabricOptions::default()
+        };
+
+        let idle = Fabric::new(pair_topology().0, opts.clone());
+        let base = base_timeout(&idle);
+        let called = Instant::now();
+        idle.shutdown().unwrap();
+        let took = called.elapsed();
+        assert!(took < base, "idle drain took {took:?}");
+
+        let fabric = Fabric::new(pair_topology().0, opts);
+        let net = fabric.set.session_net(0);
+        net.send(SendKind::Origin, imp_rep, exp_rep, request)
+            .unwrap();
+        let rel = net.rel.as_ref().expect("armed");
+        assert_eq!(rel.layer.lock().pending_len(), 1, "first copy lost");
+        let called = Instant::now();
+        let c = fabric.shutdown().unwrap().metrics.counters;
+        let took = called.elapsed();
+        assert_eq!(rel.layer.lock().pending_len(), 0);
+        assert!(c.retransmits >= 1, "{c:?}");
+        assert_eq!(c.ctrl(CtrlClass::ForwardRequest), 1, "{c:?}");
+        assert!(took >= base * 9 / 10, "returned early: {took:?}");
+        assert!(took < Duration::from_secs(2), "drain took {took:?}");
     }
 
     /// Executor edge case + shutdown-ordering oracle for the pool: a

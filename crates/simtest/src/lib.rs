@@ -7,7 +7,7 @@
 //! compute slowdowns, and optionally a seeded fault-injection plan
 //! ([`couplink_runtime::ChaosConfig`]: per-message delay, duplication,
 //! bounded drop-with-retry — plus *permanent* faults: probabilistic
-//! message loss and a seeded rep crash with restart or heartbeat
+//! message loss and a seeded rep crash with restart or successor
 //! failover). The scenario runs on **both** in-process runtimes — the
 //! discrete-event simulator and the threaded fabric — and, with
 //! `--socket`, additionally on the **socket runtime**
@@ -21,11 +21,11 @@
 //! 4. runtime equivalence (DES and threads decide identical matches),
 //! 5. metric consistency (counter conservation laws), plus a fault-free
 //!    inertness check: scenarios without permanent faults must show zero
-//!    retransmits/timeouts/failovers/degraded buffers and no ack or
-//!    heartbeat traffic.
+//!    retransmits/timeouts/failovers/degraded buffers and no ack
+//!    traffic.
 //!
 //! The `--faults` CLI mode ([`scenario::Scenario::force_faults`]) forces
-//! 20% permanent loss plus a rep crash (restart on even seeds, heartbeat
+//! 20% permanent loss plus a rep crash (restart on even seeds, successor
 //! failover on odd) onto every seed; all oracles must still pass.
 //!
 //! A failing seed shrinks to a structurally minimal scenario

@@ -21,7 +21,7 @@ const USAGE: &str =
               demand the safety oracles catch it (mutation smoke): two
               export-side skips plus a dropped tree-relay edge
   --faults    force permanent faults (20% message loss + a rep crash with
-              restart or heartbeat failover) onto every seed; all oracles
+              restart or successor failover) onto every seed; all oracles
               must still pass on both runtimes
   --stress    concurrency stress: every program at the process ceiling
               with zero compute/startup skew, fault-free (the control

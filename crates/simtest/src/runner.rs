@@ -971,7 +971,7 @@ mod tests {
     }
 
     /// Forced permanent faults (20% loss plus a rep crash, restart on even
-    /// seeds / heartbeat failover on odd) must pass every oracle on both
+    /// seeds / successor failover on odd) must pass every oracle on both
     /// runtimes, and the crash must actually fire somewhere in the corpus
     /// (failovers ≥ 1 — the faults are real, not vacuous).
     #[test]

@@ -189,7 +189,7 @@ impl Scenario {
 
     /// Forces a fault-heavy plan onto this scenario: permanent loss at the
     /// ceiling rate plus a rep crash (restarting on even seeds, relying on
-    /// heartbeat failover on odd ones). Used by the `--faults` sweep so a
+    /// successor failover on odd ones). Used by the `--faults` sweep so a
     /// fixed seed set deterministically exercises crash/restart + loss on
     /// both runtimes regardless of what `generate` drew.
     pub fn force_faults(&mut self) {
