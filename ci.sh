@@ -3,7 +3,8 @@
 #
 #   ./ci.sh
 #
-# (`./ci.sh --loc` only prints the non-test line counts.)
+# (`./ci.sh --loc` only prints the non-test line counts; `./ci.sh --repeat
+# N [--debug] FILTER` only re-runs one test N times under load.)
 #
 # Fourteen stages, all required:
 #   1. formatting      (cargo fmt --check)
@@ -11,7 +12,9 @@
 #   3. tier-1 tests    (release build + full test suite)
 #   4. simtest         (seeded simulation corpus + oracle mutation smoke:
 #                       help-skip and stale-skip on the simulator, relay-drop
-#                       on the simulator and the threaded fabric)
+#                       on the simulator and the threaded fabric,
+#                       ack-before-handle on the fabric's armed-shutdown
+#                       probe)
 #   5. chaos-crash     (fixed-seed simtest sweep with forced permanent
 #                       faults — 20% message loss plus a rep crash with
 #                       restart/failover — on both runtimes)
@@ -112,6 +115,34 @@ loc() {
 if [[ "${1:-}" == "--loc" ]]; then
     loc
     exit
+fi
+
+# `./ci.sh --repeat N [--debug] FILTER`: runs the tests FILTER names N times
+# (release build unless --debug) while `simtest --stress` loads the box,
+# prints `k/N failed`, and exits non-zero if k > 0. The rule for any
+# wall-clock-bounded test: N >= 100 before calling it green.
+if [[ "${1:-}" == "--repeat" ]]; then
+    n=$2 mode=--release
+    shift 2
+    if [[ "${1:-}" == "--debug" ]]; then mode= && shift; fi
+    filter=$1 bins=() failed=0 stop=$(mktemp -u)
+    for exe in $(cargo test $mode -q --workspace --lib --bins --tests --no-run \
+        --message-format=json | grep -o '"executable":"[^"]*"' | cut -d'"' -f4); do
+        if "$exe" --list 2>/dev/null | grep -q "$filter.*: test"; then bins+=("$exe"); fi
+    done
+    [[ ${#bins[@]} -gt 0 ]] || { echo "no test matches $filter" >&2; exit 2; }
+    cargo build --release -q -p couplink-simtest
+    (until [[ -e $stop ]]; do
+        target/release/couplink-simtest --stress --seeds 1 >/dev/null 2>&1 || true
+    done) &
+    for ((i = 0; i < n; i++)); do
+        for exe in "${bins[@]}"; do
+            "$exe" -q "$filter" >/dev/null 2>&1 || { failed=$((failed + 1)) && break; }
+        done
+    done
+    touch "$stop" && wait && rm -f "$stop"
+    echo "$failed/$n failed"
+    exit $((failed > 0))
 fi
 
 echo "== cargo fmt --check"

@@ -247,6 +247,18 @@ impl ExportNode {
         self.regions[region].multi.shared_buffered_len()
     }
 
+    /// Whether every bounded port of a region is at most half full: the
+    /// point at which a stalled exporter has room for a burst of exports
+    /// rather than one.
+    pub fn has_burst_room(&self, region: usize) -> bool {
+        let multi = &self.regions[region].multi;
+        (0..multi.connections()).all(|slot| {
+            let port = multi.port(slot);
+            port.capacity()
+                .is_none_or(|cap| port.buffered_len() <= cap / 2)
+        })
+    }
+
     /// Objects buffered on one connection's port.
     pub fn conn_buffered_len(&self, conn: couplink_proto::ConnectionId) -> usize {
         let &(ri, slot) = self.by_conn.get(&conn).expect("connection served here");

@@ -23,7 +23,9 @@ use couplink_proto::wire::{self as wire, BodyReader, BodyWriter, WireError, Wire
 use couplink_proto::{CtrlMsg, ExportStats, ProcResponse, RepAnswer, Trace, TraceEvent};
 use couplink_time::Timestamp;
 
-use crate::engine::{ChaosConfig, CrashFault, CrashTarget, Endpoint, Topology, WireMeta};
+use crate::engine::{ChaosConfig, ConnTopo, CrashFault, CrashTarget, Endpoint, Topology, WireMeta};
+
+use super::node::NODE_BUFFER_CAPACITY;
 
 /// Version of the runtime envelope protocol (checked in both handshakes,
 /// independently of the frame-container version below it).
@@ -216,6 +218,48 @@ impl NodePlan {
             }
         }
         Topology::from_config(&config, &bindings).map_err(|e| format!("plan topology: {e}"))
+    }
+
+    /// The per-connection export buffer capacity of the node hosting
+    /// program `prog` (`topo` is this plan's [`topology`](Self::topology)):
+    /// [`NODE_BUFFER_CAPACITY`], or more where the schedules need it.
+    ///
+    /// Before a connection's importer makes its last request, every stall
+    /// ends when a request or its answer frees space. After it, nothing
+    /// frees that port again: every later export at or above the last
+    /// region's lower bound `x_last − tol` stays buffered to the end of
+    /// the run (every export, when the importer makes no request). The
+    /// capacity is one more than the longest such tail over the
+    /// connections `prog` exports on, so no export waits for a message
+    /// that will never come.
+    pub fn export_capacity(&self, topo: &Topology, prog: usize) -> usize {
+        let program = |p: usize| topo.programs[p].name.as_str();
+        let tail = |ct: &ConnTopo| {
+            let Some(exp) = self
+                .exports
+                .iter()
+                .find(|e| e.program == program(prog) && e.region == ct.exporter_region)
+            else {
+                return 0;
+            };
+            let last_lo = self
+                .imports
+                .iter()
+                .find(|i| i.program == program(ct.importer_prog) && i.region == ct.importer_region)
+                .filter(|i| i.count > 0)
+                .map(|i| i.t0 + (i.count - 1) as f64 * i.dt - ct.tolerance.value());
+            (0..exp.count)
+                .filter(|&k| last_lo.is_none_or(|lo| exp.t0 + k as f64 * exp.dt >= lo))
+                .count()
+        };
+        let longest = topo
+            .conns
+            .iter()
+            .filter(|ct| ct.exporter_prog == prog)
+            .map(tail)
+            .max()
+            .unwrap_or(0);
+        NODE_BUFFER_CAPACITY.max(longest + 1)
     }
 }
 
@@ -878,6 +922,69 @@ mod tests {
         let topo = plan.topology().unwrap();
         assert_eq!(topo.programs.len(), 2);
         assert_eq!(topo.conns.len(), 1);
+    }
+
+    /// Export capacity of program 0 under `config`, with `E0` exporting 40
+    /// times at 0.5, 1.0, …, 20.0 and each `(importer, count)` importing
+    /// `count` times on the same grid of timestamps.
+    fn capacity(config: &str, imports: &[(&str, usize)]) -> usize {
+        let (t0, dt) = (0.5, 0.5);
+        let plan = NodePlan {
+            config_text: config.into(),
+            exports: vec![ExportSpec {
+                program: "E0".into(),
+                region: 0,
+                t0,
+                dt,
+                count: 40,
+                compute: vec![0.0; 2],
+            }],
+            imports: imports
+                .iter()
+                .map(|&(program, count)| ImportSpec {
+                    program: program.into(),
+                    region: 0,
+                    t0,
+                    dt,
+                    count,
+                    compute: 0.0,
+                    startup: 0.0,
+                })
+                .collect(),
+            fault: None,
+            chaos: None,
+            ..full_plan()
+        };
+        plan.export_capacity(&plan.topology().unwrap(), 0)
+    }
+
+    /// The node's pacing capacity: the constant when the importer's last
+    /// request leaves at most one export behind it, otherwise one more
+    /// than the exports at or above `x_last − tol` — all 40 when the
+    /// importer never requests — and the longest tail over the
+    /// connections a region feeds. Programs that export nothing get the
+    /// constant.
+    #[test]
+    fn export_capacity_covers_the_tail_after_the_last_request() {
+        let pair = "E0 c0 /bin/e0 2\nI0 c0 /bin/i0 2\n#\nE0.r I0.m REG 0.125\n";
+        assert_eq!(capacity(pair, &[("I0", 40)]), NODE_BUFFER_CAPACITY);
+        // Last request at 2.0: exports 2.0 ..= 20.0 stay buffered.
+        assert_eq!(capacity(pair, &[("I0", 4)]), 37 + 1);
+        assert_eq!(capacity(pair, &[("I0", 0)]), 40 + 1);
+        assert_eq!(capacity(pair, &[]), 40 + 1);
+        let fan_out = "E0 c0 /bin/e0 2\nI0 c0 /bin/i0 2\nI1 c0 /bin/i1 1\n#\n\
+                       E0.r I0.m REG 0.125\nE0.r I1.m REGL 1.0\n";
+        // I1's last request at 5.0 with tolerance 1.0: 4.0 ..= 20.0.
+        assert_eq!(capacity(fan_out, &[("I0", 40), ("I1", 10)]), 33 + 1);
+        assert_eq!(
+            capacity(fan_out, &[("I0", 38), ("I1", 40)]),
+            NODE_BUFFER_CAPACITY
+        );
+        let plan = full_plan();
+        assert_eq!(
+            plan.export_capacity(&plan.topology().unwrap(), 1),
+            NODE_BUFFER_CAPACITY
+        );
     }
 
     /// A report with stats, a trace of every event kind, matches and

@@ -19,8 +19,12 @@
 //!    accepts from every *j > i* — each pair shares exactly one socket);
 //!    send `READY`, wait for `GO`;
 //! 5. run the application threads (exports with a deterministic cell
-//!    fill, imports with optional value verification); a restarted node
-//!    resumes each export schedule after the journaled prefix;
+//!    fill, imports with optional value verification); exports are paced
+//!    by a finite buffer ([`NODE_BUFFER_CAPACITY`], raised to cover the
+//!    schedule's tail by [`NodePlan::export_capacity`](super::NodePlan::export_capacity)),
+//!    so an exporter stalls until its importers' requests free space; a
+//!    restarted node resumes each export schedule after the journaled
+//!    prefix;
 //! 6. send `APP_DONE` but **keep serving fabric traffic** — peers may
 //!    still need this node's reps and stores for their own imports;
 //! 7. on `DRAIN`, run the staged session shutdown (pump → relay → reps →
@@ -83,6 +87,15 @@ use super::link::{
     frame_kind, Addr, BufPool, Conn, FrameReader, LinkWriter, Listener, SocketBackend,
 };
 use super::wal::FileWal;
+
+/// Objects each export port of a node may buffer before `export()` waits
+/// for the importer's requests to free space (raised per plan by
+/// [`NodePlan::export_capacity`](super::NodePlan::export_capacity) where a
+/// schedule's tail needs more). Chosen by the capacity sweep in
+/// EXPERIMENTS.md: the smallest value within the spread of the best
+/// `socket_ctrl` throughput (4 is faster on `socket_bulk` but slower on
+/// `socket_ctrl`; 16 and 32 add memory and no throughput).
+pub const NODE_BUFFER_CAPACITY: usize = 8;
 
 /// How long the child waits on any single bootstrap step before giving up.
 const BOOT_TIMEOUT: Duration = Duration::from_secs(120);
@@ -608,7 +621,10 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
     let opts = FabricOptions {
         buddy_help: plan.buddy_help,
         import_timeout: Duration::from_secs_f64(plan.import_timeout_s),
-        buffer_capacity: None,
+        // Paced: the node's export and import loops are separate threads,
+        // so a stalled `export()` waits only for a peer's requests, never
+        // for this process's own program order.
+        buffer_capacity: Some(plan.export_capacity(&topo, me)),
         traces: plan
             .traces
             .iter()

@@ -72,6 +72,10 @@ const FAILOVER_DELAY: Duration = Duration::from_millis(150);
 /// still-pending messages (a crashed task's mailbox never acks).
 const DRAIN_CAP: Duration = Duration::from_secs(30);
 
+/// Longest a stalled bounded `export()` sleeps before retrying without a
+/// wake-up (wake-ups come only once the region has room for a burst).
+const STALL_RECHECK: Duration = Duration::from_millis(10);
+
 /// Sequence-counter jump applied to every send link when a restarted
 /// process leaves journal replay: far larger than any session's per-link
 /// message count, so a post-restart send can never reuse a sequence
@@ -375,6 +379,9 @@ struct NetRel {
     /// Set by shutdown once the drain is over: the pump task finishes at
     /// its next poll.
     stop: AtomicBool,
+    /// Mutation-testing hook: apply an in-process sender's acks *before*
+    /// the handler runs (see [`Fabric::arm_ack_before_handle`]).
+    ack_before_handle: AtomicBool,
 }
 
 impl NetRel {
@@ -392,6 +399,7 @@ impl NetRel {
             clock,
             base_timeout: policy.base_timeout,
             stop: AtomicBool::new(false),
+            ack_before_handle: AtomicBool::new(false),
         }
     }
 
@@ -707,10 +715,13 @@ impl Net {
     /// hands every now-deliverable message to `deliver`, in order. When the
     /// sender is in this process its acks are applied to its pending state
     /// in place — the shared layer plays the role of an instantaneous ack
-    /// channel; the DES models the ack's network latency explicitly. When
-    /// the sender lives in another process the acks travel back over its
-    /// socket link (after the journal append) and land via
-    /// [`Net::apply_remote_ack`]. Unsequenced messages (and everything
+    /// channel — but only *after* `deliver` has run, as in the DES, whose
+    /// acks travel after the handler's sends. So whatever the handler sends
+    /// is registered before the message that caused it stops being
+    /// pending, and the shutdown drain can never see "nothing pending"
+    /// between the two. When the sender lives in another process the acks
+    /// travel back over its socket link (after the journal append) and land
+    /// via [`Net::apply_remote_ack`]. Unsequenced messages (and everything
     /// when the layer is unarmed) pass straight through.
     fn admit(
         &self,
@@ -723,6 +734,7 @@ impl Net {
             return deliver(msg);
         };
         let local_sender = self.is_local(meta.from);
+        let ack_first = rel.ack_before_handle.load(Ordering::Relaxed);
         let received = {
             let mut layer = timed_lock(&rel.layer, &self.metrics);
             // Skipped during replay: the records being re-admitted are
@@ -734,7 +746,7 @@ impl Net {
                     wal.append(rec);
                 }
             });
-            if local_sender {
+            if local_sender && ack_first {
                 for seq in &received.acks {
                     layer.on_ack(meta.from, to, *seq);
                 }
@@ -742,14 +754,21 @@ impl Net {
             received
         };
         if let (Some(links), false) = (&self.links, local_sender) {
-            for seq in received.acks {
-                links.send_ack(meta.from, to, seq);
+            for seq in &received.acks {
+                links.send_ack(meta.from, to, *seq);
             }
         }
-        received
+        let delivered = received
             .deliver
             .into_iter()
-            .try_for_each(|(_, m)| deliver(m))
+            .try_for_each(|(_, m)| deliver(m));
+        if local_sender && !ack_first && !received.acks.is_empty() {
+            let mut layer = timed_lock(&rel.layer, &self.metrics);
+            for seq in &received.acks {
+                layer.on_ack(meta.from, to, *seq);
+            }
+        }
+        delivered
     }
 
     /// Routes one control message: to its socket link when the destination
@@ -901,8 +920,10 @@ impl ExportAccess {
     /// region's connection order). The framework buffers (clones) the piece
     /// at most once unless every connection proves the object will never be
     /// needed. With a bounded buffer the call blocks while any connection's
-    /// buffer is full, resuming when control traffic frees space; it gives
-    /// up with [`ThreadedError::Timeout`] after the import timeout.
+    /// buffer is full, resuming once control traffic has left every port
+    /// at most half full (or at the next 10 ms recheck finding room);
+    /// it gives up with [`ThreadedError::Timeout`] after the import
+    /// timeout.
     pub fn export(
         &mut self,
         ts: Timestamp,
@@ -917,11 +938,18 @@ impl ExportAccess {
             match state.node.on_export(self.region, ts) {
                 Err(EngineError::Port(couplink_proto::PortError::BufferFull { .. })) => {
                     // Finite buffer: stall until the agent's control traffic
-                    // frees space, then retry the same export.
+                    // leaves room for a burst, then retry the same export.
+                    // The recheck covers a port that no further request
+                    // will drain that far: once its importer's last request
+                    // is answered, the tail it keeps can exceed half the
+                    // capacity while leaving room for the next export.
                     self.net.err.check()?;
-                    if self.cell.freed.wait_until(&mut state, deadline).timed_out() {
+                    let now = Instant::now();
+                    if now >= deadline {
                         return Err(ThreadedError::Timeout);
                     }
+                    let recheck = (now + STALL_RECHECK).min(deadline);
+                    self.cell.freed.wait_until(&mut state, recheck);
                 }
                 other => break other.map_err(ThreadedError::from)?,
             }
@@ -1070,10 +1098,16 @@ impl ImportAccess {
 fn agent_step(net: &Net, cell: &ExpCell, me: Endpoint, msg: CtrlMsg) -> Result<(), ThreadedError> {
     let mut state = timed_lock(&cell.state, &net.metrics);
     let fx = state.node.on_msg(msg)?;
+    let region = fx.region;
     apply_fx(net, me, &mut state, fx)?;
+    let room = state.node.has_burst_room(region);
     drop(state);
-    // Buffer space may have been freed: wake a stalled exporter thread.
-    cell.freed.notify_all();
+    // Wake a stalled exporter once it can export a burst, not at every
+    // freed object: one wake-up per object makes its thread compete with
+    // the senders on every request (see `ExportAccess::export`).
+    if room {
+        cell.freed.notify_all();
+    }
     Ok(())
 }
 
@@ -2177,6 +2211,16 @@ impl Fabric {
         let imp_cells = self.set.session(0).err.imp_cells.get();
         for cell in imp_cells.expect("session built") {
             cell.node.lock().arm_relay_drop();
+        }
+    }
+
+    /// Arms the ack-before-handle mutation, for mutation-testing the
+    /// shutdown drain: an in-process sender's acks are applied before the
+    /// receiving handler runs, so for one instant neither the message nor
+    /// what the handler sends is pending. No effect on an unarmed layer.
+    pub fn arm_ack_before_handle(&self) {
+        if let Some(rel) = &self.set.session_net(0).rel {
+            rel.ack_before_handle.store(true, Ordering::Relaxed);
         }
     }
 

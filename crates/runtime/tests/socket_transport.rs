@@ -8,12 +8,14 @@
 //! peer draining early must not fail the survivors).
 
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use couplink_runtime::net::node::NODE_BUFFER_CAPACITY;
 use couplink_runtime::net::{
     run_plan, BootstrapError, ExportSpec, ImportSpec, KillSpec, NetOptions, NetReport, NodeFault,
     NodePlan, SocketBackend,
 };
+use couplink_time::ts;
 
 fn node_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_couplink-node"))
@@ -102,6 +104,55 @@ fn uds_pair_end_to_end() {
     assert_clean(&rep, 6);
     // The armed traces came home from the exporter process.
     assert_eq!(rep.traces.len(), 2);
+}
+
+/// The node paces its exporters: against a slow importer they stall on a
+/// full buffer instead of buffering the whole run, no port ever holds more
+/// than the plan's derived capacity, and every match is still exact with
+/// every landed cell verified.
+#[test]
+fn slow_importer_paces_the_exporters() {
+    let mut plan = pair_plan(64, 64);
+    plan.imports[0].compute = 0.1;
+    let cap = plan.export_capacity(&plan.topology().expect("topology"), 0);
+    assert_eq!(cap, NODE_BUFFER_CAPACITY);
+    let rep = run_plan(&plan, &opts(SocketBackend::Uds)).expect("bootstrap");
+    assert_clean(&rep, 64);
+    for (k, m) in rep.matches[0].iter().enumerate() {
+        assert_eq!(*m, Some(ts(0.5 + k as f64 * 0.5)), "import {k}");
+    }
+    assert!(rep.counters.buffer_stalls > 0, "nothing stalled");
+    for s in &rep.stats[0] {
+        assert!(
+            s.buffered_hwm <= cap,
+            "a port held {} > {cap}",
+            s.buffered_hwm
+        );
+    }
+    // The gauge sums the node's ports: two exporter ranks, one port each.
+    assert!(
+        rep.counters.buffered_hwm <= 2 * cap as u64,
+        "{:?}",
+        rep.counters
+    );
+}
+
+/// An exporter that runs 36 exports past its importer's last request
+/// keeps every one of them buffered (nothing frees that port again), so
+/// the derived capacity must cover that tail: the run completes with no
+/// export error, nowhere near the import timeout a stall would sit out.
+#[test]
+fn exports_past_the_last_request_fit_the_derived_capacity() {
+    let plan = pair_plan(40, 4);
+    let cap = plan.export_capacity(&plan.topology().expect("topology"), 0);
+    assert_eq!(cap, 37 + 1);
+    let started = Instant::now();
+    let rep = run_plan(&plan, &opts(SocketBackend::Uds)).expect("bootstrap");
+    let took = started.elapsed();
+    assert_clean(&rep, 4);
+    assert!(rep.stats[0].iter().all(|s| s.exports == 40));
+    let timeout = Duration::from_secs_f64(plan.import_timeout_s);
+    assert!(took < timeout / 2, "took {took:?}");
 }
 
 #[test]

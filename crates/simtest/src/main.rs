@@ -19,7 +19,8 @@ const USAGE: &str =
   --seeds N   run seeds 0..N (default 50)
   --mutate    arm each deliberately unsound protocol rule in turn and
               demand the safety oracles catch it (mutation smoke): two
-              export-side skips plus a dropped tree-relay edge
+              export-side skips, a dropped tree-relay edge, and acks
+              applied before their handler ran (the armed-shutdown probe)
   --faults    force permanent faults (20% message loss + a rep crash with
               restart or successor failover) onto every seed; all oracles
               must still pass on both runtimes
@@ -320,7 +321,16 @@ fn run_corrupt_wal(args: &Args, backend: SocketBackend) -> ExitCode {
 fn run_mutation(args: &Args) -> ExitCode {
     for mutation in Mutation::ALL {
         match mutation_smoke(200, mutation) {
-            Some((seed, shrunk, violations)) => {
+            Some((round, None, violations)) => {
+                println!(
+                    "mutation {} caught in probe round {round}:",
+                    mutation.as_str()
+                );
+                for v in &violations {
+                    println!("  - {v}");
+                }
+            }
+            Some((seed, Some(shrunk), violations)) => {
                 println!(
                     "mutation {} caught at seed {seed}; shrunk reproducer:",
                     mutation.as_str()

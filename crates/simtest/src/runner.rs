@@ -1,16 +1,16 @@
 //! Runs one scenario on each runtime and applies the oracles.
 
 use crate::scenario::{Scenario, GRID};
-use couplink_layout::LocalArray;
+use couplink_layout::{Decomposition, Extent2, LocalArray};
 use couplink_metrics::{CounterSnapshot, EXACT};
-use couplink_proto::{ConnectionId, Trace};
+use couplink_proto::{ConnectionId, CtrlMsg, Rank, RequestId, Trace};
 use couplink_runtime::cost::CostModel;
 use couplink_runtime::engine::oracle::{
     check_buffer_safety, check_collective_order, check_ctrl_scaling, check_fault_free,
     check_liveness, check_metric_consistency, check_runtime_equivalence, owed_matches,
     OracleViolation,
 };
-use couplink_runtime::engine::Topology;
+use couplink_runtime::engine::{Endpoint, Topology};
 use couplink_runtime::net::{
     run_plan, ExportSpec, ImportSpec, KillSpec, NetOptions, NodeFault, NodePlan, SocketBackend,
 };
@@ -18,7 +18,7 @@ use couplink_runtime::{
     session_task_count, ChaosConfig, ExportSchedule, Fabric, FabricOptions, ImportSchedule,
     RetryPolicy, TopoReport, TopologyConfig, TopologySim,
 };
-use couplink_time::{ts, Timestamp};
+use couplink_time::{ts, MatchPolicy, Timestamp, Tolerance};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -49,11 +49,22 @@ pub enum Mutation {
     /// drop lives in the engine's import node, so it is armed — and must be
     /// caught — on the simulator and on the threaded fabric alike.
     RelayDrop,
+    /// [`Fabric::arm_ack_before_handle`]: the armed fabric applies an
+    /// in-process sender's acks before the receiving handler has sent
+    /// what it owes, so the shutdown drain can see "nothing pending"
+    /// mid-handler and stop. Fabric-only, and a race no seeded scenario
+    /// hits: it is caught by repeating [`armed_shutdown_probe`].
+    AckBeforeHandle,
 }
 
 impl Mutation {
     /// Every mutation, for sweeps.
-    pub const ALL: [Mutation; 3] = [Mutation::HelpSkip, Mutation::StaleSkip, Mutation::RelayDrop];
+    pub const ALL: [Mutation; 4] = [
+        Mutation::HelpSkip,
+        Mutation::StaleSkip,
+        Mutation::RelayDrop,
+        Mutation::AckBeforeHandle,
+    ];
 
     /// Short CLI/reporting name.
     pub fn as_str(self) -> &'static str {
@@ -61,6 +72,7 @@ impl Mutation {
             Mutation::HelpSkip => "help-skip",
             Mutation::StaleSkip => "stale-skip",
             Mutation::RelayDrop => "relay-drop",
+            Mutation::AckBeforeHandle => "ack-before-handle",
         }
     }
 
@@ -78,6 +90,7 @@ impl Mutation {
                 v,
                 OracleViolation::BufferSafety { .. } | OracleViolation::Liveness { .. }
             ),
+            Mutation::AckBeforeHandle => matches!(v, OracleViolation::Liveness { .. }),
         }
     }
 }
@@ -272,7 +285,8 @@ pub fn run_des(
         Some(Mutation::HelpSkip) => sim.arm_unsound_help_skip(),
         Some(Mutation::StaleSkip) => sim.arm_unsound_stale_skip(),
         Some(Mutation::RelayDrop) => sim.arm_relay_drop(),
-        None => {}
+        // A fabric-only rule: the simulator charges its acks explicitly.
+        Some(Mutation::AckBeforeHandle) | None => {}
     }
     let report = sim.run().map_err(|e| format!("simulator run: {e}"))?;
     let mut violations = Vec::new();
@@ -607,6 +621,18 @@ pub fn run_socket(
         if !drop_answers {
             scaling_oracle(s, &view, &rep.counters, &mut violations);
         }
+        // The nodes pace their exporters: no port may ever have held more
+        // than its node's plan-derived capacity.
+        for ct in &view.conns {
+            let cap = plan.export_capacity(&view, ct.exporter_prog);
+            let ranks = rep.stats.get(ct.id.0 as usize).into_iter().flatten();
+            if let Some(hwm) = ranks.map(|st| st.buffered_hwm).find(|&h| h > cap) {
+                violations.push(OracleViolation::MetricConsistency {
+                    conn: ct.id,
+                    detail: format!("an export port held {hwm} objects, over its capacity {cap}"),
+                });
+            }
+        }
         // Socket-specific sanity: traffic really crossed sockets, and the
         // codec rejected nothing on a healthy loopback.
         if rep.counters.net_frames == 0 {
@@ -702,9 +728,11 @@ fn conn_of_program(view: &Topology, prog: usize) -> ConnectionId {
 /// victim's journal is flipped before the restart and the run is
 /// *expected to fail* — the caller asserts on the error text.
 ///
-/// The scenario is reshaped so the fault lands mid-session: schedules are
-/// slowed until the victim's peers are still importing when it goes down,
-/// every node gets a durable journal (which also arms reconnect), and a
+/// The scenario is reshaped so the fault lands mid-session: importers are
+/// lagged ([`Scenario::lag_importers`]) and schedules slowed until the
+/// victim's peers are still importing when it goes down and its paced
+/// exporters are stalling, every node gets a durable journal (which also
+/// arms reconnect), and a
 /// mild transient loss keeps the reliability pump honest during the
 /// outage. Fault runs check application liveness and the trace oracles;
 /// the conservation-law oracles (metric consistency, ctrl scaling,
@@ -721,6 +749,7 @@ pub fn run_net_fault(
         return Err("couplink-node binary not found (set COUPLINK_NODE_BIN)".into());
     };
     let mut s = s.clone();
+    s.lag_importers();
     s.chaos = Some(ChaosConfig {
         seed: 13,
         max_delay: 0.0,
@@ -826,11 +855,18 @@ pub fn check_counter_equivalence(
 /// Runs the scenario on all three runtimes — simulator, threaded fabric,
 /// socket processes — and checks every oracle including cross-runtime
 /// equivalence of match decisions (all pairs) and, on fault-free runs,
-/// of the deterministic protocol counters (threaded vs socket).
+/// of the deterministic protocol counters (threaded vs socket). The
+/// importers are lagged first ([`Scenario::lag_importers`]), so the socket
+/// nodes' bounded exporters stall while the threaded run's unbounded ones
+/// never do: the equivalence checks then show that a bounded exporter
+/// decides exactly what an unbounded one does.
 pub fn check_scenario_socket(
     s: &Scenario,
     backend: SocketBackend,
 ) -> Result<Vec<OracleViolation>, String> {
+    let mut lagged = s.clone();
+    lagged.lag_importers();
+    let s = &lagged;
     let (des_matches, mut violations) = check_des(s, None)?;
     let (thr_matches, thr_counters, thr_violations) = run_threaded(s, false, false)?;
     violations.extend(thr_violations);
@@ -880,6 +916,78 @@ pub fn check_scenario(s: &Scenario) -> Result<Vec<OracleViolation>, String> {
     Ok(violations)
 }
 
+/// The armed-shutdown probe behind [`Mutation::AckBeforeHandle`]: one
+/// import on a lossy 1×1 pair whose `ImportRequest` and `ForwardRequest`
+/// each lose their first copy, and whose import call gives up before
+/// either is retransmitted, so only the shutdown drain delivers them. A
+/// drain that stops while the `ForwardRequest` is still owed leaves the
+/// exporter without the request: a liveness violation.
+pub fn armed_shutdown_probe(ack_before_handle: bool) -> Result<Vec<OracleViolation>, String> {
+    let extent = Extent2::new(4, 4);
+    let d = Decomposition::row_block(extent, 1).map_err(|e| e.to_string())?;
+    let tol = Tolerance::new(0.25).map_err(|e| e.to_string())?;
+    let topo = Topology::pair(d, d, MatchPolicy::Reg, tol).map_err(|e| e.to_string())?;
+    let (conn, req, at) = (ConnectionId(0), RequestId(0), ts(1.0));
+    let request = CtrlMsg::ImportRequest { conn, req, ts: at };
+    let forward = CtrlMsg::ForwardRequest { conn, req, ts: at };
+    let call = CtrlMsg::ImportCall {
+        conn,
+        rank: Rank(0),
+        ts: at,
+    };
+    // Loss draws are numbered in send order: the call arrives, the
+    // request's and the forward's first copies do not.
+    let draws = [
+        (Endpoint::Rep { prog: 1 }, call, false),
+        (Endpoint::Rep { prog: 0 }, request, true),
+        (Endpoint::Rep { prog: 0 }, request, false),
+        (Endpoint::Proc { prog: 0, rank: 0 }, forward, true),
+    ];
+    let chaos = (0..100_000)
+        .map(|seed| ChaosConfig {
+            seed,
+            max_delay: 0.0,
+            duplicate_prob: 0.0,
+            drop_prob: 0.0,
+            retry_delay: 0.004,
+            loss_prob: 0.5,
+            crash: None,
+        })
+        .find(|c| {
+            (0..)
+                .zip(&draws)
+                .all(|(n, (to, msg, lost))| c.lost(n, *to, msg) == *lost)
+        })
+        .ok_or("no chaos seed draws the probe's loss pattern")?;
+    let mut fabric = Fabric::new(
+        topo,
+        FabricOptions {
+            import_timeout: Duration::from_millis(5),
+            chaos: Some(chaos),
+            ..FabricOptions::default()
+        },
+    );
+    if ack_before_handle {
+        fabric.arm_ack_before_handle();
+    }
+    let mut exp = fabric.take_export(0, 0, 0);
+    let mut imp = fabric.take_import(1, 0, 0);
+    exp.export(at, &LocalArray::zeros(d.owned(0)))
+        .map_err(|e| e.to_string())?;
+    // Times out: the request's first copy is lost.
+    let _ = imp.import(at, &mut LocalArray::zeros(d.owned(0)));
+    let report = fabric.shutdown().map_err(|e| e.to_string())?;
+    let requests = report.stats[0][0].requests;
+    Ok(if requests == 1 {
+        Vec::new()
+    } else {
+        vec![OracleViolation::Liveness {
+            conn,
+            detail: format!("the exporter saw {requests} of 1 forwarded request"),
+        }]
+    })
+}
+
 /// Mutation smoke test: arms one of the deliberately unsound rules in the
 /// simulator and searches the seed space for a scenario where the broken
 /// rule discards a match, a transfer, or a whole subtree's answers —
@@ -889,10 +997,18 @@ pub fn check_scenario(s: &Scenario) -> Result<Vec<OracleViolation>, String> {
 /// same subtree of the shrunk scenario. Returns the first caught seed, the
 /// shrunk scenario and its violations (both runtimes'); `None` means the
 /// oracles never fired (which the caller should treat as a test failure).
+/// The ack-before-handle rule has no scenario: its "seeds" are rounds of
+/// [`armed_shutdown_probe`], and it returns no scenario.
 pub fn mutation_smoke(
     max_seeds: u64,
     mutation: Mutation,
-) -> Option<(u64, Scenario, Vec<OracleViolation>)> {
+) -> Option<(u64, Option<Scenario>, Vec<OracleViolation>)> {
+    if mutation == Mutation::AckBeforeHandle {
+        return (0..max_seeds).find_map(|round| match armed_shutdown_probe(true) {
+            Ok(v) if v.iter().any(|x| mutation.is_expected_catch(x)) => Some((round, None, v)),
+            _ => None,
+        });
+    }
     let caught = |s: &Scenario| -> bool {
         matches!(
             check_des(s, Some(mutation)),
@@ -923,6 +1039,7 @@ pub fn mutation_smoke(
                     imp.procs = 6;
                 }
             }
+            Mutation::AckBeforeHandle => unreachable!("probed above"),
         }
         if caught(&s) {
             let shrunk = crate::shrink::shrink(&s, caught);
@@ -937,7 +1054,7 @@ pub fn mutation_smoke(
                 }
                 violations.extend(threaded);
             }
-            return Some((seed, shrunk, violations));
+            return Some((seed, Some(shrunk), violations));
         }
     }
     None
@@ -1185,6 +1302,34 @@ mod tests {
             let s = Scenario::generate(seed);
             let violations = check_scenario_socket(&s, SocketBackend::Uds).expect("harness");
             assert!(violations.is_empty(), "seed {seed}: {violations:?}");
+        }
+    }
+
+    /// The lag the socket sweeps apply is what makes their bounded
+    /// exporters stall: without stalls, comparing them with the unbounded
+    /// in-process runs would prove nothing.
+    #[test]
+    fn lagged_socket_scenario_stalls_its_exporters() {
+        if socket_node_bin().is_none() {
+            eprintln!("skipping: couplink-node binary not built");
+            return;
+        }
+        let mut s = Scenario::generate(0);
+        s.chaos = None;
+        s.lag_importers();
+        let (_, counters, violations) = run_socket(&s, SocketBackend::Uds, false).expect("harness");
+        assert!(violations.is_empty(), "{violations:?}");
+        let stalls = counters.expect("clean run").buffer_stalls;
+        assert!(stalls > 0, "no exporter stalled");
+    }
+
+    /// The armed-shutdown probe passes with acks applied after the
+    /// handler: the drain never stops with the forwarded request owed.
+    #[test]
+    fn armed_shutdown_probe_is_clean() {
+        for round in 0..5 {
+            let violations = armed_shutdown_probe(false).expect("harness");
+            assert!(violations.is_empty(), "round {round}: {violations:?}");
         }
     }
 

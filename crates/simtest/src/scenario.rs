@@ -212,6 +212,21 @@ impl Scenario {
         self.chaos = Some(cfg);
     }
 
+    /// Starts every importer late and lengthens its schedule by 24 imports,
+    /// so each exporter runs a socket node's whole export buffer ahead of
+    /// the first request and stalls. The socket sweeps apply it: their
+    /// nodes pace their exporters while the in-process runs do not, so
+    /// the cross-runtime checks compare a bounded exporter's decisions
+    /// with an unbounded one's. Match decisions do not depend on timing,
+    /// so every oracle still applies.
+    pub fn lag_importers(&mut self) {
+        for imp in &mut self.importers {
+            imp.startup = imp.startup.max(0.1);
+            imp.count += 24;
+        }
+        self.fill_export_counts();
+    }
+
     /// Recomputes every exporter's iteration count so its timestamps extend
     /// past the upper bound of every referencing importer's last acceptable
     /// region (plus margin). This makes every request *decided* under the
