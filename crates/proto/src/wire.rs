@@ -645,7 +645,9 @@ pub struct FrameSlot {
 /// cursor, and the unparsed tail is moved to the front once per feed —
 /// peak memory is bounded by the largest in-flight frame plus one read,
 /// not by throughput. [`buffered_hwm`](Self::buffered_hwm) reports the
-/// peak.
+/// peak. The bytes past the filled end stay initialised from one feed to
+/// the next, so a `read` lands in them without zero-filling a chunk first;
+/// only growth is zeroed.
 ///
 /// Recoverable rejections (checksum mismatch on a plausibly framed body)
 /// consume the bad frame so the stream can continue; structural
@@ -655,9 +657,12 @@ pub struct FrameSlot {
 /// the connection.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
+    /// Initialised storage; only `start..end` holds received bytes.
     buf: Vec<u8>,
     /// Start of the unparsed region; everything before it is consumed.
     start: usize,
+    /// End of the received bytes.
+    end: usize,
     /// Peak of `buffered()` — the rx memory bound.
     hwm: usize,
     poisoned: Option<WireError>,
@@ -673,18 +678,29 @@ impl FrameDecoder {
     /// consumed prefix. Called once per feed, not once per frame.
     fn compact(&mut self) {
         if self.start > 0 {
-            let len = self.buf.len();
-            self.buf.copy_within(self.start..len, 0);
-            self.buf.truncate(len - self.start);
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.start = 0;
         }
     }
 
+    /// Compacts, then makes room for `n` more bytes past the filled end:
+    /// the free tail's `end..end + n`, zero-filled only where the buffer
+    /// grows.
+    fn free_tail(&mut self, n: usize) -> &mut [u8] {
+        self.compact();
+        let want = self.end + n;
+        if self.buf.len() < want {
+            self.buf.resize(want, 0);
+        }
+        &mut self.buf[self.end..want]
+    }
+
     /// Appends received bytes (compacting first).
     pub fn extend(&mut self, bytes: &[u8]) {
-        self.compact();
-        self.buf.extend_from_slice(bytes);
-        self.hwm = self.hwm.max(self.buf.len());
+        self.free_tail(bytes.len()).copy_from_slice(bytes);
+        self.end += bytes.len();
+        self.hwm = self.hwm.max(self.end);
     }
 
     /// Reads up to `max` bytes from `src` directly into the buffer (one
@@ -695,25 +711,15 @@ impl FrameDecoder {
         src: &mut impl std::io::Read,
         max: usize,
     ) -> std::io::Result<usize> {
-        self.compact();
-        let old = self.buf.len();
-        self.buf.resize(old + max, 0);
-        match src.read(&mut self.buf[old..]) {
-            Ok(n) => {
-                self.buf.truncate(old + n);
-                self.hwm = self.hwm.max(self.buf.len());
-                Ok(n)
-            }
-            Err(e) => {
-                self.buf.truncate(old);
-                Err(e)
-            }
-        }
+        let n = src.read(self.free_tail(max))?;
+        self.end += n;
+        self.hwm = self.hwm.max(self.end);
+        Ok(n)
     }
 
     /// Bytes buffered but not yet parsed into frames.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     /// Peak of [`buffered`](Self::buffered) over the decoder's lifetime.
@@ -731,7 +737,7 @@ impl FrameDecoder {
         if let Some(e) = self.poisoned {
             return Err(e);
         }
-        let avail = &self.buf[self.start..];
+        let avail = &self.buf[self.start..self.end];
         if avail.len() < HEADER_LEN {
             return Ok(None);
         }
@@ -1276,6 +1282,52 @@ mod tests {
         let second = dec.next_frame().expect("ok").expect("frame");
         assert_eq!(decode_ctrl(&first.body), Ok(CtrlMsg::Ack { seq: 9 }));
         assert_eq!(decode_ctrl(&second.body), Ok(CtrlMsg::Ack { seq: 7 }));
+    }
+
+    /// `read_from` reads into a chunk it reuses across calls: `buffered`
+    /// and `buffered_hwm` count received bytes, not the chunk; a failed
+    /// read keeps what was buffered; and bytes an earlier read left past a
+    /// frame never leak into the next one.
+    #[test]
+    fn read_from_counts_received_bytes_and_survives_a_failed_read() {
+        struct Script(Vec<std::io::Result<Vec<u8>>>);
+        impl std::io::Read for Script {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                let bytes = self.0.remove(0)?;
+                out[..bytes.len()].copy_from_slice(&bytes);
+                Ok(bytes.len())
+            }
+        }
+        let frame = |seq| encode_frame(KIND_CTRL, &encode_ctrl(&CtrlMsg::Ack { seq }));
+        let (a, b) = (frame(9), frame(7));
+        let both: Vec<u8> = a.iter().chain(&b).copied().collect();
+        let mut src = Script(vec![
+            Ok(both),
+            Ok(a[..5].to_vec()),
+            Err(std::io::ErrorKind::Other.into()),
+            Ok(a[5..].to_vec()),
+        ]);
+        let mut dec = FrameDecoder::new();
+        let n = dec.read_from(&mut src, 1024).expect("read");
+        assert_eq!(
+            (n, dec.buffered(), dec.buffered_hwm()),
+            (a.len() + b.len(), n, n)
+        );
+        let ack = |dec: &mut FrameDecoder| decode_ctrl(&dec.next_frame().unwrap().unwrap().body);
+        assert_eq!(ack(&mut dec), Ok(CtrlMsg::Ack { seq: 9 }));
+        assert_eq!(ack(&mut dec), Ok(CtrlMsg::Ack { seq: 7 }));
+        assert_eq!(dec.buffered(), 0);
+        dec.read_from(&mut src, 1024).expect("read");
+        assert!(
+            dec.next_frame().unwrap().is_none(),
+            "5 of {} bytes",
+            a.len()
+        );
+        assert!(dec.read_from(&mut src, 1024).is_err());
+        assert_eq!(dec.buffered(), 5);
+        dec.read_from(&mut src, 1024).expect("read");
+        assert_eq!(ack(&mut dec), Ok(CtrlMsg::Ack { seq: 9 }));
+        assert_eq!((dec.buffered(), dec.buffered_hwm()), (0, a.len() + b.len()));
     }
 
     /// Tag 9 is reserved: a well-framed body carrying it is rejected, and

@@ -406,9 +406,15 @@ fn mesh_reader_loop(mut reader: FrameReader, peer: usize, ctx: Arc<MeshCtx>) {
                         .net_rx_bytes
                         .add((wire::HEADER_LEN + slot.body.len()) as u64);
                     metrics.net_rx_buf.set(reader.buffered_hwm() as u64);
-                    if let Err(detail) =
-                        dispatch(slot.kind, reader.body(&slot), &ctx.net, ctx.drop_answers)
-                    {
+                    // The reader polls what the frame wakes (rep → agents
+                    // → answer, or importer → the application's wake-up)
+                    // before its next blocking `read`, instead of handing
+                    // each task to a pool worker.
+                    let body = reader.body(&slot);
+                    let dispatched = ctx
+                        .net
+                        .run_woken(|| dispatch(slot.kind, body, &ctx.net, ctx.drop_answers));
+                    if let Err(detail) = dispatched {
                         ctx.set
                             .lock()
                             .fail_session(ctx.sid, format!("link to program {peer}: {detail}"));

@@ -4,14 +4,15 @@
 //! polls node tasks. Each rep, agent, importer and retransmit pump is a
 //! state machine implementing [`Task`]; a mailbox push (or an expired
 //! timer) marks the task runnable. **The thread that made it runnable
-//! polls it itself** when it can — a worker, or an application thread
-//! inside [`TaskHandle::help`] — from a short thread-local run-next list,
-//! at its next top-level point: never nested inside another poll, never
-//! under a lock. The **sharded run queues** hold the rest: overflow, tasks
-//! that call themselves heavy, and whatever a thread that cannot run tasks
-//! (an `export()`, a socket reader) wakes; only those cost a lock and a
-//! wake-up. Timers — a crashed rep's recovery instant, the retransmit
-//! pump's next deadline — share one per-shard timer heap.
+//! polls it itself** when it can — a worker, or an application thread or
+//! socket reader inside [`Helper::help`] — from a short thread-local
+//! run-next list, at its next top-level point: never nested inside another
+//! poll, never under a lock. The **sharded run queues** hold the rest:
+//! overflow, tasks that call themselves heavy, and whatever a thread that
+//! cannot run tasks (an `export()`, the chaos relay, `shutdown`) wakes;
+//! only those cost a lock and a wake-up. Timers — a crashed rep's recovery
+//! instant, the retransmit pump's next deadline — share one per-shard timer
+//! heap.
 //!
 //! The scheduling core is a per-task atomic state machine:
 //!
@@ -205,17 +206,25 @@ impl TaskHandle {
     pub fn is_done(&self) -> bool {
         self.entry.state.load(Ordering::Acquire) == DEAD
     }
+}
 
-    /// For a thread about to block on this task's session anyway: runs
-    /// `f`, then polls here — outside `f` and any lock it took — what `f`
-    /// woke and what those polls wake in turn, up to [`CHAIN_BUDGET`]
-    /// polls. The rest is published before this returns.
+/// Lets a thread outside the pool poll the executor's tasks: an
+/// application thread in `import()`, a socket node's mesh reader.
+#[derive(Clone)]
+pub(crate) struct Helper(Arc<ExecInner>);
+
+impl Helper {
+    /// For a thread about to block anyway (on an import's answer, on its
+    /// socket's next `read`): runs `f`, then polls here — outside `f` and
+    /// any lock it took — what `f` woke and what those polls wake in turn,
+    /// up to [`CHAIN_BUDGET`] polls. The rest is published before this
+    /// returns.
     pub fn help<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _scope = Scope::open(&self.exec);
+        let _scope = Scope::open(&self.0);
         let out = f();
         for _ in 0..CHAIN_BUDGET {
             let Some(entry) = take_run_next() else { break };
-            self.exec.run(entry);
+            self.0.run(entry);
         }
         out
     }
@@ -598,6 +607,11 @@ impl Executor {
             inner,
             workers: handles,
         }
+    }
+
+    /// A handle for threads outside the pool to run what they wake.
+    pub fn helper(&self) -> Helper {
+        Helper(self.inner.clone())
     }
 
     /// Registers one more session's fairness queue on every shard.
@@ -986,7 +1000,7 @@ pub(crate) mod tests {
     /// Never nested: a poll that wakes a second task while holding a mutex
     /// the second task's poll needs completes — the second poll starts
     /// after the first returned. And a thread with no scope open (an
-    /// `export()`, a mesh reader) still goes through the shard queue.
+    /// `export()`, the chaos relay) still goes through the shard queue.
     #[test]
     fn woken_task_is_not_polled_inside_the_waking_poll() {
         let exec = Executor::with_workers(1);
@@ -1182,7 +1196,7 @@ pub(crate) mod tests {
         wait_for(|| bad.entry.state.load(Ordering::SeqCst) == IDLE);
         armed.store(true, Ordering::SeqCst);
         *after.lock() = None;
-        let out = good.help(|| {
+        let out = exec.helper().help(|| {
             bad.schedule();
             good.schedule();
             7

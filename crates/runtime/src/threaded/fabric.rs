@@ -46,7 +46,7 @@ use crate::engine::{
     SendKind, Topology, Wal, WalRecord, WireMeta,
 };
 use crate::threaded::executor::{
-    publish_run_next, Executor, PanicSink, Poll, SessionId, Task, TaskHandle,
+    publish_run_next, Executor, Helper, PanicSink, Poll, SessionId, Task, TaskHandle,
 };
 use crate::threaded::{ExportOutcome, ThreadedError};
 use couplink_layout::{LocalArray, Rect, SharedArray};
@@ -550,9 +550,20 @@ pub(crate) struct Net {
     wal_active: AtomicBool,
     /// Per-session instrumentation shared with every node and handle.
     metrics: Arc<EngineMetrics>,
+    /// Runs on the calling thread what [`Net::run_woken`]'s closure wakes.
+    helper: Helper,
 }
 
 impl Net {
+    /// Runs `f` — an `import()`'s call, a mesh reader's inbound frame —
+    /// and then polls on this thread the light tasks it made runnable and
+    /// what those wake in turn ([`Helper::help`]), instead of handing each
+    /// to a pool worker. For a thread about to block anyway, outside any
+    /// task poll.
+    pub(crate) fn run_woken<R>(&self, f: impl FnOnce() -> R) -> R {
+        self.helper.help(f)
+    }
+
     /// Whether `ep`'s tasks live in this process.
     fn is_local(&self, ep: Endpoint) -> bool {
         let (Endpoint::Rep { prog } | Endpoint::Proc { prog, .. }) = ep;
@@ -1022,7 +1033,7 @@ impl ExportAccess {
 /// The importer *task* feeds answers and pieces into the shared
 /// [`ImpCell`]. `import()` would block until the node reaches `Done`
 /// anyway, so before it does it runs the control chain its call set off
-/// ([`TaskHandle::help`]): the rank that completes the collective polls
+/// ([`Net::run_woken`]): the rank that completes the collective polls
 /// both reps, the agents and the importer tasks itself and returns without
 /// sleeping; a rank that arrived early waits on the cell's condvar.
 pub struct ImportAccess {
@@ -1032,8 +1043,6 @@ pub struct ImportAccess {
     cell: Arc<ImpCell>,
     pieces: PieceMap,
     net: Arc<Net>,
-    /// This rank's importer task.
-    task: TaskHandle,
     timeout: Duration,
 }
 
@@ -1058,7 +1067,7 @@ impl ImportAccess {
             prog: self.prog,
             rank: self.rank,
         };
-        self.task.help(|| self.net.emit_ctrl(me, [call]))?;
+        self.net.run_woken(|| self.net.emit_ctrl(me, [call]))?;
         let deadline = Instant::now() + self.timeout;
         let mut node = self.cell.node.lock();
         loop {
@@ -1661,6 +1670,7 @@ impl Session {
             wal: needs_rel.then(|| opts.wal.clone().unwrap_or_else(WalHandle::mem)),
             wal_active: AtomicBool::new(true),
             metrics: Arc::clone(&metrics),
+            helper: exec.helper(),
         });
         if opts.hierarchical {
             metrics.tree_depth.set(topo.tree_depth() as u64);
@@ -1832,7 +1842,7 @@ impl Session {
                                 }),
                             );
                             mbox.bind(handle.clone());
-                            imps.push((mbox, handle.clone()));
+                            imps.push((mbox, handle));
                             Some(ImportAccess {
                                 prog: pi,
                                 rank,
@@ -1840,7 +1850,6 @@ impl Session {
                                 cell,
                                 pieces,
                                 net: net.clone(),
-                                task: handle,
                                 timeout: opts.import_timeout,
                             })
                         })
@@ -2837,6 +2846,171 @@ mod tests {
         assert_eq!(c.import_calls, 2 * steps);
         assert!(c.worker_steal < c.import_calls, "{c:?}");
         assert!(2 * c.tasks_chained >= c.tasks_polled, "{c:?}");
+    }
+
+    /// One inter-process frame of [`ChanLinks`].
+    enum Frame {
+        Ctrl(Endpoint, Option<WireMeta>, CtrlMsg),
+        Ack(Endpoint, Endpoint, u64),
+        Piece(ConnectionId, usize, RequestId, Rect, SharedArray),
+    }
+
+    /// [`RemoteLinks`] over an in-memory channel: the socket mesh without
+    /// the codec.
+    struct ChanLinks(Sender<Frame>);
+
+    impl RemoteLinks for ChanLinks {
+        fn send_ctrl(&self, to: Endpoint, meta: Option<WireMeta>, msg: CtrlMsg) {
+            let _ = self.0.send(Frame::Ctrl(to, meta, msg));
+        }
+        fn send_ack(&self, sender: Endpoint, acker: Endpoint, seq: u64) {
+            let _ = self.0.send(Frame::Ack(sender, acker, seq));
+        }
+        fn send_piece(
+            &self,
+            conn: ConnectionId,
+            dst: usize,
+            req: RequestId,
+            rect: Rect,
+            payload: &SharedArray,
+        ) {
+            let _ = self
+                .0
+                .send(Frame::Piece(conn, dst, req, rect, payload.clone()));
+        }
+    }
+
+    /// Tasks polled, of them chained, and steals, over the `steps` imports
+    /// after the first.
+    type PollCounts = [u64; 3];
+
+    /// A pair topology run as the socket node runs it: each program a
+    /// partial session on a pool of its own, and one plain thread per
+    /// direction — no run-next scope of its own — injecting every frame
+    /// through [`Net::run_woken`] as a mesh reader does. The exporter
+    /// exports every step before the importer asks, so every request on
+    /// the exporter side arrives as an `ImportRequest` on its reader.
+    /// Returns the exporter's and the importer's counts.
+    fn run_with_readers(
+        exp_d: Decomposition,
+        imp_d: Decomposition,
+        steps: usize,
+    ) -> [PollCounts; 2] {
+        let tol = Tolerance::new(0.25).expect("tolerance");
+        let topo = Topology::pair(exp_d, imp_d, MatchPolicy::RegL, tol).expect("pair");
+        let (to_exp, exp_rx) = unbounded::<Frame>();
+        let (to_imp, imp_rx) = unbounded::<Frame>();
+        let mut sets = [SessionSet::new(), SessionSet::new()];
+        let sid = [
+            sets[0].add_partial_session(
+                topo.clone(),
+                FabricOptions::default(),
+                0,
+                Arc::new(ChanLinks(to_imp)),
+                None,
+            ),
+            sets[1].add_partial_session(
+                topo,
+                FabricOptions::default(),
+                1,
+                Arc::new(ChanLinks(to_exp)),
+                None,
+            ),
+        ];
+        let stop = Arc::new(AtomicBool::new(false));
+        let readers: Vec<_> = [(0, exp_rx), (1, imp_rx)]
+            .into_iter()
+            .map(|(p, rx)| {
+                let (net, stop) = (sets[p].session_net(sid[p]), stop.clone());
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::SeqCst) {
+                        let Ok(frame) = rx.recv_timeout(Duration::from_millis(5)) else {
+                            continue;
+                        };
+                        net.run_woken(|| match frame {
+                            Frame::Ctrl(to, meta, msg) => net.deliver_ctrl(to, meta, msg),
+                            Frame::Ack(s, a, seq) => net.apply_remote_ack(s, a, seq),
+                            Frame::Piece(conn, dst, req, rect, payload) => {
+                                net.deliver_remote_piece(conn, dst, req, rect, payload)
+                            }
+                        });
+                    }
+                })
+            })
+            .collect();
+        for rank in 0..exp_d.procs() {
+            let mut exp = sets[0].take_export(sid[0], 0, rank, 0);
+            let data = LocalArray::from_fn(exp_d.owned(rank), |r, c| (r * 1000 + c) as f64);
+            for j in 0..=steps {
+                exp.export(ts(j as f64), &data).unwrap();
+            }
+        }
+        let mut imp = sets[1].take_import(sid[1], 1, 0, 0);
+        let mut dest = LocalArray::zeros(imp_d.owned(0));
+        let metrics = [
+            sets[0].session_metrics(sid[0]),
+            sets[1].session_metrics(sid[1]),
+        ];
+        let counts = |m: &EngineMetrics| {
+            [
+                m.tasks_polled.get(),
+                m.tasks_chained.get(),
+                m.worker_steal.get(),
+            ]
+        };
+        let mut before = [[0; 3]; 2];
+        for j in 0..=steps {
+            assert_eq!(
+                imp.import(ts(j as f64), &mut dest).unwrap(),
+                Some(ts(j as f64))
+            );
+            if j == 0 {
+                before = [counts(&metrics[0]), counts(&metrics[1])];
+            }
+        }
+        assert_eq!(dest.get(3, 5), 3005.0);
+        let after = [counts(&metrics[0]), counts(&metrics[1])];
+        stop.store(true, Ordering::SeqCst);
+        readers.into_iter().for_each(|r| r.join().unwrap());
+        for set in sets {
+            set.shutdown().unwrap();
+        }
+        [0, 1].map(|p| [0, 1, 2].map(|i| after[p][i] - before[p][i]))
+    }
+
+    /// The mesh reader runs what its frame wakes: with light agents, every
+    /// rep, agent and importer poll on both sides after the warm-up import
+    /// is a chained one on a reader or the importing thread, and no worker
+    /// steals anything.
+    #[test]
+    fn mesh_reader_polls_the_light_tasks_its_frame_wakes() {
+        let d = |ranks| Decomposition::row_block(Extent2::new(8, 8), ranks).expect("decomp");
+        let steps = 50;
+        let [exp, imp] = run_with_readers(d(2), d(1), steps);
+        for (side, [polled, chained, stolen]) in [("exporter", exp), ("importer", imp)] {
+            assert!(polled >= 2 * steps as u64, "{side}: {polled} polls");
+            assert_eq!(chained, polled, "{side}: every poll chained");
+            assert_eq!(stolen, 0, "{side}: no steals");
+        }
+    }
+
+    /// A heavy agent (pieces past [`LIGHT_PIECE`]) is not chained on the
+    /// reader that woke it: its polls come off the shard queues — at least
+    /// one per import (an agent's poll may drain the next request too) —
+    /// while the rep's are chained.
+    #[test]
+    fn mesh_reader_pushes_heavy_agents_to_the_pool() {
+        let extent = Extent2::new(256, 128);
+        let exp_d = Decomposition::row_block(extent, 2).expect("decomp");
+        assert!(exp_d.owned(0).cells() * size_of::<f64>() > LIGHT_PIECE);
+        let imp_d = Decomposition::row_block(extent, 1).expect("decomp");
+        let steps = 20;
+        let [[polled, chained, _], _] = run_with_readers(exp_d, imp_d, steps);
+        assert!(chained >= steps as u64, "the rep's polls chain: {chained}");
+        assert!(
+            polled - chained >= steps as u64,
+            "the agents' polls come off the shards: {polled} polled, {chained} chained"
+        );
     }
 
     /// A thread about to wait for a contended fabric lock publishes the
