@@ -8,7 +8,8 @@
 #
 # Fourteen stages, all required:
 #   1. formatting      (cargo fmt --check)
-#   2. lints           (cargo clippy, warnings are errors)
+#   2. lints           (cargo clippy and cargo doc, warnings are errors:
+#                       a doc link to a deleted or private item fails)
 #   3. tier-1 tests    (release build + full test suite)
 #   4. simtest         (seeded simulation corpus + oracle mutation smoke:
 #                       help-skip and stale-skip on the simulator, relay-drop
@@ -150,6 +151,8 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+echo "== cargo doc --no-deps --workspace, warnings are errors"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release

@@ -8,11 +8,15 @@
 use couplink::series::Column;
 use couplink_bench::ablation_config;
 use couplink_bench::report::{out_dir_from_args, write_series};
-use couplink_runtime::{CoupledConfig, CoupledSim};
+use couplink_proto::ExportStats;
+use couplink_runtime::TopologySim;
 use couplink_time::MatchPolicy;
 
-fn config(policy: MatchPolicy, tolerance: f64, import_dt: f64, buddy_help: bool) -> CoupledConfig {
-    ablation_config(policy, tolerance, import_dt, buddy_help, 601)
+/// Port statistics of the slow exporter rank after one 601-export run.
+fn slow_rank(policy: MatchPolicy, tolerance: f64, import_dt: f64, buddy_help: bool) -> ExportStats {
+    let cfg = ablation_config(policy, tolerance, import_dt, buddy_help, 601);
+    let mut report = TopologySim::new(cfg).unwrap().run().unwrap();
+    report.stats[0].swap_remove(3)
 }
 
 fn main() {
@@ -31,19 +35,12 @@ fn main() {
     for policy in [MatchPolicy::RegL, MatchPolicy::RegU, MatchPolicy::Reg] {
         for tolerance in [0.5, 2.5, 5.0, 10.0] {
             for import_dt in [10.0, 20.0, 40.0] {
-                let with = CoupledSim::new(config(policy, tolerance, import_dt, true))
-                    .unwrap()
-                    .run()
-                    .unwrap();
-                let without = CoupledSim::new(config(policy, tolerance, import_dt, false))
-                    .unwrap()
-                    .run()
-                    .unwrap();
-                let slow = 3;
-                let sw = with.stats[slow].skips;
-                let swo = without.stats[slow].skips;
-                let ubw = with.stats[slow].t_ub_in_region_count();
-                let ubwo = without.stats[slow].t_ub_in_region_count();
+                let with = slow_rank(policy, tolerance, import_dt, true);
+                let without = slow_rank(policy, tolerance, import_dt, false);
+                let sw = with.skips;
+                let swo = without.skips;
+                let ubw = with.t_ub_in_region_count();
+                let ubwo = without.t_ub_in_region_count();
                 println!(
                     "{:>7} {:>10} {:>10} {:>8.3} {:>14} {:>14} {:>8} : {:<4}",
                     policy.as_str(),

@@ -10,11 +10,11 @@
 
 use couplink::series::{window_mean, Column};
 use couplink_bench::report::{out_dir_from_args, write_series};
-use couplink_diffusion::fig4::{fig4_config, Fig4Params, EXPORTS, SLOW_RANK};
-use couplink_runtime::{CoupledReport, CoupledSim};
+use couplink_diffusion::fig4::{fig4_config, optimal_entry, Fig4Params, EXPORTS, SLOW_RANK};
+use couplink_runtime::{TopoReport, TopologySim};
 
-fn run(params: Fig4Params) -> CoupledReport {
-    CoupledSim::new(fig4_config(params))
+fn run(params: Fig4Params) -> TopoReport {
+    TopologySim::new(fig4_config(params))
         .expect("valid configuration")
         .run()
         .expect("simulation completes")
@@ -41,23 +41,21 @@ fn main() {
     for (panel, u_procs) in [("(a)", 4usize), ("(b)", 8), ("(c)", 16), ("(d)", 32)] {
         let with = run(Fig4Params::panel(u_procs));
         let without = run(Fig4Params::panel(u_procs).without_buddy_help());
-        let series = &with.export_time_series[SLOW_RANK];
-        let copies = with.stats[SLOW_RANK].memcpys;
-        let skips = with.stats[SLOW_RANK].skips;
-        let entry = with.optimal_entry(SLOW_RANK);
-        let mean_all = with.mean_export_time(SLOW_RANK, 0, EXPORTS) * 1e3;
-        let tail_from = EXPORTS.saturating_sub(200);
-        let mean_tail = with.mean_export_time(SLOW_RANK, tail_from, EXPORTS) * 1e3;
+        let series = &with.export_series[0].times[SLOW_RANK];
+        let stats = &with.stats[0][SLOW_RANK];
+        // Mean export milliseconds from iteration `from` to the end.
+        let mean_ms =
+            |from: usize| series[from..].iter().sum::<f64>() / (series.len() - from) as f64 * 1e3;
         println!(
             "{:<7} {:>10} {:>8} {:>8} {:>10} {:>12} {:>14.3} {:>14.3}",
             panel,
             u_procs,
-            copies,
-            skips,
-            entry.map_or_else(|| "never".into(), |e| e.to_string()),
-            with.stats[SLOW_RANK].t_ub_in_region_count(),
-            mean_all,
-            mean_tail,
+            stats.memcpys,
+            stats.skips,
+            optimal_entry(stats).map_or_else(|| "never".into(), |e| e.to_string()),
+            stats.t_ub_in_region_count(),
+            mean_ms(0),
+            mean_ms(EXPORTS - 200),
         );
 
         let columns = vec![
@@ -68,7 +66,7 @@ fn main() {
             ),
             Column::new(
                 "no_buddy_help_seconds",
-                without.export_time_series[SLOW_RANK].clone(),
+                without.export_series[0].times[SLOW_RANK].clone(),
             ),
         ];
         write_series(

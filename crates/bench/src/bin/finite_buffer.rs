@@ -4,34 +4,23 @@
 //!
 //! Usage: `cargo run -p couplink-bench --release --bin finite_buffer`
 
-use couplink_layout::{Decomposition, Extent2};
-use couplink_runtime::{CostModel, CoupledConfig, CoupledSim};
+use couplink_bench::ablation_config;
+use couplink_runtime::{TopologyConfig, TopologySim};
 use couplink_time::MatchPolicy;
 
+/// The REGL ablation point (tolerance 2.5, one request per 20 exports, 601
+/// exports) with a 50 ms importer startup, the given importer compute and
+/// a bounded buffer.
 fn config(
     buffer_capacity: Option<usize>,
     buddy_help: bool,
     importer_compute: f64,
-) -> CoupledConfig {
-    let grid = Extent2::new(256, 256);
-    CoupledConfig {
-        exporter_decomp: Decomposition::block_2d(grid, 2, 2).unwrap(),
-        importer_decomp: Decomposition::row_block(grid, 16).unwrap(),
-        policy: MatchPolicy::RegL,
-        tolerance: 2.5,
-        buddy_help,
-        exports: 601,
-        export_t0: 1.6,
-        export_dt: 1.0,
-        imports: 30,
-        import_t0: 20.0,
-        import_dt: 20.0,
-        exporter_compute: vec![1.0e-3, 1.0e-3, 1.0e-3, 2.0e-3],
-        importer_compute,
-        importer_startup: 50.0e-3,
-        cost: CostModel::default(),
-        buffer_capacity,
-    }
+) -> TopologyConfig {
+    let mut cfg = ablation_config(MatchPolicy::RegL, 2.5, 20.0, buddy_help, 601);
+    cfg.imports[0].compute = importer_compute;
+    cfg.imports[0].startup = 50.0e-3;
+    cfg.buffer_capacity = buffer_capacity;
+    cfg
 }
 
 fn main() {
@@ -49,20 +38,20 @@ fn main() {
         };
         for capacity in [None, Some(24), Some(8), Some(4)] {
             for buddy in [true, false] {
-                let report = CoupledSim::new(config(capacity, buddy, importer_compute))
+                let report = TopologySim::new(config(capacity, buddy, importer_compute))
                     .unwrap()
                     .run()
                     .unwrap();
-                let slow = 3;
+                let slow = &report.stats[0][3];
                 println!(
                     "{:>9} {:>11} {:>9} {:>8} {:>8} {:>12.2} {:>12}",
                     capacity.map_or_else(|| "unbounded".into(), |c| c.to_string()),
                     buddy,
                     importer,
-                    report.stats[slow].buffer_full_stalls,
-                    report.stats[slow].buffered_hwm,
+                    slow.buffer_full_stalls,
+                    slow.buffered_hwm,
                     report.duration,
-                    report.importer_done[0],
+                    report.import_done[0][0],
                 );
             }
         }

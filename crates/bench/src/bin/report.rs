@@ -18,7 +18,7 @@
 use couplink_bench::report::{compare, BenchReport, GateConfig, ScenarioMeasure};
 use couplink_bench::{ablation_config, figure78_run};
 use couplink_diffusion::fig4::{fig4_config, Fig4Params};
-use couplink_runtime::{CoupledConfig, CoupledSim};
+use couplink_runtime::{TopologyConfig, TopologySim};
 use couplink_time::MatchPolicy;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -59,7 +59,7 @@ fn parse_args() -> Result<Options, String> {
 
 /// The DES scenarios of the report: the four Figure-4 panels, the Figure-4
 /// buddy-help ablation, and one ablation point per match policy.
-fn des_scenarios(smoke: bool) -> Vec<(String, CoupledConfig)> {
+fn des_scenarios(smoke: bool) -> Vec<(String, TopologyConfig)> {
     let fig4_exports = if smoke { 101 } else { 1001 };
     let ablation_exports = if smoke { 121 } else { 601 };
     let mut out = Vec::new();
@@ -90,16 +90,16 @@ fn des_scenarios(smoke: bool) -> Vec<(String, CoupledConfig)> {
 
 /// Runs one DES scenario twice, asserts the deterministic halves of the two
 /// metric snapshots are identical, and folds the result into a measurement.
-fn run_des(name: &str, mut cfg: CoupledConfig, mutate: bool) -> Result<ScenarioMeasure, String> {
+fn run_des(name: &str, mut cfg: TopologyConfig, mutate: bool) -> Result<ScenarioMeasure, String> {
     if mutate {
         // The injected regression: memcpys become 8x slower, which inflates
         // the export-phase virtual time (and shifts buffering decisions)
         // well past the gate's tolerance.
         cfg.cost.memcpy_bytes_per_sec /= 8.0;
     }
-    let run = |cfg: CoupledConfig| -> Result<_, String> {
+    let run = |cfg: TopologyConfig| -> Result<_, String> {
         let wall = Instant::now();
-        let report = CoupledSim::new(cfg)
+        let report = TopologySim::new(cfg)
             .map_err(|e| format!("{name}: {e}"))?
             .run()
             .map_err(|e| format!("{name}: {e}"))?;

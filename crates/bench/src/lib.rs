@@ -8,8 +8,10 @@
 pub mod report;
 
 use couplink_layout::{Decomposition, Extent2};
-use couplink_proto::{ExportPort, RepAnswer, RequestId, Trace};
-use couplink_runtime::{CostModel, CoupledConfig, CoupledSim};
+use couplink_proto::{ConnectionId, ExportPort, RepAnswer, RequestId, Trace};
+use couplink_runtime::{
+    CostModel, ExportSchedule, ImportSchedule, Topology, TopologyConfig, TopologySim,
+};
 use couplink_time::{ts, MatchPolicy, Timestamp, Tolerance};
 
 /// Drives the paper's **Figure 5** scenario on the DES runtime and returns
@@ -27,33 +29,48 @@ use couplink_time::{ts, MatchPolicy, Timestamp, Tolerance};
 pub fn figure5_trace() -> Trace {
     let grid = Extent2::new(8, 8);
     let slow = 3;
-    let cfg = CoupledConfig {
-        exporter_decomp: Decomposition::block_2d(grid, 2, 2).expect("4-proc decomposition"),
-        importer_decomp: Decomposition::row_block(grid, 1).expect("1-proc decomposition"),
-        policy: MatchPolicy::RegL,
-        tolerance: 2.5,
+    let tolerance = Tolerance::new(2.5).expect("valid tolerance");
+    let cfg = TopologyConfig {
+        topology: Topology::pair(
+            Decomposition::block_2d(grid, 2, 2).expect("4-proc decomposition"),
+            Decomposition::row_block(grid, 1).expect("1-proc decomposition"),
+            MatchPolicy::RegL,
+            tolerance,
+        )
+        .expect("both programs decompose the grid"),
+        exports: vec![ExportSchedule {
+            program: "exporter".into(),
+            region: "r".into(),
+            t0: 1.6,
+            dt: 1.0,
+            count: 40,
+            // Three fast ranks finish all 40 exports before the first
+            // request and answer it outright; the slow rank takes one
+            // virtual second per iteration, so its window position is set
+            // by the importer.
+            compute: vec![1e-3, 1e-3, 1e-3, 1.0],
+        }],
+        imports: vec![ImportSchedule {
+            program: "importer".into(),
+            region: "r".into(),
+            t0: 20.0,
+            dt: 20.0,
+            count: 2,
+            // First request lands at ~14.5 virtual seconds: after the slow
+            // rank's 14th export (~14.0), before its 15th (~15.0).
+            compute: 12.5,
+            startup: 2.0,
+        }],
         buddy_help: true,
-        exports: 40,
-        export_t0: 1.6,
-        export_dt: 1.0,
-        imports: 2,
-        import_t0: 20.0,
-        import_dt: 20.0,
-        // Three fast ranks finish all 40 exports before the first request
-        // and answer it outright; the slow rank takes one virtual second
-        // per iteration, so its window position is set by the importer.
-        exporter_compute: vec![1e-3, 1e-3, 1e-3, 1.0],
-        // First request lands at ~14.5 virtual seconds: after the slow
-        // rank's 14th export (~14.0), before its 15th (~15.0).
-        importer_compute: 12.5,
-        importer_startup: 2.0,
         cost: CostModel::default(),
         buffer_capacity: None,
+        hierarchical: false,
     };
-    let mut sim = CoupledSim::new(cfg).expect("valid figure 5 configuration");
-    sim.trace_rank(slow);
+    let mut sim = TopologySim::new(cfg).expect("valid figure 5 configuration");
+    sim.trace("exporter", slow, ConnectionId(0))
+        .expect("the pair has an exporter program");
     let report = sim.run().expect("figure 5 scenario runs to completion");
-    let (rank, trace) = report
+    let (_, rank, _, trace) = report
         .traces
         .into_iter()
         .next()
@@ -83,7 +100,7 @@ pub struct Fig78Run {
 /// (Figure 8).
 pub fn figure78_run(buddy_help: bool) -> Fig78Run {
     let mut port = ExportPort::new(
-        couplink_proto::ConnectionId(0),
+        ConnectionId(0),
         MatchPolicy::RegL,
         Tolerance::new(5.0).expect("valid tolerance"),
     );
@@ -126,26 +143,38 @@ pub fn ablation_config(
     import_dt: f64,
     buddy_help: bool,
     exports: usize,
-) -> CoupledConfig {
+) -> TopologyConfig {
     let grid = Extent2::new(256, 256);
     let horizon = exports.saturating_sub(1) as f64;
-    CoupledConfig {
-        exporter_decomp: Decomposition::block_2d(grid, 2, 2).expect("2x2 quadrants"),
-        importer_decomp: Decomposition::row_block(grid, 16).expect("16 row blocks"),
-        policy,
-        tolerance,
+    TopologyConfig {
+        topology: Topology::pair(
+            Decomposition::block_2d(grid, 2, 2).expect("2x2 quadrants"),
+            Decomposition::row_block(grid, 16).expect("16 row blocks"),
+            policy,
+            Tolerance::new(tolerance).expect("valid tolerance"),
+        )
+        .expect("both programs decompose the grid"),
+        exports: vec![ExportSchedule {
+            program: "exporter".into(),
+            region: "r".into(),
+            t0: 1.6,
+            dt: 1.0,
+            count: exports,
+            compute: vec![1.0e-3, 1.0e-3, 1.0e-3, 2.0e-3],
+        }],
+        imports: vec![ImportSchedule {
+            program: "importer".into(),
+            region: "r".into(),
+            t0: import_dt,
+            dt: import_dt,
+            count: ((horizon / import_dt) as usize).clamp(1, 120),
+            compute: 3.0e-3,
+            startup: 20.0e-3,
+        }],
         buddy_help,
-        exports,
-        export_t0: 1.6,
-        export_dt: 1.0,
-        imports: ((horizon / import_dt) as usize).clamp(1, 120),
-        import_t0: import_dt,
-        import_dt,
-        exporter_compute: vec![1.0e-3, 1.0e-3, 1.0e-3, 2.0e-3],
-        importer_compute: 3.0e-3,
-        importer_startup: 20.0e-3,
         cost: CostModel::default(),
         buffer_capacity: None,
+        hierarchical: false,
     }
 }
 
@@ -159,7 +188,7 @@ pub fn equation_workload(
     exports_per_unit: usize,
 ) -> (Vec<u64>, Vec<u64>) {
     let mut port = ExportPort::new(
-        couplink_proto::ConnectionId(0),
+        ConnectionId(0),
         MatchPolicy::RegL,
         Tolerance::new(tolerance).expect("valid tolerance"),
     );

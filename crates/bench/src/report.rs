@@ -7,9 +7,10 @@
 //! measurements. Each [`ScenarioMeasure`] separates its values by how they
 //! may be compared across runs:
 //!
-//! * `counters` — deterministic event counts (engine [`CounterSnapshot`]
-//!   fields, or figure-harness tallies). Gated **exactly**: any difference
-//!   from the committed baseline fails.
+//! * `counters` — deterministic event counts (engine
+//!   [`CounterSnapshot`](couplink_metrics::CounterSnapshot) fields, or
+//!   figure-harness tallies). Gated **exactly**: any difference from the
+//!   committed baseline fails.
 //! * `virtual_s` — DES virtual seconds per phase. Deterministic for a fixed
 //!   cost model, but allowed a small relative drift
 //!   ([`GateConfig::virtual_tolerance`]) so the baseline survives benign

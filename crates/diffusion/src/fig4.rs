@@ -28,8 +28,9 @@
 //!   reached within tens of iterations (Figure 4(d)).
 
 use couplink_layout::{Decomposition, Extent2};
-use couplink_runtime::{CostModel, CoupledConfig};
-use couplink_time::MatchPolicy;
+use couplink_proto::ExportStats;
+use couplink_runtime::{CostModel, ExportSchedule, ImportSchedule, Topology, TopologyConfig};
+use couplink_time::{ts, MatchPolicy, PeriodicSchedule, Tolerance};
 
 /// The benchmark's global array: 1024×1024 `f64`s.
 pub const GRID: Extent2 = Extent2::new(1024, 1024);
@@ -51,6 +52,15 @@ pub const U_INIT_TOTAL: f64 = 1.2;
 pub const EXPORTS: usize = 1001;
 /// Number of imports per run: one per 20 exports.
 pub const IMPORTS: usize = 50;
+
+/// `F` exports at `EXPORT_T0 + i·EXPORT_DT`: 1.6, 2.6, …
+const EXPORT_T0: f64 = 1.6;
+const EXPORT_DT: f64 = 1.0;
+/// `U` imports at `IMPORT_T0 + j·IMPORT_DT`: 20, 40, …
+const IMPORT_T0: f64 = 20.0;
+const IMPORT_DT: f64 = 20.0;
+/// The connection's REGL tolerance (the paper's "precision").
+const TOLERANCE: f64 = 2.5;
 
 /// Parameters of one Figure-4 panel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,38 +90,62 @@ impl Fig4Params {
     }
 }
 
-/// Builds the calibrated coupled-pair configuration for one panel.
-pub fn fig4_config(params: Fig4Params) -> CoupledConfig {
+/// Builds the calibrated exporter→importer configuration for one panel.
+pub fn fig4_config(params: Fig4Params) -> TopologyConfig {
     let exporter_decomp =
         Decomposition::block_2d(GRID, 2, 2).expect("1024x1024 over 2x2 quadrants");
     let importer_decomp =
         Decomposition::row_block(GRID, params.u_procs).expect("row blocks over importer");
-    // Rank 3 is p_s, the artificially loaded slowest process of F.
-    let exporter_compute = vec![
-        F_FAST_COMPUTE,
-        F_FAST_COMPUTE,
-        F_FAST_COMPUTE,
-        F_SLOW_COMPUTE,
-    ];
-    let imports = params.exports.div_ceil(20).clamp(1, IMPORTS);
-    CoupledConfig {
+    let tolerance = Tolerance::new(TOLERANCE).expect("valid tolerance");
+    let topology = Topology::pair(
         exporter_decomp,
         importer_decomp,
-        policy: MatchPolicy::RegL,
-        tolerance: 2.5,
+        MatchPolicy::RegL,
+        tolerance,
+    )
+    .expect("both programs decompose GRID");
+    let mut compute = vec![F_FAST_COMPUTE; 4];
+    compute[SLOW_RANK] = F_SLOW_COMPUTE;
+    TopologyConfig {
+        topology,
+        exports: vec![ExportSchedule {
+            program: "exporter".into(),
+            region: "r".into(),
+            t0: EXPORT_T0,
+            dt: EXPORT_DT,
+            count: params.exports,
+            compute,
+        }],
+        imports: vec![ImportSchedule {
+            program: "importer".into(),
+            region: "r".into(),
+            t0: IMPORT_T0,
+            dt: IMPORT_DT,
+            count: params.exports.div_ceil(20).clamp(1, IMPORTS),
+            compute: U_TOTAL_COMPUTE / params.u_procs as f64,
+            startup: U_INIT_TOTAL / params.u_procs as f64,
+        }],
         buddy_help: params.buddy_help,
-        exports: params.exports,
-        export_t0: 1.6,
-        export_dt: 1.0,
-        imports,
-        import_t0: 20.0,
-        import_dt: 20.0,
-        exporter_compute,
-        importer_compute: U_TOTAL_COMPUTE / params.u_procs as f64,
-        importer_startup: U_INIT_TOTAL / params.u_procs as f64,
         cost: CostModel::default(),
         buffer_capacity: None,
+        hierarchical: false,
     }
+}
+
+/// The paper's *optimal state* entry point (Figure 6) of one exporter
+/// process of a panel, in export iterations: the first export inside (or
+/// after) the acceptable region of the request from which no region
+/// suffers unnecessary buffering (`T_i = 0`). Exports *between* regions
+/// are still buffered and pruned in the optimal state (the next request's
+/// region is unknowable; Figure 5 lines 17–20) and do not count, exactly
+/// like the paper's Equation (1), which only sums objects inside acceptable
+/// regions. `None` if the run never settles.
+pub fn optimal_entry(stats: &ExportStats) -> Option<usize> {
+    let req = stats.optimal_entry_request()?;
+    let imports = PeriodicSchedule::new(IMPORT_T0, IMPORT_DT).expect("positive step");
+    let exports = PeriodicSchedule::new(EXPORT_T0, EXPORT_DT).expect("positive step");
+    let request = imports.at(req).expect("finite request timestamp");
+    Some(exports.first_index_at_or_above(ts(request.value() - TOLERANCE)))
 }
 
 /// The rank index of `p_s` in program `F`.
@@ -120,10 +154,18 @@ pub const SLOW_RANK: usize = 3;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use couplink_runtime::{ActionKind, CoupledSim};
+    use couplink_runtime::{ActionKind, TopoReport, TopologySim};
 
-    fn run(params: Fig4Params) -> couplink_runtime::CoupledReport {
-        CoupledSim::new(fig4_config(params)).unwrap().run().unwrap()
+    fn run(params: Fig4Params) -> TopoReport {
+        TopologySim::new(fig4_config(params))
+            .unwrap()
+            .run()
+            .unwrap()
+    }
+
+    /// Port statistics of `p_s`.
+    fn slow(report: &TopoReport) -> &ExportStats {
+        &report.stats[0][SLOW_RANK]
     }
 
     #[test]
@@ -134,9 +176,9 @@ mod tests {
             exports: 401,
             ..Fig4Params::panel(4)
         });
-        let copies = report.action_series[SLOW_RANK]
+        let copies = report.export_series[0].actions[SLOW_RANK]
             .iter()
-            .filter(|a| **a != ActionKind::Skip)
+            .filter(|per_conn| per_conn[0].1 != ActionKind::Skip)
             .count();
         assert!(
             copies as f64 > 0.97 * 401.0,
@@ -147,8 +189,7 @@ mod tests {
     #[test]
     fn panel_c_16_importers_reaches_optimal_state_gradually() {
         let report = run(Fig4Params::panel(16));
-        let entry = report
-            .optimal_entry(SLOW_RANK)
+        let entry = optimal_entry(slow(&report))
             .expect("16-importer run must settle into the optimal state");
         assert!(
             (100..900).contains(&entry),
@@ -159,45 +200,63 @@ mod tests {
     #[test]
     fn panel_d_32_importers_reaches_optimal_state_fast() {
         let report = run(Fig4Params::panel(32));
-        let entry32 = report
-            .optimal_entry(SLOW_RANK)
+        let entry32 = optimal_entry(slow(&report))
             .expect("32-importer run must settle into the optimal state");
         assert!(entry32 < 100, "paper: ~25 iterations, got {entry32}");
         let report16 = run(Fig4Params::panel(16));
-        let entry16 = report16.optimal_entry(SLOW_RANK).unwrap();
+        let entry16 = optimal_entry(slow(&report16)).unwrap();
         assert!(
             entry32 < entry16 / 4,
             "32 importers must settle much faster than 16 ({entry32} vs {entry16})"
         );
     }
 
+    /// Panels (c) and (d) exactly as the `fig4` bin prints them: copies,
+    /// skips and optimal-state entry of `p_s`. Any change to the event
+    /// schedule, the cost model or the entry arithmetic moves these.
+    #[test]
+    fn panels_c_and_d_are_pinned() {
+        for (u_procs, copies, skips, entry) in [(16, 907, 94, 396), (32, 165, 836, 36)] {
+            let report = run(Fig4Params::panel(u_procs));
+            let s = slow(&report);
+            assert_eq!(
+                (s.memcpys, s.skips, optimal_entry(s)),
+                (copies, skips, Some(entry)),
+                "panel with {u_procs} importers"
+            );
+        }
+    }
+
     #[test]
     fn buddy_help_ablation_at_16_importers() {
         let with = run(Fig4Params::panel(16));
         let without = run(Fig4Params::panel(16).without_buddy_help());
+        let (with, without) = (slow(&with), slow(&without));
         // Buddy-help reduces unnecessary in-region buffering on p_s ...
-        let ub_with = with.stats[SLOW_RANK].t_ub_in_region_count();
-        let ub_without = without.stats[SLOW_RANK].t_ub_in_region_count();
+        let ub_with = with.t_ub_in_region_count();
+        let ub_without = without.t_ub_in_region_count();
         assert!(
             ub_with * 2 < ub_without.max(1),
             "buddy-help should remove unnecessary buffering: {ub_with} vs {ub_without}"
         );
-        // ... and eliminates it entirely once the optimal state is reached,
-        // which never happens without it (T_i > 0 for every late region).
-        assert!(with.stats[SLOW_RANK].optimal_over_last(20));
-        assert!(!without.stats[SLOW_RANK].optimal_over_last(20));
-        assert!(without.optimal_entry(SLOW_RANK).is_none());
+        // ... and eliminates it entirely once the optimal state is reached
+        // (the last 20 regions are clean), which never happens without it
+        // (T_i > 0 for every late region).
+        assert!(with
+            .optimal_entry_request()
+            .is_some_and(|req| req + 20 <= IMPORTS));
+        assert!(without.optimal_entry_request().is_none());
         // And the transferred data is the same either way.
-        assert_eq!(with.stats[SLOW_RANK].sends, without.stats[SLOW_RANK].sends);
+        assert_eq!(with.sends, without.sends);
     }
 
     #[test]
     fn one_in_twenty_exports_is_transferred() {
         let report = run(Fig4Params::panel(16));
-        for rank in 0..4 {
-            assert_eq!(report.stats[rank].exports, EXPORTS as u64);
-            assert_eq!(report.stats[rank].sends, IMPORTS as u64);
+        for stats in &report.stats[0] {
+            assert_eq!(stats.exports, EXPORTS as u64);
+            assert_eq!(stats.sends, IMPORTS as u64);
         }
-        assert_eq!(report.importer_done, vec![IMPORTS; 16]);
+        assert_eq!(report.import_done[0], vec![IMPORTS; 16]);
     }
 }

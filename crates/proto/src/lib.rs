@@ -12,17 +12,17 @@
 //!
 //! The machines:
 //!
-//! * [`ExportPort`](export_port::ExportPort) — one per (exporting process ×
+//! * [`ExportPort`] — one per (exporting process ×
 //!   connection). Decides, for every exported data object, whether the
 //!   framework must buffer it (memcpy), may skip it, or must send it; answers
 //!   forwarded import requests with MATCH / NO MATCH / PENDING; consumes
 //!   buddy-help messages to skip buffering of objects that are already known
 //!   not to be the match (§4.1 of the paper).
-//! * [`ExporterRep`](rep::ExporterRep) — the exporting program's
+//! * [`ExporterRep`] — the exporting program's
 //!   representative: forwards requests, aggregates the collective responses,
 //!   validates Property 1 (the five legal response sets), answers the
 //!   importer, and emits buddy-help to PENDING processes.
-//! * [`ImporterRep`](rep::ImporterRep) / [`ImportPort`](import_port::ImportPort)
+//! * [`ImporterRep`] / [`ImportPort`]
 //!   — the importing program's side: collective import calls, answer
 //!   broadcast, and per-process transfer completion tracking.
 //!

@@ -52,28 +52,18 @@ impl ExportStats {
         self.unnecessary_by_request.iter().sum()
     }
 
-    /// All unnecessary memcpys, in and between regions.
-    pub fn unnecessary_total(&self) -> u64 {
-        self.t_ub_in_region_count() + self.unnecessary_inter_region
-    }
-
-    /// Fraction of export calls whose memcpy was skipped.
-    pub fn skip_ratio(&self) -> f64 {
-        if self.exports == 0 {
-            0.0
-        } else {
-            self.skips as f64 / self.exports as f64
-        }
-    }
-
-    /// Whether the port has reached the paper's *optimal state* over the
-    /// last `window` requests: no unnecessary in-region buffering
-    /// (`T_i = 0`, Figure 6). Requests beyond the attribution vector's end
+    /// The request index from which the port is in the paper's *optimal
+    /// state* (`T_i = 0`, Figure 6): no later acceptable region suffered
+    /// unnecessary buffering. Requests beyond the attribution vector's end
     /// had zero unnecessary copies (the vector only grows on attribution).
-    pub fn optimal_over_last(&self, window: usize) -> bool {
-        let total = self.requests as usize;
-        let start = total.saturating_sub(window);
-        (start..total).all(|i| self.unnecessary_by_request.get(i).copied().unwrap_or(0) == 0)
+    /// `None` if the last request seen was still a bad one, so no clean
+    /// region proves the state was entered.
+    pub fn optimal_entry_request(&self) -> Option<usize> {
+        match self.unnecessary_by_request.iter().rposition(|&n| n > 0) {
+            None => Some(0),
+            Some(i) if i + 1 < self.requests as usize => Some(i + 1),
+            Some(_) => None,
+        }
     }
 }
 
@@ -89,18 +79,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.t_ub_in_region_count(), 13);
-        assert_eq!(s.unnecessary_total(), 25);
-    }
-
-    #[test]
-    fn skip_ratio_handles_zero_exports() {
-        assert_eq!(ExportStats::default().skip_ratio(), 0.0);
-        let s = ExportStats {
-            exports: 10,
-            skips: 4,
-            ..Default::default()
-        };
-        assert!((s.skip_ratio() - 0.4).abs() < 1e-12);
     }
 
     #[test]
@@ -110,9 +88,16 @@ mod tests {
             unnecessary_by_request: vec![4, 7, 0, 0, 0],
             ..Default::default()
         };
-        assert!(s.optimal_over_last(3));
-        assert!(!s.optimal_over_last(4));
-        assert!(ExportStats::default().optimal_over_last(5));
+        assert_eq!(s.optimal_entry_request(), Some(2));
+        assert_eq!(ExportStats::default().optimal_entry_request(), Some(0));
+        // The last request still buffered unnecessarily: no clean region
+        // follows it.
+        let s = ExportStats {
+            requests: 2,
+            unnecessary_by_request: vec![0, 1],
+            ..Default::default()
+        };
+        assert_eq!(s.optimal_entry_request(), None);
     }
 
     #[test]
@@ -124,7 +109,6 @@ mod tests {
             unnecessary_by_request: vec![3, 2],
             ..Default::default()
         };
-        assert!(s.optimal_over_last(8));
-        assert!(!s.optimal_over_last(9));
+        assert_eq!(s.optimal_entry_request(), Some(2));
     }
 }

@@ -1,6 +1,5 @@
 //! A minimal deterministic discrete-event core.
 
-pub mod coupled;
 pub mod topo;
 
 use std::cmp::Ordering;

@@ -1,5 +1,5 @@
 //! Deterministic discrete-event simulation of an arbitrary coupling
-//! topology.
+//! topology: the simulator's one entry point.
 //!
 //! This is the simulator side of the shared engine: any number of programs,
 //! each with its own process count, rep, export/import schedules and
@@ -8,10 +8,12 @@
 //! [`crate::engine`] — this module only turns [`Outgoing`] messages into
 //! events with modelled latencies and advances virtual time.
 //!
-//! The single-pair simulator ([`crate::des::coupled::CoupledSim`]) is a thin
-//! adapter over this driver; for pair topologies the event schedule (times
-//! *and* tie-breaking insertion order) is identical to the original
-//! hand-written pair loop, so Figure-4 outputs are bit-for-bit stable.
+//! Every single-pair experiment of the paper (Figures 4–6, the ablation,
+//! the finite-buffer study) is [`Topology::pair`] with one export and one
+//! import schedule: program `exporter` exports region `r` over connection 0
+//! to program `importer`. The event schedule (times *and* tie-breaking
+//! insertion order) is a function of the configuration alone, so a
+//! configuration always yields the same report.
 
 use crate::cost::CostModel;
 use crate::des::{EventQueue, SimTime};
@@ -142,10 +144,12 @@ pub struct TopologyConfig {
     /// Operation costs.
     pub cost: CostModel,
     /// Per-process framework buffer capacity in objects (`None` =
-    /// unbounded).
+    /// unbounded, the paper's setting). With a bound, an exporter process
+    /// stalls when its buffer is full and resumes when control traffic
+    /// frees space: the paper's §6 finite-buffer scenario.
     pub buffer_capacity: Option<usize>,
     /// Route collectives (forward requests, answer broadcasts, buddy-help)
-    /// down the deterministic k-ary distribution tree ([`tree`]) instead of
+    /// down the deterministic k-ary tree ([`crate::engine::tree`]) instead of
     /// flat per-rank fan-out: the rep talks only to its tree children and
     /// each rank relays to its own subtree.
     pub hierarchical: bool,
@@ -162,9 +166,6 @@ pub struct ExportSeries {
     pub times: Vec<Vec<f64>>,
     /// Per rank, per call: what each connection did with the export.
     pub actions: Vec<Vec<Vec<(ConnectionId, ActionKind)>>>,
-    /// Per rank: `(connection, export-iteration count at arrival)` for each
-    /// forwarded request, in arrival order.
-    pub request_arrivals: Vec<Vec<(ConnectionId, usize)>>,
 }
 
 /// Results of a topology run.
@@ -186,6 +187,21 @@ pub struct TopoReport {
     /// End-of-run engine instrumentation. The counter half is deterministic:
     /// two runs of the same configuration produce identical values.
     pub metrics: MetricsSnapshot,
+}
+
+/// Rejects times the virtual clock cannot run: a non-finite `t0`, a step
+/// `dt` that is not finite and positive, or a compute or startup cost that
+/// is negative (the clock would run backwards) or not finite.
+fn check_times(program: &str, t0: f64, dt: f64, costs: &[f64]) -> Result<(), SimError> {
+    if !(dt.is_finite() && dt > 0.0) {
+        return Err(SimError::Config("timestamp steps must be positive".into()));
+    }
+    if !t0.is_finite() || costs.iter().any(|c| !(c.is_finite() && *c >= 0.0)) {
+        return Err(SimError::Config(format!(
+            "{program}: t0 {t0} must be finite, compute/startup {costs:?} finite and non-negative"
+        )));
+    }
+    Ok(())
 }
 
 /// Modelled detection delay, in virtual seconds: how long after a rep
@@ -231,7 +247,6 @@ struct ExpRec {
     iter: usize,
     times: Vec<f64>,
     actions: Vec<Vec<(ConnectionId, ActionKind)>>,
-    request_arrivals: Vec<(ConnectionId, usize)>,
     /// Blocked on a full buffer, waiting for control traffic to free space.
     blocked: bool,
 }
@@ -322,9 +337,7 @@ impl TopologySim {
                     procs
                 )));
             }
-            if s.dt <= 0.0 {
-                return Err(SimError::Config("timestamp steps must be positive".into()));
-            }
+            check_times(&s.program, s.t0, s.dt, &s.compute)?;
             let decomp = &topo.programs[prog].exports[region].decomp;
             let piece_bytes = (0..procs)
                 .map(|rank| decomp.owned(rank).cells() * std::mem::size_of::<f64>())
@@ -345,7 +358,6 @@ impl TopologySim {
                         iter: 0,
                         times: Vec::with_capacity(s.count),
                         actions: Vec::with_capacity(s.count),
-                        request_arrivals: Vec::new(),
                         blocked: false,
                     })
                     .collect(),
@@ -358,9 +370,7 @@ impl TopologySim {
             let region = topo.programs[prog].import_idx(&s.region).ok_or_else(|| {
                 SimError::Config(format!("{} imports no region {}", s.program, s.region))
             })?;
-            if s.dt <= 0.0 {
-                return Err(SimError::Config("timestamp steps must be positive".into()));
-            }
+            check_times(&s.program, s.t0, s.dt, &[s.compute, s.startup])?;
             let conn = topo.programs[prog].imports[region].conn;
             let procs = topo.programs[prog].procs;
             imp_drive_of.insert(conn, imp_drives.len());
@@ -643,7 +653,6 @@ impl TopologySim {
                 region: self.topo.programs[d.prog].exports[d.region].name.clone(),
                 times: d.recs.iter().map(|r| r.times.clone()).collect(),
                 actions: d.recs.iter().map(|r| r.actions.clone()).collect(),
-                request_arrivals: d.recs.iter().map(|r| r.request_arrivals.clone()).collect(),
             })
             .collect();
         let import_done = self.imp_drives.iter().map(|d| d.iters.clone()).collect();
@@ -939,10 +948,6 @@ impl TopologySim {
             Endpoint::Proc { prog, rank } => match proc_side(&msg) {
                 Some((ProcSide::Export, conn)) => {
                     let drive = self.exp_drive_of[&conn];
-                    if matches!(msg, CtrlMsg::ForwardRequest { .. }) {
-                        let rec = &mut self.exp_drives[drive].recs[rank];
-                        rec.request_arrivals.push((conn, rec.iter));
-                    }
                     let fx = self.exp_nodes[prog][rank].on_msg(msg)?;
                     self.emit(to, 0.0, fx.msgs)?;
                     self.wake_blocked(drive, rank);
@@ -986,5 +991,228 @@ impl TopologySim {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use couplink_layout::{Decomposition, Extent2};
+    use couplink_time::{ts, MatchPolicy, Tolerance};
+
+    /// A small but complete pair run with the paper's timestamp pattern:
+    /// exports every 1.0 from 1.6, imports every 20.0 from 20.0, REGL 2.5.
+    fn small_config(buddy_help: bool, importer_compute: f64) -> TopologyConfig {
+        let e = Extent2::new(64, 64);
+        let topology = Topology::pair(
+            Decomposition::block_2d(e, 2, 2).unwrap(),
+            Decomposition::row_block(e, 4).unwrap(),
+            MatchPolicy::RegL,
+            Tolerance::new(2.5).unwrap(),
+        )
+        .unwrap();
+        TopologyConfig {
+            topology,
+            exports: vec![ExportSchedule {
+                program: "exporter".into(),
+                region: "r".into(),
+                t0: 1.6,
+                dt: 1.0,
+                count: 101,
+                compute: vec![1e-4, 1e-4, 1e-4, 5e-3], // rank 3 is p_s
+            }],
+            imports: vec![ImportSchedule {
+                program: "importer".into(),
+                region: "r".into(),
+                t0: 20.0,
+                dt: 20.0,
+                count: 5,
+                compute: importer_compute,
+                startup: 0.0,
+            }],
+            buddy_help,
+            cost: CostModel::default(),
+            buffer_capacity: None,
+            hierarchical: false,
+        }
+    }
+
+    fn run(cfg: TopologyConfig) -> TopoReport {
+        TopologySim::new(cfg).unwrap().run().unwrap()
+    }
+
+    /// What each export call of `rank` did on the pair's one connection.
+    fn actions(report: &TopoReport, rank: usize) -> Vec<ActionKind> {
+        let calls = &report.export_series[0].actions[rank];
+        calls.iter().map(|per_conn| per_conn[0].1).collect()
+    }
+
+    fn rejected(cfg: TopologyConfig) -> bool {
+        matches!(TopologySim::new(cfg), Err(SimError::Config(_)))
+    }
+
+    #[test]
+    fn run_completes_all_transfers() {
+        let report = run(small_config(true, 1e-3));
+        // Every importer rank completed all 5 imports.
+        assert_eq!(report.import_done[0], vec![5; 4]);
+        // Every exporter rank sent exactly 5 matched objects.
+        for stats in &report.stats[0] {
+            assert_eq!(stats.sends, 5, "{stats:?}");
+            assert_eq!(stats.exports, 101);
+        }
+    }
+
+    #[test]
+    fn deterministic_repeat() {
+        let a = run(small_config(true, 1e-3));
+        let b = run(small_config(true, 1e-3));
+        assert_eq!(a.export_series[0].times, b.export_series[0].times);
+        assert_eq!(a.export_series[0].actions, b.export_series[0].actions);
+        assert_eq!(a.duration, b.duration);
+    }
+
+    #[test]
+    fn buddy_help_skips_memcpys_on_slow_rank() {
+        let with = run(small_config(true, 1e-3));
+        let without = run(small_config(false, 1e-3));
+        let (with, without) = (&with.stats[0][3], &without.stats[0][3]);
+        assert!(
+            with.skips > without.skips,
+            "buddy-help must increase skips: {} vs {}",
+            with.skips,
+            without.skips
+        );
+        // The data transferred is identical either way: same sends.
+        assert_eq!(with.sends, without.sends);
+    }
+
+    #[test]
+    fn fast_importer_reaches_optimal_state() {
+        // A fast importer queries ahead of the slow exporter: after warm-up
+        // the slow rank should only skip or copy-send (optimal state).
+        let report = run(small_config(true, 1e-4));
+        // The first export iteration inside the entry request's region.
+        let exports = PeriodicSchedule::new(1.6, 1.0).unwrap();
+        let entry = report.stats[0][3]
+            .optimal_entry_request()
+            .map(|req| exports.first_index_at_or_above(ts(20.0 + req as f64 * 20.0 - 2.5)));
+        assert!(entry.is_some(), "never entered the optimal state");
+        assert!(entry.unwrap() < 90, "optimal state too late: {:?}", entry);
+    }
+
+    #[test]
+    fn slow_importer_buffers_everything() {
+        // When the importer lags far behind, requests arrive long after the
+        // exports they match: nearly every export must be buffered
+        // (Figure 4(a) flat profile).
+        let mut cfg = small_config(true, 1.0); // importer takes 1 s per iter
+        cfg.imports[0].count = 2;
+        let report = run(cfg);
+        let copies = actions(&report, 3)
+            .iter()
+            .filter(|a| **a == ActionKind::Copy)
+            .count();
+        assert!(
+            copies > 90,
+            "expected nearly all 101 exports copied, got {copies}"
+        );
+    }
+
+    #[test]
+    fn bad_config_rejected() {
+        let mut cfg = small_config(true, 1e-3);
+        cfg.exports[0].compute.pop();
+        assert!(rejected(cfg));
+        let mut cfg = small_config(true, 1e-3);
+        cfg.exports[0].dt = 0.0;
+        assert!(rejected(cfg));
+    }
+
+    #[test]
+    fn non_finite_compute_rejected() {
+        let mut cfg = small_config(true, 1e-3);
+        cfg.exports[0].compute[3] = f64::NAN;
+        assert!(rejected(cfg));
+        assert!(rejected(small_config(true, f64::INFINITY)));
+    }
+
+    #[test]
+    fn negative_compute_rejected() {
+        // Without the check the clock runs backwards and the run "succeeds".
+        let mut cfg = small_config(true, 1e-3);
+        cfg.exports[0].compute[3] = -5.0;
+        assert!(rejected(cfg));
+        assert!(rejected(small_config(true, -1e-3)));
+    }
+
+    #[test]
+    fn bad_startup_rejected() {
+        for startup in [-1.0, f64::NAN] {
+            let mut cfg = small_config(true, 1e-3);
+            cfg.imports[0].startup = startup;
+            assert!(rejected(cfg), "startup {startup}");
+        }
+    }
+
+    #[test]
+    fn non_finite_t0_rejected() {
+        let mut cfg = small_config(true, 1e-3);
+        cfg.exports[0].t0 = f64::NAN;
+        assert!(rejected(cfg));
+        let mut cfg = small_config(true, 1e-3);
+        cfg.imports[0].t0 = f64::INFINITY;
+        assert!(rejected(cfg));
+    }
+
+    #[test]
+    fn export_series_lengths_match_iterations() {
+        let report = run(small_config(true, 1e-3));
+        for rank in 0..4 {
+            assert_eq!(report.export_series[0].times[rank].len(), 101);
+            assert_eq!(actions(&report, rank).len(), 101);
+        }
+    }
+
+    #[test]
+    fn bounded_buffer_stalls_exporter_until_requests_free_space() {
+        // Capacity 4 with a slow importer: the exporter fills its buffer
+        // and stalls; each request prunes the buffer and lets it continue.
+        let mut cfg = small_config(true, 5e-2);
+        cfg.buffer_capacity = Some(4);
+        let report = run(cfg);
+        // All transfers still complete, correctness is unaffected.
+        assert_eq!(report.import_done[0], vec![5; 4]);
+        for stats in &report.stats[0] {
+            assert_eq!(stats.sends, 5);
+            assert!(stats.buffer_full_stalls > 0, "{stats:?}");
+            assert!(stats.buffered_hwm <= 4);
+        }
+        // The stalls cost real (virtual) time versus the unbounded run.
+        let free_run = run(small_config(true, 5e-2));
+        assert!(report.duration > free_run.duration);
+    }
+
+    #[test]
+    fn buddy_help_lowers_peak_buffer_occupancy() {
+        // A fast importer with buddy-help keeps the slow rank's buffer
+        // nearly empty; without buddy-help every candidate is buffered.
+        let with = run(small_config(true, 1e-4)).stats[0][3].buffered_hwm;
+        let without = run(small_config(false, 1e-4)).stats[0][3].buffered_hwm;
+        assert!(with <= without, "{with} vs {without}");
+    }
+
+    #[test]
+    fn trace_rank_records_the_slow_ranks_events() {
+        let mut sim = TopologySim::new(small_config(true, 1e-3)).unwrap();
+        sim.trace("exporter", 3, ConnectionId(0)).unwrap();
+        let report = sim.run().unwrap();
+        assert_eq!(report.traces.len(), 1);
+        let (_, rank, _, trace) = &report.traces[0];
+        assert_eq!(*rank, 3);
+        let (copied, skipped) = trace.export_counts();
+        assert_eq!(copied + skipped, 101, "one trace line per export call");
+        assert_eq!(copied as u64, report.stats[0][3].memcpys);
+        assert_eq!(skipped as u64, report.stats[0][3].skips);
     }
 }

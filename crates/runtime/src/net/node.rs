@@ -5,13 +5,13 @@
 //! [`super::bootstrap`]):
 //!
 //! 1. dial the parent, send `HELLO{version, token, prog}`;
-//! 2. receive the `PLAN`, rebuild the validated [`Topology`] from the
-//!    embedded configuration text (all processes derive the topology
-//!    through the same code path, so shapes and connection ids can never
-//!    disagree);
+//! 2. receive the `PLAN`, rebuild the validated
+//!    [`Topology`](crate::engine::Topology) from the embedded configuration
+//!    text (all processes derive the topology through the same code path,
+//!    so shapes and connection ids can never disagree);
 //! 3. open the durable write-ahead journal when the plan names a
 //!    `wal_dir`, build a *partial* fabric session hosting only this
-//!    program (with a [`RemoteLinks`] implementation that serializes
+//!    program (with a `RemoteLinks` implementation that serializes
 //!    foreign-bound traffic onto the mesh), and — on a restart — replay
 //!    the journal into the session *before any live frame can arrive*;
 //! 4. bind a mesh listener, report it (`LISTENING`), receive the `PEERS`
@@ -36,10 +36,11 @@
 //! Without durability in the plan, a mesh EOF *before* this node finished
 //! its own application work means a peer died: the session is failed fast
 //! (blocked `import`/`export` calls surface
-//! [`ThreadedError::ProcessCrash`] instead of hanging). A mesh EOF *after*
-//! `APP_DONE` is the normal consequence of a peer draining first and is
-//! ignored — that asymmetry is what lets the coordinated drain tolerate
-//! peers closing their sockets in any order.
+//! [`ThreadedError::ProcessCrash`](crate::threaded::ThreadedError::ProcessCrash)
+//! instead of hanging). A mesh EOF *after* `APP_DONE` is the normal
+//! consequence of a peer draining first and is ignored — that asymmetry is
+//! what lets the coordinated drain tolerate peers closing their sockets in
+//! any order.
 //!
 //! With a `wal_dir` (or an armed link-sever fault) the node instead
 //! *reconnects*: the link's EOF-observer fully closes the socket (so both
@@ -57,7 +58,7 @@
 //! # Durability discipline
 //!
 //! Every sequenced delivery is journaled *before* its ack can escape (the
-//! fabric appends in `admit`), and [`SocketLinks::send`] fsyncs the
+//! fabric appends in `admit`), and `SocketLinks::send` fsyncs the
 //! journal before any control or ack frame is queued on a writer — an
 //! acked message must survive a crash, because the sender will never
 //! retransmit it. Payload pieces are neither sequenced nor journaled:

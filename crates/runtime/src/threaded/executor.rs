@@ -2,10 +2,10 @@
 //!
 //! Instead of one OS thread per rep and per agent, a fixed **worker pool**
 //! polls node tasks. Each rep, agent, importer and retransmit pump is a
-//! state machine implementing [`Task`]; a mailbox push (or an expired
+//! state machine implementing `Task`; a mailbox push (or an expired
 //! timer) marks the task runnable. **The thread that made it runnable
 //! polls it itself** when it can — a worker, or an application thread or
-//! socket reader inside [`Helper::help`] — from a short thread-local
+//! socket reader inside `Helper::help` — from a short thread-local
 //! run-next list, at its next top-level point: never nested inside another
 //! poll, never under a lock. The **sharded run queues** hold the rest:
 //! overflow, tasks that call themselves heavy, and whatever a thread that

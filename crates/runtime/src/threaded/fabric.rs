@@ -190,10 +190,10 @@ pub struct FabricOptions {
     /// forbids reordering them anyway.
     ///
     /// When the configuration carries *permanent* faults (`loss_prob > 0`
-    /// or a [`CrashFault`]) the fabric additionally arms its reliability
-    /// layer: every eligible message is sequenced and acknowledged, a pump
-    /// task retransmits on wall-clock timeouts, and a crashed rep is
-    /// rebuilt from its delivery journal.
+    /// or a [`CrashFault`](crate::engine::CrashFault)) the fabric
+    /// additionally arms its reliability layer: every eligible message is
+    /// sequenced and acknowledged, a pump task retransmits on wall-clock
+    /// timeouts, and a crashed rep is rebuilt from its delivery journal.
     pub chaos: Option<ChaosConfig>,
     /// Degradation knob: buddy-help announcements are sent but never
     /// arrive, so each one exhausts its expendable retry budget and is
@@ -1031,9 +1031,9 @@ impl ExportAccess {
 /// region (exactly one connection).
 ///
 /// The importer *task* feeds answers and pieces into the shared
-/// [`ImpCell`]. `import()` would block until the node reaches `Done`
+/// `ImpCell`. `import()` would block until the node reaches `Done`
 /// anyway, so before it does it runs the control chain its call set off
-/// ([`Net::run_woken`]): the rank that completes the collective polls
+/// (`Net::run_woken`): the rank that completes the collective polls
 /// both reps, the agents and the importer tasks itself and returns without
 /// sleeping; a rank that arrived early waits on the cell's condvar.
 pub struct ImportAccess {

@@ -7,10 +7,10 @@
 use couplink_config::RegionRef;
 use couplink_layout::{Decomposition, Extent2, LocalArray};
 use couplink_runtime::{
-    CostModel, CoupledConfig, CoupledSim, ExportSchedule, Fabric, FabricOptions, ImportSchedule,
-    Topology, TopologyConfig, TopologySim,
+    CostModel, ExportSchedule, Fabric, FabricOptions, ImportSchedule, TopoReport, Topology,
+    TopologyConfig, TopologySim,
 };
-use couplink_time::{ts, MatchPolicy, Timestamp};
+use couplink_time::{ts, MatchPolicy, Timestamp, Tolerance};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -64,33 +64,44 @@ fn cfg() -> impl Strategy<Value = Cfg> {
         )
 }
 
-fn build(c: &Cfg) -> CoupledConfig {
+fn build(c: &Cfg) -> TopologyConfig {
     let grid = Extent2::new(16, 16);
     let (pr, pc) = c.exp_procs_grid;
     let exporter_decomp = Decomposition::block_2d(grid, pr, pc).unwrap();
     let importer_decomp = Decomposition::row_block(grid, c.imp_procs).unwrap();
     let ne = exporter_decomp.procs();
-    let mut exporter_compute = vec![1e-4; ne];
-    exporter_compute[ne - 1] = 1e-4 * c.slow_factor;
-    CoupledConfig {
-        exporter_decomp,
-        importer_decomp,
-        policy: c.policy,
-        tolerance: c.tolerance,
+    let mut compute = vec![1e-4; ne];
+    compute[ne - 1] = 1e-4 * c.slow_factor;
+    let tolerance = Tolerance::new(c.tolerance).unwrap();
+    TopologyConfig {
+        topology: Topology::pair(exporter_decomp, importer_decomp, c.policy, tolerance).unwrap(),
+        exports: vec![ExportSchedule {
+            program: "exporter".into(),
+            region: "r".into(),
+            t0: 1.6,
+            dt: 1.0,
+            // Exports at x.6 cover every request window with margin.
+            count: c.windows * 20 + 25,
+            compute,
+        }],
+        imports: vec![ImportSchedule {
+            program: "importer".into(),
+            region: "r".into(),
+            t0: 20.0,
+            dt: 20.0,
+            count: c.windows,
+            compute: c.importer_compute,
+            startup: 0.0,
+        }],
         buddy_help: c.buddy_help,
-        // Exports at x.6 cover every request window with margin.
-        exports: c.windows * 20 + 25,
-        export_t0: 1.6,
-        export_dt: 1.0,
-        imports: c.windows,
-        import_t0: 20.0,
-        import_dt: 20.0,
-        exporter_compute,
-        importer_compute: c.importer_compute,
-        importer_startup: 0.0,
         cost: CostModel::default(),
         buffer_capacity: None,
+        hierarchical: false,
     }
+}
+
+fn run(c: &Cfg) -> TopoReport {
+    TopologySim::new(build(c)).unwrap().run().unwrap()
 }
 
 proptest! {
@@ -102,9 +113,9 @@ proptest! {
     /// request, and no collective violation fires.
     #[test]
     fn all_guaranteed_transfers_complete(c in cfg()) {
-        let report = CoupledSim::new(build(&c)).unwrap().run().unwrap();
-        prop_assert_eq!(&report.importer_done, &vec![c.windows; c.imp_procs]);
-        for stats in &report.stats {
+        let report = run(&c);
+        prop_assert_eq!(&report.import_done[0], &vec![c.windows; c.imp_procs]);
+        for stats in &report.stats[0] {
             prop_assert_eq!(stats.sends, c.windows as u64, "{:?}", stats);
             prop_assert_eq!(stats.requests, c.windows as u64);
         }
@@ -114,17 +125,17 @@ proptest! {
     /// determinism), and buddy-help changes only buffering effort.
     #[test]
     fn deterministic_and_transfer_invariant(c in cfg()) {
-        let a = CoupledSim::new(build(&c)).unwrap().run().unwrap();
-        let b = CoupledSim::new(build(&c)).unwrap().run().unwrap();
-        prop_assert_eq!(&a.export_time_series, &b.export_time_series);
-        prop_assert_eq!(&a.action_series, &b.action_series);
+        let a = run(&c);
+        let b = run(&c);
+        prop_assert_eq!(&a.export_series[0].times, &b.export_series[0].times);
+        prop_assert_eq!(&a.export_series[0].actions, &b.export_series[0].actions);
         prop_assert_eq!(a.duration, b.duration);
 
         let mut flipped = c.clone();
         flipped.buddy_help = !c.buddy_help;
-        let f = CoupledSim::new(build(&flipped)).unwrap().run().unwrap();
-        prop_assert_eq!(&f.importer_done, &a.importer_done);
-        for (x, y) in a.stats.iter().zip(f.stats.iter()) {
+        let f = run(&flipped);
+        prop_assert_eq!(&f.import_done, &a.import_done);
+        for (x, y) in a.stats[0].iter().zip(f.stats[0].iter()) {
             prop_assert_eq!(x.sends, y.sends);
             // The run with buddy-help enabled never copies more.
             let (with, without) = if c.buddy_help { (x, y) } else { (y, x) };

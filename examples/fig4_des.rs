@@ -4,15 +4,15 @@
 //!
 //! Run: `cargo run -p couplink-examples --release --bin fig4_des -- [u_procs]`
 
-use couplink_diffusion::fig4::{fig4_config, Fig4Params, SLOW_RANK};
-use couplink_runtime::CoupledSim;
+use couplink_diffusion::fig4::{fig4_config, optimal_entry, Fig4Params, SLOW_RANK};
+use couplink_runtime::TopologySim;
 
 fn main() {
     let u_procs: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(16);
-    let report = CoupledSim::new(fig4_config(Fig4Params::panel(u_procs)))
+    let report = TopologySim::new(fig4_config(Fig4Params::panel(u_procs)))
         .expect("valid configuration")
         .run()
         .expect("simulation completes");
@@ -20,7 +20,8 @@ fn main() {
     println!("Figure 4 panel, importer U with {u_procs} processes (virtual time)");
     println!("per-window (20 iterations) mean export time of p_s, in ms:");
     println!();
-    let series = &report.export_time_series[SLOW_RANK];
+    let series = &report.export_series[0].times[SLOW_RANK];
+    let stats = &report.stats[0][SLOW_RANK];
     for (w, chunk) in series.chunks(20).enumerate() {
         let mean_ms = chunk.iter().sum::<f64>() / chunk.len() as f64 * 1e3;
         let bar = "#".repeat((mean_ms * 30.0).round() as usize);
@@ -31,14 +32,14 @@ fn main() {
         );
     }
     println!();
-    match report.optimal_entry(SLOW_RANK) {
+    match optimal_entry(stats) {
         Some(e) => println!("optimal state (T_i = 0 from here on) entered at iteration {e}"),
         None => println!("optimal state never entered (importer too slow — panels a/b)"),
     }
     println!(
         "skips: {}, memcpys: {}, unnecessary in-region copies: {}",
-        report.stats[SLOW_RANK].skips,
-        report.stats[SLOW_RANK].memcpys,
-        report.stats[SLOW_RANK].t_ub_in_region_count()
+        stats.skips,
+        stats.memcpys,
+        stats.t_ub_in_region_count()
     );
 }

@@ -18,7 +18,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Number-of-elements range for [`vec`]; end-exclusive.
+    /// Number-of-elements range for [`vec()`]; end-exclusive.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

@@ -3,7 +3,9 @@
 //! deterministic discrete-event runtime.
 
 use couplink::prelude::*;
-use couplink_runtime::{CostModel, CoupledConfig, CoupledSim};
+use couplink_runtime::{
+    CostModel, ExportSchedule, ImportSchedule, Topology, TopologyConfig, TopologySim,
+};
 use std::sync::mpsc;
 
 fn session_for(
@@ -128,29 +130,41 @@ fn received_data_is_the_matched_version() {
 #[test]
 fn des_and_threaded_agree_on_transfers() {
     let grid = Extent2::new(32, 32);
-    let cfg = CoupledConfig {
-        exporter_decomp: Decomposition::block_2d(grid, 2, 2).unwrap(),
-        importer_decomp: Decomposition::row_block(grid, 2).unwrap(),
-        policy: MatchPolicy::RegL,
-        tolerance: 2.5,
+    let cfg = TopologyConfig {
+        topology: Topology::pair(
+            Decomposition::block_2d(grid, 2, 2).unwrap(),
+            Decomposition::row_block(grid, 2).unwrap(),
+            MatchPolicy::RegL,
+            Tolerance::new(2.5).unwrap(),
+        )
+        .unwrap(),
+        exports: vec![ExportSchedule {
+            program: "exporter".into(),
+            region: "r".into(),
+            t0: 1.6,
+            dt: 1.0,
+            count: 80,
+            compute: vec![1e-5, 1e-5, 1e-5, 1e-4],
+        }],
+        imports: vec![ImportSchedule {
+            program: "importer".into(),
+            region: "r".into(),
+            t0: 20.0,
+            dt: 20.0,
+            count: 3,
+            compute: 1e-4,
+            startup: 0.0,
+        }],
         buddy_help: true,
-        exports: 80,
-        export_t0: 1.6,
-        export_dt: 1.0,
-        imports: 3,
-        import_t0: 20.0,
-        import_dt: 20.0,
-        exporter_compute: vec![1e-5, 1e-5, 1e-5, 1e-4],
-        importer_compute: 1e-4,
-        importer_startup: 0.0,
         cost: CostModel::default(),
         buffer_capacity: None,
+        hierarchical: false,
     };
-    let report = CoupledSim::new(cfg).unwrap().run().unwrap();
+    let report = TopologySim::new(cfg).unwrap().run().unwrap();
     let threaded = run_threaded("REGL", 2.5, true, &[20.0, 40.0, 60.0]);
     // Same three matches on both runtimes.
-    assert_eq!(report.importer_done, vec![3, 3]);
-    for stats in &report.stats {
+    assert_eq!(report.import_done[0], vec![3, 3]);
+    for stats in &report.stats[0] {
         assert_eq!(stats.sends, 3);
     }
     assert_eq!(
