@@ -6,11 +6,14 @@
 # (`./ci.sh --loc` only prints the non-test line counts; `./ci.sh --repeat
 # N [--debug] FILTER` only re-runs one test N times under load.)
 #
-# Fourteen stages, all required:
+# Ten stages, all required:
 #   1. formatting      (cargo fmt --check)
 #   2. lints           (cargo clippy and cargo doc, warnings are errors:
 #                       a doc link to a deleted or private item fails)
-#   3. tier-1 tests    (release build + full test suite)
+#   3. tier-1 tests    (release build + full test suite; among them the
+#                       counter gates: the O(log N) tree budget at
+#                       32/64/128 ranks, chained hand-offs, per-session
+#                       fairness and writev coalescing)
 #   4. simtest         (seeded simulation corpus + oracle mutation smoke:
 #                       help-skip and stale-skip on the simulator, relay-drop
 #                       on the simulator and the threaded fabric,
@@ -30,55 +33,22 @@
 #                       negative test proving the gate catches an injected
 #                       8x memcpy slowdown. It times no isolated layer:
 #                       `bench e2e`'s layer replay is the one stopwatch)
-#   8. scale smoke     (threaded weak/strong scaling sweep with a
-#                       per-iteration wall-clock budget; plus a negative
-#                       test proving the throughput gate catches an
-#                       injected stall. The same sweep gates hand-offs from
-#                       counters: under one cross-worker steal per import
-#                       and at least half of all task polls chained on the
-#                       thread that woke the task; chaining cannot be
-#                       switched off, so that gate's negative control is a
-#                       unit test over a fabricated snapshot, run by
-#                       stage 3)
-#   9. scale ranks     (hierarchical collective sweep at 32/64/128 ranks
-#                       per program on the threaded fabric: rep-origin
-#                       control messages per import must stay within the
-#                       k*ceil(log_k N) + 2k O(log N) budget and the tree
-#                       conservation laws must hold exactly; plus a
-#                       negative test proving the gate rejects the flat
-#                       O(N) fan-out)
-#  10. multi-session   (16 sessions multiplexed on the pooled executor
-#                       under the same wall budget, scheduled fairly; the
-#                       drivers are a closed loop, one step of credit per
-#                       exporter, so every import goes through the pool;
-#                       the starvation check's negative control is a unit
-#                       test over fabricated per-session walls, run by
-#                       stage 3. The workload runs once; executor
-#                       throughput is gated by `bench e2e` ctrl_small /
-#                       multirate_cycle)
-#  11. socket           (fixed-seed corpus on the socket runtime: every
+#   8. socket          (fixed-seed corpus on the socket runtime: every
 #                       program its own OS process on loopback UDS, all
 #                       three runtimes must agree on matches and protocol
-#                       counters; a forced-fault chaos sweep; one TCP
-#                       smoke seed; plus a negative test proving the
-#                       liveness oracle catches a codec that silently
-#                       drops collective-answer frames)
-#  12. durable          (kill-and-restart chaos over loopback UDS: even
+#                       counters, and every healthy run must receive the
+#                       frames and bytes it sent; a forced-fault chaos
+#                       sweep; one TCP smoke seed; plus a negative test
+#                       proving the liveness oracle catches a codec that
+#                       silently drops collective-answer frames)
+#   9. durable         (kill-and-restart chaos over loopback UDS: even
 #                       seeds SIGKILL a node mid-run and restart it from
 #                       its write-ahead journal, odd seeds sever a mesh
 #                       link and demand re-dial + unacked-frame replay;
 #                       every run must recover with the fault metered;
 #                       plus a negative test proving a bit-flipped journal
 #                       is refused at restart, never silently replayed)
-#  13. net smoke        (socket data-plane sweep over loopback UDS + TCP
-#                       through the real couplink-node mesh: payload
-#                       throughput, writev coalescing and tx/rx frame
-#                       conservation, gated against
-#                       baselines/BENCH_baseline_net.json and the
-#                       syscalls-per-frame coalescing budget; the gate's
-#                       negative control is a unit test feeding it a
-#                       1.0-syscalls-per-frame report, run by stage 3)
-#  14. bench e2e        (the end-to-end benchmark package lives outside the
+#  10. bench e2e       (the end-to-end benchmark package lives outside the
 #                       root workspace: build it and run its own tests
 #                       against the workspace crates, so a runtime refactor
 #                       that breaks the benchmark adapter's view of the
@@ -185,35 +155,6 @@ if cargo run --release -q -p couplink-bench --bin report -- \
 fi
 echo "   (gate correctly rejected the mutated run)"
 
-echo "== scale smoke: threaded scaling sweep under the throughput budget"
-cargo run --release -q -p couplink-bench --bin scale -- \
-    --out results/BENCH_scale_smoke.json
-
-echo "== scale smoke: injected stall must FAIL the throughput gate"
-if cargo run --release -q -p couplink-bench --bin scale -- \
-    --mutate --out results/BENCH_scale_smoke_mutated.json >/dev/null 2>&1; then
-    echo "ERROR: throughput gate passed a mutated (stalled-importer) run" >&2
-    exit 1
-fi
-echo "   (gate correctly rejected the stalled run)"
-
-echo "== scale ranks: hierarchical collectives under the O(log N) ctrl gate"
-cargo run --release -q -p couplink-bench --bin scale -- \
-    --ranks 32,64,128 --out results/BENCH_scale_ranks.json
-
-echo "== scale ranks: flat fan-out must FAIL the control-scaling gate"
-if cargo run --release -q -p couplink-bench --bin scale -- \
-    --ranks 32,64 --mutate \
-    --out results/BENCH_scale_ranks_mutated.json >/dev/null 2>&1; then
-    echo "ERROR: control-scaling gate passed a flat O(N) rep fan-out" >&2
-    exit 1
-fi
-echo "   (gate correctly rejected the flat fan-out)"
-
-echo "== multi-session smoke: 16 sessions on the pooled executor"
-cargo run --release -q -p couplink-bench --bin scale -- \
-    --sessions 16 --out results/BENCH_scale_sessions.json
-
 echo "== socket: fixed-seed UDS corpus across all three runtimes"
 COUPLINK_NODE_BIN=target/release/couplink-node \
     cargo run --release -q -p couplink-simtest -- --socket uds --seeds 8
@@ -237,12 +178,6 @@ COUPLINK_NODE_BIN=target/release/couplink-node \
 echo "== durable: corrupted journal must be refused at restart"
 COUPLINK_NODE_BIN=target/release/couplink-node \
     cargo run --release -q -p couplink-simtest -- --socket uds --corrupt-wal
-
-echo "== net smoke: socket data-plane sweep under the coalescing gate"
-COUPLINK_NODE_BIN=target/release/couplink-node \
-    cargo run --release -q -p couplink-bench --bin net -- \
-    --smoke --out results/BENCH_net_smoke.json \
-    --check baselines/BENCH_baseline_net.json
 
 echo "== bench e2e: the out-of-workspace benchmark builds and passes its tests"
 cargo build --release --offline --manifest-path crates/bench/src/bin/e2e/Cargo.toml

@@ -15,7 +15,7 @@
 //! counter/virtual-time snapshots differ — determinism is an assertion,
 //! not an aspiration.
 
-use couplink_bench::report::{compare, BenchReport, GateConfig, ScenarioMeasure};
+use couplink_bench::report::{compare, BenchReport, ScenarioMeasure};
 use couplink_bench::{ablation_config, figure78_run};
 use couplink_diffusion::fig4::{fig4_config, Fig4Params};
 use couplink_runtime::{TopologyConfig, TopologySim};
@@ -218,7 +218,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let violations = compare(&baseline, &report, GateConfig::default());
+        let violations = compare(&baseline, &report);
         if violations.is_empty() {
             println!(
                 "gate PASS against {} (counters exact, virtual times within 5%)",

@@ -13,7 +13,7 @@
 //!   committed baseline fails.
 //! * `virtual_s` — DES virtual seconds per phase. Deterministic for a fixed
 //!   cost model, but allowed a small relative drift
-//!   ([`GateConfig::virtual_tolerance`]) so the baseline survives benign
+//!   ([`VIRTUAL_TOLERANCE`]) so the baseline survives benign
 //!   cost-model recalibration; a real slowdown (more memcpys, more control
 //!   traffic) still trips the counters first.
 //! * `wall_s` — wall-clock seconds. Machine-dependent, **never gated**,
@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 /// the gate refuses to diff incompatible files.
 pub const SCHEMA: &str = "couplink-bench/v1";
 
-/// Default relative tolerance for gated virtual-time fields.
+/// Maximum allowed relative drift of a gated virtual-time field.
 pub const VIRTUAL_TOLERANCE: f64 = 0.05;
 
 // ---------------------------------------------------------------------------
@@ -275,25 +275,10 @@ impl BenchReport {
 // Regression gate.
 // ---------------------------------------------------------------------------
 
-/// Gate thresholds.
-#[derive(Debug, Clone, Copy)]
-pub struct GateConfig {
-    /// Maximum allowed relative drift of a gated virtual-time field.
-    pub virtual_tolerance: f64,
-}
-
-impl Default for GateConfig {
-    fn default() -> Self {
-        GateConfig {
-            virtual_tolerance: VIRTUAL_TOLERANCE,
-        }
-    }
-}
-
 /// Compares `current` against the committed `baseline` and returns every
 /// gate violation (empty = pass). Counters must match exactly; virtual
-/// times within the relative tolerance; wall times are never compared.
-pub fn compare(baseline: &BenchReport, current: &BenchReport, gate: GateConfig) -> Vec<String> {
+/// times within [`VIRTUAL_TOLERANCE`]; wall times are never compared.
+pub fn compare(baseline: &BenchReport, current: &BenchReport) -> Vec<String> {
     let mut violations = Vec::new();
     if baseline.mode != current.mode {
         violations.push(format!(
@@ -328,13 +313,13 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, gate: GateConfig) 
             // Absolute floor so zero-cost phases don't divide by zero.
             let scale = want.abs().max(1e-9);
             let drift = (got - want).abs() / scale;
-            if drift > gate.virtual_tolerance {
+            if drift > VIRTUAL_TOLERANCE {
                 violations.push(format!(
                     "{}: virtual_s {key} drifted {:.1}% (baseline {want:.6e}, current {got:.6e}, \
                      limit {:.1}%)",
                     base.name,
                     drift * 100.0,
-                    gate.virtual_tolerance * 100.0
+                    VIRTUAL_TOLERANCE * 100.0
                 ));
             }
         }
@@ -385,10 +370,10 @@ mod tests {
     #[test]
     fn gate_passes_identical_and_fails_counter_drift() {
         let base = sample();
-        assert!(compare(&base, &base, GateConfig::default()).is_empty());
+        assert!(compare(&base, &base).is_empty());
         let mut cur = sample();
         cur.scenarios[0].counters[0].1 += 1;
-        let violations = compare(&base, &cur, GateConfig::default());
+        let violations = compare(&base, &cur);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("memcpy_paid"), "{violations:?}");
     }
@@ -398,9 +383,9 @@ mod tests {
         let base = sample();
         let mut cur = sample();
         cur.scenarios[0].virtual_s[0].1 *= 1.04;
-        assert!(compare(&base, &cur, GateConfig::default()).is_empty());
+        assert!(compare(&base, &cur).is_empty());
         cur.scenarios[0].virtual_s[0].1 = base.scenarios[0].virtual_s[0].1 * 1.25;
-        let violations = compare(&base, &cur, GateConfig::default());
+        let violations = compare(&base, &cur);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("drifted"), "{violations:?}");
     }

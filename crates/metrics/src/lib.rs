@@ -484,7 +484,8 @@ counters! {
     /// or checksum-failed (0 on DES/threaded and on any uncorrupted wire).
     net_codec_rejects: Counter [INERT],
     /// Write syscalls issued by the socket tx path (0 on DES/threaded); one
-    /// vectored syscall can carry many frames, `bench net` gates the ratio.
+    /// vectored syscall can carry many frames (`bench e2e` reports the
+    /// ratio as `net.syscalls_per_frame`).
     net_syscalls: Counter,
     /// Frames that shared their vectored write syscall with at least one
     /// other frame (0 on DES/threaded).

@@ -42,7 +42,9 @@
 //! permanent faults must never exercise the reliability machinery — zero
 //! retransmits, timeouts, failovers, degraded buffers and acks. This is
 //! how the harness proves fault tolerance is pay-as-you-go (the fault-free
-//! fast path stays bit-identical to the pre-reliability engine).
+//! fast path stays bit-identical to the pre-reliability engine). And one
+//! for the socket transport, [`check_net_conservation`]: a healthy run
+//! receives exactly the frames and bytes it sent.
 
 use super::tree;
 use couplink_metrics::{CounterSnapshot, CtrlClass, INERT};
@@ -521,6 +523,29 @@ pub fn check_fault_free(counters: &CounterSnapshot) -> Result<(), OracleViolatio
     Ok(())
 }
 
+/// Tx/rx conservation over a socket run's merged counters: every frame a
+/// writer metered was read and metered by the peer it was written to, so
+/// the rx sums equal the tx sums, frames and bytes. Only provable when no
+/// link degraded: a reconnect replays salvage (double-count), loss and
+/// timeouts mean frames died with a link, and a codec reject drops a
+/// frame. Each leaves a fingerprint in the counters, and a run carrying
+/// one is skipped.
+pub fn check_net_conservation(c: &CounterSnapshot) -> Result<(), OracleViolation> {
+    let degraded =
+        c.net_reconnects > 0 || c.net_codec_rejects > 0 || c.retransmits > 0 || c.timeouts > 0;
+    if degraded || (c.net_rx_frames == c.net_frames && c.net_rx_bytes == c.net_bytes) {
+        return Ok(());
+    }
+    Err(OracleViolation::MetricConsistency {
+        conn: ConnectionId(0),
+        detail: format!(
+            "tx/rx conservation broken: sent {} frames / {} bytes, \
+             received {} frames / {} bytes",
+            c.net_frames, c.net_bytes, c.net_rx_frames, c.net_rx_bytes
+        ),
+    })
+}
+
 /// Re-exported so callers can reason about decidedness when pairing the
 /// oracles with custom schedules.
 pub fn ground_truth(
@@ -667,6 +692,25 @@ mod tests {
         busy.ctrl_sent[CtrlClass::Response as usize] = 4;
         busy.wal_appends = 9;
         check_fault_free(&busy).expect("unflagged rows are not gated");
+    }
+
+    /// Balanced tx/rx passes, one missing frame fails, and a run that
+    /// reconnected is skipped (salvage replay double-counts).
+    #[test]
+    fn net_conservation_catches_a_missing_frame() {
+        let mut c = CounterSnapshot {
+            net_frames: 3200,
+            net_rx_frames: 3200,
+            net_bytes: 4 << 20,
+            net_rx_bytes: 4 << 20,
+            ..CounterSnapshot::default()
+        };
+        check_net_conservation(&c).expect("balanced");
+        c.net_rx_frames -= 1;
+        let err = check_net_conservation(&c).unwrap_err().to_string();
+        assert!(err.contains("tx/rx conservation broken"), "{err}");
+        c.net_reconnects = 1;
+        check_net_conservation(&c).expect("a reconnecting run is skipped");
     }
 
     #[test]

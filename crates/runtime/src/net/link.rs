@@ -767,6 +767,45 @@ mod tests {
         assert_eq!(w.retire().len(), 2);
     }
 
+    /// Carver et al.'s coalescing, counted: frames queued while the writer
+    /// is blocked leave in one vectored burst. A 4 MiB frame (past the
+    /// socket buffers and `BURST_BYTES`, so it goes alone) blocks the
+    /// writer until the reader starts; the 32 small frames queued behind it
+    /// meanwhile go out together, so `net_writev_frames` reads 32. A
+    /// per-frame writer reads 0.
+    #[test]
+    fn frames_queued_behind_a_blocked_write_leave_in_one_burst() {
+        const SMALL: usize = 32;
+        let (a, b) = UnixStream::pair().unwrap();
+        let metrics = Arc::new(EngineMetrics::new());
+        let w = LinkWriter::spawn_with(
+            Conn::Uds(a),
+            "burst-test".into(),
+            None,
+            Some(metrics.clone()),
+            None,
+        );
+        w.send(wire::encode_frame(
+            wire::KIND_RUNTIME_BASE,
+            &vec![7; 4 << 20],
+        ));
+        for i in 0..SMALL {
+            w.send(wire::encode_frame(
+                wire::KIND_RUNTIME_BASE,
+                &[i as u8; 1024],
+            ));
+        }
+        let mut r = FrameReader::new(Conn::Uds(b));
+        let mut reject = || {};
+        assert_eq!(r.next(&mut reject).unwrap().unwrap().body.len(), 4 << 20);
+        for i in 0..SMALL {
+            assert_eq!(r.next(&mut reject).unwrap().unwrap().body, [i as u8; 1024]);
+        }
+        assert!(w.retire().is_empty());
+        assert_eq!(metrics.net_frames.get(), SMALL as u64 + 1);
+        assert_eq!(metrics.net_writev_frames.get(), SMALL as u64);
+    }
+
     #[test]
     fn addr_roundtrip() {
         for text in ["uds:/tmp/x/boot.sock", "tcp:127.0.0.1:4510"] {

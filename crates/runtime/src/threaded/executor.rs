@@ -1240,6 +1240,58 @@ pub(crate) mod tests {
         assert_eq!((ml.tasks_chained.get(), mh.tasks_chained.get()), (1, 0));
     }
 
+    /// Session fairness: with session 0's tasks queued on a shard ahead of
+    /// session 1's, `pop_from` serves the two sessions alternately, so a
+    /// chatty session cannot starve a sibling sharing the pool. The one
+    /// worker is held inside a poll and the test thread pops in its stead.
+    #[test]
+    fn shard_queue_serves_sessions_alternately() {
+        let exec = Executor::with_workers(1);
+        let sessions = [exec.add_session(), exec.add_session()];
+        let m = Arc::new(EngineMetrics::new());
+        let tasks: Vec<TaskHandle> = sessions
+            .iter()
+            .flat_map(|&s| (0..3).map(move |_| s))
+            .map(|s| spawn_fn(&exec, s, &m, Poll::idle))
+            .collect();
+        let (held_tx, held_rx) = std::sync::mpsc::channel::<()>();
+        let release = Arc::new(AtomicBool::new(false));
+        let go = Arc::new(AtomicBool::new(false));
+        let holder = {
+            let (release, go) = (release.clone(), go.clone());
+            spawn_fn(&exec, sessions[0], &m, move || {
+                if go.load(Ordering::SeqCst) {
+                    held_tx.send(()).unwrap();
+                    while !release.load(Ordering::SeqCst) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                Poll::idle()
+            })
+        };
+        go.store(true, Ordering::SeqCst);
+        holder.schedule();
+        held_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the worker is held");
+        // No scope on this thread: all six go to shard 0, session by session.
+        tasks.iter().for_each(TaskHandle::schedule);
+        let inner = exec.inner.clone();
+        let served: Vec<SessionId> = std::iter::from_fn(|| inner.pop_from(&inner.shards[0]))
+            .map(|entry| {
+                let session = entry.session;
+                inner.run(entry);
+                session
+            })
+            .collect();
+        release.store(true, Ordering::SeqCst);
+        assert_eq!(served.len(), 6);
+        assert!(
+            served.windows(2).all(|w| w[0] != w[1]),
+            "served sessions in the order {served:?}"
+        );
+    }
+
     /// At most one wake-up is in flight for light tasks. Both workers are
     /// held inside polls, so only this test touches `parked` and `waking`:
     /// shard 0 is marked parked by hand and a test thread parks on shard

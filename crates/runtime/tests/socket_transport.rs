@@ -10,6 +10,7 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use couplink_runtime::engine::oracle::check_net_conservation;
 use couplink_runtime::net::node::NODE_BUFFER_CAPACITY;
 use couplink_runtime::net::{
     run_plan, BootstrapError, ExportSpec, ImportSpec, KillSpec, NetOptions, NetReport, NodeFault,
@@ -96,6 +97,10 @@ fn assert_clean(rep: &NetReport, imports: usize) {
     assert!(rep.counters.net_bytes > 0);
     assert_eq!(rep.counters.net_codec_rejects, 0);
     assert_eq!(rep.counters.net_reconnects, 0);
+    // Every frame written was read.
+    if let Err(v) = check_net_conservation(&rep.counters) {
+        panic!("{v}");
+    }
 }
 
 #[test]

@@ -7,8 +7,8 @@ use couplink_proto::{ConnectionId, CtrlMsg, Rank, RequestId, Trace};
 use couplink_runtime::cost::CostModel;
 use couplink_runtime::engine::oracle::{
     check_buffer_safety, check_collective_order, check_ctrl_scaling, check_fault_free,
-    check_liveness, check_metric_consistency, check_runtime_equivalence, owed_matches,
-    OracleViolation,
+    check_liveness, check_metric_consistency, check_net_conservation, check_runtime_equivalence,
+    owed_matches, OracleViolation,
 };
 use couplink_runtime::engine::{Endpoint, Topology};
 use couplink_runtime::net::{
@@ -641,27 +641,8 @@ pub fn run_socket(
                 detail: "no frames crossed the socket transport".into(),
             });
         }
-        // Tx/rx conservation: every frame any writer metered must have
-        // been read and metered by the peer it was written to — the
-        // merged rx sums equal the merged tx sums. Only provable when no
-        // link ever degraded: a reconnect replays salvage (double-count),
-        // loss/timeouts mean frames died with a link, and a stalled
-        // reader never consumes. All of those leave fingerprints in the
-        // merged counters, so the run self-selects.
-        let c = &rep.counters;
-        let healthy = c.net_reconnects == 0
-            && c.net_codec_rejects == 0
-            && c.retransmits == 0
-            && c.timeouts == 0;
-        if healthy && (c.net_rx_frames != c.net_frames || c.net_rx_bytes != c.net_bytes) {
-            violations.push(OracleViolation::MetricConsistency {
-                conn: ConnectionId(0),
-                detail: format!(
-                    "tx/rx conservation broken: sent {} frames / {} bytes, \
-                     received {} frames / {} bytes",
-                    c.net_frames, c.net_bytes, c.net_rx_frames, c.net_rx_bytes
-                ),
-            });
+        if let Err(v) = check_net_conservation(&rep.counters) {
+            violations.push(v);
         }
         counters = Some(rep.counters);
     }
@@ -1321,6 +1302,15 @@ mod tests {
         assert!(violations.is_empty(), "{violations:?}");
         let stalls = counters.expect("clean run").buffer_stalls;
         assert!(stalls > 0, "no exporter stalled");
+    }
+
+    /// Acks applied before the handler are caught: the armed fabric holds
+    /// the window open past two drain polls, so the probe's drain stops
+    /// with the forwarded request owed within a few rounds.
+    #[test]
+    fn ack_before_handle_mutation_is_caught() {
+        let caught = mutation_smoke(5, Mutation::AckBeforeHandle);
+        assert!(caught.is_some(), "not caught in 5 probe rounds");
     }
 
     /// The armed-shutdown probe passes with acks applied after the
