@@ -3,7 +3,7 @@
 #
 #   ./ci.sh
 #
-# (`./ci.sh --loc` only prints the non-test line counts; `./ci.sh --repeat
+# (`./ci.sh --loc` only prints the line counts; `./ci.sh --repeat
 # N [--debug] FILTER` only re-runs one test N times under load.)
 #
 # Ten stages, all required:
@@ -12,8 +12,8 @@
 #                       a doc link to a deleted or private item fails)
 #   3. tier-1 tests    (release build + full test suite; among them the
 #                       counter gates: the O(log N) tree budget at
-#                       32/64/128 ranks, chained hand-offs, per-session
-#                       fairness and writev coalescing)
+#                       32/64/128 ranks, chained hand-offs and writev
+#                       coalescing)
 #   4. simtest         (seeded simulation corpus + oracle mutation smoke:
 #                       help-skip and stale-skip on the simulator, relay-drop
 #                       on the simulator and the threaded fabric,
@@ -65,12 +65,17 @@ cd "$(dirname "$0")"
 
 # `./ci.sh --loc`: the one definition of "non-test lines" — each file under
 # crates/*/src (outside the frozen e2e package) and shims/ up to its first
-# `#[cfg(test)]`, per file, per crate and in total.
+# `#[cfg(test)]`, per file, per crate and in total. A last line counts the
+# test lines, kept out of the total: the rest of each of those files, plus
+# every .rs under crates/*/tests/ and tests/tests/.
 loc() {
+    local integration
+    integration=$(find crates/*/tests tests/tests -name '*.rs' -exec cat {} + | wc -l)
     find crates/*/src shims -name '*.rs' -not -path 'crates/bench/src/bin/e2e/*' |
-        sort | xargs awk '
+        sort | xargs awk -v integration="$integration" '
             FNR == 1 { file[++files] = FILENAME; test = 0 }
             /#\[cfg\(test\)\]/ { test = 1 }
+            test { tests++ }
             !test { n[FILENAME]++ }
             END {
                 for (i = 1; i <= files; i++) {
@@ -81,6 +86,7 @@ loc() {
                 }
                 for (i = 1; i <= crates; i++) printf "%7d  %s\n", sum[crate[i]], crate[i]
                 printf "%7d  total\n", total
+                printf "%7d  test lines (not in total)\n", tests + integration
             }'
 }
 if [[ "${1:-}" == "--loc" ]]; then

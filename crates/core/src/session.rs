@@ -333,13 +333,6 @@ impl ProgramHandles {
         assert!(p.rank != usize::MAX, "process {rank} already taken");
         p
     }
-
-    /// Takes all remaining handles, lowest rank first.
-    pub fn take_all(&mut self) -> Vec<ProcessHandle> {
-        (0..self.procs.len())
-            .map(|r| self.take_process(r))
-            .collect()
-    }
 }
 
 /// One process's framework API: its exported and imported regions.
@@ -378,11 +371,6 @@ impl ProcessHandle {
     /// Names of the exported regions this process serves.
     pub fn exported_regions(&self) -> impl Iterator<Item = &str> {
         self.exports.keys().map(String::as_str)
-    }
-
-    /// Names of the imported regions this process serves.
-    pub fn imported_regions(&self) -> impl Iterator<Item = &str> {
-        self.imports.keys().map(String::as_str)
     }
 }
 

@@ -515,21 +515,21 @@ counters! {
     /// Wall nanoseconds threads spent waiting on *contended* hot-path locks
     /// (threaded fabric only; informational, never gated).
     lock_wait_ns: Counter,
-    /// Task polls executed by the threaded session executor (0 on DES).
+    /// Task polls executed by the threaded executor (0 on DES).
     tasks_polled: Counter,
     /// Tasks a pool worker stole from another worker's run-queue shard
-    /// (threaded session executor only; 0 on DES).
+    /// (threaded executor only; 0 on DES).
     worker_steal: Counter,
     /// Task polls a thread took from its own run-next list — tasks it had
     /// made runnable itself — instead of from a run-queue shard (threaded
-    /// session executor only; 0 on DES).
+    /// executor only; 0 on DES).
     tasks_chained: Counter,
     /// Objects held in framework buffers; the snapshot keeps the peak.
     buffered_objects: Gauge => buffered_hwm,
     /// Pending messages/events per node queue (the DES event queue; the
     /// fabric's rep/agent mailboxes); the snapshot keeps the peak.
     queue_depth: Gauge => queue_depth_hwm,
-    /// Tasks sitting in the session executor's run queues; the peak is
+    /// Tasks sitting in the executor's run queues; the peak is
     /// bounded by the live task count (at most once queued; 0 on DES).
     runq_depth: Gauge => runq_depth_hwm,
     /// Depth of the k-ary distribution tree, identical in every process,
@@ -543,8 +543,8 @@ counters! {
     /// Time-to-recovery samples in milliseconds (crash → rep role
     /// re-established), virtual on the DES, wall on the fabric.
     recovery_ms: Histogram,
-    /// Messages drained per executor task poll (threaded session executor
-    /// only; empty on DES).
+    /// Messages drained per executor task poll (threaded executor only;
+    /// empty on DES).
     poll_batch: Histogram,
 }
 

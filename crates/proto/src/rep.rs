@@ -81,7 +81,6 @@ enum RankState {
 
 #[derive(Debug)]
 struct Inflight {
-    ts: Timestamp,
     answer: Option<RepAnswer>,
     answered_importer: bool,
     ranks: Vec<RankState>,
@@ -146,7 +145,6 @@ impl ExporterRep {
         let prev = self.inflight.insert(
             req,
             Inflight {
-                ts,
                 answer: None,
                 answered_importer: false,
                 ranks: vec![RankState::Silent; self.n_procs],
@@ -269,11 +267,6 @@ impl ExporterRep {
             }
         }
         Ok(effects)
-    }
-
-    /// The timestamp of an in-flight request (for diagnostics).
-    pub fn inflight_ts(&self, req: RequestId) -> Option<Timestamp> {
-        self.inflight.get(&req).map(|i| i.ts)
     }
 }
 

@@ -202,11 +202,6 @@ impl ExportNode {
         self.regions[ri].traces[slot].take()
     }
 
-    /// The region index serving a connection on this node.
-    pub fn region_of(&self, conn: couplink_proto::ConnectionId) -> Option<usize> {
-        self.by_conn.get(&conn).map(|&(ri, _)| ri)
-    }
-
     /// Arms the mutation-testing hook on every port of this node: exports
     /// equal to a known buddy-help match are unsoundly skipped. Used only by
     /// the simulation-test harness to prove the oracles catch a broken

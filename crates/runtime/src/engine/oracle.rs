@@ -49,7 +49,7 @@
 use super::tree;
 use couplink_metrics::{CounterSnapshot, CtrlClass, INERT};
 use couplink_proto::{ConnectionId, Trace};
-use couplink_time::{evaluate, ExportHistory, MatchPolicy, MatchResult, Timestamp, Tolerance};
+use couplink_time::{evaluate, ExportHistory, MatchPolicy, Timestamp, Tolerance};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -544,17 +544,6 @@ pub fn check_net_conservation(c: &CounterSnapshot) -> Result<(), OracleViolation
             c.net_frames, c.net_bytes, c.net_rx_frames, c.net_rx_bytes
         ),
     })
-}
-
-/// Re-exported so callers can reason about decidedness when pairing the
-/// oracles with custom schedules.
-pub fn ground_truth(
-    policy: MatchPolicy,
-    tol: Tolerance,
-    request: Timestamp,
-    history: &ExportHistory,
-) -> Result<MatchResult, couplink_time::HistoryError> {
-    evaluate(&policy.region(request, tol), history)
 }
 
 #[cfg(test)]

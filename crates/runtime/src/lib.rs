@@ -12,7 +12,7 @@
 //!   exporter→importer pair is the topology [`Topology::pair`].
 //! * [`threaded`] — an in-process **multi-program fabric**: application
 //!   threads call `export` / `import`; the protocol runs as agent, rep and
-//!   importer tasks on a pooled session executor, exchanging messages
+//!   importer tasks on a pooled executor, exchanging messages
 //!   through per-task mailboxes, and buffering performs *real* memcpys of
 //!   real `f64` arrays. The `couplink` session API, the examples and the
 //!   end-to-end benchmark run on it; it exhibits the paper's timing races.
@@ -52,6 +52,6 @@ pub use engine::{
     RetryPolicy, Topology, TopologyError,
 };
 pub use threaded::{
-    session_task_count, ExportAccess, Fabric, FabricOptions, FabricReport, ImportAccess,
-    SessionSet, ThreadedError,
+    fabric_task_count, ExportAccess, Fabric, FabricOptions, FabricReport, ImportAccess,
+    ThreadedError,
 };

@@ -12,7 +12,6 @@
 //! events, and the two-phase wait (everyone app-done or dead, then drain,
 //! then everyone reported or dead) tolerates children dying at any point.
 
-use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -730,17 +729,6 @@ impl Drop for DirCleanup {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
-}
-
-/// A map from program name to index, handy for plan construction.
-pub fn program_indices(plan: &NodePlan) -> Result<HashMap<String, usize>, BootstrapError> {
-    let topo = plan.topology().map_err(BootstrapError::Plan)?;
-    Ok(topo
-        .programs
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.name.clone(), i))
-        .collect())
 }
 
 #[cfg(test)]

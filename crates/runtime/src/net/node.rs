@@ -81,7 +81,7 @@ use parking_lot::Mutex;
 
 use crate::engine::{Endpoint, WalRecord, WireMeta};
 use crate::threaded::fabric::{ExportAccess, Net, RemoteLinks, WalHandle};
-use crate::threaded::{FabricOptions, SessionSet};
+use crate::threaded::{Fabric, FabricOptions};
 
 use super::codec::{self, NodeFault, NodeReport};
 use super::link::{
@@ -336,8 +336,6 @@ struct MeshCtx {
     n: usize,
     token: String,
     net: Arc<Net>,
-    set: Arc<Mutex<SessionSet>>,
-    sid: usize,
     metrics: Arc<EngineMetrics>,
     links: Arc<SocketLinks>,
     apps_done: Arc<AtomicBool>,
@@ -416,9 +414,7 @@ fn mesh_reader_loop(mut reader: FrameReader, peer: usize, ctx: Arc<MeshCtx>) {
                         .net
                         .run_woken(|| dispatch(slot.kind, body, &ctx.net, ctx.drop_answers));
                     if let Err(detail) = dispatched {
-                        ctx.set
-                            .lock()
-                            .fail_session(ctx.sid, format!("link to program {peer}: {detail}"));
+                        ctx.net.fail(format!("link to program {peer}: {detail}"));
                         return;
                     }
                 }
@@ -435,7 +431,7 @@ fn mesh_reader_loop(mut reader: FrameReader, peer: usize, ctx: Arc<MeshCtx>) {
                 // Normal drain asymmetry: someone finished and closed first.
                 return;
             }
-            ctx.set.lock().fail_session(ctx.sid, down);
+            ctx.net.fail(down);
             return;
         };
         if orderly {
@@ -462,9 +458,7 @@ fn mesh_reader_loop(mut reader: FrameReader, peer: usize, ctx: Arc<MeshCtx>) {
                 // A failed re-dial during the teardown race (the peer
                 // exited because the session is draining) is not an error.
                 if !ctx.draining.load(Ordering::Acquire) {
-                    ctx.set
-                        .lock()
-                        .fail_session(ctx.sid, format!("{down} (reconnect failed: {e})"));
+                    ctx.net.fail(format!("{down} (reconnect failed: {e})"));
                 }
                 return;
             }
@@ -643,8 +637,7 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
         hierarchical: plan.hierarchical,
         wal: wal_handle.clone(),
     };
-    let set = Arc::new(Mutex::new(SessionSet::new()));
-    let sid = set.lock().add_partial_session(
+    let mut fabric = Fabric::partial(
         topo.clone(),
         opts,
         me,
@@ -652,7 +645,7 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
         Some(Arc::clone(&metrics)),
     );
     let _ = links.metrics.set(Arc::clone(&metrics));
-    let net = set.lock().session_net(sid);
+    let net = fabric.net();
 
     let grid_cols = plan.grid.1;
 
@@ -669,7 +662,7 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
         for rank in 0..topo.programs[me].procs {
             export_handles.insert(
                 (rank, spec.region),
-                set.lock().take_export(sid, me, rank, spec.region),
+                fabric.take_export(me, rank, spec.region),
             );
         }
     }
@@ -844,8 +837,6 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
         n,
         token: args.token.clone(),
         net: Arc::clone(&net),
-        set: Arc::clone(&set),
-        sid,
         metrics: Arc::clone(&metrics),
         links: Arc::clone(&links),
         apps_done: Arc::clone(&apps_done),
@@ -946,7 +937,7 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
             continue;
         }
         for rank in 0..topo.programs[me].procs {
-            let mut h = set.lock().take_import(sid, me, rank, spec.region);
+            let mut h = fabric.take_import(me, rank, spec.region);
             let owned = topo.programs[me].imports[spec.region].decomp.owned(rank);
             let (t0, dt, count, compute, startup) =
                 (spec.t0, spec.dt, spec.count, spec.compute, spec.startup);
@@ -1014,7 +1005,7 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
     }
     draining.store(true, Ordering::Release);
 
-    let shutdown = set.lock().shutdown_session(sid);
+    let shutdown = fabric.shutdown();
     let (stats, traces, shutdown_error) = match shutdown {
         Ok(rep) => (
             rep.stats

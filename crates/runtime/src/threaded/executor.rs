@@ -1,4 +1,5 @@
-//! The event-driven session executor behind the threaded fabric.
+//! The event-driven executor behind the threaded fabric: one worker pool
+//! per [`Fabric`](super::Fabric).
 //!
 //! Instead of one OS thread per rep and per agent, a fixed **worker pool**
 //! polls node tasks. Each rep, agent, importer and retransmit pump is a
@@ -29,10 +30,6 @@
 //! high-water mark by the live task count no matter how many messages land
 //! in mailboxes.
 //!
-//! Fairness: each shard keeps one FIFO per *session* and round-robins
-//! across sessions, so one chatty session cannot starve its siblings on a
-//! shared pool.
-//!
 //! Workers own one shard each and steal from the others when their own
 //! runs dry (metered as `worker_steal`); a push wakes the home worker if it
 //! is parked and a parked sibling otherwise, unless a wake-up is already in
@@ -52,9 +49,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Index of a session multiplexed on one executor.
-pub(crate) type SessionId = usize;
-
 // Task states (the atomic state machine above).
 const IDLE: u8 = 0;
 const QUEUED: u8 = 1;
@@ -69,8 +63,8 @@ const RUN_NEXT_CAP: usize = 4;
 
 /// Most polls a thread takes from its run-next list before it goes back to
 /// the shard queues (the fabric's `REP_BATCH`): two tasks feeding each
-/// other cannot keep a worker from its timers and the other sessions'
-/// turn, nor hold an `import()` for ever.
+/// other cannot keep a worker from its timers and its shard queue, nor
+/// hold an `import()` for ever.
 const CHAIN_BUDGET: usize = 64;
 
 /// What this thread made runnable and will poll itself, and the executor
@@ -179,7 +173,6 @@ struct TaskEntry {
     /// Timer generation: a heap entry is live only while its generation
     /// matches, so re-arming or cancelling is one `fetch_add`.
     timer_gen: AtomicU64,
-    session: SessionId,
     /// [`Task::heavy`], read once at spawn.
     heavy: bool,
     /// Home shard (timers live here; the owning worker polls it first).
@@ -257,17 +250,14 @@ impl Ord for TimerEntry {
 
 /// One worker's slice of the run queues plus its timer heap.
 struct ShardQueues {
-    /// One FIFO per session (grown by `add_session`); round-robin cursor
-    /// below picks the next session to serve.
-    sessions: Vec<VecDeque<Arc<TaskEntry>>>,
-    cursor: usize,
+    runq: VecDeque<Arc<TaskEntry>>,
     timers: BinaryHeap<Reverse<TimerEntry>>,
 }
 
 struct Shard {
     q: Mutex<ShardQueues>,
     cv: Condvar,
-    /// Tasks in `q.sessions`; written under `q`, read without it by a
+    /// Tasks in `q.runq`; written under `q`, read without it by a
     /// sibling deciding whether it may park.
     queued: AtomicUsize,
     /// The shard's worker is in (or committed to) `cv.wait`; written by
@@ -354,7 +344,7 @@ impl ExecInner {
         let shard = &self.shards[home];
         entry.metrics.runq_depth.add(1);
         let mut q = shard.q.lock();
-        q.sessions[entry.session].push_back(entry);
+        q.runq.push_back(entry);
         shard.queued.fetch_add(1, Ordering::SeqCst);
         drop(q);
         let n = self.shards.len();
@@ -402,25 +392,17 @@ impl ExecInner {
         entry.timer_gen.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Pops the next runnable task honoring session fairness; transitions
-    /// it `Queued → Running`.
+    /// Pops a shard's oldest runnable task; transitions it `Queued →
+    /// Running`.
     fn pop_from(&self, shard: &Shard) -> Option<Arc<TaskEntry>> {
         if shard.queued.load(Ordering::SeqCst) == 0 {
             return None;
         }
-        let mut q = shard.q.lock();
-        let n = q.sessions.len();
-        for i in 0..n {
-            let s = (q.cursor + i) % n;
-            if let Some(entry) = q.sessions[s].pop_front() {
-                q.cursor = (s + 1) % n;
-                shard.queued.fetch_sub(1, Ordering::SeqCst);
-                entry.metrics.runq_depth.sub(1);
-                entry.state.store(RUNNING, Ordering::Release);
-                return Some(entry);
-            }
-        }
-        None
+        let entry = shard.q.lock().runq.pop_front()?;
+        shard.queued.fetch_sub(1, Ordering::SeqCst);
+        entry.metrics.runq_depth.sub(1);
+        entry.state.store(RUNNING, Ordering::Release);
+        Some(entry)
     }
 
     /// Fires every due (and still-live) timer on one shard, marking their
@@ -522,7 +504,7 @@ fn worker_loop(inner: Arc<ExecInner>, me: usize) {
             }
         }
         // List empty or budget spent: publish the rest, take the shard's
-        // next task in round-robin order.
+        // oldest task.
         publish_run_next();
         chained = 0;
         if let Some(entry) = inner.pop_from(shard) {
@@ -558,10 +540,8 @@ fn worker_loop(inner: Arc<ExecInner>, me: usize) {
     }
 }
 
-/// The worker pool plus its sharded run queues. One per [`SessionSet`]
-/// (and therefore per single-session `Fabric`).
-///
-/// [`SessionSet`]: crate::threaded::SessionSet
+/// The worker pool plus its sharded run queues. One per
+/// [`Fabric`](crate::threaded::Fabric).
 pub(crate) struct Executor {
     inner: Arc<ExecInner>,
     workers: Vec<JoinHandle<()>>,
@@ -578,8 +558,7 @@ impl Executor {
             shards: (0..workers)
                 .map(|_| Shard {
                     q: Mutex::new(ShardQueues {
-                        sessions: Vec::new(),
-                        cursor: 0,
+                        runq: VecDeque::new(),
                         timers: BinaryHeap::new(),
                     }),
                     cv: Condvar::new(),
@@ -614,22 +593,10 @@ impl Executor {
         Helper(self.inner.clone())
     }
 
-    /// Registers one more session's fairness queue on every shard.
-    pub fn add_session(&self) -> SessionId {
-        let mut id = 0;
-        for shard in &self.inner.shards {
-            let mut q = shard.q.lock();
-            q.sessions.push(VecDeque::new());
-            id = q.sessions.len() - 1;
-        }
-        id
-    }
-
     /// Spawns a task (home shard assigned round-robin) and schedules its
     /// first poll so it can arm initial timers.
     pub fn spawn(
         &self,
-        session: SessionId,
         metrics: Arc<EngineMetrics>,
         panic_sink: PanicSink,
         task: Box<dyn Task>,
@@ -639,7 +606,6 @@ impl Executor {
         let entry = Arc::new(TaskEntry {
             state: AtomicU8::new(IDLE),
             timer_gen: AtomicU64::new(0),
-            session,
             heavy: task.heavy(),
             shard,
             metrics,
@@ -667,7 +633,7 @@ impl Executor {
     }
 
     /// Stops and joins the pool. Queued-but-unpolled tasks are abandoned —
-    /// callers drain their sessions first.
+    /// the fabric drains its tasks first.
     pub fn shutdown(&mut self) {
         self.inner.stop.store(true, Ordering::Release);
         for shard in &self.inner.shards {
@@ -720,13 +686,11 @@ pub(crate) mod tests {
     #[test]
     fn runq_depth_hwm_bounded_by_task_count() {
         let exec = Executor::with_workers(2);
-        let session = exec.add_session();
         let metrics = Arc::new(EngineMetrics::new());
         let polls = Arc::new(AtomicUsize::new(0));
         let tasks: Vec<TaskHandle> = (0..4)
             .map(|_| {
                 exec.spawn(
-                    session,
                     metrics.clone(),
                     sink(),
                     Box::new(CountTask {
@@ -764,11 +728,9 @@ pub(crate) mod tests {
     #[test]
     fn done_task_is_retired() {
         let exec = Executor::with_workers(1);
-        let session = exec.add_session();
         let metrics = Arc::new(EngineMetrics::new());
         let polls = Arc::new(AtomicUsize::new(0));
         let t = exec.spawn(
-            session,
             metrics,
             sink(),
             Box::new(CountTask {
@@ -809,11 +771,9 @@ pub(crate) mod tests {
     #[test]
     fn timer_wheel_repolls_without_schedules() {
         let exec = Executor::with_workers(1);
-        let session = exec.add_session();
         let metrics = Arc::new(EngineMetrics::new());
         let polls = Arc::new(AtomicUsize::new(0));
         let _t = exec.spawn(
-            session,
             metrics,
             sink(),
             Box::new(TimerTask {
@@ -830,7 +790,6 @@ pub(crate) mod tests {
     #[test]
     fn idle_worker_steals_from_busy_shard() {
         let exec = Executor::with_workers(2);
-        let session = exec.add_session();
         let metrics = Arc::new(EngineMetrics::new());
         let polls = Arc::new(AtomicUsize::new(0));
         // Home shards alternate 0,1,0,1: the long sleeper occupies one
@@ -844,7 +803,6 @@ pub(crate) mod tests {
                 Duration::ZERO
             };
             tasks.push(exec.spawn(
-                session,
                 metrics.clone(),
                 sink(),
                 Box::new(CountTask {
@@ -874,7 +832,6 @@ pub(crate) mod tests {
             }
         }
         let exec = Executor::with_workers(1);
-        let session = exec.add_session();
         let metrics = Arc::new(EngineMetrics::new());
         let caught = Arc::new(Mutex::new(None));
         let sink: PanicSink = {
@@ -883,12 +840,11 @@ pub(crate) mod tests {
                 *caught.lock() = Some(detail);
             })
         };
-        let bad = exec.spawn(session, metrics.clone(), sink, Box::new(PanicTask));
+        let bad = exec.spawn(metrics.clone(), sink, Box::new(PanicTask));
         exec.wait_done(std::slice::from_ref(&bad));
         assert_eq!(caught.lock().as_deref(), Some("injected poll panic"));
         let polls = Arc::new(AtomicUsize::new(0));
         let ok = exec.spawn(
-            session,
             metrics,
             Arc::new(|_| {}),
             Box::new(CountTask {
@@ -924,11 +880,10 @@ pub(crate) mod tests {
 
     pub(crate) fn spawn_fn(
         exec: &Executor,
-        session: SessionId,
         metrics: &Arc<EngineMetrics>,
         f: impl FnMut() -> Poll + Send + 'static,
     ) -> TaskHandle {
-        let h = exec.spawn(session, metrics.clone(), sink(), Box::new(FnTask(f)));
+        let h = exec.spawn(metrics.clone(), sink(), Box::new(FnTask(f)));
         // Every task is polled once at spawn; tests start from idle.
         wait_for(|| metrics.tasks_polled.get() > 0 && h.entry.state.load(Ordering::SeqCst) == IDLE);
         h
@@ -954,7 +909,6 @@ pub(crate) mod tests {
     #[test]
     fn task_woken_inside_a_poll_runs_next_on_the_same_thread() {
         let exec = Executor::with_workers(2);
-        let session = exec.add_session();
         let (ma, mb) = (
             Arc::new(EngineMetrics::new()),
             Arc::new(EngineMetrics::new()),
@@ -962,7 +916,7 @@ pub(crate) mod tests {
         let threads = Arc::new(Mutex::new(Vec::new()));
         let b = {
             let threads = threads.clone();
-            spawn_fn(&exec, session, &mb, move || {
+            spawn_fn(&exec, &mb, move || {
                 threads.lock().push(("b", std::thread::current().id()));
                 Poll::idle()
             })
@@ -970,7 +924,7 @@ pub(crate) mod tests {
         let go = Arc::new(AtomicBool::new(false));
         let a = {
             let (threads, go) = (threads.clone(), go.clone());
-            spawn_fn(&exec, session, &ma, move || {
+            spawn_fn(&exec, &ma, move || {
                 if go.load(Ordering::SeqCst) {
                     threads.lock().push(("a", std::thread::current().id()));
                     b.schedule();
@@ -1004,7 +958,6 @@ pub(crate) mod tests {
     #[test]
     fn woken_task_is_not_polled_inside_the_waking_poll() {
         let exec = Executor::with_workers(1);
-        let session = exec.add_session();
         let (ma, mb) = (
             Arc::new(EngineMetrics::new()),
             Arc::new(EngineMetrics::new()),
@@ -1012,13 +965,13 @@ pub(crate) mod tests {
         let shared = Arc::new(std::sync::Mutex::new(0u32));
         let b = {
             let shared = shared.clone();
-            spawn_fn(&exec, session, &mb, move || {
+            spawn_fn(&exec, &mb, move || {
                 *shared.try_lock().expect("the waking poll has returned") += 1;
                 Poll::idle()
             })
         };
         let b2 = b.clone();
-        let a = spawn_fn(&exec, session, &ma, move || {
+        let a = spawn_fn(&exec, &ma, move || {
             let _held = shared.lock().expect("not poisoned");
             b2.schedule();
             Poll::idle()
@@ -1039,7 +992,6 @@ pub(crate) mod tests {
     #[test]
     fn run_next_overflow_is_published_to_another_worker() {
         let exec = Executor::with_workers(2);
-        let session = exec.add_session();
         let (ma, mt) = (
             Arc::new(EngineMetrics::new()),
             Arc::new(EngineMetrics::new()),
@@ -1048,7 +1000,7 @@ pub(crate) mod tests {
         let targets: Vec<TaskHandle> = (0..6)
             .map(|_| {
                 let polled = polled.clone();
-                spawn_fn(&exec, session, &mt, move || {
+                spawn_fn(&exec, &mt, move || {
                     polled.fetch_add(1, Ordering::SeqCst);
                     Poll::idle()
                 })
@@ -1059,7 +1011,7 @@ pub(crate) mod tests {
         let overflow_ran_meanwhile = Arc::new(AtomicBool::new(false));
         let a = {
             let (go, polled, ok) = (go.clone(), polled.clone(), overflow_ran_meanwhile.clone());
-            spawn_fn(&exec, session, &ma, move || {
+            spawn_fn(&exec, &ma, move || {
                 if go.load(Ordering::SeqCst) {
                     targets.iter().for_each(TaskHandle::schedule);
                     // This worker is held here: whatever is polled now was
@@ -1086,7 +1038,6 @@ pub(crate) mod tests {
     #[test]
     fn chain_budget_returns_the_worker_to_its_shard_queue() {
         let exec = Executor::with_workers(1);
-        let session = exec.add_session();
         let (ml, mq) = (
             Arc::new(EngineMetrics::new()),
             Arc::new(EngineMetrics::new()),
@@ -1094,7 +1045,6 @@ pub(crate) mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
         let looper = exec.spawn(
-            session,
             ml.clone(),
             sink(),
             Box::new(FnTask(move || Poll {
@@ -1105,7 +1055,7 @@ pub(crate) mod tests {
             })),
         );
         wait_for(|| ml.tasks_polled.get() > 4 * CHAIN_BUDGET as u64);
-        let q = spawn_fn(&exec, session, &mq, Poll::idle);
+        let q = spawn_fn(&exec, &mq, Poll::idle);
         q.schedule();
         wait_for(|| mq.tasks_polled.get() == 2);
         stop.store(true, Ordering::SeqCst);
@@ -1121,7 +1071,6 @@ pub(crate) mod tests {
     #[test]
     fn push_to_a_busy_home_shard_wakes_the_parked_sibling() {
         let exec = Executor::with_workers(2);
-        let session = exec.add_session();
         let mh = Arc::new(EngineMetrics::new());
         let mt = [
             Arc::new(EngineMetrics::new()),
@@ -1129,14 +1078,14 @@ pub(crate) mod tests {
         ];
         // Home shards go round-robin: target 0 on shard 0, target 1 on 1.
         let targets = [
-            spawn_fn(&exec, session, &mt[0], Poll::idle),
-            spawn_fn(&exec, session, &mt[1], Poll::idle),
+            spawn_fn(&exec, &mt[0], Poll::idle),
+            spawn_fn(&exec, &mt[1], Poll::idle),
         ];
         let (held_tx, held_rx) = std::sync::mpsc::channel::<usize>();
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
         let go = Arc::new(AtomicBool::new(false));
         let go2 = go.clone();
-        let holder = spawn_fn(&exec, session, &mh, move || {
+        let holder = spawn_fn(&exec, &mh, move || {
             if go2.load(Ordering::SeqCst) {
                 held_tx
                     .send(worker_index().expect("a pool worker"))
@@ -1173,7 +1122,6 @@ pub(crate) mod tests {
     #[test]
     fn panic_on_a_helping_thread_is_contained() {
         let exec = Executor::with_workers(1);
-        let session = exec.add_session();
         let metrics = Arc::new(EngineMetrics::new());
         let caught = Arc::new(Mutex::new(None));
         let armed = Arc::new(AtomicBool::new(false));
@@ -1184,12 +1132,12 @@ pub(crate) mod tests {
                 assert!(!armed.load(Ordering::SeqCst), "injected poll panic");
                 Poll::idle()
             });
-            exec.spawn(session, metrics.clone(), sink, Box::new(task))
+            exec.spawn(metrics.clone(), sink, Box::new(task))
         };
         let me = std::thread::current().id();
         let after = Arc::new(Mutex::new(None));
         let after2 = after.clone();
-        let good = spawn_fn(&exec, session, &metrics, move || {
+        let good = spawn_fn(&exec, &metrics, move || {
             *after2.lock() = Some(std::thread::current().id());
             Poll::idle()
         });
@@ -1216,18 +1164,17 @@ pub(crate) mod tests {
     #[test]
     fn heavy_task_is_queued_not_chained() {
         let exec = Executor::with_workers(1);
-        let session = exec.add_session();
         let (mw, ml, mh) = (
             Arc::new(EngineMetrics::new()),
             Arc::new(EngineMetrics::new()),
             Arc::new(EngineMetrics::new()),
         );
-        let light = spawn_fn(&exec, session, &ml, Poll::idle);
-        let heavy = exec.spawn(session, mh.clone(), sink(), Box::new(HeavyTask(Poll::idle)));
+        let light = spawn_fn(&exec, &ml, Poll::idle);
+        let heavy = exec.spawn(mh.clone(), sink(), Box::new(HeavyTask(Poll::idle)));
         wait_for(|| mh.tasks_polled.get() == 1 && heavy.entry.state.load(Ordering::SeqCst) == IDLE);
         let go = Arc::new(AtomicBool::new(false));
         let go2 = go.clone();
-        let waker = spawn_fn(&exec, session, &mw, move || {
+        let waker = spawn_fn(&exec, &mw, move || {
             if go2.load(Ordering::SeqCst) {
                 heavy.schedule();
                 light.schedule();
@@ -1240,58 +1187,6 @@ pub(crate) mod tests {
         assert_eq!((ml.tasks_chained.get(), mh.tasks_chained.get()), (1, 0));
     }
 
-    /// Session fairness: with session 0's tasks queued on a shard ahead of
-    /// session 1's, `pop_from` serves the two sessions alternately, so a
-    /// chatty session cannot starve a sibling sharing the pool. The one
-    /// worker is held inside a poll and the test thread pops in its stead.
-    #[test]
-    fn shard_queue_serves_sessions_alternately() {
-        let exec = Executor::with_workers(1);
-        let sessions = [exec.add_session(), exec.add_session()];
-        let m = Arc::new(EngineMetrics::new());
-        let tasks: Vec<TaskHandle> = sessions
-            .iter()
-            .flat_map(|&s| (0..3).map(move |_| s))
-            .map(|s| spawn_fn(&exec, s, &m, Poll::idle))
-            .collect();
-        let (held_tx, held_rx) = std::sync::mpsc::channel::<()>();
-        let release = Arc::new(AtomicBool::new(false));
-        let go = Arc::new(AtomicBool::new(false));
-        let holder = {
-            let (release, go) = (release.clone(), go.clone());
-            spawn_fn(&exec, sessions[0], &m, move || {
-                if go.load(Ordering::SeqCst) {
-                    held_tx.send(()).unwrap();
-                    while !release.load(Ordering::SeqCst) {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-                Poll::idle()
-            })
-        };
-        go.store(true, Ordering::SeqCst);
-        holder.schedule();
-        held_rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("the worker is held");
-        // No scope on this thread: all six go to shard 0, session by session.
-        tasks.iter().for_each(TaskHandle::schedule);
-        let inner = exec.inner.clone();
-        let served: Vec<SessionId> = std::iter::from_fn(|| inner.pop_from(&inner.shards[0]))
-            .map(|entry| {
-                let session = entry.session;
-                inner.run(entry);
-                session
-            })
-            .collect();
-        release.store(true, Ordering::SeqCst);
-        assert_eq!(served.len(), 6);
-        assert!(
-            served.windows(2).all(|w| w[0] != w[1]),
-            "served sessions in the order {served:?}"
-        );
-    }
-
     /// At most one wake-up is in flight for light tasks. Both workers are
     /// held inside polls, so only this test touches `parked` and `waking`:
     /// shard 0 is marked parked by hand and a test thread parks on shard
@@ -1301,15 +1196,14 @@ pub(crate) mod tests {
     #[test]
     fn light_pushes_share_a_wake_up_and_a_heavy_push_gets_its_own() {
         let exec = Executor::with_workers(2);
-        let session = exec.add_session();
         let m = Arc::new(EngineMetrics::new());
         // Home shards go round-robin: 0, 1, 0, 1.
         let light = [
-            spawn_fn(&exec, session, &m, Poll::idle),
-            spawn_fn(&exec, session, &m, Poll::idle),
+            spawn_fn(&exec, &m, Poll::idle),
+            spawn_fn(&exec, &m, Poll::idle),
         ];
-        let _filler = spawn_fn(&exec, session, &m, Poll::idle);
-        let heavy = exec.spawn(session, m.clone(), sink(), Box::new(HeavyTask(Poll::idle)));
+        let _filler = spawn_fn(&exec, &m, Poll::idle);
+        let heavy = exec.spawn(m.clone(), sink(), Box::new(HeavyTask(Poll::idle)));
         assert_eq!(
             (
                 light[0].entry.shard,
@@ -1324,7 +1218,7 @@ pub(crate) mod tests {
         let holders: Vec<TaskHandle> = (0..2)
             .map(|_| {
                 let (held_tx, release, go) = (held_tx.clone(), release.clone(), go.clone());
-                spawn_fn(&exec, session, &m, move || {
+                spawn_fn(&exec, &m, move || {
                     if go.load(Ordering::SeqCst) {
                         held_tx.send(()).unwrap();
                         while !release.load(Ordering::SeqCst) {

@@ -1,10 +1,10 @@
-//! The general multi-program threaded fabric, multiplexed on the session
-//! executor.
+//! The general multi-program threaded fabric, polled by a worker pool of
+//! its own.
 //!
 //! A [`Fabric`] instantiates the engine's nodes for an arbitrary
 //! [`Topology`] — N programs, each with M coupled processes plus one rep —
 //! and moves their messages between **polled state machines** scheduled on
-//! the [`executor`](super::executor)'s shared worker pool:
+//! the [`executor`](super::executor)'s worker pool:
 //!
 //! - one **rep task** per program touching a connection, owning the
 //!   program's [`RepNode`];
@@ -14,7 +14,7 @@
 //! - one **importer task** per (connection, rank), feeding answers and
 //!   pieces into the import node the application thread's `import()` waits
 //!   on — after that thread has itself polled whatever its call set off;
-//! - one **pump task** per session when the reliability layer is armed,
+//! - one **pump task** per fabric when the reliability layer is armed,
 //!   retransmitting what is due and sleeping toward the earliest retry
 //!   deadline, at most one base timeout at a time.
 //!
@@ -27,9 +27,8 @@
 //!
 //! Application threads drive the per-process [`ExportAccess`] /
 //! [`ImportAccess`] handles exactly like an SPMD rank calling the
-//! framework library. A [`SessionSet`] multiplexes N independent
-//! topologies — each with its own [`EngineMetrics`] — on one pool with
-//! round-robin fairness across sessions.
+//! framework library. One fabric is one coupled run: one topology, one
+//! [`EngineMetrics`], one pool.
 //!
 //! Buffering is a real `memcpy`: the fabric clones the process's
 //! [`LocalArray`] piece into the region's shared store, so `export()`
@@ -46,7 +45,7 @@ use crate::engine::{
     SendKind, Topology, Wal, WalRecord, WireMeta,
 };
 use crate::threaded::executor::{
-    publish_run_next, Executor, Helper, PanicSink, Poll, SessionId, Task, TaskHandle,
+    publish_run_next, Executor, Helper, PanicSink, Poll, Task, TaskHandle,
 };
 use crate::threaded::{ExportOutcome, ThreadedError};
 use couplink_layout::{LocalArray, Rect, SharedArray};
@@ -168,7 +167,7 @@ impl fmt::Debug for WalHandle {
     }
 }
 
-/// Options for building a [`Fabric`] (or one session of a [`SessionSet`]).
+/// Options for building a [`Fabric`].
 #[derive(Debug, Clone)]
 pub struct FabricOptions {
     /// Whether the reps send buddy-help (default: enabled).
@@ -265,7 +264,7 @@ pub struct FabricReport {
 
 /// A task's inbox: a queue whose push marks the owning task runnable.
 ///
-/// Construction happens in two phases — every session builds all its
+/// Construction happens in two phases — the fabric builds all its
 /// mailboxes before spawning any task, then [`bind`](Mailbox::bind)s each
 /// mailbox to its task handle. A push before the bind just queues (the
 /// bind schedules the task if anything is already waiting), so no message
@@ -414,7 +413,7 @@ impl NetRel {
     }
 }
 
-/// The session's first failure — a protocol error reported by a node
+/// The run's first failure — a protocol error reported by a node
 /// (`RepFailed`) or a caught control-task panic (`ProcessCrash`) — and
 /// everything an application call can be blocked on when it happens. Recording is the one failure path: it keeps
 /// the first error and wakes every waiter, so a stalled `export()` or a
@@ -426,7 +425,7 @@ impl NetRel {
 #[derive(Default)]
 struct ErrSlot {
     first: Mutex<Option<ThreadedError>>,
-    /// Every cell a call can block on, set once the session is built (no
+    /// Every cell a call can block on, set once the fabric is built (no
     /// call can block before that).
     exp_cells: OnceLock<Vec<Arc<ExpCell>>>,
     imp_cells: OnceLock<Vec<Arc<ImpCell>>>,
@@ -457,11 +456,11 @@ impl ErrSlot {
     }
 }
 
-/// Outbound half of a multi-process session: how the fabric forwards
-/// traffic whose destination endpoint lives in another OS process. The
-/// socket runtime (`crate::net`) implements this over its peer
-/// connections; a single-process session has no links and treats every
-/// endpoint as local.
+/// Outbound half of a partial fabric: how the fabric forwards traffic
+/// whose destination endpoint lives in another OS process. The socket
+/// runtime (`crate::net`) implements this over its peer connections; a
+/// fabric hosting every program has no links and treats every endpoint as
+/// local.
 pub(crate) trait RemoteLinks: Send + Sync {
     /// Forwards one routed control message. The sending process has
     /// already metered it and, when the reliability layer is armed,
@@ -540,7 +539,7 @@ pub(crate) struct Net {
     /// single-process fabric).
     local: Option<usize>,
     /// Outbound links to the peer processes hosting the other programs
-    /// (`None` in a single-process session).
+    /// (`None` when this process hosts every program).
     links: Option<Arc<dyn RemoteLinks>>,
     /// The session's write-ahead journal (`Some` exactly when the
     /// reliability layer is armed): every admitted sequenced delivery and
@@ -551,7 +550,7 @@ pub(crate) struct Net {
     /// journal it again (replay stays idempotent if the process dies
     /// mid-replay).
     wal_active: AtomicBool,
-    /// Per-session instrumentation shared with every node and handle.
+    /// The run's instrumentation, shared with every node and handle.
     metrics: Arc<EngineMetrics>,
     /// Runs on the calling thread what [`Net::run_woken`]'s closure wakes.
     helper: Helper,
@@ -584,6 +583,13 @@ impl Net {
         }
     }
 
+    /// Fails the run from a thread outside the pool (a socket node's mesh
+    /// reader: a peer process died mid-run). Wakes every blocked
+    /// application call and cuts a shutdown drain short.
+    pub(crate) fn fail(&self, detail: String) {
+        self.err.record(ThreadedError::ProcessCrash(detail));
+    }
+
     /// Enters journal-replay mode: regenerated sequenced traffic is
     /// registered but not routed (see [`Reliability::set_replaying`]), and
     /// re-admitted deliveries are not re-journaled (see
@@ -610,7 +616,7 @@ impl Net {
         self.wal_active.store(true, Ordering::Release);
     }
 
-    /// Whether every task mailbox of this session is currently empty — the
+    /// Whether every task mailbox of this fabric is currently empty — the
     /// replay driver's quiescence probe before it leaves replay mode.
     /// Best-effort (a task may still be processing its last pop); the
     /// receive-side dedup makes the residual race harmless.
@@ -1484,7 +1490,7 @@ impl Task for PumpTask {
         let rel = self.net.rel.as_ref();
         let Some(rel) = rel.filter(|rel| !rel.stop.load(Ordering::Acquire)) else {
             // Shutdown drains pending traffic on the caller's thread
-            // (`Session::shutdown`), not here.
+            // (`Fabric::shutdown`), not here.
             return poll_done(0);
         };
         pump_tick(&self.net, rel);
@@ -1538,13 +1544,13 @@ fn relay_loop(net: Arc<Net>, rx: Receiver<RelayMsg>) {
     }
 }
 
-/// How many executor tasks one session of `topo` under `opts` spawns: one
+/// How many executor tasks a fabric of `topo` under `opts` spawns: one
 /// rep per coupled program, one agent per exporting process, one importer
 /// task per (connection, importer rank), plus the retransmit pump when the
 /// reliability layer is armed. The executor's at-most-once-queued
-/// invariant bounds the session's `runq_depth` high-water mark by exactly
+/// invariant bounds the fabric's `runq_depth` high-water mark by exactly
 /// this number — the bound `simtest --stress` asserts.
-pub fn session_task_count(topo: &Topology, opts: &FabricOptions) -> usize {
+pub fn fabric_task_count(topo: &Topology, opts: &FabricOptions) -> usize {
     let mut n = usize::from(opts.needs_reliability());
     for p in &topo.programs {
         if !p.exports.is_empty() || !p.imports.is_empty() {
@@ -1560,11 +1566,13 @@ pub fn session_task_count(topo: &Topology, opts: &FabricOptions) -> usize {
     n
 }
 
-// --- sessions ---
+// --- the fabric ---
 
-/// One running topology's state on the shared executor: its nodes, task
-/// handles, mailboxes and per-session metrics.
-struct Session {
+/// A running multi-program fabric: the engine's nodes for one
+/// [`Topology`], their task handles and mailboxes, and the private worker
+/// pool that polls them.
+pub struct Fabric {
+    exec: Executor,
     topo: Arc<Topology>,
     /// `[prog][rank]`, `Some` for exporting processes.
     cells: Vec<Vec<Option<Arc<ExpCell>>>>,
@@ -1585,31 +1593,41 @@ struct Session {
     metrics: Arc<EngineMetrics>,
 }
 
-impl Session {
-    /// Builds one session's nodes and spawns its tasks on `exec` under
-    /// session id `sid`. Mailboxes are created first (the routing table
-    /// must exist before any task runs), then bound to their tasks in
-    /// dependency order: pump, agents, reps, importers.
-    fn new(topo: Topology, opts: FabricOptions, exec: &Executor, sid: SessionId) -> Self {
-        Session::new_partial(topo, opts, exec, sid, None, None, None)
+impl Fabric {
+    /// Builds the fabric for a validated topology and spawns its control
+    /// tasks on a default-sized worker pool.
+    pub fn new(topo: Topology, opts: FabricOptions) -> Self {
+        Fabric::build(topo, opts, None, None, None)
     }
 
-    /// Like [`Session::new`], but hosting only program `local` when given
-    /// (the socket runtime's shape: one OS process per program). Tasks,
-    /// engine cells and application handles are built only for the hosted
-    /// program; traffic for every other endpoint is handed to `links`.
-    /// `metrics` lets the caller supply pre-made instrumentation — the
-    /// socket node opens its durable journal (which meters replay) before
-    /// the session exists.
-    fn new_partial(
+    /// Like [`Fabric::new`], but hosting only program `local` (the socket
+    /// runtime's shape: one OS process per program). Tasks, engine cells
+    /// and application handles are built only for the hosted program;
+    /// traffic for every other endpoint is handed to `links`. `metrics`
+    /// lets the caller supply pre-made instrumentation — the socket node
+    /// opens its durable journal (which meters replay) before the fabric
+    /// exists.
+    pub(crate) fn partial(
         topo: Topology,
         opts: FabricOptions,
-        exec: &Executor,
-        sid: SessionId,
+        local: usize,
+        links: Arc<dyn RemoteLinks>,
+        metrics: Option<Arc<EngineMetrics>>,
+    ) -> Self {
+        Fabric::build(topo, opts, Some(local), Some(links), metrics)
+    }
+
+    /// Creates the pool, then the mailboxes (the routing table must exist
+    /// before any task runs), then binds them to their tasks in dependency
+    /// order: pump, agents, reps, importers.
+    fn build(
+        topo: Topology,
+        opts: FabricOptions,
         local: Option<usize>,
         links: Option<Arc<dyn RemoteLinks>>,
         metrics: Option<Arc<EngineMetrics>>,
     ) -> Self {
+        let exec = Executor::new();
         let topo = Arc::new(topo);
         let err = Arc::new(ErrSlot::default());
         let clock = Arc::new(WallClock::start());
@@ -1635,7 +1653,7 @@ impl Session {
         });
 
         // Mailboxes first (the routing table must exist before any task).
-        // In a partial session only the hosted program's endpoints get
+        // In a partial fabric only the hosted program's endpoints get
         // mailboxes: foreign destinations are forwarded by `Net::route`
         // before any mailbox lookup, so the holes are never touched.
         let mut rep_boxes: Vec<Option<Arc<Mailbox>>> = Vec::new();
@@ -1694,7 +1712,6 @@ impl Session {
         });
         let pump = net.rel.is_some().then(|| {
             exec.spawn(
-                sid,
                 metrics.clone(),
                 crash_sink(&err, "retry pump".into()),
                 Box::new(PumpTask { net: net.clone() }),
@@ -1731,7 +1748,6 @@ impl Session {
                     _ => None,
                 });
                 let handle = exec.spawn(
-                    sid,
                     metrics.clone(),
                     crash_sink(&err, format!("agent {pi}.{rank}")),
                     Box::new(AgentTask {
@@ -1763,7 +1779,6 @@ impl Session {
             };
             let fault = crash.filter(|f| f.target == CrashTarget::Rep(pi));
             let handle = exec.spawn(
-                sid,
                 metrics.clone(),
                 crash_sink(&err, format!("rep {pi}")),
                 Box::new(RepTask {
@@ -1834,7 +1849,6 @@ impl Session {
                             let mbox = imp_boxes[region.conn.0 as usize][rank].clone();
                             let pieces: PieceMap = Arc::new(Mutex::new(HashMap::new()));
                             let handle = exec.spawn(
-                                sid,
                                 metrics.clone(),
                                 crash_sink(&err, format!("importer {pi}.{rank}")),
                                 Box::new(ImpTask {
@@ -1871,7 +1885,8 @@ impl Session {
         let exp_cells = cells.iter().flatten().flatten().cloned().collect();
         let _ = err.exp_cells.set(exp_cells);
         let _ = err.imp_cells.set(imp_cells);
-        Session {
+        Fabric {
+            exec,
             topo,
             cells,
             exports,
@@ -1889,9 +1904,49 @@ impl Session {
         }
     }
 
-    /// Stops this session's tasks and returns per-connection statistics
-    /// and the recorded traces. Call after the application threads have
-    /// finished and dropped their handles.
+    /// The topology this fabric runs.
+    pub fn topology(&self) -> &Topology {
+        &self.topo
+    }
+
+    /// The run-wide instrumentation shared by every node and handle.
+    pub fn metrics(&self) -> Arc<EngineMetrics> {
+        Arc::clone(&self.metrics)
+    }
+
+    /// The routing table, for injecting traffic that arrived over a
+    /// socket link and for failing the run from a thread outside the pool.
+    pub(crate) fn net(&self) -> Arc<Net> {
+        Arc::clone(&self.net)
+    }
+
+    /// Takes the export handle for region `region` of process `rank` of
+    /// program `prog` (once).
+    ///
+    /// # Panics
+    ///
+    /// Panics if taken twice, or if the process exports no such region.
+    pub fn take_export(&mut self, prog: usize, rank: usize, region: usize) -> ExportAccess {
+        self.exports[prog][rank][region]
+            .take()
+            .expect("export handle already taken")
+    }
+
+    /// Takes the import handle for imported region `region` of process
+    /// `rank` of program `prog` (once).
+    ///
+    /// # Panics
+    ///
+    /// Panics if taken twice, or if the process imports no such region.
+    pub fn take_import(&mut self, prog: usize, rank: usize, region: usize) -> ImportAccess {
+        self.imports[prog][rank][region]
+            .take()
+            .expect("import handle already taken")
+    }
+
+    /// Stops all control tasks and the worker pool, and returns
+    /// per-connection statistics and the recorded traces. Call after the
+    /// application threads have finished and dropped their handles.
     ///
     /// # Shutdown ordering
     ///
@@ -1909,11 +1964,11 @@ impl Session {
     /// reps (everything they owed is now in the agent mailboxes), then the
     /// agents, then the importer tasks — per-mailbox FIFO guarantees each
     /// consumes every pending message before seeing its marker.
-    fn shutdown(mut self, exec: &Executor) -> Result<FabricReport, ThreadedError> {
+    pub fn shutdown(mut self) -> Result<FabricReport, ThreadedError> {
         // Drain on the caller's thread: an import can complete while a
         // sequenced message is still owed to some rank (the rep answers as
         // soon as the collective decision is available; lagging ranks are
-        // told via buddy-help), so the session may not stop while reliable
+        // told via buddy-help), so the fabric may not stop while reliable
         // messages are pending unacked — stopping early would make a lost
         // `ForwardRequest` permanent and break collective order. The
         // drain polls (acks arrive on other threads) at the cadence
@@ -1938,7 +1993,7 @@ impl Session {
         }
         if let Some(h) = self.pump.take() {
             h.schedule();
-            exec.wait_done(std::slice::from_ref(&h));
+            self.exec.wait_done(std::slice::from_ref(&h));
         }
         if let Some((tx, h)) = self.relay.take() {
             let _ = tx.send(RelayMsg::Shutdown);
@@ -1948,17 +2003,17 @@ impl Session {
             let _ = mb.push(Msg::Shutdown);
         }
         let rep_handles: Vec<TaskHandle> = self.reps.iter().map(|(_, h)| h.clone()).collect();
-        exec.wait_done(&rep_handles);
+        self.exec.wait_done(&rep_handles);
         for (mb, _) in &self.agents {
             let _ = mb.push(Msg::Shutdown);
         }
         let agent_handles: Vec<TaskHandle> = self.agents.iter().map(|(_, h)| h.clone()).collect();
-        exec.wait_done(&agent_handles);
+        self.exec.wait_done(&agent_handles);
         for (mb, _) in &self.imps {
             let _ = mb.push(Msg::Shutdown);
         }
         let imp_handles: Vec<TaskHandle> = self.imps.iter().map(|(_, h)| h.clone()).collect();
-        exec.wait_done(&imp_handles);
+        self.exec.wait_done(&imp_handles);
         self.err.check()?;
         let stats = self
             .topo
@@ -1966,7 +2021,7 @@ impl Session {
             .iter()
             .map(|ct| {
                 if !hosts(self.local, ct.exporter_prog) {
-                    // A partial session reports only its own exporters;
+                    // A partial fabric reports only its own exporters;
                     // the orchestrator merges the per-process reports.
                     return Vec::new();
                 }
@@ -1995,238 +2050,11 @@ impl Session {
             metrics: self.metrics.snapshot(),
         })
     }
-}
-
-/// N independent [`Topology`] instances multiplexed on one worker pool,
-/// each with its own [`EngineMetrics`] and fair (round-robin) scheduling
-/// against its siblings. This is the many-programs-multiplexed-on-few-
-/// workers shape: thousands of coupling sessions no longer cost two OS
-/// threads per program.
-pub struct SessionSet {
-    exec: Executor,
-    sessions: Vec<Option<Session>>,
-}
-
-impl Default for SessionSet {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SessionSet {
-    /// Creates the worker pool (no sessions yet).
-    pub fn new() -> Self {
-        SessionSet {
-            exec: Executor::new(),
-            sessions: Vec::new(),
-        }
-    }
-
-    /// Adds one session for a validated topology, spawning its tasks on
-    /// the shared pool. Returns the session's index.
-    pub fn add_session(&mut self, topo: Topology, opts: FabricOptions) -> usize {
-        let sid = self.exec.add_session();
-        debug_assert_eq!(sid, self.sessions.len(), "session ids are dense");
-        let session = Session::new(topo, opts, &self.exec, sid);
-        self.sessions.push(Some(session));
-        sid
-    }
-
-    /// Adds a partial session hosting only program `local`, with `links`
-    /// carrying foreign-endpoint traffic — the socket runtime's entry
-    /// point. `metrics` supplies pre-made instrumentation (the node's
-    /// journal meters into it before the session exists); `None` creates a
-    /// fresh set. Returns the session's index.
-    pub(crate) fn add_partial_session(
-        &mut self,
-        topo: Topology,
-        opts: FabricOptions,
-        local: usize,
-        links: Arc<dyn RemoteLinks>,
-        metrics: Option<Arc<EngineMetrics>>,
-    ) -> usize {
-        let sid = self.exec.add_session();
-        debug_assert_eq!(sid, self.sessions.len(), "session ids are dense");
-        let session = Session::new_partial(
-            topo,
-            opts,
-            &self.exec,
-            sid,
-            Some(local),
-            Some(links),
-            metrics,
-        );
-        self.sessions.push(Some(session));
-        sid
-    }
-
-    /// One session's routing table, for injecting traffic that arrived
-    /// over a socket link.
-    pub(crate) fn session_net(&self, session: usize) -> Arc<Net> {
-        Arc::clone(&self.session(session).net)
-    }
-
-    /// Records a fatal error on one session (the socket runtime's: a peer
-    /// process died mid-run), which wakes its blocked application calls.
-    pub(crate) fn fail_session(&self, session: usize, detail: String) {
-        if let Some(Some(s)) = self.sessions.get(session) {
-            s.err.record(ThreadedError::ProcessCrash(detail));
-        }
-    }
-
-    fn session(&self, session: usize) -> &Session {
-        self.sessions[session]
-            .as_ref()
-            .expect("session already shut down")
-    }
-
-    /// The topology one session runs.
-    pub fn topology(&self, session: usize) -> &Topology {
-        &self.session(session).topo
-    }
-
-    /// One session's instrumentation (shared by every node and handle of
-    /// that session). Clone it out before `shutdown_session` if you need
-    /// the counters afterwards.
-    pub fn session_metrics(&self, session: usize) -> Arc<EngineMetrics> {
-        Arc::clone(&self.session(session).metrics)
-    }
-
-    /// Takes the export handle for region `region` of process `rank` of
-    /// program `prog` of session `session` (once).
-    ///
-    /// # Panics
-    ///
-    /// Panics if taken twice, or if the process exports no such region.
-    pub fn take_export(
-        &mut self,
-        session: usize,
-        prog: usize,
-        rank: usize,
-        region: usize,
-    ) -> ExportAccess {
-        self.sessions[session]
-            .as_mut()
-            .expect("session already shut down")
-            .exports[prog][rank][region]
-            .take()
-            .expect("export handle already taken")
-    }
-
-    /// Takes the import handle for imported region `region` of process
-    /// `rank` of program `prog` of session `session` (once).
-    ///
-    /// # Panics
-    ///
-    /// Panics if taken twice, or if the process imports no such region.
-    pub fn take_import(
-        &mut self,
-        session: usize,
-        prog: usize,
-        rank: usize,
-        region: usize,
-    ) -> ImportAccess {
-        self.sessions[session]
-            .as_mut()
-            .expect("session already shut down")
-            .imports[prog][rank][region]
-            .take()
-            .expect("import handle already taken")
-    }
-
-    /// Drains and retires one session, releasing its runnables without
-    /// touching its siblings (their tasks keep being scheduled throughout
-    /// — the pool itself stays up). Returns the session's report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session was already shut down.
-    pub fn shutdown_session(&mut self, session: usize) -> Result<FabricReport, ThreadedError> {
-        self.sessions[session]
-            .take()
-            .expect("session already shut down")
-            .shutdown(&self.exec)
-    }
-
-    /// Drains every remaining session, then stops and joins the pool.
-    /// The first session error (in index order) is returned; later
-    /// sessions are still drained.
-    pub fn shutdown(mut self) -> Result<(), ThreadedError> {
-        let mut first_err = None;
-        for s in 0..self.sessions.len() {
-            if self.sessions[s].is_some() {
-                if let Err(e) = self.shutdown_session(s) {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        self.exec.shutdown();
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-}
-
-/// A running multi-program fabric: the engine's nodes for one
-/// [`Topology`], multiplexed on a private worker pool. A thin wrapper
-/// around a single-session [`SessionSet`].
-pub struct Fabric {
-    set: SessionSet,
-}
-
-impl Fabric {
-    /// Builds the fabric for a validated topology and spawns its control
-    /// tasks on a default-sized worker pool.
-    pub fn new(topo: Topology, opts: FabricOptions) -> Self {
-        let mut set = SessionSet::new();
-        set.add_session(topo, opts);
-        Fabric { set }
-    }
-
-    /// The topology this fabric runs.
-    pub fn topology(&self) -> &Topology {
-        self.set.topology(0)
-    }
-
-    /// The run-wide instrumentation shared by every node and handle.
-    pub fn metrics(&self) -> Arc<EngineMetrics> {
-        self.set.session_metrics(0)
-    }
-
-    /// Takes the export handle for region `region` of process `rank` of
-    /// program `prog` (once).
-    ///
-    /// # Panics
-    ///
-    /// Panics if taken twice, or if the process exports no such region.
-    pub fn take_export(&mut self, prog: usize, rank: usize, region: usize) -> ExportAccess {
-        self.set.take_export(0, prog, rank, region)
-    }
-
-    /// Takes the import handle for imported region `region` of process
-    /// `rank` of program `prog` (once).
-    ///
-    /// # Panics
-    ///
-    /// Panics if taken twice, or if the process imports no such region.
-    pub fn take_import(&mut self, prog: usize, rank: usize, region: usize) -> ImportAccess {
-        self.set.take_import(0, prog, rank, region)
-    }
-
-    /// Stops all control tasks and returns per-connection statistics and
-    /// the recorded traces. Call after the application threads have
-    /// finished and dropped their handles. The ordering notes are on
-    /// `Session::shutdown`.
-    pub fn shutdown(mut self) -> Result<FabricReport, ThreadedError> {
-        self.set.shutdown_session(0)
-    }
 
     /// Arms the relay-drop mutation on every importing process, for
     /// mutation-testing the oracles (see [`ImportNode::arm_relay_drop`]).
     pub fn arm_relay_drop(&self) {
-        let imp_cells = self.set.session(0).err.imp_cells.get();
-        for cell in imp_cells.expect("session built") {
+        for cell in self.err.imp_cells.get().expect("fabric built") {
             cell.node.lock().arm_relay_drop();
         }
     }
@@ -2237,7 +2065,7 @@ impl Fabric {
     /// so for that long neither the message nor what the handler sends is
     /// pending. No effect on an unarmed layer.
     pub fn arm_ack_before_handle(&self) {
-        if let Some(rel) = &self.set.session_net(0).rel {
+        if let Some(rel) = &self.net.rel {
             rel.ack_before_handle.store(true, Ordering::Relaxed);
         }
     }
@@ -2245,9 +2073,7 @@ impl Fabric {
     /// Test hook: the exporting process's shared engine cell.
     #[cfg(test)]
     fn cell(&self, prog: usize, rank: usize) -> Arc<ExpCell> {
-        self.set.session(0).cells[prog][rank]
-            .clone()
-            .expect("exporting process")
+        self.cells[prog][rank].clone().expect("exporting process")
     }
 }
 
@@ -2423,7 +2249,7 @@ mod tests {
         };
         let fabric = Fabric::new(topo, opts);
         let metrics = fabric.metrics();
-        let net = fabric.set.session_net(0);
+        let net = fabric.net();
         let rep = net.to_rep[0].as_ref().expect("exporter rep");
         let backlog = [(0, 0, 2.0), (1, 0, 2.0), (0, 1, 4.0)];
         {
@@ -2579,8 +2405,7 @@ mod tests {
         );
     }
 
-    /// Minimal 1-exporter-rank / 1-importer-rank topology for multi-
-    /// session tests.
+    /// Minimal 1-exporter-rank / 1-importer-rank topology.
     fn pair_topology() -> (Topology, Decomposition, Decomposition) {
         let extent = Extent2::new(4, 4);
         let exp_d = Decomposition::row_block(extent, 1).expect("exporter decomp");
@@ -2625,7 +2450,7 @@ mod tests {
 
     /// An armed fabric's first retry interval.
     fn base_timeout(fabric: &Fabric) -> Duration {
-        let net = fabric.set.session_net(0);
+        let net = fabric.net();
         Duration::from_secs_f64(net.rel.as_ref().expect("armed").base_timeout)
     }
 
@@ -2737,7 +2562,7 @@ mod tests {
         assert!(took < base, "idle drain took {took:?}");
 
         let fabric = Fabric::new(pair_topology().0, opts);
-        let net = fabric.set.session_net(0);
+        let net = fabric.net();
         net.send(SendKind::Origin, imp_rep, exp_rep, request)
             .unwrap();
         let rel = net.rel.as_ref().expect("armed");
@@ -2752,71 +2577,44 @@ mod tests {
         assert!(took < Duration::from_secs(2), "drain took {took:?}");
     }
 
-    /// Executor edge case + shutdown-ordering oracle for the pool: a
-    /// session that finishes early releases its runnables without starving
-    /// its sibling (the sibling completes a longer run afterwards on the
-    /// same two workers), per-session counters stay isolated (each
-    /// session's `sends` reflects only its own imports), the run-queue
-    /// depth HWM never exceeds the session's task count, and no task of a
-    /// drained session is polled after `shutdown_session` returns.
+    /// A failure recorded while the fabric drains cuts the drain short.
+    /// The importer's `ImportRequest` leaves through links whose receiver
+    /// is gone, so it stays pending, and the drain would retransmit it until
+    /// the retry policy's 32-attempt backstop gave up, about 12 s on. A
+    /// mesh reader's [`Net::fail`] 100 ms into the drain ends it, and
+    /// `shutdown` returns that failure.
     #[test]
-    fn session_set_isolates_sessions_and_stops_polling_after_shutdown() {
-        let mut set = SessionSet {
-            exec: Executor::with_workers(2),
-            sessions: Vec::new(),
+    fn failure_recorded_during_the_drain_cuts_it_short() {
+        let (topo, _, imp_d) = pair_topology();
+        let opts = FabricOptions {
+            import_timeout: Duration::from_millis(100),
+            wal: Some(WalHandle::mem()),
+            ..FabricOptions::default()
         };
-        let (t0, exp_d, imp_d) = pair_topology();
-        let (t1, _, _) = pair_topology();
-        let s0 = set.add_session(t0, FabricOptions::default());
-        let s1 = set.add_session(t1, FabricOptions::default());
-
-        let drive = |set: &mut SessionSet, sid: usize, iters: usize| {
-            let mut exp = set.take_export(sid, 0, 0, 0);
-            let mut imp = set.take_import(sid, 1, 0, 0);
-            let owned = imp_d.owned(0);
-            let importer = std::thread::spawn(move || {
-                let mut dest = LocalArray::zeros(owned);
-                for j in 1..=iters {
-                    let m = imp.import(ts(j as f64), &mut dest).unwrap();
-                    assert_eq!(m, Some(ts(j as f64)));
-                }
-            });
-            let data = LocalArray::from_fn(exp_d.owned(0), |r, c| (r + c) as f64);
-            for j in 1..=iters {
-                exp.export(ts(j as f64), &data).unwrap();
-            }
-            importer.join().unwrap();
-        };
-
-        // Session 1 finishes early...
-        drive(&mut set, s1, 3);
-        let m1 = set.session_metrics(s1);
-        let task_budget = session_task_count(set.topology(s1), &FabricOptions::default());
-        let r1 = set.shutdown_session(s1).unwrap();
-        assert_eq!(r1.stats[0][0].sends, 3, "session 1 served its own imports");
+        let lost = Arc::new(ChanLinks(unbounded().0));
+        let mut fabric = Fabric::partial(topo, opts, 1, lost, None);
+        let mut imp = fabric.take_import(1, 0, 0);
+        let mut dest = LocalArray::zeros(imp_d.owned(0));
+        let got = imp.import(ts(1.0), &mut dest);
+        assert!(matches!(got, Err(ThreadedError::Timeout)), "{got:?}");
+        let net = fabric.net();
+        let pending = net.rel.as_ref().expect("armed").layer.lock().pending_len();
+        assert_eq!(pending, 1, "the lost ImportRequest");
+        let failer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
+            net.fail("peer gone".into());
+        });
+        let called = Instant::now();
+        let got = fabric.shutdown();
+        let took = called.elapsed();
+        failer.join().unwrap();
         assert!(
-            r1.metrics.counters.runq_depth_hwm <= task_budget as u64,
-            "runq HWM {} must be bounded by the session's {} tasks",
-            r1.metrics.counters.runq_depth_hwm,
-            task_budget
+            matches!(&got, Err(ThreadedError::ProcessCrash(d)) if d == "peer gone"),
+            "{got:?}"
         );
-        let frozen = m1.tasks_polled.get();
-        assert!(frozen > 0, "session 1's tasks ran at all");
-
-        // ...and its sibling keeps the (released) pool to itself.
-        drive(&mut set, s0, 8);
-        let r0 = set.shutdown_session(s0).unwrap();
-        assert_eq!(r0.stats[0][0].sends, 8, "session 0 unaffected by sibling");
-
-        // No task of the drained session was polled after its shutdown.
-        std::thread::sleep(Duration::from_millis(40));
-        assert_eq!(
-            m1.tasks_polled.get(),
-            frozen,
-            "session 1 polled after shutdown_session drained it"
-        );
-        set.shutdown().unwrap();
+        assert!(took < Duration::from_secs(2), "drain took {took:?}");
     }
+
     /// A 2 → 2 lock-step pair: the rank that completes a collective runs
     /// the control chain itself, so over 2 000 imports most polls are of
     /// tasks the polling thread woke, and cross-worker steals — several per
@@ -2897,7 +2695,7 @@ mod tests {
     type PollCounts = [u64; 3];
 
     /// A pair topology run as the socket node runs it: each program a
-    /// partial session on a pool of its own, and one plain thread per
+    /// partial fabric on a pool of its own, and one plain thread per
     /// direction — no run-next scope of its own — injecting every frame
     /// through [`Net::run_woken`] as a mesh reader does. The exporter
     /// exports every step before the importer asks, so every request on
@@ -2912,16 +2710,15 @@ mod tests {
         let topo = Topology::pair(exp_d, imp_d, MatchPolicy::RegL, tol).expect("pair");
         let (to_exp, exp_rx) = unbounded::<Frame>();
         let (to_imp, imp_rx) = unbounded::<Frame>();
-        let mut sets = [SessionSet::new(), SessionSet::new()];
-        let sid = [
-            sets[0].add_partial_session(
+        let mut fabrics = [
+            Fabric::partial(
                 topo.clone(),
                 FabricOptions::default(),
                 0,
                 Arc::new(ChanLinks(to_imp)),
                 None,
             ),
-            sets[1].add_partial_session(
+            Fabric::partial(
                 topo,
                 FabricOptions::default(),
                 1,
@@ -2933,7 +2730,7 @@ mod tests {
         let readers: Vec<_> = [(0, exp_rx), (1, imp_rx)]
             .into_iter()
             .map(|(p, rx)| {
-                let (net, stop) = (sets[p].session_net(sid[p]), stop.clone());
+                let (net, stop) = (fabrics[p].net(), stop.clone());
                 std::thread::spawn(move || {
                     while !stop.load(Ordering::SeqCst) {
                         let Ok(frame) = rx.recv_timeout(Duration::from_millis(5)) else {
@@ -2951,18 +2748,15 @@ mod tests {
             })
             .collect();
         for rank in 0..exp_d.procs() {
-            let mut exp = sets[0].take_export(sid[0], 0, rank, 0);
+            let mut exp = fabrics[0].take_export(0, rank, 0);
             let data = LocalArray::from_fn(exp_d.owned(rank), |r, c| (r * 1000 + c) as f64);
             for j in 0..=steps {
                 exp.export(ts(j as f64), &data).unwrap();
             }
         }
-        let mut imp = sets[1].take_import(sid[1], 1, 0, 0);
+        let mut imp = fabrics[1].take_import(1, 0, 0);
         let mut dest = LocalArray::zeros(imp_d.owned(0));
-        let metrics = [
-            sets[0].session_metrics(sid[0]),
-            sets[1].session_metrics(sid[1]),
-        ];
+        let metrics = fabrics.each_ref().map(Fabric::metrics);
         let counts = |m: &EngineMetrics| {
             [
                 m.tasks_polled.get(),
@@ -2984,8 +2778,8 @@ mod tests {
         let after = [counts(&metrics[0]), counts(&metrics[1])];
         stop.store(true, Ordering::SeqCst);
         readers.into_iter().for_each(|r| r.join().unwrap());
-        for set in sets {
-            set.shutdown().unwrap();
+        for fabric in fabrics {
+            fabric.shutdown().unwrap();
         }
         [0, 1].map(|p| [0, 1, 2].map(|i| after[p][i] - before[p][i]))
     }
@@ -3032,11 +2826,10 @@ mod tests {
     fn timed_lock_publishes_run_next_before_it_waits() {
         use crate::threaded::executor::tests::{spawn_fn, wait_for};
         let exec = Executor::with_workers(2);
-        let session = exec.add_session();
         let metrics = Arc::new(EngineMetrics::new());
         let polls = Arc::new(AtomicU64::new(0));
         let polls2 = polls.clone();
-        let pocketed = spawn_fn(&exec, session, &metrics, move || {
+        let pocketed = spawn_fn(&exec, &metrics, move || {
             polls2.fetch_add(1, Ordering::SeqCst);
             Poll::idle()
         });
@@ -3044,7 +2837,7 @@ mod tests {
         let armed = Arc::new(AtomicBool::new(false));
         let blocker = {
             let (gate, armed, metrics) = (gate.clone(), armed.clone(), metrics.clone());
-            spawn_fn(&exec, session, &metrics.clone(), move || {
+            spawn_fn(&exec, &metrics.clone(), move || {
                 if armed.load(Ordering::SeqCst) {
                     pocketed.schedule();
                     drop(timed_lock(&gate, &metrics));

@@ -8,9 +8,9 @@
 //! low-overhead control gateway), per exporter process a small *agent*
 //! standing in for the framework's asynchronous progress engine, per
 //! importer process an answer/piece consumer — is **not** thread-per-node:
-//! every rep, agent, and importer is a polled state machine scheduled on a
-//! fixed worker pool by the event-driven [`executor`], and N independent
-//! topologies can multiplex on one pool as a [`SessionSet`].
+//! every rep, agent, and importer is a polled state machine scheduled by
+//! the event-driven [`executor`] on a fixed worker pool, one per
+//! [`Fabric`].
 //!
 //! The protocol itself lives in [`crate::engine`]; this module is the thin
 //! driver moving the engine's messages between task mailboxes ([`fabric`]).
@@ -19,8 +19,8 @@ pub mod executor;
 pub mod fabric;
 
 pub use fabric::{
-    session_task_count, ExportAccess, Fabric, FabricOptions, FabricReport, ImportAccess,
-    SessionSet, WalHandle, WallClock,
+    fabric_task_count, ExportAccess, Fabric, FabricOptions, FabricReport, ImportAccess, WalHandle,
+    WallClock,
 };
 
 use crate::engine::{ActionKind, EngineError};

@@ -15,7 +15,7 @@ use couplink_runtime::net::{
     run_plan, ExportSpec, ImportSpec, KillSpec, NetOptions, NodeFault, NodePlan, SocketBackend,
 };
 use couplink_runtime::{
-    session_task_count, ChaosConfig, ExportSchedule, Fabric, FabricOptions, ImportSchedule,
+    fabric_task_count, ChaosConfig, ExportSchedule, Fabric, FabricOptions, ImportSchedule,
     RetryPolicy, TopoReport, TopologyConfig, TopologySim,
 };
 use couplink_time::{ts, MatchPolicy, Timestamp, Tolerance};
@@ -374,10 +374,10 @@ pub fn run_threaded(
         hierarchical: s.hierarchical,
         wal: None,
     };
-    // Executor invariant: a task is enqueued at most once, so the session's
+    // Executor invariant: a task is enqueued at most once, so the fabric's
     // run-queue depth can never exceed its task count — mailbox backlog
     // under pressure must not leak into unbounded run-queue growth.
-    let task_budget = session_task_count(&topology, &opts) as u64;
+    let task_budget = fabric_task_count(&topology, &opts) as u64;
     let mut fabric = Fabric::new(topology, opts);
     if relay_drop {
         fabric.arm_relay_drop();
