@@ -52,9 +52,12 @@
 #                       root workspace: build it and run its own tests
 #                       against the workspace crates, so a runtime refactor
 #                       that breaks the benchmark adapter's view of the
-#                       public API fails here, not at benchmark time; and
-#                       the frozen package and BENCHMARK.json must be
-#                       unmodified in the working tree)
+#                       public API fails here, not at benchmark time; both
+#                       with --locked, so a workspace crate that gains or
+#                       loses a dependency cannot silently rewrite the
+#                       frozen Cargo.lock; and the frozen package and
+#                       BENCHMARK.json must be unmodified in the working
+#                       tree, with `--stat` naming any file that is not)
 #
 # Nightly-only extras (run when CI_NIGHTLY=1, skipped gracefully otherwise):
 #   - deep simtest sweep and a deeper DES-vs-threaded property sweep
@@ -186,9 +189,9 @@ COUPLINK_NODE_BIN=target/release/couplink-node \
     cargo run --release -q -p couplink-simtest -- --socket uds --corrupt-wal
 
 echo "== bench e2e: the out-of-workspace benchmark builds and passes its tests"
-cargo build --release --offline --manifest-path crates/bench/src/bin/e2e/Cargo.toml
-cargo test -q --offline --manifest-path crates/bench/src/bin/e2e/Cargo.toml
-git diff --quiet HEAD -- BENCHMARK.json crates/bench/src/bin/e2e
+cargo build --release --offline --locked --manifest-path crates/bench/src/bin/e2e/Cargo.toml
+cargo test -q --offline --locked --manifest-path crates/bench/src/bin/e2e/Cargo.toml
+git diff --exit-code --stat HEAD -- BENCHMARK.json crates/bench/src/bin/e2e
 
 if [[ "${CI_NIGHTLY:-0}" == "1" ]]; then
     echo "== nightly: deep simtest sweep"

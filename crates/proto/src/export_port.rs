@@ -393,16 +393,16 @@ impl ExportPort {
                     }
                     return Ok((ExportAction::BufferAndSend { request: req.id }, Some(pos)));
                 }
-                // Property 1 check: an export strictly between the known
-                // match and the region's request (for REGL) contradicts the
-                // fast process's complete view of the export sequence.
-                if t > m && req.region.contains(t) && t <= req.region.request() {
+                // Property 1 check: the deciding process exported `m`, so
+                // every process does. The help stays open only while this
+                // one has not reached `m`, so an export past `m` means this
+                // process stepped over the match.
+                if t > m && self.history.latest().is_none_or(|l| l < m) {
                     return Err(PortError::CollectiveViolation {
                         request: req.id,
                         detail: format!(
-                            "export {t} is in the acceptable region and beats the \
-                             buddy-help match {m}, but all processes export the \
-                             same sequence"
+                            "export {t} steps over the buddy-help match {m}, \
+                             but all processes export the same sequence"
                         ),
                     });
                 }
@@ -1021,6 +1021,29 @@ mod tests {
         // fast process (whose history is complete up to 20) said 18.0.
         let err = p.on_export(ts(19.0)).unwrap_err();
         assert!(matches!(err, PortError::CollectiveViolation { .. }));
+    }
+
+    /// A rank that steps over its help match outside the region: export
+    /// 16.6, answer request 20 PENDING, learn `Match(19.6)`, skip 18.9,
+    /// then export 20.1. Its peers exported 19.6, so this is a violation,
+    /// not an export to buffer while the request waits forever.
+    #[test]
+    fn export_stepping_over_known_match_is_violation() {
+        let mut p = regl_port(2.5);
+        p.on_export(ts(16.6)).unwrap();
+        let fx = p.on_request(RequestId(0), ts(20.0)).unwrap();
+        assert!(matches!(fx.response, ProcResponse::Pending { .. }));
+        p.on_buddy_help(RequestId(0), RepAnswer::Match(ts(19.6)))
+            .unwrap();
+        assert_eq!(
+            p.on_export(ts(18.9)).unwrap().action,
+            Some(ExportAction::Skip)
+        );
+        let err = p.on_export(ts(20.1)).unwrap_err();
+        assert!(
+            matches!(err, PortError::CollectiveViolation { request, .. } if request == RequestId(0)),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use export_port::{
 };
 pub use ids::{ConnectionId, ProgramId, Rank, RequestId};
 pub use import_port::{ImportError, ImportPort, ImportState};
-pub use messages::{CtrlMsg, ProcResponse, RepAnswer};
+pub use messages::{CtrlMsg, ProcResponse, RepAnswer, TreeRole};
 pub use multi::{MultiExport, MultiExportEffects};
 pub use rep::{ExporterRep, ImporterRep, RepError};
 pub use stats::ExportStats;

@@ -87,6 +87,16 @@ impl fmt::Display for RepAnswer {
     }
 }
 
+/// The one collective a [`CtrlMsg::Coalesced`] tree frame carries. The
+/// discriminant is the frame's role byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum TreeRole {
+    /// The importer rep's answer broadcast ([`CtrlMsg::AnswerBcast`]).
+    Bcast = 1,
+    /// The exporter rep's buddy-help ([`CtrlMsg::BuddyHelp`]).
+    Help = 2,
+}
+
 /// Control-plane messages. The comments give the paper's §4 flow:
 /// importer rep → exporter rep → exporter processes → exporter rep →
 /// (importer rep, plus buddy-help back to the slow exporter processes).
@@ -158,12 +168,11 @@ pub enum CtrlMsg {
         /// The final answer.
         answer: RepAnswer,
     },
-    /// A coalesced collective frame routed down the k-ary distribution
-    /// tree (hierarchical fan-out): the importer-side answer broadcast
-    /// and/or the buddy-help announcements for one match, folded into a
-    /// single message. Each receiving rank applies the roles it plays and
-    /// relays the frame unchanged to its own subtree, so the rep sends at
-    /// most `k` frames per collective instead of one per rank.
+    /// A collective frame routed down the k-ary distribution tree
+    /// (hierarchical fan-out): the importer-side answer broadcast or the
+    /// buddy-help announcement for one match. Each receiving rank applies
+    /// it and relays the frame unchanged to its own subtree, so the rep
+    /// sends at most `k` frames per collective instead of one per rank.
     Coalesced {
         /// Connection.
         conn: ConnectionId,
@@ -171,10 +180,8 @@ pub enum CtrlMsg {
         req: RequestId,
         /// The final answer.
         answer: RepAnswer,
-        /// Apply as the importer rep's answer broadcast ([`CtrlMsg::AnswerBcast`]).
-        bcast: bool,
-        /// Apply as the exporter rep's buddy-help ([`CtrlMsg::BuddyHelp`]).
-        help: bool,
+        /// Which collective the frame carries.
+        role: TreeRole,
     },
     /// Reliability-layer acknowledgement of the sequenced message `seq` on
     /// the directed link back to its sender. Idempotent: duplicated or

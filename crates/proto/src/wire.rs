@@ -16,21 +16,31 @@
 //! body    len bytes
 //! ```
 //!
-//! Bodies are little-endian with one leading tag byte per enum. Timestamps
-//! travel as raw `f64` bits and are re-validated on decode (NaN/infinite
-//! bits are a [`WireError::Malformed`], never a panic). Decoding never
-//! trusts length fields beyond [`MAX_BODY`] and never indexes past the
-//! received bytes: every malformed input maps to a typed [`WireError`].
+//! Bodies are little-endian. Every body is declared once through the
+//! [`Wire`] trait: a struct is its fields in order
+//! ([`wire_struct!`](crate::wire_struct)), an enum is an explicit tag byte
+//! then the variant's fields ([`wire_enum!`](crate::wire_enum)), a tuple is
+//! its elements, an `Option` a presence byte then the value, a
+//! `Vec` a `u32` count then the elements. [`frame`] writes a value into a
+//! frame in place and [`decode`] reads a body back, refusing trailing
+//! bytes. Timestamps travel as raw `f64` bits and are re-validated on
+//! decode (NaN/infinite bits are a [`WireError::Malformed`], never a
+//! panic). Decoding never trusts length fields beyond [`MAX_BODY`] or the
+//! bytes left, and never indexes past the received bytes: every malformed
+//! input maps to a typed [`WireError`].
 //!
-//! The protocol crate defines bodies for control messages
-//! ([`encode_ctrl`]/[`decode_ctrl`], frame kind [`KIND_CTRL`]) and data
-//! pieces ([`encode_payload`]/[`decode_payload`], kind [`KIND_PAYLOAD`]).
-//! The runtime builds its bootstrap/session envelopes out of the same
-//! primitives ([`BodyWriter`]/[`BodyReader`]) with kind bytes at or above
+//! This crate declares the control messages (frame kind [`KIND_CTRL`];
+//! [`encode_ctrl`] / [`decode_ctrl`] are the body-only wrappers) and the
+//! trace and statistics records; data pieces have their own bulk codec
+//! ([`encode_payload`] / [`decode_payload`], kind [`KIND_PAYLOAD`]). The
+//! runtime declares its envelopes, journal records and bootstrap frames
+//! through the same trait, with kind bytes at or above
 //! [`KIND_RUNTIME_BASE`].
 
 use crate::ids::{ConnectionId, Rank, RequestId};
-use crate::messages::{CtrlMsg, ProcResponse, RepAnswer};
+use crate::messages::{CtrlMsg, ProcResponse, RepAnswer, TreeRole};
+use crate::stats::ExportStats;
+use crate::trace::{Trace, TraceEvent};
 use couplink_time::Timestamp;
 use std::fmt;
 
@@ -393,6 +403,31 @@ impl BodyWriter {
         self.buf.extend_from_slice(b);
     }
 
+    /// Appends a whole `f64` slice as little-endian bit patterns in one
+    /// bulk copy (the wire byte order *is* the in-memory order on
+    /// little-endian targets; big-endian targets fall back per element).
+    pub fn f64_slice(&mut self, data: &[f64]) {
+        #[cfg(target_endian = "little")]
+        {
+            // SAFETY: every f64 is 8 plain bytes with no padding or
+            // invalid representations; on little-endian targets those
+            // bytes are exactly the wire encoding.
+            let bytes = unsafe {
+                std::slice::from_raw_parts(data.as_ptr().cast::<u8>(), std::mem::size_of_val(data))
+            };
+            self.buf.extend_from_slice(bytes);
+        }
+        #[cfg(not(target_endian = "little"))]
+        for &v in data {
+            self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+    }
+
+    /// Reserves room for at least `n` more bytes.
+    pub fn reserve(&mut self, n: usize) {
+        self.buf.reserve(n);
+    }
+
     /// The finished body.
     pub fn into_body(self) -> Vec<u8> {
         self.buf
@@ -505,13 +540,15 @@ pub fn encode_frame_into(kind: u8, body: &[u8], out: &mut Vec<u8>) {
 /// Builds a complete frame *in place*: the body is written directly after
 /// a reserved header region in one buffer, and [`finish`](Self::finish)
 /// back-fills the envelope — no header+body concatenation copy, and the
-/// buffer can come from (and return to) a transport pool.
+/// buffer can come from (and return to) a transport pool. The body is
+/// appended through the [`BodyWriter`] it derefs to.
 ///
 /// Byte-for-byte identical output to `encode_frame(kind, &body)`.
 #[derive(Debug)]
 pub struct FrameWriter {
     kind: u8,
-    buf: Vec<u8>,
+    /// Header placeholder, then the body.
+    out: BodyWriter,
 }
 
 impl FrameWriter {
@@ -531,82 +568,38 @@ impl FrameWriter {
     pub fn with_buffer(kind: u8, mut buf: Vec<u8>) -> Self {
         buf.clear();
         buf.resize(HEADER_LEN, 0);
-        FrameWriter { kind, buf }
-    }
-
-    /// Reserves room for at least `body_bytes` more body bytes.
-    pub fn reserve(&mut self, body_bytes: usize) {
-        self.buf.reserve(body_bytes);
-    }
-
-    /// Appends one body byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a `u32`, little-endian.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64`, little-endian.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` as its raw bit pattern, little-endian.
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Appends a length-prefixed UTF-8 string (u32 length).
-    pub fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Appends raw bytes (caller handles any length prefix).
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-
-    /// Appends a whole `f64` slice as little-endian bit patterns in one
-    /// bulk copy (the wire byte order *is* the in-memory order on
-    /// little-endian targets; big-endian targets fall back per element).
-    pub fn f64_slice(&mut self, data: &[f64]) {
-        #[cfg(target_endian = "little")]
-        {
-            // SAFETY: every f64 is 8 plain bytes with no padding or
-            // invalid representations; on little-endian targets those
-            // bytes are exactly the wire encoding.
-            let bytes = unsafe {
-                std::slice::from_raw_parts(data.as_ptr().cast::<u8>(), std::mem::size_of_val(data))
-            };
-            self.buf.extend_from_slice(bytes);
+        FrameWriter {
+            kind,
+            out: BodyWriter { buf },
         }
-        #[cfg(not(target_endian = "little"))]
-        for &v in data {
-            self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-    }
-
-    /// Body bytes written so far.
-    pub fn body_len(&self) -> usize {
-        self.buf.len() - HEADER_LEN
     }
 
     /// Back-fills the header (magic, version, kind, length, body CRC) and
     /// returns the complete frame.
-    pub fn finish(mut self) -> Vec<u8> {
-        let body_len = self.buf.len() - HEADER_LEN;
+    pub fn finish(self) -> Vec<u8> {
+        let mut buf = self.out.buf;
+        let body_len = buf.len() - HEADER_LEN;
         debug_assert!(body_len <= MAX_BODY as usize, "frame body over MAX_BODY");
-        let crc = crc32(&self.buf[HEADER_LEN..]);
-        self.buf[0..2].copy_from_slice(&MAGIC.to_le_bytes());
-        self.buf[2] = WIRE_VERSION;
-        self.buf[3] = self.kind;
-        self.buf[4..8].copy_from_slice(&(body_len as u32).to_le_bytes());
-        self.buf[8..12].copy_from_slice(&crc.to_le_bytes());
-        self.buf
+        let crc = crc32(&buf[HEADER_LEN..]);
+        buf[0..2].copy_from_slice(&MAGIC.to_le_bytes());
+        buf[2] = WIRE_VERSION;
+        buf[3] = self.kind;
+        buf[4..8].copy_from_slice(&(body_len as u32).to_le_bytes());
+        buf[8..12].copy_from_slice(&crc.to_le_bytes());
+        buf
+    }
+}
+
+impl std::ops::Deref for FrameWriter {
+    type Target = BodyWriter;
+    fn deref(&self) -> &BodyWriter {
+        &self.out
+    }
+}
+
+impl std::ops::DerefMut for FrameWriter {
+    fn deref_mut(&mut self) -> &mut BodyWriter {
+        &mut self.out
     }
 }
 
@@ -795,222 +788,320 @@ impl FrameDecoder {
 }
 
 // ---------------------------------------------------------------------------
-// CtrlMsg body codec.
+// The `Wire` trait: every frame body declared once.
 // ---------------------------------------------------------------------------
 
-const TAG_IMPORT_CALL: u8 = 1;
-const TAG_IMPORT_REQUEST: u8 = 2;
-const TAG_FORWARD_REQUEST: u8 = 3;
-const TAG_RESPONSE: u8 = 4;
-const TAG_BUDDY_HELP: u8 = 5;
-const TAG_ANSWER: u8 = 6;
-const TAG_ANSWER_BCAST: u8 = 7;
-const TAG_ACK: u8 = 8;
-// Tag 9 is reserved: `decode_ctrl` rejects it as `BadTag`.
-const TAG_COALESCED: u8 = 10;
-
-const TAG_RESP_MATCH: u8 = 1;
-const TAG_RESP_NO_MATCH: u8 = 2;
-const TAG_RESP_PENDING_NONE: u8 = 3;
-const TAG_RESP_PENDING_SOME: u8 = 4;
-
-const TAG_ANS_MATCH: u8 = 1;
-const TAG_ANS_NO_MATCH: u8 = 2;
-
-fn put_answer(w: &mut BodyWriter, a: RepAnswer) {
-    match a {
-        RepAnswer::Match(t) => {
-            w.u8(TAG_ANS_MATCH);
-            w.f64(t.value());
-        }
-        RepAnswer::NoMatch => w.u8(TAG_ANS_NO_MATCH),
-    }
+/// A value with one wire form on [`BodyWriter`] / [`BodyReader`]: `put`
+/// appends it, `take` reads it back — bounds-checked, a typed
+/// [`WireError`] on hostile input, never a panic. Every body on the wire
+/// (control messages, envelopes, journal records, plan and report) is a
+/// field list over these impls, so no encoder can drift from its decoder.
+///
+/// Structs are declared with [`wire_struct!`](crate::wire_struct) (fields
+/// in order), enums with [`wire_enum!`](crate::wire_enum) (an explicit tag
+/// byte, then the variant's fields), and tuples are their elements in
+/// order.
+pub trait Wire: Sized {
+    /// Appends the value.
+    fn put(&self, w: &mut BodyWriter);
+    /// Reads one value.
+    fn take(r: &mut BodyReader<'_>) -> Result<Self, WireError>;
 }
 
-fn take_answer(r: &mut BodyReader<'_>) -> Result<RepAnswer, WireError> {
-    match r.u8()? {
-        TAG_ANS_MATCH => Ok(RepAnswer::Match(r.timestamp()?)),
-        TAG_ANS_NO_MATCH => Ok(RepAnswer::NoMatch),
-        tag => Err(WireError::BadTag {
-            what: "rep answer",
-            tag,
-        }),
-    }
+/// Builds one complete frame of `kind` whose body is `value`, written in
+/// place after the reserved header. The 64 body bytes reserved up front
+/// hold any control envelope; larger bodies grow the buffer.
+pub fn frame<T: Wire>(kind: u8, value: &T) -> Vec<u8> {
+    let mut w = FrameWriter::with_capacity(kind, 64);
+    value.put(&mut w);
+    w.finish()
 }
 
-fn put_response(w: &mut BodyWriter, resp: ProcResponse) {
-    match resp {
-        ProcResponse::Match(t) => {
-            w.u8(TAG_RESP_MATCH);
-            w.f64(t.value());
-        }
-        ProcResponse::NoMatch => w.u8(TAG_RESP_NO_MATCH),
-        ProcResponse::Pending { latest: None } => w.u8(TAG_RESP_PENDING_NONE),
-        ProcResponse::Pending { latest: Some(t) } => {
-            w.u8(TAG_RESP_PENDING_SOME);
-            w.f64(t.value());
-        }
-    }
-}
-
-fn take_response(r: &mut BodyReader<'_>) -> Result<ProcResponse, WireError> {
-    match r.u8()? {
-        TAG_RESP_MATCH => Ok(ProcResponse::Match(r.timestamp()?)),
-        TAG_RESP_NO_MATCH => Ok(ProcResponse::NoMatch),
-        TAG_RESP_PENDING_NONE => Ok(ProcResponse::Pending { latest: None }),
-        TAG_RESP_PENDING_SOME => Ok(ProcResponse::Pending {
-            latest: Some(r.timestamp()?),
-        }),
-        tag => Err(WireError::BadTag {
-            what: "proc response",
-            tag,
-        }),
-    }
+/// Decodes a body that is exactly one `T` (trailing bytes are refused).
+pub fn decode<T: Wire>(body: &[u8]) -> Result<T, WireError> {
+    let mut r = BodyReader::new(body);
+    let value = T::take(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
 /// Encodes a control message into a frame body (no envelope).
 pub fn encode_ctrl(msg: &CtrlMsg) -> Vec<u8> {
     let mut w = BodyWriter::with_capacity(32);
-    match *msg {
-        CtrlMsg::ImportCall { conn, rank, ts } => {
-            w.u8(TAG_IMPORT_CALL);
-            w.u32(conn.0);
-            w.u32(rank.0);
-            w.f64(ts.value());
-        }
-        CtrlMsg::ImportRequest { conn, req, ts } => {
-            w.u8(TAG_IMPORT_REQUEST);
-            w.u32(conn.0);
-            w.u64(req.0);
-            w.f64(ts.value());
-        }
-        CtrlMsg::ForwardRequest { conn, req, ts } => {
-            w.u8(TAG_FORWARD_REQUEST);
-            w.u32(conn.0);
-            w.u64(req.0);
-            w.f64(ts.value());
-        }
-        CtrlMsg::Response {
-            conn,
-            req,
-            rank,
-            resp,
-        } => {
-            w.u8(TAG_RESPONSE);
-            w.u32(conn.0);
-            w.u64(req.0);
-            w.u32(rank.0);
-            put_response(&mut w, resp);
-        }
-        CtrlMsg::BuddyHelp { conn, req, answer } => {
-            w.u8(TAG_BUDDY_HELP);
-            w.u32(conn.0);
-            w.u64(req.0);
-            put_answer(&mut w, answer);
-        }
-        CtrlMsg::Answer { conn, req, answer } => {
-            w.u8(TAG_ANSWER);
-            w.u32(conn.0);
-            w.u64(req.0);
-            put_answer(&mut w, answer);
-        }
-        CtrlMsg::AnswerBcast { conn, req, answer } => {
-            w.u8(TAG_ANSWER_BCAST);
-            w.u32(conn.0);
-            w.u64(req.0);
-            put_answer(&mut w, answer);
-        }
-        CtrlMsg::Coalesced {
-            conn,
-            req,
-            answer,
-            bcast,
-            help,
-        } => {
-            w.u8(TAG_COALESCED);
-            w.u32(conn.0);
-            w.u64(req.0);
-            put_answer(&mut w, answer);
-            w.u8(u8::from(bcast) | (u8::from(help) << 1));
-        }
-        CtrlMsg::Ack { seq } => {
-            w.u8(TAG_ACK);
-            w.u64(seq);
-        }
-    }
+    msg.put(&mut w);
     w.into_body()
 }
 
 /// Decodes a control message from a frame body produced by
 /// [`encode_ctrl`]. Trailing bytes are rejected.
 pub fn decode_ctrl(body: &[u8]) -> Result<CtrlMsg, WireError> {
-    let mut r = BodyReader::new(body);
-    let msg = match r.u8()? {
-        TAG_IMPORT_CALL => CtrlMsg::ImportCall {
-            conn: ConnectionId(r.u32()?),
-            rank: Rank(r.u32()?),
-            ts: r.timestamp()?,
-        },
-        TAG_IMPORT_REQUEST => CtrlMsg::ImportRequest {
-            conn: ConnectionId(r.u32()?),
-            req: RequestId(r.u64()?),
-            ts: r.timestamp()?,
-        },
-        TAG_FORWARD_REQUEST => CtrlMsg::ForwardRequest {
-            conn: ConnectionId(r.u32()?),
-            req: RequestId(r.u64()?),
-            ts: r.timestamp()?,
-        },
-        TAG_RESPONSE => CtrlMsg::Response {
-            conn: ConnectionId(r.u32()?),
-            req: RequestId(r.u64()?),
-            rank: Rank(r.u32()?),
-            resp: take_response(&mut r)?,
-        },
-        TAG_BUDDY_HELP => CtrlMsg::BuddyHelp {
-            conn: ConnectionId(r.u32()?),
-            req: RequestId(r.u64()?),
-            answer: take_answer(&mut r)?,
-        },
-        TAG_ANSWER => CtrlMsg::Answer {
-            conn: ConnectionId(r.u32()?),
-            req: RequestId(r.u64()?),
-            answer: take_answer(&mut r)?,
-        },
-        TAG_ANSWER_BCAST => CtrlMsg::AnswerBcast {
-            conn: ConnectionId(r.u32()?),
-            req: RequestId(r.u64()?),
-            answer: take_answer(&mut r)?,
-        },
-        TAG_COALESCED => {
-            let conn = ConnectionId(r.u32()?);
-            let req = RequestId(r.u64()?);
-            let answer = take_answer(&mut r)?;
-            let roles = r.u8()?;
-            if roles == 0 || roles > 3 {
-                return Err(WireError::BadTag {
-                    what: "coalesced roles",
-                    tag: roles,
-                });
+    decode(body)
+}
+
+macro_rules! wire_prim {
+    ($($ty:ident),*) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut BodyWriter) {
+                w.$ty(*self);
             }
-            CtrlMsg::Coalesced {
-                conn,
-                req,
-                answer,
-                bcast: roles & 1 != 0,
-                help: roles & 2 != 0,
+            fn take(r: &mut BodyReader<'_>) -> Result<Self, WireError> {
+                r.$ty()
             }
         }
-        TAG_ACK => CtrlMsg::Ack { seq: r.u64()? },
-        tag => {
-            return Err(WireError::BadTag {
-                what: "ctrl message",
-                tag,
-            })
+    )*};
+}
+wire_prim!(u8, u32, u64, f64);
+
+impl Wire for usize {
+    fn put(&self, w: &mut BodyWriter) {
+        w.u64(*self as u64);
+    }
+    fn take(r: &mut BodyReader<'_>) -> Result<Self, WireError> {
+        usize::try_from(r.u64()?).map_err(|_| WireError::Malformed { what: "usize" })
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, w: &mut BodyWriter) {
+        w.u8(*self as u8);
+    }
+    fn take(r: &mut BodyReader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(WireError::BadTag { what: "bool", tag }),
+        }
+    }
+}
+
+impl Wire for String {
+    fn put(&self, w: &mut BodyWriter) {
+        w.str(self);
+    }
+    fn take(r: &mut BodyReader<'_>) -> Result<Self, WireError> {
+        Ok(r.str()?.to_string())
+    }
+}
+
+impl Wire for Timestamp {
+    fn put(&self, w: &mut BodyWriter) {
+        w.f64(self.value());
+    }
+    fn take(r: &mut BodyReader<'_>) -> Result<Self, WireError> {
+        r.timestamp()
+    }
+}
+
+/// A presence byte (a `bool`), then the value if present.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut BodyWriter) {
+        self.is_some().put(w);
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn take(r: &mut BodyReader<'_>) -> Result<Self, WireError> {
+        Ok(if bool::take(r)? {
+            Some(T::take(r)?)
+        } else {
+            None
+        })
+    }
+}
+
+/// The clamp rule: every element occupies at least one body byte, so a
+/// count beyond the bytes left is a lie — reserve no more than that and
+/// let the element reads run into [`WireError::Truncated`].
+fn clamped_capacity(count: usize, r: &BodyReader<'_>) -> usize {
+    count.min(r.remaining())
+}
+
+/// A `u32` element count, then the elements.
+fn put_slice<T: Wire>(items: &[T], w: &mut BodyWriter) {
+    w.u32(items.len() as u32);
+    for item in items {
+        item.put(w);
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut BodyWriter) {
+        put_slice(self, w);
+    }
+    fn take(r: &mut BodyReader<'_>) -> Result<Self, WireError> {
+        let count = r.u32()? as usize;
+        let mut items = Vec::with_capacity(clamped_capacity(count, r));
+        for _ in 0..count {
+            items.push(T::take(r)?);
+        }
+        Ok(items)
+    }
+}
+
+macro_rules! wire_tuple {
+    ($($t:ident),+) => {
+        #[allow(non_snake_case)]
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            fn put(&self, w: &mut BodyWriter) {
+                let ($($t,)+) = self;
+                $($t.put(w);)+
+            }
+            fn take(r: &mut BodyReader<'_>) -> Result<Self, WireError> {
+                Ok(($($t::take(r)?,)+))
+            }
         }
     };
-    r.finish()?;
-    Ok(msg)
+}
+wire_tuple!(A, B);
+wire_tuple!(A, B, C);
+wire_tuple!(A, B, C, D);
+wire_tuple!(A, B, C, D, E, F);
+
+/// Declares a struct's [`Wire`] form: its fields in the listed order.
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            fn put(&self, w: &mut $crate::wire::BodyWriter) {
+                $($crate::wire::Wire::put(&self.$field, w);)*
+            }
+            fn take(
+                r: &mut $crate::wire::BodyReader<'_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                $(let $field = $crate::wire::Wire::take(r)?;)*
+                Ok($ty { $($field),* })
+            }
+        }
+    };
+}
+
+/// Declares an enum's [`Wire`] form: a tag byte, then the variant's fields
+/// in the listed order. Any other tag is [`WireError::BadTag`] naming
+/// `$what`.
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident, $what:literal {
+        $($tag:literal => $variant:ident $({ $($f:ident),* })? $(( $($t:ident),* ))?,)*
+    }) => {
+        impl $crate::wire::Wire for $ty {
+            fn put(&self, w: &mut $crate::wire::BodyWriter) {
+                match self {
+                    $($ty::$variant $({ $($f),* })? $(( $($t),* ))? => {
+                        w.u8($tag);
+                        $($($crate::wire::Wire::put($f, w);)*)?
+                        $($($crate::wire::Wire::put($t, w);)*)?
+                    })*
+                }
+            }
+            fn take(
+                r: &mut $crate::wire::BodyReader<'_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                match r.u8()? {
+                    $($tag => {
+                        $($(let $f = $crate::wire::Wire::take(r)?;)*)?
+                        $($(let $t = $crate::wire::Wire::take(r)?;)*)?
+                        Ok($ty::$variant $({ $($f),* })? $(( $($t),* ))?)
+                    })*
+                    tag => Err($crate::wire::WireError::BadTag { what: $what, tag }),
+                }
+            }
+        }
+    };
+}
+
+macro_rules! wire_newtype {
+    ($($ty:ident),*) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut BodyWriter) {
+                self.0.put(w);
+            }
+            fn take(r: &mut BodyReader<'_>) -> Result<Self, WireError> {
+                Wire::take(r).map($ty)
+            }
+        }
+    )*};
+}
+wire_newtype!(ConnectionId, Rank, RequestId);
+
+wire_enum!(CtrlMsg, "ctrl message" {
+    1 => ImportCall { conn, rank, ts },
+    2 => ImportRequest { conn, req, ts },
+    3 => ForwardRequest { conn, req, ts },
+    4 => Response { conn, req, rank, resp },
+    5 => BuddyHelp { conn, req, answer },
+    6 => Answer { conn, req, answer },
+    7 => AnswerBcast { conn, req, answer },
+    8 => Ack { seq },
+    // Tag 9 is reserved: it decodes as `BadTag`.
+    10 => Coalesced { conn, req, answer, role },
+});
+wire_enum!(TreeRole, "coalesced roles" {
+    1 => Bcast,
+    2 => Help,
+});
+wire_enum!(RepAnswer, "rep answer" {
+    1 => Match(m),
+    2 => NoMatch,
+});
+
+/// The one form that is not a field list: a PENDING reply folds its
+/// `latest` option into the tag (3 without, 4 with a timestamp).
+impl Wire for ProcResponse {
+    fn put(&self, w: &mut BodyWriter) {
+        match *self {
+            ProcResponse::Match(t) => (1u8, t).put(w),
+            ProcResponse::NoMatch => w.u8(2),
+            ProcResponse::Pending { latest: None } => w.u8(3),
+            ProcResponse::Pending { latest: Some(t) } => (4u8, t).put(w),
+        }
+    }
+    fn take(r: &mut BodyReader<'_>) -> Result<Self, WireError> {
+        Ok(match r.u8()? {
+            1 => ProcResponse::Match(r.timestamp()?),
+            2 => ProcResponse::NoMatch,
+            3 => ProcResponse::Pending { latest: None },
+            4 => ProcResponse::Pending {
+                latest: Some(r.timestamp()?),
+            },
+            tag => {
+                return Err(WireError::BadTag {
+                    what: "proc response",
+                    tag,
+                })
+            }
+        })
+    }
+}
+
+wire_struct!(ExportStats {
+    requests,
+    exports,
+    memcpys,
+    skips,
+    sends,
+    freed_sent,
+    freed_unsent,
+    buddy_helps,
+    buffered_hwm,
+    buffer_full_stalls,
+    unnecessary_by_request,
+    unnecessary_inter_region
+});
+wire_enum!(TraceEvent, "trace event" {
+    1 => Export { t, copied },
+    2 => Request { x, reply },
+    3 => BuddyHelp { x, answer },
+    4 => Remove { freed },
+    5 => Send { m },
+});
+
+impl Wire for Trace {
+    fn put(&self, w: &mut BodyWriter) {
+        put_slice(self.events(), w);
+    }
+    fn take(r: &mut BodyReader<'_>) -> Result<Self, WireError> {
+        Ok(Trace::from_events(Wire::take(r)?))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1031,14 +1122,12 @@ pub struct WireRect {
     pub cols: u64,
 }
 
-fn take_rect(r: &mut BodyReader<'_>) -> Result<WireRect, WireError> {
-    Ok(WireRect {
-        row0: r.u64()?,
-        col0: r.u64()?,
-        rows: r.u64()?,
-        cols: r.u64()?,
-    })
-}
+wire_struct!(WireRect {
+    row0,
+    col0,
+    rows,
+    cols
+});
 
 /// One matched data piece on the wire: the transfer rectangle, the
 /// exporter-owned rectangle the flat `data` spans (row-major,
@@ -1088,18 +1177,7 @@ pub fn encode_payload_with(
 ) -> Vec<u8> {
     let mut w = FrameWriter::with_buffer(KIND_PAYLOAD, buf);
     w.reserve(8 + 8 * 8 + 8 + 8 + 8 * data.len());
-    w.u32(conn.0);
-    w.u32(dst.0);
-    w.u64(req.0);
-    w.u64(rect.row0);
-    w.u64(rect.col0);
-    w.u64(rect.rows);
-    w.u64(rect.cols);
-    w.u64(owned.row0);
-    w.u64(owned.col0);
-    w.u64(owned.rows);
-    w.u64(owned.cols);
-    w.u64(data.len() as u64);
+    (conn, dst, req, rect, owned, data.len()).put(&mut w);
     w.f64_slice(data);
     w.finish()
 }
@@ -1108,12 +1186,8 @@ pub fn encode_payload_with(
 /// either its own length prefix or the owned rectangle's area.
 pub fn decode_payload(body: &[u8]) -> Result<PayloadFrame, WireError> {
     let mut r = BodyReader::new(body);
-    let conn = ConnectionId(r.u32()?);
-    let dst = Rank(r.u32()?);
-    let req = RequestId(r.u64()?);
-    let rect = take_rect(&mut r)?;
-    let owned = take_rect(&mut r)?;
-    let n = r.u64()?;
+    let (conn, dst, req, rect, owned, n): (ConnectionId, Rank, RequestId, WireRect, WireRect, u64) =
+        Wire::take(&mut r)?;
     if n != owned.rows.saturating_mul(owned.cols) {
         return Err(WireError::Malformed {
             what: "payload length vs owned rect",
@@ -1242,30 +1316,38 @@ mod tests {
 
     #[test]
     fn coalesced_frame_roundtrip_covers_every_role_combination() {
-        for (bcast, help) in [(true, false), (false, true), (true, true)] {
+        for role in [TreeRole::Bcast, TreeRole::Help] {
             let msg = CtrlMsg::Coalesced {
                 conn: ConnectionId(5),
                 req: RequestId(17),
                 answer: RepAnswer::Match(ts(19.6)),
-                bcast,
-                help,
+                role,
             };
             let frame = encode_frame(KIND_CTRL, &encode_ctrl(&msg));
             let mut dec = FrameDecoder::new();
             dec.extend(&frame);
             let got = dec.next_frame().expect("valid").expect("complete");
             assert_eq!(decode_ctrl(&got.body).expect("decodes"), msg);
+            assert_eq!(*got.body.last().expect("role byte"), role as u8);
         }
-        // A coalesced frame with no role is malformed, not silently empty.
+        // A frame carries exactly one role: no role, both roles (the old
+        // bit set) and anything above are unknown tags.
         let mut body = encode_ctrl(&CtrlMsg::Coalesced {
             conn: ConnectionId(0),
             req: RequestId(0),
             answer: RepAnswer::NoMatch,
-            bcast: true,
-            help: false,
+            role: TreeRole::Bcast,
         });
-        *body.last_mut().expect("roles byte") = 0;
-        assert!(decode_ctrl(&body).is_err());
+        for tag in [0, 3, 4, 0xFF] {
+            *body.last_mut().expect("role byte") = tag;
+            assert_eq!(
+                decode_ctrl(&body),
+                Err(WireError::BadTag {
+                    what: "coalesced roles",
+                    tag
+                })
+            );
+        }
     }
 
     #[test]
@@ -1443,5 +1525,21 @@ mod tests {
                 what: "payload length vs owned rect"
             })
         );
+    }
+
+    /// A hostile element count cannot size an allocation: the reservation
+    /// is clamped to the bytes actually left, and the reads then run dry.
+    #[test]
+    fn hostile_element_count_is_clamped_before_allocation() {
+        let mut body = u32::MAX.to_le_bytes().to_vec();
+        body.extend([0xAB; 12]);
+        assert_eq!(body.len(), 16);
+        let mut r = BodyReader::new(&body);
+        let count = r.u32().unwrap() as usize;
+        assert_eq!(clamped_capacity(count, &r), 12);
+        let got = decode::<Vec<u64>>(&body);
+        assert!(matches!(got, Err(WireError::Truncated)), "{got:?}");
+        let got = decode::<Vec<(usize, usize, u32, Trace)>>(&body);
+        assert!(matches!(got, Err(WireError::Truncated)), "{got:?}");
     }
 }

@@ -333,14 +333,13 @@ fn msg_bits(msg: &CtrlMsg) -> u64 {
             conn,
             req,
             answer,
-            bcast,
-            help,
+            role,
         } => mix(
             mix(
                 mix(10, ((conn.0 as u64) << 32) | req.0),
                 answer_bits(answer),
             ),
-            u64::from(bcast) | (u64::from(help) << 1),
+            role as u64,
         ),
     }
 }

@@ -42,7 +42,7 @@ pub use topology::{
 
 use couplink_metrics::CtrlClass;
 use couplink_proto::export_port::ExportAction;
-use couplink_proto::{ConnectionId, CtrlMsg, RequestId};
+use couplink_proto::{ConnectionId, CtrlMsg, RequestId, TreeRole};
 use couplink_time::Timestamp;
 
 /// Classifies a control message for instrumentation ([`CtrlClass`] lives in
@@ -56,11 +56,11 @@ pub fn ctrl_class(msg: &CtrlMsg) -> CtrlClass {
         CtrlMsg::BuddyHelp { .. } => CtrlClass::BuddyHelp,
         CtrlMsg::Answer { .. } => CtrlClass::Answer,
         CtrlMsg::AnswerBcast { .. } => CtrlClass::AnswerBcast,
-        // A coalesced tree frame is classed by its dominant role: the
-        // importer-side answer broadcast when present, otherwise the folded
-        // buddy-help announcement.
-        CtrlMsg::Coalesced { bcast: true, .. } => CtrlClass::AnswerBcast,
-        CtrlMsg::Coalesced { .. } => CtrlClass::BuddyHelp,
+        // A coalesced tree frame is classed by the collective it carries.
+        CtrlMsg::Coalesced { role, .. } => match role {
+            TreeRole::Bcast => CtrlClass::AnswerBcast,
+            TreeRole::Help => CtrlClass::BuddyHelp,
+        },
         CtrlMsg::Ack { .. } => CtrlClass::Ack,
     }
 }
@@ -153,11 +153,15 @@ pub fn proc_side(msg: &CtrlMsg) -> Option<(ProcSide, ConnectionId)> {
         CtrlMsg::ForwardRequest { conn, .. }
         | CtrlMsg::BuddyHelp { conn, .. }
         | CtrlMsg::Coalesced {
-            conn, bcast: false, ..
+            conn,
+            role: TreeRole::Help,
+            ..
         } => Some((ProcSide::Export, conn)),
         CtrlMsg::AnswerBcast { conn, .. }
         | CtrlMsg::Coalesced {
-            conn, bcast: true, ..
+            conn,
+            role: TreeRole::Bcast,
+            ..
         } => Some((ProcSide::Import, conn)),
         _ => None,
     }

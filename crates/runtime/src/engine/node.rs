@@ -14,7 +14,7 @@ use super::{tree, CrashFault, Endpoint, Outgoing, WireMeta};
 use couplink_metrics::EngineMetrics;
 use couplink_proto::{
     CtrlMsg, ExportAction, ExportPort, ImportError, ImportPort, ImportState, MultiExport,
-    PortError, ProcResponse, Rank, RepAnswer, RepError, RequestId, Trace,
+    PortError, ProcResponse, Rank, RepAnswer, RepError, RequestId, Trace, TreeRole,
 };
 use couplink_time::Timestamp;
 use std::collections::HashMap;
@@ -367,8 +367,7 @@ impl ExportNode {
                 conn,
                 req,
                 answer,
-                bcast: false,
-                help: true,
+                role: TreeRole::Help,
             } => {
                 if self.fwd_seen.get(&conn).is_some_and(|&m| m >= req.0) {
                     self.on_buddy_help(conn, req, answer)?
@@ -559,8 +558,7 @@ impl RepNode {
                                 conn,
                                 req,
                                 answer,
-                                bcast: true,
-                                help: false,
+                                role: TreeRole::Bcast,
                             },
                         });
                     }
@@ -670,8 +668,7 @@ impl RepNode {
                             conn,
                             req,
                             answer,
-                            bcast: false,
-                            help: true,
+                            role: TreeRole::Help,
                         },
                     });
                 }
@@ -871,8 +868,7 @@ impl ImportNode {
                 conn,
                 req,
                 answer,
-                bcast: true,
-                ..
+                role: TreeRole::Bcast,
             } => {
                 self.on_answer(conn, req, answer)?;
                 let children = tree::children(self.rank, self.procs);
@@ -969,8 +965,7 @@ mod tests {
             conn: CONN,
             req: RequestId(0),
             answer: RepAnswer::Match(ts(1.0)),
-            bcast: false,
-            help: true,
+            role: TreeRole::Help,
         };
         let early = node.on_msg(help).expect("early help");
         assert_eq!(
@@ -1019,8 +1014,7 @@ mod tests {
             conn: CONN,
             req: RequestId(1),
             answer: RepAnswer::Match(ts(2.0)),
-            bcast: false,
-            help: true,
+            role: TreeRole::Help,
         };
         let on_time = node.on_msg(help1).expect("on-time help");
         assert_eq!(transfers(&on_time.msgs), 1);
@@ -1038,8 +1032,7 @@ mod tests {
             conn: CONN,
             req: RequestId(0),
             answer: RepAnswer::NoMatch,
-            bcast: true,
-            help: false,
+            role: TreeRole::Bcast,
         };
         for (rank, armed, expect) in [
             (0, false, vec![4, 5]),

@@ -63,7 +63,7 @@
 
 use super::{chaos, ctrl_class, ChaosConfig, Endpoint};
 use couplink_metrics::{CtrlClass, EngineMetrics};
-use couplink_proto::CtrlMsg;
+use couplink_proto::{CtrlMsg, TreeRole};
 use couplink_time::Timestamp;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -116,8 +116,7 @@ pub fn expendable(msg: &CtrlMsg) -> bool {
         msg,
         CtrlMsg::BuddyHelp { .. }
             | CtrlMsg::Coalesced {
-                help: true,
-                bcast: false,
+                role: TreeRole::Help,
                 ..
             }
     )
@@ -862,8 +861,7 @@ mod tests {
             conn: ConnectionId(0),
             req: RequestId(0),
             answer: RepAnswer::NoMatch,
-            bcast: false,
-            help: true,
+            role: TreeRole::Help,
         };
         let total_loss = ChaosConfig {
             loss_prob: 1.0,

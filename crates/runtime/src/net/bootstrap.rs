@@ -834,15 +834,16 @@ mod tests {
         (verdict, reply)
     }
 
-    /// PLAN and REPORT bytes changed with `RT_VERSION` 2, so a node built
-    /// at version 1 must be turned away at `HELLO`, with a `FATAL` telling
-    /// it why — before any frame whose layout it would misread.
+    /// REPORT bytes changed with `RT_VERSION` 3 (a trace's PENDING reply
+    /// takes the control-message form), so a node built at version 2 must
+    /// be turned away at `HELLO`, with a `FATAL` telling it why — before
+    /// any frame whose layout it would misread.
     #[test]
     fn hello_with_the_old_rt_version_is_refused_with_fatal() {
-        assert_eq!(codec::RT_VERSION, 2, "bump this test with the version");
+        assert_eq!(codec::RT_VERSION, 3, "bump this test with the version");
         let (verdict, reply) = hello_with_version(codec::RT_VERSION - 1);
         assert!(
-            matches!(verdict, Err(BootstrapError::VersionSkew { got: 1 })),
+            matches!(verdict, Err(BootstrapError::VersionSkew { got: 2 })),
             "{verdict:?}"
         );
         assert_eq!(

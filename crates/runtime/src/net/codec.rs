@@ -9,19 +9,20 @@
 //! sends home. All kinds live at [`wire::KIND_RUNTIME_BASE`] and above so
 //! they can never collide with the proto layer's own frames.
 //!
-//! Everything here is little-endian on [`BodyWriter`] / [`BodyReader`] —
-//! decoding is bounds-checked and returns typed [`WireError`]s, never
-//! panics, exactly like the layer below. The PLAN and REPORT records are
-//! declared once each, as a field list over the `Wire` trait.
+//! Every body here is declared once, through the proto layer's [`Wire`]
+//! trait: a field list ([`wire_struct!`] / [`wire_enum!`]) or a tuple, so
+//! each frame's encoder and decoder are the same list and decoding is
+//! bounds-checked, typed and panic-free exactly like the layer below. Two
+//! impls are written by hand: [`Endpoint`]'s nine bytes, and
+//! [`NodeReport`], whose counters travel as JSON.
 
 use std::collections::HashMap;
 
 use couplink_config::parse;
 use couplink_layout::{Decomposition, Extent2, Rect};
 use couplink_metrics::{json, CounterSnapshot};
-use couplink_proto::wire::{self as wire, BodyReader, BodyWriter, WireError, WireRect};
-use couplink_proto::{CtrlMsg, ExportStats, ProcResponse, RepAnswer, Trace, TraceEvent};
-use couplink_time::Timestamp;
+use couplink_proto::wire::{self as wire, BodyReader, BodyWriter, Wire, WireError, WireRect};
+use couplink_proto::{wire_enum, wire_struct, CtrlMsg, ExportStats, Trace};
 
 use crate::engine::{ChaosConfig, ConnTopo, CrashFault, CrashTarget, Endpoint, Topology, WireMeta};
 
@@ -29,7 +30,7 @@ use super::node::NODE_BUFFER_CAPACITY;
 
 /// Version of the runtime envelope protocol (checked in both handshakes,
 /// independently of the frame-container version below it).
-pub const RT_VERSION: u32 = 2;
+pub const RT_VERSION: u32 = 3;
 
 const BASE: u8 = wire::KIND_RUNTIME_BASE;
 /// Child → parent: first frame on the bootstrap link.
@@ -293,47 +294,43 @@ pub struct NodeReport {
 /// Encodes the bootstrap (or, with [`KIND_MESH_HELLO`], mesh) hello. Its
 /// layout never changes with [`RT_VERSION`]: skew must stay detectable.
 pub fn encode_hello(kind: u8, token: &str, prog: usize) -> Vec<u8> {
-    frame(kind, |w| {
-        w.u32(RT_VERSION);
-        w.str(token);
-        w.u32(prog as u32);
-    })
+    wire::frame(kind, &(RT_VERSION, token.to_string(), prog as u32))
 }
 
 /// Decodes a hello body into `(version, token, claimed program)`.
 pub fn decode_hello(body: &[u8]) -> Result<(u32, String, usize), WireError> {
-    let (version, token, prog): (u32, String, u32) = decode_record(body)?;
+    let (version, token, prog): (u32, String, u32) = wire::decode(body)?;
     Ok((version, token, prog as usize))
 }
 
 /// Encodes a fatal-error frame.
 pub fn encode_fatal(reason: &str) -> Vec<u8> {
-    frame(KIND_FATAL, |w| w.str(reason))
+    wire::frame(KIND_FATAL, &reason.to_string())
 }
 
 /// Decodes a fatal-error body.
 pub fn decode_fatal(body: &[u8]) -> Result<String, WireError> {
-    decode_record(body)
+    wire::decode(body)
 }
 
 /// Encodes a single-string frame (used by [`KIND_LISTENING`]).
 pub fn encode_listening(addr: &str) -> Vec<u8> {
-    frame(KIND_LISTENING, |w| w.str(addr))
+    wire::frame(KIND_LISTENING, &addr.to_string())
 }
 
 /// Decodes a [`KIND_LISTENING`] body.
 pub fn decode_listening(body: &[u8]) -> Result<String, WireError> {
-    decode_record(body)
+    wire::decode(body)
 }
 
 /// Encodes the peer address table, indexed by program.
 pub fn encode_peers(addrs: &[String]) -> Vec<u8> {
-    frame(KIND_PEERS, |w| put_slice(addrs, w))
+    wire::frame(KIND_PEERS, &addrs.to_vec())
 }
 
 /// Decodes a [`KIND_PEERS`] body.
 pub fn decode_peers(body: &[u8]) -> Result<Vec<String>, WireError> {
-    decode_record(body)
+    wire::decode(body)
 }
 
 /// Encodes a body-less frame ([`KIND_READY`], [`KIND_GO`],
@@ -344,111 +341,52 @@ pub fn encode_bare(kind: u8) -> Vec<u8> {
 
 // --- fabric traffic envelopes ---
 
-pub(crate) fn take_endpoint(r: &mut BodyReader) -> Result<Endpoint, WireError> {
-    let tag = r.u8()?;
-    let prog = r.u32()? as usize;
-    let rank = r.u32()? as usize;
-    match tag {
-        0 => Ok(Endpoint::Rep { prog }),
-        1 => Ok(Endpoint::Proc { prog, rank }),
-        t => Err(WireError::BadTag {
-            what: "endpoint",
-            tag: t,
-        }),
+/// A tag byte (0 rep, 1 process), the program and the rank (0 for a rep),
+/// all three always present: nine bytes.
+impl Wire for Endpoint {
+    fn put(&self, w: &mut BodyWriter) {
+        let (tag, prog, rank) = match *self {
+            Endpoint::Rep { prog } => (0u8, prog, 0),
+            Endpoint::Proc { prog, rank } => (1u8, prog, rank),
+        };
+        (tag, prog as u32, rank as u32).put(w);
+    }
+    fn take(r: &mut BodyReader) -> Result<Self, WireError> {
+        let (tag, prog, rank): (u8, u32, u32) = Wire::take(r)?;
+        let (prog, rank) = (prog as usize, rank as usize);
+        match tag {
+            0 => Ok(Endpoint::Rep { prog }),
+            1 => Ok(Endpoint::Proc { prog, rank }),
+            tag => Err(WireError::BadTag {
+                what: "endpoint",
+                tag,
+            }),
+        }
     }
 }
 
-pub(crate) fn put_endpoint_frame(w: &mut wire::FrameWriter, ep: Endpoint) {
-    match ep {
-        Endpoint::Rep { prog } => {
-            w.u8(0);
-            w.u32(prog as u32);
-            w.u32(0);
-        }
-        Endpoint::Proc { prog, rank } => {
-            w.u8(1);
-            w.u32(prog as u32);
-            w.u32(rank as u32);
-        }
-    }
-}
+wire_struct!(WireMeta { from, seq, ord });
 
 /// Encodes a routed control message for the wire: destination endpoint,
-/// optional reliability metadata, then the proto-layer `CtrlMsg` body —
-/// envelope and frame header built in one buffer, no concat copy.
+/// optional reliability metadata, then the proto-layer `CtrlMsg` body, all
+/// written into the frame in place.
 pub fn encode_ctrl_env(to: Endpoint, meta: Option<&WireMeta>, msg: &CtrlMsg) -> Vec<u8> {
-    let ctrl = wire::encode_ctrl(msg);
-    let mut w = wire::FrameWriter::with_capacity(KIND_CTRL, 32 + ctrl.len());
-    put_endpoint_frame(&mut w, to);
-    match meta {
-        None => w.u8(0),
-        Some(m) => {
-            w.u8(1);
-            put_endpoint_frame(&mut w, m.from);
-            w.u64(m.seq);
-            match m.ord {
-                None => w.u8(0),
-                Some(ord) => {
-                    w.u8(1);
-                    w.u64(ord);
-                }
-            }
-        }
-    }
-    w.bytes(&ctrl);
-    w.finish()
+    wire::frame(KIND_CTRL, &(to, meta.copied(), *msg))
 }
 
 /// Decodes a [`KIND_CTRL`] body.
 pub fn decode_ctrl_env(body: &[u8]) -> Result<(Endpoint, Option<WireMeta>, CtrlMsg), WireError> {
-    let mut r = BodyReader::new(body);
-    let to = take_endpoint(&mut r)?;
-    let meta = match r.u8()? {
-        0 => None,
-        1 => {
-            let from = take_endpoint(&mut r)?;
-            let seq = r.u64()?;
-            let ord = match r.u8()? {
-                0 => None,
-                1 => Some(r.u64()?),
-                t => {
-                    return Err(WireError::BadTag {
-                        what: "wire-meta ord",
-                        tag: t,
-                    })
-                }
-            };
-            Some(WireMeta { from, seq, ord })
-        }
-        t => {
-            return Err(WireError::BadTag {
-                what: "wire-meta presence",
-                tag: t,
-            })
-        }
-    };
-    let n = r.remaining();
-    let msg = wire::decode_ctrl(r.raw(n)?)?;
-    Ok((to, meta, msg))
+    wire::decode(body)
 }
 
 /// Encodes a reliability ack for the directed link `sender → acker`.
 pub fn encode_ack_env(sender: Endpoint, acker: Endpoint, seq: u64) -> Vec<u8> {
-    let mut w = wire::FrameWriter::with_capacity(KIND_ACK, 32);
-    put_endpoint_frame(&mut w, sender);
-    put_endpoint_frame(&mut w, acker);
-    w.u64(seq);
-    w.finish()
+    wire::frame(KIND_ACK, &(sender, acker, seq))
 }
 
 /// Decodes a [`KIND_ACK`] body into `(sender, acker, seq)`.
 pub fn decode_ack_env(body: &[u8]) -> Result<(Endpoint, Endpoint, u64), WireError> {
-    let mut r = BodyReader::new(body);
-    let sender = take_endpoint(&mut r)?;
-    let acker = take_endpoint(&mut r)?;
-    let seq = r.u64()?;
-    r.finish()?;
-    Ok((sender, acker, seq))
+    wire::decode(body)
 }
 
 /// Converts a layout rectangle to its wire form.
@@ -471,195 +409,7 @@ pub fn rect_from(r: WireRect) -> Rect {
     )
 }
 
-// --- the `Wire` trait: plan and report records ---
-
-/// A value with one wire form on [`BodyWriter`] / [`BodyReader`]: `put`
-/// appends it, `take` reads it back — bounds-checked, a typed
-/// [`WireError`] on hostile input, never a panic. Every PLAN / REPORT
-/// record below is a field list over the impls here, so its encoder and
-/// decoder cannot drift apart.
-trait Wire: Sized {
-    /// Appends the value.
-    fn put(&self, w: &mut BodyWriter);
-    /// Reads one value.
-    fn take(r: &mut BodyReader) -> Result<Self, WireError>;
-}
-
-/// Builds one frame of `kind` around the body `put` writes.
-fn frame(kind: u8, put: impl FnOnce(&mut BodyWriter)) -> Vec<u8> {
-    let mut w = BodyWriter::with_capacity(256);
-    put(&mut w);
-    wire::encode_frame(kind, &w.into_body())
-}
-
-/// Decodes a body that is exactly one record (trailing bytes are refused).
-fn decode_record<T: Wire>(body: &[u8]) -> Result<T, WireError> {
-    let mut r = BodyReader::new(body);
-    let record = T::take(&mut r)?;
-    r.finish()?;
-    Ok(record)
-}
-
-macro_rules! wire_prim {
-    ($($ty:ident),*) => {$(
-        impl Wire for $ty {
-            fn put(&self, w: &mut BodyWriter) {
-                w.$ty(*self);
-            }
-            fn take(r: &mut BodyReader) -> Result<Self, WireError> {
-                r.$ty()
-            }
-        }
-    )*};
-}
-wire_prim!(u32, u64, f64);
-
-impl Wire for usize {
-    fn put(&self, w: &mut BodyWriter) {
-        w.u64(*self as u64);
-    }
-    fn take(r: &mut BodyReader) -> Result<Self, WireError> {
-        usize::try_from(r.u64()?).map_err(|_| WireError::Malformed { what: "usize" })
-    }
-}
-
-impl Wire for bool {
-    fn put(&self, w: &mut BodyWriter) {
-        w.u8(*self as u8);
-    }
-    fn take(r: &mut BodyReader) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(WireError::BadTag { what: "bool", tag }),
-        }
-    }
-}
-
-impl Wire for String {
-    fn put(&self, w: &mut BodyWriter) {
-        w.str(self);
-    }
-    fn take(r: &mut BodyReader) -> Result<Self, WireError> {
-        Ok(r.str()?.to_string())
-    }
-}
-
-impl Wire for Timestamp {
-    fn put(&self, w: &mut BodyWriter) {
-        w.f64(self.value());
-    }
-    fn take(r: &mut BodyReader) -> Result<Self, WireError> {
-        r.timestamp()
-    }
-}
-
-impl<T: Wire> Wire for Option<T> {
-    fn put(&self, w: &mut BodyWriter) {
-        self.is_some().put(w);
-        if let Some(v) = self {
-            v.put(w);
-        }
-    }
-    fn take(r: &mut BodyReader) -> Result<Self, WireError> {
-        Ok(if bool::take(r)? {
-            Some(T::take(r)?)
-        } else {
-            None
-        })
-    }
-}
-
-fn put_slice<T: Wire>(items: &[T], w: &mut BodyWriter) {
-    w.u32(items.len() as u32);
-    for item in items {
-        item.put(w);
-    }
-}
-
-/// The clamp rule: every element occupies at least one body byte, so a
-/// count beyond the bytes left is a lie — reserve no more than that and
-/// let the element reads run into [`WireError::Truncated`].
-fn clamped_capacity(count: usize, r: &BodyReader) -> usize {
-    count.min(r.remaining())
-}
-
-impl<T: Wire> Wire for Vec<T> {
-    fn put(&self, w: &mut BodyWriter) {
-        put_slice(self, w);
-    }
-    fn take(r: &mut BodyReader) -> Result<Self, WireError> {
-        let count = r.u32()? as usize;
-        let mut items = Vec::with_capacity(clamped_capacity(count, r));
-        for _ in 0..count {
-            items.push(T::take(r)?);
-        }
-        Ok(items)
-    }
-}
-
-macro_rules! wire_tuple {
-    ($($t:ident),+) => {
-        #[allow(non_snake_case)]
-        impl<$($t: Wire),+> Wire for ($($t,)+) {
-            fn put(&self, w: &mut BodyWriter) {
-                let ($($t,)+) = self;
-                $($t.put(w);)+
-            }
-            fn take(r: &mut BodyReader) -> Result<Self, WireError> {
-                Ok(($($t::take(r)?,)+))
-            }
-        }
-    };
-}
-wire_tuple!(A, B);
-wire_tuple!(A, B, C);
-wire_tuple!(A, B, C, D);
-
-/// A struct's wire form is its fields in the listed order.
-macro_rules! wire_struct {
-    ($ty:ident { $($field:ident),* }) => {
-        impl Wire for $ty {
-            fn put(&self, w: &mut BodyWriter) {
-                $(self.$field.put(w);)*
-            }
-            fn take(r: &mut BodyReader) -> Result<Self, WireError> {
-                $(let $field = Wire::take(r)?;)*
-                Ok($ty { $($field),* })
-            }
-        }
-    };
-}
-
-/// An enum's wire form is a tag byte, then the variant's fields in the
-/// listed order; any other tag is [`WireError::BadTag`] naming `$what`.
-macro_rules! wire_enum {
-    ($ty:ident, $what:literal {
-        $($tag:literal => $variant:ident $({ $($f:ident),* })? $(( $($t:ident),* ))?,)*
-    }) => {
-        impl Wire for $ty {
-            fn put(&self, w: &mut BodyWriter) {
-                match self {
-                    $($ty::$variant $({ $($f),* })? $(( $($t),* ))? => {
-                        w.u8($tag);
-                        $($($f.put(w);)*)?
-                        $($($t.put(w);)*)?
-                    })*
-                }
-            }
-            fn take(r: &mut BodyReader) -> Result<Self, WireError> {
-                match r.u8()? {
-                    $($tag => {
-                        $($(let $f = Wire::take(r)?;)*)?
-                        $($(let $t = Wire::take(r)?;)*)?
-                        Ok($ty::$variant $({ $($f),* })? $(( $($t),* ))?)
-                    })*
-                    tag => Err(WireError::BadTag { what: $what, tag }),
-                }
-            }
-        }
-    };
-}
+// --- plan and report records ---
 
 wire_struct!(ExportSpec {
     program,
@@ -720,96 +470,67 @@ wire_struct!(NodePlan {
     restart
 });
 
-wire_struct!(ExportStats {
-    requests,
-    exports,
-    memcpys,
-    skips,
-    sends,
-    freed_sent,
-    freed_unsent,
-    buddy_helps,
-    buffered_hwm,
-    buffer_full_stalls,
-    unnecessary_by_request,
-    unnecessary_inter_region
-});
-wire_enum!(ProcResponse, "trace reply" {
-    1 => Match(m),
-    2 => NoMatch,
-    3 => Pending { latest },
-});
-wire_enum!(RepAnswer, "trace answer" {
-    1 => Match(m),
-    2 => NoMatch,
-});
-wire_enum!(TraceEvent, "trace event" {
-    1 => Export { t, copied },
-    2 => Request { x, reply },
-    3 => BuddyHelp { x, answer },
-    4 => Remove { freed },
-    5 => Send { m },
-});
-
-impl Wire for Trace {
+/// The fields in order, like [`wire_struct!`], except the counters: they
+/// travel as their canonical JSON string (`to_json` / `from_json` loop over
+/// the one counter table, histograms included), and `Wire` cannot be
+/// implemented for `CounterSnapshot` outside the crates of the two.
+impl Wire for NodeReport {
     fn put(&self, w: &mut BodyWriter) {
-        put_slice(self.events(), w);
-    }
-    fn take(r: &mut BodyReader) -> Result<Self, WireError> {
-        Ok(Trace::from_events(Wire::take(r)?))
-    }
-}
-
-// Counters travel as their canonical JSON encoding: `to_json`/`from_json`
-// loop over the one counter table (histogram arrays included), so the wire
-// can never drift from the snapshot definition.
-impl Wire for CounterSnapshot {
-    fn put(&self, w: &mut BodyWriter) {
-        w.str(&json::emit(&self.to_json()));
+        self.prog.put(w);
+        self.stats.put(w);
+        self.traces.put(w);
+        self.matches.put(w);
+        self.imports_done.put(w);
+        self.export_errors.put(w);
+        self.shutdown_error.put(w);
+        w.str(&json::emit(&self.counters.to_json()));
     }
     fn take(r: &mut BodyReader) -> Result<Self, WireError> {
         let malformed = |what| move |_| WireError::Malformed { what };
-        let value = json::parse(r.str()?).map_err(malformed("counter snapshot json"))?;
-        CounterSnapshot::from_json(&value).map_err(malformed("counter snapshot fields"))
+        Ok(NodeReport {
+            prog: Wire::take(r)?,
+            stats: Wire::take(r)?,
+            traces: Wire::take(r)?,
+            matches: Wire::take(r)?,
+            imports_done: Wire::take(r)?,
+            export_errors: Wire::take(r)?,
+            shutdown_error: Wire::take(r)?,
+            counters: CounterSnapshot::from_json(
+                &json::parse(r.str()?).map_err(malformed("counter snapshot json"))?,
+            )
+            .map_err(malformed("counter snapshot fields"))?,
+        })
     }
 }
 
-wire_struct!(NodeReport {
-    prog,
-    stats,
-    traces,
-    matches,
-    imports_done,
-    export_errors,
-    shutdown_error,
-    counters
-});
-
 /// Encodes a [`KIND_PLAN`] frame.
 pub fn encode_plan(plan: &NodePlan) -> Vec<u8> {
-    frame(KIND_PLAN, |w| plan.put(w))
+    wire::frame(KIND_PLAN, plan)
 }
 
 /// Decodes a [`KIND_PLAN`] body.
 pub fn decode_plan(body: &[u8]) -> Result<NodePlan, WireError> {
-    decode_record(body)
+    wire::decode(body)
 }
 
 /// Encodes a [`KIND_REPORT`] frame.
 pub fn encode_report(rep: &NodeReport) -> Vec<u8> {
-    frame(KIND_REPORT, |w| rep.put(w))
+    wire::frame(KIND_REPORT, rep)
 }
 
 /// Decodes a [`KIND_REPORT`] body.
 pub fn decode_report(body: &[u8]) -> Result<NodeReport, WireError> {
-    decode_record(body)
+    wire::decode(body)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::reliable::WalRecord;
+    use crate::net::wal;
     use couplink_proto::wire::FrameDecoder;
-    use couplink_proto::{ConnectionId, RequestId};
+    use couplink_proto::{ConnectionId, ProcResponse, Rank, RepAnswer, RequestId};
+    use couplink_proto::{TraceEvent, TreeRole};
     use couplink_time::ts;
 
     fn one_frame(bytes: &[u8]) -> (u8, Vec<u8>) {
@@ -1059,16 +780,73 @@ mod tests {
         assert_eq!(decode_report(&body).unwrap(), rep);
     }
 
-    /// Hostile bytes: every proper prefix of a full PLAN / REPORT body is
-    /// `Truncated`, one trailing byte is refused, and overwriting any one
-    /// byte yields a value or a typed error — never a panic.
+    /// One control message of every variant.
+    fn every_ctrl_msg() -> Vec<CtrlMsg> {
+        let (conn, req, rank) = (ConnectionId(2), RequestId(7), Rank(1));
+        let answer = RepAnswer::Match(ts(4.5));
+        let resp = |resp| CtrlMsg::Response {
+            conn,
+            req,
+            rank,
+            resp,
+        };
+        vec![
+            CtrlMsg::ImportCall {
+                conn,
+                rank,
+                ts: ts(5.0),
+            },
+            CtrlMsg::ImportRequest {
+                conn,
+                req,
+                ts: ts(5.0),
+            },
+            CtrlMsg::ForwardRequest {
+                conn,
+                req,
+                ts: ts(5.0),
+            },
+            resp(ProcResponse::Match(ts(4.5))),
+            resp(ProcResponse::NoMatch),
+            resp(ProcResponse::Pending { latest: None }),
+            resp(ProcResponse::Pending {
+                latest: Some(ts(3.5)),
+            }),
+            CtrlMsg::BuddyHelp { conn, req, answer },
+            CtrlMsg::Answer {
+                conn,
+                req,
+                answer: RepAnswer::NoMatch,
+            },
+            CtrlMsg::AnswerBcast { conn, req, answer },
+            CtrlMsg::Coalesced {
+                conn,
+                req,
+                answer,
+                role: TreeRole::Bcast,
+            },
+            CtrlMsg::Coalesced {
+                conn,
+                req,
+                answer,
+                role: TreeRole::Help,
+            },
+            CtrlMsg::Ack { seq: 9 },
+        ]
+    }
+
+    /// Hostile bytes: every proper prefix of a full body is `Truncated`,
+    /// one trailing byte is refused, and overwriting any one byte yields a
+    /// value or a typed error — never a panic. Swept over PLAN, REPORT, a
+    /// control envelope per message variant, the ack envelope and both
+    /// journal records.
     #[test]
     fn cut_padded_or_corrupted_records_are_typed_errors() {
-        fn sweep<T: Wire + std::fmt::Debug>(frame: &[u8]) {
+        fn sweep<T: std::fmt::Debug>(frame: &[u8], decode: impl Fn(&[u8]) -> Result<T, WireError>) {
             let (_, body) = one_frame(frame);
-            decode_record::<T>(&body).expect("the intact body decodes");
+            decode(&body).expect("the intact body decodes");
             for cut in 0..body.len() {
-                let got = decode_record::<T>(&body[..cut]);
+                let got = decode(&body[..cut]);
                 assert!(
                     matches!(got, Err(WireError::Truncated)),
                     "cut {cut}: {got:?}"
@@ -1077,18 +855,51 @@ mod tests {
             let mut padded = body.clone();
             padded.push(0);
             let trailing = "trailing bytes";
-            let got = decode_record::<T>(&padded);
+            let got = decode(&padded);
             assert!(matches!(got, Err(WireError::Malformed { what }) if what == trailing));
             for at in 0..body.len() {
                 for byte in [0x00, 0x7F, 0xEE, 0xFF] {
                     let mut corrupt = body.clone();
                     corrupt[at] = byte;
-                    let _ = decode_record::<T>(&corrupt);
+                    let _ = decode(&corrupt);
                 }
             }
         }
-        sweep::<NodePlan>(&encode_plan(&full_plan()));
-        sweep::<NodeReport>(&encode_report(&full_report()));
+        sweep(&encode_plan(&full_plan()), decode_plan);
+        sweep(&encode_report(&full_report()), decode_report);
+        let (rep, proc_) = (
+            Endpoint::Rep { prog: 1 },
+            Endpoint::Proc { prog: 0, rank: 5 },
+        );
+        let meta = WireMeta {
+            from: rep,
+            seq: 42,
+            ord: Some(3),
+        };
+        for (i, msg) in every_ctrl_msg().into_iter().enumerate() {
+            let meta = [None, Some(WireMeta { ord: None, ..meta }), Some(meta)][i % 3];
+            sweep(
+                &encode_ctrl_env(proc_, meta.as_ref(), &msg),
+                decode_ctrl_env,
+            );
+        }
+        sweep(&encode_ack_env(proc_, rep, 99), decode_ack_env);
+        let records = [
+            WalRecord::Delivered {
+                ep: rep,
+                meta,
+                msg: every_ctrl_msg()[3],
+            },
+            WalRecord::AppExport {
+                ep: proc_,
+                region: 2,
+                ts: ts(0.5),
+            },
+        ];
+        for rec in records {
+            let frame = wal::encode_record(&rec);
+            sweep(&frame, |b| wal::decode_record(frame[3], b));
+        }
     }
 
     #[test]
@@ -1105,27 +916,14 @@ mod tests {
         }
         check::<bool>("bool", &[0, 1]);
         check::<Option<u64>>("bool", &[0, 1]);
+        check::<Endpoint>("endpoint", &[0, 1]);
         check::<CrashTarget>("crash target", &[0, 1]);
         check::<NodeFault>("node fault", &[1, 2, 3, 4, 5]);
-        check::<ProcResponse>("trace reply", &[1, 2, 3]);
-        check::<RepAnswer>("trace answer", &[1, 2]);
+        check::<CtrlMsg>("ctrl message", &[1, 2, 3, 4, 5, 6, 7, 8, 10]);
+        check::<TreeRole>("coalesced roles", &[1, 2]);
+        check::<ProcResponse>("proc response", &[1, 2, 3, 4]);
+        check::<RepAnswer>("rep answer", &[1, 2]);
         check::<TraceEvent>("trace event", &[1, 2, 3, 4, 5]);
-    }
-
-    /// A hostile element count cannot size an allocation: the reservation
-    /// is clamped to the bytes actually left, and the reads then run dry.
-    #[test]
-    fn hostile_element_count_is_clamped_before_allocation() {
-        let mut body = u32::MAX.to_le_bytes().to_vec();
-        body.extend([0xAB; 12]);
-        assert_eq!(body.len(), 16);
-        let mut r = BodyReader::new(&body);
-        let count = r.u32().unwrap() as usize;
-        assert_eq!(clamped_capacity(count, &r), 12);
-        let got = decode_record::<Vec<u64>>(&body);
-        assert!(matches!(got, Err(WireError::Truncated)), "{got:?}");
-        let got = decode_record::<Vec<(usize, usize, u32, Trace)>>(&body);
-        assert!(matches!(got, Err(WireError::Truncated)), "{got:?}");
     }
 
     /// A non-finite timestamp in a trace is malformed input, not a panic.
@@ -1135,7 +933,7 @@ mod tests {
         body.u8(5);
         body.f64(f64::NAN);
         let body = body.into_body();
-        let got = decode_record::<TraceEvent>(&body);
+        let got = wire::decode::<TraceEvent>(&body);
         assert!(matches!(got, Err(WireError::Malformed { what }) if what == "timestamp"));
     }
 }

@@ -31,13 +31,12 @@
 //! *delivered* history to rebuild node state, so pruning is only safe once
 //! that state no longer needs reconstructing: `couplink-node` prunes at
 //! clean session shutdown (everything acked *and* drained), not on ack
-//! alone. Mid-run compaction would need state snapshots, which this
-//! journal deliberately does not implement.
+//! alone.
 
 use crate::engine::reliable::{Wal, WalRecord};
 use crate::engine::{Endpoint, WireMeta};
 use couplink_metrics::EngineMetrics;
-use couplink_proto::wire::{self, BodyReader, FrameDecoder, WireError};
+use couplink_proto::wire::{self, FrameDecoder, WireError};
 use couplink_proto::CtrlMsg;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -108,71 +107,25 @@ fn io_err(path: &Path, source: std::io::Error) -> WalError {
 // Record codec: one wire frame per record.
 // ---------------------------------------------------------------------------
 
-fn put_meta(w: &mut wire::FrameWriter, meta: &WireMeta) {
-    super::codec::put_endpoint_frame(w, meta.from);
-    w.u64(meta.seq);
-    match meta.ord {
-        None => w.u8(0),
-        Some(ord) => {
-            w.u8(1);
-            w.u64(ord);
-        }
-    }
-}
-
-fn take_meta(r: &mut BodyReader) -> Result<WireMeta, WireError> {
-    let from = super::codec::take_endpoint(r)?;
-    let seq = r.u64()?;
-    let ord = match r.u8()? {
-        0 => None,
-        1 => Some(r.u64()?),
-        tag => {
-            return Err(WireError::BadTag {
-                what: "wal ord option",
-                tag,
-            })
-        }
-    };
-    Ok(WireMeta { from, seq, ord })
-}
-
-/// Encodes one record as a complete wire frame (header + CRC + body).
+/// Encodes one record as a complete wire frame (header + CRC + body): the
+/// consuming endpoint, then the delivered message's metadata and body, or
+/// the export's region and timestamp.
 pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
-    match rec {
-        WalRecord::Delivered { ep, meta, msg } => {
-            let ctrl = wire::encode_ctrl(msg);
-            let mut w = wire::FrameWriter::with_capacity(KIND_WAL_DELIVERED, 32 + ctrl.len());
-            super::codec::put_endpoint_frame(&mut w, *ep);
-            put_meta(&mut w, meta);
-            w.bytes(&ctrl);
-            w.finish()
-        }
-        WalRecord::AppExport { ep, region, ts } => {
-            let mut w = wire::FrameWriter::with_capacity(KIND_WAL_EXPORT, 24);
-            super::codec::put_endpoint_frame(&mut w, *ep);
-            w.u32(*region);
-            w.f64(ts.value());
-            w.finish()
-        }
+    match *rec {
+        WalRecord::Delivered { ep, meta, msg } => wire::frame(KIND_WAL_DELIVERED, &(ep, meta, msg)),
+        WalRecord::AppExport { ep, region, ts } => wire::frame(KIND_WAL_EXPORT, &(ep, region, ts)),
     }
 }
 
 /// Decodes one record from a checksum-verified frame.
 pub fn decode_record(kind: u8, body: &[u8]) -> Result<WalRecord, WireError> {
-    let mut r = BodyReader::new(body);
     match kind {
         KIND_WAL_DELIVERED => {
-            let ep = super::codec::take_endpoint(&mut r)?;
-            let meta = take_meta(&mut r)?;
-            let msg = wire::decode_ctrl(r.raw(r.remaining())?)?;
-            r.finish()?;
+            let (ep, meta, msg) = wire::decode(body)?;
             Ok(WalRecord::Delivered { ep, meta, msg })
         }
         KIND_WAL_EXPORT => {
-            let ep = super::codec::take_endpoint(&mut r)?;
-            let region = r.u32()?;
-            let ts = r.timestamp()?;
-            r.finish()?;
+            let (ep, region, ts) = wire::decode(body)?;
             Ok(WalRecord::AppExport { ep, region, ts })
         }
         tag => Err(WireError::BadTag {
