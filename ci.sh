@@ -12,8 +12,9 @@
 #                       a doc link to a deleted or private item fails)
 #   3. tier-1 tests    (release build + full test suite; among them the
 #                       counter gates: the O(log N) tree budget at
-#                       32/64/128 ranks, chained hand-offs and writev
-#                       coalescing)
+#                       32/64/128 ranks, chained hand-offs, writev
+#                       coalescing and the simulator's allocation budget
+#                       of 8 000 per Figure-4 panel-(d) run)
 #   4. simtest         (seeded simulation corpus + oracle mutation smoke:
 #                       help-skip and stale-skip on the simulator, relay-drop
 #                       on the simulator and the threaded fabric,

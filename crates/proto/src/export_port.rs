@@ -161,7 +161,7 @@ pub struct HelpEffects {
     pub send: Option<Timestamp>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct OpenRequest {
     id: RequestId,
     region: AcceptableRegion,
@@ -520,36 +520,34 @@ impl ExportPort {
         // 2. Local resolution of open requests this export decides.
         //    (Requests that already have a buddy-help answer are resolved on
         //    the matched export above and need no rep update.)
-        let mut still_open = VecDeque::new();
-        let open = std::mem::take(&mut self.open);
-        for req in open {
-            if req.help.is_some() {
-                still_open.push_back(req);
-                continue;
-            }
-            let result = evaluate(&req.region, &self.history)?;
-            match result {
-                MatchResult::Pending => still_open.push_back(req),
+        let mut idx = 0;
+        while idx < self.open.len() {
+            let OpenRequest { id, region, help } = self.open[idx];
+            let result = match help {
+                Some(_) => MatchResult::Pending,
+                None => evaluate(&region, &self.history)?,
+            };
+            let (answer, send) = match result {
+                MatchResult::Pending => {
+                    idx += 1;
+                    continue;
+                }
                 MatchResult::Match(m) => {
                     self.mark_resolved_bound(m);
-                    let send = self.mark_sent(req.id, m)?;
-                    effects.resolutions.push(Resolution {
-                        request: req.id,
-                        answer: RepAnswer::Match(m),
-                        send: Some(send),
-                    });
+                    (RepAnswer::Match(m), Some(self.mark_sent(id, m)?))
                 }
                 MatchResult::NoMatch => {
-                    self.mark_resolved_bound(req.region.lo());
-                    effects.resolutions.push(Resolution {
-                        request: req.id,
-                        answer: RepAnswer::NoMatch,
-                        send: None,
-                    });
+                    self.mark_resolved_bound(region.lo());
+                    (RepAnswer::NoMatch, None)
                 }
-            }
+            };
+            self.open.remove(idx);
+            effects.resolutions.push(Resolution {
+                request: id,
+                answer,
+                send,
+            });
         }
-        self.open = still_open;
 
         effects.freed.extend(self.advance());
         Ok(effects)

@@ -4,7 +4,6 @@
 use crate::ids::RequestId;
 use crate::messages::RepAnswer;
 use couplink_time::Timestamp;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Error from an [`ImportPort`] operation.
@@ -59,6 +58,9 @@ pub enum ImportState {
 /// while an earlier import is still assembling on a slow process. The port
 /// therefore counts pieces per request id and completes an import when the
 /// answer is `Match` and all `expected_pieces` have arrived.
+///
+/// Both stashes are short lists, not maps: an entry lives only until its
+/// import completes, so they hold at most the requests this rank lags by.
 #[derive(Debug, Clone)]
 pub struct ImportPort {
     /// Pieces this rank receives per matched transfer (from the
@@ -66,8 +68,10 @@ pub struct ImportPort {
     expected_pieces: usize,
     next_req: RequestId,
     state: ImportState,
-    pieces: HashMap<RequestId, usize>,
-    answers: HashMap<RequestId, RepAnswer>,
+    /// Pieces received per request not yet completed.
+    pieces: Vec<(RequestId, usize)>,
+    /// Answers received for requests not yet completed.
+    answers: Vec<(RequestId, RepAnswer)>,
 }
 
 impl ImportPort {
@@ -78,8 +82,8 @@ impl ImportPort {
             expected_pieces,
             next_req: RequestId(0),
             state: ImportState::Idle,
-            pieces: HashMap::new(),
-            answers: HashMap::new(),
+            pieces: Vec::new(),
+            answers: Vec::new(),
         }
     }
 
@@ -106,14 +110,24 @@ impl ImportPort {
     /// has not reached yet (we are the slowest importer process) are stashed
     /// until `begin_import` catches up.
     pub fn on_answer(&mut self, req: RequestId, answer: RepAnswer) -> Result<(), ImportError> {
-        self.answers.insert(req, answer);
+        match self.answers.iter_mut().find(|(r, _)| *r == req) {
+            Some(slot) => slot.1 = answer,
+            None => self.answers.push((req, answer)),
+        }
         self.try_complete();
         Ok(())
     }
 
     /// A data piece for `req` arrived from an exporter process.
     pub fn on_piece(&mut self, req: RequestId) -> Result<(), ImportError> {
-        let got = self.pieces.entry(req).or_insert(0);
+        let i = match self.pieces.iter().position(|&(r, _)| r == req) {
+            Some(i) => i,
+            None => {
+                self.pieces.push((req, 0));
+                self.pieces.len() - 1
+            }
+        };
+        let got = &mut self.pieces[i].1;
         *got += 1;
         if *got > self.expected_pieces {
             return Err(ImportError::TooManyPieces(req));
@@ -126,18 +140,21 @@ impl ImportPort {
     /// `Done` when it has.
     fn try_complete(&mut self) {
         if let ImportState::Waiting { req, .. } = self.state {
-            if let Some(&answer) = self.answers.get(&req) {
-                let complete = match answer {
-                    RepAnswer::NoMatch => true,
-                    RepAnswer::Match(_) => {
-                        self.pieces.get(&req).copied().unwrap_or(0) == self.expected_pieces
-                    }
-                };
-                if complete {
-                    self.answers.remove(&req);
-                    self.pieces.remove(&req);
-                    self.state = ImportState::Done { req, answer };
+            let Some(a) = self.answers.iter().position(|&(r, _)| r == req) else {
+                return;
+            };
+            let answer = self.answers[a].1;
+            let p = self.pieces.iter().position(|&(r, _)| r == req);
+            let complete = match answer {
+                RepAnswer::NoMatch => true,
+                RepAnswer::Match(_) => p.map_or(0, |p| self.pieces[p].1) == self.expected_pieces,
+            };
+            if complete {
+                self.answers.swap_remove(a);
+                if let Some(p) = p {
+                    self.pieces.swap_remove(p);
                 }
+                self.state = ImportState::Done { req, answer };
             }
         }
     }
@@ -204,6 +221,46 @@ mod tests {
                 answer: RepAnswer::Match(ts(19.6))
             }
         );
+    }
+
+    /// A rank three requests behind gets every answer and piece early, out
+    /// of order: each import completes as `begin_import` reaches it, and
+    /// the stashes are empty once the last one finishes.
+    #[test]
+    fn lagging_rank_drains_its_stashes() {
+        let mut p = ImportPort::new(2);
+        let answer = |i: u64| match i {
+            1 => RepAnswer::NoMatch,
+            _ => RepAnswer::Match(ts(19.6 + 20.0 * i as f64)),
+        };
+        for i in [2, 0] {
+            p.on_piece(RequestId(i)).unwrap();
+        }
+        for i in [3, 1, 0, 2] {
+            p.on_answer(RequestId(i), answer(i)).unwrap();
+        }
+        for i in [2, 0, 3] {
+            p.on_piece(RequestId(i)).unwrap();
+        }
+        assert_eq!((p.answers.len(), p.pieces.len()), (4, 3));
+        for i in 0..3 {
+            let req = p.begin_import(ts(20.0 * (i + 1) as f64)).unwrap();
+            assert_eq!(req, RequestId(i));
+            assert_eq!(
+                p.state(),
+                ImportState::Done {
+                    req,
+                    answer: answer(i)
+                }
+            );
+            assert_eq!(p.finish(), Some(answer(i)));
+        }
+        // Request 3 has its answer but only one of its two pieces.
+        let req = p.begin_import(ts(80.0)).unwrap();
+        assert!(matches!(p.state(), ImportState::Waiting { .. }));
+        p.on_piece(req).unwrap();
+        assert_eq!(p.finish(), Some(answer(3)));
+        assert!(p.answers.is_empty() && p.pieces.is_empty(), "{p:?}");
     }
 
     #[test]

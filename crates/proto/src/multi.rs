@@ -76,9 +76,11 @@ impl MultiExport {
         self.refcount.len()
     }
 
-    /// Exports the object on every connection. `copy` in the result is the
-    /// single shared-buffer decision; `freed` lists objects no connection
-    /// needs anymore.
+    /// Exports the object on every connection, writing the effects into
+    /// `out` (whatever it held is replaced; its allocations are reused).
+    /// `copy` in the result is the single shared-buffer decision; `freed`
+    /// lists objects no connection needs anymore. On an error `out` holds
+    /// nothing meaningful.
     ///
     /// With several bounded connections, a [`PortError::BufferFull`] from a
     /// later port must not leave earlier ports already mutated — the export
@@ -87,13 +89,17 @@ impl MultiExport {
     /// first; only a fully successful probe is committed. On failure the
     /// offending *real* port re-runs the export once so its
     /// `buffer_full_stalls` counter still records the stall.
-    pub fn on_export(&mut self, t: Timestamp) -> Result<MultiExportEffects, PortError> {
+    pub fn on_export(
+        &mut self,
+        t: Timestamp,
+        out: &mut MultiExportEffects,
+    ) -> Result<(), PortError> {
         if self.ports.len() > 1 && self.ports.iter().any(|p| p.capacity().is_some()) {
             let mut probe = self.clone();
-            return match probe.apply_export(t) {
-                Ok(fx) => {
+            return match probe.apply_export(t, out) {
+                Ok(()) => {
                     *self = probe;
-                    Ok(fx)
+                    Ok(())
                 }
                 Err((idx, e)) => {
                     if matches!(e, PortError::BufferFull { .. }) {
@@ -107,13 +113,19 @@ impl MultiExport {
                 }
             };
         }
-        self.apply_export(t).map_err(|(_, e)| e)
+        self.apply_export(t, out).map_err(|(_, e)| e)
     }
 
     /// Runs the export on every port in order, committing mutations as it
     /// goes. On error, reports which port failed.
-    fn apply_export(&mut self, t: Timestamp) -> Result<MultiExportEffects, (usize, PortError)> {
-        let mut out = MultiExportEffects::default();
+    fn apply_export(
+        &mut self,
+        t: Timestamp,
+        out: &mut MultiExportEffects,
+    ) -> Result<(), (usize, PortError)> {
+        out.copy = false;
+        out.freed.clear();
+        out.per_conn.clear();
         for idx in 0..self.ports.len() {
             let fx = self.ports[idx].on_export(t).map_err(|e| (idx, e))?;
             let action = fx.action.expect("on_export decides");
@@ -121,7 +133,7 @@ impl MultiExport {
                 out.copy = true;
                 *self.refcount.entry(t).or_insert(0) += 1;
             }
-            for f in fx.freed.clone() {
+            for &f in &fx.freed {
                 out.freed.extend(self.release(f));
             }
             out.per_conn.push(fx);
@@ -129,7 +141,7 @@ impl MultiExport {
         // An earlier connection may send-and-release `t` in this very step
         // while a later one buffers it: the shared copy is then still held.
         out.freed.retain(|f| !self.refcount.contains_key(f));
-        Ok(out)
+        Ok(())
     }
 
     /// Forwards a request on connection `idx`.
@@ -188,6 +200,12 @@ mod tests {
     use crate::ids::ConnectionId;
     use couplink_time::{ts, MatchPolicy, Tolerance};
 
+    /// One export through a fresh effects buffer.
+    fn export(m: &mut MultiExport, t: Timestamp) -> Result<MultiExportEffects, PortError> {
+        let mut fx = MultiExportEffects::default();
+        m.on_export(t, &mut fx).map(|()| fx)
+    }
+
     fn multi(specs: &[(MatchPolicy, f64)]) -> MultiExport {
         MultiExport::new(
             specs
@@ -207,7 +225,7 @@ mod tests {
         m.on_request(0, RequestId(0), ts(20.0)).unwrap();
         m.on_buddy_help(0, RequestId(0), RepAnswer::Match(ts(19.6)))
             .unwrap();
-        let fx = m.on_export(ts(1.6)).unwrap();
+        let fx = export(&mut m, ts(1.6)).unwrap();
         // Connection 0 would skip, but connection 1 must buffer: copy once.
         assert!(fx.copy);
         assert_eq!(
@@ -228,7 +246,7 @@ mod tests {
             .unwrap();
         m.on_buddy_help(1, RequestId(0), RepAnswer::Match(ts(29.5)))
             .unwrap();
-        let fx = m.on_export(ts(1.6)).unwrap();
+        let fx = export(&mut m, ts(1.6)).unwrap();
         assert!(!fx.copy, "both connections proved the object dead");
         assert_eq!(m.shared_buffered_len(), 0);
     }
@@ -238,7 +256,7 @@ mod tests {
         let mut m = multi(&[(MatchPolicy::RegL, 2.5), (MatchPolicy::RegL, 2.5)]);
         // Both buffer 1.6 .. 5.6.
         for i in 1..=5 {
-            let fx = m.on_export(ts(i as f64 + 0.6)).unwrap();
+            let fx = export(&mut m, ts(i as f64 + 0.6)).unwrap();
             assert!(fx.copy);
         }
         assert_eq!(m.shared_buffered_len(), 5);
@@ -265,7 +283,7 @@ mod tests {
         m.on_buddy_help(0, RequestId(0), RepAnswer::Match(ts(4.5)))
             .unwrap();
         m.on_request(0, RequestId(1), ts(8.0)).unwrap();
-        let fx = m.on_export(ts(4.5)).unwrap();
+        let fx = export(&mut m, ts(4.5)).unwrap();
         assert_eq!(
             fx.per_conn[0].action,
             Some(ExportAction::BufferAndSend {
@@ -297,7 +315,7 @@ mod tests {
         m.on_request(1, RequestId(0), ts(20.0)).unwrap();
         let mut sends = Vec::new();
         for i in 1..=21 {
-            let fx = m.on_export(ts(i as f64 + 0.6)).unwrap();
+            let fx = export(&mut m, ts(i as f64 + 0.6)).unwrap();
             for (conn, pfx) in fx.per_conn.iter().enumerate() {
                 for r in &pfx.resolutions {
                     sends.push((conn, r.send.unwrap()));
@@ -316,7 +334,7 @@ mod tests {
     #[test]
     fn single_connection_degenerates_to_plain_port() {
         let mut m = multi(&[(MatchPolicy::RegL, 2.5)]);
-        let fx = m.on_export(ts(1.0)).unwrap();
+        let fx = export(&mut m, ts(1.0)).unwrap();
         assert!(fx.copy);
         let (rfx, freed) = m.on_request(0, RequestId(0), ts(20.0)).unwrap();
         assert!(matches!(rfx.response, crate::ProcResponse::Pending { .. }));
@@ -348,9 +366,9 @@ mod tests {
                 2,
             ),
         ]);
-        m.on_export(ts(1.6)).unwrap();
-        m.on_export(ts(2.6)).unwrap();
-        let err = m.on_export(ts(3.6)).unwrap_err();
+        export(&mut m, ts(1.6)).unwrap();
+        export(&mut m, ts(2.6)).unwrap();
+        let err = export(&mut m, ts(3.6)).unwrap_err();
         assert!(matches!(err, PortError::BufferFull { .. }), "{err:?}");
         assert_eq!(
             m.port(0).buffered_len(),
@@ -362,7 +380,7 @@ mod tests {
         // A request on connection 1 frees its buffer; the retry goes through
         // and buffers exactly once per connection.
         let (_, _freed) = m.on_request(1, RequestId(0), ts(20.0)).unwrap();
-        let fx = m.on_export(ts(3.6)).unwrap();
+        let fx = export(&mut m, ts(3.6)).unwrap();
         assert!(fx.copy);
         assert_eq!(m.port(0).buffered_len(), 3);
     }

@@ -2,7 +2,7 @@
 
 pub mod topo;
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// Virtual time in seconds (finite, totally ordered).
@@ -34,37 +34,16 @@ impl Ord for SimTime {
     }
 }
 
-struct Scheduled<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse for a min-heap; ties broken by insertion order so the
-        // simulation is fully deterministic.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// A deterministic event queue: events at equal times pop in insertion order.
+///
+/// The heap holds only 24-byte keys `(time bits, insertion seq, slot)`; the
+/// events wait in a slab whose slots are reused as they pop. For finite,
+/// non-negative times the order of the IEEE-754 bit patterns is the order of
+/// the times, so the integer key sorts exactly like `(time, seq)`.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    slots: Vec<Option<E>>,
+    free: Vec<u32>,
     seq: u64,
     now: SimTime,
 }
@@ -80,6 +59,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             seq: 0,
             now: SimTime::ZERO,
         }
@@ -95,22 +76,45 @@ impl<E> EventQueue<E> {
         self.schedule_at(self.now.after(delay), event);
     }
 
-    /// Schedules `event` at the absolute time `at` (must not be in the past).
+    /// Schedules `event` at the absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// If `at` is not finite or lies before [`EventQueue::now`]: the integer
+    /// key would misorder such a time silently.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        debug_assert!(at >= self.now, "scheduling into the past");
-        self.heap.push(Scheduled {
-            at,
-            seq: self.seq,
-            event,
-        });
+        assert!(at.0.is_finite(), "sim time {} is not finite", at.0);
+        assert!(
+            at.0 >= self.now.0,
+            "scheduling into the past: {} < {}",
+            at.0,
+            self.now.0
+        );
+        // `-0.0` has the sign bit set: store it as `+0.0`.
+        let bits = if at.0 == 0.0 { 0 } else { at.0.to_bits() };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                self.slots.push(Some(event));
+                u32::try_from(self.slots.len() - 1).expect("under 2^32 pending events")
+            }
+        };
+        self.heap.push(Reverse((bits, self.seq, slot)));
         self.seq += 1;
     }
 
     /// Pops the next event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = self.heap.pop()?;
-        self.now = s.at;
-        Some((s.at, s.event))
+        let Reverse((bits, _, slot)) = self.heap.pop()?;
+        let event = self.slots[slot as usize]
+            .take()
+            .expect("a keyed slot is full");
+        self.free.push(slot);
+        self.now = SimTime(f64::from_bits(bits));
+        Some((self.now, event))
     }
 
     /// Number of pending events.
@@ -135,6 +139,7 @@ impl<E> crate::engine::Clock for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_time_order() {
@@ -177,5 +182,82 @@ mod tests {
     fn sim_time_ordering() {
         assert!(SimTime(1.0) < SimTime(2.0));
         assert_eq!(SimTime(1.5).after(0.5), SimTime(2.0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random interleavings of `schedule`, `schedule_at` and `pop`, with
+        /// few distinct delays (many equal times) and pops between pushes
+        /// (slots reused over and over), pop exactly like a stable sort of
+        /// the pending events by time.
+        #[test]
+        fn pops_match_a_stable_sort_by_time(
+            ops in proptest::collection::vec((0u8..3, 0u8..4), 1..300),
+        ) {
+            let mut q = EventQueue::new();
+            // The model: pending (time, id) in insertion order.
+            let mut model: Vec<(f64, usize)> = Vec::new();
+            let mut next_id = 0;
+            // `min_by` keeps the first of equal minima: insertion order.
+            let model_pop = |model: &mut Vec<(f64, usize)>| {
+                let first = (0..model.len()).min_by(|&a, &b| model[a].0.total_cmp(&model[b].0));
+                first.map(|i| model.remove(i))
+            };
+            for (op, d) in ops {
+                let delay = f64::from(d) * 0.25;
+                match op {
+                    0 => q.schedule(delay, next_id),
+                    1 => q.schedule_at(SimTime(q.now().0 + delay), next_id),
+                    _ => {
+                        let got = q.pop().map(|(at, id)| (at.0, id));
+                        prop_assert_eq!(got, model_pop(&mut model));
+                        continue;
+                    }
+                }
+                model.push((q.now().0 + delay, next_id));
+                next_id += 1;
+                prop_assert_eq!(q.len(), model.len());
+            }
+            while let Some(want) = model_pop(&mut model) {
+                prop_assert_eq!(q.pop().map(|(at, id)| (at.0, id)), Some(want));
+            }
+            prop_assert!(q.is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not finite")]
+    fn nan_time_panics() {
+        EventQueue::new().schedule_at(SimTime(f64::NAN), ());
+    }
+
+    #[test]
+    #[should_panic(expected = "not finite")]
+    fn infinite_time_panics() {
+        EventQueue::new().schedule_at(SimTime(f64::INFINITY), ());
+    }
+
+    #[test]
+    #[should_panic(expected = "into the past")]
+    fn time_before_now_panics() {
+        let mut q = EventQueue::new();
+        q.schedule(2.0, ());
+        q.pop();
+        q.schedule_at(SimTime(1.0), ());
+    }
+
+    #[test]
+    fn negative_zero_orders_as_zero() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime(0.0), 1);
+        q.schedule_at(SimTime(-0.0), 2);
+        q.schedule_at(SimTime(1e-300), 3);
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            popped,
+            [(SimTime(0.0), 1), (SimTime(0.0), 2), (SimTime(1e-300), 3)]
+        );
+        assert!(popped[1].0 .0.is_sign_positive(), "stored as +0.0");
     }
 }

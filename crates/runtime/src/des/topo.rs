@@ -19,8 +19,8 @@ use crate::cost::CostModel;
 use crate::des::{EventQueue, SimTime};
 use crate::engine::{
     proc_side, send_step, ActionKind, ChaosConfig, ChaosState, CrashTarget, Endpoint, EngineError,
-    Expiry, ExportNode, ImportNode, MemWal, Outgoing, ProcSide, Reliability, RepCrash, RepNode,
-    RetryPolicy, SendDecision, SendKind, Topology, Wal, WireMeta,
+    Expiry, ExportFx, ExportNode, ImportNode, MemWal, Outgoing, ProcSide, Reliability, RepCrash,
+    RepNode, RetryPolicy, SendDecision, SendKind, Topology, Wal, WireMeta,
 };
 use couplink_metrics::{EngineMetrics, MetricsSnapshot, Phase};
 use couplink_proto::import_port::ImportError;
@@ -29,7 +29,6 @@ use couplink_proto::{
     ConnectionId, CtrlMsg, ExportStats, ImportState, PortError, RepAnswer, RequestId, Trace,
 };
 use couplink_time::{PeriodicSchedule, Timestamp, TimestampError};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -284,10 +283,11 @@ pub struct TopologySim {
     queue: EventQueue<Ev>,
     exp_drives: Vec<ExpDrive>,
     imp_drives: Vec<ImpDrive>,
-    /// Export drive serving each connection (on its exporter program).
-    exp_drive_of: HashMap<ConnectionId, usize>,
-    /// Import drive serving each connection.
-    imp_drive_of: HashMap<ConnectionId, usize>,
+    /// Export drive serving each connection (on its exporter program),
+    /// indexed by connection id.
+    exp_drive_of: Vec<usize>,
+    /// Import drive serving each connection, indexed by connection id.
+    imp_drive_of: Vec<usize>,
     exp_nodes: Vec<Vec<ExportNode>>,
     imp_nodes: Vec<Vec<ImportNode>>,
     reps: Vec<Option<RepNode>>,
@@ -309,6 +309,11 @@ pub struct TopologySim {
     retry_at: Option<f64>,
     drop_buddy_help: bool,
     metrics: Arc<EngineMetrics>,
+    /// The messages of the step being moved: every rep and import step of
+    /// the run appends here, and [`TopologySim::emit`] drains it.
+    out: Vec<Outgoing>,
+    /// The one buffer every export-node step of the run writes into.
+    fx: ExportFx,
 }
 
 impl TopologySim {
@@ -317,8 +322,8 @@ impl TopologySim {
         let topo = cfg.topology;
         let mut exp_drives = Vec::new();
         let mut imp_drives = Vec::new();
-        let mut exp_drive_of = HashMap::new();
-        let mut imp_drive_of = HashMap::new();
+        let mut exp_drive_of = vec![None; topo.conns.len()];
+        let mut imp_drive_of = vec![None; topo.conns.len()];
 
         for s in &cfg.exports {
             let prog = topo
@@ -343,7 +348,7 @@ impl TopologySim {
                 .map(|rank| decomp.owned(rank).cells() * std::mem::size_of::<f64>())
                 .collect();
             for &cid in &topo.programs[prog].exports[region].conns {
-                exp_drive_of.insert(cid, exp_drives.len());
+                exp_drive_of[cid.0 as usize] = Some(exp_drives.len());
             }
             exp_drives.push(ExpDrive {
                 prog,
@@ -373,7 +378,7 @@ impl TopologySim {
             check_times(&s.program, s.t0, s.dt, &[s.compute, s.startup])?;
             let conn = topo.programs[prog].imports[region].conn;
             let procs = topo.programs[prog].procs;
-            imp_drive_of.insert(conn, imp_drives.len());
+            imp_drive_of[conn.0 as usize] = Some(imp_drives.len());
             imp_drives.push(ImpDrive {
                 prog,
                 conn,
@@ -399,7 +404,7 @@ impl TopologySim {
                 }
             }
             for r in &p.imports {
-                if !imp_drive_of.contains_key(&r.conn) {
+                if imp_drive_of[r.conn.0 as usize].is_none() {
                     return Err(SimError::Config(format!(
                         "no import schedule for {}.{}",
                         p.name, r.name
@@ -407,6 +412,15 @@ impl TopologySim {
                 }
             }
         }
+
+        // Every connection leaves an exported region and enters an imported
+        // one, and every region has a schedule now.
+        let scheduled = |of: Vec<Option<usize>>| -> Vec<usize> {
+            of.into_iter()
+                .map(|d| d.expect("region scheduled"))
+                .collect()
+        };
+        let (exp_drive_of, imp_drive_of) = (scheduled(exp_drive_of), scheduled(imp_drive_of));
 
         let metrics = Arc::new(EngineMetrics::new());
         let exp_nodes = topo
@@ -499,6 +513,8 @@ impl TopologySim {
             retry_at: None,
             drop_buddy_help: false,
             metrics,
+            out: Vec::new(),
+            fx: ExportFx::default(),
         })
     }
 
@@ -623,12 +639,16 @@ impl TopologySim {
             }
         }
 
-        self.metrics.queue_depth.set(self.queue.len() as u64);
+        // The depth gauge sees the length after every event: its mark is
+        // kept here and published once, at the end.
+        let mut depth_hwm = self.queue.len();
         while let Some((_, event)) = self.queue.pop() {
             self.dispatch(event)?;
             self.arm_retry_check();
-            self.metrics.queue_depth.set(self.queue.len() as u64);
+            depth_hwm = depth_hwm.max(self.queue.len());
         }
+        self.metrics.queue_depth.set(depth_hwm as u64);
+        self.metrics.queue_depth.set(self.queue.len() as u64);
 
         let duration = self.queue.now().0;
         let stats = self
@@ -647,15 +667,27 @@ impl TopologySim {
             .collect();
         let export_series = self
             .exp_drives
-            .iter()
+            .iter_mut()
             .map(|d| ExportSeries {
                 program: self.topo.programs[d.prog].name.clone(),
                 region: self.topo.programs[d.prog].exports[d.region].name.clone(),
-                times: d.recs.iter().map(|r| r.times.clone()).collect(),
-                actions: d.recs.iter().map(|r| r.actions.clone()).collect(),
+                times: d
+                    .recs
+                    .iter_mut()
+                    .map(|r| std::mem::take(&mut r.times))
+                    .collect(),
+                actions: d
+                    .recs
+                    .iter_mut()
+                    .map(|r| std::mem::take(&mut r.actions))
+                    .collect(),
             })
             .collect();
-        let import_done = self.imp_drives.iter().map(|d| d.iters.clone()).collect();
+        let import_done = self
+            .imp_drives
+            .iter_mut()
+            .map(|d| std::mem::take(&mut d.iters))
+            .collect();
         let mut traces = Vec::new();
         for (prog, rank, conn) in std::mem::take(&mut self.traced) {
             if let Some(trace) = self.exp_nodes[prog][rank].take_trace(conn) {
@@ -680,7 +712,9 @@ impl TopologySim {
                 let (prog, region) = (d.prog, d.region);
                 let iter = d.recs[rank].iter;
                 let ts = PeriodicSchedule::new(d.t0, d.dt)?.at(iter)?;
-                let fx = match self.exp_nodes[prog][rank].on_export(region, ts) {
+                let fx = &mut self.fx;
+                fx.clear();
+                match self.exp_nodes[prog][rank].on_export(region, ts, fx) {
                     Err(EngineError::Port(PortError::BufferFull { .. })) => {
                         // Stall: the export retries when a control message
                         // frees buffer space.
@@ -688,7 +722,7 @@ impl TopologySim {
                         return Ok(());
                     }
                     other => other?,
-                };
+                }
                 let d = &mut self.exp_drives[drive];
                 let call_cost = if fx.copy {
                     self.cost.memcpy_time(d.piece_bytes[rank]) + self.cost.export_overhead
@@ -705,7 +739,8 @@ impl TopologySim {
                 }
                 let next = d.recs[rank].iter < d.count;
                 let compute = d.compute[rank];
-                self.emit(Endpoint::Proc { prog, rank }, call_cost, fx.msgs)?;
+                self.out.append(&mut fx.msgs);
+                self.emit(Endpoint::Proc { prog, rank }, call_cost)?;
                 if next {
                     self.queue
                         .schedule(call_cost + compute, Ev::Export { drive, rank });
@@ -724,7 +759,8 @@ impl TopologySim {
                 let (_req, msg) = self.imp_nodes[prog][rank].begin_import(conn, ts)?;
                 self.imp_drives[drive].waiting[rank] = true;
                 self.imp_drives[drive].wait_start[rank] = self.queue.now().0;
-                self.emit(Endpoint::Proc { prog, rank }, 0.0, vec![msg])?;
+                self.out.push(msg);
+                self.emit(Endpoint::Proc { prog, rank }, 0.0)?;
                 self.check_import_done(drive, rank)?;
             }
 
@@ -743,7 +779,7 @@ impl TopologySim {
                 req,
             } => {
                 self.imp_nodes[prog][rank].on_piece(conn, req)?;
-                let drive = self.imp_drive_of[&conn];
+                let drive = self.imp_drive_of[conn.0 as usize];
                 self.check_import_done(drive, rank)?;
             }
 
@@ -813,16 +849,18 @@ impl TopologySim {
         Ok(())
     }
 
-    /// Moves one engine step's messages, `delay` seconds (the emitting
-    /// call's own cost) before network costs.
-    fn emit(&mut self, from: Endpoint, delay: f64, msgs: Vec<Outgoing>) -> Result<(), SimError> {
-        for m in msgs {
+    /// Moves one engine step's messages (draining [`TopologySim::out`]),
+    /// `delay` seconds (the emitting call's own cost) before network costs.
+    fn emit(&mut self, from: Endpoint, delay: f64) -> Result<(), SimError> {
+        let mut msgs = std::mem::take(&mut self.out);
+        for m in msgs.drain(..) {
             match m {
                 Outgoing::Ctrl { to, msg } => self.send(SendKind::Origin, from, to, msg, delay),
                 Outgoing::Relay { to, msg } => self.send(SendKind::Relay, from, to, msg, delay),
                 Outgoing::Transfer { conn, req, .. } => self.transfer(from, conn, req, delay)?,
             }
         }
+        self.out = msgs;
         Ok(())
     }
 
@@ -928,10 +966,10 @@ impl TopologySim {
                 let rep = self.reps[prog]
                     .as_mut()
                     .ok_or_else(|| SimError::Config("message for a rep-less program".into()))?;
-                let outs = rep.on_msg(&self.topo, msg)?;
+                rep.on_msg(&self.topo, msg, &mut self.out)?;
                 // Record each collective resolution as it is announced by
                 // the exporter's rep.
-                for out in &outs {
+                for out in &self.out {
                     if let Outgoing::Ctrl {
                         msg: CtrlMsg::Answer { conn, answer, .. },
                         ..
@@ -943,20 +981,22 @@ impl TopologySim {
                         });
                     }
                 }
-                self.emit(to, 0.0, outs)
+                self.emit(to, 0.0)
             }
             Endpoint::Proc { prog, rank } => match proc_side(&msg) {
                 Some((ProcSide::Export, conn)) => {
-                    let drive = self.exp_drive_of[&conn];
-                    let fx = self.exp_nodes[prog][rank].on_msg(msg)?;
-                    self.emit(to, 0.0, fx.msgs)?;
+                    let drive = self.exp_drive_of[conn.0 as usize];
+                    self.fx.clear();
+                    self.exp_nodes[prog][rank].on_msg(msg, &mut self.fx)?;
+                    self.out.append(&mut self.fx.msgs);
+                    self.emit(to, 0.0)?;
                     self.wake_blocked(drive, rank);
                     Ok(())
                 }
                 Some((ProcSide::Import, conn)) => {
-                    let outs = self.imp_nodes[prog][rank].on_msg(msg)?;
-                    self.check_import_done(self.imp_drive_of[&conn], rank)?;
-                    self.emit(to, 0.0, outs)
+                    self.imp_nodes[prog][rank].on_msg(msg, &mut self.out)?;
+                    self.check_import_done(self.imp_drive_of[conn.0 as usize], rank)?;
+                    self.emit(to, 0.0)
                 }
                 None => Err(SimError::Config(format!(
                     "unroutable process message {msg:?}"

@@ -13,8 +13,9 @@ use super::topology::Topology;
 use super::{tree, CrashFault, Endpoint, Outgoing, WireMeta};
 use couplink_metrics::EngineMetrics;
 use couplink_proto::{
-    CtrlMsg, ExportAction, ExportPort, ImportError, ImportPort, ImportState, MultiExport,
-    PortError, ProcResponse, Rank, RepAnswer, RepError, RequestId, Trace, TreeRole,
+    ConnectionId, CtrlMsg, ExportAction, ExportPort, ExporterRep, ImportError, ImportPort,
+    ImportState, ImporterRep, MultiExport, MultiExportEffects, PortError, ProcResponse, Rank,
+    RepAnswer, RepError, RequestId, Trace, TreeRole,
 };
 use couplink_time::Timestamp;
 use std::collections::HashMap;
@@ -68,7 +69,7 @@ struct ExportRegionState {
     /// The per-connection ports behind one shared object store.
     multi: MultiExport,
     /// Global connection ids, parallel to the multi-export's ports.
-    conns: Vec<couplink_proto::ConnectionId>,
+    conns: Vec<ConnectionId>,
     /// Optional per-connection event traces (Figure 5-style).
     traces: Vec<Option<Trace>>,
     /// Bytes of this rank's piece of the region (one buffered object).
@@ -80,6 +81,10 @@ struct ExportRegionState {
 /// `msgs` must be delivered (or scheduled) **in order** before `freed` is
 /// applied to the object store: sends reference buffered objects, so a
 /// freed object may be one that was just sent.
+///
+/// A step appends to `msgs`, `freed` and `actions` and sets `copy` and
+/// `region`; a runtime that keeps one buffer for many steps drains or
+/// [clears](ExportFx::clear) it between them.
 #[derive(Debug, Default)]
 pub struct ExportFx {
     /// Messages to move, in emission order.
@@ -91,10 +96,24 @@ pub struct ExportFx {
     pub freed: Vec<Timestamp>,
     /// Per-connection actions of an export step, in region connection
     /// order (empty for request/buddy-help steps).
-    pub actions: Vec<(couplink_proto::ConnectionId, ExportAction)>,
+    pub actions: Vec<(ConnectionId, ExportAction)>,
     /// The region the step ran on: `freed` (and every transfer in `msgs`)
     /// refers to this region's object store.
     pub region: usize,
+    /// The region's per-connection effects of an export step, reused from
+    /// step to step.
+    per_conn: MultiExportEffects,
+}
+
+impl ExportFx {
+    /// Empties the buffer for the next step, keeping its allocations.
+    pub fn clear(&mut self) {
+        self.msgs.clear();
+        self.copy = false;
+        self.freed.clear();
+        self.actions.clear();
+        self.region = 0;
+    }
 }
 
 /// One [`Outgoing::Relay`] of `msg` per tree child.
@@ -116,25 +135,27 @@ pub struct ExportNode {
     prog: usize,
     rank: usize,
     regions: Vec<ExportRegionState>,
-    /// Region index serving each connection.
-    by_conn: HashMap<couplink_proto::ConnectionId, (usize, usize)>,
+    /// Region index and slot serving each connection, indexed by
+    /// connection id.
+    by_conn: Vec<Option<(usize, usize)>>,
     /// Request timestamps remembered for traced connections (buddy-help
     /// trace lines report the requested timestamp, which the wire message
     /// does not carry).
-    req_ts: HashMap<(couplink_proto::ConnectionId, RequestId), Timestamp>,
+    req_ts: HashMap<(ConnectionId, RequestId), Timestamp>,
     /// Ranks in this program — the size of its distribution tree.
     procs: usize,
     /// Whether forwards arrive down the distribution tree (and must be
     /// relayed to this rank's subtree) instead of flat from the rep.
     hierarchical: bool,
-    /// Highest forwarded request id seen per connection. Coalesced help at
-    /// or below the watermark is applied; help that overtook its forward
-    /// (tree frames commute, so chaos delays and retransmits reorder them
-    /// past the FIFO-ordered forward) is stashed — the port cannot tell
-    /// "not forwarded here yet" from "resolved and pruned" on its own.
-    fwd_seen: HashMap<couplink_proto::ConnectionId, u64>,
+    /// Highest forwarded request id seen, indexed by connection id.
+    /// Coalesced help at or below the watermark is applied; help that
+    /// overtook its forward (tree frames commute, so chaos delays and
+    /// retransmits reorder them past the FIFO-ordered forward) is stashed —
+    /// the port cannot tell "not forwarded here yet" from "resolved and
+    /// pruned" on its own.
+    fwd_seen: Vec<Option<u64>>,
     /// Coalesced help waiting for its forward (see `fwd_seen`).
-    help_stash: Vec<(couplink_proto::ConnectionId, RequestId, RepAnswer)>,
+    help_stash: Vec<(ConnectionId, RequestId, RepAnswer)>,
     /// Run-wide instrumentation shared with every other node.
     metrics: Arc<EngineMetrics>,
 }
@@ -149,7 +170,7 @@ impl ExportNode {
         hierarchical: bool,
     ) -> Self {
         let mut regions = Vec::new();
-        let mut by_conn = HashMap::new();
+        let mut by_conn = vec![None; topo.conns.len()];
         for (ri, region) in topo.programs[prog].exports.iter().enumerate() {
             let mut ports = Vec::new();
             for (slot, &cid) in region.conns.iter().enumerate() {
@@ -159,7 +180,7 @@ impl ExportNode {
                     None => ExportPort::new(cid, ct.policy, ct.tolerance),
                 };
                 ports.push(port);
-                by_conn.insert(cid, (ri, slot));
+                by_conn[cid.0 as usize] = Some((ri, slot));
             }
             let n = ports.len();
             regions.push(ExportRegionState {
@@ -177,7 +198,7 @@ impl ExportNode {
             req_ts: HashMap::new(),
             procs: topo.programs[prog].procs,
             hierarchical,
-            fwd_seen: HashMap::new(),
+            fwd_seen: vec![None; topo.conns.len()],
             help_stash: Vec::new(),
             metrics: Arc::new(EngineMetrics::new()),
         }
@@ -190,15 +211,15 @@ impl ExportNode {
     }
 
     /// Enables event tracing for one connection of this node.
-    pub fn enable_trace(&mut self, conn: couplink_proto::ConnectionId) {
-        if let Some(&(ri, slot)) = self.by_conn.get(&conn) {
+    pub fn enable_trace(&mut self, conn: ConnectionId) {
+        if let Some((ri, slot)) = self.served(conn) {
             self.regions[ri].traces[slot] = Some(Trace::new());
         }
     }
 
     /// Takes the recorded trace for a connection, if tracing was enabled.
-    pub fn take_trace(&mut self, conn: couplink_proto::ConnectionId) -> Option<Trace> {
-        let &(ri, slot) = self.by_conn.get(&conn)?;
+    pub fn take_trace(&mut self, conn: ConnectionId) -> Option<Trace> {
+        let (ri, slot) = self.served(conn)?;
         self.regions[ri].traces[slot].take()
     }
 
@@ -226,14 +247,19 @@ impl ExportNode {
         }
     }
 
+    /// Region index and slot serving `conn`, if this node serves it.
+    fn served(&self, conn: ConnectionId) -> Option<(usize, usize)> {
+        self.by_conn.get(conn.0 as usize).copied().flatten()
+    }
+
     /// Number of regions this node exports.
     pub fn regions(&self) -> usize {
         self.regions.len()
     }
 
     /// Statistics of the port serving `conn`.
-    pub fn port_stats(&self, conn: couplink_proto::ConnectionId) -> &couplink_proto::ExportStats {
-        let &(ri, slot) = self.by_conn.get(&conn).expect("connection served here");
+    pub fn port_stats(&self, conn: ConnectionId) -> &couplink_proto::ExportStats {
+        let (ri, slot) = self.served(conn).expect("connection served here");
         self.regions[ri].multi.port(slot).stats()
     }
 
@@ -255,25 +281,32 @@ impl ExportNode {
     }
 
     /// Objects buffered on one connection's port.
-    pub fn conn_buffered_len(&self, conn: couplink_proto::ConnectionId) -> usize {
-        let &(ri, slot) = self.by_conn.get(&conn).expect("connection served here");
+    pub fn conn_buffered_len(&self, conn: ConnectionId) -> usize {
+        let (ri, slot) = self.served(conn).expect("connection served here");
         self.regions[ri].multi.port(slot).buffered_len()
     }
 
-    /// The process exports one object on region `region`.
+    /// The process exports one object on region `region`, appending the
+    /// step's effects to `out`.
     ///
     /// [`PortError::BufferFull`] is non-consuming: the caller may retry the
     /// same export after buffer space frees (threaded runtime blocks; the
-    /// simulator re-schedules on the next free).
-    pub fn on_export(&mut self, region: usize, t: Timestamp) -> Result<ExportFx, EngineError> {
+    /// simulator re-schedules on the next free). `out` is untouched then.
+    pub fn on_export(
+        &mut self,
+        region: usize,
+        t: Timestamp,
+        out: &mut ExportFx,
+    ) -> Result<(), EngineError> {
         let state = &mut self.regions[region];
-        let fx = match state.multi.on_export(t) {
+        let fx = &mut out.per_conn;
+        match state.multi.on_export(t, fx) {
             Err(e @ PortError::BufferFull { .. }) => {
                 self.metrics.buffer_stalls.inc();
                 return Err(e.into());
             }
             other => other?,
-        };
+        }
         self.metrics.export_calls.inc();
         if fx.copy {
             self.metrics.memcpy_paid.inc();
@@ -286,12 +319,9 @@ impl ExportNode {
         self.metrics
             .occupancy
             .observe(state.multi.shared_buffered_len() as u64);
-        let mut out = ExportFx {
-            copy: fx.copy,
-            freed: fx.freed.clone(),
-            region,
-            ..Default::default()
-        };
+        out.copy = fx.copy;
+        out.freed.extend_from_slice(&fx.freed);
+        out.region = region;
         for (slot, pfx) in fx.per_conn.iter().enumerate() {
             let cid = state.conns[slot];
             if let Some(trace) = state.traces[slot].as_mut() {
@@ -336,68 +366,69 @@ impl ExportNode {
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Handles one control message delivered to this process's export side
     /// ([`super::ProcSide::Export`]): a forwarded request, flat buddy-help,
-    /// or a coalesced help frame travelling the distribution tree. Tree
-    /// frames are relayed to this rank's subtree exactly once per delivery.
-    pub fn on_msg(&mut self, msg: CtrlMsg) -> Result<ExportFx, EngineError> {
-        let mut out = match msg {
+    /// or a coalesced help frame travelling the distribution tree, appending
+    /// the step's effects to `out`. Tree frames are relayed to this rank's
+    /// subtree exactly once per delivery.
+    pub fn on_msg(&mut self, msg: CtrlMsg, out: &mut ExportFx) -> Result<(), EngineError> {
+        match msg {
             CtrlMsg::ForwardRequest { conn, req, ts } => {
-                let mut out = self.on_request(conn, req, ts)?;
+                self.on_request(conn, req, ts, out)?;
                 if self.hierarchical {
-                    let seen = self.fwd_seen.entry(conn).or_insert(req.0);
-                    *seen = (*seen).max(req.0);
-                    let (ready, later) = std::mem::take(&mut self.help_stash)
-                        .into_iter()
-                        .partition(|&(c, r, _)| c == conn && r == req);
-                    self.help_stash = later;
-                    for (c, r, a) in ready {
-                        let fx = self.on_buddy_help(c, r, a)?;
-                        out.msgs.extend(fx.msgs);
-                        out.freed.extend(fx.freed);
+                    let seen = &mut self.fwd_seen[conn.0 as usize];
+                    *seen = Some(seen.map_or(req.0, |m| m.max(req.0)));
+                    let mut i = 0;
+                    while i < self.help_stash.len() {
+                        let (c, r, a) = self.help_stash[i];
+                        if (c, r) == (conn, req) {
+                            self.help_stash.remove(i);
+                            self.on_buddy_help(c, r, a, out)?;
+                        } else {
+                            i += 1;
+                        }
                     }
                 }
-                out
             }
-            CtrlMsg::BuddyHelp { conn, req, answer } => self.on_buddy_help(conn, req, answer)?,
+            CtrlMsg::BuddyHelp { conn, req, answer } => {
+                self.on_buddy_help(conn, req, answer, out)?
+            }
             CtrlMsg::Coalesced {
                 conn,
                 req,
                 answer,
                 role: TreeRole::Help,
             } => {
-                if self.fwd_seen.get(&conn).is_some_and(|&m| m >= req.0) {
-                    self.on_buddy_help(conn, req, answer)?
+                let seen = self.fwd_seen.get(conn.0 as usize).copied().flatten();
+                if seen.is_some_and(|m| m >= req.0) {
+                    self.on_buddy_help(conn, req, answer, out)?;
                 } else {
                     self.help_stash.push((conn, req, answer));
-                    ExportFx::default()
                 }
             }
             _ => return Err(EngineError::UnexpectedMessage("not an export-side message")),
-        };
+        }
         if self.hierarchical && !matches!(msg, CtrlMsg::BuddyHelp { .. }) {
             let children = tree::children(self.rank, self.procs);
             out.msgs.extend(relays(self.prog, children, msg));
         }
-        Ok(out)
+        Ok(())
     }
 
     /// A forwarded import request reaches this process.
     fn on_request(
         &mut self,
-        conn: couplink_proto::ConnectionId,
+        conn: ConnectionId,
         req: RequestId,
         ts: Timestamp,
-    ) -> Result<ExportFx, EngineError> {
-        let &(ri, slot) = self
-            .by_conn
-            .get(&conn)
-            .ok_or(EngineError::UnexpectedMessage(
-                "request for foreign connection",
-            ))?;
+        out: &mut ExportFx,
+    ) -> Result<(), EngineError> {
+        let (ri, slot) = self.served(conn).ok_or(EngineError::UnexpectedMessage(
+            "request for foreign connection",
+        ))?;
         let state = &mut self.regions[ri];
         let (fx, freed) = state.multi.on_request(slot, req, ts)?;
         self.metrics.buffered_objects.sub(freed.len() as u64);
@@ -405,11 +436,8 @@ impl ExportNode {
             trace.record_request(ts, &fx);
             self.req_ts.insert((conn, req), ts);
         }
-        let mut out = ExportFx {
-            freed,
-            region: ri,
-            ..Default::default()
-        };
+        out.freed.extend(freed);
+        out.region = ri;
         out.msgs.push(Outgoing::Ctrl {
             to: Endpoint::Rep { prog: self.prog },
             msg: CtrlMsg::Response {
@@ -422,22 +450,20 @@ impl ExportNode {
         if let Some(m) = fx.send {
             out.msgs.push(Outgoing::Transfer { conn, req, m });
         }
-        Ok(out)
+        Ok(())
     }
 
     /// A buddy-help announcement (flat or coalesced) reaches this process.
     fn on_buddy_help(
         &mut self,
-        conn: couplink_proto::ConnectionId,
+        conn: ConnectionId,
         req: RequestId,
         answer: RepAnswer,
-    ) -> Result<ExportFx, EngineError> {
-        let &(ri, slot) = self
-            .by_conn
-            .get(&conn)
-            .ok_or(EngineError::UnexpectedMessage(
-                "buddy-help for foreign connection",
-            ))?;
+        out: &mut ExportFx,
+    ) -> Result<(), EngineError> {
+        let (ri, slot) = self.served(conn).ok_or(EngineError::UnexpectedMessage(
+            "buddy-help for foreign connection",
+        ))?;
         let state = &mut self.regions[ri];
         let (fx, freed) = state.multi.on_buddy_help(slot, req, answer)?;
         self.metrics.buffered_objects.sub(freed.len() as u64);
@@ -446,16 +472,18 @@ impl ExportNode {
                 trace.record_buddy_help(x, req, answer, &fx);
             }
         }
-        let mut out = ExportFx {
-            freed,
-            region: ri,
-            ..Default::default()
-        };
+        out.freed.extend(freed);
+        out.region = ri;
         if let Some(m) = fx.send {
             out.msgs.push(Outgoing::Transfer { conn, req, m });
         }
-        Ok(out)
+        Ok(())
     }
+}
+
+/// The entry for `conn` in a table indexed by connection id, if present.
+fn conn_entry<T>(table: &mut [Option<T>], conn: ConnectionId) -> Option<&mut T> {
+    table.get_mut(conn.0 as usize)?.as_mut()
 }
 
 fn answer_to_response(a: RepAnswer) -> ProcResponse {
@@ -471,8 +499,10 @@ fn answer_to_response(a: RepAnswer) -> ProcResponse {
 #[derive(Debug)]
 pub struct RepNode {
     prog: usize,
-    exp: HashMap<couplink_proto::ConnectionId, couplink_proto::ExporterRep>,
-    imp: HashMap<couplink_proto::ConnectionId, couplink_proto::ImporterRep>,
+    /// Exporter-side aggregation per connection, indexed by connection id.
+    exp: Vec<Option<ExporterRep>>,
+    /// Importer-side aggregation per connection, indexed by connection id.
+    imp: Vec<Option<ImporterRep>>,
     /// Whether buddy-help announcements are enabled (mirrors the exporter
     /// reps' own flag; needed to decide hierarchical help broadcasts).
     buddy_help: bool,
@@ -484,21 +514,16 @@ pub struct RepNode {
 impl RepNode {
     /// Builds the rep for program `prog`.
     pub fn new(topo: &Topology, prog: usize, buddy_help: bool, hierarchical: bool) -> Self {
-        let mut exp = HashMap::new();
-        let mut imp = HashMap::new();
+        let procs = topo.programs[prog].procs;
+        let mut exp: Vec<_> = topo.conns.iter().map(|_| None).collect();
+        let mut imp: Vec<_> = topo.conns.iter().map(|_| None).collect();
         for region in &topo.programs[prog].exports {
             for &cid in &region.conns {
-                exp.insert(
-                    cid,
-                    couplink_proto::ExporterRep::new(topo.programs[prog].procs, buddy_help),
-                );
+                exp[cid.0 as usize] = Some(ExporterRep::new(procs, buddy_help));
             }
         }
         for region in &topo.programs[prog].imports {
-            imp.insert(
-                region.conn,
-                couplink_proto::ImporterRep::new(topo.programs[prog].procs),
-            );
+            imp[region.conn.0 as usize] = Some(ImporterRep::new(procs));
         }
         RepNode {
             prog,
@@ -509,17 +534,19 @@ impl RepNode {
         }
     }
 
-    /// Handles one control message addressed to this rep.
-    pub fn on_msg(&mut self, topo: &Topology, msg: CtrlMsg) -> Result<Vec<Outgoing>, EngineError> {
-        let mut out = Vec::new();
+    /// Handles one control message addressed to this rep, appending what
+    /// it sends to `out`.
+    pub fn on_msg(
+        &mut self,
+        topo: &Topology,
+        msg: CtrlMsg,
+        out: &mut Vec<Outgoing>,
+    ) -> Result<(), EngineError> {
         match msg {
             CtrlMsg::ImportCall { conn, rank, ts } => {
-                let rep = self
-                    .imp
-                    .get_mut(&conn)
-                    .ok_or(EngineError::UnexpectedMessage(
-                        "import call at non-importer",
-                    ))?;
+                let rep = conn_entry(&mut self.imp, conn).ok_or(EngineError::UnexpectedMessage(
+                    "import call at non-importer",
+                ))?;
                 let fx = rep.on_import_call(rank, ts)?;
                 if let Some((req, ts)) = fx.request {
                     out.push(Outgoing::Ctrl {
@@ -534,13 +561,11 @@ impl RepNode {
                 // deliveries here would duplicate that (and depend on call
                 // arrival order, which is timing).
                 if !self.hierarchical {
-                    self.push_delivers(topo, conn, fx.deliver, &mut out);
+                    self.push_delivers(conn, fx.deliver, out);
                 }
             }
             CtrlMsg::Answer { conn, req, answer } => {
-                let rep = self
-                    .imp
-                    .get_mut(&conn)
+                let rep = conn_entry(&mut self.imp, conn)
                     .ok_or(EngineError::UnexpectedMessage("answer at non-importer"))?;
                 let fx = rep.on_answer(req, answer)?;
                 if self.hierarchical {
@@ -563,16 +588,14 @@ impl RepNode {
                         });
                     }
                 } else {
-                    self.push_delivers(topo, conn, fx.deliver, &mut out);
+                    self.push_delivers(conn, fx.deliver, out);
                 }
             }
             CtrlMsg::ImportRequest { conn, req, ts } => {
-                let rep = self
-                    .exp
-                    .get_mut(&conn)
+                let rep = conn_entry(&mut self.exp, conn)
                     .ok_or(EngineError::UnexpectedMessage("request at non-exporter"))?;
                 let fx = rep.on_import_request(req, ts)?;
-                self.push_exp_fx(topo, conn, fx, &mut out);
+                self.push_exp_fx(topo, conn, fx, out);
             }
             CtrlMsg::Response {
                 conn,
@@ -580,12 +603,10 @@ impl RepNode {
                 rank,
                 resp,
             } => {
-                let rep = self
-                    .exp
-                    .get_mut(&conn)
+                let rep = conn_entry(&mut self.exp, conn)
                     .ok_or(EngineError::UnexpectedMessage("response at non-exporter"))?;
                 let fx = rep.on_response(rank, req, resp)?;
-                self.push_exp_fx(topo, conn, fx, &mut out);
+                self.push_exp_fx(topo, conn, fx, out);
             }
             CtrlMsg::ForwardRequest { .. }
             | CtrlMsg::BuddyHelp { .. }
@@ -599,13 +620,12 @@ impl RepNode {
                 return Err(EngineError::UnexpectedMessage("link-layer message at rep"));
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn push_delivers(
         &self,
-        _topo: &Topology,
-        conn: couplink_proto::ConnectionId,
+        conn: ConnectionId,
         deliver: Vec<(Rank, RequestId, RepAnswer)>,
         out: &mut Vec<Outgoing>,
     ) {
@@ -623,7 +643,7 @@ impl RepNode {
     fn push_exp_fx(
         &self,
         topo: &Topology,
-        conn: couplink_proto::ConnectionId,
+        conn: ConnectionId,
         fx: couplink_proto::rep::RepEffects,
         out: &mut Vec<Outgoing>,
     ) {
@@ -770,8 +790,10 @@ impl RepCrash {
             return Ok(None);
         };
         let mut fresh = RepNode::new(topo, self.prog, buddy_help, hierarchical);
+        let mut regenerated = Vec::new();
         for &(_, msg) in journal {
-            let _regenerated = fresh.on_msg(topo, msg)?;
+            fresh.on_msg(topo, msg, &mut regenerated)?;
+            regenerated.clear();
         }
         metrics.failovers.inc();
         metrics.recovery_ms.observe(((now - t0) * 1000.0) as u64);
@@ -784,8 +806,8 @@ impl RepCrash {
 pub struct ImportNode {
     prog: usize,
     rank: usize,
-    /// Ports in program import-region order, keyed by connection.
-    ports: HashMap<couplink_proto::ConnectionId, ImportPort>,
+    /// One port per imported region, indexed by connection id.
+    ports: Vec<Option<ImportPort>>,
     /// Ranks in this program — the size of its distribution tree.
     procs: usize,
     /// Mutation-testing hook (see [`ImportNode::arm_relay_drop`]).
@@ -797,11 +819,11 @@ pub struct ImportNode {
 impl ImportNode {
     /// Builds the import node for process `rank` of program `prog`.
     pub fn new(topo: &Topology, prog: usize, rank: usize) -> Self {
-        let mut ports = HashMap::new();
+        let mut ports: Vec<_> = topo.conns.iter().map(|_| None).collect();
         for region in &topo.programs[prog].imports {
             let ct = topo.conn(region.conn);
             let expected = ct.plan.recvs_to(rank).count();
-            ports.insert(region.conn, ImportPort::new(expected));
+            ports[region.conn.0 as usize] = Some(ImportPort::new(expected));
         }
         ImportNode {
             prog,
@@ -832,15 +854,12 @@ impl ImportNode {
     /// and the import-call message for this program's rep.
     pub fn begin_import(
         &mut self,
-        conn: couplink_proto::ConnectionId,
+        conn: ConnectionId,
         ts: Timestamp,
     ) -> Result<(RequestId, Outgoing), EngineError> {
-        let port = self
-            .ports
-            .get_mut(&conn)
-            .ok_or(EngineError::UnexpectedMessage(
-                "import on foreign connection",
-            ))?;
+        let port = conn_entry(&mut self.ports, conn).ok_or(EngineError::UnexpectedMessage(
+            "import on foreign connection",
+        ))?;
         let req = port.begin_import(ts)?;
         self.metrics.import_calls.inc();
         let msg = Outgoing::Ctrl {
@@ -857,13 +876,11 @@ impl ImportNode {
     /// Handles one control message delivered to this process's import side
     /// ([`super::ProcSide::Import`]): a flat answer broadcast, or a
     /// coalesced one travelling the distribution tree, which is applied
-    /// and relayed to this rank's subtree exactly once per delivery.
-    pub fn on_msg(&mut self, msg: CtrlMsg) -> Result<Vec<Outgoing>, EngineError> {
+    /// and relayed to this rank's subtree exactly once per delivery. The
+    /// relays are appended to `out`.
+    pub fn on_msg(&mut self, msg: CtrlMsg, out: &mut Vec<Outgoing>) -> Result<(), EngineError> {
         match msg {
-            CtrlMsg::AnswerBcast { conn, req, answer } => {
-                self.on_answer(conn, req, answer)?;
-                Ok(Vec::new())
-            }
+            CtrlMsg::AnswerBcast { conn, req, answer } => self.on_answer(conn, req, answer),
             CtrlMsg::Coalesced {
                 conn,
                 req,
@@ -872,7 +889,12 @@ impl ImportNode {
             } => {
                 self.on_answer(conn, req, answer)?;
                 let children = tree::children(self.rank, self.procs);
-                Ok(relays(self.prog, children.skip(usize::from(self.relay_drop)), msg).collect())
+                out.extend(relays(
+                    self.prog,
+                    children.skip(usize::from(self.relay_drop)),
+                    msg,
+                ));
+                Ok(())
             }
             _ => Err(EngineError::UnexpectedMessage("not an import-side message")),
         }
@@ -881,44 +903,35 @@ impl ImportNode {
     /// The rep's broadcast answer arrives.
     fn on_answer(
         &mut self,
-        conn: couplink_proto::ConnectionId,
+        conn: ConnectionId,
         req: RequestId,
         answer: RepAnswer,
     ) -> Result<(), EngineError> {
-        let port = self
-            .ports
-            .get_mut(&conn)
-            .ok_or(EngineError::UnexpectedMessage(
-                "answer on foreign connection",
-            ))?;
+        let port = conn_entry(&mut self.ports, conn).ok_or(EngineError::UnexpectedMessage(
+            "answer on foreign connection",
+        ))?;
         port.on_answer(req, answer)?;
         Ok(())
     }
 
     /// One piece of matched data arrives.
-    pub fn on_piece(
-        &mut self,
-        conn: couplink_proto::ConnectionId,
-        req: RequestId,
-    ) -> Result<(), EngineError> {
-        let port = self
-            .ports
-            .get_mut(&conn)
-            .ok_or(EngineError::UnexpectedMessage(
-                "piece on foreign connection",
-            ))?;
+    pub fn on_piece(&mut self, conn: ConnectionId, req: RequestId) -> Result<(), EngineError> {
+        let port = conn_entry(&mut self.ports, conn).ok_or(EngineError::UnexpectedMessage(
+            "piece on foreign connection",
+        ))?;
         port.on_piece(req)?;
         Ok(())
     }
 
     /// Current state of one connection's import.
-    pub fn state(&self, conn: couplink_proto::ConnectionId) -> Option<ImportState> {
-        self.ports.get(&conn).map(|p| p.state())
+    pub fn state(&self, conn: ConnectionId) -> Option<ImportState> {
+        let port = self.ports.get(conn.0 as usize)?.as_ref()?;
+        Some(port.state())
     }
 
     /// Completes the finished import, returning its collective answer.
-    pub fn finish(&mut self, conn: couplink_proto::ConnectionId) -> Option<RepAnswer> {
-        self.ports.get_mut(&conn)?.finish()
+    pub fn finish(&mut self, conn: ConnectionId) -> Option<RepAnswer> {
+        conn_entry(&mut self.ports, conn)?.finish()
     }
 }
 
@@ -926,8 +939,8 @@ impl ImportNode {
 mod tests {
     use super::*;
     use couplink_layout::{Decomposition, Extent2};
-    use couplink_proto::ConnectionId;
     use couplink_time::{ts, MatchPolicy, Tolerance};
+    use ConnectionId;
 
     const CONN: ConnectionId = ConnectionId(0);
 
@@ -960,14 +973,16 @@ mod tests {
     #[test]
     fn early_coalesced_help_is_stashed_then_applied_once() {
         let mut node = ExportNode::new(&topo(), 0, 0, None, true);
-        node.on_export(0, ts(1.0)).expect("export");
+        node.on_export(0, ts(1.0), &mut ExportFx::default())
+            .expect("export");
         let help = CtrlMsg::Coalesced {
             conn: CONN,
             req: RequestId(0),
             answer: RepAnswer::Match(ts(1.0)),
             role: TreeRole::Help,
         };
-        let early = node.on_msg(help).expect("early help");
+        let mut early = ExportFx::default();
+        node.on_msg(help, &mut early).expect("early help");
         assert_eq!(
             transfers(&early.msgs),
             0,
@@ -983,7 +998,8 @@ mod tests {
             req: RequestId(0),
             ts: ts(1.2),
         };
-        let landed = node.on_msg(fwd).expect("forward");
+        let mut landed = ExportFx::default();
+        node.on_msg(fwd, &mut landed).expect("forward");
         assert!(matches!(
             landed.msgs[0],
             Outgoing::Ctrl {
@@ -1001,13 +1017,15 @@ mod tests {
 
         // The stash is empty now: the next forward applies nothing extra,
         // and help at or below the watermark applies on arrival.
-        node.on_export(0, ts(2.0)).expect("export");
+        node.on_export(0, ts(2.0), &mut ExportFx::default())
+            .expect("export");
         let fwd1 = CtrlMsg::ForwardRequest {
             conn: CONN,
             req: RequestId(1),
             ts: ts(2.2),
         };
-        let next = node.on_msg(fwd1).expect("second forward");
+        let mut next = ExportFx::default();
+        node.on_msg(fwd1, &mut next).expect("second forward");
         assert_eq!(transfers(&next.msgs), 0);
         assert_eq!(relayed_to(&next.msgs, fwd1), vec![4, 5]);
         let help1 = CtrlMsg::Coalesced {
@@ -1016,7 +1034,8 @@ mod tests {
             answer: RepAnswer::Match(ts(2.0)),
             role: TreeRole::Help,
         };
-        let on_time = node.on_msg(help1).expect("on-time help");
+        let mut on_time = ExportFx::default();
+        node.on_msg(help1, &mut on_time).expect("on-time help");
         assert_eq!(transfers(&on_time.msgs), 1);
         assert_eq!(relayed_to(&on_time.msgs, help1), vec![4, 5]);
         assert_eq!(node.port_stats(CONN).sends, 2);
@@ -1045,7 +1064,8 @@ mod tests {
             }
             let (req, _call) = node.begin_import(CONN, ts(1.0)).expect("import");
             assert_eq!(req, RequestId(0));
-            let out = node.on_msg(bcast).expect("broadcast");
+            let mut out = Vec::new();
+            node.on_msg(bcast, &mut out).expect("broadcast");
             assert_eq!(relayed_to(&out, bcast), expect, "rank {rank} armed {armed}");
             assert_eq!(out.len(), expect.len(), "only relays are emitted");
             // NO MATCH needs no pieces: the answer alone finishes the import.
@@ -1058,31 +1078,41 @@ mod tests {
     fn flat_mode_emits_no_relay() {
         let topo = topo();
         let mut exp = ExportNode::new(&topo, 0, 0, None, false);
-        exp.on_export(0, ts(1.0)).expect("export");
-        let fwd = exp
-            .on_msg(CtrlMsg::ForwardRequest {
+        exp.on_export(0, ts(1.0), &mut ExportFx::default())
+            .expect("export");
+        let mut fwd = ExportFx::default();
+        exp.on_msg(
+            CtrlMsg::ForwardRequest {
                 conn: CONN,
                 req: RequestId(0),
                 ts: ts(1.2),
-            })
-            .expect("forward");
-        let help = exp
-            .on_msg(CtrlMsg::BuddyHelp {
+            },
+            &mut fwd,
+        )
+        .expect("forward");
+        let mut help = ExportFx::default();
+        exp.on_msg(
+            CtrlMsg::BuddyHelp {
                 conn: CONN,
                 req: RequestId(0),
                 answer: RepAnswer::Match(ts(1.0)),
-            })
-            .expect("help");
+            },
+            &mut help,
+        )
+        .expect("help");
         assert_eq!(transfers(&help.msgs), 1);
         let mut imp = ImportNode::new(&topo, 1, 0);
         imp.begin_import(CONN, ts(1.2)).expect("import");
-        let answer = imp
-            .on_msg(CtrlMsg::AnswerBcast {
+        let mut answer = Vec::new();
+        imp.on_msg(
+            CtrlMsg::AnswerBcast {
                 conn: CONN,
                 req: RequestId(0),
                 answer: RepAnswer::NoMatch,
-            })
-            .expect("answer");
+            },
+            &mut answer,
+        )
+        .expect("answer");
         let relays = |msgs: &[Outgoing]| msgs.iter().any(|m| matches!(m, Outgoing::Relay { .. }));
         assert!(!relays(&fwd.msgs) && !relays(&help.msgs) && !relays(&answer));
     }

@@ -959,8 +959,9 @@ impl ExportAccess {
         let t0 = self.clock.now();
         let deadline = Instant::now() + self.block_timeout;
         let mut state = timed_lock(&self.cell.state, &self.net.metrics);
-        let mut fx = loop {
-            match state.node.on_export(self.region, ts) {
+        let mut fx = ExportFx::default();
+        loop {
+            match state.node.on_export(self.region, ts, &mut fx) {
                 Err(EngineError::Port(couplink_proto::PortError::BufferFull { .. })) => {
                     // Finite buffer: stall until the agent's control traffic
                     // leaves room for a burst, then retry the same export.
@@ -978,7 +979,7 @@ impl ExportAccess {
                 }
                 other => break other.map_err(ThreadedError::from)?,
             }
-        };
+        }
         // Journal the schedule position *before* any of this export's
         // messages can escape the process: a restarted node replays its
         // `AppExport` records (regenerating the deterministic payloads) to
@@ -1120,7 +1121,8 @@ impl ImportAccess {
 /// lock it shares with the exporting application thread.
 fn agent_step(net: &Net, cell: &ExpCell, me: Endpoint, msg: CtrlMsg) -> Result<(), ThreadedError> {
     let mut state = timed_lock(&cell.state, &net.metrics);
-    let fx = state.node.on_msg(msg)?;
+    let mut fx = ExportFx::default();
+    state.node.on_msg(msg, &mut fx)?;
     let region = fx.region;
     apply_fx(net, me, &mut state, fx)?;
     let room = state.node.has_burst_room(region);
@@ -1288,7 +1290,8 @@ impl RepTask {
             if let Some(crash) = &mut self.crash {
                 crash.consumed();
             }
-            let outs = self.node.on_msg(&self.topo, m)?;
+            let mut outs = Vec::new();
+            self.node.on_msg(&self.topo, m, &mut outs)?;
             self.net.emit_ctrl(ep, outs)
         })
     }
@@ -1386,7 +1389,8 @@ impl ImpTask {
             rank: self.rank,
         };
         self.net.admit(me, meta, msg, |m| {
-            let relays = self.cell.node.lock().on_msg(m)?;
+            let mut relays = Vec::new();
+            self.cell.node.lock().on_msg(m, &mut relays)?;
             self.net.emit_ctrl(me, relays)
         })
     }
