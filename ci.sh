@@ -15,11 +15,11 @@
 #                       32/64/128 ranks, chained hand-offs, writev
 #                       coalescing and the simulator's allocation budget
 #                       of 8 000 per Figure-4 panel-(d) run)
-#   4. simtest         (seeded simulation corpus + oracle mutation smoke:
-#                       help-skip and stale-skip on the simulator, relay-drop
-#                       on the simulator and the threaded fabric,
-#                       ack-before-handle on the fabric's armed-shutdown
-#                       probe)
+#   4. simtest         (seeded simulation corpus + oracle mutation smoke,
+#                       every rule armed through `Faults`: help-skip and
+#                       stale-skip fire on the simulator, relay-drop on both
+#                       in-process runtimes, ack-before-handle in the
+#                       fabric's armed-shutdown probe)
 #   5. chaos-crash     (fixed-seed simtest sweep with forced permanent
 #                       faults — 20% message loss plus a rep crash with
 #                       restart/failover — on both runtimes)

@@ -182,10 +182,7 @@ impl SessionBuilder {
                 import_timeout: self.import_timeout,
                 buffer_capacity: self.buffer_capacity,
                 traces,
-                chaos: None,
-                drop_buddy_help: false,
-                hierarchical: false,
-                wal: None,
+                ..FabricOptions::default()
             },
         );
         Ok(Session {

@@ -32,6 +32,7 @@
 
 use crate::ids::{ConnectionId, RequestId};
 use crate::messages::{ProcResponse, RepAnswer};
+use crate::mutation::Mutation;
 use crate::stats::ExportStats;
 use couplink_time::{
     evaluate, AcceptableRegion, ExportHistory, HistoryError, MatchPolicy, MatchResult, Timestamp,
@@ -213,13 +214,9 @@ pub struct ExportPort {
     buffered: BTreeMap<Timestamp, Buffered>,
     /// Maximum buffered objects; `None` = unbounded (the paper's setting).
     capacity: Option<usize>,
-    /// Deliberate soundness bug for mutation testing: treat the buddy-help
-    /// match itself as skippable. See [`ExportPort::set_unsound_help_skip`].
-    unsound_help_skip: bool,
-    /// Deliberate soundness bug for mutation testing: drop a buddy-help
-    /// announcement whose match the local history has already passed. See
-    /// [`ExportPort::set_unsound_stale_skip`].
-    unsound_stale_skip: bool,
+    /// The armed [`Mutation`], if any; this port fires only
+    /// [`Mutation::HelpSkip`] and [`Mutation::StaleSkip`].
+    mutation: Option<Mutation>,
     stats: ExportStats,
 }
 
@@ -237,37 +234,16 @@ impl ExportPort {
             resolved_bound: None,
             buffered: BTreeMap::new(),
             capacity: None,
-            unsound_help_skip: false,
-            unsound_stale_skip: false,
+            mutation: None,
             stats: ExportStats::default(),
         }
     }
 
-    /// Deliberately weakens the pruning rule: an export equal to a known
-    /// buddy-help match is *skipped* instead of buffered-and-sent, as if the
-    /// dominance lemma read `t ≤ m` instead of `t < m`.
-    ///
-    /// This is a **mutation-testing hook** (never enabled in production
-    /// paths): the simulation-testing harness flips it on to prove that the
-    /// buffer-safety and liveness oracles actually catch a broken pruning
-    /// rule rather than vacuously passing.
-    pub fn set_unsound_help_skip(&mut self, enabled: bool) {
-        self.unsound_help_skip = enabled;
-    }
-
-    /// Deliberately discards "stale" buddy-help announcements: when the
-    /// announced match has already been exported here (local history passed
-    /// it before the help arrived), the request is resolved **without
-    /// sending the buffered piece** — as if a rank that has moved past the
-    /// match could assume someone else handles the transfer. Every rank owes
-    /// its own piece, so the importer is left waiting forever.
-    ///
-    /// This is a **mutation-testing hook** (never enabled in production
-    /// paths): the simulation-testing harness flips it on to prove that the
-    /// buffer-safety and liveness oracles catch a dropped transfer rather
-    /// than vacuously passing.
-    pub fn set_unsound_stale_skip(&mut self, enabled: bool) {
-        self.unsound_stale_skip = enabled;
+    /// Arms a deliberately unsound rule for mutation testing (see
+    /// [`Mutation`]). The port fires [`Mutation::HelpSkip`] and
+    /// [`Mutation::StaleSkip`] and ignores every other rule.
+    pub fn set_mutation(&mut self, mutation: Option<Mutation>) {
+        self.mutation = mutation;
     }
 
     /// Creates a port whose framework buffer holds at most `capacity`
@@ -384,7 +360,7 @@ impl ExportPort {
         for (pos, req) in self.open.iter().enumerate() {
             if let Some(RepAnswer::Match(m)) = req.help {
                 if t == m {
-                    if self.unsound_help_skip {
+                    if self.mutation == Some(Mutation::HelpSkip) {
                         // Mutation: the broken rule drops the match object
                         // itself. No internal check fires — the request just
                         // stays open forever — which is exactly what the
@@ -615,7 +591,7 @@ impl ExportPort {
                     }
                     self.open.remove(pos);
                     self.mark_resolved_bound(m);
-                    if self.unsound_stale_skip {
+                    if self.mutation == Some(Mutation::StaleSkip) {
                         // Mutation: treat the announcement as stale and drop
                         // it without sending our piece. No internal check
                         // fires — the importer just never receives this
@@ -995,6 +971,44 @@ mod tests {
             .on_buddy_help(RequestId(0), RepAnswer::Match(ts(19.6)))
             .unwrap();
         assert_eq!(hfx.send, Some(ts(19.6)));
+    }
+
+    /// The two export-side mutations each break exactly their own step,
+    /// and the port ignores the rules other components fire.
+    #[test]
+    fn armed_mutation_fires_only_its_own_rule() {
+        let at_match = |m: Option<Mutation>| {
+            let mut p = regl_port(2.5);
+            p.set_mutation(m);
+            p.on_request(RequestId(0), ts(20.0)).unwrap();
+            p.on_buddy_help(RequestId(0), RepAnswer::Match(ts(19.6)))
+                .unwrap();
+            p.on_export(ts(19.6)).unwrap().action
+        };
+        let stale = |m: Option<Mutation>| {
+            let mut p = regl_port(2.5);
+            p.set_mutation(m);
+            p.on_export(ts(19.6)).unwrap();
+            p.on_request(RequestId(0), ts(20.0)).unwrap();
+            p.on_buddy_help(RequestId(0), RepAnswer::Match(ts(19.6)))
+                .unwrap()
+                .send
+        };
+        let send = Some(ExportAction::BufferAndSend {
+            request: RequestId(0),
+        });
+        assert_eq!(at_match(Some(Mutation::HelpSkip)), Some(ExportAction::Skip));
+        assert_eq!(stale(Some(Mutation::StaleSkip)), None);
+        for m in [
+            None,
+            Some(Mutation::RelayDrop),
+            Some(Mutation::AckBeforeHandle),
+        ] {
+            assert_eq!(at_match(m), send, "{m:?}");
+            assert_eq!(stale(m), Some(ts(19.6)), "{m:?}");
+        }
+        assert_eq!(at_match(Some(Mutation::StaleSkip)), send);
+        assert_eq!(stale(Some(Mutation::HelpSkip)), Some(ts(19.6)));
     }
 
     #[test]

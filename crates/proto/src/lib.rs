@@ -37,6 +37,7 @@ pub mod ids;
 pub mod import_port;
 pub mod messages;
 pub mod multi;
+pub mod mutation;
 pub mod rep;
 pub mod stats;
 pub mod trace;
@@ -49,6 +50,7 @@ pub use ids::{ConnectionId, ProgramId, Rank, RequestId};
 pub use import_port::{ImportError, ImportPort, ImportState};
 pub use messages::{CtrlMsg, ProcResponse, RepAnswer, TreeRole};
 pub use multi::{MultiExport, MultiExportEffects};
+pub use mutation::Mutation;
 pub use rep::{ExporterRep, ImporterRep, RepError};
 pub use stats::ExportStats;
 pub use trace::{Trace, TraceEvent};

@@ -18,9 +18,9 @@
 use crate::cost::CostModel;
 use crate::des::{EventQueue, SimTime};
 use crate::engine::{
-    proc_side, send_step, ActionKind, ChaosConfig, ChaosState, CrashTarget, Endpoint, EngineError,
-    Expiry, ExportFx, ExportNode, ImportNode, MemWal, Outgoing, ProcSide, Reliability, RepCrash,
-    RepNode, RetryPolicy, SendDecision, SendKind, Topology, Wal, WireMeta,
+    proc_side, send_step, ActionKind, ChaosState, CrashTarget, Endpoint, EngineError, Expiry,
+    ExportFx, ExportNode, Faults, ImportNode, MemWal, Mutation, Outgoing, ProcSide, Reliability,
+    RepCrash, RepNode, SendDecision, SendKind, Topology, Wal, WireMeta,
 };
 use couplink_metrics::{EngineMetrics, MetricsSnapshot, Phase};
 use couplink_proto::import_port::ImportError;
@@ -276,7 +276,13 @@ struct ImpDrive {
 }
 
 /// The topology simulator. Construct with [`TopologySim::new`], optionally
-/// enable traces with [`TopologySim::trace`], run with [`TopologySim::run`].
+/// enable traces with [`TopologySim::trace`] and give the run its faults
+/// with [`TopologySim::faults`], run with [`TopologySim::run`].
+///
+/// It fires every injected fault ([`Faults`]) — chaos up to a rep crash,
+/// forced buddy-help loss, the retry policy, and the mutations the export
+/// ports and import nodes fire — except an agent crash and
+/// [`Mutation::AckBeforeHandle`], which only the threaded fabric models.
 pub struct TopologySim {
     topo: Topology,
     cost: CostModel,
@@ -296,8 +302,8 @@ pub struct TopologySim {
     chaos: Option<ChaosState>,
     buddy_help: bool,
     hierarchical: bool,
-    /// Timeout/backoff parameters used when the reliability layer arms.
-    policy: RetryPolicy,
+    /// The run's faults (see [`TopologySim::faults`]).
+    faults: Faults,
     /// Armed at run start iff the fault plan needs it; `None` keeps the
     /// event schedule bit-identical to the pre-reliability engine.
     rel: Option<Reliability>,
@@ -307,7 +313,6 @@ pub struct TopologySim {
     wal: MemWal,
     /// Earliest virtual time a `RetryCheck` event is already scheduled for.
     retry_at: Option<f64>,
-    drop_buddy_help: bool,
     metrics: Arc<EngineMetrics>,
     /// The messages of the step being moved: every rep and import step of
     /// the run appends here, and [`TopologySim::emit`] drains it.
@@ -497,21 +502,11 @@ impl TopologySim {
             chaos: None,
             buddy_help: cfg.buddy_help,
             hierarchical: cfg.hierarchical,
-            policy: RetryPolicy {
-                // Virtual-time scales: control latency and chaos jitter are
-                // a few milliseconds, so the first ack deadline sits well
-                // clear of an honest round trip while retries still settle
-                // long before a typical schedule ends.
-                base_timeout: 0.05,
-                backoff: 2.0,
-                max_timeout: 0.4,
-                ..RetryPolicy::default()
-            },
+            faults: Faults::default(),
             rel: None,
             crash: None,
             wal: MemWal::new(),
             retry_at: None,
-            drop_buddy_help: false,
             metrics,
             out: Vec::new(),
             fx: ExportFx::default(),
@@ -523,66 +518,40 @@ impl TopologySim {
         Arc::clone(&self.metrics)
     }
 
-    /// Enables seeded fault injection (delay, duplication, drop-with-retry,
-    /// and — when the plan sets them — permanent loss and a rep crash) on
-    /// control-message delivery. The run stays fully deterministic: the
-    /// same configuration and seed replay the same event schedule. Fault
-    /// plans that need the reliability layer arm it automatically; agent
-    /// crash targets are a threaded-fabric fault and are ignored here.
-    pub fn chaos(&mut self, cfg: ChaosConfig) {
-        if let Some(fault) = cfg.crash {
-            if let CrashTarget::Rep(prog) = fault.target {
-                self.crash = Some(RepCrash::new(prog, fault));
-            }
+    /// Gives the run its faults; the default is fault-free and changes
+    /// nothing. Chaos stays fully deterministic: the same configuration
+    /// and seed replay the same event schedule. Faults that need the
+    /// reliability layer ([`Faults::needs_reliability`]) arm it at run
+    /// start. An agent crash and [`Mutation::AckBeforeHandle`] are the
+    /// threaded fabric's alone and are refused with [`SimError::Config`].
+    pub fn faults(&mut self, faults: Faults) -> Result<(), SimError> {
+        if faults.mutation == Some(Mutation::AckBeforeHandle) {
+            return Err(SimError::Config(
+                "ack-before-handle is a threaded-fabric mutation: the simulator \
+                 charges its acks explicitly"
+                    .into(),
+            ));
         }
-        self.chaos = Some(ChaosState::new(cfg));
-    }
-
-    /// Overrides the reliability layer's timeout/backoff parameters. The
-    /// `retransmit: false` knob exists for negative tests proving the
-    /// liveness oracle fires when the protocol has no recovery.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.policy = policy;
-    }
-
-    /// Degradation knob: every buddy-help announcement is permanently lost
-    /// (while all other traffic is untouched), forcing the conservative
-    /// buffering fallback. Arms the reliability layer so each abandoned
-    /// announcement is metered as a `degraded_buffers` count.
-    pub fn drop_buddy_help(&mut self) {
-        self.drop_buddy_help = true;
-    }
-
-    /// Arms the deliberate pruning-rule bug on every export port, for
-    /// mutation-testing the oracles (see
-    /// [`couplink_proto::ExportPort::set_unsound_help_skip`]).
-    pub fn arm_unsound_help_skip(&mut self) {
-        for nodes in &mut self.exp_nodes {
-            for node in nodes {
-                node.arm_unsound_help_skip();
-            }
+        self.crash = match faults.chaos.and_then(|c| c.crash) {
+            Some(fault) => match fault.target {
+                CrashTarget::Rep(prog) => Some(RepCrash::new(prog, fault)),
+                CrashTarget::Agent { .. } => {
+                    return Err(SimError::Config(
+                        "an agent crash is a threaded-fabric fault".into(),
+                    ))
+                }
+            },
+            None => None,
+        };
+        for node in self.exp_nodes.iter_mut().flatten() {
+            node.set_mutation(faults.mutation);
         }
-    }
-
-    /// Arms the deliberate stale-announcement bug on every export port, for
-    /// mutation-testing the oracles (see
-    /// [`couplink_proto::ExportPort::set_unsound_stale_skip`]).
-    pub fn arm_unsound_stale_skip(&mut self) {
-        for nodes in &mut self.exp_nodes {
-            for node in nodes {
-                node.arm_unsound_stale_skip();
-            }
-        }
-    }
-
-    /// Arms the third deliberate bug, for mutation-testing the oracles on a
-    /// hierarchical topology: relay rank 0 silently drops every coalesced
-    /// answer broadcast on its first subtree edge (see
-    /// [`ImportNode::arm_relay_drop`]).
-    pub fn arm_relay_drop(&mut self) {
         for node in self.imp_nodes.iter_mut().flatten() {
-            node.arm_relay_drop();
+            node.set_mutation(faults.mutation);
         }
+        self.chaos = faults.chaos.map(ChaosState::new);
+        self.faults = faults;
+        Ok(())
     }
 
     /// Enables Figure-5 style event tracing for one connection on one
@@ -608,17 +577,8 @@ impl TopologySim {
         // something the transport wrapper cannot heal. Fault-free runs (and
         // plain delay/duplicate/drop-with-retry chaos) never construct it,
         // so their event schedules stay bit-identical.
-        let needs_rel = self.drop_buddy_help
-            || self
-                .chaos
-                .as_ref()
-                .is_some_and(|c| c.config().needs_reliability());
-        if needs_rel {
-            let loss = self.chaos.as_ref().map(|c| *c.config());
-            self.rel = Some(
-                Reliability::new(self.policy, Arc::clone(&self.metrics))
-                    .with_faults(self.drop_buddy_help, loss),
-            );
+        if self.faults.needs_reliability() {
+            self.rel = Some(Reliability::armed(self.faults, Arc::clone(&self.metrics)));
         }
         // Kick off every process: exporters compute before their first
         // export; importers pay startup + compute before their first call.
@@ -1037,6 +997,7 @@ impl TopologySim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{ChaosConfig, CrashFault};
     use couplink_layout::{Decomposition, Extent2};
     use couplink_time::{ts, MatchPolicy, Tolerance};
 
@@ -1167,6 +1128,37 @@ mod tests {
         let mut cfg = small_config(true, 1e-3);
         cfg.exports[0].dt = 0.0;
         assert!(rejected(cfg));
+    }
+
+    /// The two faults only the threaded fabric models are refused, not
+    /// silently dropped: an agent crash and ack-before-handle.
+    #[test]
+    fn faults_the_simulator_cannot_model_are_refused() {
+        let agent_crash = ChaosConfig {
+            crash: Some(CrashFault {
+                target: CrashTarget::Agent { prog: 0, rank: 0 },
+                after_msgs: 0,
+                restart_after: None,
+            }),
+            ..ChaosConfig::from_seed(1)
+        };
+        for faults in [
+            Faults {
+                chaos: Some(agent_crash),
+                ..Faults::default()
+            },
+            Faults {
+                mutation: Some(Mutation::AckBeforeHandle),
+                ..Faults::default()
+            },
+        ] {
+            let mut sim = TopologySim::new(small_config(true, 1e-3)).unwrap();
+            let got = sim.faults(faults);
+            assert!(
+                matches!(got, Err(SimError::Config(_))),
+                "{faults:?}: {got:?}"
+            );
+        }
     }
 
     #[test]

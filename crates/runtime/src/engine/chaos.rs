@@ -68,7 +68,7 @@
 //! Both are seeded and deterministic like everything else here.
 
 use super::Endpoint;
-use couplink_proto::{ConnectionId, CtrlMsg, ProcResponse, RepAnswer};
+use couplink_proto::{ConnectionId, CtrlMsg, Mutation, ProcResponse, RepAnswer};
 use std::collections::HashMap;
 
 /// Seeded fault-injection parameters. All probabilities are in `[0, 1]`;
@@ -122,6 +122,51 @@ pub struct CrashFault {
     pub after_msgs: u64,
     /// Seconds until the process restarts, `None` to rely on failover.
     pub restart_after: Option<f64>,
+}
+
+/// Every fault a run can be given, in one value: both in-process runtimes
+/// take it ([`TopologySim::faults`](crate::TopologySim::faults),
+/// [`FabricOptions::faults`](crate::FabricOptions::faults)) and each layer
+/// reads only the part it fires. The default is a fault-free run.
+///
+/// Which runtime fires what:
+/// - `chaos`: both. A [`CrashTarget::Agent`] crash is the fabric's alone;
+///   the simulator refuses it.
+/// - `drop_buddy_help` and `no_retransmit`: both, through [`Reliability`].
+/// - `mutation`: [`Mutation::HelpSkip`] and [`Mutation::StaleSkip`] fire in
+///   every export port and [`Mutation::RelayDrop`] in every import node, so
+///   on both runtimes; [`Mutation::AckBeforeHandle`] fires only in the
+///   fabric's reliability layer, which it arms; the simulator refuses it.
+///
+/// [`Reliability`]: super::Reliability
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Faults {
+    /// Seeded delay, duplication, drop-with-retry, permanent loss and
+    /// crash faults on control traffic.
+    pub chaos: Option<ChaosConfig>,
+    /// Every buddy-help announcement is sent but never arrives, so each
+    /// exhausts its expendable retry budget and is abandoned (metered as
+    /// `degraded_buffers`). The run must degrade to conservative
+    /// buffering, never misbehave.
+    pub drop_buddy_help: bool,
+    /// Expired deadlines never retransmit (where loss arms the layer), so
+    /// the liveness oracle must fire. Otherwise every run retries alike.
+    pub no_retransmit: bool,
+    /// A deliberately unsound protocol rule, for mutation testing.
+    pub mutation: Option<Mutation>,
+}
+
+impl Faults {
+    /// Whether these faults arm the reliability layer (sequence numbers,
+    /// acks, retransmits, journal): only for forced buddy-help loss,
+    /// [`Mutation::AckBeforeHandle`] (a bug in that layer) or a plan that
+    /// needs it ([`ChaosConfig::needs_reliability`]). Without them a run
+    /// pays nothing for the layer.
+    pub fn needs_reliability(&self) -> bool {
+        self.drop_buddy_help
+            || self.mutation == Some(Mutation::AckBeforeHandle)
+            || self.chaos.is_some_and(|c| c.needs_reliability())
+    }
 }
 
 impl ChaosConfig {
@@ -481,6 +526,35 @@ mod tests {
         assert!(!off.needs_reliability());
         assert!((0..100).all(|n| !off.lost(n, to, &resp(0, n))));
         assert!(cfg.needs_reliability());
+    }
+
+    /// The one "arm the layer" rule: only faults the layer fires (forced
+    /// buddy-help loss, a bug inside it, a plan with loss) arm it.
+    #[test]
+    fn faults_arm_reliability_only_for_what_it_fires() {
+        let arms = |f: Faults| f.needs_reliability();
+        assert!(!arms(Faults::default()));
+        assert!(!arms(Faults {
+            no_retransmit: true,
+            chaos: Some(ChaosConfig::from_seed(1)),
+            mutation: Some(Mutation::HelpSkip),
+            ..Faults::default()
+        }));
+        assert!(arms(Faults {
+            drop_buddy_help: true,
+            ..Faults::default()
+        }));
+        assert!(arms(Faults {
+            mutation: Some(Mutation::AckBeforeHandle),
+            ..Faults::default()
+        }));
+        assert!(arms(Faults {
+            chaos: Some(ChaosConfig {
+                loss_prob: 0.1,
+                ..ChaosConfig::from_seed(1)
+            }),
+            ..Faults::default()
+        }));
     }
 
     #[test]

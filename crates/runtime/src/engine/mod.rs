@@ -29,7 +29,8 @@ pub mod reliable;
 pub mod topology;
 pub mod tree;
 
-pub use chaos::{ChaosConfig, ChaosState, CrashFault, CrashTarget};
+pub use chaos::{ChaosConfig, ChaosState, CrashFault, CrashTarget, Faults};
+pub use couplink_proto::Mutation;
 pub use node::{EngineError, ExportFx, ExportNode, ImportNode, RepCrash, RepNode};
 pub use oracle::OracleViolation;
 pub use reliable::{

@@ -14,8 +14,8 @@ use super::{tree, CrashFault, Endpoint, Outgoing, WireMeta};
 use couplink_metrics::EngineMetrics;
 use couplink_proto::{
     ConnectionId, CtrlMsg, ExportAction, ExportPort, ExporterRep, ImportError, ImportPort,
-    ImportState, ImporterRep, MultiExport, MultiExportEffects, PortError, ProcResponse, Rank,
-    RepAnswer, RepError, RequestId, Trace, TreeRole,
+    ImportState, ImporterRep, MultiExport, MultiExportEffects, Mutation, PortError, ProcResponse,
+    Rank, RepAnswer, RepError, RequestId, Trace, TreeRole,
 };
 use couplink_time::Timestamp;
 use std::collections::HashMap;
@@ -223,26 +223,13 @@ impl ExportNode {
         self.regions[ri].traces[slot].take()
     }
 
-    /// Arms the mutation-testing hook on every port of this node: exports
-    /// equal to a known buddy-help match are unsoundly skipped. Used only by
-    /// the simulation-test harness to prove the oracles catch a broken
-    /// pruning rule (see [`ExportPort::set_unsound_help_skip`]).
-    pub fn arm_unsound_help_skip(&mut self) {
+    /// Arms a deliberately unsound rule on every port of this node (see
+    /// [`Mutation`]); the ports fire the export-side rules and ignore the
+    /// rest.
+    pub fn set_mutation(&mut self, mutation: Option<Mutation>) {
         for region in &mut self.regions {
             for slot in 0..region.multi.connections() {
-                region.multi.port_mut(slot).set_unsound_help_skip(true);
-            }
-        }
-    }
-
-    /// Arms the second mutation-testing hook on every port of this node:
-    /// buddy-help announcements whose match was already exported locally are
-    /// unsoundly dropped without sending the piece (see
-    /// [`ExportPort::set_unsound_stale_skip`]).
-    pub fn arm_unsound_stale_skip(&mut self) {
-        for region in &mut self.regions {
-            for slot in 0..region.multi.connections() {
-                region.multi.port_mut(slot).set_unsound_stale_skip(true);
+                region.multi.port_mut(slot).set_mutation(mutation);
             }
         }
     }
@@ -810,7 +797,7 @@ pub struct ImportNode {
     ports: Vec<Option<ImportPort>>,
     /// Ranks in this program — the size of its distribution tree.
     procs: usize,
-    /// Mutation-testing hook (see [`ImportNode::arm_relay_drop`]).
+    /// [`Mutation::RelayDrop`] is armed and this is rank 0.
     relay_drop: bool,
     /// Run-wide instrumentation shared with every other node.
     metrics: Arc<EngineMetrics>,
@@ -835,13 +822,14 @@ impl ImportNode {
         }
     }
 
-    /// Arms the third mutation-testing hook: relay rank 0 silently drops
-    /// every coalesced answer broadcast on its first subtree edge — before
-    /// any runtime's send step sees it, so nothing ever retransmits it.
-    /// The starved subtree never completes its imports; the liveness
-    /// oracle must fire. A no-op on every other rank.
-    pub fn arm_relay_drop(&mut self) {
-        self.relay_drop = self.rank == 0;
+    /// Arms a deliberately unsound rule (see [`Mutation`]). The node fires
+    /// [`Mutation::RelayDrop`] alone: relay rank 0 silently drops every
+    /// coalesced answer broadcast on its first subtree edge — before any
+    /// runtime's send step sees it, so nothing ever retransmits it. The
+    /// starved subtree never completes its imports; the liveness oracle
+    /// must fire. A no-op on every other rank.
+    pub fn set_mutation(&mut self, mutation: Option<Mutation>) {
+        self.relay_drop = mutation == Some(Mutation::RelayDrop) && self.rank == 0;
     }
 
     /// Shares run-wide instrumentation with this node (a private instance is
@@ -1059,9 +1047,7 @@ mod tests {
             (0, true, vec![5]),
         ] {
             let mut node = ImportNode::new(&topo, 1, rank);
-            if armed {
-                node.arm_relay_drop();
-            }
+            node.set_mutation(armed.then_some(Mutation::RelayDrop));
             let (req, _call) = node.begin_import(CONN, ts(1.0)).expect("import");
             assert_eq!(req, RequestId(0));
             let mut out = Vec::new();

@@ -61,7 +61,7 @@
 //! loss run (`0.2^32`), turning a would-be infinite loop into a metered
 //! abandonment the liveness oracle then reports.
 
-use super::{chaos, ctrl_class, ChaosConfig, Endpoint};
+use super::{chaos, ctrl_class, ChaosConfig, Endpoint, Faults};
 use couplink_metrics::{CtrlClass, EngineMetrics};
 use couplink_proto::{CtrlMsg, TreeRole};
 use couplink_time::Timestamp;
@@ -90,11 +90,15 @@ pub struct RetryPolicy {
 }
 
 impl Default for RetryPolicy {
+    /// The policy both runtimes run with. Control latency and chaos jitter
+    /// are a few milliseconds (virtual or wall), so the first ack deadline
+    /// sits well clear of an honest round trip while retries still settle
+    /// long before a typical schedule ends.
     fn default() -> Self {
         RetryPolicy {
-            base_timeout: 0.5,
+            base_timeout: 0.05,
             backoff: 2.0,
-            max_timeout: 2.0,
+            max_timeout: 0.4,
             max_attempts: 32,
             expendable_attempts: 3,
             retransmit: true,
@@ -409,12 +413,18 @@ impl Reliability {
         }
     }
 
-    /// Arms the faults [`send_step`] applies on this layer's links: forced
-    /// buddy-help loss and the fault plan's permanent-loss draw.
-    pub fn with_faults(mut self, drop_buddy_help: bool, loss: Option<ChaosConfig>) -> Self {
-        self.drop_buddy_help = drop_buddy_help;
-        self.loss = loss;
-        self
+    /// The layer a runtime arms for `faults`: the default policy, and the
+    /// buddy-help loss and loss draw [`send_step`] applies on its links.
+    pub(crate) fn armed(faults: Faults, metrics: Arc<EngineMetrics>) -> Self {
+        let policy = RetryPolicy {
+            retransmit: !faults.no_retransmit,
+            ..RetryPolicy::default()
+        };
+        Reliability {
+            drop_buddy_help: faults.drop_buddy_help,
+            loss: faults.chaos,
+            ..Reliability::new(policy, metrics)
+        }
     }
 
     /// Enters or leaves journal-replay mode. While replaying, regenerated
@@ -804,6 +814,7 @@ mod tests {
             RetryPolicy {
                 base_timeout: 1.0,
                 backoff: 1.0,
+                max_timeout: 2.0,
                 expendable_attempts: 2,
                 ..RetryPolicy::default()
             },
@@ -834,6 +845,7 @@ mod tests {
             RetryPolicy {
                 retransmit: false,
                 base_timeout: 1.0,
+                max_timeout: 2.0,
                 ..RetryPolicy::default()
             },
             Arc::new(EngineMetrics::new()),
@@ -891,10 +903,12 @@ mod tests {
                 }
                 let m = Arc::new(EngineMetrics::new());
                 let mut layer = (mode != Mode::Unarmed).then(|| {
-                    let mut r = Reliability::new(RetryPolicy::default(), m.clone()).with_faults(
-                        mode == Mode::DropHelp,
-                        (mode == Mode::Lost).then_some(total_loss),
-                    );
+                    let faults = Faults {
+                        drop_buddy_help: mode == Mode::DropHelp,
+                        chaos: (mode == Mode::Lost).then_some(total_loss),
+                        ..Faults::default()
+                    };
+                    let mut r = Reliability::armed(faults, m.clone());
                     r.set_replaying(mode == Mode::Replaying);
                     r
                 });

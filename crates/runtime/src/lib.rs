@@ -48,8 +48,8 @@ pub use des::topo::{
     ExportSchedule, ExportSeries, ImportSchedule, SimError, TopoReport, TopologyConfig, TopologySim,
 };
 pub use engine::{
-    ActionKind, ChaosConfig, ChaosState, CrashFault, CrashTarget, OracleViolation, Reliability,
-    RetryPolicy, Topology, TopologyError,
+    ActionKind, ChaosConfig, ChaosState, CrashFault, CrashTarget, Faults, Mutation,
+    OracleViolation, Reliability, RetryPolicy, Topology, TopologyError,
 };
 pub use threaded::{
     fabric_task_count, ExportAccess, Fabric, FabricOptions, FabricReport, ImportAccess,

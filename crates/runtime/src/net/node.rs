@@ -79,7 +79,7 @@ use couplink_proto::{ConnectionId, CtrlMsg, Rank, RequestId};
 use couplink_time::ts;
 use parking_lot::Mutex;
 
-use crate::engine::{Endpoint, WalRecord, WireMeta};
+use crate::engine::{Endpoint, Faults, WalRecord, WireMeta};
 use crate::threaded::fabric::{ExportAccess, Net, RemoteLinks, WalHandle};
 use crate::threaded::{Fabric, FabricOptions};
 
@@ -632,8 +632,10 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
             .filter(|&&(p, _, _)| p == me)
             .map(|&(p, r, c)| (p, r, ConnectionId(c)))
             .collect(),
-        chaos: plan.chaos,
-        drop_buddy_help: false,
+        faults: Faults {
+            chaos: plan.chaos,
+            ..Faults::default()
+        },
         hierarchical: plan.hierarchical,
         wal: wal_handle.clone(),
     };

@@ -40,8 +40,8 @@
 
 use crate::engine::chaos::{commutes, ChaosConfig, CrashTarget};
 use crate::engine::{
-    proc_side, send_step, Clock, Endpoint, EngineError, Expiry, ExportFx, ExportNode, ImportNode,
-    MemWal, Outgoing, ProcSide, Reliability, RepCrash, RepNode, RetryPolicy, SendDecision,
+    proc_side, send_step, Clock, Endpoint, EngineError, Expiry, ExportFx, ExportNode, Faults,
+    ImportNode, MemWal, Mutation, Outgoing, ProcSide, Reliability, RepCrash, RepNode, SendDecision,
     SendKind, Topology, Wal, WalRecord, WireMeta,
 };
 use crate::threaded::executor::{
@@ -183,26 +183,16 @@ pub struct FabricOptions {
     /// exporter process records a Figure 5-style event stream for that
     /// connection, returned by [`Fabric::shutdown`].
     pub traces: Vec<(usize, usize, ConnectionId)>,
-    /// Seeded fault injection on *commutative* control messages (`Response`,
-    /// `BuddyHelp`, `Answer`, `AnswerBcast`): per-message delay, duplication
-    /// and drop-with-retry, routed through a relay thread. FIFO-class
-    /// messages (`ImportCall`, `ImportRequest`, `ForwardRequest`) are never
-    /// perturbed here — unlike the simulator, the fabric has no global
-    /// event queue on which to re-order them safely, and the protocol
-    /// forbids reordering them anyway.
-    ///
-    /// When the configuration carries *permanent* faults (`loss_prob > 0`
-    /// or a [`CrashFault`](crate::engine::CrashFault)) the fabric
-    /// additionally arms its reliability layer: every eligible message is
-    /// sequenced and acknowledged, a pump task retransmits on wall-clock
-    /// timeouts, and a crashed rep is rebuilt from its delivery journal.
-    pub chaos: Option<ChaosConfig>,
-    /// Degradation knob: buddy-help announcements are sent but never
-    /// arrive, so each one exhausts its expendable retry budget and is
-    /// abandoned (metered as `degraded_buffers`). Arms the reliability
-    /// layer even without chaos. The run must degrade to conservative
-    /// buffering, never misbehave.
-    pub drop_buddy_help: bool,
+    /// The run's injected faults (see [`Faults`]; default: none), every one
+    /// of which the fabric fires. Chaos perturbs only *commutative* control
+    /// messages (`Response`, `BuddyHelp`, `Answer`, `AnswerBcast`), through
+    /// a relay thread: the fabric has no global event queue on which to
+    /// re-order FIFO-class ones safely, and the protocol forbids it anyway.
+    /// Faults that need it ([`Faults::needs_reliability`]) arm the
+    /// reliability layer: acks, a retransmit pump on wall-clock timeouts,
+    /// and failover of a crashed rep from its delivery journal. Mutations
+    /// are armed while the fabric is built, before any task runs.
+    pub faults: Faults,
     /// Hierarchical collective distribution: the rep sends forwards and
     /// coalesced answers only to the roots of the deterministic
     /// [`tree`](crate::engine::tree), and every rank relays to its own
@@ -226,8 +216,7 @@ impl Default for FabricOptions {
             import_timeout: Duration::from_secs(30),
             buffer_capacity: None,
             traces: Vec::new(),
-            chaos: None,
-            drop_buddy_help: false,
+            faults: Faults::default(),
             hierarchical: false,
             wal: None,
         }
@@ -239,9 +228,7 @@ impl FabricOptions {
     /// acks, retransmit pump, journal): only when a fault that needs it is
     /// configured or a journal is asked for — a plain run pays nothing.
     fn needs_reliability(&self) -> bool {
-        self.drop_buddy_help
-            || self.wal.is_some()
-            || self.chaos.is_some_and(|c| c.needs_reliability())
+        self.faults.needs_reliability() || self.wal.is_some()
     }
 }
 
@@ -381,27 +368,22 @@ struct NetRel {
     /// Set by shutdown once the drain is over: the pump task finishes at
     /// its next poll.
     stop: AtomicBool,
-    /// Mutation-testing hook: apply an in-process sender's acks *before*
-    /// the handler runs (see [`Fabric::arm_ack_before_handle`]).
-    ack_before_handle: AtomicBool,
+    /// [`Mutation::AckBeforeHandle`]: an in-process sender's acks are
+    /// applied before the receiving handler runs, and the handler then
+    /// waits two drain polls, so for that long neither the message nor
+    /// what the handler sends is pending.
+    ack_before_handle: bool,
 }
 
 impl NetRel {
-    fn new(
-        policy: RetryPolicy,
-        metrics: &Arc<EngineMetrics>,
-        clock: Arc<WallClock>,
-        drop_buddy_help: bool,
-        loss: Option<ChaosConfig>,
-    ) -> Self {
-        let layer =
-            Reliability::new(policy, Arc::clone(metrics)).with_faults(drop_buddy_help, loss);
+    fn new(faults: Faults, metrics: &Arc<EngineMetrics>, clock: Arc<WallClock>) -> Self {
+        let layer = Reliability::armed(faults, Arc::clone(metrics));
         NetRel {
+            base_timeout: layer.policy().base_timeout,
             layer: Mutex::new(layer),
             clock,
-            base_timeout: policy.base_timeout,
             stop: AtomicBool::new(false),
-            ack_before_handle: AtomicBool::new(false),
+            ack_before_handle: faults.mutation == Some(Mutation::AckBeforeHandle),
         }
     }
 
@@ -754,7 +736,7 @@ impl Net {
             return deliver(msg);
         };
         let local_sender = self.is_local(meta.from);
-        let ack_first = rel.ack_before_handle.load(Ordering::Relaxed);
+        let ack_first = rel.ack_before_handle;
         let received = {
             let mut layer = timed_lock(&rel.layer, &self.metrics);
             // Skipped during replay: the records being re-admitted are
@@ -1636,25 +1618,12 @@ impl Fabric {
         let err = Arc::new(ErrSlot::default());
         let clock = Arc::new(WallClock::start());
         let metrics = metrics.unwrap_or_else(|| Arc::new(EngineMetrics::new()));
-        let crash = opts.chaos.and_then(|c| c.crash);
+        let faults = opts.faults;
+        let crash = faults.chaos.and_then(|c| c.crash);
         // Reliability is armed only when the faults require it — see
-        // `NetRel`. Wall-clock retry timescales: first retransmit after
-        // 50 ms, backing off to 400 ms.
+        // `NetRel`.
         let needs_rel = opts.needs_reliability();
-        let rel = needs_rel.then(|| {
-            NetRel::new(
-                RetryPolicy {
-                    base_timeout: 0.05,
-                    backoff: 2.0,
-                    max_timeout: 0.4,
-                    ..RetryPolicy::default()
-                },
-                &metrics,
-                clock.clone(),
-                opts.drop_buddy_help,
-                opts.chaos,
-            )
-        });
+        let rel = needs_rel.then(|| NetRel::new(faults, &metrics, clock.clone()));
 
         // Mailboxes first (the routing table must exist before any task).
         // In a partial fabric only the hosted program's endpoints get
@@ -1677,7 +1646,7 @@ impl Fabric {
             let procs = topo.programs[ct.importer_prog].procs;
             imp_boxes.push((0..procs).map(|_| Arc::new(Mailbox::new())).collect());
         }
-        let relay_channel = opts.chaos.map(|cfg| {
+        let relay_channel = faults.chaos.map(|cfg| {
             let (tx, rx) = unbounded::<RelayMsg>();
             (cfg, tx, rx)
         });
@@ -1735,6 +1704,7 @@ impl Fabric {
                 let mut node =
                     ExportNode::new(&topo, pi, rank, opts.buffer_capacity, opts.hierarchical);
                 node.set_metrics(Arc::clone(&metrics));
+                node.set_mutation(faults.mutation);
                 for &(tp, tr, tc) in &opts.traces {
                     if tp == pi && tr == rank {
                         node.enable_trace(tc);
@@ -1838,6 +1808,7 @@ impl Fabric {
                 let imp_cell = (!p.imports.is_empty()).then(|| {
                     let mut node = ImportNode::new(&topo, pi, rank);
                     node.set_metrics(Arc::clone(&metrics));
+                    node.set_mutation(faults.mutation);
                     let cell = Arc::new(ImpCell {
                         node: Mutex::new(node),
                         cv: Condvar::new(),
@@ -2055,25 +2026,6 @@ impl Fabric {
         })
     }
 
-    /// Arms the relay-drop mutation on every importing process, for
-    /// mutation-testing the oracles (see [`ImportNode::arm_relay_drop`]).
-    pub fn arm_relay_drop(&self) {
-        for cell in self.err.imp_cells.get().expect("fabric built") {
-            cell.node.lock().arm_relay_drop();
-        }
-    }
-
-    /// Arms the ack-before-handle mutation, for mutation-testing the
-    /// shutdown drain: an in-process sender's acks are applied before the
-    /// receiving handler runs, and the handler then waits two drain polls,
-    /// so for that long neither the message nor what the handler sends is
-    /// pending. No effect on an unarmed layer.
-    pub fn arm_ack_before_handle(&self) {
-        if let Some(rel) = &self.net.rel {
-            rel.ack_before_handle.store(true, Ordering::Relaxed);
-        }
-    }
-
     /// Test hook: the exporting process's shared engine cell.
     #[cfg(test)]
     fn cell(&self, prog: usize, rank: usize) -> Arc<ExpCell> {
@@ -2240,15 +2192,18 @@ mod tests {
         let (topo, ..) = fanout_topology();
         let opts = FabricOptions {
             traces: vec![(0, 0, ConnectionId(0))],
-            chaos: Some(ChaosConfig {
-                seed: 7,
-                max_delay: 0.0,
-                duplicate_prob: 0.0,
-                drop_prob: 0.0,
-                retry_delay: 0.05,
-                loss_prob: 0.0,
-                crash: None,
-            }),
+            faults: Faults {
+                chaos: Some(ChaosConfig {
+                    seed: 7,
+                    max_delay: 0.0,
+                    duplicate_prob: 0.0,
+                    drop_prob: 0.0,
+                    retry_delay: 0.05,
+                    loss_prob: 0.0,
+                    crash: None,
+                }),
+                ..Faults::default()
+            },
             ..FabricOptions::default()
         };
         let fabric = Fabric::new(topo, opts);
@@ -2299,22 +2254,25 @@ mod tests {
         let (topo, exp_d, imp_a, imp_b) = fanout_topology();
         let opts = FabricOptions {
             import_timeout: Duration::from_secs(20),
-            chaos: Some(ChaosConfig {
-                seed: 11,
-                max_delay: 0.0,
-                duplicate_prob: 0.0,
-                drop_prob: 0.0,
-                retry_delay: 0.05,
-                loss_prob: 0.0,
-                crash: Some(CrashFault {
-                    // Program 1's rep sees 2 ranks × 4 iterations of
-                    // ImportCall traffic; dying after 3 leaves the rest
-                    // of the burst pending in the mailbox.
-                    target: CrashTarget::Rep(1),
-                    after_msgs: 3,
-                    restart_after: Some(0.05),
+            faults: Faults {
+                chaos: Some(ChaosConfig {
+                    seed: 11,
+                    max_delay: 0.0,
+                    duplicate_prob: 0.0,
+                    drop_prob: 0.0,
+                    retry_delay: 0.05,
+                    loss_prob: 0.0,
+                    crash: Some(CrashFault {
+                        // Program 1's rep sees 2 ranks × 4 iterations of
+                        // ImportCall traffic; dying after 3 leaves the rest
+                        // of the burst pending in the mailbox.
+                        target: CrashTarget::Rep(1),
+                        after_msgs: 3,
+                        restart_after: Some(0.05),
+                    }),
                 }),
-            }),
+                ..Faults::default()
+            },
             ..FabricOptions::default()
         };
         let mut fabric = Fabric::new(topo, opts);
@@ -2355,21 +2313,24 @@ mod tests {
         let (topo, exp_d, imp_a, imp_b) = fanout_topology();
         let opts = FabricOptions {
             import_timeout: Duration::from_secs(20),
-            chaos: Some(ChaosConfig {
-                seed: 5,
-                max_delay: 0.0,
-                duplicate_prob: 0.0,
-                drop_prob: 0.0,
-                retry_delay: 0.05,
-                loss_prob: 0.0,
-                crash: Some(CrashFault {
-                    // The exporter program's rep goes silent after 3
-                    // messages and never restarts on its own.
-                    target: CrashTarget::Rep(0),
-                    after_msgs: 3,
-                    restart_after: None,
+            faults: Faults {
+                chaos: Some(ChaosConfig {
+                    seed: 5,
+                    max_delay: 0.0,
+                    duplicate_prob: 0.0,
+                    drop_prob: 0.0,
+                    retry_delay: 0.05,
+                    loss_prob: 0.0,
+                    crash: Some(CrashFault {
+                        // The exporter program's rep goes silent after 3
+                        // messages and never restarts on its own.
+                        target: CrashTarget::Rep(0),
+                        after_msgs: 3,
+                        restart_after: None,
+                    }),
                 }),
-            }),
+                ..Faults::default()
+            },
             ..FabricOptions::default()
         };
         let mut fabric = Fabric::new(topo, opts);
@@ -2509,15 +2470,18 @@ mod tests {
         };
         let opts = FabricOptions {
             import_timeout: Duration::from_secs(5),
-            chaos: Some(lossy(&[
-                (imp_rep, import_call, false),
-                (exp_rep, CtrlMsg::ImportRequest { conn, req, ts: at }, false),
-                (agent, forward, true),
-                (agent, forward, false),
-                (exp_rep, response, false),
-                (imp_rep, CtrlMsg::Answer { conn, req, answer }, false),
-                (importer, CtrlMsg::AnswerBcast { conn, req, answer }, false),
-            ])),
+            faults: Faults {
+                chaos: Some(lossy(&[
+                    (imp_rep, import_call, false),
+                    (exp_rep, CtrlMsg::ImportRequest { conn, req, ts: at }, false),
+                    (agent, forward, true),
+                    (agent, forward, false),
+                    (exp_rep, response, false),
+                    (imp_rep, CtrlMsg::Answer { conn, req, answer }, false),
+                    (importer, CtrlMsg::AnswerBcast { conn, req, answer }, false),
+                ])),
+                ..Faults::default()
+            },
             ..FabricOptions::default()
         };
         let mut fabric = Fabric::new(topo, opts);
@@ -2550,11 +2514,14 @@ mod tests {
         let forward = CtrlMsg::ForwardRequest { conn, req, ts };
         let agent = Endpoint::Proc { prog: 0, rank: 0 };
         let opts = FabricOptions {
-            chaos: Some(lossy(&[
-                (exp_rep, request, true),
-                (exp_rep, request, false),
-                (agent, forward, false),
-            ])),
+            faults: Faults {
+                chaos: Some(lossy(&[
+                    (exp_rep, request, true),
+                    (exp_rep, request, false),
+                    (agent, forward, false),
+                ])),
+                ..Faults::default()
+            },
             ..FabricOptions::default()
         };
 
@@ -2870,19 +2837,22 @@ mod tests {
     fn agent_panic_under_a_helping_import_is_a_process_crash() {
         let (topo, _, imp_d) = pair_topology();
         let opts = FabricOptions {
-            chaos: Some(ChaosConfig {
-                seed: 1,
-                max_delay: 0.0,
-                duplicate_prob: 0.0,
-                drop_prob: 0.0,
-                retry_delay: 0.05,
-                loss_prob: 0.0,
-                crash: Some(CrashFault {
-                    target: CrashTarget::Agent { prog: 0, rank: 0 },
-                    after_msgs: 0,
-                    restart_after: None,
+            faults: Faults {
+                chaos: Some(ChaosConfig {
+                    seed: 1,
+                    max_delay: 0.0,
+                    duplicate_prob: 0.0,
+                    drop_prob: 0.0,
+                    retry_delay: 0.05,
+                    loss_prob: 0.0,
+                    crash: Some(CrashFault {
+                        target: CrashTarget::Agent { prog: 0, rank: 0 },
+                        after_msgs: 0,
+                        restart_after: None,
+                    }),
                 }),
-            }),
+                ..Faults::default()
+            },
             ..FabricOptions::default()
         };
         let mut fabric = Fabric::new(topo, opts);

@@ -3,14 +3,15 @@
 //! rows, 1 001 exports, 50 imports, REGL 2.5) may allocate at most
 //! `BUDGET` times inside `TopologySim::run`. The count is deterministic —
 //! the same configuration performs the same allocations — so this is a
-//! counter gate, not a wall-clock one.
+//! counter gate, not a wall-clock one. The same run also shows the fault
+//! seam's default is a no-op.
 //!
 //! The counting allocator counts per thread, so tests running in parallel
 //! in this binary cannot disturb each other's numbers.
 
 use couplink_layout::{Decomposition, Extent2};
 use couplink_runtime::{
-    CostModel, ExportSchedule, ImportSchedule, Topology, TopologyConfig, TopologySim,
+    CostModel, ExportSchedule, Faults, ImportSchedule, Topology, TopologyConfig, TopologySim,
 };
 use couplink_time::{MatchPolicy, Tolerance};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -110,4 +111,21 @@ fn panel_d_run_stays_within_its_allocation_budget() {
     assert_eq!(report.duration, 2.2332886186666876);
     assert_eq!(report.stats[0][3].skips, 836, "slow rank's skipped memcpys");
     assert!(used <= BUDGET, "{used} allocations > budget {BUDGET}");
+}
+
+/// Giving the run `Faults::default()` changes nothing it reports.
+#[test]
+fn default_faults_change_nothing() {
+    let run = |faults: Option<Faults>| {
+        let mut sim = TopologySim::new(panel_d()).expect("valid configuration");
+        if let Some(faults) = faults {
+            sim.faults(faults).expect("fault-free");
+        }
+        sim.run().expect("run completes")
+    };
+    let (plain, seamed) = (run(None), run(Some(Faults::default())));
+    assert_eq!(seamed.duration, plain.duration);
+    assert_eq!(seamed.stats, plain.stats);
+    assert_eq!(seamed.matches, plain.matches);
+    assert_eq!(seamed.metrics.counters, plain.metrics.counters);
 }

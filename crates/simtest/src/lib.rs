@@ -31,20 +31,23 @@
 //! A failing seed shrinks to a structurally minimal scenario
 //! ([`shrink::shrink`]) and is dumped under `results/simtest/` for replay.
 //! The *mutation smoke* mode ([`runner::mutation_smoke`]) deliberately
-//! arms an unsound protocol rule ([`runner::Mutation`]) and demands that
-//! an oracle catches it — proving the oracles have teeth:
+//! arms an unsound protocol rule ([`couplink_runtime::Mutation`], passed
+//! to a runtime as `Faults::mutation` like every other injected fault) and
+//! demands that an oracle catches it — proving the oracles have teeth:
 //!
-//! * [`runner::Mutation::HelpSkip`] weakens the acceptable-region pruning
-//!   rule ([`couplink_proto::ExportPort::set_unsound_help_skip`]) so the
-//!   buddy-help match itself is skipped;
-//! * [`runner::Mutation::StaleSkip`] drops "stale" buddy-help
-//!   announcements ([`couplink_proto::ExportPort::set_unsound_stale_skip`])
-//!   so a rank silently withholds its piece of the transfer;
-//! * [`runner::Mutation::RelayDrop`] starves one subtree of the
-//!   distribution tree (liveness or buffer safety, on both runtimes);
-//! * [`runner::Mutation::AckBeforeHandle`] lets the armed fabric's shutdown
-//!   drain stop mid-handler; no seeded scenario hits that race, so it is
-//!   caught by repeating [`runner::armed_shutdown_probe`] (liveness).
+//! * `HelpSkip` weakens the acceptable-region pruning rule so the
+//!   buddy-help match itself is skipped; the export ports fire it, and the
+//!   harness arms it on the simulator (buffer safety);
+//! * `StaleSkip` drops "stale" buddy-help announcements so a rank silently
+//!   withholds its piece of the transfer; fired by the export ports, armed
+//!   on the simulator (buffer safety);
+//! * `RelayDrop` starves one subtree of the distribution tree; the import
+//!   nodes fire it, armed on the simulator and then on the threaded
+//!   fabric (liveness or buffer safety);
+//! * `AckBeforeHandle` lets the armed fabric's shutdown drain stop
+//!   mid-handler; only the fabric fires it (the simulator refuses it), and
+//!   no seeded scenario hits that race, so it is caught by repeating
+//!   [`runner::armed_shutdown_probe`] (liveness).
 //!
 //! Everything is a pure function of the seed: no wall-clock, no OS entropy.
 //! (The threaded runtime's interleavings are real and thus vary, but every
@@ -58,8 +61,8 @@ pub mod shrink;
 
 pub use runner::{
     armed_shutdown_probe, check_des, check_scenario, check_scenario_socket, check_socket,
-    check_threaded, mutation_smoke, run_des, run_net_fault, run_socket, run_threaded,
-    socket_node_bin, socket_plan, DesTweaks, Mutation,
+    check_threaded, is_expected_catch, mutation_smoke, run_des, run_net_fault, run_socket,
+    run_threaded, socket_node_bin, socket_plan,
 };
 pub use scenario::{ExporterSpec, ImporterSpec, Scenario};
 pub use shrink::{shrink, write_failure_report};

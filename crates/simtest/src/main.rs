@@ -5,9 +5,10 @@
 
 use couplink_runtime::engine::OracleViolation;
 use couplink_runtime::net::SocketBackend;
+use couplink_runtime::Mutation;
 use couplink_simtest::{
     check_scenario, check_scenario_socket, mutation_smoke, run_net_fault, run_socket, shrink,
-    write_failure_report, Mutation, Scenario,
+    write_failure_report, Scenario,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;

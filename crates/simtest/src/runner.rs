@@ -15,8 +15,8 @@ use couplink_runtime::net::{
     run_plan, ExportSpec, ImportSpec, KillSpec, NetOptions, NodeFault, NodePlan, SocketBackend,
 };
 use couplink_runtime::{
-    fabric_task_count, ChaosConfig, ExportSchedule, Fabric, FabricOptions, ImportSchedule,
-    RetryPolicy, TopoReport, TopologyConfig, TopologySim,
+    fabric_task_count, ChaosConfig, ExportSchedule, Fabric, FabricOptions, Faults, ImportSchedule,
+    Mutation, TopoReport, TopologyConfig, TopologySim,
 };
 use couplink_time::{ts, MatchPolicy, Timestamp, Tolerance};
 use std::path::PathBuf;
@@ -30,82 +30,22 @@ const THREADED_TIME_SCALE: f64 = 0.2;
 /// Per-connection match decisions, indexed by `ConnectionId`.
 pub type Matches = Vec<Vec<Option<Timestamp>>>;
 
-/// The deliberately unsound protocol rules the harness can arm. Each is a
-/// plausible-looking "optimization" whose unsoundness only an external
-/// oracle can witness — running both proves the oracles have teeth from two
-/// independent angles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mutation {
-    /// [`couplink_proto::ExportPort::set_unsound_help_skip`]: an export
-    /// equal to a known buddy-help match is skipped instead of sent.
-    HelpSkip,
-    /// [`couplink_proto::ExportPort::set_unsound_stale_skip`]: a buddy-help
-    /// announcement whose match was already exported locally is dropped
-    /// without sending the piece.
-    StaleSkip,
-    /// [`TopologySim::arm_relay_drop`] / [`Fabric::arm_relay_drop`]: a
-    /// hierarchical relay rank silently drops the coalesced answer
-    /// broadcast on one subtree edge, starving every rank below it. The
-    /// drop lives in the engine's import node, so it is armed — and must be
-    /// caught — on the simulator and on the threaded fabric alike.
-    RelayDrop,
-    /// [`Fabric::arm_ack_before_handle`]: the armed fabric applies an
-    /// in-process sender's acks before the receiving handler has sent
-    /// what it owes, so the shutdown drain can see "nothing pending"
-    /// mid-handler and stop. Fabric-only, and a race no seeded scenario
-    /// hits: it is caught by repeating [`armed_shutdown_probe`].
-    AckBeforeHandle,
-}
-
-impl Mutation {
-    /// Every mutation, for sweeps.
-    pub const ALL: [Mutation; 4] = [
-        Mutation::HelpSkip,
-        Mutation::StaleSkip,
-        Mutation::RelayDrop,
-        Mutation::AckBeforeHandle,
-    ];
-
-    /// Short CLI/reporting name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Mutation::HelpSkip => "help-skip",
-            Mutation::StaleSkip => "stale-skip",
-            Mutation::RelayDrop => "relay-drop",
-            Mutation::AckBeforeHandle => "ack-before-handle",
+/// Whether this violation is the kind of failure the armed mutation is
+/// expected to produce. The export-side skips discard owed data (buffer
+/// safety); a dropped relay edge starves a subtree outright (liveness — the
+/// stranded ranks never complete — or buffer safety when the missing
+/// broadcast surfaces as an unsent match first).
+pub fn is_expected_catch(mutation: Mutation, v: &OracleViolation) -> bool {
+    match mutation {
+        Mutation::HelpSkip | Mutation::StaleSkip => {
+            matches!(v, OracleViolation::BufferSafety { .. })
         }
+        Mutation::RelayDrop => matches!(
+            v,
+            OracleViolation::BufferSafety { .. } | OracleViolation::Liveness { .. }
+        ),
+        Mutation::AckBeforeHandle => matches!(v, OracleViolation::Liveness { .. }),
     }
-
-    /// Whether this violation is the kind of failure the armed mutation is
-    /// expected to produce. The export-side skips discard owed data
-    /// (buffer safety); a dropped relay edge starves a subtree outright
-    /// (liveness — the stranded ranks never complete — or buffer safety
-    /// when the missing broadcast surfaces as an unsent match first).
-    pub fn is_expected_catch(self, v: &OracleViolation) -> bool {
-        match self {
-            Mutation::HelpSkip | Mutation::StaleSkip => {
-                matches!(v, OracleViolation::BufferSafety { .. })
-            }
-            Mutation::RelayDrop => matches!(
-                v,
-                OracleViolation::BufferSafety { .. } | OracleViolation::Liveness { .. }
-            ),
-            Mutation::AckBeforeHandle => matches!(v, OracleViolation::Liveness { .. }),
-        }
-    }
-}
-
-/// Extra knobs for [`run_des`] beyond the scenario itself, used by the
-/// negative and degradation tests.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DesTweaks {
-    /// Arm one of the deliberately unsound rules.
-    pub mutate: Option<Mutation>,
-    /// Permanently lose every buddy-help announcement (degradation mode).
-    pub drop_buddy_help: bool,
-    /// Override the reliability layer's retry policy (e.g. `retransmit:
-    /// false` for the no-recovery negative test).
-    pub retry: Option<RetryPolicy>,
 }
 
 /// Whether the scenario's fault plan contains only transient chaos (or no
@@ -218,16 +158,21 @@ fn scaling_oracle(
     }
 }
 
-/// Runs the scenario on the discrete-event simulator and checks the
+/// Runs the scenario on the discrete-event simulator with `faults` (the
+/// scenario's own chaos plan fills `faults.chaos`) and checks the
 /// single-runtime oracles; also returns the run's counter snapshot so
 /// callers can assert on fault metrics (failovers, degraded buffers).
 ///
-/// `Err` means the harness itself failed (invalid generated input), not
-/// that an oracle fired.
+/// `Err` means the harness itself failed (invalid generated input, or a
+/// fault the simulator refuses), not that an oracle fired.
 pub fn run_des(
     s: &Scenario,
-    tweaks: DesTweaks,
+    faults: Faults,
 ) -> Result<(Matches, CounterSnapshot, Vec<OracleViolation>), String> {
+    let faults = Faults {
+        chaos: s.chaos,
+        ..faults
+    };
     let topology = s.build_topology()?;
     let view = topology.clone();
     let cfg = TopologyConfig {
@@ -272,22 +217,8 @@ pub fn run_des(
                 .map_err(|e| format!("arming trace: {e}"))?;
         }
     }
-    if let Some(chaos) = s.chaos {
-        sim.chaos(chaos);
-    }
-    if tweaks.drop_buddy_help {
-        sim.drop_buddy_help();
-    }
-    if let Some(policy) = tweaks.retry {
-        sim.set_retry_policy(policy);
-    }
-    match tweaks.mutate {
-        Some(Mutation::HelpSkip) => sim.arm_unsound_help_skip(),
-        Some(Mutation::StaleSkip) => sim.arm_unsound_stale_skip(),
-        Some(Mutation::RelayDrop) => sim.arm_relay_drop(),
-        // A fabric-only rule: the simulator charges its acks explicitly.
-        Some(Mutation::AckBeforeHandle) | None => {}
-    }
+    sim.faults(faults)
+        .map_err(|e| format!("arming faults: {e}"))?;
     let report = sim.run().map_err(|e| format!("simulator run: {e}"))?;
     let mut violations = Vec::new();
     des_liveness(s, &view, &report, &mut violations);
@@ -301,29 +232,29 @@ pub fn run_des(
         .collect();
     trace_oracles(&view, &traces, &mut violations);
     metric_oracle(&view, &traces, &report.metrics.counters, &mut violations);
-    if permanent_fault_free(s) && !tweaks.drop_buddy_help {
+    if !faults.needs_reliability() {
         if let Err(v) = check_fault_free(&report.metrics.counters) {
             violations.push(v);
         }
     }
-    if !tweaks.drop_buddy_help {
+    if !faults.drop_buddy_help {
         scaling_oracle(s, &view, &report.metrics.counters, &mut violations);
     }
     Ok((report.matches, report.metrics.counters.clone(), violations))
 }
 
 /// Runs the scenario on the discrete-event simulator and checks the
-/// single-runtime oracles. With `mutate`, arms one of the deliberately
+/// single-runtime oracles. With `mutation`, arms one of the deliberately
 /// unsound rules first (the oracles are then *expected* to fire).
 pub fn check_des(
     s: &Scenario,
-    mutate: Option<Mutation>,
+    mutation: Option<Mutation>,
 ) -> Result<(Matches, Vec<OracleViolation>), String> {
     let (matches, _, violations) = run_des(
         s,
-        DesTweaks {
-            mutate,
-            ..DesTweaks::default()
+        Faults {
+            mutation,
+            ..Faults::default()
         },
     )?;
     Ok((matches, violations))
@@ -346,16 +277,17 @@ fn des_liveness(
 }
 
 /// Runs the scenario on the threaded fabric (real threads, real channels,
-/// real memcpys) and checks the single-runtime oracles. Returns the
-/// counter snapshot too (`None` when shutdown failed before reporting),
-/// and accepts the degradation knob for the buddy-help-loss tests and the
-/// relay-drop mutation (the one deliberately unsound rule that lives in the
-/// engine's nodes rather than the export ports).
+/// real memcpys) with `faults` (the scenario's own chaos plan fills
+/// `faults.chaos`) and checks the single-runtime oracles. Returns the
+/// counter snapshot too (`None` when shutdown failed before reporting).
 pub fn run_threaded(
     s: &Scenario,
-    drop_buddy_help: bool,
-    relay_drop: bool,
+    faults: Faults,
 ) -> Result<(Matches, Option<CounterSnapshot>, Vec<OracleViolation>), String> {
+    let faults = Faults {
+        chaos: s.chaos,
+        ..faults
+    };
     let topology = s.build_topology()?;
     let view = topology.clone();
     let mut trace_list = Vec::new();
@@ -369,8 +301,7 @@ pub fn run_threaded(
         import_timeout: Duration::from_secs(5),
         buffer_capacity: None,
         traces: trace_list,
-        chaos: s.chaos,
-        drop_buddy_help,
+        faults,
         hierarchical: s.hierarchical,
         wal: None,
     };
@@ -379,9 +310,6 @@ pub fn run_threaded(
     // under pressure must not leak into unbounded run-queue growth.
     let task_budget = fabric_task_count(&topology, &opts) as u64;
     let mut fabric = Fabric::new(topology, opts);
-    if relay_drop {
-        fabric.arm_relay_drop();
-    }
 
     let mut exp_threads = Vec::new();
     for (i, e) in s.exporters.iter().enumerate() {
@@ -478,12 +406,12 @@ pub fn run_threaded(
                 &report.metrics.counters,
                 &mut violations,
             );
-            if permanent_fault_free(s) && !drop_buddy_help {
+            if !faults.needs_reliability() {
                 if let Err(v) = check_fault_free(&report.metrics.counters) {
                     violations.push(v);
                 }
             }
-            if !drop_buddy_help {
+            if !faults.drop_buddy_help {
                 scaling_oracle(s, &view, &report.metrics.counters, &mut violations);
             }
             if report.metrics.counters.runq_depth_hwm > task_budget {
@@ -509,7 +437,7 @@ pub fn run_threaded(
 /// Runs the scenario on the threaded fabric and checks the single-runtime
 /// oracles (fault-injection as configured by the scenario, no degradation).
 pub fn check_threaded(s: &Scenario) -> Result<(Matches, Vec<OracleViolation>), String> {
-    let (matches, _, violations) = run_threaded(s, false, false)?;
+    let (matches, _, violations) = run_threaded(s, Faults::default())?;
     Ok((matches, violations))
 }
 
@@ -849,7 +777,7 @@ pub fn check_scenario_socket(
     lagged.lag_importers();
     let s = &lagged;
     let (des_matches, mut violations) = check_des(s, None)?;
-    let (thr_matches, thr_counters, thr_violations) = run_threaded(s, false, false)?;
+    let (thr_matches, thr_counters, thr_violations) = run_threaded(s, Faults::default())?;
     violations.extend(thr_violations);
     let (sock_matches, sock_counters, sock_violations) = run_socket(s, backend, false)?;
     violations.extend(sock_violations);
@@ -944,13 +872,14 @@ pub fn armed_shutdown_probe(ack_before_handle: bool) -> Result<Vec<OracleViolati
         topo,
         FabricOptions {
             import_timeout: Duration::from_millis(5),
-            chaos: Some(chaos),
+            faults: Faults {
+                chaos: Some(chaos),
+                mutation: ack_before_handle.then_some(Mutation::AckBeforeHandle),
+                ..Faults::default()
+            },
             ..FabricOptions::default()
         },
     );
-    if ack_before_handle {
-        fabric.arm_ack_before_handle();
-    }
     let mut exp = fabric.take_export(0, 0, 0);
     let mut imp = fabric.take_import(1, 0, 0);
     exp.export(at, &LocalArray::zeros(d.owned(0)))
@@ -986,14 +915,14 @@ pub fn mutation_smoke(
 ) -> Option<(u64, Option<Scenario>, Vec<OracleViolation>)> {
     if mutation == Mutation::AckBeforeHandle {
         return (0..max_seeds).find_map(|round| match armed_shutdown_probe(true) {
-            Ok(v) if v.iter().any(|x| mutation.is_expected_catch(x)) => Some((round, None, v)),
+            Ok(v) if v.iter().any(|x| is_expected_catch(mutation, x)) => Some((round, None, v)),
             _ => None,
         });
     }
     let caught = |s: &Scenario| -> bool {
         matches!(
             check_des(s, Some(mutation)),
-            Ok((_, v)) if v.iter().any(|x| mutation.is_expected_catch(x))
+            Ok((_, v)) if v.iter().any(|x| is_expected_catch(mutation, x))
         )
     };
     for seed in 0..max_seeds {
@@ -1029,8 +958,12 @@ pub fn mutation_smoke(
                 Err(_) => Vec::new(),
             };
             if mutation == Mutation::RelayDrop {
-                let (_, _, threaded) = run_threaded(&shrunk, false, true).ok()?;
-                if !threaded.iter().any(|v| mutation.is_expected_catch(v)) {
+                let armed = Faults {
+                    mutation: Some(mutation),
+                    ..Faults::default()
+                };
+                let (_, _, threaded) = run_threaded(&shrunk, armed).ok()?;
+                if !threaded.iter().any(|v| is_expected_catch(mutation, v)) {
                     return None;
                 }
                 violations.extend(threaded);
@@ -1080,7 +1013,7 @@ mod tests {
             s.force_faults();
             let violations = check_scenario(&s).expect("harness");
             assert!(violations.is_empty(), "seed {seed}: {violations:?}");
-            let (_, counters, _) = run_des(&s, DesTweaks::default()).expect("harness");
+            let (_, counters, _) = run_des(&s, Faults::default()).expect("harness");
             total_failovers += counters.failovers;
         }
         assert!(
@@ -1129,7 +1062,7 @@ mod tests {
         assert!(
             violations
                 .iter()
-                .any(|v| Mutation::RelayDrop.is_expected_catch(v)),
+                .any(|v| is_expected_catch(Mutation::RelayDrop, v)),
             "seed {seed} shrunk to {shrunk:?} without the expected violation: {violations:?}"
         );
         assert!(
@@ -1159,7 +1092,7 @@ mod tests {
     #[test]
     fn hierarchical_stress_run_exercises_the_tree() {
         let s = Scenario::stress(0);
-        let (_, counters, violations) = run_des(&s, DesTweaks::default()).expect("harness");
+        let (_, counters, violations) = run_des(&s, Faults::default()).expect("harness");
         assert!(violations.is_empty(), "{violations:?}");
         assert!(counters.ctrl_relay > 0, "no relay hops recorded");
         assert!(counters.ctrl_coalesced > 0, "no coalesced frames recorded");
@@ -1202,12 +1135,9 @@ mod tests {
         });
         let (_, _, violations) = run_des(
             &s,
-            DesTweaks {
-                retry: Some(RetryPolicy {
-                    retransmit: false,
-                    ..RetryPolicy::default()
-                }),
-                ..DesTweaks::default()
+            Faults {
+                no_retransmit: true,
+                ..Faults::default()
             },
         )
         .expect("harness");
@@ -1228,19 +1158,12 @@ mod tests {
     #[test]
     fn degraded_buddy_help_matches_no_help_ablation() {
         for seed in 0..50 {
-            let mut s = Scenario::generate(seed);
-            s.buddy_help = true;
-            s.chaos = None;
-            for e in &mut s.exporters {
-                if e.procs > 1 {
-                    *e.compute.last_mut().expect("non-empty compute") += 0.02;
-                }
-            }
+            let s = helping(seed);
             let (degraded_matches, counters, violations) = run_des(
                 &s,
-                DesTweaks {
+                Faults {
                     drop_buddy_help: true,
-                    ..DesTweaks::default()
+                    ..Faults::default()
                 },
             )
             .expect("harness");
@@ -1251,7 +1174,7 @@ mod tests {
             let mut ablation = s.clone();
             ablation.buddy_help = false;
             let (plain_matches, plain_counters, plain_violations) =
-                run_des(&ablation, DesTweaks::default()).expect("harness");
+                run_des(&ablation, Faults::default()).expect("harness");
             assert!(
                 plain_violations.is_empty(),
                 "seed {seed}: {plain_violations:?}"
@@ -1267,6 +1190,50 @@ mod tests {
             return;
         }
         panic!("no seed in 0..50 produced buddy-help traffic to degrade");
+    }
+
+    /// A fault-free scenario where buddy-help fires: the optimization on
+    /// and each exporter's last rank slowed, so it still has open requests
+    /// when the collective answer arrives.
+    fn helping(seed: u64) -> Scenario {
+        let mut s = Scenario::generate(seed);
+        s.buddy_help = true;
+        s.chaos = None;
+        for e in &mut s.exporters {
+            if e.procs > 1 {
+                *e.compute.last_mut().expect("non-empty compute") += 0.02;
+            }
+        }
+        s
+    }
+
+    /// The fabric twin of `degraded_buddy_help_matches_no_help_ablation`:
+    /// with every announcement lost on the threaded fabric, the run passes
+    /// every oracle, abandons announcements (`degraded_buffers > 0`) and
+    /// decides exactly the simulator's no-buddy-help matches.
+    #[test]
+    fn fabric_degraded_buddy_help_matches_no_help_ablation() {
+        let s = helping(0);
+        let (degraded_matches, counters, violations) = run_threaded(
+            &s,
+            Faults {
+                drop_buddy_help: true,
+                ..Faults::default()
+            },
+        )
+        .expect("harness");
+        assert!(violations.is_empty(), "{violations:?}");
+        let degraded = counters.expect("clean shutdown").degraded_buffers;
+        assert!(degraded > 0, "no buddy-help announcement was abandoned");
+        let mut ablation = s.clone();
+        ablation.buddy_help = false;
+        let (plain_matches, _, plain_violations) =
+            run_des(&ablation, Faults::default()).expect("harness");
+        assert!(plain_violations.is_empty(), "{plain_violations:?}");
+        assert_eq!(
+            degraded_matches, plain_matches,
+            "degradation changed match decisions"
+        );
     }
 
     /// A small fixed corpus through the socket runtime on loopback UDS:
@@ -1383,7 +1350,7 @@ mod tests {
                 restart_after: None,
             }),
         });
-        let (_, _, violations) = run_threaded(&s, false, false).expect("harness");
+        let (_, _, violations) = run_threaded(&s, Faults::default()).expect("harness");
         assert!(
             violations
                 .iter()
