@@ -58,7 +58,10 @@
 #                       loses a dependency cannot silently rewrite the
 #                       frozen Cargo.lock; and the frozen package and
 #                       BENCHMARK.json must be unmodified in the working
-#                       tree, with `--stat` naming any file that is not)
+#                       tree, with `--stat` naming any file that is not;
+#                       then every BENCHMARK.json workload runs one 1 s
+#                       pass of the built `e2e` binary, and each result
+#                       line must read `"correct": true` and `"failed": 0`)
 #
 # Nightly-only extras (run when CI_NIGHTLY=1, skipped gracefully otherwise):
 #   - deep simtest sweep and a deeper DES-vs-threaded property sweep
@@ -193,6 +196,24 @@ echo "== bench e2e: the out-of-workspace benchmark builds and passes its tests"
 cargo build --release --offline --locked --manifest-path crates/bench/src/bin/e2e/Cargo.toml
 cargo test -q --offline --locked --manifest-path crates/bench/src/bin/e2e/Cargo.toml
 git diff --exit-code --stat HEAD -- BENCHMARK.json crates/bench/src/bin/e2e
+
+echo "== bench e2e: every workload runs one short pass, correct and with 0 failed"
+e2e="${CARGO_TARGET_DIR:-crates/bench/src/bin/e2e/target}/release/e2e"
+for w in $(sed -n '/"workloads"/,/"end_to_end"/p' BENCHMARK.json |
+    grep -o '"name": "[^"]*"' | cut -d'"' -f4); do
+    out=$(COUPLINK_NODE_BIN=target/release/couplink-node \
+        "$e2e" --workload "$w" --seed 1 --seconds 1 --trace 0 2>&1) || {
+        echo "$out" >&2 && echo "ERROR: e2e workload $w exited non-zero" >&2 && exit 1
+    }
+    results=$(grep '^{"correct"' <<<"$out" || true)
+    if [[ -z $results ]] ||
+        grep -qv '^{"correct": true, "attempted": [0-9]*, "failed": 0,' <<<"$results"; then
+        echo "$out" >&2
+        echo "ERROR: e2e workload $w: a result line is not correct with 0 failed" >&2
+        exit 1
+    fi
+    echo "   $w: correct, 0 failed"
+done
 
 if [[ "${CI_NIGHTLY:-0}" == "1" ]]; then
     echo "== nightly: deep simtest sweep"

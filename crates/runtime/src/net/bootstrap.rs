@@ -3,14 +3,19 @@
 //! run the coordinated drain, and merge their reports into one
 //! session-wide view.
 //!
-//! The handshake is deliberately sequential and fail-fast: any child that
-//! presents the wrong protocol version, a wrong token, an out-of-range
-//! program index, or a program index already claimed gets a `FATAL` frame
-//! and the whole bootstrap aborts with a typed error — a half-connected
-//! mesh is never allowed to start. Once `GO` is out, the parent only
-//! *observes*: per-child reader threads translate frames and EOFs into
-//! events, and the two-phase wait (everyone app-done or dead, then drain,
-//! then everyone reported or dead) tolerates children dying at any point.
+//! Every process joins the same way, at boot and at a kill-restart: one
+//! hello check (`check_hello`, which a node's mesh admission shares) and
+//! one `PLAN → LISTENING → PEERS → READY → GO` walk (`Session::join`), for
+//! all n programs at boot and for the replacement alone at a restart. The
+//! handshake is deliberately sequential and fail-fast: any child that
+//! presents the wrong protocol version, a wrong session token, an
+//! out-of-range program index, or a program index that is not open gets a
+//! `FATAL` frame and the whole bootstrap aborts with a typed error — a
+//! half-connected mesh is never allowed to start. Once `GO` is out, the
+//! parent only *observes*: per-child reader threads translate frames and
+//! EOFs into events, and one event loop (everyone app-done or dead, then
+//! drain, then everyone reported or dead) tolerates children dying at any
+//! point.
 
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -23,7 +28,7 @@ use couplink_proto::{ConnectionId, ExportStats, Trace};
 use couplink_time::{ts, Timestamp};
 
 use super::codec::{self, NodePlan, NodeReport};
-use super::link::{Conn, FrameReader, Listener, SocketBackend};
+use super::link::{Conn, FrameReader, Listener, NetError, SocketBackend};
 
 /// Knobs for [`run_plan`].
 #[derive(Debug, Clone)]
@@ -85,7 +90,8 @@ pub enum BootstrapError {
     Spawn(String),
     /// The deadline expired during the named phase.
     Timeout(&'static str),
-    /// A frame from a child failed to decode.
+    /// A handshake frame was out of order, undecodable or a `FATAL`, or
+    /// the connection closed mid-handshake.
     Wire(String),
     /// A child spoke the wrong runtime protocol version.
     VersionSkew {
@@ -113,7 +119,7 @@ impl std::fmt::Display for BootstrapError {
             BootstrapError::Io(e) => write!(f, "bootstrap i/o: {e}"),
             BootstrapError::Spawn(e) => write!(f, "spawning node: {e}"),
             BootstrapError::Timeout(phase) => write!(f, "bootstrap timed out during {phase}"),
-            BootstrapError::Wire(e) => write!(f, "bad frame from node: {e}"),
+            BootstrapError::Wire(e) => write!(f, "handshake: {e}"),
             BootstrapError::VersionSkew { got } => {
                 write!(
                     f,
@@ -231,69 +237,234 @@ fn accept_by(
     Ok(accepted.ok_or(BootstrapError::Timeout(phase))??)
 }
 
-/// Reads a connecting child's `HELLO` and admits it as the program it
-/// claims — or answers `FATAL` and refuses: a protocol version other than
-/// [`codec::RT_VERSION`] (PLAN and REPORT layouts are only defined within
-/// one version), a wrong session token, a program index outside the
-/// topology or already holding a writer in `joined`.
-fn admit_hello(
-    conn: Conn,
-    token: &str,
-    joined: &[Option<Conn>],
-) -> Result<(usize, Conn, FrameReader), BootstrapError> {
-    conn.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let writer = conn.try_clone()?;
-    let mut reader = FrameReader::new(conn);
-    let body = read_frame(&mut reader, codec::KIND_HELLO, "hello")?;
-    let (version, peer_token, prog) =
-        codec::decode_hello(&body).map_err(|e| BootstrapError::Wire(format!("hello: {e}")))?;
-    let refuse = |mut writer: Conn, reason: &str, why: BootstrapError| {
-        let _ = writer.write_all(&codec::encode_fatal(reason));
-        Err(why)
-    };
-    if version != codec::RT_VERSION {
-        let skew = BootstrapError::VersionSkew { got: version };
-        return refuse(writer, "protocol version mismatch", skew);
-    }
-    if peer_token != token {
-        return refuse(writer, "bad session token", BootstrapError::BadToken);
-    }
-    if prog >= joined.len() {
-        let bad = BootstrapError::BadProgram { got: prog };
-        return refuse(writer, "program index out of range", bad);
-    }
-    if joined[prog].is_some() {
-        let dup = BootstrapError::DuplicateProgram { prog };
-        return refuse(writer, "program index already claimed", dup);
-    }
-    Ok((prog, writer, reader))
-}
-
-fn read_frame(
+/// Waits for the next handshake frame and returns its body if it is of
+/// kind `want`. Anything else fails `phase` with a typed error: a frame of
+/// another kind (out of order), a `FATAL` (its text is kept), EOF, a read
+/// timeout, or a stream that lost its framing (an oversized header among
+/// them). Both ends of every handshake, parent and node, wait through it.
+pub(super) fn expect_frame(
     reader: &mut FrameReader,
     want: u8,
     phase: &'static str,
 ) -> Result<Vec<u8>, BootstrapError> {
-    let mut reject = || {};
-    match reader.next(&mut reject) {
-        Ok(Some(f)) if f.kind == want => Ok(f.body),
-        Ok(Some(f)) if f.kind == codec::KIND_FATAL => Err(BootstrapError::Wire(format!(
-            "node reported fatal during {phase}: {}",
-            codec::decode_fatal(&f.body).unwrap_or_else(|_| "<garbled>".into())
-        ))),
-        Ok(Some(f)) => Err(BootstrapError::Wire(format!(
-            "expected frame kind {want} during {phase}, got {}",
-            f.kind
-        ))),
-        Ok(None) => Err(BootstrapError::Wire(format!(
-            "node closed its socket during {phase}"
-        ))),
-        Err(super::link::NetError::Io(e))
+    let why = match reader.next(&mut || {}) {
+        Ok(Some(f)) if f.kind == want => return Ok(f.body),
+        Ok(Some(f)) if f.kind == codec::KIND_FATAL => {
+            let text = codec::decode_fatal(&f.body).unwrap_or_else(|_| "<garbled>".into());
+            format!("fatal during {phase}: {text}")
+        }
+        Ok(Some(f)) => format!("expected frame kind {want} during {phase}, got {}", f.kind),
+        Ok(None) => format!("connection closed during {phase}"),
+        Err(NetError::Io(e))
             if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
         {
-            Err(BootstrapError::Timeout(phase))
+            return Err(BootstrapError::Timeout(phase))
         }
-        Err(e) => Err(BootstrapError::Wire(format!("during {phase}: {e}"))),
+        Err(e) => format!("during {phase}: {e}"),
+    };
+    Err(BootstrapError::Wire(why))
+}
+
+/// Checks a hello body — this build's protocol version (PLAN and REPORT
+/// layouts are only defined within one [`codec::RT_VERSION`]), the session
+/// token, a program index inside `range` and `open` — and returns the
+/// program it claims. The parent admits children and a node admits mesh
+/// peers through it alike.
+pub(super) fn check_hello(
+    body: &[u8],
+    token: &str,
+    range: std::ops::Range<usize>,
+    open: impl Fn(usize) -> bool,
+    phase: &'static str,
+) -> Result<usize, BootstrapError> {
+    let (version, peer_token, prog) =
+        codec::decode_hello(body).map_err(|e| BootstrapError::Wire(format!("{phase}: {e}")))?;
+    if version != codec::RT_VERSION {
+        Err(BootstrapError::VersionSkew { got: version })
+    } else if peer_token != token {
+        Err(BootstrapError::BadToken)
+    } else if !range.contains(&prog) {
+        Err(BootstrapError::BadProgram { got: prog })
+    } else if !open(prog) {
+        Err(BootstrapError::DuplicateProgram { prog })
+    } else {
+        Ok(prog)
+    }
+}
+
+/// Reads a connecting child's `HELLO` and admits it as the program it
+/// claims — or answers `FATAL` and refuses it: see [`check_hello`]; the
+/// open programs are, at boot, those not yet joined and, at a restart, the
+/// killed one alone.
+fn admit_hello(
+    conn: Conn,
+    token: &str,
+    open: &[bool],
+    phase: &'static str,
+) -> Result<Joining, BootstrapError> {
+    conn.set_read_timeout(Some(Duration::from_secs(30)))?;
+    let mut writer = conn.try_clone()?;
+    let mut reader = FrameReader::new(conn);
+    let body = expect_frame(&mut reader, codec::KIND_HELLO, phase)?;
+    let why = match check_hello(&body, token, 0..open.len(), |p| open[p], phase) {
+        Ok(prog) => return Ok((prog, writer, reader)),
+        Err(why) => why,
+    };
+    let reason = match why {
+        BootstrapError::VersionSkew { .. } => "protocol version mismatch",
+        BootstrapError::BadToken => "bad session token",
+        BootstrapError::BadProgram { .. } => "program index out of range",
+        BootstrapError::DuplicateProgram { .. } => "program index already claimed",
+        _ => "undecodable hello",
+    };
+    let _ = writer.write_all(&codec::encode_fatal(reason));
+    Err(why)
+}
+
+/// An admitted child: its program, and its socket's two halves.
+type Joining = (usize, Conn, FrameReader);
+
+/// The phase a join's errors name: the boot `step`, or the restart.
+fn phase(restart: bool, step: &'static str) -> &'static str {
+    if restart {
+        "restart"
+    } else {
+        step
+    }
+}
+
+/// The parent's hold on a session: what boot sets up and a restart reuses.
+struct Session<'a> {
+    opts: &'a NetOptions,
+    plan: &'a NodePlan,
+    token: String,
+    listener: Listener,
+    boot_addr: String,
+    deadline: Instant,
+    children: Children,
+    /// Each program's socket, once it has joined.
+    writers: Vec<Option<Conn>>,
+    /// The mesh addresses boot collected; a restart hands them out again.
+    mesh_addrs: Vec<String>,
+    events: mpsc::Sender<(usize, Event)>,
+    reader_threads: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl<'a> Session<'a> {
+    /// Binds the bootstrap listener under `dir` for `n` programs; the
+    /// receiver gets every joined child's events.
+    fn new(
+        opts: &'a NetOptions,
+        plan: &'a NodePlan,
+        dir: &Path,
+        n: usize,
+    ) -> Result<(Self, mpsc::Receiver<(usize, Event)>), BootstrapError> {
+        let nanos = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .unwrap_or_default()
+            .as_nanos();
+        let listener = Listener::bind(opts.backend, dir, "boot")?;
+        listener.set_nonblocking(true)?;
+        let (events, rx) = mpsc::channel();
+        let session = Session {
+            opts,
+            plan,
+            token: format!("{:x}-{:x}", nanos, std::process::id()),
+            boot_addr: listener.addr()?.to_string(),
+            listener,
+            deadline: Instant::now() + opts.deadline,
+            children: Children((0..n).map(|_| None).collect()),
+            writers: (0..n).map(|_| None).collect(),
+            mesh_addrs: Vec::new(),
+            events,
+            reader_threads: Vec::new(),
+        };
+        Ok((session, rx))
+    }
+
+    /// Accepts the next child and admits it through its hello as one of
+    /// the programs `open` marks.
+    fn admit(&self, open: &[bool], restart: bool) -> Result<Joining, BootstrapError> {
+        let conn = accept_by(&self.listener, self.deadline, phase(restart, "accept"))?;
+        admit_hello(conn, &self.token, open, phase(restart, "hello"))
+    }
+
+    /// PLAN → LISTENING → PEERS → READY → GO, each frame to every joining
+    /// child before the next, then one reader thread per child. Boot joins
+    /// all n programs; a restart joins the replacement alone, with
+    /// `restart` set in its plan and the peer table boot collected (the
+    /// node rebinds the address its peers re-dial, so its LISTENING only
+    /// advances the handshake — or carries a FATAL from its journal).
+    fn join(&mut self, mut joining: Vec<Joining>, restart: bool) -> Result<(), BootstrapError> {
+        let (listening, ready) = (phase(restart, "listening"), phase(restart, "ready"));
+        // Program order: at boot the LISTENING addresses, in the order they
+        // are read, are the peer table.
+        joining.sort_unstable_by_key(|&(prog, ..)| prog);
+        let mut plan = self.plan.clone();
+        plan.restart = restart;
+        let plan_frame = codec::encode_plan(&plan);
+        for (_, w, _) in &mut joining {
+            w.write_all(&plan_frame)?;
+        }
+        let mut addrs = Vec::with_capacity(joining.len());
+        for (_, _, r) in &mut joining {
+            let body = expect_frame(r, codec::KIND_LISTENING, listening)?;
+            let addr = codec::decode_listening(&body);
+            addrs.push(addr.map_err(|e| BootstrapError::Wire(format!("{listening}: {e}")))?);
+        }
+        if !restart {
+            self.mesh_addrs = addrs;
+        }
+        let peers_frame = codec::encode_peers(&self.mesh_addrs);
+        for (_, w, _) in &mut joining {
+            w.write_all(&peers_frame)?;
+        }
+        for (_, _, r) in &mut joining {
+            expect_frame(r, codec::KIND_READY, ready)?;
+        }
+        let go = codec::encode_bare(codec::KIND_GO);
+        for (_, w, _) in &mut joining {
+            w.write_all(&go)?;
+        }
+        // From here on the child owns the pace; its reader thread turns
+        // its frames into events.
+        for (prog, w, reader) in joining {
+            reader.conn().set_read_timeout(None)?;
+            let tx = self.events.clone();
+            self.reader_threads.push(
+                std::thread::Builder::new()
+                    .name(format!("couplink-boot-rd-{prog}"))
+                    .spawn(move || reader_loop(prog, reader, tx))
+                    .map_err(|e| BootstrapError::Spawn(format!("reader thread: {e}")))?,
+            );
+            self.writers[prog] = Some(w);
+        }
+        Ok(())
+    }
+
+    /// SIGKILLs the victim and brings up a replacement incarnation through
+    /// the admission and join boot used, with only the victim's program
+    /// open: it replays its journal before touching the mesh, unlinks its
+    /// stale socket, and rebinds its original address for the peers'
+    /// re-dial to find. Blocks the event loop for the handshake's duration
+    /// (children are autonomous post-`GO`; only the event queue waits).
+    fn restart(&mut self, kill: KillSpec) -> Result<(), BootstrapError> {
+        let prog = kill.prog;
+        if let Some(mut c) = self.children.0[prog].take() {
+            let _ = c.kill();
+            let _ = c.wait();
+        }
+        if kill.corrupt_wal {
+            let dir = self.plan.wal_dir.as_deref().ok_or_else(|| {
+                BootstrapError::Plan("corrupt_wal chaos without a journal directory".into())
+            })?;
+            corrupt_wal(Path::new(dir), prog)?;
+        }
+        let child = spawn_node(self.opts, &self.boot_addr, &self.token, prog, None)?;
+        self.children.0[prog] = Some(child);
+        let open: Vec<bool> = (0..self.writers.len()).map(|p| p == prog).collect();
+        let joined = self.admit(&open, true)?;
+        self.join(vec![joined], true)
     }
 }
 
@@ -304,7 +475,6 @@ fn read_frame(
 pub fn run_plan(plan: &NodePlan, opts: &NetOptions) -> Result<NetReport, BootstrapError> {
     let topo = plan.topology().map_err(BootstrapError::Plan)?;
     let n = topo.programs.len();
-    let deadline = Instant::now() + opts.deadline;
 
     if let Some(kill) = &opts.kill_restart {
         if kill.prog >= n {
@@ -339,189 +509,85 @@ pub fn run_plan(plan: &NodePlan, opts: &NetOptions) -> Result<NetReport, Bootstr
         std::fs::create_dir_all(&d)?;
         plan.wal_dir = Some(d.to_string_lossy().into_owned());
     }
-    let plan = &plan;
-    let wal_dir = plan.wal_dir.clone().map(PathBuf::from);
 
-    let nanos = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap_or_default()
-        .as_nanos();
-    let token = format!("{:x}-{:x}", nanos, std::process::id());
+    let (mut s, rx) = Session::new(opts, &plan, &dir, n)?;
 
-    let listener = Listener::bind(opts.backend, &dir, "boot")?;
-    listener.set_nonblocking(true)?;
-    let boot_addr = listener.addr()?.to_string();
-
-    // Spawn every program as its own process.
-    let mut children = Children(Vec::new());
+    // Spawn every program as its own process, admit each through its
+    // hello (rejecting anything that should not join this session), then
+    // join them all.
     for prog in 0..n {
-        let claim = match opts.misclaim {
-            Some((spawned, claimed)) if spawned == prog => Some(claimed),
-            _ => None,
-        };
-        children
-            .0
-            .push(Some(spawn_node(opts, &boot_addr, &token, prog, claim)?));
+        let claim = opts.misclaim.and_then(|(p, c)| (p == prog).then_some(c));
+        s.children.0[prog] = Some(spawn_node(opts, &s.boot_addr, &s.token, prog, claim)?);
     }
+    let mut open = vec![true; n];
+    let mut joining = Vec::with_capacity(n);
+    while joining.len() < n {
+        let joined = s.admit(&open, false)?;
+        open[joined.0] = false;
+        joining.push(joined);
+    }
+    s.join(joining, false)?;
 
-    // Accept + hello: map sockets to program indices, rejecting anything
-    // that should not join this session.
-    let mut writers: Vec<Option<Conn>> = (0..n).map(|_| None).collect();
-    let mut readers: Vec<Option<FrameReader>> = (0..n).map(|_| None).collect();
-    let mut joined = 0usize;
-    while joined < n {
-        let conn = accept_by(&listener, deadline, "accept")?;
-        let (prog, writer, reader) = admit_hello(conn, &token, &writers)?;
-        writers[prog] = Some(writer);
-        readers[prog] = Some(reader);
-        joined += 1;
-    }
-    let mut writers: Vec<Conn> = writers.into_iter().map(Option::unwrap).collect();
-    let mut readers: Vec<FrameReader> = readers.into_iter().map(Option::unwrap).collect();
-
-    // PLAN → LISTENING → PEERS → READY → GO.
-    let plan_frame = codec::encode_plan(plan);
-    for w in &mut writers {
-        w.write_all(&plan_frame)?;
-    }
-    let mut mesh_addrs = Vec::with_capacity(n);
-    for r in &mut readers {
-        let body = read_frame(r, codec::KIND_LISTENING, "listening")?;
-        mesh_addrs.push(
-            codec::decode_listening(&body)
-                .map_err(|e| BootstrapError::Wire(format!("listening: {e}")))?,
-        );
-    }
-    let peers_frame = codec::encode_peers(&mesh_addrs);
-    for w in &mut writers {
-        w.write_all(&peers_frame)?;
-    }
-    for r in &mut readers {
-        read_frame(r, codec::KIND_READY, "ready")?;
-    }
-    for w in &mut writers {
-        w.write_all(&codec::encode_bare(codec::KIND_GO))?;
-    }
-
-    // From here on children own the pace; the parent just watches. One
-    // reader thread per child turns its frames into events.
-    let (tx, rx) = mpsc::channel::<(usize, Event)>();
-    let mut reader_threads = Vec::new();
-    for (prog, reader) in readers.into_iter().enumerate() {
-        reader.conn().set_read_timeout(None)?;
-        let tx = tx.clone();
-        reader_threads.push(
-            std::thread::Builder::new()
-                .name(format!("couplink-boot-rd-{prog}"))
-                .spawn(move || reader_loop(prog, reader, tx))
-                .map_err(|e| BootstrapError::Spawn(format!("reader thread: {e}")))?,
-        );
-    }
-
-    // Phase 1: every program finishes its application work or dies. The
-    // kill-restart chaos hooks in here: the victim's APP_DONE triggers the
-    // SIGKILL + respawn instead of marking it done — the *restarted*
-    // incarnation's APP_DONE is the one that counts.
+    // The parent now only watches, until every program has reported or
+    // died. Once each is app-done or dead, the survivors are told to
+    // drain. The kill-restart chaos hooks in before that: the victim's
+    // APP_DONE triggers the SIGKILL + restart instead of marking it done —
+    // the *restarted* incarnation's APP_DONE is the one that counts.
     let mut pending_kill = opts.kill_restart;
     let mut expect_gone = vec![0usize; n];
     let mut app_done = vec![false; n];
     let mut gone = vec![false; n];
     let mut reports: Vec<Option<NodeReport>> = (0..n).map(|_| None).collect();
-    let settled = |app_done: &[bool], gone: &[bool], reports: &[Option<NodeReport>]| {
-        (0..n).all(|p| app_done[p] || gone[p] || reports[p].is_some())
-    };
-    while !settled(&app_done, &gone, &reports) {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(BootstrapError::Timeout("application phase"));
+    let mut draining = false;
+    loop {
+        let over = |p: usize| gone[p] || reports[p].is_some();
+        if !draining && (0..n).all(|p| app_done[p] || over(p)) {
+            // Write errors are expected here — a child may have drained
+            // early or died since its last event.
+            let live = s.writers.iter_mut().enumerate().filter(|(p, _)| !over(*p));
+            for w in live.filter_map(|(_, w)| w.as_mut()) {
+                let _ = w.write_all(&codec::encode_bare(codec::KIND_DRAIN));
+            }
+            draining = true;
         }
-        match rx.recv_timeout(remaining) {
-            Ok((p, Event::AppDone)) => {
-                if matches!(pending_kill, Some(k) if k.prog == p) {
-                    let kill = pending_kill.take().unwrap();
-                    // The old incarnation's reader will see EOF and report
-                    // it dead; that death is expected, not a crash.
-                    expect_gone[p] += 1;
-                    reader_threads.push(restart_node(
-                        &kill,
-                        wal_dir.as_deref(),
-                        plan,
-                        opts,
-                        &boot_addr,
-                        &token,
-                        &listener,
-                        &mesh_addrs,
-                        deadline,
-                        &mut children,
-                        &mut writers,
-                        &tx,
-                    )?);
-                } else {
-                    app_done[p] = true;
-                }
+        if draining && (0..n).all(over) {
+            break;
+        }
+        let phase = ["application phase", "drain phase"][draining as usize];
+        let remaining = s.deadline.saturating_duration_since(Instant::now());
+        // The session holds a sender, so the queue never disconnects.
+        let (p, event) = rx
+            .recv_timeout(remaining)
+            .map_err(|_| BootstrapError::Timeout(phase))?;
+        match event {
+            Event::AppDone if !draining && pending_kill.is_some_and(|k| k.prog == p) => {
+                // The old incarnation's reader will see EOF and report it
+                // dead; that death is expected, not a crash.
+                expect_gone[p] += 1;
+                s.restart(pending_kill.take().unwrap())?;
             }
-            Ok((p, Event::Report(rep))) => reports[p] = Some(*rep),
-            Ok((p, Event::Gone)) => {
-                if expect_gone[p] > 0 {
-                    expect_gone[p] -= 1;
-                } else {
-                    gone[p] = true;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                return Err(BootstrapError::Timeout("application phase"))
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            Event::AppDone => app_done[p] = true,
+            Event::Report(rep) => reports[p] = Some(*rep),
+            Event::Gone if expect_gone[p] > 0 => expect_gone[p] -= 1,
+            Event::Gone => gone[p] = true,
         }
     }
-
-    // Coordinated drain: tell the survivors to shut their fabric down.
-    // Write errors are expected here — a child may have drained early or
-    // died since its last event.
-    for (p, w) in writers.iter_mut().enumerate() {
-        if !gone[p] && reports[p].is_none() {
-            let _ = w.write_all(&codec::encode_bare(codec::KIND_DRAIN));
-        }
-    }
-
-    // Phase 2: every program reports or dies.
-    while !(0..n).all(|p| gone[p] || reports[p].is_some()) {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(BootstrapError::Timeout("drain phase"));
-        }
-        match rx.recv_timeout(remaining) {
-            Ok((p, Event::Report(rep))) => reports[p] = Some(*rep),
-            Ok((p, Event::Gone)) => {
-                if expect_gone[p] > 0 {
-                    expect_gone[p] -= 1;
-                } else {
-                    gone[p] = true;
-                }
-            }
-            Ok((_, Event::AppDone)) => {}
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                return Err(BootstrapError::Timeout("drain phase"))
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    drop(tx);
-    drop(writers);
-    for t in reader_threads {
+    drop(s.events);
+    drop(s.writers);
+    for t in s.reader_threads {
         let _ = t.join();
     }
 
     // Reap within the deadline; anything still alive gets killed by the
     // guard below.
-    for child in children.0.iter_mut() {
+    for child in s.children.0.iter_mut() {
         let Some(c) = child.as_mut() else { continue };
-        let exited = poll_until(deadline, || c.try_wait().transpose());
+        let exited = poll_until(s.deadline, || c.try_wait().transpose());
         if matches!(exited, Some(Ok(_))) {
             child.take();
         }
     }
-    drop(children);
+    drop(s.children);
 
     Ok(merge(topo.conns.len(), reports))
 }
@@ -548,98 +614,23 @@ fn spawn_node(
 }
 
 /// Body of a per-child reader thread: translate the child's frames and
-/// its EOF into events for the phase loops.
+/// its EOF into events for the event loop.
 fn reader_loop(prog: usize, mut reader: FrameReader, tx: mpsc::Sender<(usize, Event)>) {
-    let mut reject = || {};
     loop {
-        match reader.next(&mut reject) {
-            Ok(Some(f)) if f.kind == codec::KIND_APP_DONE => {
-                let _ = tx.send((prog, Event::AppDone));
-            }
+        let event = match reader.next(&mut || {}) {
+            Ok(Some(f)) if f.kind == codec::KIND_APP_DONE => Event::AppDone,
             Ok(Some(f)) if f.kind == codec::KIND_REPORT => match codec::decode_report(&f.body) {
-                Ok(rep) => {
-                    let _ = tx.send((prog, Event::Report(Box::new(rep))));
-                }
-                Err(_) => {
-                    let _ = tx.send((prog, Event::Gone));
-                    return;
-                }
+                Ok(rep) => Event::Report(Box::new(rep)),
+                Err(_) => Event::Gone,
             },
-            Ok(Some(_)) => {}
-            Ok(None) | Err(_) => {
-                let _ = tx.send((prog, Event::Gone));
-                return;
-            }
+            Ok(Some(_)) => continue,
+            Ok(None) | Err(_) => Event::Gone,
+        };
+        let gone = matches!(event, Event::Gone);
+        if tx.send((prog, event)).is_err() || gone {
+            return;
         }
     }
-}
-
-/// SIGKILLs the victim and brings up a replacement incarnation: respawn,
-/// then the same handshake the boot gave it — but with `restart` set in
-/// its plan, so it replays its journal before touching the mesh, unlinks
-/// its stale socket, and rebinds its original address for the peers'
-/// re-dial to find. Blocks the phase loop for the handshake's duration
-/// (children are autonomous post-`GO`; only the event queue waits).
-#[allow(clippy::too_many_arguments)]
-fn restart_node(
-    kill: &KillSpec,
-    wal_dir: Option<&Path>,
-    plan: &NodePlan,
-    opts: &NetOptions,
-    boot_addr: &str,
-    token: &str,
-    listener: &Listener,
-    mesh_addrs: &[String],
-    deadline: Instant,
-    children: &mut Children,
-    writers: &mut [Conn],
-    tx: &mpsc::Sender<(usize, Event)>,
-) -> Result<std::thread::JoinHandle<()>, BootstrapError> {
-    let prog = kill.prog;
-    if let Some(mut c) = children.0[prog].take() {
-        let _ = c.kill();
-        let _ = c.wait();
-    }
-    if kill.corrupt_wal {
-        let dir = wal_dir.ok_or_else(|| {
-            BootstrapError::Plan("corrupt_wal chaos without a journal directory".into())
-        })?;
-        corrupt_wal(dir, prog)?;
-    }
-
-    children.0[prog] = Some(spawn_node(opts, boot_addr, token, prog, None)?);
-    let conn = accept_by(listener, deadline, "restart accept")?;
-    conn.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let mut writer = conn.try_clone()?;
-    let mut reader = FrameReader::new(conn);
-    let body = read_frame(&mut reader, codec::KIND_HELLO, "restart hello")?;
-    let (version, peer_token, claimed) = codec::decode_hello(&body)
-        .map_err(|e| BootstrapError::Wire(format!("restart hello: {e}")))?;
-    if version != codec::RT_VERSION || peer_token != token || claimed != prog {
-        let _ = writer.write_all(&codec::encode_fatal("bad restart hello"));
-        return Err(BootstrapError::Wire(
-            "restarted node presented a bad hello".into(),
-        ));
-    }
-    let mut rp = plan.clone();
-    rp.restart = true;
-    writer.write_all(&codec::encode_plan(&rp))?;
-    // The node reports its (re-bound, unchanged) mesh address; peers
-    // re-dial the original one, so it is only read to advance the
-    // handshake — and to surface a FATAL if the journal was unreadable.
-    let body = read_frame(&mut reader, codec::KIND_LISTENING, "restart listening")?;
-    codec::decode_listening(&body)
-        .map_err(|e| BootstrapError::Wire(format!("restart listening: {e}")))?;
-    writer.write_all(&codec::encode_peers(mesh_addrs))?;
-    read_frame(&mut reader, codec::KIND_READY, "restart ready")?;
-    writer.write_all(&codec::encode_bare(codec::KIND_GO))?;
-    reader.conn().set_read_timeout(None)?;
-    writers[prog] = writer;
-    let tx = tx.clone();
-    std::thread::Builder::new()
-        .name(format!("couplink-boot-rd-{prog}-r"))
-        .spawn(move || reader_loop(prog, reader, tx))
-        .map_err(|e| BootstrapError::Spawn(format!("reader thread: {e}")))
 }
 
 /// Flips one byte early in the oldest journal segment of `prog`: a
@@ -647,7 +638,7 @@ fn restart_node(
 /// as corruption — never silently skip or truncate.
 fn corrupt_wal(wal_dir: &Path, prog: usize) -> Result<(), BootstrapError> {
     let prefix = format!("node-{prog}.");
-    let mut segs: Vec<PathBuf> = std::fs::read_dir(wal_dir)?
+    let segs: Vec<PathBuf> = std::fs::read_dir(wal_dir)?
         .filter_map(|e| e.ok())
         .map(|e| e.path())
         .filter(|p| {
@@ -656,17 +647,11 @@ fn corrupt_wal(wal_dir: &Path, prog: usize) -> Result<(), BootstrapError> {
                 .is_some_and(|f| f.starts_with(&prefix) && f.ends_with(".wal"))
         })
         .collect();
-    segs.sort();
-    let Some(path) = segs.first() else {
-        return Err(BootstrapError::Io(io::Error::other(
-            "no journal segment to corrupt",
-        )));
-    };
+    let oldest = segs.iter().min();
+    let path = oldest.ok_or_else(|| io::Error::other("no journal segment to corrupt"))?;
     let mut bytes = std::fs::read(path)?;
     if bytes.is_empty() {
-        return Err(BootstrapError::Io(io::Error::other(
-            "journal segment is empty",
-        )));
+        return Err(io::Error::other("journal segment is empty").into());
     }
     // First body byte of the first record (the frame header is 12 bytes) —
     // guaranteed mid-file as long as the journal holds more than one
@@ -733,6 +718,7 @@ impl Drop for DirCleanup {
 
 #[cfg(test)]
 mod tests {
+    use super::super::link::Addr;
     use super::*;
     use couplink_proto::wire::{self, BodyWriter};
 
@@ -828,7 +814,7 @@ mod tests {
             reply.map(|f| (f.kind, codec::decode_fatal(&f.body).unwrap_or_default()))
         });
         let conn = listener.accept().expect("accept");
-        let verdict = admit_hello(conn, "tok", &[None, None]).map(|(prog, ..)| prog);
+        let verdict = admit_hello(conn, "tok", &[true, true], "hello").map(|(prog, ..)| prog);
         let reply = child.join().expect("child thread");
         let _ = std::fs::remove_file(dir.join(format!("{name}.sock")));
         (verdict, reply)
@@ -854,5 +840,230 @@ mod tests {
         let (verdict, reply) = hello_with_version(codec::RT_VERSION);
         assert!(matches!(verdict, Ok(1)), "{verdict:?}");
         assert_eq!(reply, None, "an admitted child hears nothing until PLAN");
+    }
+
+    /// A plan with nothing to run: the scripted nodes below never parse it.
+    fn empty_plan() -> NodePlan {
+        NodePlan {
+            config_text: String::new(),
+            grid: (1, 1),
+            exports: Vec::new(),
+            imports: Vec::new(),
+            buddy_help: false,
+            import_timeout_s: 1.0,
+            time_scale: 1.0,
+            verify_values: false,
+            traces: Vec::new(),
+            chaos: None,
+            fault: None,
+            hierarchical: false,
+            wal_dir: None,
+            restart: false,
+        }
+    }
+
+    /// A fresh session directory, removed when the guard drops.
+    fn session_dir() -> DirCleanup {
+        let dir = std::env::temp_dir().join(format!(
+            "couplink-script-{}-{}",
+            std::process::id(),
+            SESSION_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).expect("session dir");
+        DirCleanup(dir)
+    }
+
+    /// One step of a scripted node: write these bytes, or read one frame.
+    enum Step {
+        Send(Vec<u8>),
+        Read,
+    }
+
+    /// A scripted node on a thread of its own: dials `addr`, says `HELLO`
+    /// claiming `prog`, plays `script`, and hangs up. Returns the frames it
+    /// read; a read that fails ends the script.
+    fn scripted_node(
+        addr: Addr,
+        token: String,
+        prog: usize,
+        script: Vec<Step>,
+    ) -> std::thread::JoinHandle<Vec<wire::Frame>> {
+        std::thread::spawn(move || {
+            let mut conn = Conn::dial(&addr).expect("dial");
+            conn.set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("timeout");
+            let mut reader = FrameReader::new(conn.try_clone().expect("clone"));
+            let hello = codec::encode_hello(codec::KIND_HELLO, &token, prog);
+            conn.write_all(&hello).expect("hello");
+            let mut read = Vec::new();
+            for step in script {
+                match step {
+                    Step::Send(bytes) => {
+                        let _ = conn.write_all(&bytes);
+                    }
+                    Step::Read => match reader.next(&mut || {}) {
+                        Ok(Some(f)) => read.push(f),
+                        _ => break,
+                    },
+                }
+            }
+            read
+        })
+    }
+
+    /// Boots a one-program session whose node follows `script` after its
+    /// hello and the PLAN it reads; returns how the join ended, how long
+    /// it took, and the frame kinds the node read.
+    fn join_scripted(after_plan: Vec<Step>) -> (Result<(), BootstrapError>, Duration, Vec<u8>) {
+        let dir = session_dir();
+        let opts = NetOptions::new(PathBuf::from("true"));
+        let plan = empty_plan();
+        let (mut s, _events) = Session::new(&opts, &plan, &dir.0, 1).expect("session");
+        let mut script = vec![Step::Read];
+        script.extend(after_plan);
+        let addr = s.listener.addr().expect("addr");
+        let node = scripted_node(addr, s.token.clone(), 0, script);
+        let start = Instant::now();
+        let got = s.admit(&[true], false).and_then(|j| s.join(vec![j], false));
+        let took = start.elapsed();
+        drop(s);
+        (got, took, kinds(node.join().expect("node thread")))
+    }
+
+    fn kinds(frames: Vec<wire::Frame>) -> Vec<u8> {
+        frames.into_iter().map(|f| f.kind).collect()
+    }
+
+    /// The wire error a hostile join ended with, checked to have come well
+    /// inside the 30 s read timeout.
+    fn wire_error(script: Vec<Step>) -> (String, Vec<u8>) {
+        let (got, took, read) = join_scripted(script);
+        assert!(took < Duration::from_secs(5), "took {took:?}");
+        match got {
+            Err(BootstrapError::Wire(e)) => (e, read),
+            other => panic!("expected a wire error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_well_behaved_node_joins_and_hears_every_frame_in_order() {
+        let (got, _, read) = join_scripted(vec![
+            Step::Send(codec::encode_listening("uds:/mesh-0.sock")),
+            Step::Read,
+            Step::Send(codec::encode_bare(codec::KIND_READY)),
+            Step::Read,
+        ]);
+        assert!(got.is_ok(), "{got:?}");
+        let order = [codec::KIND_PLAN, codec::KIND_PEERS, codec::KIND_GO];
+        assert_eq!(read, order);
+    }
+
+    /// Children are admitted in whatever order they dial, but the peer
+    /// table is indexed by program: program 1 joining first must not put
+    /// its address in slot 0.
+    #[test]
+    fn the_peer_table_is_in_program_order_whatever_order_children_join() {
+        let dir = session_dir();
+        let opts = NetOptions::new(PathBuf::from("true"));
+        let plan = empty_plan();
+        let (mut s, _events) = Session::new(&opts, &plan, &dir.0, 2).expect("session");
+        let addr = s.listener.addr().expect("addr");
+        let mut nodes = Vec::new();
+        let mut joining = Vec::new();
+        let mut open = vec![true; 2];
+        for prog in [1, 0] {
+            let script = vec![
+                Step::Read,
+                Step::Send(codec::encode_listening(&format!("uds:/mesh-{prog}.sock"))),
+                Step::Read,
+                Step::Send(codec::encode_bare(codec::KIND_READY)),
+                Step::Read,
+            ];
+            nodes.push(scripted_node(addr.clone(), s.token.clone(), prog, script));
+            let joined = s.admit(&open, false).expect("admit");
+            assert_eq!(joined.0, prog);
+            open[prog] = false;
+            joining.push(joined);
+        }
+        s.join(joining, false).expect("join");
+        drop(s);
+        let table = vec!["uds:/mesh-0.sock".to_string(), "uds:/mesh-1.sock".into()];
+        for node in nodes {
+            let read = node.join().expect("node thread");
+            assert_eq!(read[1].kind, codec::KIND_PEERS);
+            assert_eq!(codec::decode_peers(&read[1].body).expect("peers"), table);
+        }
+    }
+
+    #[test]
+    fn ready_before_listening_fails_the_listening_phase() {
+        let (e, read) = wire_error(vec![
+            Step::Send(codec::encode_bare(codec::KIND_READY)),
+            Step::Read,
+        ]);
+        let want = format!(
+            "expected frame kind {} during listening, got {}",
+            codec::KIND_LISTENING,
+            codec::KIND_READY
+        );
+        assert_eq!(e, want);
+        assert_eq!(read, [codec::KIND_PLAN], "no PEERS after a bad LISTENING");
+    }
+
+    #[test]
+    fn a_fatal_frame_surfaces_its_text_and_phase() {
+        let fatal = codec::encode_fatal("opening WAL: journal is corrupt");
+        let (e, _) = wire_error(vec![Step::Send(fatal), Step::Read]);
+        assert_eq!(e, "fatal during listening: opening WAL: journal is corrupt");
+    }
+
+    #[test]
+    fn a_header_declaring_a_body_over_max_body_is_refused() {
+        let mut frame = codec::encode_bare(codec::KIND_LISTENING);
+        frame[4..8].copy_from_slice(&(wire::MAX_BODY + 1).to_le_bytes());
+        let (e, _) = wire_error(vec![Step::Send(frame), Step::Read]);
+        let oversize = wire::WireError::Oversize {
+            len: wire::MAX_BODY + 1,
+        };
+        assert_eq!(e, format!("during listening: wire framing: {oversize}"));
+    }
+
+    #[test]
+    fn eof_mid_handshake_fails_the_phase_it_cut() {
+        let (e, read) = wire_error(vec![
+            Step::Send(codec::encode_listening("uds:/mesh-0.sock")),
+            Step::Read,
+        ]);
+        assert_eq!(e, "connection closed during ready");
+        assert_eq!(read, [codec::KIND_PLAN, codec::KIND_PEERS]);
+    }
+
+    /// At a restart only the killed program is open: a replacement that
+    /// claims a program another live process holds is a duplicate, and
+    /// hears `FATAL` before any PLAN.
+    #[test]
+    fn a_restart_hello_claiming_another_program_is_refused() {
+        let dir = session_dir();
+        let opts = NetOptions::new(PathBuf::from("true"));
+        let plan = empty_plan();
+        let (mut s, _events) = Session::new(&opts, &plan, &dir.0, 2).expect("session");
+        let addr = s.listener.addr().expect("addr");
+        let node = scripted_node(addr, s.token.clone(), 1, vec![Step::Read]);
+        let start = Instant::now();
+        let kill = KillSpec {
+            prog: 0,
+            corrupt_wal: false,
+        };
+        let got = s.restart(kill);
+        assert!(start.elapsed() < Duration::from_secs(5));
+        assert!(
+            matches!(got, Err(BootstrapError::DuplicateProgram { prog: 1 })),
+            "{got:?}"
+        );
+        drop(s);
+        assert_eq!(
+            kinds(node.join().expect("node thread")),
+            [codec::KIND_FATAL]
+        );
     }
 }

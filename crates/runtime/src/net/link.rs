@@ -125,6 +125,13 @@ impl Listener {
     }
 }
 
+/// [`Conn::dial`]'s schedule: 25 ms doubling to 1 s, ~9.6 s in all —
+/// comfortably inside the reliability pump's retransmit window, so no
+/// sequenced message gives up while a mesh link is being re-dialled.
+const DIAL_ATTEMPTS: u32 = 14;
+const DIAL_FIRST: Duration = Duration::from_millis(25);
+const DIAL_CAP: Duration = Duration::from_secs(1);
+
 /// A connected stream on either backend.
 pub enum Conn {
     /// Unix-domain stream.
@@ -146,42 +153,22 @@ impl Conn {
         }
     }
 
-    /// Dials an address, retrying briefly — the bootstrap guarantees the
-    /// target listener is bound before the address is handed out, so the
-    /// retry only papers over scheduler skew, not missing peers.
+    /// Dials an address, retrying with exponential backoff: up to
+    /// `DIAL_ATTEMPTS` tries, sleeping `DIAL_FIRST` after the first
+    /// failure and doubling up to `DIAL_CAP`. A bootstrap dial finds its
+    /// listener already bound and connects at once; a mesh re-dial may find
+    /// its peer mid-restart, so the schedule stretches into seconds instead
+    /// of hammering a dead socket.
     pub fn dial(addr: &Addr) -> io::Result<Conn> {
-        Conn::dial_with_backoff(
-            addr,
-            50,
-            Duration::from_millis(20),
-            Duration::from_millis(20),
-        )
-    }
-
-    /// Dials with exponential backoff: up to `attempts` tries, sleeping
-    /// `first` after the first failure and doubling up to `cap`. This is
-    /// the *reconnect* dial — unlike [`Conn::dial`] the peer may genuinely
-    /// be down (mid-restart), so the schedule stretches into seconds
-    /// instead of hammering a dead socket.
-    pub fn dial_with_backoff(
-        addr: &Addr,
-        attempts: u32,
-        first: Duration,
-        cap: Duration,
-    ) -> io::Result<Conn> {
-        let mut delay = first;
-        let mut last = None;
-        for i in 0..attempts {
-            match Conn::dial_once(addr) {
-                Ok(c) => return Ok(c),
-                Err(e) => last = Some(e),
+        let mut delay = DIAL_FIRST;
+        for _ in 1..DIAL_ATTEMPTS {
+            if let Ok(c) = Conn::dial_once(addr) {
+                return Ok(c);
             }
-            if i + 1 < attempts {
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(cap);
-            }
+            std::thread::sleep(delay);
+            delay = (delay * 2).min(DIAL_CAP);
         }
-        Err(last.unwrap_or_else(|| io::Error::other("dial retries exhausted")))
+        Conn::dial_once(addr)
     }
 
     /// Clones the descriptor so reads and writes can live on different
@@ -423,15 +410,10 @@ impl LinkWriter {
         LinkWriter::spawn_with(conn, label, None, None, None)
     }
 
-    /// Like [`LinkWriter::spawn`], but after `sever_after` frames have
-    /// been written the writer half-closes the socket and dies, salvaging
-    /// its remaining queue — the deliberate mid-run link sever the
-    /// reconnect tests inject.
-    pub fn spawn_severing(conn: Conn, label: String, sever_after: Option<u64>) -> LinkWriter {
-        LinkWriter::spawn_with(conn, label, sever_after, None, None)
-    }
-
-    /// Full-control spawn: optional sever fault, optional tx metering
+    /// Full-control spawn: an optional sever fault (after `sever_after`
+    /// frames have been written the writer half-closes the socket and
+    /// dies, salvaging its remaining queue — the deliberate mid-run link
+    /// sever the reconnect tests inject), optional tx metering
     /// (`net_syscalls`/`net_writev_frames`/`net_frames`/`net_bytes`,
     /// counted when bytes actually reach the socket — not at enqueue),
     /// and an optional pool that written frame buffers are recycled into.
@@ -728,7 +710,7 @@ mod tests {
     #[test]
     fn severing_writer_flushes_then_salvages() {
         let (a, b) = UnixStream::pair().unwrap();
-        let w = LinkWriter::spawn_severing(Conn::Uds(a), "sever-test".into(), Some(2));
+        let w = LinkWriter::spawn_with(Conn::Uds(a), "sever-test".into(), Some(2), None, None);
         let f = |body: &[u8]| wire::encode_frame(wire::KIND_RUNTIME_BASE, body);
         w.send(f(b"one"));
         w.send(f(b"two"));
@@ -749,7 +731,7 @@ mod tests {
     #[test]
     fn dead_writer_sends_land_in_salvage() {
         let (a, b) = UnixStream::pair().unwrap();
-        let w = LinkWriter::spawn_severing(Conn::Uds(a), "dead-test".into(), Some(0));
+        let w = LinkWriter::spawn_with(Conn::Uds(a), "dead-test".into(), Some(0), None, None);
         let f = wire::encode_frame(wire::KIND_RUNTIME_BASE, b"x");
         w.send(f.clone()); // triggers the immediate sever
         let mut r = FrameReader::new(Conn::Uds(b));

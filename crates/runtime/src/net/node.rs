@@ -1,35 +1,47 @@
 //! The `couplink-node` child process: one coupled *program* as its own OS
 //! process, connected to its peers over sockets.
 //!
-//! Lifecycle (driven entirely by the parent orchestrator, see
-//! [`super::bootstrap`]):
+//! # Joining a session
 //!
-//! 1. dial the parent, send `HELLO{version, token, prog}`;
-//! 2. receive the `PLAN`, rebuild the validated
-//!    [`Topology`](crate::engine::Topology) from the embedded configuration
-//!    text (all processes derive the topology through the same code path,
-//!    so shapes and connection ids can never disagree);
-//! 3. open the durable write-ahead journal when the plan names a
-//!    `wal_dir`, build a *partial* fabric session hosting only this
-//!    program (with a `RemoteLinks` implementation that serializes
-//!    foreign-bound traffic onto the mesh), and — on a restart — replay
-//!    the journal into the session *before any live frame can arrive*;
-//! 4. bind a mesh listener, report it (`LISTENING`), receive the `PEERS`
-//!    table, and form the full mesh (node *i* dials every *j < i* and
-//!    accepts from every *j > i* — each pair shares exactly one socket);
-//!    send `READY`, wait for `GO`;
-//! 5. run the application threads (exports with a deterministic cell
+//! Boot, a restart and a mesh reconnect join through the same frames in
+//! the same order, and through one code path per side: the parent's hello
+//! check and `Session::join` ([`super::bootstrap`]); here `admit` (every
+//! inbound mesh link) and `dial` (every outbound one). Both sides wait for
+//! frames through `expect_frame`, whose errors name the phase.
+//!
+//! | # | Frame | From → to | Boot | Restart | Reconnect |
+//! |---|-------|-----------|------|---------|-----------|
+//! | 1 | `HELLO{version, token, prog}` | node → parent | any program not yet joined | the killed program only | — |
+//! | 2 | `PLAN` | parent → node | `restart` clear | `restart` set | — |
+//! | 3 | `LISTENING{addr}` | node → parent | collected | read, not used | — |
+//! | 4 | `PEERS{addr × n}` | parent → node | the addresses step 3 collected | the table boot collected | the node's own copy |
+//! | 5 | `MESH_HELLO{version, token, i}` | node *i* → node *j < i* | every node dials each lower index | it dials each lower index; higher survivors re-dial it | the higher-indexed end re-dials |
+//! | 6 | `READY` | node → parent | after step 5 | after step 5 | — |
+//! | 7 | `GO` | parent → node | to all n | to the node | — |
+//!
+//! Only the peer table's source and the side that dials differ. A bad
+//! hello (version, token, an index out of range or not open) gets `FATAL`
+//! from the parent; a node closes such a mesh link, fatally at boot.
+//!
+//! Between steps 2 and 3 the node rebuilds the validated
+//! [`Topology`](crate::engine::Topology) from the plan's configuration text
+//! (one code path in every process, so shapes and connection ids cannot
+//! disagree), opens its write-ahead journal when the plan names a
+//! `wal_dir`, and builds a *partial* fabric hosting only this program; a
+//! restarted node replays its journal into it *before any live frame can
+//! arrive* and rebinds the address its peers re-dial. After `GO` it:
+//!
+//! 1. runs the application threads (exports with a deterministic cell
 //!    fill, imports with optional value verification); exports are paced
 //!    by a finite buffer ([`NODE_BUFFER_CAPACITY`], raised to cover the
 //!    schedule's tail by [`NodePlan::export_capacity`](super::NodePlan::export_capacity)),
 //!    so an exporter stalls until its importers' requests free space; a
 //!    restarted node resumes each export schedule after the journaled
 //!    prefix;
-//! 6. send `APP_DONE` but **keep serving fabric traffic** — peers may
+//! 2. sends `APP_DONE` but **keeps serving fabric traffic** — peers may
 //!    still need this node's reps and stores for their own imports;
-//! 7. on `DRAIN`, run the staged session shutdown (pump → relay → reps →
-//!    agents → importers), prune the journal (a cleanly drained session
-//!    never needs replaying), send the `REPORT`, exit.
+//! 3. on `DRAIN`, runs the staged session shutdown (pump → relay → reps →
+//!    agents → importers), prunes the journal, sends the `REPORT`, exits.
 //!
 //! # Link failure: fail fast, or reconnect
 //!
@@ -38,22 +50,15 @@
 //! (blocked `import`/`export` calls surface
 //! [`ThreadedError::ProcessCrash`](crate::threaded::ThreadedError::ProcessCrash)
 //! instead of hanging). A mesh EOF *after* `APP_DONE` is the normal
-//! consequence of a peer draining first and is ignored — that asymmetry is
-//! what lets the coordinated drain tolerate peers closing their sockets in
-//! any order.
+//! consequence of a peer draining first and is ignored.
 //!
-//! With a `wal_dir` (or an armed link-sever fault) the node instead
-//! *reconnects*: the link's EOF-observer fully closes the socket (so both
-//! sides agree it is dead), then the **higher-indexed** side re-dials with
-//! backoff — mirroring the boot direction — while the lower-indexed side
-//! re-accepts on its still-live mesh listener. The replacement writer
-//! replays salvaged payload pieces (control and acks are *dropped*: the
-//! reliability pump retransmits sequenced control, and a retransmitted
-//! message re-triggers its ack), and `net_reconnects` is metered on each
-//! side that re-established a link. An *orderly* close is told apart from a
-//! drop by the bare `MESH_BYE` frame a draining node writes ahead of its
-//! half-close: an EOF after it never re-dials, even when it outruns this
-//! node's own `DRAIN`.
+//! With a `wal_dir` (or an armed link-sever fault) a dead link is re-formed
+//! instead (step 5): both sides close the socket, the higher-indexed side
+//! re-dials, and each side whose writer is replaced meters
+//! `net_reconnects`. The new writer replays salvaged payload pieces only —
+//! the reliability pump retransmits sequenced control, which re-triggers
+//! its ack. A bare `MESH_BYE` ahead of a draining node's half-close tells
+//! an orderly close from a drop: an EOF after it never re-dials.
 //!
 //! # Durability discipline
 //!
@@ -74,7 +79,7 @@ use std::time::{Duration, Instant};
 
 use couplink_layout::{LocalArray, Rect, SharedArray};
 use couplink_metrics::EngineMetrics;
-use couplink_proto::wire::{self as wire, Frame};
+use couplink_proto::wire;
 use couplink_proto::{ConnectionId, CtrlMsg, Rank, RequestId};
 use couplink_time::ts;
 use parking_lot::Mutex;
@@ -83,6 +88,7 @@ use crate::engine::{Endpoint, Faults, WalRecord, WireMeta};
 use crate::threaded::fabric::{ExportAccess, Net, RemoteLinks, WalHandle};
 use crate::threaded::{Fabric, FabricOptions};
 
+use super::bootstrap::{check_hello, expect_frame, BootstrapError};
 use super::codec::{self, NodeFault, NodeReport};
 use super::link::{
     frame_kind, Addr, BufPool, Conn, FrameReader, LinkWriter, Listener, SocketBackend,
@@ -103,13 +109,6 @@ const BOOT_TIMEOUT: Duration = Duration::from_secs(120);
 /// Absolute lifetime backstop: if the parent never collects us, die
 /// instead of leaking a process into the test harness.
 const WATCHDOG: Duration = Duration::from_secs(600);
-
-/// Re-dial schedule for a broken mesh link: 25 ms doubling to 1 s, ~9.6 s
-/// total — comfortably inside the reliability pump's retransmit window, so
-/// no sequenced message gives up while the link is down.
-const RECONNECT_ATTEMPTS: u32 = 14;
-const RECONNECT_FIRST: Duration = Duration::from_millis(25);
-const RECONNECT_CAP: Duration = Duration::from_secs(1);
 
 /// Parsed command line of the `couplink-node` binary.
 #[derive(Debug)]
@@ -214,19 +213,21 @@ impl SocketLinks {
     /// and acks (the reliability pump retransmits sequenced control, and a
     /// retransmitted message re-triggers its ack; pieces are the only
     /// frames nobody retransmits) — then flushes the pending stash.
-    fn install_writer(&self, prog: usize, writer: LinkWriter) {
+    /// Returns whether a writer was replaced (the link was re-formed).
+    fn install_writer(&self, prog: usize, writer: LinkWriter) -> bool {
         let mut st = self.slots[prog].lock();
-        if let Some(old) = st.writer.take() {
-            for f in old.retire() {
-                if frame_kind(&f) == Some(wire::KIND_PAYLOAD) {
-                    writer.send(f);
-                }
+        let old = st.writer.take();
+        let replaced = old.is_some();
+        for f in old.into_iter().flat_map(LinkWriter::retire) {
+            if frame_kind(&f) == Some(wire::KIND_PAYLOAD) {
+                writer.send(f);
             }
         }
         for f in st.pending.drain(..) {
             writer.send(f);
         }
         st.writer = Some(writer);
+        replaced
     }
 
     /// Flushes the data plane for the counter snapshot: waits (bounded)
@@ -329,8 +330,9 @@ fn dispatch(kind: u8, body: &[u8], net: &Net, drop_answers: Option<u32>) -> Resu
     }
 }
 
-/// Everything a mesh reader (or the reconnect accept loop) needs about
-/// this node, shared by all link threads.
+/// Everything a mesh link needs about this node, shared by the threads
+/// that form, read and re-form links. Built before the mesh forms: boot
+/// and reconnect dial and admit through it alike.
 struct MeshCtx {
     me: usize,
     n: usize,
@@ -338,43 +340,71 @@ struct MeshCtx {
     net: Arc<Net>,
     metrics: Arc<EngineMetrics>,
     links: Arc<SocketLinks>,
-    apps_done: Arc<AtomicBool>,
+    apps_done: AtomicBool,
     /// Set at the coordinated drain: from then on sockets close in
     /// arbitrary order and every EOF is a normal teardown.
-    draining: Arc<AtomicBool>,
+    draining: AtomicBool,
     drop_answers: Option<u32>,
     stall: bool,
-    /// Peer listener addresses for re-dial; `None` preserves the
-    /// historical fail-fast on any mid-run EOF.
-    peers: Option<Vec<Addr>>,
+    /// Every program's mesh listener, from the `PEERS` table.
+    peers: Vec<Addr>,
+    /// Whether a link that dies before the drain is re-formed; without it
+    /// any mid-run EOF keeps its historical fail-fast meaning.
+    reconnect: bool,
+    /// The sever fault, `(peer, after_tx)`: taken by the first writer
+    /// installed for that peer, so a re-formed link never severs again.
+    sever: Mutex<Option<(usize, u64)>>,
 }
 
-/// Re-establishes the link to a lower-indexed peer: backoff dial, fresh
-/// mesh hello, writer swap (salvage replay inside), reconnect metered.
-/// Returns the new connection for the caller to keep reading.
-fn reconnect_dial(ctx: &MeshCtx, addr: &Addr, peer: usize) -> Result<Conn, String> {
-    let mut conn =
-        Conn::dial_with_backoff(addr, RECONNECT_ATTEMPTS, RECONNECT_FIRST, RECONNECT_CAP)
-            .map_err(|e| e.to_string())?;
+impl MeshCtx {
+    /// Starts a writer on a clone of `conn` and installs it for `peer`; a
+    /// writer that replaces an earlier one meters a reconnect.
+    fn install(&self, peer: usize, conn: &Conn) -> std::io::Result<()> {
+        let sever = self.sever.lock().take_if(|(p, _)| *p == peer);
+        let writer = LinkWriter::spawn_with(
+            conn.try_clone()?,
+            format!("{}-{peer}", self.me),
+            sever.map(|(_, after)| after),
+            Some(Arc::clone(&self.metrics)),
+            Some(Arc::clone(&self.links.pool)),
+        );
+        if self.links.install_writer(peer, writer) {
+            self.metrics.net_reconnects.inc();
+        }
+        Ok(())
+    }
+}
+
+/// Forms the link to a lower-indexed `peer`, at boot and on every re-dial:
+/// dials its listener (backing off while the peer is mid-restart), says
+/// `MESH_HELLO`, installs the writer (salvage replay inside). Returns the
+/// reader for the caller to keep reading.
+fn dial(ctx: &MeshCtx, peer: usize) -> std::io::Result<FrameReader> {
+    let mut conn = Conn::dial(&ctx.peers[peer])?;
     conn.write_all(&codec::encode_hello(
         codec::KIND_MESH_HELLO,
         &ctx.token,
         ctx.me,
-    ))
-    .map_err(|e| format!("mesh hello: {e}"))?;
-    let wconn = conn.try_clone().map_err(|e| format!("mesh clone: {e}"))?;
-    ctx.links.install_writer(
-        peer,
-        LinkWriter::spawn_with(
-            wconn,
-            format!("{}-{peer}", ctx.me),
-            None,
-            Some(Arc::clone(&ctx.metrics)),
-            Some(Arc::clone(&ctx.links.pool)),
-        ),
-    );
-    ctx.metrics.net_reconnects.inc();
-    Ok(conn)
+    ))?;
+    ctx.install(peer, &conn)?;
+    Ok(FrameReader::new(conn))
+}
+
+/// Admits one inbound link, at boot and on every re-accept: reads its
+/// `MESH_HELLO`, checks it with the parent's [`check_hello`] — the claimed
+/// program must lie above this node's and, at `boot`, not be linked yet
+/// (later, a second link from one peer is its re-dial) — and installs the
+/// writer. A refused link gets no writer and is closed.
+fn admit(ctx: &MeshCtx, conn: Conn, boot: bool) -> Result<(usize, FrameReader), BootstrapError> {
+    conn.set_read_timeout(Some(BOOT_TIMEOUT))?;
+    let mut reader = FrameReader::new(conn);
+    let hello = expect_frame(&mut reader, codec::KIND_MESH_HELLO, "mesh hello")?;
+    let unlinked = |p: usize| !boot || ctx.links.slots[p].lock().writer.is_none();
+    let above = ctx.me + 1..ctx.n;
+    let from = check_hello(&hello, &ctx.token, above, unlinked, "mesh hello")?;
+    reader.conn().set_read_timeout(None)?;
+    ctx.install(from, reader.conn())?;
+    Ok((from, reader))
 }
 
 fn mesh_reader_loop(mut reader: FrameReader, peer: usize, ctx: Arc<MeshCtx>) {
@@ -426,14 +456,14 @@ fn mesh_reader_loop(mut reader: FrameReader, peer: usize, ctx: Arc<MeshCtx>) {
             // Coordinated teardown: sockets close in arbitrary order.
             return;
         }
-        let Some(peers) = &ctx.peers else {
+        if !ctx.reconnect {
             if ctx.apps_done.load(Ordering::Acquire) {
                 // Normal drain asymmetry: someone finished and closed first.
                 return;
             }
             ctx.net.fail(down);
             return;
-        };
+        }
         if orderly {
             // The peer read its `DRAIN` before this node's main thread
             // stored `draining`: a clean close that must not re-dial the
@@ -452,8 +482,8 @@ fn mesh_reader_loop(mut reader: FrameReader, peer: usize, ctx: Arc<MeshCtx>) {
             // reader thread. This one's job is over.
             return;
         }
-        match reconnect_dial(&ctx, &peers[peer], peer) {
-            Ok(conn) => reader = FrameReader::new(conn),
+        match dial(&ctx, peer) {
+            Ok(fresh) => reader = fresh,
             Err(e) => {
                 // A failed re-dial during the teardown race (the peer
                 // exited because the session is draining) is not an error.
@@ -466,65 +496,25 @@ fn mesh_reader_loop(mut reader: FrameReader, peer: usize, ctx: Arc<MeshCtx>) {
     }
 }
 
-/// Keeps the mesh listener alive after boot, re-accepting higher-indexed
-/// peers whose link died (or who were restarted). Invalid hellos are
-/// dropped, not fatal — a reconnecting mesh must tolerate strays.
+/// Keeps the mesh listener alive after boot, re-admitting higher-indexed
+/// peers whose link died (or who were restarted). Each connection is
+/// admitted on a thread of its own, which goes on to read the link: a
+/// stray that never says hello holds up only that thread, never the next
+/// peer's re-dial. Refused connections are dropped, not fatal — a
+/// reconnecting mesh must tolerate strays.
 fn accept_loop(listener: Listener, ctx: Arc<MeshCtx>) {
-    loop {
-        let Ok(c) = listener.accept() else { return };
-        if c.set_read_timeout(Some(BOOT_TIMEOUT)).is_err() {
-            continue;
-        }
-        let mut r = FrameReader::new(c);
-        let Ok(hello) = read_expected(&mut r, codec::KIND_MESH_HELLO, "mesh hello") else {
-            continue;
-        };
-        let Ok((version, token, from)) = codec::decode_hello(&hello.body) else {
-            continue;
-        };
-        if version != codec::RT_VERSION || token != ctx.token || from <= ctx.me || from >= ctx.n {
-            r.conn().shutdown();
-            continue;
-        }
-        if r.conn().set_read_timeout(None).is_err() {
-            continue;
-        }
-        let Ok(wconn) = r.conn().try_clone() else {
-            continue;
-        };
-        ctx.links.install_writer(
-            from,
-            LinkWriter::spawn_with(
-                wconn,
-                format!("{}-{from}", ctx.me),
-                None,
-                Some(Arc::clone(&ctx.metrics)),
-                Some(Arc::clone(&ctx.links.pool)),
-            ),
-        );
-        ctx.metrics.net_reconnects.inc();
-        let ctx2 = Arc::clone(&ctx);
-        if std::thread::Builder::new()
-            .name(format!("couplink-net-rd-{}-{from}-r", ctx.me))
-            .spawn(move || mesh_reader_loop(r, from, ctx2))
-            .is_err()
-        {
+    while let Ok(conn) = listener.accept() {
+        let ctx = Arc::clone(&ctx);
+        let spawned = std::thread::Builder::new()
+            .name(format!("couplink-net-rd-{}-r", ctx.me))
+            .spawn(move || {
+                if let Ok((from, reader)) = admit(&ctx, conn, false) {
+                    mesh_reader_loop(reader, from, ctx);
+                }
+            });
+        if spawned.is_err() {
             return;
         }
-    }
-}
-
-fn read_expected(reader: &mut FrameReader, kind: u8, what: &str) -> Result<Frame, String> {
-    let mut reject = || {};
-    match reader.next(&mut reject) {
-        Ok(Some(f)) if f.kind == kind => Ok(f),
-        Ok(Some(f)) if f.kind == codec::KIND_FATAL => Err(format!(
-            "parent/peer reported fatal: {}",
-            codec::decode_fatal(&f.body).unwrap_or_else(|_| "<garbled>".into())
-        )),
-        Ok(Some(f)) => Err(format!("expected {what}, got frame kind {}", f.kind)),
-        Ok(None) => Err(format!("connection closed while waiting for {what}")),
-        Err(e) => Err(format!("reading {what}: {e}")),
     }
 }
 
@@ -570,8 +560,8 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
         .write_all(&codec::encode_hello(codec::KIND_HELLO, &args.token, claim))
         .map_err(|e| format!("sending hello: {e}"))?;
 
-    let plan_frame = read_expected(&mut parent_rd, codec::KIND_PLAN, "plan")?;
-    let plan = codec::decode_plan(&plan_frame.body).map_err(|e| format!("plan: {e}"))?;
+    let plan = expect_frame(&mut parent_rd, codec::KIND_PLAN, "plan").map_err(|e| e.to_string())?;
+    let plan = codec::decode_plan(&plan).map_err(|e| format!("plan: {e}"))?;
     let topo = plan.topology()?;
     let n = topo.programs.len();
     if me >= n {
@@ -741,8 +731,9 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
         .write_all(&codec::encode_listening(&listen_addr.to_string()))
         .map_err(|e| format!("sending listening: {e}"))?;
 
-    let peers_frame = read_expected(&mut parent_rd, codec::KIND_PEERS, "peer table")?;
-    let peers = codec::decode_peers(&peers_frame.body).map_err(|e| format!("peers: {e}"))?;
+    let peers =
+        expect_frame(&mut parent_rd, codec::KIND_PEERS, "peers").map_err(|e| e.to_string())?;
+    let peers = codec::decode_peers(&peers).map_err(|e| format!("peers: {e}"))?;
     if peers.len() != n {
         return Err(format!(
             "peer table has {} entries for {n} programs",
@@ -750,90 +741,6 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
         ));
     }
 
-    // Sever fault, armed only on the writing side's boot-time links — a
-    // reconnect-installed replacement writer never severs again.
-    let sever = match plan.fault {
-        Some(NodeFault::SeverLink {
-            prog,
-            peer,
-            after_tx,
-        }) if prog == me => Some((peer, after_tx)),
-        _ => None,
-    };
-    let boot_writer = |peer: usize, conn: Conn| {
-        let sev = sever.and_then(|(p, after)| (p == peer).then_some(after));
-        LinkWriter::spawn_with(
-            conn,
-            format!("{me}-{peer}"),
-            sev,
-            Some(Arc::clone(&metrics)),
-            Some(Arc::clone(&pool)),
-        )
-    };
-
-    // Form the mesh: dial the lower-indexed programs (their listeners are
-    // guaranteed bound — the parent saw their LISTENING before
-    // broadcasting PEERS), accept from the higher-indexed ones.
-    let mut readers: Vec<Option<FrameReader>> = (0..n).map(|_| None).collect();
-    for (j, addr) in peers.iter().enumerate().take(me) {
-        let mut c =
-            Conn::dial(&Addr::parse(addr)?).map_err(|e| format!("dialing program {j}: {e}"))?;
-        c.write_all(&codec::encode_hello(
-            codec::KIND_MESH_HELLO,
-            &args.token,
-            me,
-        ))
-        .map_err(|e| format!("mesh hello to {j}: {e}"))?;
-        links.install_writer(
-            j,
-            boot_writer(j, c.try_clone().map_err(|e| format!("mesh clone: {e}"))?),
-        );
-        readers[j] = Some(FrameReader::new(c));
-    }
-    for _ in me + 1..n {
-        let c = listener.accept().map_err(|e| format!("mesh accept: {e}"))?;
-        c.set_read_timeout(Some(BOOT_TIMEOUT))
-            .map_err(|e| format!("mesh socket: {e}"))?;
-        let mut r = FrameReader::new(c);
-        let hello = read_expected(&mut r, codec::KIND_MESH_HELLO, "mesh hello")?;
-        let (version, token, from) =
-            codec::decode_hello(&hello.body).map_err(|e| format!("mesh hello: {e}"))?;
-        if version != codec::RT_VERSION {
-            return Err(format!("mesh peer speaks version {version}"));
-        }
-        if token != args.token {
-            return Err("mesh peer presented a wrong token".into());
-        }
-        if from <= me || from >= n || readers[from].is_some() {
-            return Err(format!("mesh peer claims invalid program {from}"));
-        }
-        r.conn()
-            .set_read_timeout(None)
-            .map_err(|e| format!("mesh socket: {e}"))?;
-        links.install_writer(
-            from,
-            boot_writer(
-                from,
-                r.conn()
-                    .try_clone()
-                    .map_err(|e| format!("mesh clone: {e}"))?,
-            ),
-        );
-        readers[from] = Some(r);
-    }
-
-    let apps_done = Arc::new(AtomicBool::new(false));
-    let draining = Arc::new(AtomicBool::new(false));
-    let stall = matches!(plan.fault, Some(NodeFault::StallMeshReader { prog }) if prog == me);
-    let drop_answers = match plan.fault {
-        Some(NodeFault::DropAnswers { conn }) => Some(conn),
-        _ => None,
-    };
-    // Reconnect is armed by durability (the kill-and-restart runs) or an
-    // explicit sever fault anywhere in the mesh; otherwise mid-run link
-    // death keeps its historical fail-fast meaning.
-    let reconnect =
-        plan.wal_dir.is_some() || matches!(plan.fault, Some(NodeFault::SeverLink { .. }));
     let ctx = Arc::new(MeshCtx {
         me,
         n,
@@ -841,24 +748,47 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
         net: Arc::clone(&net),
         metrics: Arc::clone(&metrics),
         links: Arc::clone(&links),
-        apps_done: Arc::clone(&apps_done),
-        draining: Arc::clone(&draining),
-        drop_answers,
-        stall,
-        peers: if reconnect {
-            Some(
-                peers
-                    .iter()
-                    .map(|a| Addr::parse(a))
-                    .collect::<Result<Vec<_>, _>>()?,
-            )
-        } else {
-            None
+        apps_done: AtomicBool::new(false),
+        draining: AtomicBool::new(false),
+        drop_answers: match plan.fault {
+            Some(NodeFault::DropAnswers { conn }) => Some(conn),
+            _ => None,
         },
+        stall: matches!(plan.fault, Some(NodeFault::StallMeshReader { prog }) if prog == me),
+        peers: peers
+            .iter()
+            .map(|a| Addr::parse(a))
+            .collect::<Result<_, _>>()?,
+        // Reconnect is armed by durability (the kill-and-restart runs) or
+        // an explicit sever fault anywhere in the mesh; otherwise mid-run
+        // link death keeps its historical fail-fast meaning.
+        reconnect: plan.wal_dir.is_some()
+            || matches!(plan.fault, Some(NodeFault::SeverLink { .. })),
+        sever: Mutex::new(match plan.fault {
+            Some(NodeFault::SeverLink {
+                prog,
+                peer,
+                after_tx,
+            }) if prog == me => Some((peer, after_tx)),
+            _ => None,
+        }),
     });
+
+    // Form the mesh: dial the lower-indexed programs (their listeners are
+    // guaranteed bound — the parent saw their LISTENING before
+    // broadcasting PEERS), accept from the higher-indexed ones, then read
+    // each link on a thread of its own.
+    let mut mesh = Vec::with_capacity(n);
+    for peer in 0..me {
+        let reader = dial(&ctx, peer).map_err(|e| format!("dialing program {peer}: {e}"))?;
+        mesh.push((peer, reader));
+    }
+    for _ in me + 1..n {
+        let conn = listener.accept().map_err(|e| format!("mesh accept: {e}"))?;
+        mesh.push(admit(&ctx, conn, true).map_err(|e| e.to_string())?);
+    }
     let mut reader_threads = Vec::new();
-    for (peer, slot) in readers.iter_mut().enumerate() {
-        let Some(reader) = slot.take() else { continue };
+    for (peer, reader) in mesh {
         let ctx = Arc::clone(&ctx);
         reader_threads.push(
             std::thread::Builder::new()
@@ -867,7 +797,7 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
                 .map_err(|e| format!("spawning mesh reader: {e}"))?,
         );
     }
-    if reconnect {
+    if ctx.reconnect {
         // The listener outlives boot: higher-indexed peers re-dial here
         // after a link death or their own restart.
         let ctx = Arc::clone(&ctx);
@@ -880,7 +810,7 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
     parent_wr
         .write_all(&codec::encode_bare(codec::KIND_READY))
         .map_err(|e| format!("sending ready: {e}"))?;
-    read_expected(&mut parent_rd, codec::KIND_GO, "go")?;
+    expect_frame(&mut parent_rd, codec::KIND_GO, "go").map_err(|e| e.to_string())?;
 
     // --- application threads ---
     let scale = plan.time_scale;
@@ -996,16 +926,16 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
 
     // From here on a peer EOF is expected (someone drains first) — the
     // fabric must keep serving peers that are still importing from us.
-    apps_done.store(true, Ordering::Release);
+    ctx.apps_done.store(true, Ordering::Release);
     parent_wr
         .write_all(&codec::encode_bare(codec::KIND_APP_DONE))
         .map_err(|e| format!("sending app-done: {e}"))?;
 
     let drain_early = matches!(plan.fault, Some(NodeFault::DrainEarly { prog }) if prog == me);
     if !drain_early {
-        read_expected(&mut parent_rd, codec::KIND_DRAIN, "drain")?;
+        expect_frame(&mut parent_rd, codec::KIND_DRAIN, "drain").map_err(|e| e.to_string())?;
     }
-    draining.store(true, Ordering::Release);
+    ctx.draining.store(true, Ordering::Release);
 
     let shutdown = fabric.shutdown();
     let (stats, traces, shutdown_error) = match shutdown {
@@ -1040,7 +970,7 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
     // skips the join (the snapshot is already as complete as that run can
     // make it); crashed peers produce EOF/reset when the OS closes them.
     links.quiesce(Duration::from_secs(5));
-    if !stall {
+    if !ctx.stall {
         for t in reader_threads {
             let _ = t.join();
         }
@@ -1074,4 +1004,132 @@ fn verify_cells(dest: &LocalArray, owned: Rect, m: f64, grid_cols: usize) -> Opt
         }
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::Topology;
+    use couplink_layout::{Decomposition, Extent2};
+    use couplink_time::{MatchPolicy, Tolerance};
+    use std::os::unix::net::UnixStream;
+
+    const TOKEN: &str = "tok";
+
+    /// Program 1 of a three-program mesh (so peers 0 and 1 are at or below
+    /// it, 2 above, 3 outside) over a partial fabric with nothing running,
+    /// already draining so a link that closes ends quietly. The fabric is
+    /// returned to outlive the test.
+    fn mesh_ctx() -> (Arc<MeshCtx>, Fabric) {
+        let d = Decomposition::row_block(Extent2::new(4, 4), 1).expect("decomp");
+        let tol = Tolerance::new(0.5).expect("tol");
+        let topo = Topology::pair(d, d, MatchPolicy::RegL, tol).expect("topo");
+        let links = Arc::new(SocketLinks::new(3, vec![1], None, BufPool::new(None)));
+        let metrics = Arc::new(EngineMetrics::new());
+        let opts = FabricOptions::default();
+        let fabric = Fabric::partial(topo, opts, 1, links.clone(), Some(metrics.clone()));
+        let ctx = MeshCtx {
+            me: 1,
+            n: 3,
+            token: TOKEN.into(),
+            net: fabric.net(),
+            metrics,
+            links,
+            apps_done: AtomicBool::new(false),
+            draining: AtomicBool::new(true),
+            drop_answers: None,
+            stall: false,
+            peers: Vec::new(),
+            reconnect: false,
+            sever: Mutex::new(None),
+        };
+        (Arc::new(ctx), fabric)
+    }
+
+    /// A mesh hello as a peer would send it, at any version.
+    fn mesh_hello(version: u32, token: &str, prog: u32) -> Vec<u8> {
+        wire::frame(codec::KIND_MESH_HELLO, &(version, token.to_string(), prog))
+    }
+
+    /// Feeds `bytes` (then EOF) to `admit` over a socket pair; an error
+    /// comes back as its `Debug` text.
+    fn admit_bytes(ctx: &MeshCtx, bytes: &[u8], boot: bool) -> Result<usize, String> {
+        let (mut peer, mine) = UnixStream::pair().expect("pair");
+        peer.write_all(bytes).expect("write");
+        drop(peer);
+        let admitted = admit(ctx, Conn::Uds(mine), boot);
+        admitted.map(|(from, _)| from).map_err(|e| format!("{e:?}"))
+    }
+
+    fn writers(ctx: &MeshCtx) -> usize {
+        let slots = ctx.links.slots.iter();
+        slots.filter(|s| s.lock().writer.is_some()).count()
+    }
+
+    #[test]
+    fn admission_refuses_bad_hellos_and_installs_one_writer_for_a_good_one() {
+        let (ctx, _fabric) = mesh_ctx();
+        let v = codec::RT_VERSION;
+        let parent_hello = codec::encode_hello(codec::KIND_HELLO, TOKEN, 2);
+        let (mesh, parent) = (codec::KIND_MESH_HELLO, codec::KIND_HELLO);
+        for (bytes, want) in [
+            (
+                mesh_hello(v - 1, TOKEN, 2),
+                format!("VersionSkew {{ got: {} }}", v - 1),
+            ),
+            (mesh_hello(v, "other", 2), "BadToken".into()),
+            (mesh_hello(v, TOKEN, 0), "BadProgram { got: 0 }".into()),
+            (mesh_hello(v, TOKEN, 1), "BadProgram { got: 1 }".into()),
+            (mesh_hello(v, TOKEN, 3), "BadProgram { got: 3 }".into()),
+            (
+                parent_hello,
+                format!("Wire(\"expected frame kind {mesh} during mesh hello, got {parent}\")"),
+            ),
+            (
+                Vec::new(),
+                r#"Wire("connection closed during mesh hello")"#.into(),
+            ),
+        ] {
+            for boot in [true, false] {
+                assert_eq!(admit_bytes(&ctx, &bytes, boot), Err(want.clone()));
+                assert_eq!(writers(&ctx), 0, "{want} installed a writer");
+            }
+        }
+        let good = mesh_hello(v, TOKEN, 2);
+        assert_eq!(admit_bytes(&ctx, &good, true), Ok(2));
+        assert_eq!(writers(&ctx), 1);
+        // At boot a second link from the same peer is a duplicate...
+        let duplicate = admit_bytes(&ctx, &good, true);
+        assert_eq!(duplicate, Err("DuplicateProgram { prog: 2 }".into()));
+        assert_eq!(writers(&ctx), 1);
+        assert_eq!(ctx.metrics.net_reconnects.get(), 0);
+        // ...after boot it is the re-dial: it replaces the link and meters.
+        assert_eq!(admit_bytes(&ctx, &good, false), Ok(2));
+        assert_eq!(writers(&ctx), 1);
+        assert_eq!(ctx.metrics.net_reconnects.get(), 1);
+    }
+
+    /// A connection that never says hello must not hold up the next
+    /// peer's re-dial: each hello is read off the accept thread.
+    #[test]
+    fn a_silent_stray_does_not_hold_up_a_redial() {
+        let (ctx, _fabric) = mesh_ctx();
+        let dir = std::env::temp_dir();
+        let name = format!("couplink-mesh-stray-{}", std::process::id());
+        let listener = Listener::bind(SocketBackend::Uds, &dir, &name).expect("bind");
+        let addr = listener.addr().expect("addr");
+        let accepting = Arc::clone(&ctx);
+        std::thread::spawn(move || accept_loop(listener, accepting));
+        let _stray = Conn::dial(&addr).expect("stray");
+        let start = Instant::now();
+        let mut peer = Conn::dial(&addr).expect("peer");
+        let hello = mesh_hello(codec::RT_VERSION, TOKEN, 2);
+        peer.write_all(&hello).expect("hello");
+        while writers(&ctx) == 0 && start.elapsed() < Duration::from_secs(1) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let took = start.elapsed();
+        let _ = std::fs::remove_file(dir.join(format!("{name}.sock")));
+        assert_eq!(writers(&ctx), 1, "no writer after {took:?}");
+    }
 }
