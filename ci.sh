@@ -9,7 +9,11 @@
 # Ten stages, all required:
 #   1. formatting      (cargo fmt --check)
 #   2. lints           (cargo clippy and cargo doc, warnings are errors:
-#                       a doc link to a deleted or private item fails)
+#                       a doc link to a deleted or private item fails;
+#                       and the engine reads no clock: the non-test part
+#                       of crates/runtime/src/engine/*.rs, split as
+#                       `--loc` splits it, may not name `Instant`,
+#                       `SystemTime` or `thread::sleep`)
 #   3. tier-1 tests    (release build + full test suite; among them the
 #                       counter gates: the O(log N) tree budget at
 #                       32/64/128 ranks, chained hand-offs, writev
@@ -21,8 +25,8 @@
 #                       in-process runtimes, ack-before-handle in the
 #                       fabric's armed-shutdown probe)
 #   5. chaos-crash     (fixed-seed simtest sweep with forced permanent
-#                       faults — 20% message loss plus a rep crash with
-#                       restart/failover — on both runtimes)
+#                       faults — 20% of sends break their link, plus a rep
+#                       crash with restart/failover — on both runtimes)
 #   6. stress          (concurrency stress sweep: every program at the
 #                       process ceiling, zero compute skew, fault-free — the
 #                       executor and the control plane under maximum
@@ -70,18 +74,21 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# `./ci.sh --loc`: the one definition of "non-test lines" — each file under
-# crates/*/src (outside the frozen e2e package) and shims/ up to its first
-# `#[cfg(test)]`, per file, per crate and in total. A last line counts the
-# test lines, kept out of the total: the rest of each of those files, plus
-# every .rs under crates/*/tests/ and tests/tests/.
+# The one definition of "non-test lines", for awk: a file's lines up to its
+# first `#[cfg(test)]` are its non-test part (`test` is 0 there).
+split='FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 }'
+
+# `./ci.sh --loc`: each file under crates/*/src (outside the frozen e2e
+# package) and shims/, split as above, counted per file, per crate and in
+# total. A last line counts the test lines, kept out of the total: the
+# rest of each of those files, plus every .rs under crates/*/tests/ and
+# tests/tests/.
 loc() {
     local integration
     integration=$(find crates/*/tests tests/tests -name '*.rs' -exec cat {} + | wc -l)
     find crates/*/src shims -name '*.rs' -not -path 'crates/bench/src/bin/e2e/*' |
-        sort | xargs awk -v integration="$integration" '
-            FNR == 1 { file[++files] = FILENAME; test = 0 }
-            /#\[cfg\(test\)\]/ { test = 1 }
+        sort | xargs awk -v integration="$integration" "$split"'
+            FNR == 1 { file[++files] = FILENAME }
             test { tests++ }
             !test { n[FILENAME]++ }
             END {
@@ -136,6 +143,12 @@ echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc --no-deps --workspace, warnings are errors"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+echo "== the engine reads no clock"
+if awk "$split"' !test { print FILENAME ":" FNR ": " $0 }' crates/runtime/src/engine/*.rs |
+    grep -E '\b(Instant|SystemTime)\b|thread::sleep'; then
+    echo "the engine's non-test code names a clock or a sleep (above)" >&2
+    exit 1
+fi
 
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
@@ -148,7 +161,7 @@ echo "== simtest: seed corpus + mutation smoke (~30s budget)"
 cargo run --release -q -p couplink-simtest -- --seeds 60
 cargo run --release -q -p couplink-simtest -- --mutate
 
-echo "== chaos-crash: forced loss + rep crash/failover on both runtimes"
+echo "== chaos-crash: forced link breaks + rep crash/failover on both runtimes"
 cargo run --release -q -p couplink-simtest -- --faults --seeds 12
 
 echo "== stress: process-ceiling concurrency sweep, fault-free"

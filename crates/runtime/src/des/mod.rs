@@ -128,14 +128,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The event queue *is* the simulator's clock: reading it yields the time
-/// of the last popped event, in virtual seconds.
-impl<E> crate::engine::Clock for EventQueue<E> {
-    fn now(&self) -> f64 {
-        EventQueue::now(self).0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

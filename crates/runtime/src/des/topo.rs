@@ -18,7 +18,7 @@
 use crate::cost::CostModel;
 use crate::des::{EventQueue, SimTime};
 use crate::engine::{
-    proc_side, send_step, ActionKind, ChaosState, CrashTarget, Endpoint, EngineError, Expiry,
+    between, proc_side, send_step, ActionKind, ChaosState, CrashTarget, Endpoint, EngineError,
     ExportFx, ExportNode, Faults, ImportNode, MemWal, Mutation, Outgoing, ProcSide, Reliability,
     RepCrash, RepNode, SendDecision, SendKind, Topology, Wal, WireMeta,
 };
@@ -29,6 +29,7 @@ use couplink_proto::{
     ConnectionId, CtrlMsg, ExportStats, ImportState, PortError, RepAnswer, RequestId, Trace,
 };
 use couplink_time::{PeriodicSchedule, Timestamp, TimestampError};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -235,8 +236,9 @@ enum Ev {
         conn: ConnectionId,
         req: RequestId,
     },
-    /// Poll the reliability layer for expired ack deadlines.
-    RetryCheck,
+    /// The broken link between two endpoints re-forms: both sides resend
+    /// what is pending on it.
+    Reform(Endpoint, Endpoint),
     /// A crashed rep comes back: the configured restart, or the lowest-rank
     /// live successor taking over after [`FAILOVER_DELAY`].
     RepRecover,
@@ -280,7 +282,7 @@ struct ImpDrive {
 /// with [`TopologySim::faults`], run with [`TopologySim::run`].
 ///
 /// It fires every injected fault ([`Faults`]) — chaos up to a rep crash,
-/// forced buddy-help loss, the retry policy, and the mutations the export
+/// forced buddy-help loss, disabled resends, and the mutations the export
 /// ports and import nodes fire — except an agent crash and
 /// [`Mutation::AckBeforeHandle`], which only the threaded fabric models.
 pub struct TopologySim {
@@ -311,8 +313,9 @@ pub struct TopologySim {
     crash: Option<RepCrash>,
     /// The delivery journal a crashed rep is rebuilt from.
     wal: MemWal,
-    /// Earliest virtual time a `RetryCheck` event is already scheduled for.
-    retry_at: Option<f64>,
+    /// Links a chaos break took down, each as `(lower, higher)` endpoint,
+    /// until their [`Ev::Reform`].
+    broken: BTreeSet<(Endpoint, Endpoint)>,
     metrics: Arc<EngineMetrics>,
     /// The messages of the step being moved: every rep and import step of
     /// the run appends here, and [`TopologySim::emit`] drains it.
@@ -506,7 +509,7 @@ impl TopologySim {
             rel: None,
             crash: None,
             wal: MemWal::new(),
-            retry_at: None,
+            broken: BTreeSet::new(),
             metrics,
             out: Vec::new(),
             fx: ExportFx::default(),
@@ -574,9 +577,9 @@ impl TopologySim {
     /// Runs to completion and returns the report.
     pub fn run(mut self) -> Result<TopoReport, SimError> {
         // Arm the reliability layer exactly when the fault plan contains
-        // something the transport wrapper cannot heal. Fault-free runs (and
-        // plain delay/duplicate/drop-with-retry chaos) never construct it,
-        // so their event schedules stay bit-identical.
+        // something only the protocol heals. Fault-free runs (and plain
+        // delay/duplicate chaos) never construct it, so their event
+        // schedules stay bit-identical.
         if self.faults.needs_reliability() {
             self.rel = Some(Reliability::armed(self.faults, Arc::clone(&self.metrics)));
         }
@@ -604,7 +607,6 @@ impl TopologySim {
         let mut depth_hwm = self.queue.len();
         while let Some((_, event)) = self.queue.pop() {
             self.dispatch(event)?;
-            self.arm_retry_check();
             depth_hwm = depth_hwm.max(self.queue.len());
         }
         self.metrics.queue_depth.set(depth_hwm as u64);
@@ -743,7 +745,10 @@ impl TopologySim {
                 self.check_import_done(drive, rank)?;
             }
 
-            Ev::RetryCheck => self.on_retry_check(),
+            Ev::Reform(a, b) => {
+                self.broken.remove(&(a, b));
+                self.resend(between(a, b));
+            }
 
             Ev::RepRecover => self.recover_rep()?,
         }
@@ -766,7 +771,7 @@ impl TopologySim {
         if let Some(crash) = self.crash.as_mut().filter(|c| c.rep() == to) {
             if crash.is_dead() {
                 // Deliveries to a dead rep vanish unacked; their senders
-                // keep retransmitting them to the recovered rep.
+                // resend them to the recovered rep.
                 return Ok(());
             }
             if let Some(after) = crash.fires(self.queue.now().0, FAILOVER_DELAY) {
@@ -778,8 +783,8 @@ impl TopologySim {
         }
         let got = rel.admit(meta, to, msg, |rec| self.wal.append(rec));
         for seq in got.acks {
-            // Best-effort: an ack may be lost or duplicated; the sender's
-            // retransmit plus the receiver's re-ack heal a lost one.
+            // Best-effort: an ack may be lost or duplicated; the resend at
+            // its link's re-form plus the receiver's re-ack heal a lost one.
             self.send(SendKind::Ack, to, meta.from, CtrlMsg::Ack { seq }, 0.0);
         }
         for (_, m) in got.deliver {
@@ -791,8 +796,9 @@ impl TopologySim {
         Ok(())
     }
 
-    /// Brings the crashed rep back from the delivery journal and restores
-    /// its receive-side dedup/ordering state.
+    /// Brings the crashed rep back from the delivery journal, restores its
+    /// receive-side dedup/ordering state, and resends everything pending
+    /// into it.
     fn recover_rep(&mut self) -> Result<(), SimError> {
         let Some(crash) = self.crash.as_mut() else {
             return Ok(());
@@ -805,6 +811,7 @@ impl TopologySim {
             if let Some(rel) = self.rel.as_mut() {
                 rel.restore_delivered(ep, &journal);
             }
+            self.resend(|_, to| to == ep);
         }
         Ok(())
     }
@@ -828,13 +835,14 @@ impl TopologySim {
     /// leaves, schedules its arrival after the modelled latency — at the
     /// chaos-planned instants (possibly several, for duplicated
     /// commutative messages; FIFO-class streams clamped to their
-    /// watermark) when fault injection is on.
+    /// watermark) when fault injection is on. Under chaos a copy on a
+    /// broken link is lost, and a send may break its link: the link
+    /// re-forms `max_delay` later. A resend is never perturbed.
     fn send(&mut self, kind: SendKind, from: Endpoint, to: Endpoint, msg: CtrlMsg, delay: f64) {
         let ctrl_time = self.cost.ctrl_time();
         self.metrics.phases.add_virtual(Phase::Ctrl, ctrl_time);
-        let now = self.queue.now().0;
         let rel = self.rel.as_mut();
-        let SendDecision::Deliver(meta) = send_step(&self.metrics, rel, kind, from, to, &msg, now)
+        let SendDecision::Deliver(meta) = send_step(&self.metrics, rel, kind, from, to, &msg)
         else {
             return;
         };
@@ -843,13 +851,38 @@ impl TopologySim {
             CtrlMsg::Ack { seq } => Ev::Ack { to, from, seq },
             _ => Ev::Deliver { to, msg, meta },
         };
-        match self.chaos.as_mut() {
-            None => self.queue.schedule(nominal, ev()),
-            Some(chaos) => {
-                for at in chaos.deliveries(now + nominal, to, &msg) {
-                    self.queue.schedule_at(SimTime(at), ev());
-                }
-            }
+        // A resend is the recovery path and skips chaos, as on the fabric.
+        // Drawn like any send, a re-form's batch would break its link before
+        // a single ack came back, and re-form forever.
+        let resend = matches!(kind, SendKind::Resend(_));
+        let Some(chaos) = self.chaos.as_mut().filter(|_| !resend) else {
+            self.queue.schedule(nominal, ev());
+            return;
+        };
+        let link = (from.min(to), from.max(to));
+        if self.broken.contains(&link) {
+            return;
+        }
+        let ats = chaos.deliveries(self.queue.now().0 + nominal, to, &msg);
+        if ats.is_empty() {
+            let reform = chaos.config().max_delay;
+            self.broken.insert(link);
+            self.queue.schedule(reform, Ev::Reform(link.0, link.1));
+        }
+        for at in ats {
+            self.queue.schedule_at(SimTime(at), ev());
+        }
+    }
+
+    /// Re-forms the links `links` selects: every resend the reliability
+    /// layer returns rides back out through [`TopologySim::send`] with its
+    /// original wire metadata.
+    fn resend(&mut self, links: impl Fn(Endpoint, Endpoint) -> bool) {
+        let Some(rel) = self.rel.as_mut() else {
+            return;
+        };
+        for (to, meta, msg) in rel.reform(links) {
+            self.send(SendKind::Resend(meta), meta.from, to, msg, 0.0);
         }
     }
 
@@ -883,38 +916,6 @@ impl TopologySim {
             );
         }
         Ok(())
-    }
-
-    /// Processes every expired ack deadline: retransmits ride back out
-    /// with their original wire metadata and a fresh loss draw;
-    /// abandonments just stop (an expendable one was already metered; a
-    /// reliable one leaves unresolved work for the liveness oracle).
-    fn on_retry_check(&mut self) {
-        self.retry_at = None;
-        let now = self.queue.now().0;
-        let due = match self.rel.as_mut() {
-            Some(rel) => rel.due(now),
-            None => return,
-        };
-        for e in due {
-            if let Expiry::Resend { to, meta, msg } = e {
-                self.send(SendKind::Resend(meta), meta.from, to, msg, 0.0);
-            }
-        }
-    }
-
-    /// Keeps a `RetryCheck` event scheduled for the earliest pending ack
-    /// deadline.
-    fn arm_retry_check(&mut self) {
-        let Some(d) = self.rel.as_ref().and_then(|r| r.next_deadline()) else {
-            return;
-        };
-        if self.retry_at.is_some_and(|t| t <= d) {
-            return;
-        }
-        let at = d.max(self.queue.now().0);
-        self.queue.schedule_at(SimTime(at), Ev::RetryCheck);
-        self.retry_at = Some(at);
     }
 
     /// Hands one control message to its node — the pre-reliability delivery

@@ -1,10 +1,10 @@
 //! Deterministic fault injection for control-plane traffic.
 //!
 //! The simulation-testing harness (`couplink-simtest`) arms each runtime's
-//! delivery path with *chaos*: seeded per-message delay,
-//! duplication and bounded drop-with-retry. Every decision is a pure
-//! function of the [`ChaosConfig`] seed and a per-transport message counter,
-//! so a failing run replays exactly from its seed.
+//! delivery path with *chaos*: seeded per-message delay and duplication,
+//! link breaks and a rep crash. Every decision is a pure function of the
+//! [`ChaosConfig`] seed and a per-transport message counter, so a failing
+//! run replays exactly from its seed.
 //!
 //! # What may legally be perturbed
 //!
@@ -16,7 +16,7 @@
 //!   completed-request map that absorbs late responses, an export port
 //!   tolerates buddy-help racing a local resolution, and import ports key
 //!   answers by request id. They may be delayed arbitrarily (within the
-//!   bound) and dropped-with-retry.
+//!   bound).
 //!
 //!   Duplication is a strictly stronger demand — the receiver's handling
 //!   must be *idempotent* — and only `Response` meets it (the rep tracks
@@ -31,11 +31,10 @@
 //!   arrive in per-stream order (a reordered `ForwardRequest` is a
 //!   [`HistoryError::NotIncreasing`](couplink_time::HistoryError), not a
 //!   tolerated fault), and they must never be duplicated. They may still be
-//!   delayed — including a bounded drop-with-retry — as long as the stream
-//!   order is preserved, which [`ChaosState`] enforces with a per-stream
-//!   delivery watermark.
+//!   delayed as long as the stream order is preserved, which
+//!   [`ChaosState`] enforces with a per-stream delivery watermark.
 //!
-//! * **Link layer** — `Ack` (PR 4). It belongs to the reliability layer
+//! * **Link layer** — `Ack`. It belongs to the reliability layer
 //!   itself ([`super::reliable`]) and is *idempotent by construction*:
 //!   acking a sequence number twice is a no-op (the pending entry is
 //!   already gone). It is therefore both commutative **and**
@@ -44,26 +43,29 @@
 //!   infinitely), so it is also the only message the reliability layer
 //!   sends best-effort.
 //!
-//! Drops are always *with retry*: the message is delivered after
-//! [`ChaosConfig::retry_delay`] instead of vanishing. Total extra latency is
-//! therefore bounded by `retry_delay + max_delay`, which is what makes the
-//! liveness oracle a theorem rather than a hope.
+//! Extra latency from delay is bounded by [`ChaosConfig::max_delay`],
+//! which is what makes the liveness oracle a theorem rather than a hope.
 //!
-//! # Permanent faults (PR 4)
+//! # Permanent faults
 //!
-//! The classes above describe faults the *transport wrapper* heals by
-//! itself. Two further fault classes are healed by nobody but the protocol:
+//! Delay and duplication lose nothing. Two further fault classes do, and
+//! only the protocol heals them — each comes with the event that names it:
 //!
-//! * **Permanent loss** ([`ChaosConfig::loss_prob`]): a message copy
-//!   vanishes for good. Only the reliability layer's ack/timeout/retransmit
-//!   machinery ([`super::reliable`]) recovers it, so runtimes refuse to arm
-//!   it without that layer (it would be a guaranteed hang).
+//! * **Link break** ([`ChaosConfig::break_prob`]): a send breaks the link
+//!   between its two endpoints. That copy, and every later copy on the
+//!   link in either direction, is lost until the link re-forms
+//!   `max_delay` later, as bytes queued on a socket die when it is reset;
+//!   copies already in flight still arrive. At the re-form the senders
+//!   resend what is pending on the link
+//!   ([`Reliability::reform`](super::Reliability::reform)), so runtimes
+//!   refuse to arm breaks without the reliability layer (they would be a
+//!   guaranteed hang).
 //! * **Crash/restart** ([`CrashFault`]): a rep (or, on the fabric, an agent)
 //!   process dies after consuming its k-th message, optionally coming back
 //!   `restart_after` seconds later. Recovery is rep failover: after a
 //!   modelled detection delay a successor rebuilds the aggregation state
-//!   from the consumed-message journal (see `DESIGN.md`, "Fault model &
-//!   recovery").
+//!   from the consumed-message journal, and every sender resends what is
+//!   pending into it (see `DESIGN.md`, "Fault model & recovery").
 //!
 //! Both are seeded and deterministic like everything else here.
 
@@ -82,15 +84,12 @@ pub struct ChaosConfig {
     pub max_delay: f64,
     /// Probability that a [`duplicable`] message is delivered twice.
     pub duplicate_prob: f64,
-    /// Probability that a message's first delivery is dropped and the
-    /// retry path (delivery after [`ChaosConfig::retry_delay`]) is taken.
-    pub drop_prob: f64,
-    /// Extra latency of a dropped-then-retried message.
-    pub retry_delay: f64,
-    /// Probability that a message copy is lost *permanently* (no transport
-    /// retry). Requires the reliability layer: runtimes must refuse to arm
-    /// a non-zero value without it.
-    pub loss_prob: f64,
+    /// Probability that a send breaks the link between its endpoints: the
+    /// copy and every later one on the link are lost until it re-forms
+    /// [`max_delay`](ChaosConfig::max_delay) later. Requires the
+    /// reliability layer: runtimes must refuse to arm a non-zero value
+    /// without it.
+    pub break_prob: f64,
     /// Optional crash/restart fault.
     pub crash: Option<CrashFault>,
 }
@@ -141,16 +140,16 @@ pub struct CrashFault {
 /// [`Reliability`]: super::Reliability
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Faults {
-    /// Seeded delay, duplication, drop-with-retry, permanent loss and
-    /// crash faults on control traffic.
+    /// Seeded delay, duplication, link-break and crash faults on control
+    /// traffic.
     pub chaos: Option<ChaosConfig>,
-    /// Every buddy-help announcement is sent but never arrives, so each
-    /// exhausts its expendable retry budget and is abandoned (metered as
-    /// `degraded_buffers`). The run must degrade to conservative
-    /// buffering, never misbehave.
+    /// Every buddy-help announcement is sent but never arrives, metered as
+    /// one `degraded_buffers` when it is sent. The run must degrade to
+    /// conservative buffering, never misbehave.
     pub drop_buddy_help: bool,
-    /// Expired deadlines never retransmit (where loss arms the layer), so
-    /// the liveness oracle must fire. Otherwise every run retries alike.
+    /// A re-form resends nothing and abandons what is pending (where
+    /// breaks arm the layer), so the liveness oracle must fire. Otherwise
+    /// every re-form resends alike.
     pub no_retransmit: bool,
     /// A deliberately unsound protocol rule, for mutation testing.
     pub mutation: Option<Mutation>,
@@ -158,7 +157,7 @@ pub struct Faults {
 
 impl Faults {
     /// Whether these faults arm the reliability layer (sequence numbers,
-    /// acks, retransmits, journal): only for forced buddy-help loss,
+    /// acks, resends, journal): only for forced buddy-help loss,
     /// [`Mutation::AckBeforeHandle`] (a bug in that layer) or a plan that
     /// needs it ([`ChaosConfig::needs_reliability`]). Without them a run
     /// pays nothing for the layer.
@@ -170,45 +169,29 @@ impl Faults {
 }
 
 impl ChaosConfig {
-    /// A moderately hostile default: noticeable jitter, 20% duplication,
-    /// 10% drop-with-retry.
+    /// A moderately hostile default: noticeable jitter, 20% duplication.
     pub fn from_seed(seed: u64) -> Self {
         ChaosConfig {
             seed,
             max_delay: 0.05,
             duplicate_prob: 0.2,
-            drop_prob: 0.1,
-            retry_delay: 0.1,
-            loss_prob: 0.0,
+            break_prob: 0.0,
             crash: None,
         }
     }
 
     /// Whether this plan contains faults only the protocol's reliability
-    /// layer can survive (permanent loss or a crash). Runtimes arm the
-    /// ack/retransmit/failover machinery exactly when this is true, keeping
+    /// layer can survive (link breaks or a crash). Runtimes arm the
+    /// ack/resend/failover machinery exactly when this is true, keeping
     /// fault-free runs bit-identical to the pre-reliability engine.
     pub fn needs_reliability(&self) -> bool {
-        self.loss_prob > 0.0 || self.crash.is_some()
-    }
-
-    /// Whether delivery attempt number `attempt_nonce` of `msg` to `to` is
-    /// permanently lost. Stateless and deterministic; callers must feed a
-    /// nonce unique per attempt (retransmits draw independently).
-    pub fn lost(&self, attempt_nonce: u64, to: Endpoint, msg: &CtrlMsg) -> bool {
-        if self.loss_prob <= 0.0 {
-            return false;
-        }
-        let h = mix(
-            mix(mix(self.seed, attempt_nonce), endpoint_bits(to)),
-            msg_bits(msg),
-        );
-        unit(mix(h, 5)) < self.loss_prob
+        self.break_prob > 0.0 || self.crash.is_some()
     }
 
     /// Relative extra delays (beyond the runtime's nominal latency) for
-    /// each delivered copy of message number `n` to `to`. Always non-empty;
-    /// more than one entry only for commutative messages.
+    /// each delivered copy of message number `n` to `to`: empty when this
+    /// send breaks its link (see [`ChaosConfig::break_prob`]), more than
+    /// one entry only for duplicable messages.
     ///
     /// Stateless and deterministic: the same `(seed, n, to, msg)` always
     /// yields the same plan. FIFO-class callers must additionally clamp the
@@ -216,9 +199,10 @@ impl ChaosConfig {
     /// [`ChaosState::deliveries`]).
     pub fn extra_delays(&self, n: u64, to: Endpoint, msg: &CtrlMsg) -> Vec<f64> {
         let h = mix(mix(mix(self.seed, n), endpoint_bits(to)), msg_bits(msg));
-        let dropped = unit(mix(h, 1)) < self.drop_prob;
-        let base = if dropped { self.retry_delay } else { 0.0 };
-        let mut delays = vec![base + unit(mix(h, 2)) * self.max_delay];
+        if unit(mix(h, 1)) < self.break_prob {
+            return Vec::new();
+        }
+        let mut delays = vec![unit(mix(h, 2)) * self.max_delay];
         if duplicable(msg) && unit(mix(h, 3)) < self.duplicate_prob {
             delays.push(unit(mix(h, 4)) * self.max_delay);
         }
@@ -236,8 +220,8 @@ pub fn duplicable(msg: &CtrlMsg) -> bool {
     matches!(msg, CtrlMsg::Response { .. } | CtrlMsg::Ack { .. })
 }
 
-/// Whether a control message tolerates unbounded reordering and
-/// drop-with-retry (see the module docs for the class analysis).
+/// Whether a control message tolerates unbounded reordering (see the
+/// module docs for the class analysis).
 pub fn commutes(msg: &CtrlMsg) -> bool {
     match msg {
         CtrlMsg::Response { .. }
@@ -282,14 +266,15 @@ impl ChaosState {
     }
 
     /// Absolute delivery times for each copy of `msg`, given that an
-    /// unperturbed delivery would happen at `base_at`. Commutative messages
-    /// get one or two jittered copies; FIFO-class messages get exactly one
-    /// copy, clamped so the stream `(conn, to)` never reorders.
+    /// unperturbed delivery would happen at `base_at`: none when this send
+    /// breaks its link. Commutative messages get one or two jittered
+    /// copies; FIFO-class messages get exactly one copy, clamped so the
+    /// stream `(conn, to)` never reorders.
     pub fn deliveries(&mut self, base_at: f64, to: Endpoint, msg: &CtrlMsg) -> Vec<f64> {
         let n = self.counter;
         self.counter += 1;
         let delays = self.cfg.extra_delays(n, to, msg);
-        if commutes(msg) {
+        if commutes(msg) || delays.is_empty() {
             return delays.iter().map(|d| base_at + d).collect();
         }
         let at = base_at + delays[0];
@@ -505,31 +490,30 @@ mod tests {
         }
     }
 
-    /// Permanent loss is deterministic per attempt nonce, distinct across
-    /// attempts, and hits roughly at the configured rate.
+    /// A link break is seeded per send, hits roughly at the configured
+    /// rate, and leaves no copy; without breaks every plan has a copy.
     #[test]
-    fn permanent_loss_is_seeded_and_per_attempt() {
+    fn link_breaks_are_seeded_per_send() {
         let cfg = ChaosConfig {
-            loss_prob: 0.3,
+            break_prob: 0.3,
             ..ChaosConfig::from_seed(21)
         };
         let to = Endpoint::Rep { prog: 1 };
-        let mut lost = 0;
+        let mut broke = 0;
         for n in 0..1000 {
-            let l = cfg.lost(n, to, &resp(0, n));
-            assert_eq!(l, cfg.lost(n, to, &resp(0, n)), "deterministic");
-            lost += l as u64;
+            let plan = cfg.extra_delays(n, to, &resp(0, n));
+            assert_eq!(plan, cfg.extra_delays(n, to, &resp(0, n)), "deterministic");
+            broke += u64::from(plan.is_empty());
         }
-        assert!((150..450).contains(&lost), "loss rate off: {lost}/1000");
-        // loss_prob 0 never loses, and doesn't even hash.
+        assert!((150..450).contains(&broke), "break rate off: {broke}/1000");
         let off = ChaosConfig::from_seed(21);
         assert!(!off.needs_reliability());
-        assert!((0..100).all(|n| !off.lost(n, to, &resp(0, n))));
+        assert!((0..100).all(|n| !off.extra_delays(n, to, &resp(0, n)).is_empty()));
         assert!(cfg.needs_reliability());
     }
 
     /// The one "arm the layer" rule: only faults the layer fires (forced
-    /// buddy-help loss, a bug inside it, a plan with loss) arm it.
+    /// buddy-help loss, a bug inside it, a plan with breaks) arm it.
     #[test]
     fn faults_arm_reliability_only_for_what_it_fires() {
         let arms = |f: Faults| f.needs_reliability();
@@ -550,7 +534,7 @@ mod tests {
         }));
         assert!(arms(Faults {
             chaos: Some(ChaosConfig {
-                loss_prob: 0.1,
+                break_prob: 0.1,
                 ..ChaosConfig::from_seed(1)
             }),
             ..Faults::default()
@@ -560,13 +544,13 @@ mod tests {
     #[test]
     fn delays_are_bounded() {
         let cfg = ChaosConfig {
-            drop_prob: 1.0,
+            duplicate_prob: 1.0,
             ..ChaosConfig::from_seed(3)
         };
         let to = Endpoint::Rep { prog: 2 };
         for n in 0..100 {
             for d in cfg.extra_delays(n, to, &resp(1, n)) {
-                assert!((0.0..=cfg.retry_delay + cfg.max_delay).contains(&d));
+                assert!((0.0..=cfg.max_delay).contains(&d));
             }
         }
     }
@@ -574,7 +558,7 @@ mod tests {
     #[test]
     fn fifo_stream_never_reorders() {
         let mut state = ChaosState::new(ChaosConfig {
-            drop_prob: 0.5,
+            max_delay: 0.5,
             ..ChaosConfig::from_seed(11)
         });
         let to = Endpoint::Proc { prog: 1, rank: 0 };
@@ -594,8 +578,8 @@ mod tests {
         // A huge delay on conn 0 must not hold back conn 1's stream.
         let a = state.deliveries(0.0, to, &fwd(0, 0))[0];
         let b = state.deliveries(0.0, to, &fwd(1, 0))[0];
-        assert!(a <= ChaosConfig::from_seed(5).retry_delay + 0.05);
-        assert!(b <= ChaosConfig::from_seed(5).retry_delay + 0.05);
+        assert!(a <= ChaosConfig::from_seed(5).max_delay);
+        assert!(b <= ChaosConfig::from_seed(5).max_delay);
     }
 
     #[test]

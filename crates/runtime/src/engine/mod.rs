@@ -15,9 +15,10 @@
 //! Nodes consume [`couplink_proto::CtrlMsg`] values (`on_msg`) and emit
 //! [`Outgoing`] messages in a deterministic order; the per-message send and
 //! receive disciplines live in [`reliable`] ([`reliable::send_step`],
-//! [`Reliability::admit`]). A runtime supplies only what is its own: a
-//! [`Clock`], how a delivery is scheduled, where acks travel and where the
-//! journal lives (see `DESIGN.md`, "What a runtime supplies").
+//! [`Reliability::admit`]). The engine reads no clock. A runtime supplies
+//! only what is its own: its time, how a delivery is scheduled, where acks
+//! travel and where the journal lives (see `DESIGN.md`, "What a runtime
+//! supplies").
 //!
 //! The topology itself ([`Topology`]) is runtime-neutral: N programs, any
 //! acyclic-or-cyclic set of connections, multi-importer export regions.
@@ -33,9 +34,9 @@ pub use chaos::{ChaosConfig, ChaosState, CrashFault, CrashTarget, Faults};
 pub use couplink_proto::Mutation;
 pub use node::{EngineError, ExportFx, ExportNode, ImportNode, RepCrash, RepNode};
 pub use oracle::OracleViolation;
+pub(crate) use reliable::between;
 pub use reliable::{
-    send_step, Expiry, MemWal, Reliability, RetryPolicy, SendDecision, SendKind, Wal, WalRecord,
-    WireMeta,
+    send_step, MemWal, Reliability, SendDecision, SendKind, Wal, WalRecord, WireMeta,
 };
 pub use topology::{
     ConnTopo, ExportRegionTopo, ImportRegionTopo, ProgramTopo, Topology, TopologyError,
@@ -166,11 +167,4 @@ pub fn proc_side(msg: &CtrlMsg) -> Option<(ProcSide, ConnectionId)> {
         } => Some((ProcSide::Import, conn)),
         _ => None,
     }
-}
-
-/// What time means for one runtime: virtual seconds in the simulator,
-/// wall-clock seconds in the threaded fabric.
-pub trait Clock {
-    /// Seconds since the runtime's epoch.
-    fn now(&self) -> f64;
 }

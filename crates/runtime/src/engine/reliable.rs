@@ -1,19 +1,22 @@
-//! The reliability layer: sequence numbers, acks, timeouts and bounded
-//! exponential-backoff retransmit over unreliable links.
+//! The reliability layer: sequence numbers, acks, dedup, ordered
+//! hold-back, and one recovery rule.
 //!
-//! PR 2's chaos layer healed its own drops inside the transport wrapper —
-//! the protocol never saw a fault. This module moves recovery where it
-//! belongs: every sequenced control message stays *pending* at its sender
-//! until the receiver acknowledges it, and an expired ack deadline
-//! retransmits it with exponential backoff. Both runtimes drive the same
-//! state machine through the [`Clock`](super::Clock) abstraction: the
-//! discrete-event simulator feeds virtual time and schedules a retry-check
-//! event at [`Reliability::next_deadline`]; the threaded fabric feeds wall
-//! time from its pump task.
+//! Every link a runtime runs on — an in-process mailbox, a UDS or TCP
+//! stream — loses messages only when it breaks or a process dies, and each
+//! of those comes with an event that names it. So every sequenced control
+//! message stays *pending* at its sender until the receiver acknowledges
+//! it, and the one recovery rule is: **when a link re-forms, or a rep
+//! recovers, the sender resends that link's pending messages in sequence
+//! order ([`Reliability::reform`]); nothing else ever resends.** The layer
+//! reads no clock: the runtime that sees the event — the simulator's
+//! re-form or recovery event, the fabric's chaos relay or rep task, a
+//! restarted process leaving journal replay, a socket writer re-installed
+//! after a reconnect — calls [`Reliability::reform`] and moves what it
+//! returns.
 //!
 //! It also owns the two per-message disciplines every runtime shares, so no
-//! caller re-implements them: [`send_step`] (meter → register → forced
-//! buddy-help loss → replay suppression → loss draw) on the way out, and
+//! caller re-implements them: [`send_step`] (meter → forced buddy-help
+//! loss → register → replay suppression) on the way out, and
 //! [`Reliability::admit`] (dedup/hold-back → ack metering →
 //! journal-before-ack) on the way in. A runtime only adds what is its own:
 //! a latency and an event on one side, a shard lock and a mailbox push on
@@ -27,94 +30,50 @@
 //! * **Ordered + reliable** — the FIFO class (`ImportCall`,
 //!   `ImportRequest`, `ForwardRequest`). Each carries an ordered-substream
 //!   index (`ord`) per directed link; the receiver delivers strictly in
-//!   `ord` order, holding back early arrivals, so a retransmitted gap can
-//!   never be overtaken (the strictly-increasing-timestamp invariants
-//!   survive permanent loss).
+//!   `ord` order, holding back early arrivals, so a resent gap can never
+//!   be overtaken by a fresh send that was routed first (the
+//!   strictly-increasing-timestamp invariants survive a break).
 //! * **Unordered + reliable** — `Response`, `Answer`, `AnswerBcast`.
-//!   Sequenced for dedup and retransmit but delivered on arrival.
+//!   Sequenced for dedup and resend but delivered on arrival.
 //! * **Unordered + expendable** — `BuddyHelp`. The announcement is *only*
-//!   an optimization: losing it costs a memcpy, never correctness. It gets
-//!   a small retry budget ([`RetryPolicy::expendable_attempts`]) and is
-//!   then abandoned, metered as `degraded_buffers` — the graceful
-//!   degradation to pre-optimization buffering.
+//!   an optimization: losing it costs a memcpy, never correctness. One
+//!   pending at a re-form is abandoned, not resent, and metered as
+//!   `degraded_buffers` — the graceful degradation to pre-optimization
+//!   buffering.
 //! * **Link layer** — `Ack`. Never sequenced (an ack of an ack would
 //!   regress infinitely); idempotent by construction instead, so
-//!   best-effort delivery suffices: a lost ack is healed by the original
-//!   sender's retransmit, which the receiver dedups and re-acks.
+//!   best-effort delivery suffices: a break cuts both directions of a
+//!   link, so an ack it lost is healed by the resend of the message the
+//!   other way, which the receiver dedups and re-acks.
 //!
 //! # The ack-on-delivery invariant
 //!
 //! A message is acknowledged exactly when it is **delivered to its node**
 //! (processed and journaled), not when it reaches the endpoint's mailbox.
-//! Held-back ordered messages are therefore unacked and keep being
-//! retransmitted until their gap fills; a rep that crashes loses only
-//! unacked messages, which senders retransmit to its successor. Journal =
-//! processed = acked is what makes crash recovery exact (see
-//! `DESIGN.md`, "Fault model & recovery").
+//! Held-back ordered messages are therefore unacked and still pending; a
+//! rep that crashes loses only unacked messages, which its senders resend
+//! to its successor. Journal = processed = acked is what makes crash
+//! recovery exact (see `DESIGN.md`, "Fault model & recovery").
 //!
 //! # Liveness
 //!
-//! Under per-attempt loss probability `p < 1`, independent seeded draws
-//! make eventual delivery certain; backoff is capped
-//! ([`RetryPolicy::max_timeout`]) so retry intervals stay bounded. The
-//! attempt cap for reliable traffic is a backstop far beyond any plausible
-//! loss run (`0.2^32`), turning a would-be infinite loop into a metered
-//! abandonment the liveness oracle then reports.
+//! A link that breaks re-forms, and a crashed rep recovers; each time the
+//! sender resends everything still pending on those links. A resend may
+//! itself meet a fresh break (each send draws independently), but then the
+//! link re-forms again, so with a break probability below one every
+//! message is eventually delivered. [`Faults::no_retransmit`] turns the
+//! rule off — a re-form abandons what is pending — and the liveness
+//! oracle must then fire.
 
-use super::{chaos, ctrl_class, ChaosConfig, Endpoint, Faults};
+use super::{chaos, ctrl_class, Endpoint, Faults};
 use couplink_metrics::{CtrlClass, EngineMetrics};
 use couplink_proto::{CtrlMsg, TreeRole};
 use couplink_time::Timestamp;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Timeout/backoff parameters of the reliability layer, in clock seconds
-/// (virtual on the simulator, scaled wall on the fabric).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// First ack deadline after a send.
-    pub base_timeout: f64,
-    /// Deadline multiplier per retransmit (exponential backoff).
-    pub backoff: f64,
-    /// Backoff cap: no retry interval exceeds this.
-    pub max_timeout: f64,
-    /// Attempt cap for reliable traffic (liveness backstop, never reached
-    /// under the fault model's loss rates).
-    pub max_attempts: u32,
-    /// Attempt cap for expendable traffic (buddy-help), after which the
-    /// announcement is abandoned and metered as a degraded buffer.
-    pub expendable_attempts: u32,
-    /// Whether expired deadlines retransmit at all. `false` only in
-    /// negative tests proving the liveness oracle fires without recovery.
-    pub retransmit: bool,
-}
-
-impl Default for RetryPolicy {
-    /// The policy both runtimes run with. Control latency and chaos jitter
-    /// are a few milliseconds (virtual or wall), so the first ack deadline
-    /// sits well clear of an honest round trip while retries still settle
-    /// long before a typical schedule ends.
-    fn default() -> Self {
-        RetryPolicy {
-            base_timeout: 0.05,
-            backoff: 2.0,
-            max_timeout: 0.4,
-            max_attempts: 32,
-            expendable_attempts: 3,
-            retransmit: true,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The retry interval after `attempt` sends (capped exponential).
-    pub fn interval(&self, attempt: u32) -> f64 {
-        (self.base_timeout * self.backoff.powi(attempt.min(30) as i32)).min(self.max_timeout)
-    }
-}
-
-/// Whether a message rides the expendable discipline (bounded retries,
-/// abandoned rather than guaranteed).
+/// Whether a message rides the expendable discipline: abandoned at a
+/// re-form rather than resent.
 pub fn expendable(msg: &CtrlMsg) -> bool {
     matches!(
         msg,
@@ -135,31 +94,6 @@ pub struct WireMeta {
     pub seq: u64,
     /// Position in the link's ordered substream, for FIFO-class messages.
     pub ord: Option<u64>,
-}
-
-/// What an expired deadline turned into.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Expiry {
-    /// Retransmit this copy (same meta: retransmits keep their seq).
-    Resend {
-        /// Destination endpoint.
-        to: Endpoint,
-        /// Original wire metadata.
-        meta: WireMeta,
-        /// The message.
-        msg: CtrlMsg,
-    },
-    /// The send was abandoned (expendable budget exhausted, reliable-cap
-    /// backstop hit, or retransmit disabled).
-    Abandon {
-        /// Destination endpoint.
-        to: Endpoint,
-        /// The message given up on.
-        msg: CtrlMsg,
-        /// Whether it was expendable (a metered degradation) rather than a
-        /// reliable send (a liveness loss).
-        expendable: bool,
-    },
 }
 
 /// What receiving one wire packet produced.
@@ -272,11 +206,8 @@ impl Wal for MemWal {
 
 #[derive(Debug)]
 struct PendingSend {
-    to: Endpoint,
     msg: CtrlMsg,
     ord: Option<u64>,
-    deadline: f64,
-    attempt: u32,
 }
 
 #[derive(Debug, Default)]
@@ -301,18 +232,14 @@ struct RecvLink {
 /// deterministic given the same call sequence.
 #[derive(Debug)]
 pub struct Reliability {
-    policy: RetryPolicy,
     send: BTreeMap<(Endpoint, Endpoint), SendLink>,
     recv: BTreeMap<(Endpoint, Endpoint), RecvLink>,
     metrics: Arc<EngineMetrics>,
-    /// Degradation knob: every expendable send registers but never leaves.
+    /// Degradation knob: every expendable send is lost at once.
     drop_buddy_help: bool,
-    /// The fault plan feeding the permanent-loss draw, if any.
-    loss: Option<ChaosConfig>,
-    /// Monotone per-attempt counter feeding the loss draw: every attempt
-    /// (first send, retransmit or ack) draws independently, so a retried
-    /// message is eventually delivered with probability one.
-    nonce: u64,
+    /// Whether a re-form resends (`false` only in negative tests proving
+    /// the liveness oracle fires without recovery).
+    resend: bool,
     /// A restarted process is replaying its journal (see
     /// [`Reliability::set_replaying`]).
     replaying: bool,
@@ -326,11 +253,11 @@ pub enum SendKind {
     /// A tree hop forwarded down a subtree: metered as `ctrl_relay`,
     /// registered like origin traffic.
     Relay,
-    /// A retransmit of a pending entry: metered per class, keeps its
-    /// original metadata (no re-registration).
+    /// A resend of a pending entry at a re-form: metered per class, keeps
+    /// its original metadata (no re-registration).
     Resend(WireMeta),
     /// A link-layer ack leaving its receiver: already metered by
-    /// [`Reliability::admit`], never registered, still subject to loss.
+    /// [`Reliability::admit`], never registered.
     Ack,
 }
 
@@ -339,13 +266,11 @@ pub enum SendKind {
 pub enum SendDecision {
     /// Hand it to the wire with this metadata (`None` when unsequenced).
     Deliver(Option<WireMeta>),
-    /// Registered (or still pending) but deliberately not moved: forced
-    /// buddy-help loss, or journal replay regenerating traffic whose
-    /// delivery comes from the journal. The pending entry retransmits or
-    /// abandons it later.
+    /// Deliberately not moved: forced buddy-help loss (never registered),
+    /// or journal replay regenerating traffic whose delivery comes from
+    /// the journal (registered; the re-form at the end of replay resends
+    /// it).
     Suppressed,
-    /// Lost on this attempt by the seeded draw; the retransmit heals it.
-    Lost,
 }
 
 /// The one per-message send step every runtime calls before moving a
@@ -360,10 +285,9 @@ pub fn send_step(
     from: Endpoint,
     to: Endpoint,
     msg: &CtrlMsg,
-    now: f64,
 ) -> SendDecision {
     if matches!(kind, SendKind::Resend(_)) && rel.as_ref().is_some_and(|r| r.replaying) {
-        // A retransmit landing mid-replay would deliver (and ack) while
+        // A resend landing mid-replay would deliver (and ack) while
         // journaling is off; the entry stays pending for after replay.
         return SendDecision::Suppressed;
     }
@@ -378,78 +302,56 @@ pub fn send_step(
     let Some(rel) = rel else {
         return SendDecision::Deliver(None);
     };
+    if rel.drop_buddy_help && expendable(msg) {
+        // Lost for good: metered as the degradation it causes, and never
+        // pending, so nothing waits for it.
+        metrics.degraded_buffers.inc();
+        return SendDecision::Suppressed;
+    }
     let meta = match kind {
-        SendKind::Origin | SendKind::Relay => rel.register(from, to, msg, now),
+        SendKind::Origin | SendKind::Relay => rel.register(from, to, msg),
         SendKind::Resend(meta) => Some(meta),
         SendKind::Ack => None,
     };
-    // From here on the copy may vanish; the pending entry just registered
-    // is what later retransmits (or abandons) it.
-    if (rel.drop_buddy_help && expendable(msg)) || (rel.replaying && meta.is_some()) {
+    if rel.replaying && meta.is_some() {
         return SendDecision::Suppressed;
-    }
-    if let Some(cfg) = &rel.loss {
-        let n = rel.nonce;
-        rel.nonce += 1;
-        if cfg.lost(n, to, msg) {
-            return SendDecision::Lost;
-        }
     }
     SendDecision::Deliver(meta)
 }
 
+/// Selects both directions of the link between `a` and `b`, for
+/// [`Reliability::reform`].
+pub(crate) fn between(a: Endpoint, b: Endpoint) -> impl Fn(Endpoint, Endpoint) -> bool {
+    move |from, to| (from, to) == (a, b) || (from, to) == (b, a)
+}
+
 impl Reliability {
-    /// A fresh layer with the given policy, metering into `metrics`.
-    pub fn new(policy: RetryPolicy, metrics: Arc<EngineMetrics>) -> Self {
+    /// The layer a runtime arms for `faults`, metering into `metrics`: the
+    /// forced buddy-help loss [`send_step`] applies, and whether a re-form
+    /// resends.
+    pub(crate) fn armed(faults: Faults, metrics: Arc<EngineMetrics>) -> Self {
         Reliability {
-            policy,
             send: BTreeMap::new(),
             recv: BTreeMap::new(),
             metrics,
-            drop_buddy_help: false,
-            loss: None,
-            nonce: 0,
-            replaying: false,
-        }
-    }
-
-    /// The layer a runtime arms for `faults`: the default policy, and the
-    /// buddy-help loss and loss draw [`send_step`] applies on its links.
-    pub(crate) fn armed(faults: Faults, metrics: Arc<EngineMetrics>) -> Self {
-        let policy = RetryPolicy {
-            retransmit: !faults.no_retransmit,
-            ..RetryPolicy::default()
-        };
-        Reliability {
             drop_buddy_help: faults.drop_buddy_help,
-            loss: faults.chaos,
-            ..Reliability::new(policy, metrics)
+            resend: !faults.no_retransmit,
+            replaying: false,
         }
     }
 
     /// Enters or leaves journal-replay mode. While replaying, regenerated
     /// sequenced traffic is registered (rebuilding sequence counters and
     /// pending state) but not moved — deliveries come exclusively from the
-    /// journal injection — and retransmits wait for replay to end.
+    /// journal injection — and resends wait for replay to end.
     pub fn set_replaying(&mut self, replaying: bool) {
         self.replaying = replaying;
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
     /// Registers an outbound message on the link `from → to`, assigning its
-    /// sequence number and first ack deadline. Returns `None` for
-    /// link-layer messages, which ride unsequenced.
-    pub fn register(
-        &mut self,
-        from: Endpoint,
-        to: Endpoint,
-        msg: &CtrlMsg,
-        now: f64,
-    ) -> Option<WireMeta> {
+    /// sequence number. Returns `None` for link-layer messages, which ride
+    /// unsequenced.
+    pub fn register(&mut self, from: Endpoint, to: Endpoint, msg: &CtrlMsg) -> Option<WireMeta> {
         if msg.is_link_layer() {
             return None;
         }
@@ -461,16 +363,7 @@ impl Reliability {
             link.next_ord += 1;
             o
         });
-        link.pending.insert(
-            seq,
-            PendingSend {
-                to,
-                msg: *msg,
-                ord,
-                deadline: now + self.policy.interval(0),
-                attempt: 1,
-            },
-        );
+        link.pending.insert(seq, PendingSend { msg: *msg, ord });
         Some(WireMeta { from, seq, ord })
     }
 
@@ -502,7 +395,7 @@ impl Reliability {
                 out.deliver.push((meta, msg));
             }
             Some(k) => {
-                // Idempotent overwrite: a retransmit of a held-back packet
+                // Idempotent overwrite: a resend of a held-back packet
                 // carries the same (seq, ord).
                 link.holdback.insert(k, (meta.seq, msg));
                 while let Some((seq, m)) = link.holdback.remove(&link.next_ord) {
@@ -525,7 +418,7 @@ impl Reliability {
     /// packet: [`receive`](Reliability::receive) it, meter each ack it owes
     /// as `Ack` control traffic, and journal every accepted delivery
     /// *before* the caller can let an ack escape — an acked message must
-    /// survive a crash, because its sender will never retransmit it. The
+    /// survive a crash, because its sender will never resend it. The
     /// caller moves the acks (an event, an in-place `on_ack`, a socket
     /// frame) and hands the deliveries to their node, in order. `journal`
     /// is the runtime's [`Wal::append`] (a no-op while a journal is being
@@ -545,67 +438,48 @@ impl Reliability {
         got
     }
 
-    /// All sends whose ack deadline expired at `now`: retransmits (with
-    /// their deadline pushed out by capped exponential backoff) and
-    /// abandonments. Each expiry counts one `timeouts`; each resend one
-    /// `retransmits`; each expendable abandonment one `degraded_buffers`.
-    pub fn due(&mut self, now: f64) -> Vec<Expiry> {
+    /// Re-forms every directed link `from → to` that `links` selects — both
+    /// directions of a link that broke (`between`), every link into a
+    /// rep that recovered, every link to a peer process whose socket was
+    /// re-installed, or everything when a restarted process leaves replay
+    /// — and returns what the senders must resend, as `(to, meta, msg)`
+    /// in sequence order per link. Those entries stay pending until
+    /// acked. A pending expendable message is abandoned instead, metered
+    /// once as `degraded_buffers`; with resending off
+    /// ([`Faults::no_retransmit`]) every pending entry is. Meters one
+    /// `timeouts` (a detected link failure) and one `retransmits` per
+    /// resend.
+    pub fn reform(
+        &mut self,
+        links: impl Fn(Endpoint, Endpoint) -> bool,
+    ) -> Vec<(Endpoint, WireMeta, CtrlMsg)> {
+        self.metrics.timeouts.inc();
         let mut out = Vec::new();
-        for (&(from, _to), link) in self.send.iter_mut() {
-            let expired: Vec<u64> = link
-                .pending
-                .iter()
-                .filter(|(_, p)| p.deadline <= now)
-                .map(|(&s, _)| s)
-                .collect();
-            for seq in expired {
-                self.metrics.timeouts.inc();
-                let p = link.pending.get_mut(&seq).expect("expired seq pending");
-                let cap = if expendable(&p.msg) {
-                    self.policy.expendable_attempts
-                } else {
-                    self.policy.max_attempts
-                };
-                if !self.policy.retransmit || p.attempt >= cap {
-                    let p = link.pending.remove(&seq).expect("expired seq pending");
-                    let exp = expendable(&p.msg);
-                    if exp {
-                        self.metrics.degraded_buffers.inc();
-                    }
-                    out.push(Expiry::Abandon {
-                        to: p.to,
-                        msg: p.msg,
-                        expendable: exp,
-                    });
-                } else {
-                    p.deadline = now + self.policy.interval(p.attempt);
-                    p.attempt += 1;
-                    self.metrics.retransmits.inc();
-                    out.push(Expiry::Resend {
-                        to: p.to,
-                        meta: WireMeta {
+        for (&(from, to), link) in self.send.iter_mut() {
+            if !links(from, to) {
+                continue;
+            }
+            link.pending.retain(|&seq, p| {
+                if expendable(&p.msg) {
+                    self.metrics.degraded_buffers.inc();
+                    return false;
+                }
+                if self.resend {
+                    out.push((
+                        to,
+                        WireMeta {
                             from,
                             seq,
                             ord: p.ord,
                         },
-                        msg: p.msg,
-                    });
+                        p.msg,
+                    ));
                 }
-            }
+                self.resend
+            });
         }
+        self.metrics.retransmits.add(out.len() as u64);
         out
-    }
-
-    /// The earliest pending ack deadline, if any — when the runtime should
-    /// next call [`Reliability::due`].
-    pub fn next_deadline(&self) -> Option<f64> {
-        self.send
-            .values()
-            .flat_map(|l| l.pending.values())
-            .map(|p| p.deadline)
-            .fold(None, |acc, d| {
-                Some(acc.map_or(d, |a: f64| if d < a { d } else { a }))
-            })
     }
 
     /// Number of sends still awaiting an ack.
@@ -615,13 +489,29 @@ impl Reliability {
 
     /// Crashes endpoint `ep` as a receiver: its receive-side link state
     /// (dedup sets, hold-back buffers) dies with it. Held-back messages
-    /// were never acked, so their senders keep retransmitting them to the
-    /// successor. Send-side state *out of* `ep` is preserved: the successor
-    /// replays the consumed-message journal, which deterministically
-    /// regenerates the same outbound traffic, so keeping the pending map is
-    /// equivalent to the successor re-deriving it.
-    pub fn crash_endpoint(&mut self, ep: Endpoint) {
-        self.recv.retain(|&(_, to), _| to != ep);
+    /// were never acked, so their senders resend them when the rep
+    /// recovers; they are returned too, for a runtime whose senders live
+    /// in processes that cannot see the crash. Send-side state *out of*
+    /// `ep` is preserved: the successor replays the consumed-message
+    /// journal, which deterministically regenerates the same outbound
+    /// traffic, so keeping the pending map is equivalent to the successor
+    /// re-deriving it.
+    pub fn crash_endpoint(&mut self, ep: Endpoint) -> Vec<(WireMeta, CtrlMsg)> {
+        let mut held = Vec::new();
+        self.recv.retain(|&(from, to), link| {
+            if to == ep {
+                held.extend(link.holdback.iter().map(|(&ord, &(seq, msg))| {
+                    let meta = WireMeta {
+                        from,
+                        seq,
+                        ord: Some(ord),
+                    };
+                    (meta, msg)
+                }));
+            }
+            to != ep
+        });
+        held
     }
 
     /// Fast-forwards every send link's sequence counter by `gap` — the
@@ -648,7 +538,7 @@ impl Reliability {
 
     /// Rebuilds `ep`'s receive-side dedup/ordering state from the journaled
     /// metadata of every message it had consumed before the crash — the
-    /// successor's re-announcement step. After this, retransmits of
+    /// successor's re-announcement step. After this, resends of
     /// already-journaled messages are re-acked instead of re-processed.
     pub fn restore_delivered(&mut self, ep: Endpoint, journal: &[(WireMeta, CtrlMsg)]) {
         for (meta, _) in journal {
@@ -696,13 +586,13 @@ mod tests {
     }
 
     fn layer() -> Reliability {
-        Reliability::new(RetryPolicy::default(), Arc::new(EngineMetrics::new()))
+        Reliability::armed(Faults::default(), Arc::new(EngineMetrics::new()))
     }
 
     #[test]
     fn ack_clears_pending_and_duplicate_ack_is_noop() {
         let mut r = layer();
-        let meta = r.register(REP, EXP, &fwd(0), 0.0).expect("sequenced");
+        let meta = r.register(REP, EXP, &fwd(0)).expect("sequenced");
         assert_eq!(r.pending_len(), 1);
         assert!(r.on_ack(REP, EXP, meta.seq), "first ack is fresh");
         assert_eq!(r.pending_len(), 0);
@@ -714,14 +604,14 @@ mod tests {
     #[test]
     fn link_layer_messages_are_never_sequenced() {
         let mut r = layer();
-        assert_eq!(r.register(REP, EXP, &CtrlMsg::Ack { seq: 3 }, 0.0), None);
+        assert_eq!(r.register(REP, EXP, &CtrlMsg::Ack { seq: 3 }), None);
         assert_eq!(r.pending_len(), 0);
     }
 
     #[test]
     fn receiver_dedups_and_reacks() {
         let mut r = layer();
-        let meta = r.register(EXP, REP, &resp(0), 0.0).unwrap();
+        let meta = r.register(EXP, REP, &resp(0)).unwrap();
         let first = r.receive(meta, REP, resp(0));
         assert_eq!(first.deliver.len(), 1);
         assert_eq!(first.acks, vec![meta.seq]);
@@ -733,9 +623,9 @@ mod tests {
     #[test]
     fn ordered_messages_hold_back_until_the_gap_fills() {
         let mut r = layer();
-        let m0 = r.register(REP, EXP, &fwd(0), 0.0).unwrap();
-        let m1 = r.register(REP, EXP, &fwd(1), 0.0).unwrap();
-        let m2 = r.register(REP, EXP, &fwd(2), 0.0).unwrap();
+        let m0 = r.register(REP, EXP, &fwd(0)).unwrap();
+        let m1 = r.register(REP, EXP, &fwd(1)).unwrap();
+        let m2 = r.register(REP, EXP, &fwd(2)).unwrap();
         assert_eq!((m0.ord, m1.ord, m2.ord), (Some(0), Some(1), Some(2)));
         // 2 and 1 arrive early: held back, unacked.
         assert_eq!(r.receive(m2, EXP, fwd(2)), Received::default());
@@ -745,15 +635,15 @@ mod tests {
         let msgs: Vec<CtrlMsg> = got.deliver.iter().map(|(_, m)| *m).collect();
         assert_eq!(msgs, vec![fwd(0), fwd(1), fwd(2)]);
         assert_eq!(got.acks, vec![m0.seq, m1.seq, m2.seq]);
-        // A retransmit of the held-back packet after delivery just re-acks.
+        // A resend of the held-back packet after delivery just re-acks.
         assert_eq!(r.receive(m1, EXP, fwd(1)).acks, vec![m1.seq]);
     }
 
     #[test]
     fn unordered_and_ordered_substreams_are_independent() {
         let mut r = layer();
-        let mf = r.register(EXP, REP, &fwd(0), 0.0).unwrap();
-        let mr = r.register(EXP, REP, &resp(0), 0.0).unwrap();
+        let mf = r.register(EXP, REP, &fwd(0)).unwrap();
+        let mr = r.register(EXP, REP, &resp(0)).unwrap();
         assert_eq!(mr.ord, None);
         // The response must not wait behind the lost forward.
         let got = r.receive(mr, REP, resp(0));
@@ -762,102 +652,96 @@ mod tests {
         assert_eq!(got.deliver.len(), 1);
     }
 
+    /// A re-form of the link between two endpoints resends what is pending
+    /// on both of its directions, each in sequence order, and nothing that
+    /// was acked or travels on another link; the entries stay pending until
+    /// acked. One `timeouts` per re-form, one `retransmits` per resend.
     #[test]
-    fn expired_sends_retransmit_with_backoff_then_reliable_cap_holds() {
+    fn reform_resends_both_directions_in_seq_order_and_skips_the_acked() {
         let m = Arc::new(EngineMetrics::new());
-        let mut r = Reliability::new(
-            RetryPolicy {
-                base_timeout: 1.0,
-                backoff: 2.0,
-                max_timeout: 4.0,
-                max_attempts: 3,
-                ..RetryPolicy::default()
-            },
-            m.clone(),
-        );
-        r.register(REP, EXP, &fwd(0), 0.0).unwrap();
-        assert!(r.due(0.5).is_empty(), "deadline not reached");
-        // t=1: first expiry retransmits, next interval 2s (backoff).
-        let e = r.due(1.0);
-        assert!(matches!(e[..], [Expiry::Resend { .. }]), "{e:?}");
-        assert_eq!(r.next_deadline(), Some(3.0));
-        // t=3: second retransmit, interval now capped at 4s.
-        let e = r.due(3.0);
-        assert!(matches!(e[..], [Expiry::Resend { .. }]));
-        assert_eq!(r.next_deadline(), Some(7.0));
-        // t=7: attempt cap reached — reliable abandon (the backstop).
-        let e = r.due(7.0);
-        assert!(
-            matches!(
-                e[..],
-                [Expiry::Abandon {
-                    expendable: false,
-                    ..
-                }]
-            ),
-            "{e:?}"
-        );
-        assert_eq!(r.pending_len(), 0);
-        let snap = m.snapshot().counters;
-        assert_eq!(snap.timeouts, 3);
-        assert_eq!(snap.retransmits, 2);
+        let mut r = Reliability::armed(Faults::default(), m.clone());
+        let other = Endpoint::Proc { prog: 0, rank: 1 };
+        let f0 = r.register(REP, EXP, &fwd(0)).unwrap();
+        let f1 = r.register(REP, EXP, &fwd(1)).unwrap();
+        let f2 = r.register(REP, EXP, &fwd(2)).unwrap();
+        let back = r.register(EXP, REP, &resp(0)).unwrap();
+        r.register(REP, other, &fwd(3)).unwrap();
+        assert!(r.on_ack(REP, EXP, f1.seq));
+        let got = r.reform(between(EXP, REP));
         assert_eq!(
-            snap.degraded_buffers, 0,
-            "reliable abandon is not degradation"
+            got,
+            vec![(REP, back, resp(0)), (EXP, f0, fwd(0)), (EXP, f2, fwd(2)),]
         );
+        assert_eq!(r.pending_len(), 4, "resent entries stay pending");
+        let c = m.snapshot().counters;
+        assert_eq!((c.timeouts, c.retransmits), (1, 3));
+        // Every link into one endpoint: what a recovered rep is owed.
+        let into_rep = r.reform(|_, to| to == REP);
+        assert_eq!(into_rep, vec![(REP, back, resp(0))]);
     }
 
+    /// A buddy-help announcement pending at a re-form is abandoned, not
+    /// resent, and metered as one degraded buffer — once: the next re-form
+    /// no longer sees it.
     #[test]
-    fn abandoned_buddy_help_is_metered_as_degradation() {
+    fn buddy_help_pending_at_a_reform_is_abandoned_and_metered_once() {
         let m = Arc::new(EngineMetrics::new());
-        let mut r = Reliability::new(
-            RetryPolicy {
-                base_timeout: 1.0,
-                backoff: 1.0,
-                max_timeout: 2.0,
-                expendable_attempts: 2,
-                ..RetryPolicy::default()
-            },
-            m.clone(),
-        );
-        r.register(REP, EXP, &help(0), 0.0).unwrap();
-        assert!(matches!(r.due(1.0)[..], [Expiry::Resend { .. }]));
-        let e = r.due(2.0);
-        assert!(
-            matches!(
-                e[..],
-                [Expiry::Abandon {
-                    expendable: true,
-                    ..
-                }]
-            ),
-            "{e:?}"
-        );
-        assert_eq!(m.snapshot().counters.degraded_buffers, 1);
-        assert_eq!(m.snapshot().counters.retransmits, 1);
+        let mut r = Reliability::armed(Faults::default(), m.clone());
+        r.register(REP, EXP, &help(0)).unwrap();
+        let f = r.register(REP, EXP, &fwd(0)).unwrap();
+        assert_eq!(r.reform(between(REP, EXP)), vec![(EXP, f, fwd(0))]);
+        assert_eq!(r.reform(between(REP, EXP)), vec![(EXP, f, fwd(0))]);
+        let c = m.snapshot().counters;
+        assert_eq!((c.degraded_buffers, c.retransmits), (1, 2));
+        assert_eq!(r.pending_len(), 1);
     }
 
-    /// With retransmit disabled (the negative-test knob), expiry abandons
-    /// immediately: the protocol has no recovery and liveness is forfeit.
+    /// With resending disabled (the negative-test knob), a re-form resends
+    /// nothing and abandons what is pending: the protocol has no recovery
+    /// and liveness is forfeit.
     #[test]
-    fn disabled_retransmit_abandons_on_first_expiry() {
-        let mut r = Reliability::new(
-            RetryPolicy {
-                retransmit: false,
-                base_timeout: 1.0,
-                max_timeout: 2.0,
-                ..RetryPolicy::default()
-            },
-            Arc::new(EngineMetrics::new()),
-        );
-        r.register(REP, EXP, &fwd(0), 0.0).unwrap();
-        assert!(matches!(r.due(1.0)[..], [Expiry::Abandon { .. }]));
+    fn disabled_retransmit_resends_nothing_and_abandons_at_reform() {
+        let faults = Faults {
+            no_retransmit: true,
+            ..Faults::default()
+        };
+        let m = Arc::new(EngineMetrics::new());
+        let mut r = Reliability::armed(faults, m.clone());
+        r.register(REP, EXP, &fwd(0)).unwrap();
+        r.register(EXP, REP, &resp(0)).unwrap();
+        assert_eq!(r.reform(between(REP, EXP)), vec![]);
         assert_eq!(r.pending_len(), 0);
+        let c = m.snapshot().counters;
+        assert_eq!((c.timeouts, c.retransmits), (1, 0));
+    }
+
+    /// Journal replay registers regenerated traffic without moving it, and
+    /// holds back resends; the re-form a restarted process runs when it
+    /// leaves replay resends everything replay left pending.
+    #[test]
+    fn replay_leaves_its_sends_pending_for_the_reform_that_ends_it() {
+        let m = Arc::new(EngineMetrics::new());
+        let mut r = Reliability::armed(Faults::default(), m.clone());
+        r.set_replaying(true);
+        let sent = send_step(&m, Some(&mut r), SendKind::Origin, REP, EXP, &fwd(0));
+        assert_eq!(sent, SendDecision::Suppressed);
+        let meta = WireMeta {
+            from: REP,
+            seq: 0,
+            ord: Some(0),
+        };
+        let early = send_step(&m, Some(&mut r), SendKind::Resend(meta), REP, EXP, &fwd(0));
+        assert_eq!(early, SendDecision::Suppressed, "no resend mid-replay");
+        r.set_replaying(false);
+        let resent = r.reform(|_, _| true);
+        assert_eq!(resent, vec![(EXP, meta, fwd(0))]);
+        let sent = send_step(&m, Some(&mut r), SendKind::Resend(meta), REP, EXP, &fwd(0));
+        assert_eq!(sent, SendDecision::Deliver(Some(meta)));
     }
 
     /// The send step, as a table: {origin, relay, resend} × {unarmed,
-    /// armed, forced buddy-help loss, replaying, lost}. The frame is a
-    /// coalesced help announcement, so every rule bites: it is classed as
+    /// armed, forced buddy-help loss, replaying}. The frame is a coalesced
+    /// help announcement, so every rule bites: it is classed as
     /// buddy-help, counted as coalesced, expendable and sequenced.
     #[test]
     fn send_step_table() {
@@ -867,17 +751,12 @@ mod tests {
             Armed,
             DropHelp,
             Replaying,
-            Lost,
         }
         let frame = CtrlMsg::Coalesced {
             conn: ConnectionId(0),
             req: RequestId(0),
             answer: RepAnswer::NoMatch,
             role: TreeRole::Help,
-        };
-        let total_loss = ChaosConfig {
-            loss_prob: 1.0,
-            ..ChaosConfig::from_seed(1)
         };
         let old = WireMeta {
             from: REP,
@@ -889,13 +768,7 @@ mod tests {
             seq: 0,
             ord: None,
         };
-        for mode in [
-            Mode::Unarmed,
-            Mode::Armed,
-            Mode::DropHelp,
-            Mode::Replaying,
-            Mode::Lost,
-        ] {
+        for mode in [Mode::Unarmed, Mode::Armed, Mode::DropHelp, Mode::Replaying] {
             for kind in [SendKind::Origin, SendKind::Relay, SendKind::Resend(old)] {
                 let resend = matches!(kind, SendKind::Resend(_));
                 if mode == Mode::Unarmed && resend {
@@ -905,14 +778,13 @@ mod tests {
                 let mut layer = (mode != Mode::Unarmed).then(|| {
                     let faults = Faults {
                         drop_buddy_help: mode == Mode::DropHelp,
-                        chaos: (mode == Mode::Lost).then_some(total_loss),
                         ..Faults::default()
                     };
                     let mut r = Reliability::armed(faults, m.clone());
                     r.set_replaying(mode == Mode::Replaying);
                     r
                 });
-                let got = send_step(&m, layer.as_mut(), kind, REP, EXP, &frame, 0.0);
+                let got = send_step(&m, layer.as_mut(), kind, REP, EXP, &frame);
                 let case = format!("{mode:?} x {kind:?}");
 
                 let meta = if resend { old } else { first };
@@ -920,17 +792,14 @@ mod tests {
                     Mode::Unarmed => SendDecision::Deliver(None),
                     Mode::Armed => SendDecision::Deliver(Some(meta)),
                     Mode::DropHelp | Mode::Replaying => SendDecision::Suppressed,
-                    Mode::Lost => SendDecision::Lost,
                 };
                 assert_eq!(got, want, "{case}");
-                // Origin and relay sends register even when the copy then
-                // vanishes; a resend never re-registers.
+                // Origin and relay sends register, even when replay holds
+                // the copy back; a resend never re-registers, and a forced
+                // loss is never pending — it is metered as degraded at once.
                 let pending = layer.as_ref().map_or(0, Reliability::pending_len);
-                assert_eq!(
-                    pending,
-                    usize::from(!resend && mode != Mode::Unarmed),
-                    "{case}"
-                );
+                let registers = matches!(mode, Mode::Armed | Mode::Replaying);
+                assert_eq!(pending, usize::from(!resend && registers), "{case}");
                 // Metering: per class for origin/resend, `ctrl_relay` for a
                 // relay hop, `ctrl_coalesced` either way — except a resend
                 // deferred by replay, which never happened.
@@ -944,6 +813,8 @@ mod tests {
                 );
                 assert_eq!(c.ctrl_relay, relay, "{case}");
                 assert_eq!(c.ctrl_coalesced, metered, "{case}");
+                let degraded = u64::from(mode == Mode::DropHelp);
+                assert_eq!(c.degraded_buffers, degraded, "{case}");
                 assert_eq!(
                     c.ctrl_sent.iter().sum::<u64>(),
                     c.ctrl(CtrlClass::BuddyHelp),
@@ -954,20 +825,20 @@ mod tests {
     }
 
     /// Acks ride the send step unregistered and unmetered (the receive
-    /// step already counted them), but still draw for loss; the receive
-    /// step journals every delivery it acks.
+    /// step already counted them); the receive step journals every
+    /// delivery it acks.
     #[test]
     fn acks_are_metered_at_admit_and_journaled_before_they_leave() {
         let m = Arc::new(EngineMetrics::new());
-        let mut r = Reliability::new(RetryPolicy::default(), m.clone());
-        let meta = r.register(EXP, REP, &resp(0), 0.0).unwrap();
+        let mut r = Reliability::armed(Faults::default(), m.clone());
+        let meta = r.register(EXP, REP, &resp(0)).unwrap();
         let mut wal = MemWal::new();
         let got = r.admit(meta, REP, resp(0), |rec| wal.append(rec));
         assert_eq!(got.acks, vec![meta.seq]);
         assert_eq!(wal.delivered(REP), vec![(meta, resp(0))]);
         assert_eq!(m.snapshot().counters.ctrl(CtrlClass::Ack), 1);
         let ack = CtrlMsg::Ack { seq: meta.seq };
-        let sent = send_step(&m, Some(&mut r), SendKind::Ack, REP, EXP, &ack, 0.0);
+        let sent = send_step(&m, Some(&mut r), SendKind::Ack, REP, EXP, &ack);
         assert_eq!(sent, SendDecision::Deliver(None));
         assert_eq!(
             m.snapshot().counters.ctrl(CtrlClass::Ack),
@@ -1019,13 +890,13 @@ mod tests {
     /// Crash + journal replay: the successor re-acks everything the dead
     /// rep had consumed and resumes the ordered substream where it left
     /// off, while held-back (unacked) messages are genuinely lost and wait
-    /// for retransmission.
+    /// for the resend at recovery.
     #[test]
     fn crash_recovery_restores_dedup_and_order_state() {
         let mut r = layer();
-        let m0 = r.register(EXP, REP, &fwd(0), 0.0).unwrap();
-        let m1 = r.register(EXP, REP, &fwd(1), 0.0).unwrap();
-        let m2 = r.register(EXP, REP, &fwd(2), 0.0).unwrap();
+        let m0 = r.register(EXP, REP, &fwd(0)).unwrap();
+        let m1 = r.register(EXP, REP, &fwd(1)).unwrap();
+        let m2 = r.register(EXP, REP, &fwd(2)).unwrap();
         let mut journal = Vec::new();
         for (meta, msg) in [(m0, fwd(0)), (m1, fwd(1))] {
             journal.extend(r.receive(meta, REP, msg).deliver);
@@ -1035,7 +906,7 @@ mod tests {
         // deliver; crash first instead.
         r.crash_endpoint(REP);
         r.restore_delivered(REP, &journal);
-        // Retransmit of journaled m1: re-acked, not re-processed.
+        // Resend of journaled m1: re-acked, not re-processed.
         let got = r.receive(m1, REP, fwd(1));
         assert!(got.deliver.is_empty());
         assert_eq!(got.acks, vec![m1.seq]);

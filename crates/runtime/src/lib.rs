@@ -49,7 +49,7 @@ pub use des::topo::{
 };
 pub use engine::{
     ActionKind, ChaosConfig, ChaosState, CrashFault, CrashTarget, Faults, Mutation,
-    OracleViolation, Reliability, RetryPolicy, Topology, TopologyError,
+    OracleViolation, Reliability, Topology, TopologyError,
 };
 pub use threaded::{
     fabric_task_count, ExportAccess, Fabric, FabricOptions, FabricReport, ImportAccess,

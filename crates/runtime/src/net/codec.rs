@@ -30,7 +30,7 @@ use super::node::NODE_BUFFER_CAPACITY;
 
 /// Version of the runtime envelope protocol (checked in both handshakes,
 /// independently of the frame-container version below it).
-pub const RT_VERSION: u32 = 3;
+pub const RT_VERSION: u32 = 4;
 
 const BASE: u8 = wire::KIND_RUNTIME_BASE;
 /// Child → parent: first frame on the bootstrap link.
@@ -441,9 +441,7 @@ wire_struct!(ChaosConfig {
     seed,
     max_delay,
     duplicate_prob,
-    drop_prob,
-    retry_delay,
-    loss_prob,
+    break_prob,
     crash
 });
 wire_enum!(NodeFault, "node fault" {
@@ -613,9 +611,7 @@ mod tests {
                 seed: 17,
                 max_delay: 0.01,
                 duplicate_prob: 0.2,
-                drop_prob: 0.1,
-                retry_delay: 0.05,
-                loss_prob: 0.2,
+                break_prob: 0.2,
                 crash: Some(CrashFault {
                     target: CrashTarget::Rep(1),
                     after_msgs: 5,

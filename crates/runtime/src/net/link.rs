@@ -125,9 +125,9 @@ impl Listener {
     }
 }
 
-/// [`Conn::dial`]'s schedule: 25 ms doubling to 1 s, ~9.6 s in all —
-/// comfortably inside the reliability pump's retransmit window, so no
-/// sequenced message gives up while a mesh link is being re-dialled.
+/// [`Conn::dial`]'s schedule: 25 ms doubling to 1 s, ~9.6 s in all. No
+/// sequenced message gives up while a mesh link is being re-dialled: it
+/// stays pending, and is resent once the new link is installed.
 const DIAL_ATTEMPTS: u32 = 14;
 const DIAL_FIRST: Duration = Duration::from_millis(25);
 const DIAL_CAP: Duration = Duration::from_secs(1);

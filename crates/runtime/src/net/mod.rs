@@ -15,9 +15,9 @@
 //! collective answers, their acks, and payload pieces — because the
 //! collective semantics of export/import already concentrate all
 //! inter-program coupling in the rep/agent protocol. Reliability
-//! (retransmit, failover, buddy-help) runs unchanged on top; TCP's
-//! in-order delivery is treated as a fast path, not a correctness
-//! assumption.
+//! (resend when a link re-forms, failover, buddy-help) runs unchanged on
+//! top; TCP's in-order delivery is treated as a fast path, not a
+//! correctness assumption.
 //!
 //! Submodules: [`link`] (backends, framing, writer threads), [`codec`]
 //! (runtime envelopes and the bootstrap vocabulary), [`node`] (the child

@@ -40,7 +40,7 @@
 //!    prefix;
 //! 2. sends `APP_DONE` but **keeps serving fabric traffic** — peers may
 //!    still need this node's reps and stores for their own imports;
-//! 3. on `DRAIN`, runs the staged session shutdown (pump → relay → reps →
+//! 3. on `DRAIN`, runs the staged session shutdown (drain → relay → reps →
 //!    agents → importers), prunes the journal, sends the `REPORT`, exits.
 //!
 //! # Link failure: fail fast, or reconnect
@@ -55,9 +55,10 @@
 //! With a `wal_dir` (or an armed link-sever fault) a dead link is re-formed
 //! instead (step 5): both sides close the socket, the higher-indexed side
 //! re-dials, and each side whose writer is replaced meters
-//! `net_reconnects`. The new writer replays salvaged payload pieces only —
-//! the reliability pump retransmits sequenced control, which re-triggers
-//! its ack. A bare `MESH_BYE` ahead of a draining node's half-close tells
+//! `net_reconnects`. The new writer replays salvaged payload pieces only;
+//! then each side resends the sequenced control still pending toward the
+//! peer ([`Reliability::reform`](crate::engine::Reliability::reform)), and
+//! each resend re-triggers its ack. A bare `MESH_BYE` ahead of a draining node's half-close tells
 //! an orderly close from a drop: an EOF after it never re-dials.
 //!
 //! # Durability discipline
@@ -210,10 +211,10 @@ impl SocketLinks {
 
     /// Installs a fresh writer for `prog`: retires any previous writer —
     /// replaying its salvaged payload pieces, dropping salvaged control
-    /// and acks (the reliability pump retransmits sequenced control, and a
-    /// retransmitted message re-triggers its ack; pieces are the only
-    /// frames nobody retransmits) — then flushes the pending stash.
-    /// Returns whether a writer was replaced (the link was re-formed).
+    /// and acks (the caller's re-form resends sequenced control, and a
+    /// resent message re-triggers its ack; pieces are the only frames
+    /// nobody resends) — then flushes the pending stash. Returns whether a
+    /// writer was replaced (the link was re-formed).
     fn install_writer(&self, prog: usize, writer: LinkWriter) -> bool {
         let mut st = self.slots[prog].lock();
         let old = st.writer.take();
@@ -358,7 +359,9 @@ struct MeshCtx {
 
 impl MeshCtx {
     /// Starts a writer on a clone of `conn` and installs it for `peer`; a
-    /// writer that replaces an earlier one meters a reconnect.
+    /// writer that replaces an earlier one re-forms the link: it meters a
+    /// reconnect and resends the control this side still owes the peer,
+    /// whose only copies the old writer took with it.
     fn install(&self, peer: usize, conn: &Conn) -> std::io::Result<()> {
         let sever = self.sever.lock().take_if(|(p, _)| *p == peer);
         let writer = LinkWriter::spawn_with(
@@ -370,6 +373,7 @@ impl MeshCtx {
         );
         if self.links.install_writer(peer, writer) {
             self.metrics.net_reconnects.inc();
+            self.net.reform(|_, to| ep_prog(to) == peer);
         }
         Ok(())
     }
@@ -1009,7 +1013,7 @@ fn verify_cells(dest: &LocalArray, owned: Rect, m: f64, grid_cols: usize) -> Opt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Topology;
+    use crate::engine::{MemWal, Topology};
     use couplink_layout::{Decomposition, Extent2};
     use couplink_time::{MatchPolicy, Tolerance};
     use std::os::unix::net::UnixStream;
@@ -1018,15 +1022,18 @@ mod tests {
 
     /// Program 1 of a three-program mesh (so peers 0 and 1 are at or below
     /// it, 2 above, 3 outside) over a partial fabric with nothing running,
-    /// already draining so a link that closes ends quietly. The fabric is
-    /// returned to outlive the test.
-    fn mesh_ctx() -> (Arc<MeshCtx>, Fabric) {
+    /// already draining so a link that closes ends quietly; `wal` arms the
+    /// reliability layer. The fabric is returned to outlive the test.
+    fn mesh_ctx(wal: Option<WalHandle>) -> (Arc<MeshCtx>, Fabric) {
         let d = Decomposition::row_block(Extent2::new(4, 4), 1).expect("decomp");
         let tol = Tolerance::new(0.5).expect("tol");
         let topo = Topology::pair(d, d, MatchPolicy::RegL, tol).expect("topo");
         let links = Arc::new(SocketLinks::new(3, vec![1], None, BufPool::new(None)));
         let metrics = Arc::new(EngineMetrics::new());
-        let opts = FabricOptions::default();
+        let opts = FabricOptions {
+            wal,
+            ..FabricOptions::default()
+        };
         let fabric = Fabric::partial(topo, opts, 1, links.clone(), Some(metrics.clone()));
         let ctx = MeshCtx {
             me: 1,
@@ -1068,7 +1075,7 @@ mod tests {
 
     #[test]
     fn admission_refuses_bad_hellos_and_installs_one_writer_for_a_good_one() {
-        let (ctx, _fabric) = mesh_ctx();
+        let (ctx, _fabric) = mesh_ctx(None);
         let v = codec::RT_VERSION;
         let parent_hello = codec::encode_hello(codec::KIND_HELLO, TOKEN, 2);
         let (mesh, parent) = (codec::KIND_MESH_HELLO, codec::KIND_HELLO);
@@ -1113,7 +1120,7 @@ mod tests {
     /// peer's re-dial: each hello is read off the accept thread.
     #[test]
     fn a_silent_stray_does_not_hold_up_a_redial() {
-        let (ctx, _fabric) = mesh_ctx();
+        let (ctx, _fabric) = mesh_ctx(None);
         let dir = std::env::temp_dir();
         let name = format!("couplink-mesh-stray-{}", std::process::id());
         let listener = Listener::bind(SocketBackend::Uds, &dir, &name).expect("bind");
@@ -1131,5 +1138,69 @@ mod tests {
         let took = start.elapsed();
         let _ = std::fs::remove_file(dir.join(format!("{name}.sock")));
         assert_eq!(writers(&ctx), 1, "no writer after {took:?}");
+    }
+
+    /// A re-installed writer resends what the severed one took with it:
+    /// program 1's rep sends one `ImportRequest` to program 0 over a writer
+    /// that severs before its first frame, so the peer sees only EOF. Once
+    /// a fresh writer is installed the peer receives the request exactly
+    /// once and acks it, and nothing is pending within 1 s — in a session
+    /// with no timer that could resend it.
+    #[test]
+    fn a_reinstalled_writer_resends_the_control_the_severed_one_lost() {
+        let (ctx, _fabric) = mesh_ctx(Some(WalHandle::new(MemWal::new())));
+        let (imp_rep, exp_rep) = (Endpoint::Rep { prog: 1 }, Endpoint::Rep { prog: 0 });
+        *ctx.sever.lock() = Some((0, 0));
+        let (mine, old_peer) = UnixStream::pair().expect("pair");
+        ctx.install(0, &Conn::Uds(mine)).expect("first writer");
+        let (conn, rank, at) = (ConnectionId(0), Rank(0), ts(1.0));
+        let call = CtrlMsg::ImportCall { conn, rank, ts: at };
+        ctx.net.deliver_ctrl(imp_rep, None, call);
+        let mut reject = || {};
+        let mut old = FrameReader::new(Conn::Uds(old_peer));
+        assert!(old.next(&mut reject).expect("read").is_none(), "severed");
+        assert_eq!(ctx.net.pending_len(), 1, "the request is owed");
+
+        let (mine, peer) = UnixStream::pair().expect("pair");
+        let reader = FrameReader::new(Conn::Uds(mine.try_clone().expect("clone")));
+        ctx.install(0, &Conn::Uds(mine)).expect("second writer");
+        let reading = Arc::clone(&ctx);
+        let reader = std::thread::spawn(move || mesh_reader_loop(reader, 0, reading));
+        peer.set_read_timeout(Some(Duration::from_secs(1)))
+            .expect("timeout");
+        let mut peer_tx = peer.try_clone().expect("clone");
+        let mut peer = FrameReader::new(Conn::Uds(peer));
+        let frame = peer.next(&mut reject).expect("read").expect("the resend");
+        assert_eq!(frame.kind, codec::KIND_CTRL);
+        let (to, meta, msg) = codec::decode_ctrl_env(&frame.body).expect("ctrl");
+        let request = CtrlMsg::ImportRequest {
+            conn,
+            req: RequestId(0),
+            ts: at,
+        };
+        assert_eq!((to, msg), (exp_rep, request));
+        let seq = meta.expect("sequenced").seq;
+        let ack = codec::encode_ack_env(imp_rep, exp_rep, seq);
+        peer_tx.write_all(&ack).expect("ack");
+        let start = Instant::now();
+        while ctx.net.pending_len() > 0 && start.elapsed() < Duration::from_secs(1) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            ctx.net.pending_len(),
+            0,
+            "not acked after {:?}",
+            start.elapsed()
+        );
+        assert_eq!(ctx.metrics.net_reconnects.get(), 1);
+
+        ctx.links.quiesce(Duration::from_secs(1));
+        let rest: Vec<u8> = std::iter::from_fn(|| peer.next(&mut reject).expect("read"))
+            .map(|f| f.kind)
+            .collect();
+        assert_eq!(rest, [codec::KIND_MESH_BYE], "the request came once");
+        drop(peer_tx);
+        drop(peer);
+        reader.join().expect("reader");
     }
 }

@@ -2,8 +2,8 @@
 //! per [`Fabric`](super::Fabric).
 //!
 //! Instead of one OS thread per rep and per agent, a fixed **worker pool**
-//! polls node tasks. Each rep, agent, importer and retransmit pump is a
-//! state machine implementing `Task`; a mailbox push (or an expired
+//! polls node tasks. Each rep, agent and importer is a state machine
+//! implementing `Task`; a mailbox push (or an expired
 //! timer) marks the task runnable. **The thread that made it runnable
 //! polls it itself** when it can — a worker, or an application thread or
 //! socket reader inside `Helper::help` — from a short thread-local
@@ -12,8 +12,7 @@
 //! overflow, tasks that call themselves heavy, and whatever a thread that
 //! cannot run tasks (an `export()`, the chaos relay, `shutdown`) wakes;
 //! only those cost a lock and a wake-up. Timers — a crashed rep's recovery
-//! instant, the retransmit pump's next deadline — share one per-shard timer
-//! heap.
+//! instant — share one per-shard timer heap.
 //!
 //! The scheduling core is a per-task atomic state machine:
 //!
@@ -149,7 +148,7 @@ impl Poll {
     }
 }
 
-/// A polled state machine (rep, agent, importer, retransmit pump).
+/// A polled state machine (rep, agent, importer).
 pub(crate) trait Task: Send {
     /// Drains whatever is runnable right now. `now` is the poll instant —
     /// tasks compare their own deadlines (a crashed rep's recovery instant)

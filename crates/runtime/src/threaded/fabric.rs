@@ -13,17 +13,15 @@
 //!   computes (the paper's asynchronous framework engine);
 //! - one **importer task** per (connection, rank), feeding answers and
 //!   pieces into the import node the application thread's `import()` waits
-//!   on — after that thread has itself polled whatever its call set off;
-//! - one **pump task** per fabric when the reliability layer is armed,
-//!   retransmitting what is due and sleeping toward the earliest retry
-//!   deadline, at most one base timeout at a time.
+//!   on — after that thread has itself polled whatever its call set off.
 //!
 //! Every protocol decision — what a delivered message does at a rank or a
-//! rep, whether a tree frame is relayed, whether a send is registered,
-//! suppressed or lost, what a receive acks and journals — is the engine's
-//! (`on_msg`, [`send_step`], [`Reliability::admit`]). The fabric adds only
+//! rep, whether a tree frame is relayed, whether a send is registered or
+//! suppressed, what a receive acks and journals, what a re-formed link
+//! resends — is the engine's (`on_msg`, [`send_step`],
+//! [`Reliability::admit`], [`Reliability::reform`]). The fabric adds only
 //! what is its own: the lock around the reliability state, the mailbox (or
-//! socket) push, and the pump's timer.
+//! socket) push, and the instant a broken link re-forms.
 //!
 //! Application threads drive the per-process [`ExportAccess`] /
 //! [`ImportAccess`] handles exactly like an SPMD rank calling the
@@ -40,9 +38,9 @@
 
 use crate::engine::chaos::{commutes, ChaosConfig, CrashTarget};
 use crate::engine::{
-    proc_side, send_step, Clock, Endpoint, EngineError, Expiry, ExportFx, ExportNode, Faults,
-    ImportNode, MemWal, Mutation, Outgoing, ProcSide, Reliability, RepCrash, RepNode, SendDecision,
-    SendKind, Topology, Wal, WalRecord, WireMeta,
+    between, proc_side, send_step, Endpoint, EngineError, ExportFx, ExportNode, Faults, ImportNode,
+    MemWal, Mutation, Outgoing, ProcSide, Reliability, RepCrash, RepNode, SendDecision, SendKind,
+    Topology, Wal, WalRecord, WireMeta,
 };
 use crate::threaded::executor::{
     publish_run_next, Executor, Helper, PanicSink, Poll, Task, TaskHandle,
@@ -56,7 +54,7 @@ use couplink_proto::{
 use couplink_time::Timestamp;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -68,7 +66,7 @@ use std::time::{Duration, Instant};
 const FAILOVER_DELAY: Duration = Duration::from_millis(150);
 
 /// Hard cap on the shutdown drain: after this long the drain gives up on
-/// still-pending messages (a crashed task's mailbox never acks).
+/// still-pending messages (a link that never re-forms never acks).
 const DRAIN_CAP: Duration = Duration::from_secs(30);
 
 /// Longest the shutdown drain sleeps between looks at the pending set.
@@ -99,24 +97,6 @@ const REP_BATCH: usize = 64;
 /// is a heavy task (`Task::heavy`) and belongs on the pool, beside the
 /// waking thread rather than after it.
 const LIGHT_PIECE: usize = 64 << 10;
-
-/// Wall-clock seconds since the fabric started — the threaded runtime's
-/// [`Clock`].
-#[derive(Debug, Clone)]
-pub struct WallClock(Instant);
-
-impl WallClock {
-    /// A clock starting now.
-    pub fn start() -> Self {
-        WallClock(Instant::now())
-    }
-}
-
-impl Clock for WallClock {
-    fn now(&self) -> f64 {
-        self.0.elapsed().as_secs_f64()
-    }
-}
 
 /// Shared handle to a session's write-ahead journal: the pluggable
 /// [`Wal`] backend behind one mutex, cloned into the routing table, the
@@ -188,10 +168,11 @@ pub struct FabricOptions {
     /// messages (`Response`, `BuddyHelp`, `Answer`, `AnswerBcast`), through
     /// a relay thread: the fabric has no global event queue on which to
     /// re-order FIFO-class ones safely, and the protocol forbids it anyway.
-    /// Faults that need it ([`Faults::needs_reliability`]) arm the
-    /// reliability layer: acks, a retransmit pump on wall-clock timeouts,
-    /// and failover of a crashed rep from its delivery journal. Mutations
-    /// are armed while the fabric is built, before any task runs.
+    /// Link breaks hit every control message. Faults that need it
+    /// ([`Faults::needs_reliability`]) arm the reliability layer: acks,
+    /// resends when a broken link re-forms, and failover of a crashed rep
+    /// from its delivery journal. Mutations are armed while the fabric is
+    /// built, before any task runs.
     pub faults: Faults,
     /// Hierarchical collective distribution: the rep sends forwards and
     /// coalesced answers only to the roots of the deterministic
@@ -225,7 +206,7 @@ impl Default for FabricOptions {
 
 impl FabricOptions {
     /// Whether these options arm the reliability layer (sequence numbers,
-    /// acks, retransmit pump, journal): only when a fault that needs it is
+    /// acks, resends, journal): only when a fault that needs it is
     /// configured or a journal is asked for — a plain run pays nothing.
     fn needs_reliability(&self) -> bool {
         self.faults.needs_reliability() || self.wal.is_some()
@@ -314,21 +295,25 @@ enum Msg {
         /// The sub-rectangle of `payload` this piece delivers.
         rect: Rect,
         /// The exporter's buffered object, shared — not copied — into
-        /// every piece, connection and retransmit it serves.
+        /// every piece, connection and resend it serves.
         payload: SharedArray,
     },
     Shutdown,
 }
 
-/// Message to the chaos relay thread: hold `msg` until `due`, then route it.
+/// Message to the chaos relay thread: hold an event until its instant,
+/// then fire it.
 enum RelayMsg {
-    Deliver {
-        due: Instant,
-        to: Endpoint,
-        meta: Option<WireMeta>,
-        msg: CtrlMsg,
-    },
+    At(Instant, Relayed),
     Shutdown,
+}
+
+/// What the chaos relay fires.
+enum Relayed {
+    /// A delayed copy of a control message, routed on arrival.
+    Ctrl(Endpoint, Option<WireMeta>, CtrlMsg),
+    /// The broken link between two endpoints re-forms.
+    Reform(Endpoint, Endpoint),
 }
 
 /// Fault-injection state shared through [`Net`].
@@ -337,6 +322,26 @@ struct NetChaos {
     /// Per-message counter feeding the seeded decisions.
     counter: AtomicU64,
     relay: Sender<RelayMsg>,
+    /// Links a break took down, each as `(lower, higher)` endpoint, until
+    /// the relay re-forms them.
+    broken: Mutex<BTreeSet<(Endpoint, Endpoint)>>,
+}
+
+impl NetChaos {
+    /// Whether a copy on the link between `a` and `b` is lost: this send
+    /// breaks it (`breaks`) or it is down. A link that goes down here hands
+    /// its re-form `max_delay` on to the relay.
+    fn lost(&self, a: Endpoint, b: Endpoint, breaks: bool) -> bool {
+        let link = (a.min(b), a.max(b));
+        let mut broken = self.broken.lock();
+        if breaks && broken.insert(link) {
+            let at = Instant::now() + Duration::from_secs_f64(self.cfg.max_delay);
+            let _ = self
+                .relay
+                .send(RelayMsg::At(at, Relayed::Reform(link.0, link.1)));
+        }
+        breaks || broken.contains(&link)
+    }
 }
 
 /// Times a mutex acquisition into the run's `lock_wait_ns` counter. The
@@ -356,18 +361,13 @@ fn timed_lock<'a, T>(m: &'a Mutex<T>, metrics: &EngineMetrics) -> MutexGuard<'a,
 }
 
 /// The fabric's reliability layer, armed only when the configured faults
-/// require it (permanent loss, a crash fault, or forced buddy-help loss).
+/// require it (link breaks, a crash fault, or forced buddy-help loss).
 /// Fault-free fabrics carry `None` here and run the exact pre-reliability
 /// message flow — zero protocol overhead, bit-identical outputs.
 struct NetRel {
     layer: Mutex<Reliability>,
-    clock: Arc<WallClock>,
-    /// First retransmit interval of the retry policy: no deadline the
-    /// layer sets is nearer than this, so it also caps the pump's sleep.
-    base_timeout: f64,
-    /// Set by shutdown once the drain is over: the pump task finishes at
-    /// its next poll.
-    stop: AtomicBool,
+    /// When the fabric started: a rep's crash window is timed from it.
+    epoch: Instant,
     /// [`Mutation::AckBeforeHandle`]: an in-process sender's acks are
     /// applied before the receiving handler runs, and the handler then
     /// waits two drain polls, so for that long neither the message nor
@@ -376,22 +376,12 @@ struct NetRel {
 }
 
 impl NetRel {
-    fn new(faults: Faults, metrics: &Arc<EngineMetrics>, clock: Arc<WallClock>) -> Self {
-        let layer = Reliability::armed(faults, Arc::clone(metrics));
+    fn new(faults: Faults, metrics: &Arc<EngineMetrics>) -> Self {
         NetRel {
-            base_timeout: layer.policy().base_timeout,
-            layer: Mutex::new(layer),
-            clock,
-            stop: AtomicBool::new(false),
+            layer: Mutex::new(Reliability::armed(faults, Arc::clone(metrics))),
+            epoch: Instant::now(),
             ack_before_handle: faults.mutation == Some(Mutation::AckBeforeHandle),
         }
-    }
-
-    /// Seconds until the earliest retry deadline (0 if it has passed),
-    /// `None` with nothing pending.
-    fn until_next_deadline(&self) -> Option<f64> {
-        let next = self.layer.lock().next_deadline()?;
-        Some((next - self.clock.now()).max(0.0))
     }
 }
 
@@ -583,12 +573,13 @@ impl Net {
         self.wal_active.store(false, Ordering::Release);
     }
 
-    /// Leaves journal-replay mode: routing and journaling resume; the pump
-    /// retransmits whatever replay left pending. Before any fresh send can
-    /// slip through, every send link's sequence counter is fast-forwarded
-    /// past the previous incarnation's range — regeneration is not
-    /// count-exact (see [`Reliability::fast_forward_seqs`]), and a fresh
-    /// send must never collide with a sequence number a peer already saw.
+    /// Leaves journal-replay mode: routing and journaling resume, and
+    /// every link re-forms, resending whatever replay left pending. Before
+    /// any fresh send can slip through, every send link's sequence counter
+    /// is fast-forwarded past the previous incarnation's range —
+    /// regeneration is not count-exact (see
+    /// [`Reliability::fast_forward_seqs`]), and a fresh send must never
+    /// collide with a sequence number a peer already saw.
     pub(crate) fn end_replay(&self) {
         if let Some(rel) = &self.rel {
             let mut layer = timed_lock(&rel.layer, &self.metrics);
@@ -596,6 +587,27 @@ impl Net {
             layer.set_replaying(false);
         }
         self.wal_active.store(true, Ordering::Release);
+        self.reform(|_, _| true);
+    }
+
+    /// Re-forms the links `links` selects ([`Reliability::reform`]) and
+    /// routes each resend directly: no chaos detour, since resending is
+    /// the recovery path. For threads outside any task poll too: a failure
+    /// is recorded here.
+    pub(crate) fn reform(&self, links: impl Fn(Endpoint, Endpoint) -> bool) {
+        let Some(rel) = &self.rel else {
+            return;
+        };
+        let resends = timed_lock(&rel.layer, &self.metrics).reform(links);
+        for (to, meta, msg) in resends {
+            if let SendDecision::Deliver(meta) =
+                self.gate(SendKind::Resend(meta), meta.from, to, &msg)
+            {
+                if let Err(e) = self.route(to, meta, msg) {
+                    self.err.record_err(e);
+                }
+            }
+        }
     }
 
     /// Whether every task mailbox of this fabric is currently empty — the
@@ -637,19 +649,34 @@ impl Net {
         let _ = self.to_imp[conn.0 as usize][dst].push(Msg::Piece { req, rect, payload });
     }
 
+    /// Fires one event the chaos relay held: routes a delayed copy, or
+    /// re-forms a broken link — up first, so a fresh send on it is not
+    /// lost, then resent, so whatever it lost while down goes out again.
+    fn fire(&self, event: Relayed) {
+        match event {
+            Relayed::Ctrl(to, meta, msg) => self.deliver_ctrl(to, meta, msg),
+            Relayed::Reform(a, b) => {
+                if let Some(chaos) = &self.chaos {
+                    chaos.broken.lock().remove(&(a, b));
+                }
+                self.reform(between(a, b));
+            }
+        }
+    }
+
     /// Runs one message through the engine's send step, under the layer
     /// lock when the reliability layer is armed (the fault-free path takes
     /// no lock).
     fn gate(&self, kind: SendKind, from: Endpoint, to: Endpoint, msg: &CtrlMsg) -> SendDecision {
         let Some(rel) = &self.rel else {
-            return send_step(&self.metrics, None, kind, from, to, msg, 0.0);
+            return send_step(&self.metrics, None, kind, from, to, msg);
         };
-        let now = rel.clock.now();
         let mut layer = timed_lock(&rel.layer, &self.metrics);
-        send_step(&self.metrics, Some(&mut layer), kind, from, to, msg, now)
+        send_step(&self.metrics, Some(&mut layer), kind, from, to, msg)
     }
 
     /// Moves one control message toward its endpoint. With chaos enabled,
+    /// a copy on a broken link is lost (or this send breaks its link), and
     /// commutative messages detour through the relay thread, which
     /// delivers each seeded copy at its planned instant; everything else
     /// (and every message once the relay has drained at shutdown) routes
@@ -662,34 +689,30 @@ impl Net {
         msg: CtrlMsg,
     ) -> Result<(), ThreadedError> {
         let SendDecision::Deliver(meta) = self.gate(kind, from, to, &msg) else {
-            return Ok(()); // suppressed or lost; the pump retransmits what is pending
+            return Ok(()); // suppressed: pending, or metered as degraded
         };
-        if let Some(chaos) = self.chaos.as_ref().filter(|_| commutes(&msg)) {
+        if let Some(chaos) = &self.chaos {
             let n = chaos.counter.fetch_add(1, Ordering::Relaxed);
-            let now = Instant::now();
-            let mut relayed = false;
-            for d in chaos.cfg.extra_delays(n, to, &msg) {
-                let due = now + Duration::from_secs_f64(d);
-                let copy = RelayMsg::Deliver { due, to, meta, msg };
-                relayed |= chaos.relay.send(copy).is_ok();
+            let delays = chaos.cfg.extra_delays(n, to, &msg);
+            if chaos.lost(from, to, delays.is_empty()) {
+                return Ok(()); // pending: resent when the link re-forms
             }
-            if relayed {
-                return Ok(());
+            if commutes(&msg) {
+                let now = Instant::now();
+                let mut relayed = false;
+                for d in delays {
+                    let copy = Relayed::Ctrl(to, meta, msg);
+                    let at = RelayMsg::At(now + Duration::from_secs_f64(d), copy);
+                    relayed |= chaos.relay.send(at).is_ok();
+                }
+                if relayed {
+                    return Ok(());
+                }
+                // Relay already gone (shutdown drained it): fall through to
+                // one direct delivery so nothing is ever lost.
             }
-            // Relay already gone (shutdown drained it): fall through to
-            // one direct delivery so nothing is ever lost.
         }
         self.route(to, meta, msg)
-    }
-
-    /// Retransmits an expired pending message, routed directly: no chaos
-    /// detour — retransmission is the recovery path; jittering it again
-    /// only slows convergence.
-    fn resend(&self, to: Endpoint, meta: WireMeta, msg: CtrlMsg) -> Result<(), ThreadedError> {
-        match self.gate(SendKind::Resend(meta), meta.from, to, &msg) {
-            SendDecision::Deliver(meta) => self.route(to, meta, msg),
-            _ => Ok(()),
-        }
     }
 
     /// Moves control-only engine output (rep, importer and import-call
@@ -907,7 +930,6 @@ pub struct ExportAccess {
     conns: Vec<ConnectionId>,
     cell: Arc<ExpCell>,
     net: Arc<Net>,
-    clock: Arc<WallClock>,
     block_timeout: Duration,
 }
 
@@ -938,7 +960,7 @@ impl ExportAccess {
     ) -> Result<Vec<ExportOutcome>, ThreadedError> {
         self.net.err.check()?;
         let _span = self.net.metrics.phases.wall_span(Phase::Export);
-        let t0 = self.clock.now();
+        let t0 = Instant::now();
         let deadline = Instant::now() + self.block_timeout;
         let mut state = timed_lock(&self.cell.state, &self.net.metrics);
         let mut fx = ExportFx::default();
@@ -993,7 +1015,7 @@ impl ExportAccess {
         };
         apply_fx(&self.net, me, &mut state, fx)?;
         drop(state);
-        let elapsed = Duration::from_secs_f64((self.clock.now() - t0).max(0.0));
+        let elapsed = t0.elapsed();
         Ok(actions
             .into_iter()
             .map(|(_, action)| ExportOutcome {
@@ -1198,12 +1220,12 @@ impl Task for AgentTask {
 ///
 /// The crash window is the engine's [`RepCrash`], packet-granular like the
 /// simulator's. While dead the rep discards its mailbox on every poll
-/// (everything unacked — senders keep retransmitting) and its timer is
+/// (everything unacked, so still pending at its senders) and its timer is
 /// armed at the recovery instant: `restart_after` wall seconds, or
-/// [`FAILOVER_DELAY`], after which the deterministic successor takes
-/// over. The successor inherits the journal because journal replay is
-/// deterministic: any member that recorded the same deliveries rebuilds
-/// the same state.
+/// [`FAILOVER_DELAY`], after which the deterministic successor takes over
+/// and everything pending into it is resent. The successor inherits the
+/// journal because journal replay is deterministic: any member that
+/// recorded the same deliveries rebuilds the same state.
 ///
 /// The crash-while-queued case the pooled executor introduces — the fatal
 /// packet is sitting in the mailbox while the task waits for a worker —
@@ -1220,18 +1242,34 @@ struct RepTask {
     node: RepNode,
     /// While `Some`, the rep is dead and recovers at this instant.
     dead_until: Option<Instant>,
+    /// What the dead rep lost from senders in other processes: the fatal
+    /// packet, what arrived while dead, what it held back. Such a sender
+    /// sees no link break, so this process resends it on the sender's
+    /// behalf when the rep recovers. Always empty in a single-process
+    /// fabric, where the recovery's re-form covers every sender.
+    orphans: Vec<(WireMeta, CtrlMsg)>,
 }
 
 impl RepTask {
+    /// Keeps `msg` for [`RepTask::recover`] when its sender lives in
+    /// another process.
+    fn orphan(&mut self, meta: Option<WireMeta>, msg: CtrlMsg) {
+        if let Some(meta) = meta.filter(|m| !self.net.is_local(m.from)) {
+            self.orphans.push((meta, msg));
+        }
+    }
+
     /// Discards everything queued while the rep is dead (unacked — the
-    /// senders keep retransmitting), then sleeps until `du`. A shutdown
-    /// marker still terminates.
-    fn dead_poll(&self, msgs: u64, du: Instant) -> Poll {
+    /// recovery resends it), then sleeps until `du`. A shutdown marker
+    /// still terminates.
+    fn dead_poll(&mut self, msgs: u64, du: Instant) -> Poll {
         while let Some(m) = self.mbox.pop() {
             match m {
                 Msg::Shutdown => return poll_done(msgs),
-                _ => self.net.metrics.queue_depth.sub(1),
+                Msg::Ctrl(meta, msg) => self.orphan(meta, msg),
+                Msg::Piece { .. } => {}
             }
+            self.net.metrics.queue_depth.sub(1);
         }
         Poll {
             msgs,
@@ -1243,19 +1281,26 @@ impl RepTask {
 
     /// Rebuilds the aggregation state from the session's delivery journal
     /// (the WAL's per-endpoint log — in-memory for the in-process failover,
-    /// file-backed in the socket runtime) and restores the reliability
-    /// layer's receive state, so retransmits of already-consumed messages
-    /// dedup and held-back messages re-deliver in order.
+    /// file-backed in the socket runtime), restores the reliability
+    /// layer's receive state, so resends of already-consumed messages
+    /// dedup and held-back messages re-deliver in order, and re-forms
+    /// every link into the rep, resending what is pending into it (and
+    /// what it lost from other processes, on their behalf).
     fn recover(&mut self, ep: Endpoint) -> Result<(), ThreadedError> {
         let (Some(crash), Some(rel), Some(wal)) = (&mut self.crash, &self.net.rel, &self.net.wal)
         else {
             return Ok(());
         };
         let journal = wal.delivered(ep);
-        let (now, bh, hier) = (rel.clock.now(), self.buddy_help, self.hierarchical);
+        let now = rel.epoch.elapsed().as_secs_f64();
+        let (bh, hier) = (self.buddy_help, self.hierarchical);
         if let Some(node) = crash.recover(now, &self.topo, bh, hier, &journal, &self.net.metrics)? {
             self.node = node;
             rel.layer.lock().restore_delivered(ep, &journal);
+            self.net.reform(|_, to| to == ep);
+            for (meta, msg) in self.orphans.drain(..) {
+                self.net.deliver_ctrl(ep, Some(meta), msg);
+            }
         }
         Ok(())
     }
@@ -1310,12 +1355,17 @@ impl Task for RepTask {
             self.net.metrics.queue_depth.sub(1);
             msgs += 1;
             if let (Some(crash), Some(rel)) = (&mut self.crash, &self.net.rel) {
-                if let Some(after) = crash.fires(rel.clock.now(), FAILOVER_DELAY.as_secs_f64()) {
+                let now = rel.epoch.elapsed().as_secs_f64();
+                if let Some(after) = crash.fires(now, FAILOVER_DELAY.as_secs_f64()) {
                     // The fatal packet and everything arriving while dead
-                    // die unacked; the pump keeps retransmitting them.
-                    rel.layer.lock().crash_endpoint(ep);
+                    // die unacked; the recovery resends them.
+                    let held = rel.layer.lock().crash_endpoint(ep);
                     let du = Instant::now() + Duration::from_secs_f64(after);
                     self.dead_until = Some(du);
+                    self.orphan(meta, m);
+                    for (meta, msg) in held {
+                        self.orphan(Some(meta), msg);
+                    }
                     return self.dead_poll(msgs, du);
                 }
             }
@@ -1361,10 +1411,10 @@ struct ImpTask {
 
 impl ImpTask {
     /// Runs one received answer through the reliability layer (dedup of
-    /// retransmitted broadcasts) and the import node, then moves the tree
+    /// resent broadcasts) and the import node, then moves the tree
     /// relays the node emits — once per *accepted* delivery, each hop
     /// independently registered, so a lost relay is healed by this rank's
-    /// retransmits rather than the rep's.
+    /// resends rather than the rep's.
     fn on_ctrl(&self, meta: Option<WireMeta>, msg: CtrlMsg) -> Result<(), ThreadedError> {
         let me = Endpoint::Proc {
             prog: self.prog,
@@ -1443,73 +1493,28 @@ impl Task for ImpTask {
     }
 }
 
-/// One pump tick: resend everything the retry policy says is due (the
-/// layer lock is held only while the due list is collected).
-fn pump_tick(net: &Net, rel: &NetRel) {
-    let due = rel.layer.lock().due(rel.clock.now());
-    for e in due {
-        match e {
-            Expiry::Resend { to, meta, msg } => {
-                if let Err(e) = net.resend(to, meta, msg) {
-                    net.err.record_err(e);
-                }
-            }
-            // Abandoned traffic (expendable buddy-help, or the max-attempts
-            // backstop) is already metered by the layer; nothing to send.
-            Expiry::Abandon { .. } => {}
-        }
-    }
-}
-
-/// The retransmit pump: each poll resends what is due and sleeps toward
-/// the earliest pending retry, but never longer than `base_timeout`. Every
-/// deadline the layer sets is `now + RetryPolicy::interval(k)`, at least
-/// `base_timeout` ahead of the clock at that moment, so a sleep capped
-/// there cannot pass a deadline registered after this poll's scan — and no
-/// sender has to wake the pump.
-struct PumpTask {
-    net: Arc<Net>,
-}
-
-impl Task for PumpTask {
-    fn poll(&mut self, now: Instant) -> Poll {
-        let rel = self.net.rel.as_ref();
-        let Some(rel) = rel.filter(|rel| !rel.stop.load(Ordering::Acquire)) else {
-            // Shutdown drains pending traffic on the caller's thread
-            // (`Fabric::shutdown`), not here.
-            return poll_done(0);
-        };
-        pump_tick(&self.net, rel);
-        let idle = rel.base_timeout;
-        let wait = rel.until_next_deadline().unwrap_or(idle).min(idle);
-        Poll {
-            deadline: Some(now + Duration::from_secs_f64(wait)),
-            ..Poll::idle()
-        }
-    }
-}
-
-/// The chaos relay: holds each delayed message copy until its due instant,
-/// then routes it. On shutdown (marker or disconnect) every still-pending
-/// message is delivered immediately — chaos delays messages, it never
-/// loses them, which is what keeps the liveness oracle valid. This stays a
-/// dedicated thread (not a task): it exists only under chaos, and its
-/// seeded delivery instants should not depend on worker-pool load.
+/// The chaos relay: holds each delayed message copy and each link re-form
+/// until its instant, then fires it — a copy is routed, a re-form
+/// resends what is pending on the link. On shutdown (marker or
+/// disconnect) everything still held fires immediately — chaos delays
+/// messages, and a broken link still re-forms, which is what keeps the
+/// liveness oracle valid. This stays a dedicated thread (not a task): it
+/// exists only under chaos, and its seeded instants should not depend on
+/// worker-pool load.
 fn relay_loop(net: Arc<Net>, rx: Receiver<RelayMsg>) {
-    let mut pending: Vec<(Instant, Endpoint, Option<WireMeta>, CtrlMsg)> = Vec::new();
+    let mut held: Vec<(Instant, Relayed)> = Vec::new();
     loop {
-        // Deliver everything already due, then wait for the next deadline.
+        // Fire everything already due, then wait for the next instant.
         let now = Instant::now();
         let mut i = 0;
-        while i < pending.len() {
-            if pending[i].0 <= now {
-                let (_, to, meta, msg) = pending.swap_remove(i);
-                net.deliver_ctrl(to, meta, msg);
+        while i < held.len() {
+            if held[i].0 <= now {
+                net.fire(held.swap_remove(i).1);
             } else {
                 i += 1;
             }
         }
-        let received = match pending.iter().map(|p| p.0).min() {
+        let received = match held.iter().map(|h| h.0).min() {
             Some(due) => match rx.recv_timeout(due.saturating_duration_since(Instant::now())) {
                 Ok(m) => Some(m),
                 Err(RecvTimeoutError::Timeout) => continue,
@@ -1518,11 +1523,11 @@ fn relay_loop(net: Arc<Net>, rx: Receiver<RelayMsg>) {
             None => rx.recv().ok(),
         };
         match received {
-            Some(RelayMsg::Deliver { due, to, meta, msg }) => pending.push((due, to, meta, msg)),
+            Some(RelayMsg::At(due, event)) => held.push((due, event)),
             Some(RelayMsg::Shutdown) | None => {
-                pending.sort_by_key(|p| p.0);
-                for (_, to, meta, msg) in pending {
-                    net.deliver_ctrl(to, meta, msg);
+                held.sort_by_key(|h| h.0);
+                for (_, event) in held {
+                    net.fire(event);
                 }
                 return;
             }
@@ -1530,14 +1535,13 @@ fn relay_loop(net: Arc<Net>, rx: Receiver<RelayMsg>) {
     }
 }
 
-/// How many executor tasks a fabric of `topo` under `opts` spawns: one
-/// rep per coupled program, one agent per exporting process, one importer
-/// task per (connection, importer rank), plus the retransmit pump when the
-/// reliability layer is armed. The executor's at-most-once-queued
+/// How many executor tasks a fabric of `topo` spawns: one rep per coupled
+/// program, one agent per exporting process, one importer task per
+/// (connection, importer rank). The executor's at-most-once-queued
 /// invariant bounds the fabric's `runq_depth` high-water mark by exactly
 /// this number — the bound `simtest --stress` asserts.
-pub fn fabric_task_count(topo: &Topology, opts: &FabricOptions) -> usize {
-    let mut n = usize::from(opts.needs_reliability());
+pub fn fabric_task_count(topo: &Topology) -> usize {
+    let mut n = 0;
     for p in &topo.programs {
         if !p.exports.is_empty() || !p.imports.is_empty() {
             n += 1; // rep task
@@ -1569,7 +1573,6 @@ pub struct Fabric {
     reps: Vec<(Arc<Mailbox>, TaskHandle)>,
     agents: Vec<(Arc<Mailbox>, TaskHandle)>,
     imps: Vec<(Arc<Mailbox>, TaskHandle)>,
-    pump: Option<TaskHandle>,
     relay: Option<(Sender<RelayMsg>, JoinHandle<()>)>,
     net: Arc<Net>,
     err: Arc<ErrSlot>,
@@ -1605,7 +1608,7 @@ impl Fabric {
 
     /// Creates the pool, then the mailboxes (the routing table must exist
     /// before any task runs), then binds them to their tasks in dependency
-    /// order: pump, agents, reps, importers.
+    /// order: agents, reps, importers.
     fn build(
         topo: Topology,
         opts: FabricOptions,
@@ -1616,14 +1619,13 @@ impl Fabric {
         let exec = Executor::new();
         let topo = Arc::new(topo);
         let err = Arc::new(ErrSlot::default());
-        let clock = Arc::new(WallClock::start());
         let metrics = metrics.unwrap_or_else(|| Arc::new(EngineMetrics::new()));
         let faults = opts.faults;
         let crash = faults.chaos.and_then(|c| c.crash);
         // Reliability is armed only when the faults require it — see
         // `NetRel`.
         let needs_rel = opts.needs_reliability();
-        let rel = needs_rel.then(|| NetRel::new(faults, &metrics, clock.clone()));
+        let rel = needs_rel.then(|| NetRel::new(faults, &metrics));
 
         // Mailboxes first (the routing table must exist before any task).
         // In a partial fabric only the hosted program's endpoints get
@@ -1660,6 +1662,7 @@ impl Fabric {
                 cfg: *cfg,
                 counter: AtomicU64::new(0),
                 relay: tx.clone(),
+                broken: Mutex::new(BTreeSet::new()),
             }),
             rel,
             local,
@@ -1682,13 +1685,6 @@ impl Fabric {
                 .spawn(move || relay_loop(net, rx))
                 .expect("spawning chaos relay thread");
             (tx, handle)
-        });
-        let pump = net.rel.is_some().then(|| {
-            exec.spawn(
-                metrics.clone(),
-                crash_sink(&err, "retry pump".into()),
-                Box::new(PumpTask { net: net.clone() }),
-            )
         });
 
         // Exporting processes: engine state + agent tasks.
@@ -1765,6 +1761,7 @@ impl Fabric {
                     mbox: mbox.clone(),
                     node: RepNode::new(&topo, pi, opts.buddy_help, opts.hierarchical),
                     dead_until: None,
+                    orphans: Vec::new(),
                 }),
             );
             mbox.bind(handle.clone());
@@ -1799,7 +1796,6 @@ impl Fabric {
                                 conns: region.conns.clone(),
                                 cell: cells[pi][rank].clone().expect("exporting process"),
                                 net: net.clone(),
-                                clock: clock.clone(),
                                 block_timeout: opts.import_timeout,
                             })
                         })
@@ -1869,7 +1865,6 @@ impl Fabric {
             reps,
             agents,
             imps,
-            pump,
             relay,
             net,
             err,
@@ -1933,12 +1928,12 @@ impl Fabric {
     /// markers were enqueued first, that late buddy-help would land behind
     /// the marker and be silently dropped, losing the memcpy savings and —
     /// with a NO MATCH answer — leaving the request open forever on the
-    /// helped rank. Therefore: first drain pending reliable traffic and
-    /// retire the pump (no retransmission can land behind a marker), then
-    /// the chaos relay (its delayed copies must reach the reps), then the
-    /// reps (everything they owed is now in the agent mailboxes), then the
-    /// agents, then the importer tasks — per-mailbox FIFO guarantees each
-    /// consumes every pending message before seeing its marker.
+    /// helped rank. Therefore: first drain pending reliable traffic (no
+    /// resend can land behind a marker), then the chaos relay (its delayed
+    /// copies must reach the reps), then the reps (everything they owed is
+    /// now in the agent mailboxes), then the agents, then the importer
+    /// tasks — per-mailbox FIFO guarantees each consumes every pending
+    /// message before seeing its marker.
     pub fn shutdown(mut self) -> Result<FabricReport, ThreadedError> {
         // Drain on the caller's thread: an import can complete while a
         // sequenced message is still owed to some rank (the rep answers as
@@ -1947,28 +1942,19 @@ impl Fabric {
         // messages are pending unacked — stopping early would make a lost
         // `ForwardRequest` permanent and break collective order. The
         // drain polls (acks arrive on other threads) at the cadence
-        // `SocketLinks::quiesce` uses; it terminates because loss draws
-        // are independent per attempt and the retry policy's
-        // `max_attempts` backstop abandons anything undeliverable (e.g. a
-        // crashed task's mailbox). A recorded fabric error or `DRAIN_CAP`
-        // cuts it short — the run is already failed or wedged.
+        // `SocketLinks::quiesce` uses; pending traffic clears as acks
+        // land, and what a break lost clears once its link re-forms on
+        // the relay, which is still running. A recorded fabric error (a
+        // crashed task, a dead peer) or `DRAIN_CAP` cuts it short — the
+        // run is already failed or wedged.
         if let Some(rel) = &self.net.rel {
             let cap = Instant::now() + DRAIN_CAP;
-            loop {
-                pump_tick(&self.net, rel);
-                let Some(wait) = rel.until_next_deadline() else {
-                    break; // nothing pending
-                };
-                if self.err.check().is_err() || Instant::now() >= cap {
-                    break;
-                }
-                std::thread::sleep(Duration::from_secs_f64(wait.min(DRAIN_POLL.as_secs_f64())));
+            while rel.layer.lock().pending_len() > 0
+                && self.err.check().is_ok()
+                && Instant::now() < cap
+            {
+                std::thread::sleep(DRAIN_POLL);
             }
-            rel.stop.store(true, Ordering::Release);
-        }
-        if let Some(h) = self.pump.take() {
-            h.schedule();
-            self.exec.wait_done(std::slice::from_ref(&h));
         }
         if let Some((tx, h)) = self.relay.take() {
             let _ = tx.send(RelayMsg::Shutdown);
@@ -2030,6 +2016,16 @@ impl Fabric {
     #[cfg(test)]
     fn cell(&self, prog: usize, rank: usize) -> Arc<ExpCell> {
         self.cells[prog][rank].clone().expect("exporting process")
+    }
+}
+
+#[cfg(test)]
+impl Net {
+    /// Test hook: how many sends still await an ack (0 when unarmed).
+    pub(crate) fn pending_len(&self) -> usize {
+        self.rel
+            .as_ref()
+            .map_or(0, |rel| rel.layer.lock().pending_len())
     }
 }
 
@@ -2197,9 +2193,7 @@ mod tests {
                     seed: 7,
                     max_delay: 0.0,
                     duplicate_prob: 0.0,
-                    drop_prob: 0.0,
-                    retry_delay: 0.05,
-                    loss_prob: 0.0,
+                    break_prob: 0.0,
                     crash: None,
                 }),
                 ..Faults::default()
@@ -2259,9 +2253,7 @@ mod tests {
                     seed: 11,
                     max_delay: 0.0,
                     duplicate_prob: 0.0,
-                    drop_prob: 0.0,
-                    retry_delay: 0.05,
-                    loss_prob: 0.0,
+                    break_prob: 0.0,
                     crash: Some(CrashFault {
                         // Program 1's rep sees 2 ranks × 4 iterations of
                         // ImportCall traffic; dying after 3 leaves the rest
@@ -2318,9 +2310,7 @@ mod tests {
                     seed: 5,
                     max_delay: 0.0,
                     duplicate_prob: 0.0,
-                    drop_prob: 0.0,
-                    retry_delay: 0.05,
-                    loss_prob: 0.0,
+                    break_prob: 0.0,
                     crash: Some(CrashFault {
                         // The exporter program's rep goes silent after 3
                         // messages and never restarts on its own.
@@ -2413,46 +2403,42 @@ mod tests {
         (topo, exp_d, imp_d)
     }
 
-    /// An armed fabric's first retry interval.
-    fn base_timeout(fabric: &Fabric) -> Duration {
-        let net = fabric.net();
-        Duration::from_secs_f64(net.rel.as_ref().expect("armed").base_timeout)
-    }
+    /// How long a broken link stays down in the tests below.
+    const REFORM: Duration = Duration::from_millis(50);
 
-    /// Permanent loss only, under the first seed whose loss draws — the
-    /// layer numbers them in send order — come out as `draws` says: each
-    /// entry is a send's destination and message and whether that copy is
-    /// lost.
-    fn lossy(draws: &[(Endpoint, CtrlMsg, bool)]) -> ChaosConfig {
+    /// Link breaks only, each link re-formed [`REFORM`] after it broke,
+    /// under the first seed whose draws — numbered in send order; a resend
+    /// draws none — come out as `draws` says: each entry is a send's
+    /// destination and message and whether it breaks its link. A
+    /// commutative copy that arrives is delayed at most a quarter of
+    /// `REFORM`.
+    fn breaking(draws: &[(Endpoint, CtrlMsg, bool)]) -> ChaosConfig {
         let cfg = |seed| ChaosConfig {
             seed,
-            max_delay: 0.0,
+            max_delay: REFORM.as_secs_f64(),
             duplicate_prob: 0.0,
-            drop_prob: 0.0,
-            retry_delay: 0.05,
-            loss_prob: 0.5,
+            break_prob: 0.5,
             crash: None,
         };
+        let quick = REFORM.as_secs_f64() / 4.0;
         (0..100_000)
             .map(cfg)
             .find(|c| {
-                let mut nonces = 0..;
-                draws
-                    .iter()
-                    .zip(&mut nonces)
-                    .all(|((to, msg, lost), n)| c.lost(n, *to, msg) == *lost)
+                (0..).zip(draws).all(|(n, (to, msg, breaks))| {
+                    let plan = c.extra_delays(n, *to, msg);
+                    let late = commutes(msg) && plan.iter().any(|&d| d > quick);
+                    plan.is_empty() == *breaks && !late
+                })
             })
-            .expect("a seed with this loss pattern")
+            .expect("a seed with this break pattern")
     }
 
-    /// The pump needs no wake-up from senders: after sitting idle for
-    /// three retry intervals it still retransmits a fresh registration on
-    /// time. The one import's first `ForwardRequest` copy is lost and every
-    /// other copy arrives, so the import completes one retry interval
-    /// late — not at its timeout, as it would behind a pump that parks
-    /// while nothing is pending.
+    /// Nothing resends on a timer: the one import's `ForwardRequest`
+    /// breaks the link between the exporter's rep and its rank, and every
+    /// other send arrives, so the import completes once that link
+    /// re-forms and the rep resends — [`REFORM`] late, not at its timeout.
     #[test]
-    fn idle_pump_still_retransmits_a_fresh_registration_on_time() {
+    fn a_broken_link_resends_its_pending_control_when_it_re_forms() {
         let (topo, exp_d, imp_d) = pair_topology();
         let (conn, req, at) = (ConnectionId(0), RequestId(0), ts(1.0));
         let (rank, answer) = (couplink_proto::Rank(0), RepAnswer::Match(at));
@@ -2471,11 +2457,10 @@ mod tests {
         let opts = FabricOptions {
             import_timeout: Duration::from_secs(5),
             faults: Faults {
-                chaos: Some(lossy(&[
+                chaos: Some(breaking(&[
                     (imp_rep, import_call, false),
                     (exp_rep, CtrlMsg::ImportRequest { conn, req, ts: at }, false),
                     (agent, forward, true),
-                    (agent, forward, false),
                     (exp_rep, response, false),
                     (imp_rep, CtrlMsg::Answer { conn, req, answer }, false),
                     (importer, CtrlMsg::AnswerBcast { conn, req, answer }, false),
@@ -2485,27 +2470,25 @@ mod tests {
             ..FabricOptions::default()
         };
         let mut fabric = Fabric::new(topo, opts);
-        let base = base_timeout(&fabric);
         let mut exp = fabric.take_export(0, 0, 0);
         let mut imp = fabric.take_import(1, 0, 0);
         let data = LocalArray::from_fn(exp_d.owned(0), |r, c| (r + c) as f64);
         exp.export(at, &data).unwrap();
-        std::thread::sleep(3 * base);
         let mut dest = LocalArray::zeros(imp_d.owned(0));
         let called = Instant::now();
         assert_eq!(imp.import(at, &mut dest).unwrap(), Some(at));
         let took = called.elapsed();
         let c = fabric.shutdown().unwrap().metrics.counters;
-        assert!(c.retransmits >= 1, "{c:?}");
-        assert!(c.ctrl(CtrlClass::ForwardRequest) >= 2, "{c:?}");
-        assert!(took >= base, "retransmitted early: {took:?}");
-        assert!(took < 4 * base, "retransmitted late: {took:?}");
+        assert_eq!((c.timeouts, c.retransmits), (1, 1), "{c:?}");
+        assert_eq!(c.ctrl(CtrlClass::ForwardRequest), 2, "{c:?}");
+        assert!(took >= REFORM * 9 / 10, "resent early: {took:?}");
+        assert!(took < 4 * REFORM, "resent late: {took:?}");
     }
 
     /// The shutdown drain polls. With nothing pending an armed session
-    /// stops at once; with a message whose first copy was lost it returns
-    /// only after the retransmit is acked — one retry interval on, nowhere
-    /// near `DRAIN_CAP`.
+    /// stops at once; with a message whose link broke it returns only
+    /// after the link re-forms and the resend is acked — [`REFORM`] on,
+    /// nowhere near `DRAIN_CAP`.
     #[test]
     fn armed_shutdown_returns_once_nothing_is_pending() {
         let (exp_rep, imp_rep) = (Endpoint::Rep { prog: 0 }, Endpoint::Rep { prog: 1 });
@@ -2515,9 +2498,8 @@ mod tests {
         let agent = Endpoint::Proc { prog: 0, rank: 0 };
         let opts = FabricOptions {
             faults: Faults {
-                chaos: Some(lossy(&[
+                chaos: Some(breaking(&[
                     (exp_rep, request, true),
-                    (exp_rep, request, false),
                     (agent, forward, false),
                 ])),
                 ..Faults::default()
@@ -2526,34 +2508,32 @@ mod tests {
         };
 
         let idle = Fabric::new(pair_topology().0, opts.clone());
-        let base = base_timeout(&idle);
         let called = Instant::now();
         idle.shutdown().unwrap();
         let took = called.elapsed();
-        assert!(took < base, "idle drain took {took:?}");
+        assert!(took < REFORM, "idle drain took {took:?}");
 
         let fabric = Fabric::new(pair_topology().0, opts);
         let net = fabric.net();
         net.send(SendKind::Origin, imp_rep, exp_rep, request)
             .unwrap();
         let rel = net.rel.as_ref().expect("armed");
-        assert_eq!(rel.layer.lock().pending_len(), 1, "first copy lost");
+        assert_eq!(rel.layer.lock().pending_len(), 1, "its link broke");
         let called = Instant::now();
         let c = fabric.shutdown().unwrap().metrics.counters;
         let took = called.elapsed();
         assert_eq!(rel.layer.lock().pending_len(), 0);
         assert!(c.retransmits >= 1, "{c:?}");
         assert_eq!(c.ctrl(CtrlClass::ForwardRequest), 1, "{c:?}");
-        assert!(took >= base * 9 / 10, "returned early: {took:?}");
+        assert!(took >= REFORM * 9 / 10, "returned early: {took:?}");
         assert!(took < Duration::from_secs(2), "drain took {took:?}");
     }
 
     /// A failure recorded while the fabric drains cuts the drain short.
     /// The importer's `ImportRequest` leaves through links whose receiver
-    /// is gone, so it stays pending, and the drain would retransmit it until
-    /// the retry policy's 32-attempt backstop gave up, about 12 s on. A
-    /// mesh reader's [`Net::fail`] 100 ms into the drain ends it, and
-    /// `shutdown` returns that failure.
+    /// is gone, so it stays pending, and the drain would wait for it until
+    /// `DRAIN_CAP`, 30 s on. A mesh reader's [`Net::fail`] 100 ms into the
+    /// drain ends it, and `shutdown` returns that failure.
     #[test]
     fn failure_recorded_during_the_drain_cuts_it_short() {
         let (topo, _, imp_d) = pair_topology();
@@ -2842,9 +2822,7 @@ mod tests {
                     seed: 1,
                     max_delay: 0.0,
                     duplicate_prob: 0.0,
-                    drop_prob: 0.0,
-                    retry_delay: 0.05,
-                    loss_prob: 0.0,
+                    break_prob: 0.0,
                     crash: Some(CrashFault {
                         target: CrashTarget::Agent { prog: 0, rank: 0 },
                         after_msgs: 0,

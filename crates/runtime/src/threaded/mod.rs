@@ -20,7 +20,6 @@ pub mod fabric;
 
 pub use fabric::{
     fabric_task_count, ExportAccess, Fabric, FabricOptions, FabricReport, ImportAccess, WalHandle,
-    WallClock,
 };
 
 use crate::engine::{ActionKind, EngineError};

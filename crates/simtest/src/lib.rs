@@ -5,10 +5,9 @@
 //! multi-program topology (exporters feeding one or more importers with
 //! random policies and tolerances), random timestamp schedules, per-process
 //! compute slowdowns, and optionally a seeded fault-injection plan
-//! ([`couplink_runtime::ChaosConfig`]: per-message delay, duplication,
-//! bounded drop-with-retry — plus *permanent* faults: probabilistic
-//! message loss and a seeded rep crash with restart or successor
-//! failover). The scenario runs on **both** in-process runtimes — the
+//! ([`couplink_runtime::ChaosConfig`]: per-message delay and duplication
+//! — plus *permanent* faults: seeded link breaks and a seeded rep crash
+//! with restart or successor failover). The scenario runs on **both** in-process runtimes — the
 //! discrete-event simulator and the threaded fabric — and, with
 //! `--socket`, additionally on the **socket runtime**
 //! ([`couplink_runtime::net`]: every program its own OS process on
@@ -25,8 +24,9 @@
 //!    traffic.
 //!
 //! The `--faults` CLI mode ([`scenario::Scenario::force_faults`]) forces
-//! 20% permanent loss plus a rep crash (restart on even seeds, successor
-//! failover on odd) onto every seed; all oracles must still pass.
+//! link breaks on 20% of sends plus a rep crash (restart on even seeds,
+//! successor failover on odd) onto every seed; all oracles must still
+//! pass.
 //!
 //! A failing seed shrinks to a structurally minimal scenario
 //! ([`shrink::shrink`]) and is dumped under `results/simtest/` for replay.

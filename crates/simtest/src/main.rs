@@ -1,7 +1,7 @@
 //! CLI entry point: run a seed corpus (or one seed) through both runtimes
 //! and the oracles; `--mutate` proves the oracles catch the deliberately
-//! broken protocol rules; `--faults` forces permanent loss plus a rep
-//! crash onto every seed and demands full recovery.
+//! broken protocol rules; `--faults` forces link breaks plus a rep crash
+//! onto every seed and demands full recovery.
 
 use couplink_runtime::engine::OracleViolation;
 use couplink_runtime::net::SocketBackend;
@@ -22,9 +22,9 @@ const USAGE: &str =
               demand the safety oracles catch it (mutation smoke): two
               export-side skips, a dropped tree-relay edge, and acks
               applied before their handler ran (the armed-shutdown probe)
-  --faults    force permanent faults (20% message loss + a rep crash with
-              restart or successor failover) onto every seed; all oracles
-              must still pass on both runtimes
+  --faults    force permanent faults (20% of sends break their link + a
+              rep crash with restart or successor failover) onto every
+              seed; all oracles must still pass on both runtimes
   --stress    concurrency stress: every program at the process ceiling
               with zero compute/startup skew, fault-free (the control
               plane under maximum simultaneous pressure)
@@ -212,7 +212,7 @@ fn main() -> ExitCode {
     };
     if args.faults {
         println!(
-            "{total} seed(s) under forced loss+crash faults, zero oracle violations on {runtimes}"
+            "{total} seed(s) under forced break+crash faults, zero oracle violations on {runtimes}"
         );
     } else if args.stress {
         println!(

@@ -308,7 +308,7 @@ pub fn run_threaded(
     // Executor invariant: a task is enqueued at most once, so the fabric's
     // run-queue depth can never exceed its task count — mailbox backlog
     // under pressure must not leak into unbounded run-queue growth.
-    let task_budget = fabric_task_count(&topology, &opts) as u64;
+    let task_budget = fabric_task_count(&topology) as u64;
     let mut fabric = Fabric::new(topology, opts);
 
     let mut exp_threads = Vec::new();
@@ -641,9 +641,8 @@ fn conn_of_program(view: &Topology, prog: usize) -> ConnectionId {
 /// lagged ([`Scenario::lag_importers`]) and schedules slowed until the
 /// victim's peers are still importing when it goes down and its paced
 /// exporters are stalling, every node gets a durable journal (which also
-/// arms reconnect), and a
-/// mild transient loss keeps the reliability pump honest during the
-/// outage. Fault runs check application liveness and the trace oracles;
+/// arms reconnect), and mild seeded link breaks inside each node, each
+/// re-formed at once, keep the resend path busy during the outage. Fault runs check application liveness and the trace oracles;
 /// the conservation-law oracles (metric consistency, ctrl scaling,
 /// fault-free inertness) do not apply when a process loses and replays
 /// state mid-run. On success, the fault must also have been *real*:
@@ -663,9 +662,7 @@ pub fn run_net_fault(
         seed: 13,
         max_delay: 0.0,
         duplicate_prob: 0.0,
-        drop_prob: 0.0,
-        retry_delay: 0.004,
-        loss_prob: 0.05,
+        break_prob: 0.05,
         crash: None,
     });
     for e in &mut s.exporters {
@@ -826,11 +823,12 @@ pub fn check_scenario(s: &Scenario) -> Result<Vec<OracleViolation>, String> {
 }
 
 /// The armed-shutdown probe behind [`Mutation::AckBeforeHandle`]: one
-/// import on a lossy 1×1 pair whose `ImportRequest` and `ForwardRequest`
-/// each lose their first copy, and whose import call gives up before
-/// either is retransmitted, so only the shutdown drain delivers them. A
-/// drain that stops while the `ForwardRequest` is still owed leaves the
-/// exporter without the request: a liveness violation.
+/// import on a 1×1 pair whose `ImportRequest` and `ForwardRequest` each
+/// break their link, and whose import call gives up before the first link
+/// re-forms, so only the shutdown drain delivers them. A drain that stops
+/// while the `ForwardRequest` is still owed stops the chaos relay too, so
+/// its link never re-forms and the exporter never sees the request: a
+/// liveness violation.
 pub fn armed_shutdown_probe(ack_before_handle: bool) -> Result<Vec<OracleViolation>, String> {
     let extent = Extent2::new(4, 4);
     let d = Decomposition::row_block(extent, 1).map_err(|e| e.to_string())?;
@@ -844,30 +842,27 @@ pub fn armed_shutdown_probe(ack_before_handle: bool) -> Result<Vec<OracleViolati
         rank: Rank(0),
         ts: at,
     };
-    // Loss draws are numbered in send order: the call arrives, the
-    // request's and the forward's first copies do not.
+    // Break draws are numbered in send order (a resend draws none): the
+    // call arrives, the request and the forward break their links.
     let draws = [
         (Endpoint::Rep { prog: 1 }, call, false),
         (Endpoint::Rep { prog: 0 }, request, true),
-        (Endpoint::Rep { prog: 0 }, request, false),
         (Endpoint::Proc { prog: 0, rank: 0 }, forward, true),
     ];
     let chaos = (0..100_000)
         .map(|seed| ChaosConfig {
             seed,
-            max_delay: 0.0,
+            max_delay: 0.02,
             duplicate_prob: 0.0,
-            drop_prob: 0.0,
-            retry_delay: 0.004,
-            loss_prob: 0.5,
+            break_prob: 0.5,
             crash: None,
         })
         .find(|c| {
             (0..)
                 .zip(&draws)
-                .all(|(n, (to, msg, lost))| c.lost(n, *to, msg) == *lost)
+                .all(|(n, (to, msg, breaks))| c.extra_delays(n, *to, msg).is_empty() == *breaks)
         })
-        .ok_or("no chaos seed draws the probe's loss pattern")?;
+        .ok_or("no chaos seed draws the probe's break pattern")?;
     let mut fabric = Fabric::new(
         topo,
         FabricOptions {
@@ -884,7 +879,7 @@ pub fn armed_shutdown_probe(ack_before_handle: bool) -> Result<Vec<OracleViolati
     let mut imp = fabric.take_import(1, 0, 0);
     exp.export(at, &LocalArray::zeros(d.owned(0)))
         .map_err(|e| e.to_string())?;
-    // Times out: the request's first copy is lost.
+    // Times out: the request's link is down for another 15 ms.
     let _ = imp.import(at, &mut LocalArray::zeros(d.owned(0)));
     let report = fabric.shutdown().map_err(|e| e.to_string())?;
     let requests = report.stats[0][0].requests;
@@ -1001,8 +996,9 @@ mod tests {
         }
     }
 
-    /// Forced permanent faults (20% loss plus a rep crash, restart on even
-    /// seeds / successor failover on odd) must pass every oracle on both
+    /// Forced permanent faults (20% of sends break their link, plus a rep
+    /// crash, restart on even seeds / successor failover on odd) must pass
+    /// every oracle on both
     /// runtimes, and the crash must actually fire somewhere in the corpus
     /// (failovers ≥ 1 — the faults are real, not vacuous).
     #[test]
@@ -1117,10 +1113,10 @@ mod tests {
         assert!(violations.is_empty(), "{violations:?}");
     }
 
-    /// Negative liveness test: under 100% permanent loss with retransmit
-    /// disabled, the protocol has no recovery and the liveness oracle must
-    /// fire — proving the oracle detects a wedged run rather than passing
-    /// vacuously.
+    /// Negative liveness test: every send breaks its link and a re-form
+    /// resends nothing, so the protocol has no recovery and the liveness
+    /// oracle must fire on both in-process runtimes — proving the oracle
+    /// detects a wedged run rather than passing vacuously.
     #[test]
     fn liveness_oracle_fires_without_retransmit() {
         let mut s = Scenario::generate(0);
@@ -1128,25 +1124,23 @@ mod tests {
             seed: 7,
             max_delay: 0.0,
             duplicate_prob: 0.0,
-            drop_prob: 0.0,
-            retry_delay: 0.004,
-            loss_prob: 1.0,
+            break_prob: 1.0,
             crash: None,
         });
-        let (_, _, violations) = run_des(
-            &s,
-            Faults {
-                no_retransmit: true,
-                ..Faults::default()
-            },
-        )
-        .expect("harness");
-        assert!(
-            violations
-                .iter()
-                .any(|v| matches!(v, OracleViolation::Liveness { .. })),
-            "total loss without retransmit must wedge the run: {violations:?}"
-        );
+        let faults = Faults {
+            no_retransmit: true,
+            ..Faults::default()
+        };
+        let (_, _, des) = run_des(&s, faults).expect("harness");
+        let (_, _, threaded) = run_threaded(&s, faults).expect("harness");
+        for violations in [des, threaded] {
+            assert!(
+                violations
+                    .iter()
+                    .any(|v| matches!(v, OracleViolation::Liveness { .. })),
+                "breaks without resends must wedge the run: {violations:?}"
+            );
+        }
     }
 
     /// Graceful degradation: when every buddy-help announcement is
@@ -1290,7 +1284,7 @@ mod tests {
         }
     }
 
-    /// Forced permanent faults (loss + rep crash) over the socket
+    /// Forced permanent faults (link breaks + rep crash) over the socket
     /// transport: the per-process reliability layer must recover exactly
     /// as the in-process runtimes do, with every oracle green.
     #[test]
@@ -1338,9 +1332,7 @@ mod tests {
             seed: 11,
             max_delay: 0.0,
             duplicate_prob: 0.0,
-            drop_prob: 0.0,
-            retry_delay: 0.004,
-            loss_prob: 0.0,
+            break_prob: 0.0,
             crash: Some(CrashFault {
                 target: CrashTarget::Agent {
                     prog: s.exporter_prog(0),

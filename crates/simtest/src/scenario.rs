@@ -127,16 +127,14 @@ impl Scenario {
                 seed: rng.next_u64(),
                 max_delay: 0.002 + rng.f64() * 0.003,
                 duplicate_prob: 0.3,
-                drop_prob: 0.15,
-                retry_delay: 0.004,
-                loss_prob: 0.0,
+                break_prob: 0.0,
                 crash: None,
             };
             // Half of the chaotic scenarios add faults only the protocol's
-            // reliability layer can survive: permanent loss (p ≤ 0.2)
-            // and/or a single rep crash (with or without restart).
+            // reliability layer can survive: link breaks (p ≤ 0.2 per
+            // send) and/or a single rep crash (with or without restart).
             if rng.below(2) == 1 {
-                cfg.loss_prob = 0.05 + rng.f64() * 0.15;
+                cfg.break_prob = 0.05 + rng.f64() * 0.15;
             }
             if rng.below(3) == 0 {
                 cfg.crash = Some(CrashFault {
@@ -187,23 +185,21 @@ impl Scenario {
         s
     }
 
-    /// Forces a fault-heavy plan onto this scenario: permanent loss at the
+    /// Forces a fault-heavy plan onto this scenario: link breaks at the
     /// ceiling rate plus a rep crash (restarting on even seeds, relying on
     /// successor failover on odd ones). Used by the `--faults` sweep so a
-    /// fixed seed set deterministically exercises crash/restart + loss on
-    /// both runtimes regardless of what `generate` drew.
+    /// fixed seed set deterministically exercises crash/restart + breaks
+    /// on both runtimes regardless of what `generate` drew.
     pub fn force_faults(&mut self) {
         let n_progs = self.exporters.len() + self.importers.len();
         let mut cfg = self.chaos.unwrap_or(ChaosConfig {
             seed: self.seed ^ 0xFA17_FA17_FA17_FA17,
             max_delay: 0.003,
             duplicate_prob: 0.3,
-            drop_prob: 0.15,
-            retry_delay: 0.004,
-            loss_prob: 0.0,
+            break_prob: 0.0,
             crash: None,
         });
-        cfg.loss_prob = 0.2;
+        cfg.break_prob = 0.2;
         cfg.crash = Some(CrashFault {
             target: CrashTarget::Rep((self.seed as usize) % n_progs),
             after_msgs: 3 + self.seed % 12,

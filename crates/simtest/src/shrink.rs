@@ -45,7 +45,7 @@ fn candidates(s: &Scenario) -> Vec<Scenario> {
         out.push(finish(c));
     }
     // Partial fault stripping: a failure may need only one of the permanent
-    // faults, so try dropping the crash and the loss independently before
+    // faults, so try dropping the crash and the breaks independently before
     // giving up on chaos-dependent reproducers.
     if let Some(chaos) = s.chaos {
         if chaos.crash.is_some() {
@@ -56,10 +56,10 @@ fn candidates(s: &Scenario) -> Vec<Scenario> {
             });
             out.push(finish(c));
         }
-        if chaos.loss_prob > 0.0 {
+        if chaos.break_prob > 0.0 {
             let mut c = s.clone();
             c.chaos = Some(couplink_runtime::ChaosConfig {
-                loss_prob: 0.0,
+                break_prob: 0.0,
                 ..chaos
             });
             out.push(finish(c));

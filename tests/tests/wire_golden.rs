@@ -163,7 +163,7 @@ fn full_plan() -> NodePlan {
                 after_msgs: 5,
                 restart_after: Some(0.6),
             }),
-            loss_prob: 0.2,
+            break_prob: 0.2,
             ..ChaosConfig::from_seed(17)
         }),
         fault: Some(NodeFault::SeverLink {
