@@ -75,8 +75,10 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # The one definition of "non-test lines", for awk: a file's lines up to its
-# first `#[cfg(test)]` are its non-test part (`test` is 0 there).
-split='FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 }'
+# first `#[cfg(test)]` at the start of a line are its non-test part (`test`
+# is 0 there); an indented one gates a single item, not the rest of the
+# file.
+split='FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }'
 
 # `./ci.sh --loc`: each file under crates/*/src (outside the frozen e2e
 # package) and shims/, split as above, counted per file, per crate and in

@@ -169,6 +169,24 @@ impl SharedArray {
         }
     }
 
+    /// Overwrites this buffer with `src` in place — the buffering memcpy
+    /// without an allocation — when nobody else can see the overwrite:
+    /// this is the buffer's only handle and `src` covers the same
+    /// rectangle. Returns whether it did; if not, nothing changed and the
+    /// caller copies into a fresh buffer with [`SharedArray::copy_from`].
+    pub fn refill(&mut self, src: &LocalArray) -> bool {
+        if self.owned != src.owned() {
+            return false;
+        }
+        match Arc::get_mut(&mut self.data) {
+            Some(data) => {
+                data.copy_from_slice(src.as_slice());
+                true
+            }
+            None => false,
+        }
+    }
+
     /// Rebuilds a piece from its rectangle and row-major values — the
     /// receive side of a wire transfer. Returns `None` if the value count
     /// does not cover the rectangle.
@@ -265,6 +283,25 @@ mod tests {
         assert_eq!(a.get(3, 3), 33.0);
         assert_eq!(a.get(3, 4), 34.0);
         assert_eq!(a.len(), 4);
+    }
+
+    /// A refill overwrites in place only what nobody else can see: a
+    /// shared buffer, or a source of another rectangle, is left alone.
+    #[test]
+    fn refill_overwrites_only_an_unshared_buffer_of_the_same_rectangle() {
+        let owned = Rect::new(1, 2, 2, 3);
+        let mut buf = SharedArray::copy_from(&LocalArray::zeros(owned));
+        let next = LocalArray::from_fn(owned, |r, c| (r * 10 + c) as f64);
+        let reader = buf.clone();
+        assert!(!buf.refill(&next), "a reader still holds the buffer");
+        assert!(reader.as_slice().iter().all(|&v| v == 0.0));
+        drop(reader);
+        let before = buf.as_slice().as_ptr();
+        assert!(buf.refill(&next));
+        assert_eq!(buf.as_slice(), next.as_slice());
+        assert_eq!(buf.as_slice().as_ptr(), before, "same memory");
+        assert!(!buf.refill(&LocalArray::zeros(Rect::new(1, 2, 3, 2))));
+        assert_eq!(buf.as_slice(), next.as_slice());
     }
 
     #[test]

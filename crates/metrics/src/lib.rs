@@ -464,8 +464,9 @@ counters! {
     /// one a skip opportunity degraded to conservative buffering.
     degraded_buffers: Counter [INERT],
     /// Physical payload buffers allocated by the threaded data plane: with
-    /// zero-copy sharing one per buffered object, so equal to `memcpy_paid`
-    /// (0 on the DES, which models copies without materializing them).
+    /// zero-copy sharing one per buffered object whose region's spare
+    /// could not take the copy, so at most `memcpy_paid` (0 on the DES,
+    /// which models copies without materializing them).
     payload_allocs: Counter,
     /// Control messages re-sent by a relay rank to its distribution-tree
     /// subtree, never double-counted in `ctrl_sent` (0 in flat mode).

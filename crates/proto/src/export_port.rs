@@ -204,8 +204,16 @@ pub struct ExportPort {
     policy: MatchPolicy,
     tol: Tolerance,
     history: ExportHistory,
-    /// Regions of all requests seen, in arrival order (for attribution).
-    regions: Vec<AcceptableRegion>,
+    /// Regions of the requests seen, in arrival order (for attribution),
+    /// from the oldest that can still contain an object this port may
+    /// free; the front one is request number `regions_base`. The newest
+    /// always stays (it validates the increasing-request invariant).
+    regions: VecDeque<AcceptableRegion>,
+    regions_base: usize,
+    /// Keeps every region: the reference the windowed port is checked
+    /// against.
+    #[cfg(test)]
+    keep_regions: bool,
     open: VecDeque<OpenRequest>,
     /// Watermark from fully resolved requests: exports below it can never be
     /// needed (max over resolved requests of the match timestamp, or the
@@ -229,7 +237,10 @@ impl ExportPort {
             policy,
             tol,
             history: ExportHistory::new(),
-            regions: Vec::new(),
+            regions: VecDeque::new(),
+            regions_base: 0,
+            #[cfg(test)]
+            keep_regions: false,
             open: VecDeque::new(),
             resolved_bound: None,
             buffered: BTreeMap::new(),
@@ -314,7 +325,7 @@ impl ExportPort {
     ) -> Result<RequestEffects, PortError> {
         let region = self.policy.region(ts, self.tol);
         // Validate the increasing-request invariant through the region list.
-        if let Some(prev) = self.regions.last() {
+        if let Some(prev) = self.regions.back() {
             if ts <= prev.request() {
                 return Err(PortError::History(HistoryError::NotIncreasing {
                     last: prev.request(),
@@ -322,7 +333,7 @@ impl ExportPort {
                 }));
             }
         }
-        self.regions.push(region);
+        self.regions.push_back(region);
         self.stats.requests += 1;
 
         let result = evaluate(&region, &self.history)?;
@@ -543,7 +554,7 @@ impl ExportPort {
                 // (the process caught up before the help arrived). That is
                 // legal; the rep validated consistency. Everything else is a
                 // protocol error.
-                return if self.regions.len() > self.open.len() {
+                return if self.stats.requests > self.open.len() as u64 {
                     Ok(HelpEffects::default())
                 } else {
                     Err(PortError::UnknownRequest(id))
@@ -634,12 +645,38 @@ impl ExportPort {
             .open
             .iter()
             .map(|r| r.region.lo())
-            .chain(self.regions.last().map(|r| r.lo()))
+            .chain(self.regions.back().map(|r| r.lo()))
             .min();
         if let Some(hf) = history_floor {
             self.history.prune_below(hf);
         }
+        self.retire_regions();
         doomed
+    }
+
+    /// Drops the regions that can no longer attribute a freed object.
+    /// Only a buffered object, or a later export, can still be freed
+    /// unsent, so a region ending below all of them attributes nothing.
+    /// Regions end in request order (one policy and tolerance per
+    /// connection), so the dead ones are a prefix.
+    fn retire_regions(&mut self) {
+        #[cfg(test)]
+        if self.keep_regions {
+            return;
+        }
+        let Some(live) = self
+            .buffered
+            .keys()
+            .next()
+            .copied()
+            .or(self.history.latest())
+        else {
+            return;
+        };
+        while self.regions.len() > 1 && self.regions.front().is_some_and(|r| r.hi() < live) {
+            self.regions.pop_front();
+            self.regions_base += 1;
+        }
     }
 
     /// Frees one buffered object, attributing unnecessary-buffering stats.
@@ -652,7 +689,8 @@ impl ExportPort {
             // Equation (1) attribution: which acceptable region was this
             // unnecessarily buffered object in, if any?
             match self.regions.iter().rposition(|r| r.contains(t)) {
-                Some(i) => {
+                Some(pos) => {
+                    let i = self.regions_base + pos;
                     if self.stats.unnecessary_by_request.len() <= i {
                         self.stats.unnecessary_by_request.resize(i + 1, 0);
                     }
@@ -718,6 +756,116 @@ impl ExportPort {
 mod tests {
     use super::*;
     use couplink_time::ts;
+    use proptest::prelude::*;
+
+    /// One step of a random port driver.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// The next export, this many quarter steps after the last.
+        Export(u8),
+        /// The next request, this many quarter steps after the last.
+        Request(u8),
+        /// Buddy-help for the oldest request answered PENDING and still
+        /// open, if the whole export stream decides it.
+        Help,
+    }
+
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        proptest::collection::vec(
+            prop_oneof![
+                (1u8..9).prop_map(Step::Export),
+                (1u8..13).prop_map(Step::Request),
+                Just(Step::Help),
+            ],
+            1..160,
+        )
+    }
+
+    fn policy() -> impl Strategy<Value = MatchPolicy> {
+        prop_oneof![
+            Just(MatchPolicy::RegL),
+            Just(MatchPolicy::RegU),
+            Just(MatchPolicy::Reg)
+        ]
+    }
+
+    proptest! {
+        /// Windowing the regions changes nothing a port reports: driven
+        /// through the same random export, request and buddy-help stream
+        /// as a port that keeps every region, it returns the same effects
+        /// and ends with field-by-field equal statistics, the
+        /// unnecessary-buffering attribution included.
+        #[test]
+        fn windowed_regions_attribute_like_keeping_every_region(
+            steps in steps(),
+            policy in policy(),
+            tol_quarters in 1u8..12,
+        ) {
+            let tol = Tolerance::new(f64::from(tol_quarters) / 4.0).unwrap();
+            let mut windowed = ExportPort::new(ConnectionId(0), policy, tol);
+            let mut reference = windowed.clone();
+            reference.keep_regions = true;
+            // The collective answers come from the whole export stream, as
+            // the deciding rank of a Property-1 program would see it.
+            let mut all = ExportHistory::new();
+            let mut t = 0u32;
+            for step in &steps {
+                if let Step::Export(d) = step {
+                    t += u32::from(*d);
+                    all.record(ts(f64::from(t) / 4.0)).unwrap();
+                }
+            }
+            let (mut t, mut x, mut id) = (0u32, 0u32, 0u64);
+            let mut pending: VecDeque<(RequestId, AcceptableRegion)> = VecDeque::new();
+            for step in steps {
+                let (a, b) = match step {
+                    Step::Export(d) => {
+                        t += u32::from(d);
+                        let e = ts(f64::from(t) / 4.0);
+                        let (a, b) = (windowed.on_export(e), reference.on_export(e));
+                        prop_assert_eq!(&a, &b);
+                        if let Ok(fx) = &a {
+                            let done: Vec<_> = fx.resolutions.iter().map(|r| r.request).collect();
+                            pending.retain(|(r, _)| !done.contains(r));
+                        }
+                        (a.map(|_| ()), b.map(|_| ()))
+                    }
+                    Step::Request(d) => {
+                        x += u32::from(d);
+                        let req = RequestId(id);
+                        id += 1;
+                        let at = ts(f64::from(x) / 4.0);
+                        let (a, b) = (windowed.on_request(req, at), reference.on_request(req, at));
+                        prop_assert_eq!(&a, &b);
+                        if a.as_ref().is_ok_and(|fx| fx.response.decided().is_none()) {
+                            pending.push_back((req, policy.region(at, tol)));
+                        }
+                        (a.map(|_| ()), b.map(|_| ()))
+                    }
+                    Step::Help => {
+                        let Some((req, region)) = pending.pop_front() else { continue };
+                        let answer = match evaluate(&region, &all).unwrap() {
+                            MatchResult::Match(m) => RepAnswer::Match(m),
+                            MatchResult::NoMatch => RepAnswer::NoMatch,
+                            MatchResult::Pending => continue,
+                        };
+                        let (a, b) = (windowed.on_buddy_help(req, answer), reference.on_buddy_help(req, answer));
+                        prop_assert_eq!(&a, &b);
+                        (a.map(|_| ()), b.map(|_| ()))
+                    }
+                };
+                prop_assert_eq!(&a, &b);
+                if a.is_err() {
+                    break;
+                }
+            }
+            prop_assert_eq!(windowed.stats(), reference.stats());
+            prop_assert_eq!(
+                windowed.regions_base + windowed.regions.len(),
+                reference.regions.len()
+            );
+        }
+    }
 
     fn port(policy: MatchPolicy, tol: f64) -> ExportPort {
         ExportPort::new(ConnectionId(0), policy, Tolerance::new(tol).unwrap())

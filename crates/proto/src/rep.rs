@@ -12,7 +12,7 @@
 use crate::ids::{Rank, RequestId};
 use crate::messages::{ProcResponse, RepAnswer};
 use couplink_time::{HistoryError, RequestStream, Timestamp};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// Error from a rep state machine.
@@ -98,16 +98,54 @@ impl Inflight {
 /// all-MATCH, all-NO-MATCH, all-PENDING, PENDING+MATCH and
 /// PENDING+NO-MATCH; all MATCH responses must carry the same timestamp.
 /// Anything else is a [`RepError::CollectiveViolation`].
+///
+/// Request ids are dense: after the first, each request carries the next
+/// id (the importer's rep numbers its collective calls), so the answers of
+/// completed requests live in a vector indexed by id.
 #[derive(Debug)]
 pub struct ExporterRep {
     n_procs: usize,
     buddy_help_enabled: bool,
     requests: RequestStream,
     inflight: BTreeMap<RequestId, Inflight>,
-    /// Answers of completed requests, kept so that late response updates
-    /// (a process that resolved locally while its buddy-help message was in
-    /// flight) can still be consistency-checked instead of rejected.
-    completed: BTreeMap<RequestId, RepAnswer>,
+    /// Id of the first request seen.
+    first: u64,
+    /// The answer of every request seen, from `first` on, kept so that
+    /// late and duplicated responses (a process that resolved locally
+    /// while its buddy-help message was in flight, a resend) can still be
+    /// consistency-checked instead of rejected. The one per-request
+    /// structure a rep keeps: which responses can still arrive is a matter
+    /// of time, and the engine reads no clock.
+    answers: Vec<AnswerSlot>,
+}
+
+/// One request's collective answer as the exporter's rep records it, in
+/// 8 bytes: a match as its timestamp, which is always finite, and the two
+/// other states as NaNs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct AnswerSlot(u64);
+
+impl AnswerSlot {
+    /// Not answered yet.
+    const OPEN: AnswerSlot = AnswerSlot(0x7ff8_0000_0000_0000);
+    const NO_MATCH: AnswerSlot = AnswerSlot(0x7ff8_0000_0000_0001);
+
+    fn new(answer: RepAnswer) -> Self {
+        match answer {
+            RepAnswer::Match(m) => AnswerSlot(m.value().to_bits()),
+            RepAnswer::NoMatch => AnswerSlot::NO_MATCH,
+        }
+    }
+
+    fn get(self) -> Option<RepAnswer> {
+        match self {
+            AnswerSlot::OPEN => None,
+            AnswerSlot::NO_MATCH => Some(RepAnswer::NoMatch),
+            AnswerSlot(bits) => Some(RepAnswer::Match(
+                Timestamp::new(f64::from_bits(bits)).expect("a recorded match is finite"),
+            )),
+        }
+    }
 }
 
 impl ExporterRep {
@@ -120,7 +158,8 @@ impl ExporterRep {
             buddy_help_enabled: buddy_help,
             requests: RequestStream::new(),
             inflight: BTreeMap::new(),
-            completed: BTreeMap::new(),
+            first: 0,
+            answers: Vec::new(),
         }
     }
 
@@ -141,8 +180,18 @@ impl ExporterRep {
         req: RequestId,
         ts: Timestamp,
     ) -> Result<RepEffects, RepError> {
+        if self.answers.is_empty() {
+            self.first = req.0;
+        }
+        if self.first.checked_add(self.answers.len() as u64) != Some(req.0) {
+            return Err(RepError::CollectiveViolation {
+                request: req,
+                detail: "request id out of sequence".into(),
+            });
+        }
         self.requests.accept(ts)?;
-        let prev = self.inflight.insert(
+        self.answers.push(AnswerSlot::OPEN);
+        self.inflight.insert(
             req,
             Inflight {
                 answer: None,
@@ -150,12 +199,6 @@ impl ExporterRep {
                 ranks: vec![RankState::Silent; self.n_procs],
             },
         );
-        if prev.is_some() {
-            return Err(RepError::CollectiveViolation {
-                request: req,
-                detail: "duplicate request id from importer".into(),
-            });
-        }
         Ok(RepEffects {
             forward: Some((req, ts)),
             ..Default::default()
@@ -179,10 +222,10 @@ impl ExporterRep {
                 // Late message for a completed request: legal when a process
                 // resolved locally while its buddy-help was in flight. It
                 // must still agree with the collective answer.
-                let answer = self
-                    .completed
-                    .get(&req)
-                    .copied()
+                let answer = req
+                    .0
+                    .checked_sub(self.first)
+                    .and_then(|i| self.answers.get(usize::try_from(i).ok()?)?.get())
                     .ok_or(RepError::UnknownRequest(req))?;
                 if let Some(decided) = resp.decided() {
                     if decided != answer {
@@ -260,10 +303,8 @@ impl ExporterRep {
 
         if inflight.settled() {
             effects.completed = Some(req);
-            if let Some(done) = self.inflight.remove(&req) {
-                if let Some(answer) = done.answer {
-                    self.completed.insert(req, answer);
-                }
+            if let Some(answer) = self.inflight.remove(&req).and_then(|done| done.answer) {
+                self.answers[(req.0 - self.first) as usize] = AnswerSlot::new(answer);
             }
         }
         Ok(effects)
@@ -283,9 +324,11 @@ pub struct ImpRepEffects {
 struct ImpInflight {
     ts: Timestamp,
     answer: Option<RepAnswer>,
-    /// Ranks that have made this import call (delivery targets).
-    called: Vec<bool>,
-    delivered: Vec<bool>,
+    /// Ranks that have made this import call. Rank `i` has made call `k`
+    /// exactly when its cursor is past `k`, and it was delivered the answer
+    /// exactly when it has made the call and the answer is known, so
+    /// neither needs a per-rank record.
+    called: usize,
 }
 
 /// The importing program's representative.
@@ -297,11 +340,18 @@ struct ImpInflight {
 /// violations. Processes may run ahead: a fast process's call for a later
 /// request is accepted while slower peers are still on an earlier one, and
 /// the remote request is sent as soon as the *first* process asks.
+///
+/// A request retires once it is answered and delivered to every rank, so
+/// the rep holds only the requests still open.
 #[derive(Debug)]
 pub struct ImporterRep {
     n_procs: usize,
     cursor: Vec<u64>,
-    requests: Vec<ImpInflight>,
+    /// The requests not yet retired, oldest first; the front one is
+    /// request `retired`.
+    requests: VecDeque<ImpInflight>,
+    /// Requests retired, all of them below the front of `requests`.
+    retired: u64,
     stream: RequestStream,
 }
 
@@ -312,7 +362,8 @@ impl ImporterRep {
         ImporterRep {
             n_procs,
             cursor: vec![0; n_procs],
-            requests: Vec::new(),
+            requests: VecDeque::new(),
+            retired: 0,
             stream: RequestStream::new(),
         }
     }
@@ -323,28 +374,25 @@ impl ImporterRep {
         if idx >= self.n_procs {
             return Err(RepError::UnknownRank(rank));
         }
-        let k = self.cursor[idx] as usize;
-        self.cursor[idx] += 1;
+        let k = self.cursor[idx];
+        let req = RequestId(k);
         let mut effects = ImpRepEffects::default();
-        if k == self.requests.len() {
+        if k == self.issued() as u64 {
             // First caller of this request: validate and go remote.
             self.stream.accept(ts)?;
-            self.requests.push(ImpInflight {
+            self.requests.push_back(ImpInflight {
                 ts,
                 answer: None,
-                called: {
-                    let mut v = vec![false; self.n_procs];
-                    v[idx] = true;
-                    v
-                },
-                delivered: vec![false; self.n_procs],
+                called: 1,
             });
-            effects.request = Some((RequestId(k as u64), ts));
+            effects.request = Some((req, ts));
         } else {
-            let inflight = &mut self.requests[k];
+            // A rank's cursor never falls behind the retired requests: one
+            // retires only once every rank has called it.
+            let inflight = &mut self.requests[(k - self.retired) as usize];
             if inflight.ts != ts {
                 return Err(RepError::CollectiveViolation {
-                    request: RequestId(k as u64),
+                    request: req,
                     detail: format!(
                         "rank {rank} imported {ts} but the collective call {k} \
                          requested {}",
@@ -352,12 +400,13 @@ impl ImporterRep {
                     ),
                 });
             }
-            inflight.called[idx] = true;
+            inflight.called += 1;
             if let Some(answer) = inflight.answer {
-                inflight.delivered[idx] = true;
-                effects.deliver.push((rank, RequestId(k as u64), answer));
+                effects.deliver.push((rank, req, answer));
             }
         }
+        self.cursor[idx] += 1;
+        self.retire();
         Ok(effects)
     }
 
@@ -367,33 +416,57 @@ impl ImporterRep {
         req: RequestId,
         answer: RepAnswer,
     ) -> Result<ImpRepEffects, RepError> {
-        let k = req.0 as usize;
+        if req.0 < self.retired {
+            // `Answer` is a one-shot directive: once every rank has the
+            // answer, another one is a second decision.
+            return Err(RepError::CollectiveViolation {
+                request: req,
+                detail: format!("answer {answer} for a request already answered and delivered"),
+            });
+        }
         let inflight = self
             .requests
-            .get_mut(k)
+            .get_mut((req.0 - self.retired) as usize)
             .ok_or(RepError::UnknownRequest(req))?;
-        if let Some(existing) = inflight.answer {
-            if existing != answer {
+        let mut effects = ImpRepEffects::default();
+        match inflight.answer {
+            Some(existing) if existing != answer => {
                 return Err(RepError::CollectiveViolation {
                     request: req,
                     detail: format!("conflicting answers {existing} and {answer}"),
                 });
             }
-        }
-        inflight.answer = Some(answer);
-        let mut effects = ImpRepEffects::default();
-        for i in 0..self.n_procs {
-            if inflight.called[i] && !inflight.delivered[i] {
-                inflight.delivered[i] = true;
-                effects.deliver.push((Rank(i as u32), req, answer));
+            // Every rank that has called was delivered the first one.
+            Some(_) => {}
+            None => {
+                inflight.answer = Some(answer);
+                for (i, &next) in self.cursor.iter().enumerate() {
+                    if next > req.0 {
+                        effects.deliver.push((Rank(i as u32), req, answer));
+                    }
+                }
             }
         }
+        self.retire();
         Ok(effects)
     }
 
-    /// Number of requests issued so far.
+    /// Pops the requests at the front that every rank has received the
+    /// answer of.
+    fn retire(&mut self) {
+        while self
+            .requests
+            .front()
+            .is_some_and(|r| r.answer.is_some() && r.called == self.n_procs)
+        {
+            self.requests.pop_front();
+            self.retired += 1;
+        }
+    }
+
+    /// Number of requests issued so far, retired ones included.
     pub fn issued(&self) -> usize {
-        self.requests.len()
+        self.retired as usize + self.requests.len()
     }
 }
 
@@ -514,6 +587,70 @@ mod tests {
             fx.buddy_help,
             vec![(Rank(0), RequestId(0), RepAnswer::NoMatch)]
         );
+    }
+
+    /// A completed request keeps its answer: a late response (a rank that
+    /// resolved locally while its buddy-help was in flight) and a
+    /// duplicated one are absorbed when they agree with it, and refused
+    /// when they conflict — for a MATCH and a NO MATCH answer, also once
+    /// later requests have come and gone.
+    #[test]
+    fn late_and_duplicated_responses_are_checked_against_the_completed_answer() {
+        let mut rep = ExporterRep::new(2, true);
+        for (k, answer) in [RepAnswer::Match(ts(19.6)), RepAnswer::NoMatch]
+            .into_iter()
+            .enumerate()
+        {
+            let req = RequestId(k as u64);
+            let decided = match answer {
+                RepAnswer::Match(m) => ProcResponse::Match(m),
+                RepAnswer::NoMatch => ProcResponse::NoMatch,
+            };
+            rep.on_import_request(req, ts(20.0 * (k + 1) as f64))
+                .unwrap();
+            rep.on_response(Rank(0), req, pending(1.0)).unwrap();
+            let fx = rep.on_response(Rank(1), req, decided).unwrap();
+            assert_eq!(fx.answer, Some((req, answer)));
+            assert_eq!(fx.completed, Some(req), "rank 0 was helped");
+            assert_eq!(rep.inflight_len(), 0);
+            // Rank 0's own resolution, late, and rank 1's, duplicated.
+            for rank in [Rank(0), Rank(1)] {
+                assert_eq!(
+                    rep.on_response(rank, req, decided),
+                    Ok(RepEffects::default())
+                );
+            }
+            let conflicting = match answer {
+                RepAnswer::Match(_) => ProcResponse::NoMatch,
+                RepAnswer::NoMatch => ProcResponse::Match(ts(39.6)),
+            };
+            assert!(matches!(
+                rep.on_response(Rank(0), req, conflicting),
+                Err(RepError::CollectiveViolation { request, .. }) if request == req
+            ));
+        }
+        // Request 0 after request 1 completed: still checked.
+        assert_eq!(
+            rep.on_response(Rank(0), RequestId(0), ProcResponse::Match(ts(19.6))),
+            Ok(RepEffects::default())
+        );
+        assert!(rep
+            .on_response(Rank(1), RequestId(0), ProcResponse::Match(ts(18.6)))
+            .is_err());
+    }
+
+    /// Request ids run on from the first one seen, one at a time.
+    #[test]
+    fn request_ids_out_of_sequence_are_violations() {
+        let mut rep = ExporterRep::new(1, true);
+        rep.on_import_request(RequestId(5), ts(20.0)).unwrap();
+        for skipped in [RequestId(5), RequestId(7), RequestId(4)] {
+            assert!(matches!(
+                rep.on_import_request(skipped, ts(40.0)),
+                Err(RepError::CollectiveViolation { .. })
+            ));
+        }
+        rep.on_import_request(RequestId(6), ts(40.0)).unwrap();
     }
 
     // --- violations ---
@@ -654,6 +791,43 @@ mod tests {
             rep.on_import_call(Rank(0), ts(20.0)),
             Err(RepError::History(_))
         ));
+    }
+
+    /// A request retires once every rank has its answer: it still counts
+    /// as issued, and another answer for it is a second decision.
+    #[test]
+    fn retired_requests_count_as_issued_and_refuse_a_second_answer() {
+        let mut rep = ImporterRep::new(2);
+        let answer = RepAnswer::Match(ts(19.6));
+        rep.on_import_call(Rank(0), ts(20.0)).unwrap();
+        // Answered, but rank 1 has not called: a consistent resend is
+        // absorbed without delivering twice.
+        assert_eq!(
+            rep.on_answer(RequestId(0), answer).unwrap().deliver.len(),
+            1
+        );
+        assert!(rep
+            .on_answer(RequestId(0), answer)
+            .unwrap()
+            .deliver
+            .is_empty());
+        let fx = rep.on_import_call(Rank(1), ts(20.0)).unwrap();
+        assert_eq!(fx.deliver, vec![(Rank(1), RequestId(0), answer)]);
+        assert_eq!((rep.issued(), rep.requests.len()), (1, 0), "retired");
+        for again in [answer, RepAnswer::NoMatch] {
+            assert!(matches!(
+                rep.on_answer(RequestId(0), again),
+                Err(RepError::CollectiveViolation { .. })
+            ));
+        }
+        assert_eq!(
+            rep.on_answer(RequestId(1), answer),
+            Err(RepError::UnknownRequest(RequestId(1)))
+        );
+        // Later requests number on from the retired ones.
+        let fx = rep.on_import_call(Rank(1), ts(40.0)).unwrap();
+        assert_eq!(fx.request, Some((RequestId(1), ts(40.0))));
+        assert_eq!(rep.issued(), 2);
     }
 
     #[test]

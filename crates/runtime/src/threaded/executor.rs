@@ -178,7 +178,10 @@ struct TaskEntry {
     shard: usize,
     metrics: Arc<EngineMetrics>,
     panic_sink: PanicSink,
-    task: Mutex<Box<dyn Task>>,
+    /// `None` once the task is dead: a finished task drops its state, and
+    /// with it the mailbox and routing table it holds, so nothing of a
+    /// shut-down fabric stays alive through it.
+    task: Mutex<Option<Box<dyn Task>>>,
 }
 
 /// A handle for scheduling one spawned task (what mailboxes hold).
@@ -432,20 +435,26 @@ impl ExecInner {
     fn run(self: &Arc<Self>, entry: Arc<TaskEntry>) {
         entry.metrics.tasks_polled.inc();
         let now = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| entry.task.lock().poll(now)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut task = entry.task.lock();
+            // Only a live task is ever queued; a dead one stays dead.
+            task.as_mut().map_or(
+                Poll {
+                    done: true,
+                    ..Poll::idle()
+                },
+                |t| t.poll(now),
+            )
+        }));
         match outcome {
             Err(p) => {
                 (entry.panic_sink)(panic_detail(p));
-                self.cancel_timer(&entry);
-                entry.state.store(DEAD, Ordering::Release);
-                self.notify_done();
+                self.retire(&entry);
             }
             Ok(poll) => {
                 entry.metrics.poll_batch.observe(poll.msgs);
                 if poll.done {
-                    self.cancel_timer(&entry);
-                    entry.state.store(DEAD, Ordering::Release);
-                    self.notify_done();
+                    self.retire(&entry);
                     return;
                 }
                 match poll.deadline {
@@ -467,6 +476,17 @@ impl ExecInner {
                 }
             }
         }
+    }
+
+    /// Marks a finished (or panicked) task dead and drops its state,
+    /// outside its lock: the task may hold the last handles on other
+    /// tasks.
+    fn retire(&self, entry: &TaskEntry) {
+        self.cancel_timer(entry);
+        let task = entry.task.lock().take();
+        drop(task);
+        entry.state.store(DEAD, Ordering::Release);
+        self.notify_done();
     }
 
     fn notify_done(&self) {
@@ -609,7 +629,7 @@ impl Executor {
             shard,
             metrics,
             panic_sink,
-            task: Mutex::new(task),
+            task: Mutex::new(Some(task)),
         });
         let handle = TaskHandle {
             exec: self.inner.clone(),

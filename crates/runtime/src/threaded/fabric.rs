@@ -470,6 +470,10 @@ fn hosts(local: Option<usize>, prog: usize) -> bool {
 struct ExpState {
     node: ExportNode,
     stores: Vec<BTreeMap<Timestamp, SharedArray>>,
+    /// Per region, the object it freed last: the next buffering copy
+    /// refills its memory when nothing else still holds it, instead of
+    /// allocating (and page-faulting in) a fresh buffer.
+    spares: Vec<Option<SharedArray>>,
 }
 
 /// Shared between an application thread and its agent task. The condvar
@@ -886,25 +890,41 @@ impl Net {
 
 /// Moves one export-side engine step's messages (sends strictly before
 /// frees, per the [`ExportFx`] contract), then applies the freed timestamps
-/// to the stepped region's store.
+/// to the stepped region's store. Freed objects the spare does not keep go
+/// to `dead`, for the caller to drop once it has let go of the cell lock:
+/// giving a large buffer back to the allocator can cost a system call.
 fn apply_fx(
     net: &Net,
     from: Endpoint,
     state: &mut ExpState,
-    fx: ExportFx,
+    fx: &mut ExportFx,
+    dead: &mut Vec<SharedArray>,
 ) -> Result<(), ThreadedError> {
     let Endpoint::Proc { rank, .. } = from else {
         return Err(ThreadedError::Config("rep emitted an export step".into()));
     };
     let store = &mut state.stores[fx.region];
-    for out in fx.msgs {
+    for out in fx.msgs.drain(..) {
         match out {
             Outgoing::Transfer { conn, req, m } => net.transfer(rank, store, conn, req, m),
             ctrl => net.emit_ctrl(from, [ctrl])?,
         }
     }
     for t in &fx.freed {
-        store.remove(t);
+        if let Some(obj) = store.remove(t) {
+            // Keep an unshared spare: the next copy can refill it. A shared
+            // one gives way only to an unshared object; of two shared ones
+            // the older stays, its readers likelier to be done first.
+            let spare = &mut state.spares[fx.region];
+            if spare
+                .as_ref()
+                .is_none_or(|s| s.strong_count() > 1 && obj.strong_count() == 1)
+            {
+                dead.extend(spare.replace(obj));
+            } else {
+                dead.push(obj);
+            }
+        }
     }
     Ok(())
 }
@@ -931,6 +951,10 @@ pub struct ExportAccess {
     cell: Arc<ExpCell>,
     net: Arc<Net>,
     block_timeout: Duration,
+    /// The engine's step buffer, kept from export to export.
+    fx: ExportFx,
+    /// What the step freed, dropped after the cell lock (see [`apply_fx`]).
+    dead: Vec<SharedArray>,
 }
 
 impl ExportAccess {
@@ -963,9 +987,10 @@ impl ExportAccess {
         let t0 = Instant::now();
         let deadline = Instant::now() + self.block_timeout;
         let mut state = timed_lock(&self.cell.state, &self.net.metrics);
-        let mut fx = ExportFx::default();
+        let fx = &mut self.fx;
+        fx.clear();
         loop {
-            match state.node.on_export(self.region, ts, &mut fx) {
+            match state.node.on_export(self.region, ts, fx) {
                 Err(EngineError::Port(couplink_proto::PortError::BufferFull { .. })) => {
                     // Finite buffer: stall until the agent's control traffic
                     // leaves room for a burst, then retry the same export.
@@ -1003,21 +1028,29 @@ impl ExportAccess {
         }
         if fx.copy {
             // The real buffering memcpy the paper is about — one shared
-            // allocation no matter how many connections, pieces or
-            // retransmits the object ends up serving.
-            self.net.metrics.payload_allocs.inc();
-            state.stores[self.region].insert(ts, SharedArray::copy_from(data));
+            // buffer no matter how many connections, pieces or retransmits
+            // the object ends up serving, allocated only when the region's
+            // spare cannot be refilled.
+            let spare = &mut state.spares[self.region];
+            let obj = if spare.as_mut().is_some_and(|s| s.refill(data)) {
+                spare.take().expect("just refilled")
+            } else {
+                self.net.metrics.payload_allocs.inc();
+                SharedArray::copy_from(data)
+            };
+            state.stores[self.region].insert(ts, obj);
         }
-        let actions = std::mem::take(&mut fx.actions);
         let me = Endpoint::Proc {
             prog: self.prog,
             rank: self.rank,
         };
-        apply_fx(&self.net, me, &mut state, fx)?;
+        apply_fx(&self.net, me, &mut state, fx, &mut self.dead)?;
         drop(state);
+        self.dead.clear();
         let elapsed = t0.elapsed();
-        Ok(actions
-            .into_iter()
+        Ok(fx
+            .actions
+            .drain(..)
             .map(|(_, action)| ExportOutcome {
                 action: action.into(),
                 elapsed,
@@ -1122,15 +1155,24 @@ impl ImportAccess {
 }
 
 /// One delivered message through the rank's export node, under the cell
-/// lock it shares with the exporting application thread.
-fn agent_step(net: &Net, cell: &ExpCell, me: Endpoint, msg: CtrlMsg) -> Result<(), ThreadedError> {
+/// lock it shares with the exporting application thread; `fx` and `dead`
+/// are the agent's step buffers.
+fn agent_step(
+    net: &Net,
+    cell: &ExpCell,
+    me: Endpoint,
+    msg: CtrlMsg,
+    fx: &mut ExportFx,
+    dead: &mut Vec<SharedArray>,
+) -> Result<(), ThreadedError> {
     let mut state = timed_lock(&cell.state, &net.metrics);
-    let mut fx = ExportFx::default();
-    state.node.on_msg(msg, &mut fx)?;
+    fx.clear();
+    state.node.on_msg(msg, fx)?;
     let region = fx.region;
-    apply_fx(net, me, &mut state, fx)?;
+    apply_fx(net, me, &mut state, fx, dead)?;
     let room = state.node.has_burst_room(region);
     drop(state);
+    dead.clear();
     // Wake a stalled exporter once it can export a burst, not at every
     // freed object: one wake-up per object makes its thread compete with
     // the senders on every request (see `ExportAccess::export`).
@@ -1166,6 +1208,10 @@ struct AgentTask {
     consumed: u64,
     /// This rank's pieces are past the [`LIGHT_PIECE`] bound.
     heavy: bool,
+    /// The engine's step buffer, kept from message to message, and what
+    /// a step freed (see [`apply_fx`]).
+    fx: ExportFx,
+    dead: Vec<SharedArray>,
 }
 
 impl AgentTask {
@@ -1179,7 +1225,7 @@ impl AgentTask {
         };
         self.net.admit(me, meta, msg, |m| {
             self.consumed += 1;
-            agent_step(&self.net, &self.cell, me, m)
+            agent_step(&self.net, &self.cell, me, m, &mut self.fx, &mut self.dead)
         })
     }
 }
@@ -1248,6 +1294,8 @@ struct RepTask {
     /// behalf when the rep recovers. Always empty in a single-process
     /// fabric, where the recovery's re-form covers every sender.
     orphans: Vec<(WireMeta, CtrlMsg)>,
+    /// The rep node's step buffer, kept from message to message.
+    outs: Vec<Outgoing>,
 }
 
 impl RepTask {
@@ -1317,9 +1365,9 @@ impl RepTask {
             if let Some(crash) = &mut self.crash {
                 crash.consumed();
             }
-            let mut outs = Vec::new();
-            self.node.on_msg(&self.topo, m, &mut outs)?;
-            self.net.emit_ctrl(ep, outs)
+            self.outs.clear();
+            self.node.on_msg(&self.topo, m, &mut self.outs)?;
+            self.net.emit_ctrl(ep, self.outs.drain(..))
         })
     }
 }
@@ -1398,15 +1446,18 @@ struct ImpTask {
     mbox: Arc<Mailbox>,
     cell: Arc<ImpCell>,
     pieces: PieceMap,
-    /// Pieces already accepted, keyed `(request, rectangle)`. Pieces are
-    /// not sequenced by the reliability layer, so a replaying exporter (or
-    /// a link replaying its unacked backlog after a reconnect) may resend
-    /// pieces this rank already holds; accepting a duplicate would
-    /// double-count `on_piece` and corrupt the import's piece arithmetic.
+    /// Pieces already accepted for requests at or above `done_below`,
+    /// keyed `(request, rectangle)`. Pieces are not sequenced by the
+    /// reliability layer, so a replaying exporter (or a link replaying its
+    /// unacked backlog after a reconnect) may resend pieces this rank
+    /// already holds; accepting a duplicate would double-count `on_piece`
+    /// and corrupt the import's piece arithmetic.
     seen_pieces: HashSet<(RequestId, Rect)>,
-    /// The request whose completion the application thread was last woken
-    /// for.
-    woke_for: Option<RequestId>,
+    /// The completed-import watermark: every request below it completed
+    /// on this rank (imports complete in request order), so any piece for
+    /// one is a duplicate. The application thread was last woken for the
+    /// request just below it.
+    done_below: u64,
 }
 
 impl ImpTask {
@@ -1433,7 +1484,7 @@ impl ImpTask {
         rect: Rect,
         payload: SharedArray,
     ) -> Result<(), ThreadedError> {
-        if !self.seen_pieces.insert((req, rect)) {
+        if req.0 < self.done_below || !self.seen_pieces.insert((req, rect)) {
             // Duplicate (exporter replay or link reconnect resend):
             // already held, drop it.
             return Ok(());
@@ -1476,12 +1527,18 @@ impl Task for ImpTask {
         // Wake the blocked importer for what it waits for — its import
         // completed during this poll — and for an error or shutdown it
         // must observe; an answer or a piece alone leaves it asleep.
-        let completed = msgs > 0
-            && match self.cell.node.lock().state(self.conn) {
-                Some(ImportState::Done { req, .. }) => self.woke_for.replace(req) != Some(req),
-                _ => false,
-            };
-        if completed || done {
+        let completed = match self.cell.node.lock().state(self.conn) {
+            Some(ImportState::Done { req, .. }) if msgs > 0 && req.0 >= self.done_below => {
+                Some(req)
+            }
+            _ => None,
+        };
+        if let Some(req) = completed {
+            self.done_below = req.0 + 1;
+            let below = self.done_below;
+            self.seen_pieces.retain(|(r, _)| r.0 >= below);
+        }
+        if completed.is_some() || done {
             self.cell.cv.notify_all();
         }
         Poll {
@@ -1707,8 +1764,13 @@ impl Fabric {
                     }
                 }
                 let stores = (0..p.exports.len()).map(|_| BTreeMap::new()).collect();
+                let spares = vec![None; p.exports.len()];
                 let cell = Arc::new(ExpCell {
-                    state: Mutex::new(ExpState { node, stores }),
+                    state: Mutex::new(ExpState {
+                        node,
+                        stores,
+                        spares,
+                    }),
                     freed: Condvar::new(),
                 });
                 let crash_after = crash.and_then(|f| match f.target {
@@ -1732,6 +1794,8 @@ impl Fabric {
                             let light = LIGHT_PIECE * if net.links.is_some() { 1 } else { 16 };
                             e.decomp.owned(rank).cells() * size_of::<f64>() > light
                         }),
+                        fx: ExportFx::default(),
+                        dead: Vec::new(),
                     }),
                 );
                 mbox.bind(handle.clone());
@@ -1762,6 +1826,7 @@ impl Fabric {
                     node: RepNode::new(&topo, pi, opts.buddy_help, opts.hierarchical),
                     dead_until: None,
                     orphans: Vec::new(),
+                    outs: Vec::new(),
                 }),
             );
             mbox.bind(handle.clone());
@@ -1797,6 +1862,8 @@ impl Fabric {
                                 cell: cells[pi][rank].clone().expect("exporting process"),
                                 net: net.clone(),
                                 block_timeout: opts.import_timeout,
+                                fx: ExportFx::default(),
+                                dead: Vec::new(),
                             })
                         })
                         .collect(),
@@ -1831,7 +1898,7 @@ impl Fabric {
                                     cell: cell.clone(),
                                     pieces: pieces.clone(),
                                     seen_pieces: HashSet::new(),
-                                    woke_for: None,
+                                    done_below: 0,
                                 }),
                             );
                             mbox.bind(handle.clone());
@@ -2173,6 +2240,44 @@ mod tests {
             assert!(SharedArray::ptr_eq(&handle, now));
         }
         fabric.shutdown().unwrap();
+    }
+
+    /// A freed object's memory buffers the next copy: once importing a
+    /// request has dropped the pieces of the one before, its object is
+    /// refilled in place — fewer allocations than paid memcpys — and every
+    /// import still sees exactly the values of the export it matched.
+    #[test]
+    fn a_freed_object_is_refilled_by_the_next_copy() {
+        let (topo, exp_d, imp_d) = pair_topology();
+        let mut fabric = Fabric::new(topo, FabricOptions::default());
+        let mut exp = fabric.take_export(0, 0, 0);
+        let mut imp = fabric.take_import(1, 0, 0);
+        let value = |k: usize, r: usize, c: usize| (k * 100 + r * 4 + c) as f64;
+        let mut dest = LocalArray::zeros(imp_d.owned(0));
+        for k in 1..=6 {
+            let data = LocalArray::from_fn(exp_d.owned(0), |r, c| value(k, r, c));
+            exp.export(ts(k as f64), &data).unwrap();
+            // Matched exactly: the request for `k` frees the object of
+            // `k - 1`, whose pieces the import of `k - 1` has dropped.
+            assert_eq!(
+                imp.import(ts(k as f64), &mut dest).unwrap(),
+                Some(ts(k as f64))
+            );
+            for r in 0..4 {
+                for c in 0..4 {
+                    assert_eq!(dest.get(r, c), value(k, r, c), "import {k} at ({r}, {c})");
+                }
+            }
+        }
+        drop((exp, imp));
+        let c = fabric.shutdown().unwrap().metrics.counters;
+        assert_eq!(c.memcpy_paid, 6);
+        assert!(
+            c.payload_allocs < c.memcpy_paid,
+            "{} allocations for {} copies",
+            c.payload_allocs,
+            c.memcpy_paid
+        );
     }
 
     /// A chaos-armed rep takes a queued backlog in one poll, exactly like a

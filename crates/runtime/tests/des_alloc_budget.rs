@@ -18,7 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Allocations (fresh or grown) per panel-(d) run.
-const BUDGET: u64 = 8_000;
+const BUDGET: u64 = 7_600;
 
 struct Counting;
 
