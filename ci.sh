@@ -17,8 +17,11 @@
 #   3. tier-1 tests    (release build + full test suite; among them the
 #                       counter gates: the O(log N) tree budget at
 #                       32/64/128 ranks, chained hand-offs, writev
-#                       coalescing and the simulator's allocation budget
-#                       of 8 000 per Figure-4 panel-(d) run)
+#                       coalescing, the simulator's allocation budget
+#                       of 8 000 per Figure-4 panel-(d) run and the
+#                       socket payload's byte budget, payload_alloc_budget.rs:
+#                       a decoded 256 KiB piece is one allocation, a
+#                       by-reference head at most 256 B)
 #   4. simtest         (seeded simulation corpus + oracle mutation smoke,
 #                       every rule armed through `Faults`: help-skip and
 #                       stale-skip fire on the simulator, relay-drop on both

@@ -188,16 +188,14 @@ impl SharedArray {
     }
 
     /// Rebuilds a piece from its rectangle and row-major values — the
-    /// receive side of a wire transfer. Returns `None` if the value count
-    /// does not cover the rectangle.
-    pub fn from_parts(owned: Rect, data: Vec<f64>) -> Option<Self> {
-        if data.len() != owned.rows * owned.cols {
+    /// receive side of a wire transfer. The `Arc` becomes the piece as it
+    /// is: no copy, no allocation. Returns `None` if the value count does
+    /// not cover the rectangle.
+    pub fn from_parts(owned: Rect, data: Arc<[f64]>) -> Option<Self> {
+        if Some(data.len()) != owned.rows.checked_mul(owned.cols) {
             return None;
         }
-        Some(SharedArray {
-            owned,
-            data: Arc::from(data),
-        })
+        Some(SharedArray { owned, data })
     }
 
     /// The global rectangle this piece covers.
@@ -302,6 +300,20 @@ mod tests {
         assert_eq!(buf.as_slice().as_ptr(), before, "same memory");
         assert!(!buf.refill(&LocalArray::zeros(Rect::new(1, 2, 3, 2))));
         assert_eq!(buf.as_slice(), next.as_slice());
+    }
+
+    /// The receive side keeps the decoder's allocation: the piece reads
+    /// through the very `Arc` it was given, and a count that does not
+    /// cover the rectangle is refused.
+    #[test]
+    fn from_parts_keeps_the_arc_it_is_given() {
+        let owned = Rect::new(3, 1, 2, 3);
+        let data: Arc<[f64]> = (0..6).map(f64::from).collect();
+        let ptr = data.as_ptr();
+        let piece = SharedArray::from_parts(owned, Arc::clone(&data)).expect("covers");
+        assert_eq!(piece.as_slice().as_ptr(), ptr, "same memory");
+        assert_eq!(piece.strong_count(), 2, "shared, not copied");
+        assert!(SharedArray::from_parts(Rect::new(3, 1, 2, 2), data).is_none());
     }
 
     #[test]

@@ -491,11 +491,12 @@ counters! {
     /// Frames that shared their vectored write syscall with at least one
     /// other frame (0 on DES/threaded).
     net_writev_frames: Counter,
-    /// Tx frame buffers recycled from the writer-thread pool instead of
-    /// freshly allocated (0 on DES/threaded).
+    /// `BufPool` takes served from a shelved allocation. No runtime path
+    /// takes from the pool (a piece is sent by reference), so 0 on every
+    /// runtime; only the benchmark's layer replay meters it.
     net_pool_hits: Counter,
-    /// Tx frame-buffer requests the pool could not serve — a fresh
-    /// allocation (0 on DES/threaded).
+    /// `BufPool` takes that allocated afresh; 0 on every runtime, like
+    /// `net_pool_hits`.
     net_pool_misses: Counter,
     /// Wire frames received and dispatched by the socket transport
     /// (0 on DES/threaded). Clean runs conserve: Σ rx == Σ tx.

@@ -43,6 +43,7 @@ use crate::stats::ExportStats;
 use crate::trace::{Trace, TraceEvent};
 use couplink_time::Timestamp;
 use std::fmt;
+use std::sync::Arc;
 
 /// First two bytes of every frame.
 pub const MAGIC: u16 = 0xC11F;
@@ -138,7 +139,7 @@ impl std::error::Error for WireError {}
 // * `crc32_reference` — byte at a time, the oracle the tests hold the
 //   other two to.
 //
-// `crc32` picks between the first two; nothing else does.
+// `crc32_update` picks between the first two; nothing else does.
 // ---------------------------------------------------------------------------
 
 /// Number of slice-by-N tables (8 input bytes folded per step).
@@ -179,21 +180,28 @@ const fn crc32_tables() -> [[u32; 256]; CRC_SLICES] {
 static CRC_TABLES: [[u32; 256]; CRC_SLICES] = crc32_tables();
 
 /// CRC-32 (IEEE) of `bytes` — the checksum carried in every frame header
-/// and journal record.
+/// and journal record. The same as `crc32_update(0, bytes)`.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_update(0, bytes)
+}
+
+/// Continues a checksum over more bytes: `crc32_update(crc32(a), b) ==
+/// crc32(a ++ b)`, so a frame body kept in two buffers — a payload's head
+/// and the shared array behind it — is checked without joining them.
 ///
 /// The one place the implementation is chosen, from what the code can
 /// observe: on x86-64 with PCLMULQDQ and SSE4.1, an input of at least
 /// `clmul::MIN_LEN` (64) bytes has its 16-byte-multiple prefix folded by
-/// carry-less multiplication and only the tail goes through the tables;
-/// anything else (other targets, older CPUs, control frames) is slice-by-8
-/// throughout. Both compute the same polynomial, so the choice never shows
-/// on the wire.
-pub fn crc32(bytes: &[u8]) -> u32 {
+/// carry-less multiplication, starting from the register `crc` leaves, and
+/// only the tail goes through the tables; anything else (other targets,
+/// older CPUs, control frames) is slice-by-8 throughout. Both compute the
+/// same polynomial, so the choice never shows on the wire.
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
-    if let Some((state, tail)) = clmul::fold(bytes) {
+    if let Some((state, tail)) = clmul::fold(!crc, bytes) {
         return !slice8(state, tail);
     }
-    !slice8(!0, bytes)
+    !slice8(!crc, bytes)
 }
 
 /// Advances the raw (un-inverted) CRC register `c` over `bytes`, eight
@@ -260,12 +268,12 @@ mod clmul {
     /// Barrett constant: floor(x^64 / P(x)), reflected.
     const MU: i64 = 0x1_F701_1641;
 
-    /// Folds the longest 16-byte-multiple prefix of `bytes` and returns the
-    /// raw (un-inverted) CRC register after it with the unconsumed tail
-    /// (under 16 bytes) — or `None` when the input is shorter than
-    /// [`MIN_LEN`] or the CPU lacks PCLMULQDQ / SSE4.1, and the caller
-    /// computes the whole checksum from the tables.
-    pub(super) fn fold(bytes: &[u8]) -> Option<(u32, &[u8])> {
+    /// Folds the longest 16-byte-multiple prefix of `bytes` into the raw
+    /// (un-inverted) CRC register `init` and returns the register after it
+    /// with the unconsumed tail (under 16 bytes) — or `None` when the input
+    /// is shorter than [`MIN_LEN`] or the CPU lacks PCLMULQDQ / SSE4.1, and
+    /// the caller computes the whole checksum from the tables.
+    pub(super) fn fold(init: u32, bytes: &[u8]) -> Option<(u32, &[u8])> {
         if bytes.len() < MIN_LEN
             || !is_x86_feature_detected!("pclmulqdq")
             || !is_x86_feature_detected!("sse4.1")
@@ -275,7 +283,7 @@ mod clmul {
         let (lanes, tail) = bytes.as_chunks::<16>();
         // SAFETY: `fold_lanes` needs the `pclmulqdq` and `sse4.1` target
         // features, and both were detected on this CPU just above.
-        Some((unsafe { fold_lanes(lanes) }, tail))
+        Some((unsafe { fold_lanes(init, lanes) }, tail))
     }
 
     fn load(lane: &[u8; 16]) -> __m128i {
@@ -293,15 +301,16 @@ mod clmul {
         _mm_xor_si128(_mm_xor_si128(b, lo), hi)
     }
 
-    /// The raw CRC register after `lanes`, starting from the all-ones
-    /// initial value. `lanes.len() >= 4` ([`fold`] checks [`MIN_LEN`]).
+    /// The raw CRC register after `lanes`, starting from `init` (all ones
+    /// for a fresh checksum). `lanes.len() >= 4` ([`fold`] checks
+    /// [`MIN_LEN`]).
     #[target_feature(enable = "pclmulqdq,sse4.1")]
-    fn fold_lanes(lanes: &[[u8; 16]]) -> u32 {
+    fn fold_lanes(init: u32, lanes: &[[u8; 16]]) -> u32 {
         let (first, rest) = lanes.split_at(4);
         // The initial register value is folded in as data: xor it onto
         // the first four message bytes.
         let mut x = [
-            _mm_xor_si128(load(&first[0]), _mm_cvtsi32_si128(!0)),
+            _mm_xor_si128(load(&first[0]), _mm_cvtsi32_si128(init as i32)),
             load(&first[1]),
             load(&first[2]),
             load(&first[3]),
@@ -408,24 +417,11 @@ impl BodyWriter {
     /// little-endian targets; big-endian targets fall back per element).
     pub fn f64_slice(&mut self, data: &[f64]) {
         #[cfg(target_endian = "little")]
-        {
-            // SAFETY: every f64 is 8 plain bytes with no padding or
-            // invalid representations; on little-endian targets those
-            // bytes are exactly the wire encoding.
-            let bytes = unsafe {
-                std::slice::from_raw_parts(data.as_ptr().cast::<u8>(), std::mem::size_of_val(data))
-            };
-            self.buf.extend_from_slice(bytes);
-        }
+        self.buf.extend_from_slice(f64_bytes(data));
         #[cfg(not(target_endian = "little"))]
         for &v in data {
             self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
         }
-    }
-
-    /// Reserves room for at least `n` more bytes.
-    pub fn reserve(&mut self, n: usize) {
-        self.buf.reserve(n);
     }
 
     /// The finished body.
@@ -539,9 +535,8 @@ pub fn encode_frame_into(kind: u8, body: &[u8], out: &mut Vec<u8>) {
 
 /// Builds a complete frame *in place*: the body is written directly after
 /// a reserved header region in one buffer, and [`finish`](Self::finish)
-/// back-fills the envelope — no header+body concatenation copy, and the
-/// buffer can come from (and return to) a transport pool. The body is
-/// appended through the [`BodyWriter`] it derefs to.
+/// back-fills the envelope — no header+body concatenation copy. The body
+/// is appended through the [`BodyWriter`] it derefs to.
 ///
 /// Byte-for-byte identical output to `encode_frame(kind, &body)`.
 #[derive(Debug)]
@@ -552,21 +547,10 @@ pub struct FrameWriter {
 }
 
 impl FrameWriter {
-    /// A frame writer over a fresh buffer.
-    pub fn new(kind: u8) -> Self {
-        Self::with_buffer(kind, Vec::new())
-    }
-
     /// A frame writer over a fresh buffer with `body_cap` body bytes
     /// reserved (plus the header).
     pub fn with_capacity(kind: u8, body_cap: usize) -> Self {
-        Self::with_buffer(kind, Vec::with_capacity(HEADER_LEN + body_cap))
-    }
-
-    /// A frame writer reusing `buf`'s allocation (a pooled buffer). The
-    /// buffer is cleared; its capacity is kept.
-    pub fn with_buffer(kind: u8, mut buf: Vec<u8>) -> Self {
-        buf.clear();
+        let mut buf = Vec::with_capacity(HEADER_LEN + body_cap);
         buf.resize(HEADER_LEN, 0);
         FrameWriter {
             kind,
@@ -579,15 +563,21 @@ impl FrameWriter {
     pub fn finish(self) -> Vec<u8> {
         let mut buf = self.out.buf;
         let body_len = buf.len() - HEADER_LEN;
-        debug_assert!(body_len <= MAX_BODY as usize, "frame body over MAX_BODY");
         let crc = crc32(&buf[HEADER_LEN..]);
-        buf[0..2].copy_from_slice(&MAGIC.to_le_bytes());
-        buf[2] = WIRE_VERSION;
-        buf[3] = self.kind;
-        buf[4..8].copy_from_slice(&(body_len as u32).to_le_bytes());
-        buf[8..12].copy_from_slice(&crc.to_le_bytes());
+        write_header(&mut buf, self.kind, body_len, crc);
         buf
     }
+}
+
+/// Back-fills the header reserved at the front of `buf`: magic, version,
+/// `kind`, the body length and the body's checksum.
+fn write_header(buf: &mut [u8], kind: u8, body_len: usize, crc: u32) {
+    debug_assert!(body_len <= MAX_BODY as usize, "frame body over MAX_BODY");
+    buf[0..2].copy_from_slice(&MAGIC.to_le_bytes());
+    buf[2] = WIRE_VERSION;
+    buf[3] = kind;
+    buf[4..8].copy_from_slice(&(body_len as u32).to_le_bytes());
+    buf[8..12].copy_from_slice(&crc.to_le_bytes());
 }
 
 impl std::ops::Deref for FrameWriter {
@@ -1145,13 +1135,79 @@ pub struct PayloadFrame {
     pub rect: WireRect,
     /// The rectangle `data` spans (the exporting process's owned region).
     pub owned: WireRect,
-    /// Row-major values of `owned`.
-    pub data: Vec<f64>,
+    /// Row-major values of `owned`, in the one allocation the importer's
+    /// shared array keeps.
+    pub data: Arc<[f64]>,
 }
 
-/// Encodes a payload frame (envelope included). The `data` slice is
-/// serialized directly — the caller hands the shared buffer's slice, no
-/// intermediate copy of the array is made.
+/// Bytes of a payload body ahead of its values: connection, destination
+/// rank, request, the two rectangles and the value count.
+pub const PAYLOAD_PREFIX_LEN: usize = 4 + 4 + 8 + 2 * 32 + 8;
+
+/// Bytes of a payload frame ahead of its values: the frame header and the
+/// body's fixed prefix — what [`encode_payload_head`] builds.
+pub const PAYLOAD_HEAD_LEN: usize = HEADER_LEN + PAYLOAD_PREFIX_LEN;
+
+/// The wire bytes of `data` on a little-endian target: its memory bytes,
+/// borrowed. A payload frame is its head followed by these, so a sender
+/// can hand the shared array to `writev` as it is.
+#[cfg(target_endian = "little")]
+pub fn f64_bytes(data: &[f64]) -> &[u8] {
+    // SAFETY: every f64 is 8 plain bytes with no padding or invalid
+    // representations, the slice covers exactly `data`'s memory, and on
+    // little-endian targets those bytes are the wire encoding.
+    unsafe { std::slice::from_raw_parts(data.as_ptr().cast::<u8>(), std::mem::size_of_val(data)) }
+}
+
+/// Continues a checksum over the wire bytes of `data`.
+#[cfg(target_endian = "little")]
+fn crc32_f64(crc: u32, data: &[f64]) -> u32 {
+    crc32_update(crc, f64_bytes(data))
+}
+
+/// Continues a checksum over the wire bytes of `data`, a value at a time.
+#[cfg(not(target_endian = "little"))]
+fn crc32_f64(crc: u32, data: &[f64]) -> u32 {
+    data.iter()
+        .fold(crc, |c, v| crc32_update(c, &v.to_bits().to_le_bytes()))
+}
+
+/// Builds the head of a payload frame into `buf` (cleared; its capacity is
+/// kept): the frame header and the body's fixed prefix,
+/// [`PAYLOAD_HEAD_LEN`] bytes, with the length and checksum covering
+/// `data`'s values too. The frame is this head followed by the values'
+/// little-endian bytes — [`encode_payload_with`] appends them, a socket
+/// sender writes them from the shared array behind a second iovec — so
+/// both carry the same bytes by construction.
+pub fn encode_payload_head(
+    mut buf: Vec<u8>,
+    conn: ConnectionId,
+    dst: Rank,
+    req: RequestId,
+    rect: WireRect,
+    owned: WireRect,
+    data: &[f64],
+) -> Vec<u8> {
+    buf.clear();
+    buf.reserve(PAYLOAD_HEAD_LEN);
+    buf.resize(HEADER_LEN, 0);
+    let mut w = BodyWriter { buf };
+    (conn, dst, req, rect, owned, data.len()).put(&mut w);
+    let mut buf = w.buf;
+    debug_assert_eq!(buf.len(), PAYLOAD_HEAD_LEN);
+    let crc = crc32_f64(crc32(&buf[HEADER_LEN..]), data);
+    write_header(
+        &mut buf,
+        KIND_PAYLOAD,
+        PAYLOAD_PREFIX_LEN + 8 * data.len(),
+        crc,
+    );
+    buf
+}
+
+/// Encodes a payload frame (envelope included) in one buffer. The `data`
+/// slice is serialized directly — the caller hands the shared buffer's
+/// slice, no intermediate copy of the array is made.
 pub fn encode_payload(
     conn: ConnectionId,
     dst: Rank,
@@ -1163,11 +1219,11 @@ pub fn encode_payload(
     encode_payload_with(Vec::new(), conn, dst, req, rect, owned, data)
 }
 
-/// [`encode_payload`] into a recycled buffer (the pooled tx path): the
-/// envelope and body are written in place, so a buffer whose capacity
-/// already covers the frame incurs zero allocations.
+/// [`encode_payload`] into a recycled buffer: the head
+/// ([`encode_payload_head`]), then the values appended, so a buffer whose
+/// capacity already covers the frame incurs zero allocations.
 pub fn encode_payload_with(
-    buf: Vec<u8>,
+    mut buf: Vec<u8>,
     conn: ConnectionId,
     dst: Rank,
     req: RequestId,
@@ -1175,11 +1231,13 @@ pub fn encode_payload_with(
     owned: WireRect,
     data: &[f64],
 ) -> Vec<u8> {
-    let mut w = FrameWriter::with_buffer(KIND_PAYLOAD, buf);
-    w.reserve(8 + 8 * 8 + 8 + 8 + 8 * data.len());
-    (conn, dst, req, rect, owned, data.len()).put(&mut w);
+    buf.clear();
+    buf.reserve(PAYLOAD_HEAD_LEN + 8 * data.len());
+    let mut w = BodyWriter {
+        buf: encode_payload_head(buf, conn, dst, req, rect, owned, data),
+    };
     w.f64_slice(data);
-    w.finish()
+    w.buf
 }
 
 /// Decodes a payload frame body. Rejects data whose length disagrees with
@@ -1193,19 +1251,12 @@ pub fn decode_payload(body: &[u8]) -> Result<PayloadFrame, WireError> {
             what: "payload length vs owned rect",
         });
     }
-    if n as usize * 8 != r.remaining() {
+    if n.checked_mul(8) != Some(r.remaining() as u64) {
         return Err(WireError::Malformed {
             what: "payload length vs body",
         });
     }
-    // One correctly-sized allocation filled straight from the body bytes —
-    // this vector becomes the importer-side shared array, so the
-    // socket-to-array path is a single copy.
-    let raw = r.raw(n as usize * 8)?;
-    let mut data = vec![0f64; n as usize];
-    for (d, ch) in data.iter_mut().zip(raw.chunks_exact(8)) {
-        *d = f64::from_le_bytes(ch.try_into().expect("8 bytes"));
-    }
+    let data = f64s_from_le(r.raw(r.remaining())?);
     r.finish()?;
     Ok(PayloadFrame {
         conn,
@@ -1215,6 +1266,28 @@ pub fn decode_payload(body: &[u8]) -> Result<PayloadFrame, WireError> {
         owned,
         data,
     })
+}
+
+/// The values whose little-endian bytes are `raw` (a multiple of 8 long),
+/// in one allocation filled by one copy, with no zero-fill first. This
+/// `Arc` is the importer-side shared array itself: the layout crate's
+/// `SharedArray::from_parts` keeps it without copying.
+fn f64s_from_le(raw: &[u8]) -> Arc<[f64]> {
+    let mut data = Arc::<[f64]>::new_uninit_slice(raw.len() / 8);
+    let slots = Arc::get_mut(&mut data).expect("a fresh Arc has one handle");
+    #[cfg(target_endian = "little")]
+    // SAFETY: `slots` is this Arc's own `raw.len()` writable bytes, which
+    // cannot overlap the borrowed `raw`; any 8 bytes are a valid f64, and
+    // on little-endian targets the wire order is the memory order.
+    unsafe {
+        std::ptr::copy_nonoverlapping(raw.as_ptr(), slots.as_mut_ptr().cast::<u8>(), raw.len());
+    }
+    #[cfg(not(target_endian = "little"))]
+    for (d, ch) in slots.iter_mut().zip(raw.chunks_exact(8)) {
+        d.write(f64::from_le_bytes(ch.try_into().expect("8 bytes")));
+    }
+    // SAFETY: every slot was written just above.
+    unsafe { data.assume_init() }
 }
 
 #[cfg(test)]
@@ -1275,7 +1348,7 @@ mod tests {
                 assert_eq!(!slice8(!0, bytes), want, "slice8, len {len} offset {off}");
                 assert_eq!(crc32(bytes), want, "dispatch, len {len} offset {off}");
                 #[cfg(target_arch = "x86_64")]
-                match clmul::fold(bytes) {
+                match clmul::fold(!0, bytes) {
                     Some((state, tail)) => {
                         assert!(len >= clmul::MIN_LEN && tail.len() < 16);
                         assert_eq!(!slice8(state, tail), want, "clmul, len {len} offset {off}");
@@ -1290,6 +1363,62 @@ mod tests {
                 }
             }
         }
+        if folded == 0 {
+            println!("clmul arm skipped: not x86-64, or no PCLMULQDQ/SSE4.1 on this CPU");
+        }
+    }
+
+    /// `crc32_update` continues a checksum at every split point, on both
+    /// arms: the tables throughout, and the fold restarted from the
+    /// register the first part left. Every length to 300 walks splits
+    /// under `MIN_LEN`, on and off the 16-byte lane grid; the long input
+    /// is a real payload body, split among others at the end of its
+    /// 88-byte prefix — where a by-reference sender splits it.
+    #[test]
+    fn crc32_update_continues_at_every_split_on_both_arms() {
+        let short = lcg_bytes(300);
+        let data: Vec<f64> = (0..512).map(|i| i as f64 * 1.5 - 7.0).collect();
+        let r = WireRect {
+            row0: 0,
+            col0: 0,
+            rows: 16,
+            cols: 32,
+        };
+        let frame = encode_payload(ConnectionId(2), Rank(1), RequestId(9), r, r, &data);
+        let body = &frame[HEADER_LEN..];
+        let head = encode_payload_head(
+            Vec::new(),
+            ConnectionId(2),
+            Rank(1),
+            RequestId(9),
+            r,
+            r,
+            &data,
+        );
+        assert_eq!(head[..], frame[..PAYLOAD_HEAD_LEN]);
+        let inputs = (0..=short.len()).map(|len| &short[..len]).chain([body]);
+        let mut folded = 0usize;
+        for bytes in inputs {
+            let (len, want) = (bytes.len(), crc32_reference(bytes));
+            for at in 0..=len {
+                let (a, b) = bytes.split_at(at);
+                assert_eq!(
+                    crc32_update(crc32(a), b),
+                    want,
+                    "dispatch, len {len} split {at}"
+                );
+                let tables = slice8(!0, a);
+                assert_eq!(!slice8(tables, b), want, "slice8, len {len} split {at}");
+                #[cfg(target_arch = "x86_64")]
+                if let Some((state, tail)) = clmul::fold(tables, b) {
+                    assert_eq!(!slice8(state, tail), want, "clmul, len {len} split {at}");
+                    folded += 1;
+                }
+            }
+        }
+        let (prefix, values) = body.split_at(PAYLOAD_PREFIX_LEN);
+        assert_eq!(prefix.len(), 88);
+        assert_eq!(crc32_update(crc32(prefix), values), crc32(body));
         if folded == 0 {
             println!("clmul arm skipped: not x86-64, or no PCLMULQDQ/SSE4.1 on this CPU");
         }
@@ -1497,7 +1626,7 @@ mod tests {
         let p = decode_payload(&got.body).expect("decodes");
         assert_eq!(p.rect, rect);
         assert_eq!(p.owned, owned);
-        assert_eq!(p.data, data);
+        assert_eq!(*p.data, *data);
     }
 
     #[test]
@@ -1523,6 +1652,29 @@ mod tests {
             decode_payload(&got.body),
             Err(WireError::Malformed {
                 what: "payload length vs owned rect"
+            })
+        );
+    }
+
+    /// A value count whose byte length overflows is refused, not
+    /// allocated: 2^61 + 1 values claim 8 bytes once the multiplication
+    /// wraps, and exactly 8 follow.
+    #[test]
+    fn payload_count_whose_byte_length_wraps_is_malformed() {
+        let n = (1u64 << 61) + 1;
+        let owned = WireRect {
+            row0: 0,
+            col0: 0,
+            rows: n,
+            cols: 1,
+        };
+        let mut w = BodyWriter::new();
+        (ConnectionId(0), Rank(0), RequestId(0), owned, owned, n).put(&mut w);
+        w.f64(1.5);
+        assert_eq!(
+            decode_payload(&w.into_body()),
+            Err(WireError::Malformed {
+                what: "payload length vs body"
             })
         );
     }

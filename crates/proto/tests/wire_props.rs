@@ -6,8 +6,9 @@
 
 use couplink_proto::wire::{
     crc32, crc32_reference, decode_ctrl, decode_payload, encode_ctrl, encode_frame, encode_payload,
-    encode_payload_with, BodyWriter, FrameDecoder, FrameWriter, WireError, WireRect, HEADER_LEN,
-    KIND_CTRL, KIND_PAYLOAD, MAGIC, WIRE_VERSION,
+    encode_payload_head, encode_payload_with, f64_bytes, BodyWriter, FrameDecoder, FrameWriter,
+    WireError, WireRect, HEADER_LEN, KIND_CTRL, KIND_PAYLOAD, MAGIC, PAYLOAD_HEAD_LEN,
+    WIRE_VERSION,
 };
 use couplink_proto::{ConnectionId, CtrlMsg, ProcResponse, Rank, RepAnswer, RequestId};
 use couplink_time::ts;
@@ -70,7 +71,44 @@ fn ctrl_msg() -> impl Strategy<Value = CtrlMsg> {
         })
 }
 
+/// Any rectangle the wire can carry, degenerate ones included.
+fn wire_rect() -> impl Strategy<Value = WireRect> {
+    (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(row0, col0, rows, cols)| {
+        WireRect {
+            row0,
+            col0,
+            rows,
+            cols,
+        }
+    })
+}
+
 proptest! {
+    /// The by-reference form of a payload frame — the head a socket sender
+    /// queues, then the values' bytes straight out of the shared array —
+    /// is the frame `encode_payload` builds, byte for byte: random ids and
+    /// rectangles, arbitrary value bits, and 0, 1, a few hundred or more
+    /// than 64 KiB of values.
+    #[test]
+    fn payload_head_then_values_is_the_encoded_frame(
+        ids in (any::<u32>(), any::<u32>(), any::<u64>()),
+        rect in wire_rect(),
+        owned in wire_rect(),
+        n in prop_oneof![Just(0usize), Just(1usize), 2usize..600, 8_193usize..9_000],
+        seed in any::<u64>(),
+    ) {
+        let (conn, dst, req) = (ConnectionId(ids.0), Rank(ids.1), RequestId(ids.2));
+        let data: Vec<f64> = (0..n as u64)
+            .map(|i| f64::from_bits(seed.wrapping_mul(2 * i + 1).rotate_left(i as u32)))
+            .collect();
+        let head = encode_payload_head(Vec::new(), conn, dst, req, rect, owned, &data);
+        prop_assert_eq!(head.len(), PAYLOAD_HEAD_LEN);
+        let mut by_reference = head;
+        by_reference.extend_from_slice(f64_bytes(&data));
+        let whole = encode_payload(conn, dst, req, rect, owned, &data);
+        prop_assert_eq!(by_reference, whole);
+    }
+
     /// Body-level and frame-level round trip for every variant.
     #[test]
     fn ctrl_roundtrips(msg in ctrl_msg()) {
@@ -113,7 +151,7 @@ proptest! {
         prop_assert_eq!(p.req, RequestId(seed));
         prop_assert_eq!(p.rect, rect);
         prop_assert_eq!(p.owned, owned);
-        prop_assert_eq!(p.data, data);
+        prop_assert_eq!(&p.data[..], &data[..]);
     }
 
     /// Truncating a body anywhere yields a typed error, never a panic.
@@ -290,7 +328,7 @@ proptest! {
         for f in got {
             prop_assert_eq!(f.kind, KIND_PAYLOAD);
             let p = decode_payload(&f.body).unwrap();
-            prop_assert_eq!(&p.data, &data);
+            prop_assert_eq!(&p.data[..], &data[..]);
         }
         prop_assert_eq!(dec.buffered(), 0, "stream fully consumed");
     }
@@ -348,14 +386,15 @@ fn bulk_payload_frame(req: u64) -> (Vec<u8>, Vec<f64>) {
 /// A payload frame — far over the fold's threshold, where control frames
 /// (`frame_writer_matches_encode_frame`) are all under it — carries the
 /// same bytes as a build that only had the byte-at-a-time CRC, through
-/// both `FrameWriter::finish` and `encode_frame`.
+/// both `encode_payload` (its head's checksum continued over the values)
+/// and `encode_frame`.
 #[test]
 fn payload_encoders_are_byte_identical_to_a_reference_crc_frame() {
     let (frame, _) = bulk_payload_frame(5);
     let body = &frame[HEADER_LEN..];
     assert_eq!(body.len(), (1 << 18) + 88);
     let want = frame_with_reference_crc(KIND_PAYLOAD, body);
-    assert_eq!(frame, want, "encode_payload (FrameWriter::finish)");
+    assert_eq!(frame, want, "encode_payload (head, then values)");
     assert_eq!(encode_frame(KIND_PAYLOAD, body), want, "encode_frame");
 }
 
@@ -379,7 +418,7 @@ fn large_payload_bit_flips_are_rejected_and_the_stream_recovers() {
         );
         let next = dec.next_frame().expect("recovered").expect("frame");
         assert_eq!(next.kind, KIND_PAYLOAD);
-        assert_eq!(decode_payload(&next.body).expect("decodes").data, data);
+        assert_eq!(*decode_payload(&next.body).expect("decodes").data, *data);
         assert_eq!(dec.buffered(), 0);
     }
 }
@@ -400,7 +439,7 @@ fn large_payload_roundtrip() {
     dec.extend(&bytes);
     let frame = dec.next_frame().unwrap().unwrap();
     let p = decode_payload(&frame.body).unwrap();
-    assert_eq!(p.data, data);
+    assert_eq!(*p.data, *data);
     assert_eq!(p.owned, owned);
 }
 
@@ -427,7 +466,7 @@ fn byte_at_a_time_multi_megabyte_payload_stays_bounded() {
             dec.extend(std::slice::from_ref(&b));
             while let Some(f) = dec.next_frame().unwrap() {
                 let p = decode_payload(&f.body).unwrap();
-                assert_eq!(p.data, data);
+                assert_eq!(*p.data, *data);
                 got += 1;
             }
         }

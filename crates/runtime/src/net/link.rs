@@ -16,6 +16,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
+#[cfg(target_endian = "little")]
+use couplink_layout::SharedArray;
 use couplink_metrics::EngineMetrics;
 use couplink_proto::wire::{Frame, FrameDecoder, FrameSlot, WireError};
 use parking_lot::Mutex;
@@ -246,10 +248,15 @@ const POOL_PER_CLASS: usize = 32;
 /// larger is simply not shelved (`MAX_BODY` caps real frames far below).
 const POOL_CLASSES: usize = 33;
 
-/// A size-classed frame-buffer pool: the send path takes a buffer sized
-/// for the frame it is about to encode, and the writer thread puts the
-/// allocation back once the bytes are on the wire — steady-state traffic
-/// stops allocating per frame.
+/// A size-classed frame-buffer pool: take a buffer sized for the frame
+/// about to be encoded, put the allocation back once its bytes are on the
+/// wire.
+///
+/// Nothing in the runtime uses it any more: a payload piece goes to the
+/// writer by reference ([`TxFrame::Piece`]) and control frames are a few
+/// dozen bytes. It stays, with its `net_pool_hits` / `net_pool_misses`
+/// counters, only because the benchmark package's layer microbenchmarks
+/// name it.
 ///
 /// Classes are powers of two. `take(cap)` pops from `ceil(log2(cap))` and
 /// on a miss allocates the whole class (`1 << class` bytes), so the buffer
@@ -322,6 +329,49 @@ pub fn frame_kind(frame: &[u8]) -> Option<u8> {
     frame.get(3).copied()
 }
 
+/// One frame queued on a [`LinkWriter`]: encoded bytes, or a payload piece
+/// sent by reference.
+#[derive(Debug, Clone)]
+pub enum TxFrame {
+    /// A complete encoded frame.
+    Frame(Vec<u8>),
+    /// A payload frame in two parts: its head
+    /// ([`encode_payload_head`](couplink_proto::wire::encode_payload_head))
+    /// and the buffered array whose bytes follow it on the wire, read
+    /// straight out of the exporter's shared buffer by `writev`.
+    #[cfg(target_endian = "little")]
+    Piece {
+        /// Frame header and payload prefix.
+        head: Vec<u8>,
+        /// The values, sent as their in-memory bytes.
+        data: SharedArray,
+    },
+}
+
+impl TxFrame {
+    /// The frame's bytes in wire order: the head (all of a whole frame),
+    /// then the shared values (empty for a whole frame).
+    pub fn parts(&self) -> [&[u8]; 2] {
+        match self {
+            TxFrame::Frame(f) => [f, &[]],
+            #[cfg(target_endian = "little")]
+            TxFrame::Piece { head, data } => {
+                [head, couplink_proto::wire::f64_bytes(data.as_slice())]
+            }
+        }
+    }
+
+    /// The frame's length on the wire.
+    fn len(&self) -> usize {
+        self.parts().iter().map(|p| p.len()).sum()
+    }
+
+    /// The frame kind byte ([`frame_kind`] of the head).
+    pub fn kind(&self) -> Option<u8> {
+        frame_kind(self.parts()[0])
+    }
+}
+
 /// The sending half of a link: encoded frames are queued on a channel and
 /// drained by a dedicated writer thread, so fabric tasks never block on a
 /// full socket buffer.
@@ -334,9 +384,9 @@ pub fn frame_kind(frame: &[u8]) -> Option<u8> {
 /// support just drops the handle (the peer's reader owns failure
 /// reporting, exactly as before).
 pub struct LinkWriter {
-    tx: mpsc::Sender<Vec<u8>>,
+    tx: mpsc::Sender<TxFrame>,
     dead: Arc<AtomicBool>,
-    salvage: Arc<Mutex<Vec<Vec<u8>>>>,
+    salvage: Arc<Mutex<Vec<TxFrame>>>,
     /// Frames enqueued but not yet written or salvaged — zero means every
     /// accepted frame has reached the socket (and been metered).
     depth: Arc<AtomicU64>,
@@ -354,23 +404,32 @@ const BURST_FRAMES: usize = 64;
 const BURST_BYTES: usize = 1 << 20;
 
 /// Writes `frames` with as few syscalls as possible: one `write_vectored`
-/// covering the remaining burst, re-issued after partial writes. Meters
+/// covering the remaining burst — a by-reference piece is two iovecs, its
+/// head and its shared values — re-issued after partial writes. Meters
 /// `net_syscalls` per syscall and `net_frames`/`net_bytes` per frame as it
 /// is fully written. On failure returns the count of frames fully written
 /// — the next frame may have been *partially* written, which is fine: the
 /// caller kills the link and salvages from that frame on.
 fn write_batch(
-    conn: &mut Conn,
-    frames: &[Vec<u8>],
+    out: &mut impl Write,
+    frames: &[TxFrame],
     metrics: Option<&EngineMetrics>,
 ) -> Result<(), usize> {
     let mut idx = 0;
+    // Bytes of `frames[idx]` already written.
     let mut off = 0;
+    let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(2 * frames.len());
     while idx < frames.len() {
-        let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(frames.len() - idx);
-        slices.push(IoSlice::new(&frames[idx][off..]));
-        slices.extend(frames[idx + 1..].iter().map(|f| IoSlice::new(f)));
-        let n = match conn.write_vectored(&slices) {
+        slices.clear();
+        let mut skip = off;
+        for part in frames[idx..].iter().flat_map(TxFrame::parts) {
+            let cut = skip.min(part.len());
+            skip -= cut;
+            if cut < part.len() {
+                slices.push(IoSlice::new(&part[cut..]));
+            }
+        }
+        let n = match out.write_vectored(&slices) {
             Ok(0) => return Err(idx),
             Ok(n) => n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -407,25 +466,23 @@ fn write_batch(
 impl LinkWriter {
     /// Spawns the writer thread over (a clone of) `conn`.
     pub fn spawn(conn: Conn, label: String) -> LinkWriter {
-        LinkWriter::spawn_with(conn, label, None, None, None)
+        LinkWriter::spawn_with(conn, label, None, None)
     }
 
     /// Full-control spawn: an optional sever fault (after `sever_after`
     /// frames have been written the writer half-closes the socket and
     /// dies, salvaging its remaining queue — the deliberate mid-run link
-    /// sever the reconnect tests inject), optional tx metering
+    /// sever the reconnect tests inject) and optional tx metering
     /// (`net_syscalls`/`net_writev_frames`/`net_frames`/`net_bytes`,
-    /// counted when bytes actually reach the socket — not at enqueue),
-    /// and an optional pool that written frame buffers are recycled into.
+    /// counted when bytes actually reach the socket — not at enqueue).
     pub fn spawn_with(
         mut conn: Conn,
         label: String,
         sever_after: Option<u64>,
         metrics: Option<Arc<EngineMetrics>>,
-        pool: Option<Arc<BufPool>>,
     ) -> LinkWriter {
         let ctl = conn.try_clone().ok();
-        let (tx, rx) = mpsc::channel::<Vec<u8>>();
+        let (tx, rx) = mpsc::channel::<TxFrame>();
         let dead = Arc::new(AtomicBool::new(false));
         let salvage = Arc::new(Mutex::new(Vec::new()));
         let depth = Arc::new(AtomicU64::new(0));
@@ -435,7 +492,7 @@ impl LinkWriter {
             .name(format!("couplink-net-wr-{label}"))
             .spawn(move || {
                 let mut written = 0u64;
-                let mut batch: Vec<Vec<u8>> = Vec::new();
+                let mut batch: Vec<TxFrame> = Vec::new();
                 while let Ok(first) = rx.recv() {
                     // Burst-drain: everything already queued goes into one
                     // vectored write. An empty queue flushes immediately.
@@ -464,14 +521,8 @@ impl LinkWriter {
                         };
                     written += done as u64;
                     t_depth.fetch_sub(done as u64, AtomicOrdering::Release);
-                    let rest: Vec<Vec<u8>> = batch.split_off(done);
-                    if let Some(p) = &pool {
-                        for f in batch.drain(..) {
-                            p.put(f);
-                        }
-                    } else {
-                        batch.clear();
-                    }
+                    let rest = batch.split_off(done);
+                    batch.clear();
                     if failed || severed {
                         if severed && !failed {
                             // FIN flushes everything already written; the
@@ -507,6 +558,12 @@ impl LinkWriter {
     /// Queues one already-encoded frame. Returns `false` if the writer is
     /// dead — the frame went to the salvage, not the socket.
     pub fn send(&self, frame: Vec<u8>) -> bool {
+        self.push(TxFrame::Frame(frame))
+    }
+
+    /// Queues one frame, whole or by reference; [`LinkWriter::send`]'s
+    /// contract.
+    pub fn push(&self, frame: TxFrame) -> bool {
         if self.dead.load(AtomicOrdering::Acquire) {
             self.salvage.lock().push(frame);
             return false;
@@ -556,7 +613,7 @@ impl LinkWriter {
     /// Tears the writer down and returns every unwritten frame in send
     /// order: hangs up the queue, joins the thread (so the salvage is
     /// complete), and drains the salvage buffer.
-    pub fn retire(mut self) -> Vec<Vec<u8>> {
+    pub fn retire(mut self) -> Vec<TxFrame> {
         drop(self.tx);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
@@ -710,7 +767,7 @@ mod tests {
     #[test]
     fn severing_writer_flushes_then_salvages() {
         let (a, b) = UnixStream::pair().unwrap();
-        let w = LinkWriter::spawn_with(Conn::Uds(a), "sever-test".into(), Some(2), None, None);
+        let w = LinkWriter::spawn_with(Conn::Uds(a), "sever-test".into(), Some(2), None);
         let f = |body: &[u8]| wire::encode_frame(wire::KIND_RUNTIME_BASE, body);
         w.send(f(b"one"));
         w.send(f(b"two"));
@@ -725,13 +782,13 @@ mod tests {
         );
         let salvage = w.retire();
         assert_eq!(salvage.len(), 1, "the unsent frame was salvaged");
-        assert_eq!(frame_kind(&salvage[0]), Some(wire::KIND_RUNTIME_BASE));
+        assert_eq!(salvage[0].kind(), Some(wire::KIND_RUNTIME_BASE));
     }
 
     #[test]
     fn dead_writer_sends_land_in_salvage() {
         let (a, b) = UnixStream::pair().unwrap();
-        let w = LinkWriter::spawn_with(Conn::Uds(a), "dead-test".into(), Some(0), None, None);
+        let w = LinkWriter::spawn_with(Conn::Uds(a), "dead-test".into(), Some(0), None);
         let f = wire::encode_frame(wire::KIND_RUNTIME_BASE, b"x");
         w.send(f.clone()); // triggers the immediate sever
         let mut r = FrameReader::new(Conn::Uds(b));
@@ -765,7 +822,6 @@ mod tests {
             "burst-test".into(),
             None,
             Some(metrics.clone()),
-            None,
         );
         w.send(wire::encode_frame(
             wire::KIND_RUNTIME_BASE,
@@ -786,6 +842,70 @@ mod tests {
         assert!(w.retire().is_empty());
         assert_eq!(metrics.net_frames.get(), SMALL as u64 + 1);
         assert_eq!(metrics.net_writev_frames.get(), SMALL as u64);
+    }
+
+    /// A sink that takes at most `k` bytes per call, across iovecs.
+    struct Trickle {
+        k: usize,
+        got: Vec<u8>,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let before = self.got.len();
+            for b in bufs {
+                let room = self.k - (self.got.len() - before);
+                self.got.extend_from_slice(&b[..b.len().min(room)]);
+            }
+            Ok(self.got.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Partial writes resume exactly where they stopped, whether the cut
+    /// lands inside a head, on the head/values boundary or inside the
+    /// shared values: for every per-call limit from one byte to past the
+    /// head, a control frame, a by-reference piece and another control
+    /// frame come out as their encoded bytes, each metered once.
+    #[test]
+    fn partial_writes_resume_inside_and_between_the_parts_of_a_piece() {
+        use couplink_layout::{LocalArray, Rect};
+        use couplink_proto::{ConnectionId, Rank, RequestId};
+        let owned = Rect::new(0, 0, 3, 5);
+        let array = SharedArray::copy_from(&LocalArray::from_fn(owned, |r, c| (r * 5 + c) as f64));
+        let r = wire::WireRect {
+            row0: 0,
+            col0: 0,
+            rows: 3,
+            cols: 5,
+        };
+        let ids = (ConnectionId(1), Rank(0), RequestId(4));
+        let head =
+            wire::encode_payload_head(Vec::new(), ids.0, ids.1, ids.2, r, r, array.as_slice());
+        let whole = wire::encode_payload(ids.0, ids.1, ids.2, r, r, array.as_slice());
+        let ctrl = |b: &[u8]| wire::encode_frame(wire::KIND_RUNTIME_BASE, b);
+        let frames = [
+            TxFrame::Frame(ctrl(b"before")),
+            TxFrame::Piece { head, data: array },
+            TxFrame::Frame(ctrl(b"after")),
+        ];
+        let want = [ctrl(b"before"), whole, ctrl(b"after")].concat();
+        for k in 1..=wire::PAYLOAD_HEAD_LEN + 16 {
+            let metrics = EngineMetrics::new();
+            let mut sink = Trickle { k, got: Vec::new() };
+            assert_eq!(write_batch(&mut sink, &frames, Some(&metrics)), Ok(()));
+            assert_eq!(sink.got, want, "{k} bytes per call");
+            assert_eq!(metrics.net_frames.get(), 3);
+            assert_eq!(metrics.net_bytes.get(), want.len() as u64);
+            assert_eq!(metrics.net_syscalls.get(), want.len().div_ceil(k) as u64);
+        }
     }
 
     #[test]

@@ -91,9 +91,7 @@ use crate::threaded::{Fabric, FabricOptions};
 
 use super::bootstrap::{check_hello, expect_frame, BootstrapError};
 use super::codec::{self, NodeFault, NodeReport};
-use super::link::{
-    frame_kind, Addr, BufPool, Conn, FrameReader, LinkWriter, Listener, SocketBackend,
-};
+use super::link::{Addr, Conn, FrameReader, LinkWriter, Listener, SocketBackend, TxFrame};
 use super::wal::FileWal;
 
 /// Objects each export port of a node may buffer before `export()` waits
@@ -142,13 +140,15 @@ fn ep_prog(ep: Endpoint) -> usize {
 #[derive(Default)]
 struct SlotState {
     writer: Option<LinkWriter>,
-    pending: Vec<Vec<u8>>,
+    pending: Vec<TxFrame>,
 }
 
 /// [`RemoteLinks`] over the socket mesh: serializes each foreign-bound
 /// message into a frame and queues it on the destination program's writer.
-/// Pieces are serialized straight out of the shared store (no extra copy
-/// of the payload on the send side beyond the wire buffer itself).
+/// A piece is queued by reference: a 100-byte head and a clone of the
+/// buffered array, whose bytes the writer hands to `writev` straight out
+/// of the exporter's shared store — the send side copies no payload byte
+/// in user space, and its one pass over them is the checksum.
 ///
 /// Writer slots are mutexed so a reconnect can swap a dead writer for a
 /// fresh one underneath concurrent senders.
@@ -160,10 +160,6 @@ struct SocketLinks {
     /// Set once the session exists; frames sent before that are counted
     /// nowhere (none are — traffic starts after `GO` or journal replay).
     metrics: OnceLock<Arc<EngineMetrics>>,
-    /// Frame buffers recycled between the payload encoder and the writer
-    /// threads (`net_frames`/`net_bytes` are metered by the writers when
-    /// bytes reach the socket, not here at enqueue).
-    pool: Arc<BufPool>,
     /// Synced before any control or ack frame escapes: an acked delivery
     /// must already be durable, because the sender never retransmits an
     /// acked message.
@@ -171,27 +167,18 @@ struct SocketLinks {
 }
 
 impl SocketLinks {
-    fn new(
-        n: usize,
-        conn_importer: Vec<usize>,
-        wal: Option<WalHandle>,
-        pool: Arc<BufPool>,
-    ) -> SocketLinks {
+    fn new(n: usize, conn_importer: Vec<usize>, wal: Option<WalHandle>) -> SocketLinks {
         SocketLinks {
             slots: (0..n).map(|_| Mutex::new(SlotState::default())).collect(),
             conn_importer,
             metrics: OnceLock::new(),
-            pool,
             wal,
         }
     }
 
-    fn send(&self, prog: usize, frame: Vec<u8>) {
+    fn send(&self, prog: usize, frame: TxFrame) {
         if let Some(wal) = &self.wal {
-            if matches!(
-                frame_kind(&frame),
-                Some(codec::KIND_CTRL) | Some(codec::KIND_ACK)
-            ) {
+            if matches!(frame.kind(), Some(codec::KIND_CTRL) | Some(codec::KIND_ACK)) {
                 wal.sync();
             }
         }
@@ -203,7 +190,7 @@ impl SocketLinks {
             // A dead writer keeps the frame in its salvage; the swap
             // decides what to replay.
             Some(w) => {
-                w.send(frame);
+                w.push(frame);
             }
             None => st.pending.push(frame),
         }
@@ -220,12 +207,12 @@ impl SocketLinks {
         let old = st.writer.take();
         let replaced = old.is_some();
         for f in old.into_iter().flat_map(LinkWriter::retire) {
-            if frame_kind(&f) == Some(wire::KIND_PAYLOAD) {
-                writer.send(f);
+            if f.kind() == Some(wire::KIND_PAYLOAD) {
+                writer.push(f);
             }
         }
         for f in st.pending.drain(..) {
-            writer.send(f);
+            writer.push(f);
         }
         st.writer = Some(writer);
         replaced
@@ -262,11 +249,13 @@ impl SocketLinks {
 
 impl RemoteLinks for SocketLinks {
     fn send_ctrl(&self, to: Endpoint, meta: Option<WireMeta>, msg: CtrlMsg) {
-        self.send(ep_prog(to), codec::encode_ctrl_env(to, meta.as_ref(), &msg));
+        let frame = codec::encode_ctrl_env(to, meta.as_ref(), &msg);
+        self.send(ep_prog(to), TxFrame::Frame(frame));
     }
 
     fn send_ack(&self, sender: Endpoint, acker: Endpoint, seq: u64) {
-        self.send(ep_prog(sender), codec::encode_ack_env(sender, acker, seq));
+        let frame = codec::encode_ack_env(sender, acker, seq);
+        self.send(ep_prog(sender), TxFrame::Frame(frame));
     }
 
     fn send_piece(
@@ -277,26 +266,38 @@ impl RemoteLinks for SocketLinks {
         rect: Rect,
         payload: &SharedArray,
     ) {
-        let data = payload.as_slice();
-        // Header + ids + two rects + length prefix, then the data bytes.
-        let est = wire::HEADER_LEN + 8 + 8 + 2 * 32 + 8 + 8 * data.len();
-        let frame = wire::encode_payload_with(
-            self.pool.take(est),
-            conn,
+        let (dst, rect, owned) = (
             Rank(dst as u32),
-            req,
             codec::wire_rect(rect),
             codec::wire_rect(payload.owned()),
-            data,
         );
+        let data = payload.as_slice();
+        #[cfg(target_endian = "little")]
+        let frame = TxFrame::Piece {
+            head: wire::encode_payload_head(
+                Vec::with_capacity(wire::PAYLOAD_HEAD_LEN),
+                conn,
+                dst,
+                req,
+                rect,
+                owned,
+                data,
+            ),
+            data: payload.clone(),
+        };
+        // The values' memory bytes are not their wire bytes: copy them.
+        #[cfg(not(target_endian = "little"))]
+        let frame = TxFrame::Frame(wire::encode_payload(conn, dst, req, rect, owned, data));
         self.send(self.conn_importer[conn.0 as usize], frame);
     }
 }
 
 /// Injects one inbound mesh frame into the local session. The body is
-/// borrowed straight from the reader's receive buffer — only the payload
-/// decode copies, and that copy *is* the importer-side array. Returns a
-/// fatal description when the frame is structurally wrong for this layer.
+/// borrowed straight from the reader's receive buffer. A payload is
+/// decoded by one copy into a fresh allocation that becomes the
+/// importer-side shared array as it is; the importer's `copy_into` is the
+/// receive side's other copy. Returns a fatal description when the frame
+/// is structurally wrong for this layer.
 fn dispatch(kind: u8, body: &[u8], net: &Net, drop_answers: Option<u32>) -> Result<(), String> {
     match kind {
         codec::KIND_CTRL => {
@@ -369,7 +370,6 @@ impl MeshCtx {
             format!("{}-{peer}", self.me),
             sever.map(|(_, after)| after),
             Some(Arc::clone(&self.metrics)),
-            Some(Arc::clone(&self.links.pool)),
         );
         if self.links.install_writer(peer, writer) {
             self.metrics.net_reconnects.inc();
@@ -606,12 +606,10 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
     // --- fabric session ---
     // Built *before* the mesh so a restarted node can replay its journal
     // into the session while no live frame can possibly arrive.
-    let pool = BufPool::new(Some(Arc::clone(&metrics)));
     let links = Arc::new(SocketLinks::new(
         n,
         topo.conns.iter().map(|c| c.importer_prog).collect(),
         wal_handle.clone(),
-        Arc::clone(&pool),
     ));
     let opts = FabricOptions {
         buddy_help: plan.buddy_help,
@@ -1016,6 +1014,7 @@ mod tests {
     use crate::engine::{MemWal, Topology};
     use couplink_layout::{Decomposition, Extent2};
     use couplink_time::{MatchPolicy, Tolerance};
+    use std::io::Read;
     use std::os::unix::net::UnixStream;
 
     const TOKEN: &str = "tok";
@@ -1028,7 +1027,7 @@ mod tests {
         let d = Decomposition::row_block(Extent2::new(4, 4), 1).expect("decomp");
         let tol = Tolerance::new(0.5).expect("tol");
         let topo = Topology::pair(d, d, MatchPolicy::RegL, tol).expect("topo");
-        let links = Arc::new(SocketLinks::new(3, vec![1], None, BufPool::new(None)));
+        let links = Arc::new(SocketLinks::new(3, vec![1], None));
         let metrics = Arc::new(EngineMetrics::new());
         let opts = FabricOptions {
             wal,
@@ -1138,6 +1137,85 @@ mod tests {
         let took = start.elapsed();
         let _ = std::fs::remove_file(dir.join(format!("{name}.sock")));
         assert_eq!(writers(&ctx), 1, "no writer after {took:?}");
+    }
+
+    /// One 4 × 4 piece: its shared array, and the frame `encode_payload`
+    /// builds for it (conn 0 to importer rank 0, request 3).
+    fn piece() -> (SharedArray, Vec<u8>) {
+        let owned = Rect::new(0, 0, 4, 4);
+        let data = LocalArray::from_fn(owned, |r, c| cell_value(2.0, r, c, 4));
+        let array = SharedArray::copy_from(&data);
+        let r = codec::wire_rect(owned);
+        let frame = wire::encode_payload(
+            ConnectionId(0),
+            Rank(0),
+            RequestId(3),
+            r,
+            r,
+            data.as_slice(),
+        );
+        (array, frame)
+    }
+
+    /// A by-reference piece outlives a severed writer: it lands in the
+    /// salvage as it was queued, and the writer installed next replays it
+    /// byte-identically to the one-buffer encoding.
+    #[test]
+    fn a_severed_writer_salvages_a_piece_and_its_successor_replays_it_byte_identically() {
+        let links = SocketLinks::new(2, vec![0], None);
+        let (mine, old_peer) = UnixStream::pair().expect("pair");
+        links.install_writer(
+            0,
+            LinkWriter::spawn_with(Conn::Uds(mine), "sever".into(), Some(0), None),
+        );
+        let (array, want) = piece();
+        links.send_piece(ConnectionId(0), 0, RequestId(3), array.owned(), &array);
+        let mut seen = Vec::new();
+        (&old_peer).read_to_end(&mut seen).expect("read");
+        assert!(seen.is_empty(), "severed before its first frame");
+
+        let (mine, mut peer) = UnixStream::pair().expect("pair");
+        assert!(links.install_writer(0, LinkWriter::spawn(Conn::Uds(mine), "fresh".into())));
+        peer.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let mut got = vec![0; want.len()];
+        peer.read_exact(&mut got).expect("the replayed piece");
+        assert_eq!(got, want);
+    }
+
+    /// A piece whose values changed after its head was built fails the
+    /// receive checksum: the reader skips it, meters one codec reject and
+    /// dispatches — the one way into the importer's mailbox — only the
+    /// intact piece behind it.
+    #[test]
+    fn a_piece_with_a_flipped_value_bit_is_skipped_and_never_delivered() {
+        let (ctx, _fabric) = mesh_ctx(None);
+        let (array, _) = piece();
+        let r = codec::wire_rect(array.owned());
+        let ids = (ConnectionId(0), Rank(0), RequestId(3));
+        let head =
+            || wire::encode_payload_head(Vec::new(), ids.0, ids.1, ids.2, r, r, array.as_slice());
+        let mut flipped =
+            LocalArray::from_fn(array.owned(), |row, col| cell_value(2.0, row, col, 4));
+        let v = flipped.get(2, 1);
+        flipped.set(2, 1, f64::from_bits(v.to_bits() ^ 1 << 17));
+        let flipped = SharedArray::copy_from(&flipped);
+
+        let (mine, theirs) = UnixStream::pair().expect("pair");
+        let w = LinkWriter::spawn(Conn::Uds(theirs), "flip".into());
+        assert!(w.push(TxFrame::Piece {
+            head: head(),
+            data: flipped
+        }));
+        assert!(w.push(TxFrame::Piece {
+            head: head(),
+            data: array
+        }));
+        assert!(w.retire().is_empty());
+        // Draining: the EOF after the two pieces ends the loop quietly.
+        mesh_reader_loop(FrameReader::new(Conn::Uds(mine)), 0, Arc::clone(&ctx));
+        assert_eq!(ctx.metrics.net_codec_rejects.get(), 1);
+        assert_eq!(ctx.metrics.net_rx_frames.get(), 1, "only the intact piece");
     }
 
     /// A re-installed writer resends what the severed one took with it:

@@ -446,8 +446,8 @@ pub(crate) trait RemoteLinks: Send + Sync {
     fn send_ack(&self, sender: Endpoint, acker: Endpoint, seq: u64);
 
     /// Ships one payload piece to importer rank `dst` of `conn`'s
-    /// importing program. The implementation serializes straight out of
-    /// the shared buffer (send-side zero-copy).
+    /// importing program. The socket implementation queues the shared
+    /// buffer itself behind a frame head (send-side zero-copy).
     fn send_piece(
         &self,
         conn: ConnectionId,

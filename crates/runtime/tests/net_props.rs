@@ -17,8 +17,7 @@ use proptest::prelude::*;
 /// the writer, and returns every byte the other end observed.
 fn stream_through_writer(frames: &[Vec<u8>], metrics: Option<Arc<EngineMetrics>>) -> Vec<u8> {
     let (a, b) = UnixStream::pair().expect("socketpair");
-    let pool = metrics.as_ref().map(|m| BufPool::new(Some(Arc::clone(m))));
-    let w = LinkWriter::spawn_with(Conn::Uds(a), "test".to_string(), None, metrics, pool);
+    let w = LinkWriter::spawn_with(Conn::Uds(a), "test".to_string(), None, metrics);
     for f in frames {
         assert!(w.send(f.clone()), "writer died mid-test");
     }
@@ -77,7 +76,6 @@ fn writer_under_load_preserves_stream_and_meters_exactly() {
 
     let (a, b) = UnixStream::pair().expect("socketpair");
     let metrics = Arc::new(EngineMetrics::new());
-    let pool = BufPool::new(Some(Arc::clone(&metrics)));
     let reader = std::thread::spawn(move || {
         let mut got = Vec::new();
         let mut rx = b;
@@ -89,7 +87,6 @@ fn writer_under_load_preserves_stream_and_meters_exactly() {
         "load".to_string(),
         None,
         Some(Arc::clone(&metrics)),
-        Some(pool),
     );
     for f in &frames {
         assert!(w.send(f.clone()));
