@@ -20,8 +20,17 @@
 #                       coalescing, the simulator's allocation budget
 #                       of 8 000 per Figure-4 panel-(d) run and the
 #                       socket payload's byte budget, payload_alloc_budget.rs:
-#                       a decoded 256 KiB piece is one allocation, a
-#                       by-reference head at most 256 B)
+#                       a decoded 256 KiB piece is one allocation, through
+#                       decode_payload or the fused checking decode, a
+#                       by-reference head at most 256 B; and the fused
+#                       checking decode's gates: wire_props.rs's
+#                       checked_decode_* and shape-mismatch properties
+#                       (equal to decode_payload, any flipped bit a
+#                       BadChecksum, never Malformed, any chunking) and the
+#                       node fault tests in net/node.rs (a flipped bit in
+#                       a payload's prefix, values or header CRC is one
+#                       metered reject over a real UDS pair, never a
+#                       delivery or a link failure))
 #   4. simtest         (seeded simulation corpus + oracle mutation smoke,
 #                       every rule armed through `Faults`: help-skip and
 #                       stale-skip fire on the simulator, relay-drop on both

@@ -198,6 +198,36 @@ impl SharedArray {
         Some(SharedArray { owned, data })
     }
 
+    /// Copies the sub-rectangle `rect` (global coordinates) into a fresh
+    /// piece covering just `rect`: one allocation, filled by one copy of
+    /// its rows with no zero-fill first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rect` is not contained in this piece.
+    pub fn pack(&self, rect: &Rect) -> SharedArray {
+        assert!(
+            self.owned.contains_rect(rect),
+            "pack rect {rect} not within shared piece {}",
+            self.owned
+        );
+        let mut data = Arc::<[f64]>::new_uninit_slice(rect.cells());
+        let slots = Arc::get_mut(&mut data).expect("a fresh Arc has one handle");
+        if rect.cols > 0 {
+            for (row, dst) in (rect.row0..).zip(slots.chunks_exact_mut(rect.cols)) {
+                let src = (row - self.owned.row0) * self.owned.cols + (rect.col0 - self.owned.col0);
+                dst.write_copy_of_slice(&self.data[src..src + rect.cols]);
+            }
+        }
+        SharedArray {
+            owned: *rect,
+            // SAFETY: the rows of `rect` are `rect.cells()` slots in
+            // `rect.cols`-long chunks, and each chunk was written above
+            // (with no columns there are no slots).
+            data: unsafe { data.assume_init() },
+        }
+    }
+
     /// The global rectangle this piece covers.
     #[inline]
     pub fn owned(&self) -> Rect {

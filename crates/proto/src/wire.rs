@@ -43,6 +43,7 @@ use crate::stats::ExportStats;
 use crate::trace::{Trace, TraceEvent};
 use couplink_time::Timestamp;
 use std::fmt;
+use std::mem::MaybeUninit;
 use std::sync::Arc;
 
 /// First two bytes of every frame.
@@ -603,16 +604,44 @@ pub struct Frame {
 }
 
 /// A parsed frame's position inside a [`FrameDecoder`]'s ring buffer:
-/// kind byte plus the checksum-verified body range. Resolve the bytes with
+/// kind byte plus body range. Resolve the bytes with
 /// [`FrameDecoder::body`]. The range is valid until the decoder is next
 /// [`extend`](FrameDecoder::extend)ed or [`read_from`](FrameDecoder::read_from)
-/// (compaction shifts the buffer).
+/// (compaction shifts the buffer). A slot from
+/// [`poll_frame`](FrameDecoder::poll_frame) has had its body's checksum
+/// verified; one inside an [`UncheckedSlot`] has not.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameSlot {
     /// The frame discriminator from the header.
     pub kind: u8,
-    /// Byte range of the verified body inside the decoder's buffer.
+    /// Byte range of the body inside the decoder's buffer.
     pub body: std::ops::Range<usize>,
+}
+
+/// A framed body whose checksum is not checked yet, from
+/// [`FrameDecoder::poll_unchecked`]: the slot and the checksum its header
+/// carries. No byte of it may be used before a check passes — the whole
+/// body by [`verify`](Self::verify), or a payload body inside the copy
+/// that decodes it ([`decode_payload_checked`]), so the body is read once
+/// for both.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UncheckedSlot {
+    /// The frame's kind and body range.
+    pub slot: FrameSlot,
+    /// The body's CRC-32 as the header states it.
+    pub crc: u32,
+}
+
+impl UncheckedSlot {
+    /// Checks `body` (the bytes of [`slot`](Self::slot)) against the
+    /// header's checksum in a pass of its own: the verified slot, or
+    /// [`WireError::BadChecksum`].
+    pub fn verify(self, body: &[u8]) -> Result<FrameSlot, WireError> {
+        if crc32(body) != self.crc {
+            return Err(WireError::BadChecksum);
+        }
+        Ok(self.slot)
+    }
 }
 
 /// Incremental frame parser over a byte stream.
@@ -620,7 +649,10 @@ pub struct FrameSlot {
 /// Feed arbitrary chunks with [`extend`](Self::extend) (or read straight
 /// off a socket with [`read_from`](Self::read_from)) and pull complete
 /// frames with [`poll_frame`](Self::poll_frame), which yields
-/// [`FrameSlot`] ranges over the internal buffer — no per-frame copy.
+/// [`FrameSlot`] ranges over the internal buffer — no per-frame copy —
+/// each body checksum-verified. [`poll_unchecked`](Self::poll_unchecked)
+/// yields the frame before that check, for a reader that folds the check
+/// into the copy it makes anyway (a socket node's payloads).
 /// [`next_frame`](Self::next_frame) is the owned-`Frame` convenience on
 /// top (replay paths, tests).
 ///
@@ -711,12 +743,25 @@ impl FrameDecoder {
     }
 
     /// Parses the next complete frame, if one is buffered, as a zero-copy
-    /// [`FrameSlot`] over the internal buffer.
+    /// [`FrameSlot`] over the internal buffer, its body's checksum
+    /// verified.
     ///
     /// `Ok(None)` means more bytes are needed. `Err(BadChecksum)` consumes
     /// the corrupt frame (callers meter it and may keep reading); any
     /// other error is sticky.
     pub fn poll_frame(&mut self) -> Result<Option<FrameSlot>, WireError> {
+        let Some(raw) = self.poll_unchecked()? else {
+            return Ok(None);
+        };
+        let body = &self.buf[raw.slot.body.clone()];
+        raw.verify(body).map(Some)
+    }
+
+    /// [`poll_frame`](Self::poll_frame) without the checksum: the next
+    /// complete frame, consumed, with the checksum its header carries, for
+    /// a caller that checks the body in the pass that reads it. Framing
+    /// errors are sticky, as there.
+    pub fn poll_unchecked(&mut self) -> Result<Option<UncheckedSlot>, WireError> {
         if let Some(e) = self.poisoned {
             return Err(e);
         }
@@ -743,17 +788,18 @@ impl FrameDecoder {
             return Ok(None);
         }
         let body = self.start + HEADER_LEN..self.start + total;
-        // Consume the frame whether or not the checksum holds: a bad body
-        // is recoverable precisely because the framing stays intact.
+        // Consume the frame whether or not the checksum will hold: a bad
+        // body is recoverable precisely because the framing stays intact.
         self.start += total;
-        if crc32(&self.buf[body.clone()]) != crc {
-            return Err(WireError::BadChecksum);
-        }
-        Ok(Some(FrameSlot { kind, body }))
+        Ok(Some(UncheckedSlot {
+            slot: FrameSlot { kind, body },
+            crc,
+        }))
     }
 
-    /// The verified body bytes of a slot returned by
-    /// [`poll_frame`](Self::poll_frame).
+    /// The body bytes of a slot returned by [`poll_frame`](Self::poll_frame)
+    /// (verified) or inside one from [`poll_unchecked`](Self::poll_unchecked)
+    /// (not yet).
     pub fn body(&self, slot: &FrameSlot) -> &[u8] {
         &self.buf[slot.body.clone()]
     }
@@ -1244,41 +1290,124 @@ pub fn encode_payload_with(
 /// either its own length prefix or the owned rectangle's area.
 pub fn decode_payload(body: &[u8]) -> Result<PayloadFrame, WireError> {
     let mut r = BodyReader::new(body);
-    let (conn, dst, req, rect, owned, n): (ConnectionId, Rank, RequestId, WireRect, WireRect, u64) =
-        Wire::take(&mut r)?;
-    if n != owned.rows.saturating_mul(owned.cols) {
-        return Err(WireError::Malformed {
-            what: "payload length vs owned rect",
-        });
-    }
-    if n.checked_mul(8) != Some(r.remaining() as u64) {
-        return Err(WireError::Malformed {
-            what: "payload length vs body",
-        });
-    }
-    let data = f64s_from_le(r.raw(r.remaining())?);
-    r.finish()?;
-    Ok(PayloadFrame {
-        conn,
-        dst,
-        req,
-        rect,
-        owned,
-        data,
-    })
-}
-
-/// The values whose little-endian bytes are `raw` (a multiple of 8 long),
-/// in one allocation filled by one copy, with no zero-fill first. This
-/// `Arc` is the importer-side shared array itself: the layout crate's
-/// `SharedArray::from_parts` keeps it without copying.
-fn f64s_from_le(raw: &[u8]) -> Arc<[f64]> {
+    let head = PayloadPrefix::take(&mut r)?;
+    let raw = r.raw(r.remaining())?;
     let mut data = Arc::<[f64]>::new_uninit_slice(raw.len() / 8);
     let slots = Arc::get_mut(&mut data).expect("a fresh Arc has one handle");
+    f64s_from_le(raw, slots);
+    // SAFETY: every slot was written just above.
+    Ok(head.with(unsafe { data.assume_init() }))
+}
+
+/// Bytes of a payload's values [`decode_payload_checked`] checksums and
+/// then copies per step: small enough that the block is still in L1 when
+/// the copy reads it again, large enough that the checksum kernel's setup
+/// is amortised.
+const CHECK_BLOCK: usize = 8 * 1024;
+
+/// [`decode_payload`] for a body whose checksum has not been checked
+/// (`crc` is the header's, from an [`UncheckedSlot`]): one pass over the
+/// values checks and copies them, 8 KiB at a time — checksum the block,
+/// then copy it while it is still in L1.
+///
+/// The checksum is checked before anything else: a corrupt body, whatever
+/// its prefix says, is [`WireError::BadChecksum`] — the recoverable skip —
+/// and its values never leave this function. Only an intact body is
+/// checked for shape, with [`decode_payload`]'s typed errors.
+pub fn decode_payload_checked(body: &[u8], crc: u32) -> Result<PayloadFrame, WireError> {
+    let values = body
+        .get(PAYLOAD_PREFIX_LEN..)
+        .filter(|raw| raw.len() % 8 == 0);
+    let Some(raw) = values else {
+        // No whole values to copy into: check the body in a pass of its
+        // own, and an intact one fails on its shape.
+        if crc32(body) != crc {
+            return Err(WireError::BadChecksum);
+        }
+        return decode_payload(body);
+    };
+    let mut data = Arc::<[f64]>::new_uninit_slice(raw.len() / 8);
+    let slots = Arc::get_mut(&mut data).expect("a fresh Arc has one handle");
+    let mut state = crc32(&body[..PAYLOAD_PREFIX_LEN]);
+    for (src, dst) in raw
+        .chunks(CHECK_BLOCK)
+        .zip(slots.chunks_mut(CHECK_BLOCK / 8))
+    {
+        state = crc32_update(state, src);
+        f64s_from_le(src, dst);
+    }
+    if state != crc {
+        return Err(WireError::BadChecksum);
+    }
+    let head = PayloadPrefix::take(&mut BodyReader::new(body))?;
+    // SAFETY: the blocks cover `raw`, so every slot was written above.
+    Ok(head.with(unsafe { data.assume_init() }))
+}
+
+/// A payload body's fixed prefix, read and checked against the values
+/// that follow it.
+struct PayloadPrefix {
+    conn: ConnectionId,
+    dst: Rank,
+    req: RequestId,
+    rect: WireRect,
+    owned: WireRect,
+}
+
+impl PayloadPrefix {
+    /// Reads the prefix off `r` and checks its value count against the
+    /// owned rectangle's area and against the bytes `r` has left.
+    fn take(r: &mut BodyReader<'_>) -> Result<PayloadPrefix, WireError> {
+        let (conn, dst, req, rect, owned, n): (
+            ConnectionId,
+            Rank,
+            RequestId,
+            WireRect,
+            WireRect,
+            u64,
+        ) = Wire::take(r)?;
+        if n != owned.rows.saturating_mul(owned.cols) {
+            return Err(WireError::Malformed {
+                what: "payload length vs owned rect",
+            });
+        }
+        if n.checked_mul(8) != Some(r.remaining() as u64) {
+            return Err(WireError::Malformed {
+                what: "payload length vs body",
+            });
+        }
+        Ok(PayloadPrefix {
+            conn,
+            dst,
+            req,
+            rect,
+            owned,
+        })
+    }
+
+    fn with(self, data: Arc<[f64]>) -> PayloadFrame {
+        PayloadFrame {
+            conn: self.conn,
+            dst: self.dst,
+            req: self.req,
+            rect: self.rect,
+            owned: self.owned,
+            data,
+        }
+    }
+}
+
+/// Writes the values whose little-endian bytes are `raw` (8 per slot) into
+/// `slots`, by one copy. The `Arc` the slots belong to is the
+/// importer-side shared array itself: the layout crate's
+/// `SharedArray::from_parts` keeps it without copying.
+fn f64s_from_le(raw: &[u8], slots: &mut [MaybeUninit<f64>]) {
+    assert_eq!(raw.len(), 8 * slots.len(), "8 bytes per value");
     #[cfg(target_endian = "little")]
-    // SAFETY: `slots` is this Arc's own `raw.len()` writable bytes, which
-    // cannot overlap the borrowed `raw`; any 8 bytes are a valid f64, and
-    // on little-endian targets the wire order is the memory order.
+    // SAFETY: `slots` is `raw.len()` writable bytes (checked just above)
+    // of an allocation that cannot overlap the borrowed `raw`; any 8 bytes
+    // are a valid f64, and on little-endian targets the wire order is the
+    // memory order.
     unsafe {
         std::ptr::copy_nonoverlapping(raw.as_ptr(), slots.as_mut_ptr().cast::<u8>(), raw.len());
     }
@@ -1286,8 +1415,6 @@ fn f64s_from_le(raw: &[u8]) -> Arc<[f64]> {
     for (d, ch) in slots.iter_mut().zip(raw.chunks_exact(8)) {
         d.write(f64::from_le_bytes(ch.try_into().expect("8 bytes")));
     }
-    // SAFETY: every slot was written just above.
-    unsafe { data.assume_init() }
 }
 
 #[cfg(test)]

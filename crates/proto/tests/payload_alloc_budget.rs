@@ -7,8 +7,9 @@
 //! one test: nothing else may allocate while it counts. Two checks:
 //!
 //! - (a) decoding a 256 KiB payload body into the importer's shared array
-//!   (`decode_payload`, then `SharedArray::from_parts`) allocates at most
-//!   the values' bytes plus [`SLACK`] — one allocation, not a decode
+//!   (`decode_payload`, or the checking `decode_payload_checked` a socket
+//!   node's reader calls, then `SharedArray::from_parts`) allocates at
+//!   most the values' bytes plus [`SLACK`] — one allocation, not a decode
 //!   buffer and a copy of it;
 //! - (b) building a by-reference head (`encode_payload_head`) allocates at
 //!   most [`SLACK`] bytes, whatever the piece size.
@@ -80,19 +81,31 @@ fn a_received_piece_is_allocated_once_and_a_sent_head_is_all_a_send_allocates() 
     let (r, data) = piece(128, 256);
     let frame = wire::encode_payload(ids.0, ids.1, ids.2, r, r, &data);
     let body = &frame[HEADER_LEN..];
+    let crc = u32::from_le_bytes(frame[8..12].try_into().expect("4 bytes"));
     let owned = Rect::new(0, 0, 128, 256);
-    let (array, bytes) = allocated(|| {
-        let p = wire::decode_payload(body).expect("payload");
-        SharedArray::from_parts(owned, p.data).expect("covers its rect")
-    });
-    assert_eq!(array.as_slice(), &data[..]);
     let values = 8 * data.len() as u64;
-    println!("decode 256 KiB into a shared array: {bytes} B allocated for {values} B of values");
-    assert!(
-        bytes <= values + SLACK,
-        "decoding allocated {bytes} B for {values} B of values (budget {})",
-        values + SLACK
-    );
+    type Decode<'a> = &'a dyn Fn(&[u8]) -> Result<wire::PayloadFrame, wire::WireError>;
+    let decodes: [(&str, Decode<'_>); 2] = [
+        ("decode_payload", &wire::decode_payload),
+        ("decode_payload_checked", &|body| {
+            wire::decode_payload_checked(body, crc)
+        }),
+    ];
+    for (name, decode) in decodes {
+        let (array, bytes) = allocated(|| {
+            let p = decode(body).expect("payload");
+            SharedArray::from_parts(owned, p.data).expect("covers its rect")
+        });
+        assert_eq!(array.as_slice(), &data[..]);
+        println!(
+            "{name} of 256 KiB into a shared array: {bytes} B allocated for {values} B of values"
+        );
+        assert!(
+            bytes <= values + SLACK,
+            "{name} allocated {bytes} B for {values} B of values (budget {})",
+            values + SLACK
+        );
+    }
 
     // (b) send: a head per piece, whatever the piece's size.
     for (rows, cols) in [(0, 0), (16, 32), (128, 256), (512, 1024)] {

@@ -5,10 +5,10 @@
 //! (the decoder resynchronizes on the next frame).
 
 use couplink_proto::wire::{
-    crc32, crc32_reference, decode_ctrl, decode_payload, encode_ctrl, encode_frame, encode_payload,
-    encode_payload_head, encode_payload_with, f64_bytes, BodyWriter, FrameDecoder, FrameWriter,
-    WireError, WireRect, HEADER_LEN, KIND_CTRL, KIND_PAYLOAD, MAGIC, PAYLOAD_HEAD_LEN,
-    WIRE_VERSION,
+    crc32, crc32_reference, decode_ctrl, decode_payload, decode_payload_checked, encode_ctrl,
+    encode_frame, encode_payload, encode_payload_head, encode_payload_with, f64_bytes, BodyWriter,
+    FrameDecoder, FrameWriter, PayloadFrame, WireError, WireRect, HEADER_LEN, KIND_CTRL,
+    KIND_PAYLOAD, MAGIC, PAYLOAD_HEAD_LEN, WIRE_VERSION,
 };
 use couplink_proto::{ConnectionId, CtrlMsg, ProcResponse, Rank, RepAnswer, RequestId};
 use couplink_time::ts;
@@ -69,6 +69,59 @@ fn ctrl_msg() -> impl Strategy<Value = CtrlMsg> {
                 _ => CtrlMsg::Ack { seq: req.0 },
             }
         })
+}
+
+/// A well-formed payload frame of `n` values with random ids and a random
+/// origin: its owned rectangle is one row or one column of `n` cells (or
+/// zero rows of any width), and the values are arbitrary bit patterns,
+/// NaNs included.
+fn payload_frame(ids: (u32, u32, u64), at: (u64, u64), n: usize, seed: u64) -> Vec<u8> {
+    let (rows, cols) = match (n, seed % 3) {
+        (0, _) => (0, seed % 5),
+        (_, 0) => (1, n as u64),
+        _ => (n as u64, 1),
+    };
+    let owned = WireRect {
+        row0: at.0,
+        col0: at.1,
+        rows,
+        cols,
+    };
+    let rect = WireRect {
+        rows: rows.min(1),
+        ..owned
+    };
+    let data: Vec<f64> = (0..n as u64)
+        .map(|i| f64::from_bits(seed.wrapping_mul(2 * i + 1).rotate_left(i as u32)))
+        .collect();
+    let (conn, dst, req) = (ConnectionId(ids.0), Rank(ids.1), RequestId(ids.2));
+    encode_payload(conn, dst, req, rect, owned, &data)
+}
+
+/// A frame's body and the checksum its header carries.
+fn body_and_crc(frame: &[u8]) -> (&[u8], u32) {
+    let crc = u32::from_le_bytes(frame[8..12].try_into().expect("4 bytes"));
+    (&frame[HEADER_LEN..], crc)
+}
+
+/// Two decoded payloads are the same piece, value bits included (`==` on
+/// the values would call two NaNs different).
+fn same_piece(a: &PayloadFrame, b: &PayloadFrame) -> bool {
+    let bits = |p: &PayloadFrame| p.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    (a.conn, a.dst, a.req, a.rect, a.owned) == (b.conn, b.dst, b.req, b.rect, b.owned)
+        && bits(a) == bits(b)
+}
+
+/// Value counts for the checking decode: none, one, a few, and more than
+/// one 8 KiB block (1 024 values) of it.
+fn value_count() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(0usize),
+        Just(1usize),
+        2usize..300,
+        Just(1_024usize),
+        1_025usize..3_000
+    ]
 }
 
 /// Any rectangle the wire can carry, degenerate ones included.
@@ -333,11 +386,108 @@ proptest! {
         prop_assert_eq!(dec.buffered(), 0, "stream fully consumed");
     }
 
+    /// The checking decode of an intact payload body is `decode_payload`'s
+    /// piece, value for value; one flipped bit anywhere in the body, or in
+    /// the header's checksum, is a `BadChecksum` — never a piece, and never
+    /// a `Malformed`, even where the flip lands in the prefix's counts.
+    #[test]
+    fn checked_decode_is_decode_payload_and_any_flipped_bit_a_bad_checksum(
+        ids in (any::<u32>(), any::<u32>(), any::<u64>()),
+        at in (any::<u64>(), any::<u64>()),
+        n in value_count(),
+        seed in any::<u64>(),
+        bit in any::<u64>(),
+    ) {
+        let frame = payload_frame(ids, at, n, seed);
+        let (body, crc) = body_and_crc(&frame);
+        let plain = decode_payload(body).unwrap();
+        let checked = decode_payload_checked(body, crc).unwrap();
+        prop_assert!(same_piece(&checked, &plain));
+
+        let mut bad = body.to_vec();
+        let at_bit = (bit % (8 * bad.len() as u64)) as usize;
+        bad[at_bit / 8] ^= 1 << (at_bit % 8);
+        prop_assert_eq!(decode_payload_checked(&bad, crc).err(), Some(WireError::BadChecksum));
+        let bad_crc = crc ^ 1 << (bit % 32);
+        prop_assert_eq!(decode_payload_checked(body, bad_crc).err(), Some(WireError::BadChecksum));
+    }
+
+    /// Under a *correct* checksum, a payload whose value count disagrees
+    /// with its owned rectangle, or whose body is not the prefix plus whole
+    /// values, is still the typed `Malformed`; a body shorter than the
+    /// prefix is `Truncated`.
+    #[test]
+    fn a_shape_mismatch_under_a_correct_checksum_is_still_malformed(
+        at in (any::<u64>(), any::<u64>()),
+        n in value_count(),
+        extra in 1usize..8,
+        cut in 1usize..88,
+    ) {
+        let owned = WireRect { row0: at.0, col0: at.1, rows: 1, cols: n as u64 + 1 };
+        let data = vec![0.5; n];
+        let frame = encode_payload(ConnectionId(0), Rank(0), RequestId(0), owned, owned, &data);
+        let (body, crc) = body_and_crc(&frame);
+        let malformed = |e: Option<WireError>| matches!(e, Some(WireError::Malformed { .. }));
+        prop_assert!(malformed(decode_payload_checked(body, crc).err()));
+
+        let fit = WireRect { cols: n as u64, ..owned };
+        let frame = encode_payload(ConnectionId(0), Rank(0), RequestId(0), fit, fit, &data);
+        let mut long = frame[HEADER_LEN..].to_vec();
+        long.resize(long.len() + extra, 0xA5);
+        prop_assert!(malformed(decode_payload_checked(&long, crc32(&long)).err()));
+
+        let short = &frame[HEADER_LEN..HEADER_LEN + 88 - cut];
+        let got = decode_payload_checked(short, crc32(short)).err();
+        prop_assert_eq!(got, Some(WireError::Truncated));
+    }
+
+    /// A stream of payload frames — an intact one, one with a flipped bit,
+    /// an intact one — fed in arbitrary chunks and read through
+    /// `poll_unchecked` and the checking decode gives what feeding it whole
+    /// gives: the first piece, one `BadChecksum`, the last piece.
+    #[test]
+    fn checked_decode_over_arbitrary_chunks_matches_the_whole_stream(
+        n in value_count(),
+        seed in any::<u64>(),
+        bit in any::<u64>(),
+        chunks in proptest::collection::vec(1usize..5_000, 1..12),
+    ) {
+        let first = payload_frame((1, 2, 3), (4, 5), n, seed);
+        let last = payload_frame((6, 7, 8), (9, 10), n, seed ^ 1);
+        let mut flipped = payload_frame((11, 12, 13), (14, 15), n, seed);
+        let body_bits = 8 * (flipped.len() - HEADER_LEN) as u64;
+        let at_bit = HEADER_LEN * 8 + (bit % body_bits) as usize;
+        flipped[at_bit / 8] ^= 1 << (at_bit % 8);
+        let stream = [first.clone(), flipped, last.clone()].concat();
+
+        let mut dec = FrameDecoder::new();
+        let mut got = Vec::new();
+        let mut fed = 0;
+        let mut sizes = chunks.iter().cycle();
+        while fed < stream.len() {
+            let upto = (fed + sizes.next().unwrap()).min(stream.len());
+            dec.extend(&stream[fed..upto]);
+            fed = upto;
+            while let Some(raw) = dec.poll_unchecked().unwrap() {
+                prop_assert_eq!(raw.slot.kind, KIND_PAYLOAD);
+                got.push(decode_payload_checked(dec.body(&raw.slot), raw.crc));
+            }
+        }
+        prop_assert_eq!(got.len(), 3);
+        let want = |frame: &[u8]| decode_payload(&frame[HEADER_LEN..]).unwrap();
+        prop_assert!(same_piece(got[0].as_ref().unwrap(), &want(&first)));
+        prop_assert_eq!(got[1].as_ref().err(), Some(&WireError::BadChecksum));
+        prop_assert!(same_piece(got[2].as_ref().unwrap(), &want(&last)));
+        prop_assert_eq!(dec.buffered(), 0);
+    }
+
     /// Arbitrary garbage never panics any decode entry point.
     #[test]
     fn garbage_never_panics(bytes in proptest::collection::vec(0u8..=255, 0..256)) {
         let _ = decode_ctrl(&bytes);
         let _ = decode_payload(&bytes);
+        let _ = decode_payload_checked(&bytes, crc32(&bytes));
+        let _ = decode_payload_checked(&bytes, 0);
         let mut dec = FrameDecoder::new();
         dec.extend(&bytes);
         for _ in 0..8 {

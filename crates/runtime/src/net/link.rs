@@ -2,7 +2,9 @@
 //! parsing, the UDS/TCP listener and stream pair, a writer thread that
 //! drains a frame queue into a socket, and a framing reader that feeds a
 //! [`FrameDecoder`] and skips checksum-corrupt frames (metering them)
-//! while treating structural corruption as fatal.
+//! while treating structural corruption as fatal — or hands a frame over
+//! with its checksum still to check, for a mesh reader that checks a
+//! payload inside the copy that decodes it.
 //!
 //! Both backends speak exactly the same bytes — the backend choice is
 //! invisible above this module.
@@ -19,7 +21,7 @@ use std::time::Duration;
 #[cfg(target_endian = "little")]
 use couplink_layout::SharedArray;
 use couplink_metrics::EngineMetrics;
-use couplink_proto::wire::{Frame, FrameDecoder, FrameSlot, WireError};
+use couplink_proto::wire::{Frame, FrameDecoder, FrameSlot, UncheckedSlot, WireError};
 use parking_lot::Mutex;
 
 /// Which OS transport carries the session.
@@ -674,23 +676,34 @@ impl FrameReader {
     }
 
     /// Returns the next frame as a [`FrameSlot`] over the internal buffer
-    /// (resolve it with [`FrameReader::body`] — no per-frame copy), or
-    /// `Ok(None)` on a clean EOF. A frame whose checksum fails is
-    /// *skipped* — `reject` is called once per skip (the caller meters
-    /// `net_codec_rejects`) and reading continues, because a corrupt body
-    /// leaves the stream framing intact. Structural errors (bad magic, bad
-    /// version, oversized length) poison the decoder and surface as
-    /// [`NetError::Wire`].
+    /// (resolve it with [`FrameReader::body`] — no per-frame copy), its
+    /// body's checksum verified, or `Ok(None)` on a clean EOF. A frame
+    /// whose checksum fails is *skipped* — `reject` is called once per skip
+    /// (the caller meters `net_codec_rejects`) and reading continues,
+    /// because a corrupt body leaves the stream framing intact. Structural
+    /// errors (bad magic, bad version, oversized length) poison the decoder
+    /// and surface as [`NetError::Wire`].
     pub fn next_slot(&mut self, reject: &mut dyn FnMut()) -> Result<Option<FrameSlot>, NetError> {
+        while let Some(raw) = self.next_unchecked()? {
+            let body = self.dec.body(&raw.slot);
+            match raw.verify(body) {
+                Ok(slot) => return Ok(Some(slot)),
+                Err(_) => reject(),
+            }
+        }
+        Ok(None)
+    }
+
+    /// [`FrameReader::next_slot`] before the checksum: the next frame with
+    /// the checksum its header carries, which the caller must check before
+    /// it uses a byte of the body — a mesh reader checks a payload inside
+    /// the copy that decodes it (`wire::decode_payload_checked`) and any
+    /// other frame by [`UncheckedSlot::verify`]. `Ok(None)` and the errors
+    /// are `next_slot`'s; no frame is skipped here.
+    pub fn next_unchecked(&mut self) -> Result<Option<UncheckedSlot>, NetError> {
         loop {
-            match self.dec.poll_frame() {
-                Ok(Some(slot)) => return Ok(Some(slot)),
-                Ok(None) => {}
-                Err(WireError::BadChecksum) => {
-                    reject();
-                    continue;
-                }
-                Err(e) => return Err(NetError::Wire(e)),
+            if let Some(raw) = self.dec.poll_unchecked().map_err(NetError::Wire)? {
+                return Ok(Some(raw));
             }
             match self.dec.read_from(&mut self.conn, READ_CHUNK) {
                 Ok(0) => return Ok(None),
@@ -701,7 +714,8 @@ impl FrameReader {
         }
     }
 
-    /// The body bytes of a slot returned by [`FrameReader::next_slot`].
+    /// The body bytes of a slot returned by [`FrameReader::next_slot`], or
+    /// of one inside a [`FrameReader::next_unchecked`] result.
     pub fn body(&self, slot: &FrameSlot) -> &[u8] {
         self.dec.body(slot)
     }

@@ -31,8 +31,9 @@
 //! restarted node replays its journal into it *before any live frame can
 //! arrive* and rebinds the address its peers re-dial. After `GO` it:
 //!
-//! 1. runs the application threads (exports with a deterministic cell
-//!    fill, imports with optional value verification); exports are paced
+//! 1. runs the application threads (exports refill one field per rank in
+//!    place with a deterministic cell fill, imports with optional value
+//!    verification); exports are paced
 //!    by a finite buffer ([`NODE_BUFFER_CAPACITY`], raised to cover the
 //!    schedule's tail by [`NodePlan::export_capacity`](super::NodePlan::export_capacity)),
 //!    so an exporter stalls until its importers' requests free space; a
@@ -80,7 +81,7 @@ use std::time::{Duration, Instant};
 
 use couplink_layout::{LocalArray, Rect, SharedArray};
 use couplink_metrics::EngineMetrics;
-use couplink_proto::wire;
+use couplink_proto::wire::{self, UncheckedSlot, WireError};
 use couplink_proto::{ConnectionId, CtrlMsg, Rank, RequestId};
 use couplink_time::ts;
 use parking_lot::Mutex;
@@ -129,6 +130,26 @@ fn cell_value(t: f64, row: usize, col: usize, grid_cols: usize) -> f64 {
     t * 1e6 + (row * grid_cols + col) as f64
 }
 
+/// Refills `data` in place with [`cell_value`] at `t`, bit for bit, the
+/// way a model updates its field: no allocation, and per row one base plus
+/// the column's offset. The offset counts in `u32`, whose conversion to
+/// `f64` vectorises; a cell's index below 2^53 is exact either way, so
+/// `first + j` is the index `cell_value` converts.
+fn fill_cells(data: &mut LocalArray, t: f64, grid_cols: usize) {
+    let owned = data.owned();
+    if owned.cols == 0 {
+        return;
+    }
+    let base = t * 1e6;
+    let rows = data.as_mut_slice().chunks_exact_mut(owned.cols);
+    for (row, cells) in (owned.row0..).zip(rows) {
+        let first = (row * grid_cols + owned.col0) as f64;
+        for (cell, j) in cells.iter_mut().zip(0u32..) {
+            *cell = base + (first + f64::from(j));
+        }
+    }
+}
+
 fn ep_prog(ep: Endpoint) -> usize {
     let (Endpoint::Rep { prog } | Endpoint::Proc { prog, .. }) = ep;
     prog
@@ -145,10 +166,12 @@ struct SlotState {
 
 /// [`RemoteLinks`] over the socket mesh: serializes each foreign-bound
 /// message into a frame and queues it on the destination program's writer.
-/// A piece is queued by reference: a 100-byte head and a clone of the
-/// buffered array, whose bytes the writer hands to `writev` straight out
-/// of the exporter's shared store — the send side copies no payload byte
-/// in user space, and its one pass over them is the checksum.
+/// A piece that is the exporter's whole block is queued by reference: a
+/// 100-byte head and a clone of the buffered array, whose bytes the writer
+/// hands to `writev` straight out of the exporter's shared store — the
+/// send side copies no payload byte in user space, and its one pass over
+/// them is the checksum. A piece that is part of a block is packed into an
+/// array of its own first, so the wire carries only the plan's rectangle.
 ///
 /// Writer slots are mutexed so a reconnect can swap a dead writer for a
 /// fresh one underneath concurrent senders.
@@ -266,11 +289,15 @@ impl RemoteLinks for SocketLinks {
         rect: Rect,
         payload: &SharedArray,
     ) {
-        let (dst, rect, owned) = (
-            Rank(dst as u32),
-            codec::wire_rect(rect),
-            codec::wire_rect(payload.owned()),
-        );
+        // A piece that is part of the exporter's block travels as just
+        // its rectangle, packed by one copy; a whole block goes as it is.
+        // Either way the values sent span exactly `rect`.
+        let payload = if rect == payload.owned() {
+            payload.clone()
+        } else {
+            payload.pack(&rect)
+        };
+        let (dst, rect) = (Rank(dst as u32), codec::wire_rect(rect));
         let data = payload.as_slice();
         #[cfg(target_endian = "little")]
         let frame = TxFrame::Piece {
@@ -280,27 +307,54 @@ impl RemoteLinks for SocketLinks {
                 dst,
                 req,
                 rect,
-                owned,
+                rect,
                 data,
             ),
-            data: payload.clone(),
+            data: payload,
         };
         // The values' memory bytes are not their wire bytes: copy them.
         #[cfg(not(target_endian = "little"))]
-        let frame = TxFrame::Frame(wire::encode_payload(conn, dst, req, rect, owned, data));
+        let frame = TxFrame::Frame(wire::encode_payload(conn, dst, req, rect, rect, data));
         self.send(self.conn_importer[conn.0 as usize], frame);
     }
 }
 
-/// Injects one inbound mesh frame into the local session. The body is
-/// borrowed straight from the reader's receive buffer. A payload is
-/// decoded by one copy into a fresh allocation that becomes the
-/// importer-side shared array as it is; the importer's `copy_into` is the
-/// receive side's other copy. Returns a fatal description when the frame
-/// is structurally wrong for this layer.
-fn dispatch(kind: u8, body: &[u8], net: &Net, drop_answers: Option<u32>) -> Result<(), String> {
-    match kind {
-        codec::KIND_CTRL => {
+/// One inbound mesh frame whose checksum held: a payload, already decoded
+/// by the copy that checked it, or any other frame's body, borrowed
+/// straight from the reader's receive buffer.
+enum Inbound<'a> {
+    Piece(wire::PayloadFrame),
+    Body(u8, &'a [u8]),
+}
+
+/// Checks a received frame against its header's checksum before any byte
+/// of it is used. A payload is checked inside the one copy that decodes it
+/// into a fresh allocation, which becomes the importer-side shared array
+/// as it is; any other frame is checked whole. A mismatch is
+/// [`WireError::BadChecksum`], whatever the body says; an intact payload
+/// whose shape is wrong is `decode_payload`'s typed error.
+fn check(raw: UncheckedSlot, body: &[u8]) -> Result<Inbound<'_>, WireError> {
+    if raw.slot.kind == wire::KIND_PAYLOAD {
+        return wire::decode_payload_checked(body, raw.crc).map(Inbound::Piece);
+    }
+    let slot = raw.verify(body)?;
+    Ok(Inbound::Body(slot.kind, body))
+}
+
+/// Injects one checked inbound mesh frame into the local session; the
+/// importer's `copy_into` is a payload's other copy on this side. Returns
+/// a fatal description when the frame is structurally wrong for this
+/// layer.
+fn dispatch(frame: Inbound<'_>, net: &Net, drop_answers: Option<u32>) -> Result<(), String> {
+    match frame {
+        Inbound::Piece(p) => {
+            let rect = codec::rect_from(p.rect);
+            let payload = SharedArray::from_parts(codec::rect_from(p.owned), p.data)
+                .ok_or("payload data disagrees with its owned rect")?;
+            net.deliver_remote_piece(p.conn, p.dst.0 as usize, p.req, rect, payload);
+            Ok(())
+        }
+        Inbound::Body(codec::KIND_CTRL, body) => {
             let (to, meta, msg) =
                 codec::decode_ctrl_env(body).map_err(|e| format!("ctrl envelope: {e}"))?;
             if let (Some(dropped), CtrlMsg::Answer { conn, .. }) = (drop_answers, &msg) {
@@ -314,21 +368,13 @@ fn dispatch(kind: u8, body: &[u8], net: &Net, drop_answers: Option<u32>) -> Resu
             net.deliver_ctrl(to, meta, msg);
             Ok(())
         }
-        codec::KIND_ACK => {
+        Inbound::Body(codec::KIND_ACK, body) => {
             let (sender, acker, seq) =
                 codec::decode_ack_env(body).map_err(|e| format!("ack envelope: {e}"))?;
             net.apply_remote_ack(sender, acker, seq);
             Ok(())
         }
-        wire::KIND_PAYLOAD => {
-            let p = wire::decode_payload(body).map_err(|e| format!("payload: {e}"))?;
-            let rect = codec::rect_from(p.rect);
-            let payload = SharedArray::from_parts(codec::rect_from(p.owned), p.data)
-                .ok_or("payload data disagrees with its owned rect")?;
-            net.deliver_remote_piece(p.conn, p.dst.0 as usize, p.req, rect, payload);
-            Ok(())
-        }
-        k => Err(format!("unexpected mesh frame kind {k}")),
+        Inbound::Body(k, _) => Err(format!("unexpected mesh frame kind {k}")),
     }
 }
 
@@ -420,33 +466,48 @@ fn mesh_reader_loop(mut reader: FrameReader, peer: usize, ctx: Arc<MeshCtx>) {
         }
     }
     let metrics = Arc::clone(&ctx.metrics);
-    let mut reject = || metrics.net_codec_rejects.inc();
     loop {
         // Set by the peer's `MESH_BYE`: the EOF that follows is its orderly
         // teardown, whatever this node's own drain state says.
         let mut orderly = false;
         let down = loop {
-            match reader.next_slot(&mut reject) {
-                // Unmetered on both sides, like the hello that opened the
-                // link, so the tx/rx sums still conserve.
-                Ok(Some(slot)) if slot.kind == codec::KIND_MESH_BYE => orderly = true,
-                Ok(Some(slot)) => {
+            match reader.next_unchecked() {
+                Ok(Some(raw)) => {
+                    let len = raw.slot.body.len();
+                    let body = reader.body(&raw.slot);
+                    let frame = match check(raw, body) {
+                        Ok(frame) => frame,
+                        // A corrupt body leaves the framing intact: skip
+                        // it, unmetered but for the reject.
+                        Err(WireError::BadChecksum) => {
+                            metrics.net_codec_rejects.inc();
+                            continue;
+                        }
+                        Err(e) => {
+                            ctx.net
+                                .fail(format!("link to program {peer}: payload: {e}"));
+                            return;
+                        }
+                    };
+                    // Unmetered on both sides, like the hello that opened
+                    // the link, so the tx/rx sums still conserve.
+                    if matches!(frame, Inbound::Body(codec::KIND_MESH_BYE, _)) {
+                        orderly = true;
+                        continue;
+                    }
                     // Receive-side mirror of the writer's tx meters; mesh
                     // hellos are excluded on both sides, so on a clean run
                     // the merged rx sums equal the merged tx sums.
                     metrics.net_rx_frames.inc();
-                    metrics
-                        .net_rx_bytes
-                        .add((wire::HEADER_LEN + slot.body.len()) as u64);
+                    metrics.net_rx_bytes.add((wire::HEADER_LEN + len) as u64);
                     metrics.net_rx_buf.set(reader.buffered_hwm() as u64);
                     // The reader polls what the frame wakes (rep → agents
                     // → answer, or importer → the application's wake-up)
                     // before its next blocking `read`, instead of handing
                     // each task to a pool worker.
-                    let body = reader.body(&slot);
                     let dispatched = ctx
                         .net
-                        .run_woken(|| dispatch(slot.kind, body, &ctx.net, ctx.drop_answers));
+                        .run_woken(|| dispatch(frame, &ctx.net, ctx.drop_answers));
                     if let Err(detail) = dispatched {
                         ctx.net.fail(format!("link to program {peer}: {detail}"));
                         return;
@@ -645,7 +706,8 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
 
     // Export handles are taken up front: journal replay re-drives them,
     // and the application threads then resume after the replayed prefix.
-    let mut export_handles: HashMap<(usize, usize), ExportAccess> = HashMap::new();
+    // Each comes with the one field its rank refills for every export.
+    let mut export_handles: HashMap<(usize, usize), (ExportAccess, LocalArray)> = HashMap::new();
     for spec in &plan.exports {
         let Some(prog) = topo.program_idx(&spec.program) else {
             return Err(format!("plan exports unknown program {}", spec.program));
@@ -654,9 +716,13 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
             continue;
         }
         for rank in 0..topo.programs[me].procs {
+            let owned = topo.programs[me].exports[spec.region].decomp.owned(rank);
             export_handles.insert(
                 (rank, spec.region),
-                fabric.take_export(me, rank, spec.region),
+                (
+                    fabric.take_export(me, rank, spec.region),
+                    LocalArray::zeros(owned),
+                ),
             );
         }
     }
@@ -684,12 +750,9 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
                         continue;
                     }
                     let key = (rank, *region as usize);
-                    if let Some(h) = export_handles.get_mut(&key) {
-                        let owned = topo.programs[me].exports[key.1].decomp.owned(rank);
-                        let data = LocalArray::from_fn(owned, |row, col| {
-                            cell_value(ts.value(), row, col, grid_cols)
-                        });
-                        h.export(*ts, &data)
+                    if let Some((h, data)) = export_handles.get_mut(&key) {
+                        fill_cells(data, ts.value(), grid_cols);
+                        h.export(*ts, data)
                             .map_err(|e| format!("replaying export: {e}"))?;
                         *resumed.entry(key).or_insert(0) += 1;
                     }
@@ -822,11 +885,10 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
             continue;
         }
         for rank in 0..topo.programs[me].procs {
-            let mut h = export_handles
+            let (mut h, mut data) = export_handles
                 .remove(&(rank, spec.region))
                 .ok_or_else(|| format!("export region {} specified twice", spec.region))?;
             let done = resumed.get(&(rank, spec.region)).copied().unwrap_or(0);
-            let owned = topo.programs[me].exports[spec.region].decomp.owned(rank);
             let (t0, dt, count) = (spec.t0, spec.dt, spec.count);
             let compute = spec.compute.get(rank).copied().unwrap_or(0.0);
             let abort_after = match plan.fault {
@@ -847,9 +909,7 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
                             std::thread::sleep(Duration::from_secs_f64(compute * scale));
                         }
                         let t = t0 + k as f64 * dt;
-                        let data = LocalArray::from_fn(owned, |row, col| {
-                            cell_value(t, row, col, grid_cols)
-                        });
+                        fill_cells(&mut data, t, grid_cols);
                         h.export(ts(t), &data).map_err(|e| e.to_string())?;
                         if abort_after == Some(k + 1) {
                             // Injected malfunction: die mid-run with the
@@ -1027,16 +1087,29 @@ mod tests {
         let d = Decomposition::row_block(Extent2::new(4, 4), 1).expect("decomp");
         let tol = Tolerance::new(0.5).expect("tol");
         let topo = Topology::pair(d, d, MatchPolicy::RegL, tol).expect("topo");
-        let links = Arc::new(SocketLinks::new(3, vec![1], None));
+        node_ctx(topo, 1, 3, wal)
+    }
+
+    /// Program `me` of an `n`-program mesh running `topo` (its connection 0
+    /// imported by program 1) over a partial fabric, already draining so
+    /// a link that closes ends quietly. The fabric is returned to outlive
+    /// the test.
+    fn node_ctx(
+        topo: Topology,
+        me: usize,
+        n: usize,
+        wal: Option<WalHandle>,
+    ) -> (Arc<MeshCtx>, Fabric) {
+        let links = Arc::new(SocketLinks::new(n, vec![1], None));
         let metrics = Arc::new(EngineMetrics::new());
         let opts = FabricOptions {
             wal,
             ..FabricOptions::default()
         };
-        let fabric = Fabric::partial(topo, opts, 1, links.clone(), Some(metrics.clone()));
+        let fabric = Fabric::partial(topo, opts, me, links.clone(), Some(metrics.clone()));
         let ctx = MeshCtx {
-            me: 1,
-            n: 3,
+            me,
+            n,
             token: TOKEN.into(),
             net: fabric.net(),
             metrics,
@@ -1216,6 +1289,203 @@ mod tests {
         mesh_reader_loop(FrameReader::new(Conn::Uds(mine)), 0, Arc::clone(&ctx));
         assert_eq!(ctx.metrics.net_codec_rejects.get(), 1);
         assert_eq!(ctx.metrics.net_rx_frames.get(), 1, "only the intact piece");
+    }
+
+    /// The collective answer to [`import_behind`]'s request: `D@2.0`
+    /// matched, addressed to program 1's rep.
+    fn answer_frame() -> Vec<u8> {
+        let answer = CtrlMsg::Answer {
+            conn: ConnectionId(0),
+            req: RequestId(0),
+            answer: couplink_proto::RepAnswer::Match(ts(2.0)),
+        };
+        codec::encode_ctrl_env(Endpoint::Rep { prog: 1 }, None, &answer)
+    }
+
+    /// The exporter's side of one import of `D@2.0` on [`mesh_ctx`]'s
+    /// program 1, scripted: program 1's application imports while `frames`,
+    /// then an intact piece and the answer, arrive on a link from program
+    /// 0 read by [`mesh_reader_loop`]. Returns what the import returned and
+    /// the array it filled.
+    fn import_behind(ctx: &Arc<MeshCtx>, fabric: &mut Fabric, frames: Vec<TxFrame>) -> LocalArray {
+        let (array, _) = piece();
+        let mut imp = fabric.take_import(1, 0, 0);
+        let importing = std::thread::spawn(move || {
+            let mut dest = LocalArray::zeros(Rect::new(0, 0, 4, 4));
+            let got = imp.import(ts(2.0), &mut dest).map_err(|e| e.to_string());
+            (got, dest)
+        });
+        // The application's request is owed to program 0 (no writer yet).
+        let start = Instant::now();
+        while ctx.links.slots[0].lock().pending.is_empty() {
+            assert!(start.elapsed() < Duration::from_secs(5), "no request");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (conn, req) = (ConnectionId(0), RequestId(0));
+        let r = codec::wire_rect(array.owned());
+        let head =
+            wire::encode_payload_head(Vec::new(), conn, Rank(0), req, r, r, array.as_slice());
+        let (mine, theirs) = UnixStream::pair().expect("pair");
+        let w = LinkWriter::spawn(Conn::Uds(theirs), "script".into());
+        for frame in frames.into_iter().chain([
+            TxFrame::Piece { head, data: array },
+            TxFrame::Frame(answer_frame()),
+        ]) {
+            assert!(w.push(frame));
+        }
+        assert!(w.retire().is_empty());
+        // Draining: the EOF after the last frame ends the loop quietly.
+        mesh_reader_loop(FrameReader::new(Conn::Uds(mine)), 0, Arc::clone(ctx));
+        let (got, dest) = importing.join().expect("importer");
+        assert_eq!(
+            got,
+            Ok(Some(ts(2.0))),
+            "the link failed or the import wedged"
+        );
+        dest
+    }
+
+    /// One flipped bit in a payload — in its prefix's owned rectangle, in
+    /// its values, or in its header's checksum — is one codec reject: the
+    /// piece is never delivered (the import that follows lands the intact
+    /// piece's values, where a delivered corrupt one would have been kept
+    /// and the intact one dropped as its duplicate), the link does not
+    /// fail, the frame after it is delivered, and the rejected frame adds
+    /// nothing to the rx meters.
+    #[test]
+    fn a_payload_with_one_flipped_bit_anywhere_is_one_reject_and_the_next_frame_lands() {
+        let (array, intact) = piece();
+        let owned_rows = wire::HEADER_LEN + 4 + 4 + 8 + 32 + 16;
+        for (what, byte, bit) in [
+            ("prefix owned.rows", owned_rows, 0),
+            ("value (2, 1)", wire::PAYLOAD_HEAD_LEN + 8 * 9 + 2, 1),
+            ("header checksum", 8, 5),
+        ] {
+            let (ctx, mut fabric) = mesh_ctx(None);
+            let mut bad = intact.clone();
+            bad[byte] ^= 1 << bit;
+            let dest = import_behind(&ctx, &mut fabric, vec![TxFrame::Frame(bad)]);
+            assert_eq!(dest.as_slice(), array.as_slice(), "{what}: values");
+            let m = &ctx.metrics;
+            assert_eq!(m.net_codec_rejects.get(), 1, "{what}: rejects");
+            assert_eq!(m.net_rx_frames.get(), 2, "{what}: the piece and the answer");
+            let rx_bytes = (intact.len() + answer_frame().len()) as u64;
+            assert_eq!(m.net_rx_bytes.get(), rx_bytes, "{what}: rx bytes");
+        }
+    }
+
+    /// `fill_cells` refills one array in place, at two timestamps in turn,
+    /// with exactly `cell_value`'s bits in every cell of an interior block.
+    #[test]
+    fn fill_cells_refills_in_place_with_cell_values_bits() {
+        let (grid_cols, owned) = (300, Rect::new(7, 13, 5, 257));
+        let mut data = LocalArray::zeros(owned);
+        for t in [1.5, 1e-3 + 12_345.0] {
+            fill_cells(&mut data, t, grid_cols);
+            let want = LocalArray::from_fn(owned, |row, col| cell_value(t, row, col, grid_cols));
+            let bits =
+                |a: &LocalArray| a.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&data), bits(&want), "at t = {t}");
+        }
+    }
+
+    /// A rows → columns plan over UDS: two 2-rank programs on an 8 × 8
+    /// grid, so each piece is a 4 × 4 quarter of the exporter's 4 × 8
+    /// block. The wire carries each piece's rectangle and no more: the
+    /// payload bytes program 0 writes are one head plus 8 bytes per
+    /// transferred cell, per piece — what `bytes_transferred` counts plus
+    /// the heads — and every import lands the exported values. A tap
+    /// between the programs tells payload frames from control.
+    #[test]
+    fn a_piece_inside_its_block_puts_only_its_rectangle_on_the_wire() {
+        let grid = Extent2::new(8, 8);
+        let rows = Decomposition::row_block(grid, 2).expect("rows");
+        let cols = Decomposition::col_block(grid, 2).expect("cols");
+        let tol = Tolerance::new(0.25).expect("tol");
+        let topo = Topology::pair(rows, cols, MatchPolicy::RegL, tol).expect("topo");
+        let (exp, mut exp_fabric) = node_ctx(topo.clone(), 0, 2, None);
+        let (imp, mut imp_fabric) = node_ctx(topo, 1, 2, None);
+        let pair = || {
+            let (a, b) = UnixStream::pair().expect("pair");
+            (Conn::Uds(a), Conn::Uds(b))
+        };
+        let ((exp_tx, tap_rx), (tap_tx, imp_rx), (imp_tx, exp_rx)) = (pair(), pair(), pair());
+        exp.install(1, &exp_tx).expect("exporter writer");
+        imp.install(0, &imp_tx).expect("importer writer");
+        let readers = [(exp_rx, 1, &exp), (imp_rx, 0, &imp)].map(|(conn, peer, ctx)| {
+            let ctx = Arc::clone(ctx);
+            std::thread::spawn(move || mesh_reader_loop(FrameReader::new(conn), peer, ctx))
+        });
+        // The tap: every frame program 0 writes, tallied by kind and
+        // passed on to program 1 unchanged.
+        let tap = std::thread::spawn(move || {
+            let (mut reader, mut out) = (FrameReader::new(tap_rx), tap_tx);
+            let (mut payload, mut other) = ((0u64, 0u64), 0u64);
+            while let Some(f) = reader.next(&mut || panic!("corrupt")).expect("tap") {
+                let bytes = wire::encode_frame(f.kind, &f.body);
+                match f.kind {
+                    wire::KIND_PAYLOAD => payload = (payload.0 + 1, payload.1 + bytes.len() as u64),
+                    codec::KIND_MESH_BYE => {}
+                    _ => other += bytes.len() as u64,
+                }
+                out.write_all(&bytes).expect("forward");
+            }
+            out.shutdown_write();
+            (payload, other)
+        });
+
+        const STEPS: usize = 3;
+        let field = |t: f64, r: Rect| LocalArray::from_fn(r, |row, col| cell_value(t, row, col, 8));
+        for rank in 0..2 {
+            let mut h = exp_fabric.take_export(0, rank, 0);
+            for j in 0..STEPS {
+                h.export(ts(j as f64), &field(j as f64, rows.owned(rank)))
+                    .expect("export");
+            }
+        }
+        let importers: Vec<_> = (0..2)
+            .map(|rank| {
+                let mut h = imp_fabric.take_import(1, rank, 0);
+                let owned = cols.owned(rank);
+                std::thread::spawn(move || {
+                    let mut dest = LocalArray::zeros(owned);
+                    for j in 0..STEPS {
+                        let got = h.import(ts(j as f64), &mut dest).expect("import");
+                        assert_eq!(got, Some(ts(j as f64)));
+                        assert_eq!(dest, field(j as f64, owned), "rank {rank} step {j}");
+                    }
+                })
+            })
+            .collect();
+        for t in importers {
+            t.join().expect("importer");
+        }
+        exp.links.quiesce(Duration::from_secs(5));
+        imp.links.quiesce(Duration::from_secs(5));
+        let ((pieces, payload_bytes), ctrl_bytes) = tap.join().expect("tap");
+        for t in readers {
+            t.join().expect("reader");
+        }
+
+        let m = &exp.metrics;
+        assert_eq!(
+            pieces,
+            4 * STEPS as u64,
+            "one piece per (exporter, importer) rank pair"
+        );
+        let cells = 4 * STEPS as u64 * 16;
+        assert_eq!(m.bytes_transferred.get(), 8 * cells);
+        let want = pieces * wire::PAYLOAD_HEAD_LEN as u64 + 8 * cells;
+        assert_eq!(payload_bytes, want, "payload bytes on the wire");
+        assert_eq!(
+            m.net_bytes.get() - ctrl_bytes,
+            want,
+            "net_bytes minus control"
+        );
+        assert_eq!(
+            payload_bytes,
+            m.bytes_transferred.get() + pieces * wire::PAYLOAD_HEAD_LEN as u64
+        );
     }
 
     /// A re-installed writer resends what the severed one took with it:
