@@ -10,15 +10,21 @@
 #   1. formatting      (cargo fmt --check)
 #   2. lints           (cargo clippy and cargo doc, warnings are errors:
 #                       a doc link to a deleted or private item fails;
-#                       and the engine reads no clock: the non-test part
+#                       the engine reads no clock: the non-test part
 #                       of crates/runtime/src/engine/*.rs, split as
 #                       `--loc` splits it, may not name `Instant`,
-#                       `SystemTime` or `thread::sleep`)
+#                       `SystemTime` or `thread::sleep`; and the facade
+#                       stays a facade: `TopologyConfig`, `NodePlan`,
+#                       `ExportSpec` and `ImportSpec` are built by struct
+#                       literal only in crates/runtime/src/facade.rs, the
+#                       test part of net/codec.rs, tests/tests/wire_golden.rs
+#                       and the frozen e2e package; all other code builds a
+#                       `RunSpec` and converts)
 #   3. tier-1 tests    (release build + full test suite; among them the
 #                       counter gates: the O(log N) tree budget at
 #                       32/64/128 ranks, chained hand-offs, writev
 #                       coalescing, the simulator's allocation budget
-#                       of 8 000 per Figure-4 panel-(d) run and the
+#                       of 7 600 per Figure-4 panel-(d) run and the
 #                       socket payload's byte budget, payload_alloc_budget.rs:
 #                       a decoded 256 KiB piece is one allocation, through
 #                       decode_payload or the fused checking decode, a
@@ -76,7 +82,9 @@
 #                       BENCHMARK.json must be unmodified in the working
 #                       tree, with `--stat` naming any file that is not;
 #                       then every BENCHMARK.json workload runs one 1 s
-#                       pass of the built `e2e` binary, and each result
+#                       pass of the built `e2e` binary, untraced and then
+#                       traced (`--trace 1`, which also replays the
+#                       adapter's single-layer entries), and each result
 #                       line must read `"correct": true` and `"failed": 0`)
 #
 # Nightly-only extras (run when CI_NIGHTLY=1, skipped gracefully otherwise):
@@ -163,6 +171,16 @@ if awk "$split"' !test { print FILENAME ":" FNR ": " $0 }' crates/runtime/src/en
     echo "the engine's non-test code names a clock or a sleep (above)" >&2
     exit 1
 fi
+echo "== the facade stays a facade"
+if find crates tests examples -name '*.rs' -not -path 'crates/bench/src/bin/e2e/*' | sort |
+    xargs awk "$split"' { print FILENAME ":" FNR ":" test ": " $0 }' |
+    grep -E '\b(TopologyConfig|NodePlan|ExportSpec|ImportSpec) \{' |
+    grep -vE '^(crates/runtime/src/facade\.rs|tests/tests/wire_golden\.rs):' |
+    grep -vE '^crates/runtime/src/net/codec\.rs:[0-9]+:1: ' |
+    grep -vE ':[0-9]+:[01]: .*(struct|impl|wire_struct!\(|-> )[^{]*\{'; then
+    echo "a facade type is built by struct literal (above): build a RunSpec and convert" >&2
+    exit 1
+fi
 
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
@@ -224,22 +242,25 @@ cargo build --release --offline --locked --manifest-path crates/bench/src/bin/e2
 cargo test -q --offline --locked --manifest-path crates/bench/src/bin/e2e/Cargo.toml
 git diff --exit-code --stat HEAD -- BENCHMARK.json crates/bench/src/bin/e2e
 
-echo "== bench e2e: every workload runs one short pass, correct and with 0 failed"
+echo "== bench e2e: every workload runs one short pass, untraced and traced, correct and with 0 failed"
 e2e="${CARGO_TARGET_DIR:-crates/bench/src/bin/e2e/target}/release/e2e"
-for w in $(sed -n '/"workloads"/,/"end_to_end"/p' BENCHMARK.json |
-    grep -o '"name": "[^"]*"' | cut -d'"' -f4); do
-    out=$(COUPLINK_NODE_BIN=target/release/couplink-node \
-        "$e2e" --workload "$w" --seed 1 --seconds 1 --trace 0 2>&1) || {
-        echo "$out" >&2 && echo "ERROR: e2e workload $w exited non-zero" >&2 && exit 1
-    }
-    results=$(grep '^{"correct"' <<<"$out" || true)
-    if [[ -z $results ]] ||
-        grep -qv '^{"correct": true, "attempted": [0-9]*, "failed": 0,' <<<"$results"; then
-        echo "$out" >&2
-        echo "ERROR: e2e workload $w: a result line is not correct with 0 failed" >&2
-        exit 1
-    fi
-    echo "   $w: correct, 0 failed"
+for trace in 0 1; do
+    for w in $(sed -n '/"workloads"/,/"end_to_end"/p' BENCHMARK.json |
+        grep -o '"name": "[^"]*"' | cut -d'"' -f4); do
+        out=$(COUPLINK_NODE_BIN=target/release/couplink-node \
+            "$e2e" --workload "$w" --seed 1 --seconds 1 --trace "$trace" 2>&1) || {
+            echo "$out" >&2
+            echo "ERROR: e2e workload $w (--trace $trace) exited non-zero" >&2 && exit 1
+        }
+        results=$(grep '^{"correct"' <<<"$out" || true)
+        if [[ -z $results ]] ||
+            grep -qv '^{"correct": true, "attempted": [0-9]*, "failed": 0,' <<<"$results"; then
+            echo "$out" >&2
+            echo "ERROR: e2e workload $w (--trace $trace): a result line is not correct with 0 failed" >&2
+            exit 1
+        fi
+        echo "   $w --trace $trace: correct, 0 failed"
+    done
 done
 
 if [[ "${CI_NIGHTLY:-0}" == "1" ]]; then

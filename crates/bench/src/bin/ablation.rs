@@ -9,13 +9,14 @@ use couplink::series::Column;
 use couplink_bench::ablation_config;
 use couplink_bench::report::{out_dir_from_args, write_series};
 use couplink_proto::ExportStats;
-use couplink_runtime::TopologySim;
+use couplink_runtime::{CostModel, TopologySim};
 use couplink_time::MatchPolicy;
 
 /// Port statistics of the slow exporter rank after one 601-export run.
 fn slow_rank(policy: MatchPolicy, tolerance: f64, import_dt: f64, buddy_help: bool) -> ExportStats {
-    let cfg = ablation_config(policy, tolerance, import_dt, buddy_help, 601);
-    let mut report = TopologySim::new(cfg).unwrap().run().unwrap();
+    let spec = ablation_config(policy, tolerance, import_dt, buddy_help, 601);
+    let sim = TopologySim::from_spec(spec, CostModel::default()).unwrap();
+    let mut report = sim.run().unwrap();
     report.stats[0].swap_remove(3)
 }
 

@@ -11,10 +11,10 @@
 use couplink::series::{window_mean, Column};
 use couplink_bench::report::{out_dir_from_args, write_series};
 use couplink_diffusion::fig4::{fig4_config, optimal_entry, Fig4Params, EXPORTS, SLOW_RANK};
-use couplink_runtime::{TopoReport, TopologySim};
+use couplink_runtime::{CostModel, TopoReport, TopologySim};
 
 fn run(params: Fig4Params) -> TopoReport {
-    TopologySim::new(fig4_config(params))
+    TopologySim::from_spec(fig4_config(params), CostModel::default())
         .expect("valid configuration")
         .run()
         .expect("simulation completes")

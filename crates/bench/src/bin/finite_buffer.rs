@@ -5,22 +5,18 @@
 //! Usage: `cargo run -p couplink-bench --release --bin finite_buffer`
 
 use couplink_bench::ablation_config;
-use couplink_runtime::{TopologyConfig, TopologySim};
+use couplink_runtime::{CostModel, RunSpec, TopologySim};
 use couplink_time::MatchPolicy;
 
 /// The REGL ablation point (tolerance 2.5, one request per 20 exports, 601
 /// exports) with a 50 ms importer startup, the given importer compute and
 /// a bounded buffer.
-fn config(
-    buffer_capacity: Option<usize>,
-    buddy_help: bool,
-    importer_compute: f64,
-) -> TopologyConfig {
-    let mut cfg = ablation_config(MatchPolicy::RegL, 2.5, 20.0, buddy_help, 601);
-    cfg.imports[0].compute = importer_compute;
-    cfg.imports[0].startup = 50.0e-3;
-    cfg.buffer_capacity = buffer_capacity;
-    cfg
+fn config(buffer_capacity: Option<usize>, buddy_help: bool, importer_compute: f64) -> RunSpec {
+    let mut spec = ablation_config(MatchPolicy::RegL, 2.5, 20.0, buddy_help, 601);
+    spec.imports[0].compute = importer_compute;
+    spec.imports[0].startup = 50.0e-3;
+    spec.knobs.buffer_capacity = buffer_capacity;
+    spec
 }
 
 fn main() {
@@ -38,7 +34,8 @@ fn main() {
         };
         for capacity in [None, Some(24), Some(8), Some(4)] {
             for buddy in [true, false] {
-                let report = TopologySim::new(config(capacity, buddy, importer_compute))
+                let spec = config(capacity, buddy, importer_compute);
+                let report = TopologySim::from_spec(spec, CostModel::default())
                     .unwrap()
                     .run()
                     .unwrap();

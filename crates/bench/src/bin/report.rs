@@ -18,7 +18,7 @@
 use couplink_bench::report::{compare, BenchReport, ScenarioMeasure};
 use couplink_bench::{ablation_config, figure78_run};
 use couplink_diffusion::fig4::{fig4_config, Fig4Params};
-use couplink_runtime::{TopologyConfig, TopologySim};
+use couplink_runtime::{CostModel, RunSpec, TopologySim};
 use couplink_time::MatchPolicy;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -59,7 +59,7 @@ fn parse_args() -> Result<Options, String> {
 
 /// The DES scenarios of the report: the four Figure-4 panels, the Figure-4
 /// buddy-help ablation, and one ablation point per match policy.
-fn des_scenarios(smoke: bool) -> Vec<(String, TopologyConfig)> {
+fn des_scenarios(smoke: bool) -> Vec<(String, RunSpec)> {
     let fig4_exports = if smoke { 101 } else { 1001 };
     let ablation_exports = if smoke { 121 } else { 601 };
     let mut out = Vec::new();
@@ -90,23 +90,24 @@ fn des_scenarios(smoke: bool) -> Vec<(String, TopologyConfig)> {
 
 /// Runs one DES scenario twice, asserts the deterministic halves of the two
 /// metric snapshots are identical, and folds the result into a measurement.
-fn run_des(name: &str, mut cfg: TopologyConfig, mutate: bool) -> Result<ScenarioMeasure, String> {
+fn run_des(name: &str, spec: RunSpec, mutate: bool) -> Result<ScenarioMeasure, String> {
+    let mut cost = CostModel::default();
     if mutate {
         // The injected regression: memcpys become 8x slower, which inflates
         // the export-phase virtual time (and shifts buffering decisions)
         // well past the gate's tolerance.
-        cfg.cost.memcpy_bytes_per_sec /= 8.0;
+        cost.memcpy_bytes_per_sec /= 8.0;
     }
-    let run = |cfg: TopologyConfig| -> Result<_, String> {
+    let run = |spec: RunSpec| -> Result<_, String> {
         let wall = Instant::now();
-        let report = TopologySim::new(cfg)
+        let report = TopologySim::from_spec(spec, cost)
             .map_err(|e| format!("{name}: {e}"))?
             .run()
             .map_err(|e| format!("{name}: {e}"))?;
         Ok((report, wall.elapsed().as_secs_f64()))
     };
-    let (a, wall_a) = run(cfg.clone())?;
-    let (b, _) = run(cfg)?;
+    let (a, wall_a) = run(spec.clone())?;
+    let (b, _) = run(spec)?;
     if a.metrics.counters != b.metrics.counters {
         return Err(format!(
             "{name}: counter snapshots differ between two identical DES runs \
@@ -150,9 +151,9 @@ fn fig78_scenarios() -> Vec<ScenarioMeasure> {
 
 fn build_report(opts: &Options) -> Result<BenchReport, String> {
     let mut scenarios = Vec::new();
-    for (name, cfg) in des_scenarios(opts.smoke) {
+    for (name, spec) in des_scenarios(opts.smoke) {
         println!("running {name} ...");
-        scenarios.push(run_des(&name, cfg, opts.mutate)?);
+        scenarios.push(run_des(&name, spec, opts.mutate)?);
     }
     scenarios.extend(fig78_scenarios());
     Ok(BenchReport {

@@ -10,7 +10,7 @@ pub mod report;
 use couplink_layout::{Decomposition, Extent2};
 use couplink_proto::{ConnectionId, ExportPort, RepAnswer, RequestId, Trace};
 use couplink_runtime::{
-    CostModel, ExportSchedule, ImportSchedule, Topology, TopologyConfig, TopologySim,
+    CostModel, ExportSchedule, ImportSchedule, Knobs, RunSpec, Topology, TopologySim,
 };
 use couplink_time::{ts, MatchPolicy, Timestamp, Tolerance};
 
@@ -30,7 +30,7 @@ pub fn figure5_trace() -> Trace {
     let grid = Extent2::new(8, 8);
     let slow = 3;
     let tolerance = Tolerance::new(2.5).expect("valid tolerance");
-    let cfg = TopologyConfig {
+    let spec = RunSpec {
         topology: Topology::pair(
             Decomposition::block_2d(grid, 2, 2).expect("4-proc decomposition"),
             Decomposition::row_block(grid, 1).expect("1-proc decomposition"),
@@ -61,14 +61,13 @@ pub fn figure5_trace() -> Trace {
             compute: 12.5,
             startup: 2.0,
         }],
-        buddy_help: true,
-        cost: CostModel::default(),
-        buffer_capacity: None,
-        hierarchical: false,
+        knobs: Knobs {
+            traces: vec![(0, slow, ConnectionId(0))],
+            ..Knobs::default()
+        },
     };
-    let mut sim = TopologySim::new(cfg).expect("valid figure 5 configuration");
-    sim.trace("exporter", slow, ConnectionId(0))
-        .expect("the pair has an exporter program");
+    let sim =
+        TopologySim::from_spec(spec, CostModel::default()).expect("valid figure 5 configuration");
     let report = sim.run().expect("figure 5 scenario runs to completion");
     let (_, rank, _, trace) = report
         .traces
@@ -143,10 +142,10 @@ pub fn ablation_config(
     import_dt: f64,
     buddy_help: bool,
     exports: usize,
-) -> TopologyConfig {
+) -> RunSpec {
     let grid = Extent2::new(256, 256);
     let horizon = exports.saturating_sub(1) as f64;
-    TopologyConfig {
+    RunSpec {
         topology: Topology::pair(
             Decomposition::block_2d(grid, 2, 2).expect("2x2 quadrants"),
             Decomposition::row_block(grid, 16).expect("16 row blocks"),
@@ -171,10 +170,10 @@ pub fn ablation_config(
             compute: 3.0e-3,
             startup: 20.0e-3,
         }],
-        buddy_help,
-        cost: CostModel::default(),
-        buffer_capacity: None,
-        hierarchical: false,
+        knobs: Knobs {
+            buddy_help,
+            ..Knobs::default()
+        },
     }
 }
 

@@ -12,9 +12,9 @@
 use couplink_config::{Config, RegionRef};
 use couplink_layout::{Decomposition, LocalArray};
 use couplink_proto::{ConnectionId, Trace};
-use couplink_runtime::engine::{Topology, TopologyError};
+use couplink_runtime::engine::{Knobs, Topology, TopologyError};
 use couplink_runtime::threaded::{
-    ExportAccess, ExportOutcome, Fabric, FabricOptions, ImportAccess, ThreadedError,
+    ExportAccess, ExportOutcome, Fabric, ImportAccess, ThreadedError,
 };
 use couplink_time::Timestamp;
 use std::collections::HashMap;
@@ -104,10 +104,10 @@ impl From<TopologyError> for SessionError {
 pub struct SessionBuilder {
     config: Config,
     bindings: HashMap<RegionRef, Decomposition>,
-    buddy_help: bool,
-    import_timeout: Duration,
-    buffer_capacity: Option<usize>,
-    traces: Vec<(String, usize, String)>,
+    knobs: Knobs,
+    /// The first [`SessionBuilder::trace`] that names no exported region,
+    /// which [`SessionBuilder::build`] refuses.
+    refused: Option<SessionError>,
 }
 
 impl SessionBuilder {
@@ -116,10 +116,8 @@ impl SessionBuilder {
         SessionBuilder {
             config,
             bindings: HashMap::new(),
-            buddy_help: true,
-            import_timeout: Duration::from_secs(30),
-            buffer_capacity: None,
-            traces: Vec::new(),
+            knobs: Knobs::default(),
+            refused: None,
         }
     }
 
@@ -133,13 +131,13 @@ impl SessionBuilder {
 
     /// Enables or disables the buddy-help optimization (default: enabled).
     pub fn buddy_help(mut self, enabled: bool) -> Self {
-        self.buddy_help = enabled;
+        self.knobs.buddy_help = enabled;
         self
     }
 
     /// Sets the import timeout (default 30 s).
     pub fn import_timeout(mut self, timeout: Duration) -> Self {
-        self.import_timeout = timeout;
+        self.knobs.import_timeout = timeout;
         self
     }
 
@@ -147,7 +145,7 @@ impl SessionBuilder {
     /// connection; exports block while the buffer is full (default:
     /// unbounded, the paper's setting).
     pub fn buffer_capacity(mut self, capacity: usize) -> Self {
-        self.buffer_capacity = Some(capacity);
+        self.knobs.buffer_capacity = Some(capacity);
         self
     }
 
@@ -155,7 +153,24 @@ impl SessionBuilder {
     /// for every connection of its exported `region`. The traces come back
     /// from [`Session::shutdown_with_traces`].
     pub fn trace(mut self, program: &str, rank: usize, region: &str) -> Self {
-        self.traces.push((program.into(), rank, region.into()));
+        let config = &self.config;
+        let Some(prog) = config.programs.iter().position(|p| p.name == program) else {
+            let refused = SessionError::UnknownProgram(program.into());
+            self.refused.get_or_insert(refused);
+            return self;
+        };
+        // Connection `i` of the configuration is `ConnectionId(i)`.
+        let exported = RegionRef::new(program, region);
+        let conns = (0u32..).zip(&config.connections);
+        let traced: Vec<_> = conns
+            .filter(|(_, c)| c.exporter == exported)
+            .map(|(i, _)| (prog, rank, ConnectionId(i)))
+            .collect();
+        if traced.is_empty() {
+            let refused = SessionError::NoSuchRegion(region.into());
+            self.refused.get_or_insert(refused);
+        }
+        self.knobs.traces.extend(traced);
         self
     }
 
@@ -163,31 +178,12 @@ impl SessionBuilder {
     /// [`Topology`] and spawns one fabric for the whole topology.
     pub fn build(self) -> Result<Session, SessionError> {
         let topo = Topology::from_config(&self.config, &self.bindings)?;
-        let mut traces = Vec::new();
-        for (program, rank, region) in &self.traces {
-            let Some(pi) = topo.program_idx(program) else {
-                return Err(SessionError::UnknownProgram(program.clone()));
-            };
-            let Some(ri) = topo.programs[pi].export_idx(region) else {
-                return Err(SessionError::NoSuchRegion(region.clone()));
-            };
-            for &conn in &topo.programs[pi].exports[ri].conns {
-                traces.push((pi, *rank, conn));
-            }
+        if let Some(refused) = self.refused {
+            return Err(refused);
         }
-        let fabric = Fabric::new(
-            topo,
-            FabricOptions {
-                buddy_help: self.buddy_help,
-                import_timeout: self.import_timeout,
-                buffer_capacity: self.buffer_capacity,
-                traces,
-                ..FabricOptions::default()
-            },
-        );
         Ok(Session {
             config: self.config,
-            fabric,
+            fabric: Fabric::new(topo, self.knobs),
             taken: Vec::new(),
         })
     }

@@ -29,7 +29,7 @@
 
 use couplink_layout::{Decomposition, Extent2};
 use couplink_proto::ExportStats;
-use couplink_runtime::{CostModel, ExportSchedule, ImportSchedule, Topology, TopologyConfig};
+use couplink_runtime::{ExportSchedule, ImportSchedule, Knobs, RunSpec, Topology};
 use couplink_time::{ts, MatchPolicy, PeriodicSchedule, Tolerance};
 
 /// The benchmark's global array: 1024×1024 `f64`s.
@@ -90,8 +90,9 @@ impl Fig4Params {
     }
 }
 
-/// Builds the calibrated exporter→importer configuration for one panel.
-pub fn fig4_config(params: Fig4Params) -> TopologyConfig {
+/// Builds the calibrated exporter→importer run of one panel (the
+/// simulator runs it under `CostModel::default()`).
+pub fn fig4_config(params: Fig4Params) -> RunSpec {
     let exporter_decomp =
         Decomposition::block_2d(GRID, 2, 2).expect("1024x1024 over 2x2 quadrants");
     let importer_decomp =
@@ -106,7 +107,7 @@ pub fn fig4_config(params: Fig4Params) -> TopologyConfig {
     .expect("both programs decompose GRID");
     let mut compute = vec![F_FAST_COMPUTE; 4];
     compute[SLOW_RANK] = F_SLOW_COMPUTE;
-    TopologyConfig {
+    RunSpec {
         topology,
         exports: vec![ExportSchedule {
             program: "exporter".into(),
@@ -125,10 +126,10 @@ pub fn fig4_config(params: Fig4Params) -> TopologyConfig {
             compute: U_TOTAL_COMPUTE / params.u_procs as f64,
             startup: U_INIT_TOTAL / params.u_procs as f64,
         }],
-        buddy_help: params.buddy_help,
-        cost: CostModel::default(),
-        buffer_capacity: None,
-        hierarchical: false,
+        knobs: Knobs {
+            buddy_help: params.buddy_help,
+            ..Knobs::default()
+        },
     }
 }
 
@@ -154,10 +155,10 @@ pub const SLOW_RANK: usize = 3;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use couplink_runtime::{ActionKind, TopoReport, TopologySim};
+    use couplink_runtime::{ActionKind, CostModel, TopoReport, TopologySim};
 
     fn run(params: Fig4Params) -> TopoReport {
-        TopologySim::new(fig4_config(params))
+        TopologySim::from_spec(fig4_config(params), CostModel::default())
             .unwrap()
             .run()
             .unwrap()

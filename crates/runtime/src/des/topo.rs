@@ -19,8 +19,8 @@ use crate::cost::CostModel;
 use crate::des::{EventQueue, SimTime};
 use crate::engine::{
     between, proc_side, send_step, ActionKind, ChaosState, CrashTarget, Endpoint, EngineError,
-    ExportFx, ExportNode, Faults, ImportNode, MemWal, Mutation, Outgoing, ProcSide, Reliability,
-    RepCrash, RepNode, SendDecision, SendKind, Topology, Wal, WireMeta,
+    ExportFx, ExportNode, ImportNode, Knobs, MemWal, Mutation, Outgoing, ProcSide, Reliability,
+    RepCrash, RepNode, RunSpec, SendDecision, SendKind, Topology, Wal, WireMeta,
 };
 use couplink_metrics::{EngineMetrics, MetricsSnapshot, Phase};
 use couplink_proto::import_port::ImportError;
@@ -94,66 +94,8 @@ impl From<EngineError> for SimError {
     }
 }
 
-/// Periodic export schedule for one program's exported region.
-#[derive(Debug, Clone)]
-pub struct ExportSchedule {
-    /// Program name.
-    pub program: String,
-    /// Exported region name.
-    pub region: String,
-    /// Timestamp of export `i` is `t0 + i * dt`.
-    pub t0: f64,
-    /// Timestamp step.
-    pub dt: f64,
-    /// Number of export iterations each process performs.
-    pub count: usize,
-    /// Per-rank compute seconds per iteration (index = rank).
-    pub compute: Vec<f64>,
-}
-
-/// Periodic import schedule for one program's imported region.
-#[derive(Debug, Clone)]
-pub struct ImportSchedule {
-    /// Program name.
-    pub program: String,
-    /// Imported region name.
-    pub region: String,
-    /// Timestamp of import `j` is `t0 + j * dt`.
-    pub t0: f64,
-    /// Timestamp step.
-    pub dt: f64,
-    /// Number of import iterations each process performs.
-    pub count: usize,
-    /// Compute seconds per iteration (same for all ranks).
-    pub compute: f64,
-    /// One-time startup cost before the first iteration.
-    pub startup: f64,
-}
-
-/// Configuration of a topology simulation.
-#[derive(Debug, Clone)]
-pub struct TopologyConfig {
-    /// The coupling topology.
-    pub topology: Topology,
-    /// One schedule per exported region (all must be covered).
-    pub exports: Vec<ExportSchedule>,
-    /// One schedule per imported region (all must be covered).
-    pub imports: Vec<ImportSchedule>,
-    /// Whether the buddy-help optimization is enabled.
-    pub buddy_help: bool,
-    /// Operation costs.
-    pub cost: CostModel,
-    /// Per-process framework buffer capacity in objects (`None` =
-    /// unbounded, the paper's setting). With a bound, an exporter process
-    /// stalls when its buffer is full and resumes when control traffic
-    /// frees space: the paper's §6 finite-buffer scenario.
-    pub buffer_capacity: Option<usize>,
-    /// Route collectives (forward requests, answer broadcasts, buddy-help)
-    /// down the deterministic k-ary tree ([`crate::engine::tree`]) instead of
-    /// flat per-rank fan-out: the rep talks only to its tree children and
-    /// each rank relays to its own subtree.
-    pub hierarchical: bool,
-}
+pub use crate::engine::{ExportSchedule, ImportSchedule};
+pub use crate::facade::TopologyConfig;
 
 /// Per-rank series of one export schedule, in the report.
 #[derive(Debug, Clone)]
@@ -182,8 +124,9 @@ pub struct TopoReport {
     pub export_series: Vec<ExportSeries>,
     /// Per import schedule, per rank: completed import iterations.
     pub import_done: Vec<Vec<usize>>,
-    /// Collected event traces: `(program, rank, connection, trace)`.
-    pub traces: Vec<(String, usize, ConnectionId, Trace)>,
+    /// Collected event traces, `(program, rank, connection, trace)`, in
+    /// [`Knobs::traces`](crate::engine::Knobs::traces) order.
+    pub traces: Vec<(usize, usize, ConnectionId, Trace)>,
     /// End-of-run engine instrumentation. The counter half is deterministic:
     /// two runs of the same configuration produce identical values.
     pub metrics: MetricsSnapshot,
@@ -255,10 +198,7 @@ struct ExpRec {
 struct ExpDrive {
     prog: usize,
     region: usize,
-    t0: f64,
-    dt: f64,
-    count: usize,
-    compute: Vec<f64>,
+    s: ExportSchedule,
     piece_bytes: Vec<usize>,
     recs: Vec<ExpRec>,
 }
@@ -266,25 +206,22 @@ struct ExpDrive {
 struct ImpDrive {
     prog: usize,
     conn: ConnectionId,
-    t0: f64,
-    dt: f64,
-    count: usize,
-    compute: f64,
-    startup: f64,
+    s: ImportSchedule,
     iters: Vec<usize>,
     waiting: Vec<bool>,
     /// Virtual time each rank's in-flight import call started.
     wait_start: Vec<f64>,
 }
 
-/// The topology simulator. Construct with [`TopologySim::new`], optionally
-/// enable traces with [`TopologySim::trace`] and give the run its faults
-/// with [`TopologySim::faults`], run with [`TopologySim::run`].
+/// The topology simulator. Construct with [`TopologySim::from_spec`], run
+/// with [`TopologySim::run`].
 ///
-/// It fires every injected fault ([`Faults`]) — chaos up to a rep crash,
-/// forced buddy-help loss, disabled resends, and the mutations the export
-/// ports and import nodes fire — except an agent crash and
-/// [`Mutation::AckBeforeHandle`], which only the threaded fabric models.
+/// It fires every injected fault ([`Faults`](crate::engine::Faults)) —
+/// chaos up to a rep crash, forced buddy-help loss, disabled resends, and
+/// the mutations the export ports and import nodes fire — except an agent
+/// crash and [`Mutation::AckBeforeHandle`], which only the threaded fabric
+/// models. Chaos stays fully deterministic: the same run and seed replay
+/// the same event schedule.
 pub struct TopologySim {
     topo: Topology,
     cost: CostModel,
@@ -300,14 +237,11 @@ pub struct TopologySim {
     imp_nodes: Vec<Vec<ImportNode>>,
     reps: Vec<Option<RepNode>>,
     matches: Vec<Vec<Option<Timestamp>>>,
-    traced: Vec<(usize, usize, ConnectionId)>,
+    /// The run's knobs; its traces are taken by [`TopologySim::run`].
+    knobs: Knobs,
     chaos: Option<ChaosState>,
-    buddy_help: bool,
-    hierarchical: bool,
-    /// The run's faults (see [`TopologySim::faults`]).
-    faults: Faults,
-    /// Armed at run start iff the fault plan needs it; `None` keeps the
-    /// event schedule bit-identical to the pre-reliability engine.
+    /// Armed iff the faults need it; `None` keeps the event schedule
+    /// bit-identical to the pre-reliability engine.
     rel: Option<Reliability>,
     /// The armed rep crash fault.
     crash: Option<RepCrash>,
@@ -325,30 +259,33 @@ pub struct TopologySim {
 }
 
 impl TopologySim {
-    /// Builds the simulation, validating schedules against the topology.
+    /// Builds the simulation of [`TopologyConfig::into_spec`].
     pub fn new(cfg: TopologyConfig) -> Result<Self, SimError> {
-        let topo = cfg.topology;
+        let (spec, cost) = cfg.into_spec();
+        TopologySim::from_spec(spec, cost)
+    }
+
+    /// Builds the simulation of `spec` under `cost`, validating the
+    /// schedules against the topology. The two faults only the threaded
+    /// fabric models, an agent crash and [`Mutation::AckBeforeHandle`],
+    /// are refused with [`SimError::Config`], as is a trace of a process
+    /// that exports nothing.
+    pub fn from_spec(spec: RunSpec, cost: CostModel) -> Result<Self, SimError> {
+        let (topo, knobs) = (&spec.topology, &spec.knobs);
         let mut exp_drives = Vec::new();
         let mut imp_drives = Vec::new();
         let mut exp_drive_of = vec![None; topo.conns.len()];
         let mut imp_drive_of = vec![None; topo.conns.len()];
 
-        for s in &cfg.exports {
-            let prog = topo
-                .program_idx(&s.program)
-                .ok_or_else(|| SimError::Config(format!("unknown program {}", s.program)))?;
-            let region = topo.programs[prog].export_idx(&s.region).ok_or_else(|| {
-                SimError::Config(format!("{} exports no region {}", s.program, s.region))
-            })?;
+        for s in &spec.exports {
+            let (prog, region) = spec.export_region(s).map_err(SimError::Config)?;
             let procs = topo.programs[prog].procs;
             if s.compute.len() != procs {
-                return Err(SimError::Config(format!(
-                    "export schedule for {}.{} has {} compute entries for {} processes",
-                    s.program,
-                    s.region,
-                    s.compute.len(),
-                    procs
-                )));
+                let (p, r, n) = (&s.program, &s.region, s.compute.len());
+                let e = format!(
+                    "export schedule for {p}.{r} has {n} compute entries for {procs} processes"
+                );
+                return Err(SimError::Config(e));
             }
             check_times(&s.program, s.t0, s.dt, &s.compute)?;
             let decomp = &topo.programs[prog].exports[region].decomp;
@@ -361,10 +298,7 @@ impl TopologySim {
             exp_drives.push(ExpDrive {
                 prog,
                 region,
-                t0: s.t0,
-                dt: s.dt,
-                count: s.count,
-                compute: s.compute.clone(),
+                s: s.clone(),
                 piece_bytes,
                 recs: (0..procs)
                     .map(|_| ExpRec {
@@ -376,13 +310,8 @@ impl TopologySim {
                     .collect(),
             });
         }
-        for s in &cfg.imports {
-            let prog = topo
-                .program_idx(&s.program)
-                .ok_or_else(|| SimError::Config(format!("unknown program {}", s.program)))?;
-            let region = topo.programs[prog].import_idx(&s.region).ok_or_else(|| {
-                SimError::Config(format!("{} imports no region {}", s.program, s.region))
-            })?;
+        for s in &spec.imports {
+            let (prog, region) = spec.import_region(s).map_err(SimError::Config)?;
             check_times(&s.program, s.t0, s.dt, &[s.compute, s.startup])?;
             let conn = topo.programs[prog].imports[region].conn;
             let procs = topo.programs[prog].procs;
@@ -390,108 +319,102 @@ impl TopologySim {
             imp_drives.push(ImpDrive {
                 prog,
                 conn,
-                t0: s.t0,
-                dt: s.dt,
-                count: s.count,
-                compute: s.compute,
-                startup: s.startup,
+                s: s.clone(),
                 iters: vec![0; procs],
                 waiting: vec![false; procs],
                 wait_start: vec![0.0; procs],
             });
         }
         // Every region of the topology needs a schedule, or its processes
-        // would never run.
-        for (pi, p) in topo.programs.iter().enumerate() {
-            for (ri, r) in p.exports.iter().enumerate() {
-                if !exp_drives.iter().any(|d| d.prog == pi && d.region == ri) {
-                    return Err(SimError::Config(format!(
-                        "no export schedule for {}.{}",
-                        p.name, r.name
-                    )));
-                }
-            }
-            for r in &p.imports {
-                if imp_drive_of[r.conn.0 as usize].is_none() {
-                    return Err(SimError::Config(format!(
-                        "no import schedule for {}.{}",
-                        p.name, r.name
-                    )));
-                }
-            }
+        // would never run; every region is an end of a connection.
+        let (mut exp_of, mut imp_of) = (Vec::new(), Vec::new());
+        for ct in &topo.conns {
+            let (e, i) = (
+                &topo.programs[ct.exporter_prog],
+                &topo.programs[ct.importer_prog],
+            );
+            let none = |what, p: &str, r: &str| format!("no {what} schedule for {p}.{r}");
+            let region = &e.exports[ct.exporter_region].name;
+            let export =
+                exp_drive_of[ct.id.0 as usize].ok_or_else(|| none("export", &e.name, region));
+            let region = &i.imports[ct.importer_region].name;
+            let import =
+                imp_drive_of[ct.id.0 as usize].ok_or_else(|| none("import", &i.name, region));
+            exp_of.push(export.map_err(SimError::Config)?);
+            imp_of.push(import.map_err(SimError::Config)?);
         }
-
-        // Every connection leaves an exported region and enters an imported
-        // one, and every region has a schedule now.
-        let scheduled = |of: Vec<Option<usize>>| -> Vec<usize> {
-            of.into_iter()
-                .map(|d| d.expect("region scheduled"))
-                .collect()
-        };
-        let (exp_drive_of, imp_drive_of) = (scheduled(exp_drive_of), scheduled(imp_drive_of));
+        let (exp_drive_of, imp_drive_of) = (exp_of, imp_of);
 
         let metrics = Arc::new(EngineMetrics::new());
-        let exp_nodes = topo
-            .programs
-            .iter()
-            .enumerate()
+        let programs = topo.programs.iter().enumerate();
+        let mut exp_nodes: Vec<Vec<ExportNode>> = programs
+            .clone()
             .map(|(pi, p)| {
-                if p.exports.is_empty() {
-                    Vec::new()
-                } else {
-                    (0..p.procs)
-                        .map(|rank| {
-                            let mut node = ExportNode::new(
-                                &topo,
-                                pi,
-                                rank,
-                                cfg.buffer_capacity,
-                                cfg.hierarchical,
-                            );
-                            node.set_metrics(Arc::clone(&metrics));
-                            node
-                        })
-                        .collect()
-                }
+                let ranks = if p.exports.is_empty() { 0 } else { p.procs };
+                let (cap, hier) = (knobs.buffer_capacity, knobs.hierarchical);
+                let node = |rank| {
+                    let mut node = ExportNode::new(topo, pi, rank, cap, hier);
+                    node.set_metrics(Arc::clone(&metrics));
+                    node.set_mutation(knobs.faults.mutation);
+                    node
+                };
+                (0..ranks).map(node).collect()
             })
             .collect();
-        let imp_nodes = topo
-            .programs
-            .iter()
-            .enumerate()
+        let imp_nodes = programs
+            .clone()
             .map(|(pi, p)| {
-                if p.imports.is_empty() {
-                    Vec::new()
-                } else {
-                    (0..p.procs)
-                        .map(|rank| {
-                            let mut node = ImportNode::new(&topo, pi, rank);
-                            node.set_metrics(Arc::clone(&metrics));
-                            node
-                        })
-                        .collect()
-                }
+                let ranks = if p.imports.is_empty() { 0 } else { p.procs };
+                let node = |rank| {
+                    let mut node = ImportNode::new(topo, pi, rank);
+                    node.set_metrics(Arc::clone(&metrics));
+                    node.set_mutation(knobs.faults.mutation);
+                    node
+                };
+                (0..ranks).map(node).collect()
             })
             .collect();
-        let reps = topo
-            .programs
-            .iter()
-            .enumerate()
+        let reps = programs
             .map(|(pi, p)| {
-                if p.exports.is_empty() && p.imports.is_empty() {
-                    None
-                } else {
-                    Some(RepNode::new(&topo, pi, cfg.buddy_help, cfg.hierarchical))
-                }
+                let coupled = !p.exports.is_empty() || !p.imports.is_empty();
+                coupled.then(|| RepNode::new(topo, pi, knobs.buddy_help, knobs.hierarchical))
             })
             .collect();
         let matches = vec![Vec::new(); topo.conns.len()];
-        if cfg.hierarchical {
+        if knobs.hierarchical {
             metrics.tree_depth.set(topo.tree_depth() as u64);
         }
+        let faults = knobs.faults;
+        let fabric_only = |what| {
+            Err(SimError::Config(format!(
+                "{what} is a threaded-fabric fault"
+            )))
+        };
+        if faults.mutation == Some(Mutation::AckBeforeHandle) {
+            // The simulator charges its acks explicitly.
+            return fabric_only("ack-before-handle");
+        }
+        let crash = match faults.chaos.and_then(|c| c.crash) {
+            Some(fault) => match fault.target {
+                CrashTarget::Rep(prog) => Some(RepCrash::new(prog, fault)),
+                CrashTarget::Agent { .. } => return fabric_only("an agent crash"),
+            },
+            None => None,
+        };
+        for &(prog, rank, conn) in &knobs.traces {
+            let node = exp_nodes.get_mut(prog).and_then(|p| p.get_mut(rank));
+            let node = node.ok_or_else(|| {
+                SimError::Config(format!(
+                    "trace of process {rank} of program {prog}, which exports nothing"
+                ))
+            })?;
+            node.enable_trace(conn);
+        }
+        let rel = faults
+            .needs_reliability()
+            .then(|| Reliability::armed(faults, Arc::clone(&metrics)));
         Ok(TopologySim {
-            topo,
-            cost: cfg.cost,
+            cost,
             queue: EventQueue::new(),
             exp_drives,
             imp_drives,
@@ -501,88 +424,21 @@ impl TopologySim {
             imp_nodes,
             reps,
             matches,
-            traced: Vec::new(),
-            chaos: None,
-            buddy_help: cfg.buddy_help,
-            hierarchical: cfg.hierarchical,
-            faults: Faults::default(),
-            rel: None,
-            crash: None,
+            chaos: faults.chaos.map(ChaosState::new),
+            rel,
+            crash,
             wal: MemWal::new(),
             broken: BTreeSet::new(),
             metrics,
             out: Vec::new(),
             fx: ExportFx::default(),
+            topo: spec.topology,
+            knobs: spec.knobs,
         })
-    }
-
-    /// The run-wide instrumentation shared by every node and the transport.
-    pub fn metrics(&self) -> Arc<EngineMetrics> {
-        Arc::clone(&self.metrics)
-    }
-
-    /// Gives the run its faults; the default is fault-free and changes
-    /// nothing. Chaos stays fully deterministic: the same configuration
-    /// and seed replay the same event schedule. Faults that need the
-    /// reliability layer ([`Faults::needs_reliability`]) arm it at run
-    /// start. An agent crash and [`Mutation::AckBeforeHandle`] are the
-    /// threaded fabric's alone and are refused with [`SimError::Config`].
-    pub fn faults(&mut self, faults: Faults) -> Result<(), SimError> {
-        if faults.mutation == Some(Mutation::AckBeforeHandle) {
-            return Err(SimError::Config(
-                "ack-before-handle is a threaded-fabric mutation: the simulator \
-                 charges its acks explicitly"
-                    .into(),
-            ));
-        }
-        self.crash = match faults.chaos.and_then(|c| c.crash) {
-            Some(fault) => match fault.target {
-                CrashTarget::Rep(prog) => Some(RepCrash::new(prog, fault)),
-                CrashTarget::Agent { .. } => {
-                    return Err(SimError::Config(
-                        "an agent crash is a threaded-fabric fault".into(),
-                    ))
-                }
-            },
-            None => None,
-        };
-        for node in self.exp_nodes.iter_mut().flatten() {
-            node.set_mutation(faults.mutation);
-        }
-        for node in self.imp_nodes.iter_mut().flatten() {
-            node.set_mutation(faults.mutation);
-        }
-        self.chaos = faults.chaos.map(ChaosState::new);
-        self.faults = faults;
-        Ok(())
-    }
-
-    /// Enables Figure-5 style event tracing for one connection on one
-    /// exporting process.
-    pub fn trace(
-        &mut self,
-        program: &str,
-        rank: usize,
-        conn: ConnectionId,
-    ) -> Result<(), SimError> {
-        let prog = self
-            .topo
-            .program_idx(program)
-            .ok_or_else(|| SimError::Config(format!("unknown program {program}")))?;
-        self.exp_nodes[prog][rank].enable_trace(conn);
-        self.traced.push((prog, rank, conn));
-        Ok(())
     }
 
     /// Runs to completion and returns the report.
     pub fn run(mut self) -> Result<TopoReport, SimError> {
-        // Arm the reliability layer exactly when the fault plan contains
-        // something only the protocol heals. Fault-free runs (and plain
-        // delay/duplicate chaos) never construct it, so their event
-        // schedules stay bit-identical.
-        if self.faults.needs_reliability() {
-            self.rel = Some(Reliability::armed(self.faults, Arc::clone(&self.metrics)));
-        }
         // Kick off every process: exporters compute before their first
         // export; importers pay startup + compute before their first call.
         // All export drives start before all import drives, matching the
@@ -590,13 +446,13 @@ impl TopologySim {
         for (d, drive) in self.exp_drives.iter().enumerate() {
             for rank in 0..drive.recs.len() {
                 self.queue
-                    .schedule(drive.compute[rank], Ev::Export { drive: d, rank });
+                    .schedule(drive.s.compute[rank], Ev::Export { drive: d, rank });
             }
         }
         for (d, drive) in self.imp_drives.iter().enumerate() {
             for rank in 0..drive.iters.len() {
                 self.queue.schedule(
-                    drive.startup + drive.compute,
+                    drive.s.startup + drive.s.compute,
                     Ev::ImpCall { drive: d, rank },
                 );
             }
@@ -651,9 +507,9 @@ impl TopologySim {
             .map(|d| std::mem::take(&mut d.iters))
             .collect();
         let mut traces = Vec::new();
-        for (prog, rank, conn) in std::mem::take(&mut self.traced) {
+        for (prog, rank, conn) in std::mem::take(&mut self.knobs.traces) {
             if let Some(trace) = self.exp_nodes[prog][rank].take_trace(conn) {
-                traces.push((self.topo.programs[prog].name.clone(), rank, conn, trace));
+                traces.push((prog, rank, conn, trace));
             }
         }
         Ok(TopoReport {
@@ -673,7 +529,7 @@ impl TopologySim {
                 let d = &self.exp_drives[drive];
                 let (prog, region) = (d.prog, d.region);
                 let iter = d.recs[rank].iter;
-                let ts = PeriodicSchedule::new(d.t0, d.dt)?.at(iter)?;
+                let ts = PeriodicSchedule::new(d.s.t0, d.s.dt)?.at(iter)?;
                 let fx = &mut self.fx;
                 fx.clear();
                 match self.exp_nodes[prog][rank].on_export(region, ts, fx) {
@@ -699,8 +555,8 @@ impl TopologySim {
                         .push(fx.actions.iter().map(|&(c, a)| (c, a.into())).collect());
                     rec.iter += 1;
                 }
-                let next = d.recs[rank].iter < d.count;
-                let compute = d.compute[rank];
+                let next = d.recs[rank].iter < d.s.count;
+                let compute = d.s.compute[rank];
                 self.out.append(&mut fx.msgs);
                 self.emit(Endpoint::Proc { prog, rank }, call_cost)?;
                 if next {
@@ -712,10 +568,10 @@ impl TopologySim {
             Ev::ImpCall { drive, rank } => {
                 let d = &self.imp_drives[drive];
                 let iter = d.iters[rank];
-                if iter >= d.count {
+                if iter >= d.s.count {
                     return Ok(());
                 }
-                let ts = PeriodicSchedule::new(d.t0, d.dt)?.at(iter)?;
+                let ts = PeriodicSchedule::new(d.s.t0, d.s.dt)?.at(iter)?;
                 let conn = d.conn;
                 let prog = d.prog;
                 let (_req, msg) = self.imp_nodes[prog][rank].begin_import(conn, ts)?;
@@ -805,7 +661,11 @@ impl TopologySim {
         };
         let (ep, prog) = (crash.rep(), crash.prog());
         let journal = self.wal.delivered(ep);
-        let (now, bh, hier) = (self.queue.now().0, self.buddy_help, self.hierarchical);
+        let (now, bh, hier) = (
+            self.queue.now().0,
+            self.knobs.buddy_help,
+            self.knobs.hierarchical,
+        );
         if let Some(rep) = crash.recover(now, &self.topo, bh, hier, &journal, &self.metrics)? {
             self.reps[prog] = Some(rep);
             if let Some(rel) = self.rel.as_mut() {
@@ -987,8 +847,9 @@ impl TopologySim {
                 .phases
                 .add_virtual(Phase::Import, self.queue.now().0 - d.wait_start[rank]);
             d.iters[rank] += 1;
-            if d.iters[rank] < d.count {
-                self.queue.schedule(d.compute, Ev::ImpCall { drive, rank });
+            if d.iters[rank] < d.s.count {
+                self.queue
+                    .schedule(d.s.compute, Ev::ImpCall { drive, rank });
             }
         }
         Ok(())
@@ -998,13 +859,13 @@ impl TopologySim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{ChaosConfig, CrashFault};
+    use crate::engine::{ChaosConfig, CrashFault, Faults, Knobs};
     use couplink_layout::{Decomposition, Extent2};
     use couplink_time::{ts, MatchPolicy, Tolerance};
 
     /// A small but complete pair run with the paper's timestamp pattern:
     /// exports every 1.0 from 1.6, imports every 20.0 from 20.0, REGL 2.5.
-    fn small_config(buddy_help: bool, importer_compute: f64) -> TopologyConfig {
+    fn small_config(buddy_help: bool, importer_compute: f64) -> RunSpec {
         let e = Extent2::new(64, 64);
         let topology = Topology::pair(
             Decomposition::block_2d(e, 2, 2).unwrap(),
@@ -1013,7 +874,7 @@ mod tests {
             Tolerance::new(2.5).unwrap(),
         )
         .unwrap();
-        TopologyConfig {
+        RunSpec {
             topology,
             exports: vec![ExportSchedule {
                 program: "exporter".into(),
@@ -1032,15 +893,19 @@ mod tests {
                 compute: importer_compute,
                 startup: 0.0,
             }],
-            buddy_help,
-            cost: CostModel::default(),
-            buffer_capacity: None,
-            hierarchical: false,
+            knobs: Knobs {
+                buddy_help,
+                ..Knobs::default()
+            },
         }
     }
 
-    fn run(cfg: TopologyConfig) -> TopoReport {
-        TopologySim::new(cfg).unwrap().run().unwrap()
+    fn sim(spec: RunSpec) -> Result<TopologySim, SimError> {
+        TopologySim::from_spec(spec, CostModel::default())
+    }
+
+    fn run(spec: RunSpec) -> TopoReport {
+        sim(spec).unwrap().run().unwrap()
     }
 
     /// What each export call of `rank` did on the pair's one connection.
@@ -1049,8 +914,8 @@ mod tests {
         calls.iter().map(|per_conn| per_conn[0].1).collect()
     }
 
-    fn rejected(cfg: TopologyConfig) -> bool {
-        matches!(TopologySim::new(cfg), Err(SimError::Config(_)))
+    fn rejected(spec: RunSpec) -> bool {
+        matches!(sim(spec), Err(SimError::Config(_)))
     }
 
     #[test]
@@ -1153,12 +1018,9 @@ mod tests {
                 ..Faults::default()
             },
         ] {
-            let mut sim = TopologySim::new(small_config(true, 1e-3)).unwrap();
-            let got = sim.faults(faults);
-            assert!(
-                matches!(got, Err(SimError::Config(_))),
-                "{faults:?}: {got:?}"
-            );
+            let mut spec = small_config(true, 1e-3);
+            spec.knobs.faults = faults;
+            assert!(rejected(spec), "{faults:?}");
         }
     }
 
@@ -1212,7 +1074,7 @@ mod tests {
         // Capacity 4 with a slow importer: the exporter fills its buffer
         // and stalls; each request prunes the buffer and lets it continue.
         let mut cfg = small_config(true, 5e-2);
-        cfg.buffer_capacity = Some(4);
+        cfg.knobs.buffer_capacity = Some(4);
         let report = run(cfg);
         // All transfers still complete, correctness is unaffected.
         assert_eq!(report.import_done[0], vec![5; 4]);
@@ -1237,9 +1099,9 @@ mod tests {
 
     #[test]
     fn trace_rank_records_the_slow_ranks_events() {
-        let mut sim = TopologySim::new(small_config(true, 1e-3)).unwrap();
-        sim.trace("exporter", 3, ConnectionId(0)).unwrap();
-        let report = sim.run().unwrap();
+        let mut spec = small_config(true, 1e-3);
+        spec.knobs.traces.push((0, 3, ConnectionId(0)));
+        let report = run(spec);
         assert_eq!(report.traces.len(), 1);
         let (_, rank, _, trace) = &report.traces[0];
         assert_eq!(*rank, 3);

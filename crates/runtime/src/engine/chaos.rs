@@ -124,9 +124,8 @@ pub struct CrashFault {
 }
 
 /// Every fault a run can be given, in one value: both in-process runtimes
-/// take it ([`TopologySim::faults`](crate::TopologySim::faults),
-/// [`FabricOptions::faults`](crate::FabricOptions::faults)) and each layer
-/// reads only the part it fires. The default is a fault-free run.
+/// take it as [`Knobs::faults`](super::Knobs::faults) and each layer reads
+/// only the part it fires. The default is a fault-free run.
 ///
 /// Which runtime fires what:
 /// - `chaos`: both. A [`CrashTarget::Agent`] crash is the fabric's alone;

@@ -27,6 +27,7 @@ pub mod chaos;
 pub mod node;
 pub mod oracle;
 pub mod reliable;
+pub mod spec;
 pub mod topology;
 pub mod tree;
 
@@ -38,6 +39,7 @@ pub(crate) use reliable::between;
 pub use reliable::{
     send_step, MemWal, Reliability, SendDecision, SendKind, Wal, WalRecord, WireMeta,
 };
+pub use spec::{ExportSchedule, ImportSchedule, Knobs, RunSpec};
 pub use topology::{
     ConnTopo, ExportRegionTopo, ImportRegionTopo, ProgramTopo, Topology, TopologyError,
 };

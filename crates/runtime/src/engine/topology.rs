@@ -10,7 +10,7 @@
 //! binds to each referenced region.
 
 use couplink_config::{Config, RegionRef};
-use couplink_layout::{Decomposition, RedistPlan};
+use couplink_layout::{Decomposition, Extent2, RedistPlan};
 use couplink_proto::ConnectionId;
 use couplink_time::{MatchPolicy, Tolerance};
 use std::collections::HashMap;
@@ -137,7 +137,7 @@ pub struct ConnTopo {
 }
 
 /// A validated multi-program coupling topology. See the module docs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     /// Programs, in configuration order.
     pub programs: Vec<ProgramTopo>,
@@ -231,6 +231,28 @@ impl Topology {
             });
         }
         Ok(Topology { programs, conns })
+    }
+
+    /// Parses `config_text` and binds every region a connection names to a
+    /// row-block decomposition of `grid` over its program's processes: the
+    /// shape of every socket session and simtest scenario, which every
+    /// process rebuilds alike from the same text.
+    pub fn row_blocks(config_text: &str, grid: Extent2) -> Result<Self, String> {
+        let config = couplink_config::parse(config_text).map_err(|e| format!("config: {e}"))?;
+        let mut bindings = HashMap::new();
+        for conn in &config.connections {
+            for region in [&conn.exporter, &conn.importer] {
+                let program = config.program(&region.program);
+                let unknown = || format!("config: unknown program {}", region.program);
+                let procs = program.ok_or_else(unknown)?.procs;
+                let d = Decomposition::row_block(grid, procs);
+                bindings.insert(
+                    region.clone(),
+                    d.map_err(|e| format!("decomposition: {e}"))?,
+                );
+            }
+        }
+        Topology::from_config(&config, &bindings).map_err(|e| format!("topology: {e}"))
     }
 
     /// The classic two-program, one-connection topology (program 0 exports

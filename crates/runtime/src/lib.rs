@@ -40,6 +40,7 @@
 pub mod cost;
 pub mod des;
 pub mod engine;
+mod facade;
 pub mod net;
 pub mod threaded;
 
@@ -48,8 +49,8 @@ pub use des::topo::{
     ExportSchedule, ExportSeries, ImportSchedule, SimError, TopoReport, TopologyConfig, TopologySim,
 };
 pub use engine::{
-    ActionKind, ChaosConfig, ChaosState, CrashFault, CrashTarget, Faults, Mutation,
-    OracleViolation, Reliability, Topology, TopologyError,
+    ActionKind, ChaosConfig, ChaosState, CrashFault, CrashTarget, Faults, Knobs, Mutation,
+    OracleViolation, Reliability, RunSpec, Topology, TopologyError,
 };
 pub use threaded::{
     fabric_task_count, ExportAccess, Fabric, FabricOptions, FabricReport, ImportAccess,

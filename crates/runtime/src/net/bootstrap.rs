@@ -720,6 +720,7 @@ impl Drop for DirCleanup {
 mod tests {
     use super::super::link::Addr;
     use super::*;
+    use crate::engine::RunSpec;
     use couplink_proto::wire::{self, BodyWriter};
 
     #[test]
@@ -845,22 +846,7 @@ mod tests {
 
     /// A plan with nothing to run: the scripted nodes below never parse it.
     fn empty_plan() -> NodePlan {
-        NodePlan {
-            config_text: String::new(),
-            grid: (1, 1),
-            exports: Vec::new(),
-            imports: Vec::new(),
-            buddy_help: false,
-            import_timeout_s: 1.0,
-            time_scale: 1.0,
-            verify_values: false,
-            traces: Vec::new(),
-            chaos: None,
-            fault: None,
-            hierarchical: false,
-            wal_dir: None,
-            restart: false,
-        }
+        NodePlan::from_spec(&RunSpec::default(), "#\n".into(), (1, 1)).expect("empty plan")
     }
 
     /// A fresh session directory, removed when the guard drops.

@@ -16,17 +16,13 @@
 //! impls are written by hand: [`Endpoint`]'s nine bytes, and
 //! [`NodeReport`], whose counters travel as JSON.
 
-use std::collections::HashMap;
-
-use couplink_config::parse;
-use couplink_layout::{Decomposition, Extent2, Rect};
+use couplink_layout::Rect;
 use couplink_metrics::{json, CounterSnapshot};
 use couplink_proto::wire::{self as wire, BodyReader, BodyWriter, Wire, WireError, WireRect};
 use couplink_proto::{wire_enum, wire_struct, CtrlMsg, ExportStats, Trace};
 
-use crate::engine::{ChaosConfig, ConnTopo, CrashFault, CrashTarget, Endpoint, Topology, WireMeta};
-
-use super::node::NODE_BUFFER_CAPACITY;
+use crate::engine::{ChaosConfig, CrashFault, CrashTarget, Endpoint, WireMeta};
+pub use crate::facade::{ExportSpec, ImportSpec, NodePlan};
 
 /// Version of the runtime envelope protocol (checked in both handshakes,
 /// independently of the frame-container version below it).
@@ -64,42 +60,6 @@ pub const KIND_REPORT: u8 = BASE + 12;
 pub const KIND_MESH_BYE: u8 = BASE + 13;
 
 // --- plan ---
-
-/// One exported region's application schedule.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExportSpec {
-    /// Exporting program name (as in the configuration text).
-    pub program: String,
-    /// Region index within the program's exports.
-    pub region: usize,
-    /// First export timestamp.
-    pub t0: f64,
-    /// Timestamp step.
-    pub dt: f64,
-    /// Number of exports.
-    pub count: usize,
-    /// Per-rank inter-export compute time (seconds, pre-scaling).
-    pub compute: Vec<f64>,
-}
-
-/// One imported region's application schedule.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ImportSpec {
-    /// Importing program name.
-    pub program: String,
-    /// Region index within the program's imports.
-    pub region: usize,
-    /// First import timestamp.
-    pub t0: f64,
-    /// Timestamp step.
-    pub dt: f64,
-    /// Number of imports.
-    pub count: usize,
-    /// Inter-import compute time (seconds, pre-scaling).
-    pub compute: f64,
-    /// Startup delay before the first import (seconds, pre-scaling).
-    pub startup: f64,
-}
 
 /// A deliberate malfunction a node injects into itself — the negative
 /// transport tests are driven by these, not by hacking the node binary.
@@ -150,118 +110,6 @@ pub enum NodeFault {
         /// Outbound frames written on the link before the sever.
         after_tx: u64,
     },
-}
-
-/// Everything a `couplink-node` child needs to run its share of a session:
-/// the configuration text (re-parsed and re-validated in-process), the
-/// grid shape that fixes every region's decomposition, the application
-/// schedules, and the knobs the in-process runtimes take programmatically.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodePlan {
-    /// Configuration text in the deployer format (Figure 2 of the paper).
-    pub config_text: String,
-    /// Global grid `(rows, cols)`; every region is bound to a row-block
-    /// decomposition of this grid over its program's processes.
-    pub grid: (usize, usize),
-    /// Export schedules, one per exported region.
-    pub exports: Vec<ExportSpec>,
-    /// Import schedules, one per imported region.
-    pub imports: Vec<ImportSpec>,
-    /// Whether reps send buddy-help.
-    pub buddy_help: bool,
-    /// Import timeout in seconds.
-    pub import_timeout_s: f64,
-    /// Multiplier applied to every schedule sleep.
-    pub time_scale: f64,
-    /// Whether importers verify transferred cell values against the
-    /// exporter's deterministic fill.
-    pub verify_values: bool,
-    /// Connections to trace, as `(program, rank, connection)`; each node
-    /// arms only the entries for its own program.
-    pub traces: Vec<(usize, usize, u32)>,
-    /// Chaos plan, armed identically in every node (loss is drawn at the
-    /// sender, crash targets fire only where hosted).
-    pub chaos: Option<ChaosConfig>,
-    /// At most one injected malfunction.
-    pub fault: Option<NodeFault>,
-    /// Hierarchical collective distribution: reps fan out to the tree
-    /// roots and every rank relays to its subtree (must agree across the
-    /// mesh — every node derives the same deterministic tree).
-    pub hierarchical: bool,
-    /// Directory for this node's file-backed write-ahead journal; `None`
-    /// keeps the in-memory journal (the default — no durability, no I/O).
-    pub wal_dir: Option<String>,
-    /// This node is a restarted incarnation: replay delivered state from
-    /// the journal in `wal_dir` before joining the mesh, and expect a
-    /// stale mesh socket path to need unlinking.
-    pub restart: bool,
-}
-
-impl NodePlan {
-    /// Rebuilds the validated topology every process must agree on:
-    /// parse the configuration text, bind a row-block decomposition of
-    /// [`grid`](NodePlan::grid) to every referenced region, validate.
-    /// Parent and children all derive the topology through this one path,
-    /// so they can never disagree about shapes or connection ids.
-    pub fn topology(&self) -> Result<Topology, String> {
-        let config = parse(&self.config_text).map_err(|e| format!("plan config: {e}"))?;
-        let grid = Extent2::new(self.grid.0, self.grid.1);
-        let mut bindings = HashMap::new();
-        for conn in &config.connections {
-            for region in [&conn.exporter, &conn.importer] {
-                let procs = config
-                    .program(&region.program)
-                    .ok_or_else(|| format!("plan config: unknown program {}", region.program))?
-                    .procs;
-                let d = Decomposition::row_block(grid, procs)
-                    .map_err(|e| format!("plan decomposition: {e}"))?;
-                bindings.insert(region.clone(), d);
-            }
-        }
-        Topology::from_config(&config, &bindings).map_err(|e| format!("plan topology: {e}"))
-    }
-
-    /// The per-connection export buffer capacity of the node hosting
-    /// program `prog` (`topo` is this plan's [`topology`](Self::topology)):
-    /// [`NODE_BUFFER_CAPACITY`], or more where the schedules need it.
-    ///
-    /// Before a connection's importer makes its last request, every stall
-    /// ends when a request or its answer frees space. After it, nothing
-    /// frees that port again: every later export at or above the last
-    /// region's lower bound `x_last − tol` stays buffered to the end of
-    /// the run (every export, when the importer makes no request). The
-    /// capacity is one more than the longest such tail over the
-    /// connections `prog` exports on, so no export waits for a message
-    /// that will never come.
-    pub fn export_capacity(&self, topo: &Topology, prog: usize) -> usize {
-        let program = |p: usize| topo.programs[p].name.as_str();
-        let tail = |ct: &ConnTopo| {
-            let Some(exp) = self
-                .exports
-                .iter()
-                .find(|e| e.program == program(prog) && e.region == ct.exporter_region)
-            else {
-                return 0;
-            };
-            let last_lo = self
-                .imports
-                .iter()
-                .find(|i| i.program == program(ct.importer_prog) && i.region == ct.importer_region)
-                .filter(|i| i.count > 0)
-                .map(|i| i.t0 + (i.count - 1) as f64 * i.dt - ct.tolerance.value());
-            (0..exp.count)
-                .filter(|&k| last_lo.is_none_or(|lo| exp.t0 + k as f64 * exp.dt >= lo))
-                .count()
-        };
-        let longest = topo
-            .conns
-            .iter()
-            .filter(|ct| ct.exporter_prog == prog)
-            .map(tail)
-            .max()
-            .unwrap_or(0);
-        NODE_BUFFER_CAPACITY.max(longest + 1)
-    }
 }
 
 /// What one node reports home after draining: its exporters' statistics
@@ -525,6 +373,7 @@ pub fn decode_report(body: &[u8]) -> Result<NodeReport, WireError> {
 mod tests {
     use super::*;
     use crate::engine::reliable::WalRecord;
+    use crate::net::node::{export_capacity, NODE_BUFFER_CAPACITY};
     use crate::net::wal;
     use couplink_proto::wire::FrameDecoder;
     use couplink_proto::{ConnectionId, ProcResponse, Rank, RepAnswer, RequestId};
@@ -672,7 +521,7 @@ mod tests {
             chaos: None,
             ..full_plan()
         };
-        plan.export_capacity(&plan.topology().unwrap(), 0)
+        export_capacity(&plan.run_spec(plan.topology().unwrap()).unwrap(), 0)
     }
 
     /// The node's pacing capacity: the constant when the importer's last
@@ -698,10 +547,46 @@ mod tests {
             NODE_BUFFER_CAPACITY
         );
         let plan = full_plan();
+        let spec = plan.run_spec(plan.topology().unwrap()).unwrap();
+        assert_eq!(export_capacity(&spec, 1), NODE_BUFFER_CAPACITY);
+    }
+
+    /// A plan's run carries every knob the plan does, with its regions
+    /// named, and converts back to the same plan over the same text.
+    #[test]
+    fn a_plans_run_spec_keeps_every_knob() {
+        let plan = full_plan();
+        let spec = plan.run_spec(plan.topology().unwrap()).unwrap();
+        let k = &spec.knobs;
+        assert!(k.buddy_help && k.hierarchical);
+        assert_eq!(k.import_timeout, std::time::Duration::from_secs(5));
+        assert_eq!(k.buffer_capacity, None, "the node derives its capacity");
+        let traced = [(0, 0, ConnectionId(0)), (0, 1, ConnectionId(0))];
+        assert_eq!(k.traces, traced);
+        assert_eq!(k.faults.chaos, plan.chaos);
         assert_eq!(
-            plan.export_capacity(&plan.topology().unwrap(), 1),
-            NODE_BUFFER_CAPACITY
+            k.faults,
+            crate::engine::Faults {
+                chaos: plan.chaos,
+                ..Default::default()
+            }
         );
+        assert_eq!(
+            (&*spec.exports[0].region, &*spec.imports[0].region),
+            ("r", "m")
+        );
+        assert_eq!(spec.exports[0].compute, plan.exports[0].compute);
+        assert_eq!(spec.imports[0].startup, plan.imports[0].startup);
+        let again = NodePlan::from_spec(&spec, plan.config_text.clone(), plan.grid).unwrap();
+        let node_only = NodePlan {
+            time_scale: 1.0,
+            verify_values: false,
+            fault: None,
+            wal_dir: None,
+            restart: false,
+            ..plan
+        };
+        assert_eq!(again, node_only);
     }
 
     /// A report with stats, a trace of every event kind, matches and

@@ -31,14 +31,10 @@
 //! restarted node replays its journal into it *before any live frame can
 //! arrive* and rebinds the address its peers re-dial. After `GO` it:
 //!
-//! 1. runs the application threads (exports refill one field per rank in
-//!    place with a deterministic cell fill, imports with optional value
-//!    verification); exports are paced
-//!    by a finite buffer ([`NODE_BUFFER_CAPACITY`], raised to cover the
-//!    schedule's tail by [`NodePlan::export_capacity`](super::NodePlan::export_capacity)),
-//!    so an exporter stalls until its importers' requests free space; a
-//!    restarted node resumes each export schedule after the journaled
-//!    prefix;
+//! 1. runs the application threads ([`drive`](fn@crate::threaded::drive)),
+//!    its exporters paced by a finite buffer ([`export_capacity`]) until
+//!    their importers' requests free space; a restarted node resumes each
+//!    export schedule after the journaled prefix;
 //! 2. sends `APP_DONE` but **keeps serving fabric traffic** — peers may
 //!    still need this node's reps and stores for their own imports;
 //! 3. on `DRAIN`, runs the staged session shutdown (drain → relay → reps →
@@ -72,23 +68,21 @@
 //! they are regenerated deterministically by export replay and deduped by
 //! the receiving importer.
 
-use std::collections::HashMap;
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use couplink_layout::{LocalArray, Rect, SharedArray};
+use couplink_layout::{Rect, SharedArray};
 use couplink_metrics::EngineMetrics;
 use couplink_proto::wire::{self, UncheckedSlot, WireError};
 use couplink_proto::{ConnectionId, CtrlMsg, Rank, RequestId};
-use couplink_time::ts;
 use parking_lot::Mutex;
 
-use crate::engine::{Endpoint, Faults, WalRecord, WireMeta};
-use crate::threaded::fabric::{ExportAccess, Net, RemoteLinks, WalHandle};
-use crate::threaded::{Fabric, FabricOptions};
+use crate::engine::{ConnTopo, Endpoint, RunSpec, WalRecord, WireMeta};
+use crate::threaded::fabric::{Net, RemoteLinks, WalHandle};
+use crate::threaded::{drive, Apps, DriveOptions, Fabric};
 
 use super::bootstrap::{check_hello, expect_frame, BootstrapError};
 use super::codec::{self, NodeFault, NodeReport};
@@ -97,12 +91,40 @@ use super::wal::FileWal;
 
 /// Objects each export port of a node may buffer before `export()` waits
 /// for the importer's requests to free space (raised per plan by
-/// [`NodePlan::export_capacity`](super::NodePlan::export_capacity) where a
-/// schedule's tail needs more). Chosen by the capacity sweep in
-/// EXPERIMENTS.md: the smallest value within the spread of the best
-/// `socket_ctrl` throughput (4 is faster on `socket_bulk` but slower on
-/// `socket_ctrl`; 16 and 32 add memory and no throughput).
+/// [`export_capacity`] where a schedule's tail needs more). Chosen by the
+/// capacity sweep in EXPERIMENTS.md: the smallest value within the spread
+/// of the best `socket_ctrl` throughput (4 is faster on `socket_bulk` but
+/// slower on `socket_ctrl`; 16 and 32 add memory and no throughput).
 pub const NODE_BUFFER_CAPACITY: usize = 8;
+
+/// The per-connection export buffer capacity of the node hosting program
+/// `prog` of `spec`: [`NODE_BUFFER_CAPACITY`], or one more than the
+/// longest tail of exports at or above a connection's last region's lower
+/// bound `x_last − tol` (all of them without a request). Nothing frees a
+/// port after its last request, so no export may wait for one.
+pub fn export_capacity(spec: &RunSpec, prog: usize) -> usize {
+    let tail = |ct: &ConnTopo| {
+        let exporter = Ok((prog, ct.exporter_region));
+        let exp = spec
+            .exports
+            .iter()
+            .find(|e| spec.export_region(e) == exporter);
+        let Some(exp) = exp else { return 0 };
+        let importer = Ok((ct.importer_prog, ct.importer_region));
+        let last = spec
+            .imports
+            .iter()
+            .find(|i| spec.import_region(i) == importer);
+        let last = last.filter(|i| i.count > 0);
+        let last_lo = last.map(|i| i.t0 + (i.count - 1) as f64 * i.dt - ct.tolerance.value());
+        (0..exp.count)
+            .filter(|&k| last_lo.is_none_or(|lo| exp.t0 + k as f64 * exp.dt >= lo))
+            .count()
+    };
+    let conns = spec.topology.conns.iter();
+    let longest = conns.filter(|ct| ct.exporter_prog == prog).map(tail).max();
+    NODE_BUFFER_CAPACITY.max(longest.unwrap_or(0) + 1)
+}
 
 /// How long the child waits on any single bootstrap step before giving up.
 const BOOT_TIMEOUT: Duration = Duration::from_secs(120);
@@ -122,32 +144,6 @@ pub struct NodeArgs {
     /// Program index to *claim* in the hello, when different from `prog`
     /// — only used by the bootstrap-rejection tests.
     pub claim: Option<usize>,
-}
-
-/// The deterministic cell fill exporters write and importers verify:
-/// recoverable from the matched timestamp alone, and distinct per cell.
-fn cell_value(t: f64, row: usize, col: usize, grid_cols: usize) -> f64 {
-    t * 1e6 + (row * grid_cols + col) as f64
-}
-
-/// Refills `data` in place with [`cell_value`] at `t`, bit for bit, the
-/// way a model updates its field: no allocation, and per row one base plus
-/// the column's offset. The offset counts in `u32`, whose conversion to
-/// `f64` vectorises; a cell's index below 2^53 is exact either way, so
-/// `first + j` is the index `cell_value` converts.
-fn fill_cells(data: &mut LocalArray, t: f64, grid_cols: usize) {
-    let owned = data.owned();
-    if owned.cols == 0 {
-        return;
-    }
-    let base = t * 1e6;
-    let rows = data.as_mut_slice().chunks_exact_mut(owned.cols);
-    for (row, cells) in (owned.row0..).zip(rows) {
-        let first = (row * grid_cols + owned.col0) as f64;
-        for (cell, j) in cells.iter_mut().zip(0u32..) {
-            *cell = base + (first + f64::from(j));
-        }
-    }
 }
 
 fn ep_prog(ep: Endpoint) -> usize {
@@ -632,6 +628,13 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
     if me >= n {
         return Err(format!("program index {me} out of range ({n} programs)"));
     }
+    let mut spec = plan.run_spec(topo)?;
+    // Paced: the node's export and import loops are separate threads, so a
+    // stalled `export()` waits only for a peer's requests, never for this
+    // process's own program order.
+    spec.knobs.buffer_capacity = Some(export_capacity(&spec, me));
+    spec.knobs.traces.retain(|&(p, _, _)| p == me);
+    let topo = &spec.topology;
 
     // --- durable journal ---
     // Opened before the session exists: replay and truncation meter into
@@ -672,29 +675,10 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
         topo.conns.iter().map(|c| c.importer_prog).collect(),
         wal_handle.clone(),
     ));
-    let opts = FabricOptions {
-        buddy_help: plan.buddy_help,
-        import_timeout: Duration::from_secs_f64(plan.import_timeout_s),
-        // Paced: the node's export and import loops are separate threads,
-        // so a stalled `export()` waits only for a peer's requests, never
-        // for this process's own program order.
-        buffer_capacity: Some(plan.export_capacity(&topo, me)),
-        traces: plan
-            .traces
-            .iter()
-            .filter(|&&(p, _, _)| p == me)
-            .map(|&(p, r, c)| (p, r, ConnectionId(c)))
-            .collect(),
-        faults: Faults {
-            chaos: plan.chaos,
-            ..Faults::default()
-        },
-        hierarchical: plan.hierarchical,
-        wal: wal_handle.clone(),
-    };
     let mut fabric = Fabric::partial(
         topo.clone(),
-        opts,
+        spec.knobs.clone(),
+        wal_handle.clone(),
         me,
         links.clone(),
         Some(Arc::clone(&metrics)),
@@ -702,39 +686,19 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
     let _ = links.metrics.set(Arc::clone(&metrics));
     let net = fabric.net();
 
-    let grid_cols = plan.grid.1;
-
-    // Export handles are taken up front: journal replay re-drives them,
-    // and the application threads then resume after the replayed prefix.
-    // Each comes with the one field its rank refills for every export.
-    let mut export_handles: HashMap<(usize, usize), (ExportAccess, LocalArray)> = HashMap::new();
-    for spec in &plan.exports {
-        let Some(prog) = topo.program_idx(&spec.program) else {
-            return Err(format!("plan exports unknown program {}", spec.program));
-        };
-        if prog != me {
-            continue;
-        }
-        for rank in 0..topo.programs[me].procs {
-            let owned = topo.programs[me].exports[spec.region].decomp.owned(rank);
-            export_handles.insert(
-                (rank, spec.region),
-                (
-                    fabric.take_export(me, rank, spec.region),
-                    LocalArray::zeros(owned),
-                ),
-            );
-        }
-    }
+    // The application's handles are taken up front: journal replay
+    // re-drives the exports, and the application threads then resume
+    // after the replayed prefix. Each exporting rank comes with the one
+    // field it refills for every export.
+    let mut apps = Apps::take(&spec, &mut fabric, |p| p == me)?;
 
     // --- journal replay (restart only) ---
     // Records are re-driven in file order: journaled deliveries go into
     // the mailboxes (the fabric suppresses re-sending sequenced traffic
     // and journaling while replaying), journaled exports regenerate their
     // deterministic fill and re-drive the export path (pieces re-sent to
-    // the mesh are deduped by the importer). Per-region counts feed the
-    // application threads' resume points.
-    let mut resumed: HashMap<(usize, usize), usize> = HashMap::new();
+    // the mesh are deduped by the importer), and the application threads
+    // resume after them.
     if plan.restart {
         net.begin_replay();
         for rec in &recovered {
@@ -746,16 +710,8 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
                     let Endpoint::Proc { prog, rank } = *ep else {
                         continue;
                     };
-                    if prog != me {
-                        continue;
-                    }
-                    let key = (rank, *region as usize);
-                    if let Some((h, data)) = export_handles.get_mut(&key) {
-                        fill_cells(data, ts.value(), grid_cols);
-                        h.export(*ts, data)
-                            .map_err(|e| format!("replaying export: {e}"))?;
-                        *resumed.entry(key).or_insert(0) += 1;
-                    }
+                    apps.replay((prog, rank, *region as usize), *ts)
+                        .map_err(|e| format!("replaying export: {e}"))?;
                 }
             }
         }
@@ -878,112 +834,29 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
     expect_frame(&mut parent_rd, codec::KIND_GO, "go").map_err(|e| e.to_string())?;
 
     // --- application threads ---
-    let scale = plan.time_scale;
-    let mut exp_threads = Vec::new();
-    for spec in &plan.exports {
-        if topo.program_idx(&spec.program) != Some(me) {
-            continue;
-        }
-        for rank in 0..topo.programs[me].procs {
-            let (mut h, mut data) = export_handles
-                .remove(&(rank, spec.region))
-                .ok_or_else(|| format!("export region {} specified twice", spec.region))?;
-            let done = resumed.get(&(rank, spec.region)).copied().unwrap_or(0);
-            let (t0, dt, count) = (spec.t0, spec.dt, spec.count);
-            let compute = spec.compute.get(rank).copied().unwrap_or(0.0);
-            let abort_after = match plan.fault {
-                Some(NodeFault::AbortAfterExports {
-                    prog: p,
-                    rank: r,
-                    after,
-                }) if p == me && r == rank => Some(after),
-                _ => None,
-            };
-            exp_threads.push((
-                rank,
-                std::thread::spawn(move || -> Result<(), String> {
-                    // `done` exports were replayed from the journal; the
-                    // schedule resumes after them.
-                    for k in done..count {
-                        if compute > 0.0 {
-                            std::thread::sleep(Duration::from_secs_f64(compute * scale));
-                        }
-                        let t = t0 + k as f64 * dt;
-                        fill_cells(&mut data, t, grid_cols);
-                        h.export(ts(t), &data).map_err(|e| e.to_string())?;
-                        if abort_after == Some(k + 1) {
-                            // Injected malfunction: die mid-run with the
-                            // sockets cut, exactly like a crashed peer.
-                            std::process::exit(17);
-                        }
-                    }
-                    Ok(())
-                }),
-            ));
-        }
-    }
-    let mut imp_threads = Vec::new();
-    for spec in &plan.imports {
-        let Some(prog) = topo.program_idx(&spec.program) else {
-            return Err(format!("plan imports unknown program {}", spec.program));
-        };
-        if prog != me {
-            continue;
-        }
-        for rank in 0..topo.programs[me].procs {
-            let mut h = fabric.take_import(me, rank, spec.region);
-            let owned = topo.programs[me].imports[spec.region].decomp.owned(rank);
-            let (t0, dt, count, compute, startup) =
-                (spec.t0, spec.dt, spec.count, spec.compute, spec.startup);
-            let verify = plan.verify_values;
-            let region = spec.region;
-            imp_threads.push((
-                region,
-                rank,
-                std::thread::spawn(move || -> (Vec<Option<f64>>, Option<String>) {
-                    std::thread::sleep(Duration::from_secs_f64(startup * scale));
-                    let mut got = Vec::with_capacity(count);
-                    let mut dest = LocalArray::zeros(owned);
-                    for k in 0..count {
-                        if compute > 0.0 {
-                            std::thread::sleep(Duration::from_secs_f64(compute * scale));
-                        }
-                        match h.import(ts(t0 + k as f64 * dt), &mut dest) {
-                            Err(e) => return (got, Some(e.to_string())),
-                            Ok(None) => got.push(None),
-                            Ok(Some(m)) => {
-                                if verify {
-                                    if let Some(err) =
-                                        verify_cells(&dest, owned, m.value(), grid_cols)
-                                    {
-                                        return (got, Some(err));
-                                    }
-                                }
-                                got.push(Some(m.value()));
-                            }
-                        }
-                    }
-                    (got, None)
-                }),
-            ));
-        }
-    }
-
-    let mut export_errors = Vec::new();
-    for (rank, t) in exp_threads {
-        if let Err(e) = t.join().map_err(|_| "exporter thread panicked")? {
-            export_errors.push((me, rank, e));
-        }
-    }
-    let mut imports_done = Vec::new();
+    let opts = DriveOptions {
+        time_scale: plan.time_scale,
+        verify: plan.verify_values,
+        abort_after: match plan.fault {
+            Some(NodeFault::AbortAfterExports { prog, rank, after }) => Some((prog, rank, after)),
+            _ => None,
+        },
+    };
+    let Ok(ran) = drive(&spec, apps, opts) else {
+        // Injected malfunction: die mid-run with the sockets cut, exactly
+        // like a crashed peer, dropping nothing on the way out.
+        std::process::exit(17);
+    };
     let mut matches = Vec::new();
-    for (region, rank, t) in imp_threads {
-        let (got, err) = t.join().map_err(|_| "importer thread panicked")?;
-        imports_done.push((me, rank, got.len() as u64, err));
-        if rank == 0 {
-            let conn = topo.programs[me].imports[region].conn;
-            matches.push((conn.0, got));
+    let mut imports_done = Vec::new();
+    for i in ran.imports {
+        if i.rank == 0 {
+            matches.push((
+                i.conn.0,
+                i.got.iter().map(|m| m.map(|t| t.value())).collect(),
+            ));
         }
+        imports_done.push((i.prog, i.rank, i.got.len() as u64, i.error));
     }
 
     // From here on a peer EOF is expected (someone drains first) — the
@@ -1043,7 +916,7 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
         traces,
         matches,
         imports_done,
-        export_errors,
+        export_errors: ran.export_errors,
         shutdown_error,
         counters: metrics.snapshot().counters,
     };
@@ -1053,27 +926,13 @@ fn run_node(args: &NodeArgs) -> Result<(), String> {
     Ok(())
 }
 
-fn verify_cells(dest: &LocalArray, owned: Rect, m: f64, grid_cols: usize) -> Option<String> {
-    for row in owned.row0..owned.row0 + owned.rows {
-        for col in owned.col0..owned.col0 + owned.cols {
-            let want = cell_value(m, row, col, grid_cols);
-            let got = dest.get(row, col);
-            if got != want {
-                return Some(format!(
-                    "data corruption at ({row},{col}) for D@{m}: got {got}, want {want}"
-                ));
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{MemWal, Topology};
-    use couplink_layout::{Decomposition, Extent2};
-    use couplink_time::{MatchPolicy, Tolerance};
+    use crate::engine::{Knobs, MemWal, Topology};
+    use crate::threaded::drive::{cell_value, fill_cells};
+    use couplink_layout::{Decomposition, Extent2, LocalArray};
+    use couplink_time::{ts, MatchPolicy, Tolerance};
     use std::io::Read;
     use std::os::unix::net::UnixStream;
 
@@ -1102,11 +961,8 @@ mod tests {
     ) -> (Arc<MeshCtx>, Fabric) {
         let links = Arc::new(SocketLinks::new(n, vec![1], None));
         let metrics = Arc::new(EngineMetrics::new());
-        let opts = FabricOptions {
-            wal,
-            ..FabricOptions::default()
-        };
-        let fabric = Fabric::partial(topo, opts, me, links.clone(), Some(metrics.clone()));
+        let knobs = Knobs::default();
+        let fabric = Fabric::partial(topo, knobs, wal, me, links.clone(), Some(metrics.clone()));
         let ctx = MeshCtx {
             me,
             n,

@@ -39,8 +39,8 @@
 use crate::engine::chaos::{commutes, ChaosConfig, CrashTarget};
 use crate::engine::{
     between, proc_side, send_step, Endpoint, EngineError, ExportFx, ExportNode, Faults, ImportNode,
-    MemWal, Mutation, Outgoing, ProcSide, Reliability, RepCrash, RepNode, SendDecision, SendKind,
-    Topology, Wal, WalRecord, WireMeta,
+    Knobs, MemWal, Mutation, Outgoing, ProcSide, Reliability, RepCrash, RepNode, SendDecision,
+    SendKind, Topology, Wal, WalRecord, WireMeta,
 };
 use crate::threaded::executor::{
     publish_run_next, Executor, Helper, PanicSink, Poll, Task, TaskHandle,
@@ -147,71 +147,11 @@ impl fmt::Debug for WalHandle {
     }
 }
 
-/// Options for building a [`Fabric`].
-#[derive(Debug, Clone)]
-pub struct FabricOptions {
-    /// Whether the reps send buddy-help (default: enabled).
-    pub buddy_help: bool,
-    /// How long `import` (and a stalled bounded `export`) waits before
-    /// giving up.
-    pub import_timeout: Duration,
-    /// Per-connection framework buffer bound in objects (`None` =
-    /// unbounded). With a bound, `export` blocks while the buffer is full
-    /// and resumes when control traffic frees space.
-    pub buffer_capacity: Option<usize>,
-    /// Connections to trace, as `(program, rank, connection)`: the named
-    /// exporter process records a Figure 5-style event stream for that
-    /// connection, returned by [`Fabric::shutdown`].
-    pub traces: Vec<(usize, usize, ConnectionId)>,
-    /// The run's injected faults (see [`Faults`]; default: none), every one
-    /// of which the fabric fires. Chaos perturbs only *commutative* control
-    /// messages (`Response`, `BuddyHelp`, `Answer`, `AnswerBcast`), through
-    /// a relay thread: the fabric has no global event queue on which to
-    /// re-order FIFO-class ones safely, and the protocol forbids it anyway.
-    /// Link breaks hit every control message. Faults that need it
-    /// ([`Faults::needs_reliability`]) arm the reliability layer: acks,
-    /// resends when a broken link re-forms, and failover of a crashed rep
-    /// from its delivery journal. Mutations are armed while the fabric is
-    /// built, before any task runs.
-    pub faults: Faults,
-    /// Hierarchical collective distribution: the rep sends forwards and
-    /// coalesced answers only to the roots of the deterministic
-    /// [`tree`](crate::engine::tree), and every rank relays to its own
-    /// subtree. Per-rep fan-out drops from O(N) to O(k); relay hops are
-    /// metered as `ctrl_relay` instead of per-class origin traffic.
-    pub hierarchical: bool,
-    /// Write-ahead journal backend for the session's delivered messages
-    /// and export schedule. `None` (the default) falls back to [`MemWal`]
-    /// when the reliability layer is armed — exactly the in-memory journal
-    /// the in-process failover has always replayed. The socket runtime
-    /// plugs in a file-backed handle here so a SIGKILLed node can replay
-    /// its half of the session on restart. Providing a backend arms the
-    /// reliability layer.
-    pub wal: Option<WalHandle>,
-}
-
-impl Default for FabricOptions {
-    fn default() -> Self {
-        FabricOptions {
-            buddy_help: true,
-            import_timeout: Duration::from_secs(30),
-            buffer_capacity: None,
-            traces: Vec::new(),
-            faults: Faults::default(),
-            hierarchical: false,
-            wal: None,
-        }
-    }
-}
-
-impl FabricOptions {
-    /// Whether these options arm the reliability layer (sequence numbers,
-    /// acks, resends, journal): only when a fault that needs it is
-    /// configured or a journal is asked for — a plain run pays nothing.
-    fn needs_reliability(&self) -> bool {
-        self.faults.needs_reliability() || self.wal.is_some()
-    }
-}
+/// The knobs a [`Fabric`] is built with, under their older name. Chaos
+/// delays and duplicates only *commutative* control messages (`Response`,
+/// `BuddyHelp`, `Answer`, `AnswerBcast`), through a relay thread; link
+/// breaks hit every one.
+pub type FabricOptions = Knobs;
 
 /// What [`Fabric::shutdown`] returns.
 #[derive(Debug)]
@@ -1642,8 +1582,8 @@ pub struct Fabric {
 impl Fabric {
     /// Builds the fabric for a validated topology and spawns its control
     /// tasks on a default-sized worker pool.
-    pub fn new(topo: Topology, opts: FabricOptions) -> Self {
-        Fabric::build(topo, opts, None, None, None)
+    pub fn new(topo: Topology, opts: Knobs) -> Self {
+        Fabric::build(topo, opts, None, None, None, None)
     }
 
     /// Like [`Fabric::new`], but hosting only program `local` (the socket
@@ -1652,15 +1592,20 @@ impl Fabric {
     /// traffic for every other endpoint is handed to `links`. `metrics`
     /// lets the caller supply pre-made instrumentation — the socket node
     /// opens its durable journal (which meters replay) before the fabric
-    /// exists.
+    /// exists. `wal` is the session's write-ahead journal backend: the
+    /// socket runtime plugs in a file-backed handle so a SIGKILLed node can
+    /// replay its half of the session on restart. A backend arms the
+    /// reliability layer; without one, armed reliability journals in
+    /// memory ([`MemWal`]), exactly what the in-process failover replays.
     pub(crate) fn partial(
         topo: Topology,
-        opts: FabricOptions,
+        opts: Knobs,
+        wal: Option<WalHandle>,
         local: usize,
         links: Arc<dyn RemoteLinks>,
         metrics: Option<Arc<EngineMetrics>>,
     ) -> Self {
-        Fabric::build(topo, opts, Some(local), Some(links), metrics)
+        Fabric::build(topo, opts, wal, Some(local), Some(links), metrics)
     }
 
     /// Creates the pool, then the mailboxes (the routing table must exist
@@ -1668,7 +1613,8 @@ impl Fabric {
     /// order: agents, reps, importers.
     fn build(
         topo: Topology,
-        opts: FabricOptions,
+        opts: Knobs,
+        wal: Option<WalHandle>,
         local: Option<usize>,
         links: Option<Arc<dyn RemoteLinks>>,
         metrics: Option<Arc<EngineMetrics>>,
@@ -1679,9 +1625,9 @@ impl Fabric {
         let metrics = metrics.unwrap_or_else(|| Arc::new(EngineMetrics::new()));
         let faults = opts.faults;
         let crash = faults.chaos.and_then(|c| c.crash);
-        // Reliability is armed only when the faults require it — see
-        // `NetRel`.
-        let needs_rel = opts.needs_reliability();
+        // Reliability is armed only when the faults or a journal require
+        // it — see `NetRel`. A plain run pays nothing.
+        let needs_rel = faults.needs_reliability() || wal.is_some();
         let rel = needs_rel.then(|| NetRel::new(faults, &metrics));
 
         // Mailboxes first (the routing table must exist before any task).
@@ -1726,7 +1672,7 @@ impl Fabric {
             links,
             // Armed reliability always journals (the rep failover replays
             // it); without an explicit backend the journal is in-memory.
-            wal: needs_rel.then(|| opts.wal.clone().unwrap_or_else(WalHandle::mem)),
+            wal: needs_rel.then(|| wal.unwrap_or_else(WalHandle::mem)),
             wal_active: AtomicBool::new(true),
             metrics: Arc::clone(&metrics),
             helper: exec.helper(),
@@ -2184,7 +2130,7 @@ mod tests {
     #[test]
     fn one_buffered_object_serves_overlapping_connections_without_copies() {
         let (topo, exp_d, imp_a, imp_b) = fanout_topology();
-        let mut fabric = Fabric::new(topo, FabricOptions::default());
+        let mut fabric = Fabric::new(topo, Knobs::default());
         let metrics = fabric.metrics();
         let cell = fabric.cell(0, 0);
 
@@ -2249,7 +2195,7 @@ mod tests {
     #[test]
     fn a_freed_object_is_refilled_by_the_next_copy() {
         let (topo, exp_d, imp_d) = pair_topology();
-        let mut fabric = Fabric::new(topo, FabricOptions::default());
+        let mut fabric = Fabric::new(topo, Knobs::default());
         let mut exp = fabric.take_export(0, 0, 0);
         let mut imp = fabric.take_import(1, 0, 0);
         let value = |k: usize, r: usize, c: usize| (k * 100 + r * 4 + c) as f64;
@@ -2291,7 +2237,7 @@ mod tests {
     #[test]
     fn chaos_armed_rep_drains_its_backlog_in_one_poll() {
         let (topo, ..) = fanout_topology();
-        let opts = FabricOptions {
+        let opts = Knobs {
             traces: vec![(0, 0, ConnectionId(0))],
             faults: Faults {
                 chaos: Some(ChaosConfig {
@@ -2303,7 +2249,7 @@ mod tests {
                 }),
                 ..Faults::default()
             },
-            ..FabricOptions::default()
+            ..Knobs::default()
         };
         let fabric = Fabric::new(topo, opts);
         let metrics = fabric.metrics();
@@ -2351,7 +2297,7 @@ mod tests {
     #[test]
     fn rep_crash_while_messages_queued_triggers_failover() {
         let (topo, exp_d, imp_a, imp_b) = fanout_topology();
-        let opts = FabricOptions {
+        let opts = Knobs {
             import_timeout: Duration::from_secs(20),
             faults: Faults {
                 chaos: Some(ChaosConfig {
@@ -2370,7 +2316,7 @@ mod tests {
                 }),
                 ..Faults::default()
             },
-            ..FabricOptions::default()
+            ..Knobs::default()
         };
         let mut fabric = Fabric::new(topo, opts);
         let metrics = fabric.metrics();
@@ -2408,7 +2354,7 @@ mod tests {
     #[test]
     fn stalled_rep_fails_over_within_recovery_budget() {
         let (topo, exp_d, imp_a, imp_b) = fanout_topology();
-        let opts = FabricOptions {
+        let opts = Knobs {
             import_timeout: Duration::from_secs(20),
             faults: Faults {
                 chaos: Some(ChaosConfig {
@@ -2426,7 +2372,7 @@ mod tests {
                 }),
                 ..Faults::default()
             },
-            ..FabricOptions::default()
+            ..Knobs::default()
         };
         let mut fabric = Fabric::new(topo, opts);
         let metrics = fabric.metrics();
@@ -2559,7 +2505,7 @@ mod tests {
             rank,
             resp,
         };
-        let opts = FabricOptions {
+        let opts = Knobs {
             import_timeout: Duration::from_secs(5),
             faults: Faults {
                 chaos: Some(breaking(&[
@@ -2572,7 +2518,7 @@ mod tests {
                 ])),
                 ..Faults::default()
             },
-            ..FabricOptions::default()
+            ..Knobs::default()
         };
         let mut fabric = Fabric::new(topo, opts);
         let mut exp = fabric.take_export(0, 0, 0);
@@ -2601,7 +2547,7 @@ mod tests {
         let request = CtrlMsg::ImportRequest { conn, req, ts };
         let forward = CtrlMsg::ForwardRequest { conn, req, ts };
         let agent = Endpoint::Proc { prog: 0, rank: 0 };
-        let opts = FabricOptions {
+        let opts = Knobs {
             faults: Faults {
                 chaos: Some(breaking(&[
                     (exp_rep, request, true),
@@ -2609,7 +2555,7 @@ mod tests {
                 ])),
                 ..Faults::default()
             },
-            ..FabricOptions::default()
+            ..Knobs::default()
         };
 
         let idle = Fabric::new(pair_topology().0, opts.clone());
@@ -2642,13 +2588,12 @@ mod tests {
     #[test]
     fn failure_recorded_during_the_drain_cuts_it_short() {
         let (topo, _, imp_d) = pair_topology();
-        let opts = FabricOptions {
+        let opts = Knobs {
             import_timeout: Duration::from_millis(100),
-            wal: Some(WalHandle::mem()),
-            ..FabricOptions::default()
+            ..Knobs::default()
         };
         let lost = Arc::new(ChanLinks(unbounded().0));
-        let mut fabric = Fabric::partial(topo, opts, 1, lost, None);
+        let mut fabric = Fabric::partial(topo, opts, Some(WalHandle::mem()), 1, lost, None);
         let mut imp = fabric.take_import(1, 0, 0);
         let mut dest = LocalArray::zeros(imp_d.owned(0));
         let got = imp.import(ts(1.0), &mut dest);
@@ -2684,7 +2629,7 @@ mod tests {
         let d = Decomposition::row_block(Extent2::new(8, 8), 2).expect("decomp");
         let tol = Tolerance::new(0.25).expect("tolerance");
         let topo = Topology::pair(d, d, MatchPolicy::RegL, tol).expect("pair");
-        let mut fabric = Fabric::new(topo, FabricOptions::default());
+        let mut fabric = Fabric::new(topo, Knobs::default());
         let steps = 2_000;
         let mut threads = Vec::new();
         for rank in 0..2 {
@@ -2769,14 +2714,16 @@ mod tests {
         let mut fabrics = [
             Fabric::partial(
                 topo.clone(),
-                FabricOptions::default(),
+                Knobs::default(),
+                None,
                 0,
                 Arc::new(ChanLinks(to_imp)),
                 None,
             ),
             Fabric::partial(
                 topo,
-                FabricOptions::default(),
+                Knobs::default(),
+                None,
                 1,
                 Arc::new(ChanLinks(to_exp)),
                 None,
@@ -2921,7 +2868,7 @@ mod tests {
     #[test]
     fn agent_panic_under_a_helping_import_is_a_process_crash() {
         let (topo, _, imp_d) = pair_topology();
-        let opts = FabricOptions {
+        let opts = Knobs {
             faults: Faults {
                 chaos: Some(ChaosConfig {
                     seed: 1,
@@ -2936,7 +2883,7 @@ mod tests {
                 }),
                 ..Faults::default()
             },
-            ..FabricOptions::default()
+            ..Knobs::default()
         };
         let mut fabric = Fabric::new(topo, opts);
         let mut imp = fabric.take_import(1, 0, 0);

@@ -15,9 +15,11 @@
 //! The protocol itself lives in [`crate::engine`]; this module is the thin
 //! driver moving the engine's messages between task mailboxes ([`fabric`]).
 
+pub mod drive;
 pub mod executor;
 pub mod fabric;
 
+pub use drive::{drive, Aborted, Apps, DriveOptions, DriveReport, ImportRun};
 pub use fabric::{
     fabric_task_count, ExportAccess, Fabric, FabricOptions, FabricReport, ImportAccess, WalHandle,
 };
@@ -97,19 +99,14 @@ pub struct ExportOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Topology;
+    use crate::engine::{Knobs, Topology};
     use couplink_layout::{Decomposition, Extent2, LocalArray};
     use couplink_time::{ts, MatchPolicy, Tolerance};
     use std::time::Instant;
 
     /// One REGL connection: exporter program 0 (`take_export(0, rank, 0)`),
     /// importer program 1 (`take_import(1, rank, 0)`).
-    fn pair_fabric(
-        exp: Decomposition,
-        imp: Decomposition,
-        tolerance: f64,
-        opts: FabricOptions,
-    ) -> Fabric {
+    fn pair_fabric(exp: Decomposition, imp: Decomposition, tolerance: f64, opts: Knobs) -> Fabric {
         let tol = Tolerance::new(tolerance).unwrap();
         Fabric::new(
             Topology::pair(exp, imp, MatchPolicy::RegL, tol).unwrap(),
@@ -121,9 +118,9 @@ mod tests {
         let e = Extent2::new(32, 32);
         let exp = Decomposition::block_2d(e, 2, 2).unwrap();
         let imp = Decomposition::row_block(e, 2).unwrap();
-        let opts = FabricOptions {
+        let opts = Knobs {
             buddy_help,
-            ..FabricOptions::default()
+            ..Knobs::default()
         };
         (pair_fabric(exp, imp, 2.5, opts), exp, imp)
     }
@@ -132,7 +129,7 @@ mod tests {
     fn small_pair(
         exporters: usize,
         tolerance: f64,
-        opts: FabricOptions,
+        opts: Knobs,
     ) -> (Fabric, Decomposition, Decomposition) {
         let e = Extent2::new(8, 8);
         let exp = Decomposition::row_block(e, exporters).unwrap();
@@ -329,10 +326,10 @@ mod tests {
 
     #[test]
     fn bounded_buffer_blocks_export_until_request_frees_space() {
-        let opts = FabricOptions {
+        let opts = Knobs {
             buffer_capacity: Some(5),
             import_timeout: Duration::from_secs(10),
-            ..FabricOptions::default()
+            ..Knobs::default()
         };
         let (mut pair, exp, imp) = small_pair(1, 2.5, opts);
         let mut exporter = pair.take_export(0, 0, 0);
@@ -367,9 +364,9 @@ mod tests {
 
     #[test]
     fn import_timeout_fires() {
-        let opts = FabricOptions {
+        let opts = Knobs {
             import_timeout: Duration::from_millis(100),
-            ..FabricOptions::default()
+            ..Knobs::default()
         };
         let (mut pair, _, imp) = small_pair(1, 1.0, opts);
         let mut h = pair.take_import(1, 0, 0);
@@ -382,9 +379,9 @@ mod tests {
 
     #[test]
     fn collective_violation_surfaces_at_shutdown() {
-        let opts = FabricOptions {
+        let opts = Knobs {
             import_timeout: Duration::from_millis(500),
-            ..FabricOptions::default()
+            ..Knobs::default()
         };
         let (mut pair, exp, imp) = small_pair(2, 1.0, opts);
         let mut e0 = pair.take_export(0, 0, 0);
@@ -438,7 +435,7 @@ mod tests {
     #[test]
     fn shutdown_drains_pending_buddy_help() {
         for _ in 0..20 {
-            let (mut pair, exp, imp) = small_pair(2, 0.5, FabricOptions::default());
+            let (mut pair, exp, imp) = small_pair(2, 0.5, Knobs::default());
             let mut e0 = pair.take_export(0, 0, 0);
             let mut e1 = pair.take_export(0, 1, 0);
             let d0 = LocalArray::zeros(exp.owned(0));
@@ -488,7 +485,7 @@ mod tests {
         bindings.insert(RegionRef::new("P1", "r1"), d1);
         bindings.insert(RegionRef::new("P2", "r3"), d1);
         let topo = Topology::from_config(&config, &bindings).unwrap();
-        let mut fabric = Fabric::new(topo, FabricOptions::default());
+        let mut fabric = Fabric::new(topo, Knobs::default());
 
         let mut threads = Vec::new();
         for rank in 0..2 {

@@ -3,15 +3,14 @@
 //! rows, 1 001 exports, 50 imports, REGL 2.5) may allocate at most
 //! `BUDGET` times inside `TopologySim::run`. The count is deterministic —
 //! the same configuration performs the same allocations — so this is a
-//! counter gate, not a wall-clock one. The same run also shows the fault
-//! seam's default is a no-op.
+//! counter gate, not a wall-clock one.
 //!
 //! The counting allocator counts per thread, so tests running in parallel
 //! in this binary cannot disturb each other's numbers.
 
 use couplink_layout::{Decomposition, Extent2};
 use couplink_runtime::{
-    CostModel, ExportSchedule, Faults, ImportSchedule, Topology, TopologyConfig, TopologySim,
+    CostModel, ExportSchedule, ImportSchedule, Knobs, RunSpec, Topology, TopologySim,
 };
 use couplink_time::{MatchPolicy, Tolerance};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -65,7 +64,7 @@ fn allocs() -> u64 {
 
 /// Figure 4(d): the shape `couplink_diffusion::fig4::fig4_config` builds
 /// for 32 importer processes.
-fn panel_d() -> TopologyConfig {
+fn panel_d() -> RunSpec {
     let grid = Extent2::new(1024, 1024);
     let topology = Topology::pair(
         Decomposition::block_2d(grid, 2, 2).expect("2x2 quadrants"),
@@ -74,7 +73,7 @@ fn panel_d() -> TopologyConfig {
         Tolerance::new(2.5).expect("tolerance"),
     )
     .expect("pair topology");
-    TopologyConfig {
+    RunSpec {
         topology,
         exports: vec![ExportSchedule {
             program: "exporter".into(),
@@ -93,16 +92,13 @@ fn panel_d() -> TopologyConfig {
             compute: 0.976 / 32.0,
             startup: 1.2 / 32.0,
         }],
-        buddy_help: true,
-        cost: CostModel::default(),
-        buffer_capacity: None,
-        hierarchical: false,
+        knobs: Knobs::default(),
     }
 }
 
 #[test]
 fn panel_d_run_stays_within_its_allocation_budget() {
-    let sim = TopologySim::new(panel_d()).expect("valid configuration");
+    let sim = TopologySim::from_spec(panel_d(), CostModel::default()).expect("valid run");
     let before = allocs();
     let report = sim.run().expect("run completes");
     let used = allocs() - before;
@@ -111,21 +107,4 @@ fn panel_d_run_stays_within_its_allocation_budget() {
     assert_eq!(report.duration, 2.2332886186666876);
     assert_eq!(report.stats[0][3].skips, 836, "slow rank's skipped memcpys");
     assert!(used <= BUDGET, "{used} allocations > budget {BUDGET}");
-}
-
-/// Giving the run `Faults::default()` changes nothing it reports.
-#[test]
-fn default_faults_change_nothing() {
-    let run = |faults: Option<Faults>| {
-        let mut sim = TopologySim::new(panel_d()).expect("valid configuration");
-        if let Some(faults) = faults {
-            sim.faults(faults).expect("fault-free");
-        }
-        sim.run().expect("run completes")
-    };
-    let (plain, seamed) = (run(None), run(Some(Faults::default())));
-    assert_eq!(seamed.duration, plain.duration);
-    assert_eq!(seamed.stats, plain.stats);
-    assert_eq!(seamed.matches, plain.matches);
-    assert_eq!(seamed.metrics.counters, plain.metrics.counters);
 }

@@ -7,8 +7,8 @@
 use couplink_config::RegionRef;
 use couplink_layout::{Decomposition, Extent2, LocalArray};
 use couplink_runtime::{
-    CostModel, ExportSchedule, Fabric, FabricOptions, ImportSchedule, TopoReport, Topology,
-    TopologyConfig, TopologySim,
+    CostModel, ExportSchedule, Fabric, ImportSchedule, Knobs, RunSpec, TopoReport, Topology,
+    TopologySim,
 };
 use couplink_time::{ts, MatchPolicy, Timestamp, Tolerance};
 use proptest::prelude::*;
@@ -64,7 +64,7 @@ fn cfg() -> impl Strategy<Value = Cfg> {
         )
 }
 
-fn build(c: &Cfg) -> TopologyConfig {
+fn build(c: &Cfg) -> RunSpec {
     let grid = Extent2::new(16, 16);
     let (pr, pc) = c.exp_procs_grid;
     let exporter_decomp = Decomposition::block_2d(grid, pr, pc).unwrap();
@@ -73,7 +73,7 @@ fn build(c: &Cfg) -> TopologyConfig {
     let mut compute = vec![1e-4; ne];
     compute[ne - 1] = 1e-4 * c.slow_factor;
     let tolerance = Tolerance::new(c.tolerance).unwrap();
-    TopologyConfig {
+    RunSpec {
         topology: Topology::pair(exporter_decomp, importer_decomp, c.policy, tolerance).unwrap(),
         exports: vec![ExportSchedule {
             program: "exporter".into(),
@@ -93,15 +93,16 @@ fn build(c: &Cfg) -> TopologyConfig {
             compute: c.importer_compute,
             startup: 0.0,
         }],
-        buddy_help: c.buddy_help,
-        cost: CostModel::default(),
-        buffer_capacity: None,
-        hierarchical: false,
+        knobs: Knobs {
+            buddy_help: c.buddy_help,
+            ..Knobs::default()
+        },
     }
 }
 
 fn run(c: &Cfg) -> TopoReport {
-    TopologySim::new(build(c)).unwrap().run().unwrap()
+    let sim = TopologySim::from_spec(build(c), CostModel::default());
+    sim.unwrap().run().unwrap()
 }
 
 proptest! {
@@ -262,16 +263,16 @@ fn des_matches(c: &TopoCase) -> Vec<Vec<Option<Timestamp>>> {
             startup: 0.0,
         })
         .collect();
-    let sim = TopologySim::new(TopologyConfig {
+    let spec = RunSpec {
         topology: topo_of(c),
         exports,
         imports,
-        buddy_help: c.buddy_help,
-        hierarchical: false,
-        cost: CostModel::default(),
-        buffer_capacity: None,
-    })
-    .unwrap();
+        knobs: Knobs {
+            buddy_help: c.buddy_help,
+            ..Knobs::default()
+        },
+    };
+    let sim = TopologySim::from_spec(spec, CostModel::default()).unwrap();
     sim.run().unwrap().matches
 }
 
@@ -280,9 +281,9 @@ fn threaded_matches(c: &TopoCase) -> Vec<Vec<Option<Timestamp>>> {
     let n_exp = c.exporters.len();
     let mut fabric = Fabric::new(
         topo,
-        FabricOptions {
+        Knobs {
             buddy_help: c.buddy_help,
-            ..FabricOptions::default()
+            ..Knobs::default()
         },
     );
     let grid = Extent2::new(8, 8);

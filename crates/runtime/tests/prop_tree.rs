@@ -24,8 +24,7 @@ use couplink_proto::ConnectionId;
 use couplink_runtime::engine::oracle::check_ctrl_scaling;
 use couplink_runtime::engine::tree;
 use couplink_runtime::{
-    CostModel, ExportSchedule, Fabric, FabricOptions, ImportSchedule, Topology, TopologyConfig,
-    TopologySim,
+    CostModel, ExportSchedule, Fabric, ImportSchedule, Knobs, RunSpec, Topology, TopologySim,
 };
 use couplink_time::{ts, MatchPolicy, Tolerance};
 use proptest::prelude::*;
@@ -159,7 +158,7 @@ fn pair(n: usize) -> (Topology, Decomposition) {
 /// The pair on the simulator, buddy-help on as on the fabric.
 fn des_counters(n: usize, hierarchical: bool) -> CounterSnapshot {
     let (topology, _) = pair(n);
-    let sim = TopologySim::new(TopologyConfig {
+    let spec = RunSpec {
         topology,
         exports: vec![ExportSchedule {
             program: "exporter".into(),
@@ -178,12 +177,12 @@ fn des_counters(n: usize, hierarchical: bool) -> CounterSnapshot {
             compute: 1e-4,
             startup: 0.0,
         }],
-        buddy_help: true,
-        cost: CostModel::default(),
-        buffer_capacity: None,
-        hierarchical,
-    })
-    .expect("valid configuration");
+        knobs: Knobs {
+            hierarchical,
+            ..Knobs::default()
+        },
+    };
+    let sim = TopologySim::from_spec(spec, CostModel::default()).expect("valid run");
     sim.run().expect("simulation").metrics.counters
 }
 
@@ -193,9 +192,9 @@ fn fabric_counters(n: usize, hierarchical: bool) -> CounterSnapshot {
     let (topo, d) = pair(n);
     let mut fabric = Fabric::new(
         topo,
-        FabricOptions {
+        Knobs {
             hierarchical,
-            ..FabricOptions::default()
+            ..Knobs::default()
         },
     );
     let mut threads = Vec::new();

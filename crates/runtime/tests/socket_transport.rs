@@ -10,12 +10,13 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use couplink_proto::ConnectionId;
 use couplink_runtime::engine::oracle::check_net_conservation;
-use couplink_runtime::net::node::NODE_BUFFER_CAPACITY;
+use couplink_runtime::net::node::{export_capacity, NODE_BUFFER_CAPACITY};
 use couplink_runtime::net::{
-    run_plan, BootstrapError, ExportSpec, ImportSpec, KillSpec, NetOptions, NetReport, NodeFault,
-    NodePlan, SocketBackend,
+    run_plan, BootstrapError, KillSpec, NetOptions, NetReport, NodeFault, NodePlan, SocketBackend,
 };
+use couplink_runtime::{ExportSchedule, ImportSchedule, Knobs, RunSpec};
 use couplink_time::ts;
 
 fn node_bin() -> PathBuf {
@@ -25,37 +26,44 @@ fn node_bin() -> PathBuf {
 /// Two programs, two ranks each, one connection `E0.r -> I0.m`, exact
 /// timestamp matches under REG.
 fn pair_plan(exports: usize, imports: usize) -> NodePlan {
-    NodePlan {
-        config_text: "E0 c0 /bin/e0 2\nI0 c0 /bin/i0 2\n#\nE0.r I0.m REG 0.125\n".into(),
-        grid: (8, 8),
-        exports: vec![ExportSpec {
+    let spec = RunSpec {
+        exports: vec![ExportSchedule {
             program: "E0".into(),
-            region: 0,
+            region: "r".into(),
             t0: 0.5,
             dt: 0.5,
             count: exports,
             compute: vec![0.0, 0.0],
         }],
-        imports: vec![ImportSpec {
+        imports: vec![ImportSchedule {
             program: "I0".into(),
-            region: 0,
+            region: "m".into(),
             t0: 0.5,
             dt: 0.5,
             count: imports,
             compute: 0.0,
             startup: 0.0,
         }],
-        buddy_help: false,
-        import_timeout_s: 10.0,
-        time_scale: 0.05,
-        verify_values: true,
-        traces: vec![(0, 0, 0), (0, 1, 0)],
-        chaos: None,
-        fault: None,
-        hierarchical: false,
-        wal_dir: None,
-        restart: false,
-    }
+        knobs: Knobs {
+            buddy_help: false,
+            import_timeout: Duration::from_secs(10),
+            traces: vec![(0, 0, ConnectionId(0)), (0, 1, ConnectionId(0))],
+            ..Knobs::default()
+        },
+        ..RunSpec::default()
+    };
+    let text = "E0 c0 /bin/e0 2\nI0 c0 /bin/i0 2\n#\nE0.r I0.m REG 0.125\n";
+    let mut plan = NodePlan::from_spec(&spec, text.into(), (8, 8)).expect("plan");
+    plan.time_scale = 0.05;
+    plan.verify_values = true;
+    plan
+}
+
+/// The capacity the node hosting program `prog` of `plan` paces its
+/// exporters with.
+fn capacity(plan: &NodePlan, prog: usize) -> usize {
+    let topology = plan.topology().expect("topology");
+    export_capacity(&plan.run_spec(topology).expect("run"), prog)
 }
 
 fn opts(backend: SocketBackend) -> NetOptions {
@@ -129,7 +137,7 @@ fn uds_pair_end_to_end() {
 fn slow_importer_paces_the_exporters() {
     let mut plan = pair_plan(64, 64);
     plan.imports[0].compute = 0.1;
-    let cap = plan.export_capacity(&plan.topology().expect("topology"), 0);
+    let cap = capacity(&plan, 0);
     assert_eq!(cap, NODE_BUFFER_CAPACITY);
     let rep = run_plan(&plan, &opts(SocketBackend::Uds)).expect("bootstrap");
     assert_clean(&rep, 64);
@@ -159,7 +167,7 @@ fn slow_importer_paces_the_exporters() {
 #[test]
 fn exports_past_the_last_request_fit_the_derived_capacity() {
     let plan = pair_plan(40, 4);
-    let cap = plan.export_capacity(&plan.topology().expect("topology"), 0);
+    let cap = capacity(&plan, 0);
     assert_eq!(cap, 37 + 1);
     let started = Instant::now();
     let rep = run_plan(&plan, &opts(SocketBackend::Uds)).expect("bootstrap");

@@ -60,9 +60,8 @@ pub mod scenario;
 pub mod shrink;
 
 pub use runner::{
-    armed_shutdown_probe, check_des, check_scenario, check_scenario_socket, check_socket,
-    check_threaded, is_expected_catch, mutation_smoke, run_des, run_net_fault, run_socket,
-    run_threaded, socket_node_bin, socket_plan,
+    armed_shutdown_probe, check_des, check_scenario, check_scenario_socket, is_expected_catch,
+    mutation_smoke, run_des, run_net_fault, run_socket, run_threaded, socket_node_bin, socket_plan,
 };
 pub use scenario::{ExporterSpec, ImporterSpec, Scenario};
 pub use shrink::{shrink, write_failure_report};

@@ -154,6 +154,10 @@ fn main() -> ExitCode {
         None => (0..args.seeds).collect(),
     };
     let total = seeds.len();
+    let check = |s: &Scenario| match args.socket {
+        Some(backend) => check_scenario_socket(s, backend),
+        None => check_scenario(s),
+    };
     for seed in seeds {
         let mut scenario = if args.stress {
             Scenario::stress(seed)
@@ -163,11 +167,7 @@ fn main() -> ExitCode {
         if args.faults {
             scenario.force_faults();
         }
-        let outcome = match args.socket {
-            Some(backend) => check_scenario_socket(&scenario, backend),
-            None => check_scenario(&scenario),
-        };
-        match outcome {
+        match check(&scenario) {
             Err(e) => {
                 eprintln!("seed {seed}: harness error: {e}");
                 return ExitCode::from(2);
@@ -185,10 +185,6 @@ fn main() -> ExitCode {
                 for v in &violations {
                     eprintln!("  - {v}");
                 }
-                let check = |s: &Scenario| match args.socket {
-                    Some(backend) => check_scenario_socket(s, backend),
-                    None => check_scenario(s),
-                };
                 let fails = |s: &Scenario| matches!(check(s), Ok(v) if !v.is_empty());
                 let shrunk = shrink(&scenario, fails);
                 let final_violations = check(&shrunk).unwrap_or(violations);

@@ -11,12 +11,11 @@ use couplink_runtime::engine::oracle::{
     owed_matches, OracleViolation,
 };
 use couplink_runtime::engine::{Endpoint, Topology};
-use couplink_runtime::net::{
-    run_plan, ExportSpec, ImportSpec, KillSpec, NetOptions, NodeFault, NodePlan, SocketBackend,
-};
+use couplink_runtime::net::node::export_capacity;
+use couplink_runtime::net::{run_plan, KillSpec, NetOptions, NodeFault, NodePlan, SocketBackend};
+use couplink_runtime::threaded::{drive, Apps, DriveOptions};
 use couplink_runtime::{
-    fabric_task_count, ChaosConfig, ExportSchedule, Fabric, FabricOptions, Faults, ImportSchedule,
-    Mutation, TopoReport, TopologyConfig, TopologySim,
+    fabric_task_count, ChaosConfig, Fabric, Faults, Knobs, Mutation, RunSpec, TopologySim,
 };
 use couplink_time::{ts, MatchPolicy, Timestamp, Tolerance};
 use std::path::PathBuf;
@@ -46,13 +45,6 @@ pub fn is_expected_catch(mutation: Mutation, v: &OracleViolation) -> bool {
         ),
         Mutation::AckBeforeHandle => matches!(v, OracleViolation::Liveness { .. }),
     }
-}
-
-/// Whether the scenario's fault plan contains only transient chaos (or no
-/// chaos at all) — i.e. the reliability machinery must stay inert and the
-/// [`check_fault_free`] oracle applies.
-fn permanent_fault_free(s: &Scenario) -> bool {
-    s.chaos.is_none_or(|c| !c.needs_reliability())
 }
 
 /// Applies the trace oracles (collective order, buffer safety) to one
@@ -169,78 +161,43 @@ pub fn run_des(
     s: &Scenario,
     faults: Faults,
 ) -> Result<(Matches, CounterSnapshot, Vec<OracleViolation>), String> {
-    let faults = Faults {
-        chaos: s.chaos,
-        ..faults
-    };
-    let topology = s.build_topology()?;
-    let view = topology.clone();
-    let cfg = TopologyConfig {
-        topology,
-        exports: s
-            .exporters
-            .iter()
-            .enumerate()
-            .map(|(i, e)| ExportSchedule {
-                program: format!("E{i}"),
-                region: "r".into(),
-                t0: e.t0,
-                dt: e.dt,
-                count: e.count,
-                compute: e.compute.clone(),
-            })
-            .collect(),
-        imports: s
-            .importers
-            .iter()
-            .enumerate()
-            .map(|(j, imp)| ImportSchedule {
-                program: format!("I{j}"),
-                region: "m".into(),
-                t0: imp.t0,
-                dt: imp.dt,
-                count: imp.count,
-                compute: imp.compute,
-                startup: imp.startup,
-            })
-            .collect(),
-        buddy_help: s.buddy_help,
-        hierarchical: s.hierarchical,
-        cost: CostModel::default(),
-        buffer_capacity: None,
-    };
-    let mut sim = TopologySim::new(cfg).map_err(|e| format!("building simulator: {e}"))?;
-    for ct in &view.conns {
-        let name = &view.programs[ct.exporter_prog].name;
-        for rank in 0..view.programs[ct.exporter_prog].procs {
-            sim.trace(name, rank, ct.id)
-                .map_err(|e| format!("arming trace: {e}"))?;
-        }
-    }
-    sim.faults(faults)
-        .map_err(|e| format!("arming faults: {e}"))?;
+    let spec = s.spec(faults)?;
+    let (view, faults) = (spec.topology.clone(), spec.knobs.faults);
+    let sim = TopologySim::from_spec(spec, CostModel::default())
+        .map_err(|e| format!("building simulator: {e}"))?;
     let report = sim.run().map_err(|e| format!("simulator run: {e}"))?;
     let mut violations = Vec::new();
-    des_liveness(s, &view, &report, &mut violations);
-    let traces: Vec<(usize, usize, ConnectionId, Trace)> = report
-        .traces
-        .iter()
-        .map(|(name, rank, conn, trace)| {
-            let prog = view.program_idx(name).expect("trace program exists");
-            (prog, *rank, *conn, trace.clone())
-        })
-        .collect();
-    trace_oracles(&view, &traces, &mut violations);
-    metric_oracle(&view, &traces, &report.metrics.counters, &mut violations);
+    for (j, imp) in s.importers.iter().enumerate() {
+        let conn = view.programs[s.importer_prog(j)].imports[0].conn;
+        let resolved = report.matches[conn.0 as usize].len();
+        let done = report.import_done[j].iter().all(|&it| it == imp.count);
+        violations.extend(check_liveness(conn, imp.count, resolved, done).err());
+    }
+    let counters = &report.metrics.counters;
+    run_oracles(s, &view, faults, &report.traces, counters, &mut violations);
+    Ok((report.matches, report.metrics.counters.clone(), violations))
+}
+
+/// The oracles every in-process run applies to its traces and counters:
+/// collective order, buffer safety, metric consistency, fault-free
+/// inertness (unless the faults arm the reliability layer) and control
+/// scaling (unless buddy-help is dropped).
+fn run_oracles(
+    s: &Scenario,
+    view: &Topology,
+    faults: Faults,
+    traces: &[(usize, usize, ConnectionId, Trace)],
+    counters: &CounterSnapshot,
+    out: &mut Vec<OracleViolation>,
+) {
+    trace_oracles(view, traces, out);
+    metric_oracle(view, traces, counters, out);
     if !faults.needs_reliability() {
-        if let Err(v) = check_fault_free(&report.metrics.counters) {
-            violations.push(v);
-        }
+        out.extend(check_fault_free(counters).err());
     }
     if !faults.drop_buddy_help {
-        scaling_oracle(s, &view, &report.metrics.counters, &mut violations);
+        scaling_oracle(s, view, counters, out);
     }
-    Ok((report.matches, report.metrics.counters.clone(), violations))
 }
 
 /// Runs the scenario on the discrete-event simulator and checks the
@@ -260,22 +217,6 @@ pub fn check_des(
     Ok((matches, violations))
 }
 
-fn des_liveness(
-    s: &Scenario,
-    view: &Topology,
-    report: &TopoReport,
-    out: &mut Vec<OracleViolation>,
-) {
-    for (j, imp) in s.importers.iter().enumerate() {
-        let conn = view.programs[s.importer_prog(j)].imports[0].conn;
-        let resolved = report.matches[conn.0 as usize].len();
-        let done = report.import_done[j].iter().all(|&it| it == imp.count);
-        if let Err(v) = check_liveness(conn, imp.count, resolved, done) {
-            out.push(v);
-        }
-    }
-}
-
 /// Runs the scenario on the threaded fabric (real threads, real channels,
 /// real memcpys) with `faults` (the scenario's own chaos plan fills
 /// `faults.chaos`) and checks the single-runtime oracles. Returns the
@@ -284,136 +225,40 @@ pub fn run_threaded(
     s: &Scenario,
     faults: Faults,
 ) -> Result<(Matches, Option<CounterSnapshot>, Vec<OracleViolation>), String> {
-    let faults = Faults {
-        chaos: s.chaos,
-        ..faults
-    };
-    let topology = s.build_topology()?;
-    let view = topology.clone();
-    let mut trace_list = Vec::new();
-    for ct in &view.conns {
-        for rank in 0..view.programs[ct.exporter_prog].procs {
-            trace_list.push((ct.exporter_prog, rank, ct.id));
-        }
-    }
-    let opts = FabricOptions {
-        buddy_help: s.buddy_help,
-        import_timeout: Duration::from_secs(5),
-        buffer_capacity: None,
-        traces: trace_list,
-        faults,
-        hierarchical: s.hierarchical,
-        wal: None,
-    };
+    let spec = s.spec(faults)?;
+    let (view, faults) = (&spec.topology, spec.knobs.faults);
     // Executor invariant: a task is enqueued at most once, so the fabric's
     // run-queue depth can never exceed its task count — mailbox backlog
     // under pressure must not leak into unbounded run-queue growth.
-    let task_budget = fabric_task_count(&topology) as u64;
-    let mut fabric = Fabric::new(topology, opts);
-
-    let mut exp_threads = Vec::new();
-    for (i, e) in s.exporters.iter().enumerate() {
-        let prog = s.exporter_prog(i);
-        for rank in 0..e.procs {
-            let mut h = fabric.take_export(prog, rank, 0);
-            let owned = view.programs[prog].exports[0].decomp.owned(rank);
-            let (t0, dt, count, compute) = (e.t0, e.dt, e.count, e.compute[rank]);
-            exp_threads.push((
-                i,
-                std::thread::spawn(move || -> Result<(), String> {
-                    let data = LocalArray::zeros(owned);
-                    for k in 0..count {
-                        if compute > 0.0 {
-                            std::thread::sleep(Duration::from_secs_f64(
-                                compute * THREADED_TIME_SCALE,
-                            ));
-                        }
-                        h.export(ts(t0 + k as f64 * dt), &data)
-                            .map_err(|e| e.to_string())?;
-                    }
-                    Ok(())
-                }),
-            ));
-        }
-    }
-    let mut imp_threads = Vec::new();
-    for (j, imp) in s.importers.iter().enumerate() {
-        let prog = s.importer_prog(j);
-        for rank in 0..imp.procs {
-            let mut h = fabric.take_import(prog, rank, 0);
-            let owned = view.programs[prog].imports[0].decomp.owned(rank);
-            let (t0, dt, count, compute, startup) =
-                (imp.t0, imp.dt, imp.count, imp.compute, imp.startup);
-            imp_threads.push((
-                j,
-                rank,
-                std::thread::spawn(move || -> Result<Vec<Option<Timestamp>>, String> {
-                    std::thread::sleep(Duration::from_secs_f64(startup * THREADED_TIME_SCALE));
-                    let mut got = Vec::with_capacity(count);
-                    let mut dest = LocalArray::zeros(owned);
-                    for k in 0..count {
-                        if compute > 0.0 {
-                            std::thread::sleep(Duration::from_secs_f64(
-                                compute * THREADED_TIME_SCALE,
-                            ));
-                        }
-                        got.push(
-                            h.import(ts(t0 + k as f64 * dt), &mut dest)
-                                .map_err(|e| e.to_string())?,
-                        );
-                    }
-                    Ok(got)
-                }),
-            ));
-        }
-    }
+    let task_budget = fabric_task_count(view) as u64;
+    let mut fabric = Fabric::new(view.clone(), spec.knobs.clone());
+    let apps = Apps::take(&spec, &mut fabric, |_| true)?;
+    // Exporters fill their fields and importers check every landed cell,
+    // as the socket nodes do.
+    let opts = DriveOptions {
+        time_scale: THREADED_TIME_SCALE,
+        verify: true,
+        abort_after: None,
+    };
+    let ran = drive(&spec, apps, opts).map_err(|_| "no abort was asked for")?;
 
     let mut violations = Vec::new();
-    for (i, t) in exp_threads {
-        if let Err(e) = t.join().expect("exporter thread panicked") {
-            let conn = view.programs[s.exporter_prog(i)].exports[0].conns[0];
-            violations.push(OracleViolation::Liveness {
-                conn,
-                detail: format!("exporter E{i} failed: {e}"),
-            });
-        }
-    }
+    let imports = ran.imports.iter();
+    let imports = imports.map(|i| (i.prog, i.rank, i.got.len(), i.error.as_ref()));
+    app_liveness(s, view, &ran.export_errors, imports, &mut violations);
     let mut matches: Matches = vec![Vec::new(); view.conns.len()];
-    for (j, rank, t) in imp_threads {
-        let conn = view.programs[s.importer_prog(j)].imports[0].conn;
-        match t.join().expect("importer thread panicked") {
-            Ok(got) => {
-                if let Err(v) = check_liveness(conn, s.importers[j].count, got.len(), true) {
-                    violations.push(v);
-                }
-                if rank == 0 {
-                    matches[conn.0 as usize] = got;
-                }
-            }
-            Err(e) => violations.push(OracleViolation::Liveness {
-                conn,
-                detail: format!("importer I{j} rank {rank} failed: {e}"),
-            }),
-        }
+    for imp in ran
+        .imports
+        .into_iter()
+        .filter(|i| i.rank == 0 && i.error.is_none())
+    {
+        matches[imp.conn.0 as usize] = imp.got;
     }
     let mut counters = None;
     match fabric.shutdown() {
         Ok(report) => {
-            trace_oracles(&view, &report.traces, &mut violations);
-            metric_oracle(
-                &view,
-                &report.traces,
-                &report.metrics.counters,
-                &mut violations,
-            );
-            if !faults.needs_reliability() {
-                if let Err(v) = check_fault_free(&report.metrics.counters) {
-                    violations.push(v);
-                }
-            }
-            if !faults.drop_buddy_help {
-                scaling_oracle(s, &view, &report.metrics.counters, &mut violations);
-            }
+            let snapshot = &report.metrics.counters;
+            run_oracles(s, view, faults, &report.traces, snapshot, &mut violations);
             if report.metrics.counters.runq_depth_hwm > task_budget {
                 violations.push(OracleViolation::MetricConsistency {
                     conn: ConnectionId(0),
@@ -434,72 +279,16 @@ pub fn run_threaded(
     Ok((matches, counters, violations))
 }
 
-/// Runs the scenario on the threaded fabric and checks the single-runtime
-/// oracles (fault-injection as configured by the scenario, no degradation).
-pub fn check_threaded(s: &Scenario) -> Result<(Matches, Vec<OracleViolation>), String> {
-    let (matches, _, violations) = run_threaded(s, Faults::default())?;
-    Ok((matches, violations))
-}
-
 /// Builds the socket runtime's plan for a scenario: same config text, same
 /// grid, same schedules and chaos as the in-process runtimes, plus value
 /// verification (exporters fill a deterministic per-cell pattern; importers
-/// check every transferred cell bit-exactly).
-pub fn socket_plan(s: &Scenario) -> Result<NodePlan, String> {
-    let view = s.build_topology()?;
-    let exports = s
-        .exporters
-        .iter()
-        .enumerate()
-        .map(|(i, e)| ExportSpec {
-            program: format!("E{i}"),
-            region: 0,
-            t0: e.t0,
-            dt: e.dt,
-            count: e.count,
-            compute: e.compute.clone(),
-        })
-        .collect();
-    let imports = s
-        .importers
-        .iter()
-        .enumerate()
-        .map(|(j, imp)| ImportSpec {
-            program: format!("I{j}"),
-            region: 0,
-            t0: imp.t0,
-            dt: imp.dt,
-            count: imp.count,
-            compute: imp.compute,
-            startup: imp.startup,
-        })
-        .collect();
-    // Trace every exporter rank on every connection, exactly as the
-    // threaded run does.
-    let traces = view
-        .conns
-        .iter()
-        .flat_map(|ct| {
-            (0..view.programs[ct.exporter_prog].procs)
-                .map(move |rank| (ct.exporter_prog, rank, ct.id.0))
-        })
-        .collect();
-    Ok(NodePlan {
-        config_text: s.config_text(),
-        grid: GRID,
-        exports,
-        imports,
-        buddy_help: s.buddy_help,
-        import_timeout_s: 5.0,
-        time_scale: THREADED_TIME_SCALE,
-        verify_values: true,
-        traces,
-        chaos: s.chaos,
-        fault: None,
-        hierarchical: s.hierarchical,
-        wal_dir: None,
-        restart: false,
-    })
+/// check every transferred cell bit-exactly). Returns the run it plans too.
+pub fn socket_plan(s: &Scenario) -> Result<(RunSpec, NodePlan), String> {
+    let spec = s.spec(Faults::default())?;
+    let mut plan = NodePlan::from_spec(&spec, s.config_text(), GRID)?;
+    plan.time_scale = THREADED_TIME_SCALE;
+    plan.verify_values = true;
+    Ok((spec, plan))
 }
 
 /// Locates the `couplink-node` binary the socket runs need; `None` means
@@ -507,6 +296,11 @@ pub fn socket_plan(s: &Scenario) -> Result<NodePlan, String> {
 /// the workspace test run always builds it).
 pub fn socket_node_bin() -> Option<PathBuf> {
     couplink_runtime::net::default_node_bin()
+}
+
+fn node_bin() -> Result<PathBuf, String> {
+    let missing = "couplink-node binary not found (set COUPLINK_NODE_BIN)";
+    socket_node_bin().ok_or_else(|| missing.into())
 }
 
 /// Runs the scenario on the socket runtime — every program its own OS
@@ -519,11 +313,9 @@ pub fn run_socket(
     backend: SocketBackend,
     drop_answers: bool,
 ) -> Result<(Matches, Option<CounterSnapshot>, Vec<OracleViolation>), String> {
-    let Some(node_bin) = socket_node_bin() else {
-        return Err("couplink-node binary not found (set COUPLINK_NODE_BIN)".into());
-    };
-    let view = s.build_topology()?;
-    let mut plan = socket_plan(s)?;
+    let node_bin = node_bin()?;
+    let (spec, mut plan) = socket_plan(s)?;
+    let view = &spec.topology;
     if drop_answers {
         plan.fault = Some(NodeFault::DropAnswers { conn: 0 });
     }
@@ -534,25 +326,24 @@ pub fn run_socket(
     let rep = run_plan(&plan, &opts).map_err(|e| format!("socket bootstrap: {e}"))?;
 
     let mut violations = Vec::new();
-    socket_liveness(s, &view, &rep, &mut violations);
+    socket_liveness(s, view, &rep, &mut violations);
 
     let clean_run = rep.crashed.is_empty() && rep.shutdown_errors.is_empty();
     let mut counters = None;
     if clean_run {
-        trace_oracles(&view, &rep.traces, &mut violations);
-        metric_oracle(&view, &rep.traces, &rep.counters, &mut violations);
-        if permanent_fault_free(s) {
-            if let Err(v) = check_fault_free(&rep.counters) {
-                violations.push(v);
-            }
+        trace_oracles(view, &rep.traces, &mut violations);
+        metric_oracle(view, &rep.traces, &rep.counters, &mut violations);
+        // Only transient chaos (or none) leaves the reliability layer inert.
+        if !spec.knobs.faults.needs_reliability() {
+            violations.extend(check_fault_free(&rep.counters).err());
         }
         if !drop_answers {
-            scaling_oracle(s, &view, &rep.counters, &mut violations);
+            scaling_oracle(s, view, &rep.counters, &mut violations);
         }
         // The nodes pace their exporters: no port may ever have held more
         // than its node's plan-derived capacity.
         for ct in &view.conns {
-            let cap = plan.export_capacity(&view, ct.exporter_prog);
+            let cap = export_capacity(&spec, ct.exporter_prog);
             let ranks = rep.stats.get(ct.id.0 as usize).into_iter().flatten();
             if let Some(hwm) = ranks.map(|st| st.buffered_hwm).find(|&h| h > cap) {
                 violations.push(OracleViolation::MetricConsistency {
@@ -587,34 +378,17 @@ fn socket_liveness(
     violations: &mut Vec<OracleViolation>,
 ) {
     for &prog in &rep.crashed {
-        let conn = conn_of_program(view, prog);
-        violations.push(OracleViolation::Liveness {
-            conn,
-            detail: format!("program {prog} exited without reporting"),
-        });
+        let conn = view
+            .conns
+            .iter()
+            .find(|ct| ct.exporter_prog == prog || ct.importer_prog == prog);
+        let conn = conn.map_or(ConnectionId(0), |ct| ct.id);
+        let detail = format!("program {prog} exited without reporting");
+        violations.push(OracleViolation::Liveness { conn, detail });
     }
-    for (prog, rank, e) in &rep.export_errors {
-        let conn = conn_of_program(view, *prog);
-        violations.push(OracleViolation::Liveness {
-            conn,
-            detail: format!("exporter program {prog} rank {rank} failed: {e}"),
-        });
-    }
-    for (prog, rank, done, err) in &rep.imports_done {
-        let conn = view.programs[*prog].imports[0].conn;
-        let count = s.importers[*prog - s.exporters.len()].count;
-        match err {
-            Some(e) => violations.push(OracleViolation::Liveness {
-                conn,
-                detail: format!("importer program {prog} rank {rank} failed: {e}"),
-            }),
-            None => {
-                if let Err(v) = check_liveness(conn, count, *done as usize, true) {
-                    violations.push(v);
-                }
-            }
-        }
-    }
+    let imports = rep.imports_done.iter();
+    let imports = imports.map(|(p, r, done, e)| (*p, *r, *done as usize, e.as_ref()));
+    app_liveness(s, view, &rep.export_errors, imports, violations);
     for (prog, e) in &rep.shutdown_errors {
         violations.push(OracleViolation::CollectiveOrder {
             conn: ConnectionId(0),
@@ -623,12 +397,33 @@ fn socket_liveness(
     }
 }
 
-fn conn_of_program(view: &Topology, prog: usize) -> ConnectionId {
-    view.conns
-        .iter()
-        .find(|ct| ct.exporter_prog == prog || ct.importer_prog == prog)
-        .map(|ct| ct.id)
-        .unwrap_or(ConnectionId(0))
+/// The application threads' liveness: a failed exporter or importer, or an
+/// importer `(program, rank, imports done, error)` short of its schedule.
+fn app_liveness<'a>(
+    s: &Scenario,
+    view: &Topology,
+    export_errors: &[(usize, usize, String)],
+    imports: impl Iterator<Item = (usize, usize, usize, Option<&'a String>)>,
+    out: &mut Vec<OracleViolation>,
+) {
+    for (prog, _, e) in export_errors {
+        let conn = view.programs[*prog].exports[0].conns[0];
+        let detail = format!("exporter E{prog} failed: {e}");
+        out.push(OracleViolation::Liveness { conn, detail });
+    }
+    for (prog, rank, done, error) in imports {
+        let (j, conn) = (
+            prog - s.exporters.len(),
+            view.programs[prog].imports[0].conn,
+        );
+        out.extend(match error {
+            None => check_liveness(conn, s.importers[j].count, done, true).err(),
+            Some(e) => {
+                let detail = format!("importer I{j} rank {rank} failed: {e}");
+                Some(OracleViolation::Liveness { conn, detail })
+            }
+        });
+    }
 }
 
 /// The socket-transport fault classes behind `--net-faults`: SIGKILL +
@@ -653,9 +448,7 @@ pub fn run_net_fault(
     kill: bool,
     corrupt_wal: bool,
 ) -> Result<Vec<OracleViolation>, String> {
-    let Some(node_bin) = socket_node_bin() else {
-        return Err("couplink-node binary not found (set COUPLINK_NODE_BIN)".into());
-    };
+    let node_bin = node_bin()?;
     let mut s = s.clone();
     s.lag_importers();
     s.chaos = Some(ChaosConfig {
@@ -674,8 +467,8 @@ pub fn run_net_fault(
         imp.compute = imp.compute.max(0.5);
     }
 
-    let view = s.build_topology()?;
-    let mut plan = socket_plan(&s)?;
+    let (spec, mut plan) = socket_plan(&s)?;
+    let view = &spec.topology;
     // Generous import budget: it must absorb the full re-dial backoff
     // (or the kill-to-rejoin window) without a spurious timeout.
     plan.import_timeout_s = 30.0;
@@ -704,9 +497,9 @@ pub fn run_net_fault(
     let rep = run_plan(&plan, &opts).map_err(|e| format!("socket bootstrap: {e}"))?;
 
     let mut violations = Vec::new();
-    socket_liveness(&s, &view, &rep, &mut violations);
+    socket_liveness(&s, view, &rep, &mut violations);
     if rep.crashed.is_empty() && rep.shutdown_errors.is_empty() {
-        trace_oracles(&view, &rep.traces, &mut violations);
+        trace_oracles(view, &rep.traces, &mut violations);
     }
     if rep.counters.net_reconnects == 0 {
         violations.push(OracleViolation::MetricConsistency {
@@ -721,16 +514,6 @@ pub fn run_net_fault(
         });
     }
     Ok(violations)
-}
-
-/// Runs the scenario on the socket runtime and checks the single-runtime
-/// oracles.
-pub fn check_socket(
-    s: &Scenario,
-    backend: SocketBackend,
-) -> Result<(Matches, Vec<OracleViolation>), String> {
-    let (matches, _, violations) = run_socket(s, backend, false)?;
-    Ok((matches, violations))
 }
 
 /// Cross-runtime counter equivalence for fault-free runs: the socket
@@ -765,7 +548,10 @@ pub fn check_counter_equivalence(
 /// importers are lagged first ([`Scenario::lag_importers`]), so the socket
 /// nodes' bounded exporters stall while the threaded run's unbounded ones
 /// never do: the equivalence checks then show that a bounded exporter
-/// decides exactly what an unbounded one does.
+/// decides exactly what an unbounded one does. Each runtime's own
+/// violations name it. When the simulator alone already fails, the other
+/// two do not run: a shrink candidate that wedges the socket nodes would
+/// sit out their import timeouts to report nothing new.
 pub fn check_scenario_socket(
     s: &Scenario,
     backend: SocketBackend,
@@ -773,30 +559,18 @@ pub fn check_scenario_socket(
     let mut lagged = s.clone();
     lagged.lag_importers();
     let s = &lagged;
-    let (des_matches, mut violations) = check_des(s, None)?;
+    let (des_matches, des_violations) = check_des(s, None)?;
+    let mut violations = on("simulator", des_violations);
+    if !violations.is_empty() {
+        return Ok(violations);
+    }
     let (thr_matches, thr_counters, thr_violations) = run_threaded(s, Faults::default())?;
-    violations.extend(thr_violations);
+    violations.extend(on("threaded fabric", thr_violations));
     let (sock_matches, sock_counters, sock_violations) = run_socket(s, backend, false)?;
-    violations.extend(sock_violations);
-    for conn in 0..des_matches.len().min(sock_matches.len()) {
-        if let Err(v) = check_runtime_equivalence(
-            ConnectionId(conn as u32),
-            &des_matches[conn],
-            &sock_matches[conn],
-        ) {
-            violations.push(v);
-        }
-    }
-    for conn in 0..des_matches.len().min(thr_matches.len()) {
-        if let Err(v) = check_runtime_equivalence(
-            ConnectionId(conn as u32),
-            &des_matches[conn],
-            &thr_matches[conn],
-        ) {
-            violations.push(v);
-        }
-    }
-    if permanent_fault_free(s) {
+    violations.extend(on("socket runtime", sock_violations));
+    equivalence(&des_matches, &sock_matches, &mut violations);
+    equivalence(&des_matches, &thr_matches, &mut violations);
+    if s.chaos.is_none_or(|c| !c.needs_reliability()) {
         if let (Some(t), Some(k)) = (&thr_counters, &sock_counters) {
             check_counter_equivalence(t, k, &mut violations);
         }
@@ -804,22 +578,36 @@ pub fn check_scenario_socket(
     Ok(violations)
 }
 
+/// Prefixes each violation's detail with the runtime it was found on.
+fn on(runtime: &str, mut violations: Vec<OracleViolation>) -> Vec<OracleViolation> {
+    for v in &mut violations {
+        let (OracleViolation::CollectiveOrder { detail, .. }
+        | OracleViolation::BufferSafety { detail, .. }
+        | OracleViolation::Liveness { detail, .. }
+        | OracleViolation::RuntimeEquivalence { detail, .. }
+        | OracleViolation::MetricConsistency { detail, .. }
+        | OracleViolation::CtrlScaling { detail, .. }) = v;
+        *detail = format!("{runtime}: {detail}");
+    }
+    violations
+}
+
 /// Runs the scenario on both runtimes, checks every oracle including
 /// runtime equivalence, and returns all violations (empty = pass).
 pub fn check_scenario(s: &Scenario) -> Result<Vec<OracleViolation>, String> {
     let (des_matches, mut violations) = check_des(s, None)?;
-    let (thr_matches, thr_violations) = check_threaded(s)?;
+    let (thr_matches, _, thr_violations) = run_threaded(s, Faults::default())?;
     violations.extend(thr_violations);
-    for conn in 0..des_matches.len().min(thr_matches.len()) {
-        if let Err(v) = check_runtime_equivalence(
-            ConnectionId(conn as u32),
-            &des_matches[conn],
-            &thr_matches[conn],
-        ) {
-            violations.push(v);
-        }
-    }
+    equivalence(&des_matches, &thr_matches, &mut violations);
     Ok(violations)
+}
+
+/// Runtime equivalence of the simulator's match decisions and another
+/// runtime's, connection by connection.
+fn equivalence(des: &Matches, other: &Matches, out: &mut Vec<OracleViolation>) {
+    for (conn, (a, b)) in (0..).zip(des.iter().zip(other)) {
+        out.extend(check_runtime_equivalence(ConnectionId(conn), a, b).err());
+    }
 }
 
 /// The armed-shutdown probe behind [`Mutation::AckBeforeHandle`]: one
@@ -865,14 +653,14 @@ pub fn armed_shutdown_probe(ack_before_handle: bool) -> Result<Vec<OracleViolati
         .ok_or("no chaos seed draws the probe's break pattern")?;
     let mut fabric = Fabric::new(
         topo,
-        FabricOptions {
+        Knobs {
             import_timeout: Duration::from_millis(5),
             faults: Faults {
                 chaos: Some(chaos),
                 mutation: ack_before_handle.then_some(Mutation::AckBeforeHandle),
                 ..Faults::default()
             },
-            ..FabricOptions::default()
+            ..Knobs::default()
         },
     );
     let mut exp = fabric.take_export(0, 0, 0);

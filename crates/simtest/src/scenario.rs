@@ -1,12 +1,12 @@
 //! Seed → scenario expansion and topology construction.
 
 use crate::Rng;
-use couplink_config::RegionRef;
-use couplink_layout::{Decomposition, Extent2};
-use couplink_runtime::{ChaosConfig, CrashFault, CrashTarget, Topology};
+use couplink_layout::Extent2;
+use couplink_runtime::engine::{ExportSchedule, ImportSchedule};
+use couplink_runtime::{ChaosConfig, CrashFault, CrashTarget, Faults, Knobs, RunSpec, Topology};
 use couplink_time::MatchPolicy;
-use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::time::Duration;
 
 /// The shared global grid every generated region lives on. Small on
 /// purpose: redistribution correctness is covered by the layout tests; here
@@ -264,24 +264,65 @@ impl Scenario {
         text
     }
 
-    /// Builds the validated topology: parse the generated configuration,
-    /// bind a row-block decomposition to every region, validate.
+    /// Builds the validated topology: the generated configuration with a
+    /// row-block decomposition of [`GRID`] bound to every region, exactly
+    /// as a socket node rebuilds it.
     pub fn build_topology(&self) -> Result<Topology, String> {
-        let config = couplink_config::parse(&self.config_text())
-            .map_err(|e| format!("generated config failed to parse: {e}"))?;
-        let grid = Extent2::new(GRID.0, GRID.1);
-        let mut bindings = HashMap::new();
-        for (i, e) in self.exporters.iter().enumerate() {
-            let d = Decomposition::row_block(grid, e.procs)
-                .map_err(|e| format!("exporter decomposition: {e}"))?;
-            bindings.insert(RegionRef::new(format!("E{i}"), "r"), d);
-        }
-        for (j, imp) in self.importers.iter().enumerate() {
-            let d = Decomposition::row_block(grid, imp.procs)
-                .map_err(|e| format!("importer decomposition: {e}"))?;
-            bindings.insert(RegionRef::new(format!("I{j}"), "m"), d);
-        }
-        Topology::from_config(&config, &bindings).map_err(|e| format!("topology: {e}"))
+        Topology::row_blocks(&self.config_text(), Extent2::new(GRID.0, GRID.1))
+    }
+
+    /// The run every runtime plays: the built topology, each exporter's
+    /// region `r` and each importer's region `m` on their schedules, every
+    /// exporter rank traced on every connection, a 5 s import timeout,
+    /// and `faults` with the scenario's chaos.
+    pub fn spec(&self, faults: Faults) -> Result<RunSpec, String> {
+        let topology = self.build_topology()?;
+        let exports = self
+            .exporters
+            .iter()
+            .enumerate()
+            .map(|(i, e)| ExportSchedule {
+                program: format!("E{i}"),
+                region: "r".into(),
+                t0: e.t0,
+                dt: e.dt,
+                count: e.count,
+                compute: e.compute.clone(),
+            });
+        let imports = self
+            .importers
+            .iter()
+            .enumerate()
+            .map(|(j, imp)| ImportSchedule {
+                program: format!("I{j}"),
+                region: "m".into(),
+                t0: imp.t0,
+                dt: imp.dt,
+                count: imp.count,
+                compute: imp.compute,
+                startup: imp.startup,
+            });
+        let traces = topology.conns.iter().flat_map(|ct| {
+            let procs = topology.programs[ct.exporter_prog].procs;
+            (0..procs).map(move |rank| (ct.exporter_prog, rank, ct.id))
+        });
+        let knobs = Knobs {
+            buddy_help: self.buddy_help,
+            import_timeout: Duration::from_secs(5),
+            traces: traces.collect(),
+            faults: Faults {
+                chaos: self.chaos,
+                ..faults
+            },
+            hierarchical: self.hierarchical,
+            ..Knobs::default()
+        };
+        Ok(RunSpec {
+            exports: exports.collect(),
+            imports: imports.collect(),
+            topology,
+            knobs,
+        })
     }
 
     /// Program index of exporter `i` in the built topology (exporters are

@@ -5,14 +5,15 @@
 //! Run: `cargo run -p couplink-examples --release --bin fig4_des -- [u_procs]`
 
 use couplink_diffusion::fig4::{fig4_config, optimal_entry, Fig4Params, SLOW_RANK};
-use couplink_runtime::TopologySim;
+use couplink_runtime::{CostModel, TopologySim};
 
 fn main() {
     let u_procs: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(16);
-    let report = TopologySim::new(fig4_config(Fig4Params::panel(u_procs)))
+    let spec = fig4_config(Fig4Params::panel(u_procs));
+    let report = TopologySim::from_spec(spec, CostModel::default())
         .expect("valid configuration")
         .run()
         .expect("simulation completes");

@@ -3,9 +3,7 @@
 //! deterministic discrete-event runtime.
 
 use couplink::prelude::*;
-use couplink_runtime::{
-    CostModel, ExportSchedule, ImportSchedule, Topology, TopologyConfig, TopologySim,
-};
+use couplink_runtime::{CostModel, ExportSchedule, ImportSchedule, RunSpec, Topology, TopologySim};
 use std::sync::mpsc;
 
 fn session_for(
@@ -130,7 +128,7 @@ fn received_data_is_the_matched_version() {
 #[test]
 fn des_and_threaded_agree_on_transfers() {
     let grid = Extent2::new(32, 32);
-    let cfg = TopologyConfig {
+    let spec = RunSpec {
         topology: Topology::pair(
             Decomposition::block_2d(grid, 2, 2).unwrap(),
             Decomposition::row_block(grid, 2).unwrap(),
@@ -155,12 +153,10 @@ fn des_and_threaded_agree_on_transfers() {
             compute: 1e-4,
             startup: 0.0,
         }],
-        buddy_help: true,
-        cost: CostModel::default(),
-        buffer_capacity: None,
-        hierarchical: false,
+        ..RunSpec::default()
     };
-    let report = TopologySim::new(cfg).unwrap().run().unwrap();
+    let sim = TopologySim::from_spec(spec, CostModel::default());
+    let report = sim.unwrap().run().unwrap();
     let threaded = run_threaded("REGL", 2.5, true, &[20.0, 40.0, 60.0]);
     // Same three matches on both runtimes.
     assert_eq!(report.import_done[0], vec![3, 3]);

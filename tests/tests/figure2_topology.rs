@@ -8,7 +8,7 @@
 use couplink::prelude::*;
 use couplink_proto::{ConnectionId, Trace};
 use couplink_runtime::engine::Topology;
-use couplink_runtime::{CostModel, ExportSchedule, ImportSchedule, TopologyConfig, TopologySim};
+use couplink_runtime::{CostModel, ExportSchedule, ImportSchedule, Knobs, RunSpec, TopologySim};
 use std::collections::HashMap;
 use std::sync::mpsc;
 
@@ -63,7 +63,7 @@ fn run_des() -> (Vec<Option<Timestamp>>, Trace) {
     decomps.insert(RegionRef::new("P3", "r2"), b.p3);
     decomps.insert(RegionRef::new("P1", "r4"), b.p1);
     let topology = Topology::from_config(&config, &decomps).unwrap();
-    let mut sim = TopologySim::new(TopologyConfig {
+    let spec = RunSpec {
         topology,
         exports: vec![
             ExportSchedule {
@@ -112,13 +112,12 @@ fn run_des() -> (Vec<Option<Timestamp>>, Trace) {
                 startup: 1.0,
             },
         ],
-        buddy_help: true,
-        hierarchical: false,
-        cost: CostModel::default(),
-        buffer_capacity: None,
-    })
-    .unwrap();
-    sim.trace("P0", 0, ConnectionId(0)).unwrap();
+        knobs: Knobs {
+            traces: vec![(0, 0, ConnectionId(0))],
+            ..Knobs::default()
+        },
+    };
+    let sim = TopologySim::from_spec(spec, CostModel::default()).unwrap();
     let report = sim.run().unwrap();
     let matches = report
         .matches

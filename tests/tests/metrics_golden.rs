@@ -11,7 +11,7 @@
 
 use couplink_bench::figure5_trace;
 use couplink_diffusion::fig4::{fig4_config, Fig4Params};
-use couplink_runtime::{TopoReport, TopologySim};
+use couplink_runtime::{CostModel, TopoReport, TopologySim};
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -58,12 +58,12 @@ fn figure5_annotated_trace_matches_golden() {
 }
 
 fn run_fig4_smoke() -> TopoReport {
-    let cfg = fig4_config(Fig4Params {
+    let spec = fig4_config(Fig4Params {
         u_procs: 16,
         buddy_help: true,
         exports: 101,
     });
-    TopologySim::new(cfg)
+    TopologySim::from_spec(spec, CostModel::default())
         .expect("valid config")
         .run()
         .expect("runs")
