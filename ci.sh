@@ -10,10 +10,11 @@
 #   1. formatting      (cargo fmt --check)
 #   2. lints           (cargo clippy and cargo doc, warnings are errors:
 #                       a doc link to a deleted or private item fails;
-#                       the engine reads no clock: the non-test part
-#                       of crates/runtime/src/engine/*.rs, split as
-#                       `--loc` splits it, may not name `Instant`,
-#                       `SystemTime` or `thread::sleep`; and the facade
+#                       the engine and the executor read no clock: the
+#                       non-test part of crates/runtime/src/engine/*.rs
+#                       and crates/runtime/src/threaded/executor.rs,
+#                       split as `--loc` splits it, may not name
+#                       `Instant`, `SystemTime` or `thread::sleep`; and the facade
 #                       stays a facade: `TopologyConfig`, `NodePlan`,
 #                       `ExportSpec` and `ImportSpec` are built by struct
 #                       literal only in crates/runtime/src/facade.rs, the
@@ -165,10 +166,10 @@ echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc --no-deps --workspace, warnings are errors"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
-echo "== the engine reads no clock"
-if awk "$split"' !test { print FILENAME ":" FNR ": " $0 }' crates/runtime/src/engine/*.rs |
-    grep -E '\b(Instant|SystemTime)\b|thread::sleep'; then
-    echo "the engine's non-test code names a clock or a sleep (above)" >&2
+echo "== the engine and the executor read no clock"
+if awk "$split"' !test { print FILENAME ":" FNR ": " $0 }' crates/runtime/src/engine/*.rs \
+    crates/runtime/src/threaded/executor.rs | grep -E '\b(Instant|SystemTime)\b|thread::sleep'; then
+    echo "the engine's or the executor's non-test code names a clock or a sleep (above)" >&2
     exit 1
 fi
 echo "== the facade stays a facade"

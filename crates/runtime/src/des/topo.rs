@@ -918,6 +918,22 @@ mod tests {
         matches!(sim(spec), Err(SimError::Config(_)))
     }
 
+    /// Two schedules for one region are a configuration error naming the
+    /// region, not a `NotIncreasing` history error from the second drive.
+    #[test]
+    fn two_schedules_for_one_region_are_refused() {
+        let mut exports = small_config(true, 1e-3);
+        exports.exports.push(exports.exports[0].clone());
+        let mut imports = small_config(true, 1e-3);
+        imports.imports.push(imports.imports[0].clone());
+        for (spec, named) in [(exports, "exporter.r"), (imports, "importer.r")] {
+            let Err(SimError::Config(e)) = sim(spec) else {
+                panic!("{named} scheduled twice was accepted")
+            };
+            assert!(e.contains(named), "{e}");
+        }
+    }
+
     #[test]
     fn run_completes_all_transfers() {
         let report = run(small_config(true, 1e-3));

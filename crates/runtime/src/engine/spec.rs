@@ -117,16 +117,50 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// The `(program, region)` indices a schedule names, or why not.
+    /// The `(program, region)` indices a schedule names, or why not:
+    /// among them that another export schedule names the same region.
     pub fn export_region(&self, s: &ExportSchedule) -> Result<(usize, usize), String> {
+        let at = self.export_idx(s)?;
+        let named = self
+            .exports
+            .iter()
+            .filter(|o| self.export_idx(o) == Ok(at))
+            .count();
+        if named > 1 {
+            return Err(format!(
+                "{}.{} has {named} export schedules",
+                s.program, s.region
+            ));
+        }
+        Ok(at)
+    }
+
+    /// The `(program, region)` indices an import schedule names, or why
+    /// not: among them that another import schedule names the same region.
+    pub fn import_region(&self, s: &ImportSchedule) -> Result<(usize, usize), String> {
+        let at = self.import_idx(s)?;
+        let named = self
+            .imports
+            .iter()
+            .filter(|o| self.import_idx(o) == Ok(at))
+            .count();
+        if named > 1 {
+            return Err(format!(
+                "{}.{} has {named} import schedules",
+                s.program, s.region
+            ));
+        }
+        Ok(at)
+    }
+
+    fn export_idx(&self, s: &ExportSchedule) -> Result<(usize, usize), String> {
         let prog = self.program(&s.program)?;
         let region = self.topology.programs[prog].export_idx(&s.region);
         let no = || format!("{} exports no region {}", s.program, s.region);
         Ok((prog, region.ok_or_else(no)?))
     }
 
-    /// The `(program, region)` indices an import schedule names, or why not.
-    pub fn import_region(&self, s: &ImportSchedule) -> Result<(usize, usize), String> {
+    fn import_idx(&self, s: &ImportSchedule) -> Result<(usize, usize), String> {
         let prog = self.program(&s.program)?;
         let region = self.topology.programs[prog].import_idx(&s.region);
         let no = || format!("{} imports no region {}", s.program, s.region);

@@ -89,16 +89,21 @@ pub struct Apps {
 
 impl Apps {
     /// Takes every scheduled region's handles of the programs `hosts`
-    /// accepts from `fabric`, which runs `spec`'s topology.
+    /// accepts from `fabric`, which runs `spec`'s topology. A schedule
+    /// naming no region, or one that another schedule names too, is an
+    /// error before any handle is taken.
     pub fn take(
         spec: &RunSpec,
         fabric: &mut Fabric,
         hosts: impl Fn(usize) -> bool,
     ) -> Result<Apps, String> {
         let programs = &spec.topology.programs;
+        let exports = spec.exports.iter().map(|s| spec.export_region(s));
+        let exports = exports.collect::<Result<Vec<_>, _>>()?;
+        let imports = spec.imports.iter().map(|s| spec.import_region(s));
+        let imports = imports.collect::<Result<Vec<_>, _>>()?;
         let mut apps = Apps::default();
-        for (sched, s) in spec.exports.iter().enumerate() {
-            let (prog, region) = spec.export_region(s)?;
+        for (sched, (prog, region)) in exports.into_iter().enumerate() {
             let decomp = programs[prog].exports[region].decomp;
             for rank in (0..programs[prog].procs).filter(|_| hosts(prog)) {
                 apps.exports.push(AppExport {
@@ -113,8 +118,7 @@ impl Apps {
                 });
             }
         }
-        for (sched, s) in spec.imports.iter().enumerate() {
-            let (prog, region) = spec.import_region(s)?;
+        for (sched, (prog, region)) in imports.into_iter().enumerate() {
             let r = &programs[prog].imports[region];
             for rank in (0..programs[prog].procs).filter(|_| hosts(prog)) {
                 apps.imports.push(AppImport {
@@ -369,5 +373,23 @@ mod tests {
         assert_eq!(drive(&spec, apps, opts), Err(Aborted));
         let stats = fabric.shutdown().unwrap().stats.remove(0);
         assert_eq!(stats[0].exports, 3);
+    }
+
+    /// Two schedules for one region are refused, naming the region,
+    /// before any handle is taken: every handle is still in the fabric.
+    #[test]
+    fn two_schedules_for_one_region_take_no_handle() {
+        let twice = pair(1, 4, 1);
+        let mut exports = twice.clone();
+        exports.exports.push(exports.exports[0].clone());
+        let mut imports = twice;
+        imports.imports.push(imports.imports[0].clone());
+        for (spec, named) in [(exports, "exporter.r"), (imports, "importer.r")] {
+            let mut fabric = Fabric::new(spec.topology.clone(), spec.knobs.clone());
+            let err = Apps::take(&spec, &mut fabric, |_| true).err();
+            assert!(err.as_ref().is_some_and(|e| e.contains(named)), "{err:?}");
+            drop((fabric.take_export(0, 0, 0), fabric.take_import(1, 0, 0)));
+            fabric.shutdown().unwrap();
+        }
     }
 }

@@ -3,16 +3,15 @@
 //!
 //! Instead of one OS thread per rep and per agent, a fixed **worker pool**
 //! polls node tasks. Each rep, agent and importer is a state machine
-//! implementing `Task`; a mailbox push (or an expired
-//! timer) marks the task runnable. **The thread that made it runnable
-//! polls it itself** when it can — a worker, or an application thread or
-//! socket reader inside `Helper::help` — from a short thread-local
-//! run-next list, at its next top-level point: never nested inside another
-//! poll, never under a lock. The **sharded run queues** hold the rest:
-//! overflow, tasks that call themselves heavy, and whatever a thread that
-//! cannot run tasks (an `export()`, the chaos relay, `shutdown`) wakes;
-//! only those cost a lock and a wake-up. Timers — a crashed rep's recovery
-//! instant — share one per-shard timer heap.
+//! implementing `Task`; a mailbox push marks the task runnable. **The
+//! thread that made it runnable polls it itself** when it can — a worker,
+//! or an application thread or socket reader inside `Helper::help` — from
+//! a short thread-local run-next list, at its next top-level point: never
+//! nested inside another poll, never under a lock. The **run queue** holds
+//! the rest: overflow, tasks that call themselves heavy, and whatever a
+//! thread that cannot run tasks (an `export()`, the chaos relay,
+//! `shutdown`) wakes; only those cost a lock and a wake-up. The executor
+//! reads no clock: a crashed rep's recovery instant is the chaos relay's.
 //!
 //! The scheduling core is a per-task atomic state machine:
 //!
@@ -24,29 +23,25 @@
 //!
 //! The CAS transitions guarantee two invariants the rest of the fabric
 //! leans on: a task is **never polled concurrently** (only the thread that
-//! moved it `Queued → Running` may poll it), and a task sits in a run
-//! queue or run-next list **at most once** — which bounds the `runq_depth`
-//! high-water mark by the live task count no matter how many messages land
-//! in mailboxes.
+//! moved it `Queued → Running` may poll it), and a task sits in the run
+//! queue or a run-next list **at most once** — which bounds the
+//! `runq_depth` high-water mark by the live task count no matter how many
+//! messages land in mailboxes.
 //!
-//! Workers own one shard each and steal from the others when their own
-//! runs dry (metered as `worker_steal`); a push wakes the home worker if it
-//! is parked and a parked sibling otherwise, unless a wake-up is already in
-//! flight. A panicking poll is contained with `catch_unwind`, reported
-//! through the task's panic sink (the fabric surfaces it as
-//! `ThreadedError::ProcessCrash`), and the task is retired — exactly the
-//! containment the per-thread loops had.
+//! Workers share the one run queue and sleep on its condvar; a push wakes
+//! an idle worker unless a wake-up is already in flight. A panicking poll
+//! is contained with `catch_unwind`, reported through the task's panic
+//! sink (the fabric surfaces it as `ThreadedError::ProcessCrash`), and the
+//! task is retired — exactly the containment the per-thread loops had.
 
 use couplink_metrics::EngineMetrics;
 use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 // Task states (the atomic state machine above).
 const IDLE: u8 = 0;
@@ -56,19 +51,19 @@ const RUNNING_DIRTY: u8 = 3;
 const DEAD: u8 = 4;
 
 /// Most tasks a thread keeps in its run-next list; a wider fan-out (a rep
-/// forwarding to 128 ranks) overflows to the shard queues and the other
+/// forwarding to 128 ranks) overflows to the run queue and the other
 /// workers.
 const RUN_NEXT_CAP: usize = 4;
 
 /// Most polls a thread takes from its run-next list before it goes back to
-/// the shard queues (the fabric's `REP_BATCH`): two tasks feeding each
-/// other cannot keep a worker from its timers and its shard queue, nor
-/// hold an `import()` for ever.
+/// the run queue (the fabric's `REP_BATCH`): two tasks feeding each other
+/// cannot keep a worker from the run queue, nor hold an `import()` for
+/// ever.
 const CHAIN_BUDGET: usize = 64;
 
 /// What this thread made runnable and will poll itself, and the executor
 /// it may poll for (`None`: it cannot run tasks, so everything it wakes
-/// goes to the shard queues).
+/// goes to the run queue).
 struct RunNext {
     exec: Option<Arc<ExecInner>>,
     list: VecDeque<Arc<TaskEntry>>,
@@ -99,7 +94,7 @@ impl Drop for Scope {
     }
 }
 
-/// Moves this thread's run-next list to the shard queues, waking a worker
+/// Moves this thread's run-next list to the run queue, waking a worker
 /// for each task. Called before the thread blocks: it never parks holding
 /// runnable tasks only it can reach.
 pub(crate) fn publish_run_next() {
@@ -113,7 +108,7 @@ pub(crate) fn publish_run_next() {
 }
 
 /// Takes the oldest task off this thread's run-next list (`Queued →
-/// Running`, like a shard pop).
+/// Running`, like a run-queue pop).
 fn take_run_next() -> Option<Arc<TaskEntry>> {
     let entry = RUN_NEXT.with(|rn| rn.borrow_mut().list.pop_front())?;
     entry.metrics.tasks_chained.inc();
@@ -121,28 +116,24 @@ fn take_run_next() -> Option<Arc<TaskEntry>> {
     Some(entry)
 }
 
-/// What one task poll did and when it wants to run again.
+/// What one task poll did.
 pub(crate) struct Poll {
     /// Messages the poll drained (observed into the `poll_batch`
     /// histogram).
     pub msgs: u64,
     /// The task finished; never poll it again.
     pub done: bool,
-    /// Replaces the task's timer: poll again at this instant (`None`
-    /// cancels any pending timer).
-    pub deadline: Option<Instant>,
     /// The task knows it left work behind (e.g. a capped mailbox drain):
     /// re-queue immediately instead of going idle.
     pub more: bool,
 }
 
 impl Poll {
-    /// A quiescent outcome: nothing drained, no timer, not done.
+    /// A quiescent outcome: nothing drained, not done.
     pub fn idle() -> Self {
         Poll {
             msgs: 0,
             done: false,
-            deadline: None,
             more: false,
         }
     }
@@ -150,10 +141,8 @@ impl Poll {
 
 /// A polled state machine (rep, agent, importer).
 pub(crate) trait Task: Send {
-    /// Drains whatever is runnable right now. `now` is the poll instant —
-    /// tasks compare their own deadlines (a crashed rep's recovery instant)
-    /// against it rather than re-reading the clock.
-    fn poll(&mut self, now: Instant) -> Poll;
+    /// Drains whatever is runnable right now.
+    fn poll(&mut self) -> Poll;
 
     /// Whether one poll can cost more than handing the task to another
     /// thread (it moves a large payload). A heavy task is never kept on a
@@ -169,13 +158,8 @@ pub(crate) type PanicSink = Arc<dyn Fn(String) + Send + Sync>;
 
 struct TaskEntry {
     state: AtomicU8,
-    /// Timer generation: a heap entry is live only while its generation
-    /// matches, so re-arming or cancelling is one `fetch_add`.
-    timer_gen: AtomicU64,
     /// [`Task::heavy`], read once at spawn.
     heavy: bool,
-    /// Home shard (timers live here; the owning worker polls it first).
-    shard: usize,
     metrics: Arc<EngineMetrics>,
     panic_sink: PanicSink,
     /// `None` once the task is dead: a finished task drops its state, and
@@ -225,56 +209,21 @@ impl Helper {
     }
 }
 
-struct TimerEntry {
-    at: Instant,
-    gen: u64,
-    /// Global tie-breaker so the heap order is total.
-    seq: u64,
-    task: Arc<TaskEntry>,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// One worker's slice of the run queues plus its timer heap.
-struct ShardQueues {
-    runq: VecDeque<Arc<TaskEntry>>,
-    timers: BinaryHeap<Reverse<TimerEntry>>,
-}
-
-struct Shard {
-    q: Mutex<ShardQueues>,
-    cv: Condvar,
-    /// Tasks in `q.runq`; written under `q`, read without it by a
-    /// sibling deciding whether it may park.
-    queued: AtomicUsize,
-    /// The shard's worker is in (or committed to) `cv.wait`; written by
-    /// that worker under `q`.
-    parked: AtomicBool,
+/// The run queue and everything a wake-up decision reads, under one lock.
+#[derive(Default)]
+struct RunQueue {
+    tasks: VecDeque<Arc<TaskEntry>>,
+    /// Workers waiting on the condvar.
+    idle: usize,
+    /// A worker was notified for a light task and has not run yet.
+    waking: bool,
+    /// The pool is shutting down: workers return instead of waiting.
+    stop: bool,
 }
 
 struct ExecInner {
-    shards: Vec<Shard>,
-    stop: AtomicBool,
-    /// A worker was notified for a light task and has not run yet.
-    waking: AtomicBool,
-    timer_seq: AtomicU64,
-    /// Task counter feeding home-shard assignment (round-robin).
-    next_task: AtomicU64,
+    queue: Mutex<RunQueue>,
+    cv: Condvar,
     done_lock: Mutex<()>,
     done_cv: Condvar,
 }
@@ -316,7 +265,7 @@ impl ExecInner {
 
     /// Hands an already-`Queued` task to whoever polls it next: this
     /// thread, if it runs this executor's tasks, has room and the task's
-    /// polls are light — no lock, no wake-up; its home shard otherwise.
+    /// polls are light — no lock, no wake-up; the run queue otherwise.
     fn enqueue(&self, entry: Arc<TaskEntry>) {
         let overflow = RUN_NEXT.with(|rn| {
             let mut rn = rn.borrow_mut();
@@ -333,108 +282,48 @@ impl ExecInner {
         }
     }
 
-    /// Pushes an already-`Queued` task onto its home shard and wakes a
-    /// worker for it: the home worker if parked, else one parked sibling
-    /// to steal it — a busy home worker may be a long poll away from its
-    /// queue. At most one wake-up is in flight: while a woken worker has
-    /// not yet run, a second light task shares its wake-up (it drains both
-    /// in less time than a second one costs the pusher — an `export()`,
-    /// which is then not preempted twice); a heavy task always gets its
-    /// own, parallelism being the point of queueing it.
+    /// Pushes an already-`Queued` task onto the run queue and wakes an
+    /// idle worker for it. At most one wake-up is in flight: while a woken
+    /// worker has not yet run, a second light task shares its wake-up (it
+    /// drains both in less time than a second one costs the pusher — an
+    /// `export()`, which is then not preempted twice); a heavy task always
+    /// gets its own, parallelism being the point of queueing it.
     fn push(&self, entry: Arc<TaskEntry>) {
-        let (home, heavy) = (entry.shard, entry.heavy);
-        let shard = &self.shards[home];
+        let heavy = entry.heavy;
         entry.metrics.runq_depth.add(1);
-        let mut q = shard.q.lock();
-        q.runq.push_back(entry);
-        shard.queued.fetch_add(1, Ordering::SeqCst);
+        let mut q = self.queue.lock();
+        q.tasks.push_back(entry);
+        let wake = q.idle > 0 && (heavy || !std::mem::replace(&mut q.waking, true));
         drop(q);
-        let n = self.shards.len();
-        let Some(target) = (0..n)
-            .map(|i| &self.shards[(home + i) % n])
-            .find(|s| s.parked.load(Ordering::SeqCst))
-        else {
-            return;
-        };
-        // A worker holds its lock from raising `parked` until it waits, and
-        // lowers it — and `waking` — under the lock again: seen raised from
-        // under the lock, the worker is waiting and will lower both.
-        let wake = {
-            let _parking = target.q.lock();
-            target.parked.load(Ordering::SeqCst)
-                && (heavy || !self.waking.swap(true, Ordering::SeqCst))
-        };
         if wake {
-            target.cv.notify_one();
+            self.cv.notify_one();
         }
     }
 
-    /// Replaces a task's timer (generation bump invalidates older heap
-    /// entries lazily).
-    fn set_timer(&self, entry: &Arc<TaskEntry>, at: Instant) {
-        let gen = entry.timer_gen.fetch_add(1, Ordering::AcqRel) + 1;
-        let seq = self.timer_seq.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[entry.shard];
-        let mut q = shard.q.lock();
-        q.timers.push(Reverse(TimerEntry {
-            at,
-            gen,
-            seq,
-            task: entry.clone(),
-        }));
-        let parked = shard.parked.load(Ordering::SeqCst);
-        drop(q);
-        if parked {
-            // The home worker is sleeping toward a later deadline.
-            shard.cv.notify_one();
-        }
-    }
-
-    fn cancel_timer(&self, entry: &TaskEntry) {
-        entry.timer_gen.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Pops a shard's oldest runnable task; transitions it `Queued →
-    /// Running`.
-    fn pop_from(&self, shard: &Shard) -> Option<Arc<TaskEntry>> {
-        if shard.queued.load(Ordering::SeqCst) == 0 {
-            return None;
-        }
-        let entry = shard.q.lock().runq.pop_front()?;
-        shard.queued.fetch_sub(1, Ordering::SeqCst);
-        entry.metrics.runq_depth.sub(1);
-        entry.state.store(RUNNING, Ordering::Release);
-        Some(entry)
-    }
-
-    /// Fires every due (and still-live) timer on one shard, marking their
-    /// tasks runnable.
-    fn fire_timers(self: &Arc<Self>, shard: usize, now: Instant) {
-        let due: Vec<Arc<TaskEntry>> = {
-            let mut q = self.shards[shard].q.lock();
-            let mut out = Vec::new();
-            while let Some(Reverse(top)) = q.timers.peek() {
-                if top.at > now {
-                    break;
-                }
-                let Reverse(t) = q.timers.pop().expect("peeked entry");
-                if t.gen == t.task.timer_gen.load(Ordering::Acquire)
-                    && t.task.state.load(Ordering::Acquire) != DEAD
-                {
-                    out.push(t.task);
-                }
+    /// Takes the oldest queued task (`Queued → Running`), waiting while
+    /// there is none; `None` once the pool stops.
+    fn pop(&self) -> Option<Arc<TaskEntry>> {
+        let mut q = self.queue.lock();
+        loop {
+            if q.stop {
+                return None;
             }
-            out
-        };
-        for entry in due {
-            self.schedule(&entry);
+            if let Some(entry) = q.tasks.pop_front() {
+                drop(q);
+                entry.metrics.runq_depth.sub(1);
+                entry.state.store(RUNNING, Ordering::Release);
+                return Some(entry);
+            }
+            q.idle += 1;
+            self.cv.wait(&mut q);
+            q.idle -= 1;
+            q.waking = false;
         }
     }
 
     /// Polls one task and applies its outcome to the state machine.
     fn run(self: &Arc<Self>, entry: Arc<TaskEntry>) {
         entry.metrics.tasks_polled.inc();
-        let now = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut task = entry.task.lock();
             // Only a live task is ever queued; a dead one stays dead.
@@ -443,7 +332,7 @@ impl ExecInner {
                     done: true,
                     ..Poll::idle()
                 },
-                |t| t.poll(now),
+                |t| t.poll(),
             )
         }));
         match outcome {
@@ -455,22 +344,15 @@ impl ExecInner {
                 entry.metrics.poll_batch.observe(poll.msgs);
                 if poll.done {
                     self.retire(&entry);
-                    return;
-                }
-                match poll.deadline {
-                    Some(at) => self.set_timer(&entry, at),
-                    None => self.cancel_timer(&entry),
-                }
-                if poll.more {
-                    entry.state.store(QUEUED, Ordering::Release);
-                    self.enqueue(entry);
-                } else if entry
-                    .state
-                    .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
-                    .is_err()
+                } else if poll.more
+                    || entry
+                        .state
+                        .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
+                        .is_err()
                 {
-                    // A schedule landed mid-poll (RunningDirty): re-queue so
-                    // the message that raced with the drain is seen.
+                    // Work left behind, or a schedule landed mid-poll
+                    // (RunningDirty): re-queue so the message that raced
+                    // with the drain is seen.
                     entry.state.store(QUEUED, Ordering::Release);
                     self.enqueue(entry);
                 }
@@ -482,14 +364,9 @@ impl ExecInner {
     /// outside its lock: the task may hold the last handles on other
     /// tasks.
     fn retire(&self, entry: &TaskEntry) {
-        self.cancel_timer(entry);
         let task = entry.task.lock().take();
         drop(task);
         entry.state.store(DEAD, Ordering::Release);
-        self.notify_done();
-    }
-
-    fn notify_done(&self) {
         let _g = self.done_lock.lock();
         self.done_cv.notify_all();
     }
@@ -503,16 +380,10 @@ fn panic_detail(p: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "opaque panic payload".into())
 }
 
-fn worker_loop(inner: Arc<ExecInner>, me: usize) {
+fn worker_loop(inner: Arc<ExecInner>) {
     let _scope = Scope::open(&inner);
-    let shard = &inner.shards[me];
-    let siblings = || (0..inner.shards.len()).filter(|&s| s != me);
     let mut chained = 0;
     loop {
-        if inner.stop.load(Ordering::Acquire) {
-            return;
-        }
-        inner.fire_timers(me, Instant::now());
         // What this thread woke comes first: the chain rep → agent → rep
         // → importer stays on one warm thread.
         if chained < CHAIN_BUDGET {
@@ -522,44 +393,16 @@ fn worker_loop(inner: Arc<ExecInner>, me: usize) {
                 continue;
             }
         }
-        // List empty or budget spent: publish the rest, take the shard's
+        // List empty or budget spent: publish the rest, take the queue's
         // oldest task.
         publish_run_next();
         chained = 0;
-        if let Some(entry) = inner.pop_from(shard) {
-            inner.run(entry);
-            continue;
-        }
-        // Own shard dry: steal one task from a sibling before sleeping.
-        if let Some(entry) = siblings().find_map(|s| inner.pop_from(&inner.shards[s])) {
-            entry.metrics.worker_steal.inc();
-            inner.run(entry);
-            continue;
-        }
-        // Nothing runnable anywhere: sleep until this shard's next timer
-        // (or until a push/timer/stop notifies). The own queue is checked
-        // under the shard lock, so a push to it cannot slip between check
-        // and wait; a push to a sibling's shard either is seen by the
-        // re-check below or sees `parked` (both `SeqCst`) and notifies.
-        let mut q = shard.q.lock();
-        if shard.queued.load(Ordering::SeqCst) > 0 || inner.stop.load(Ordering::Acquire) {
-            continue;
-        }
-        shard.parked.store(true, Ordering::SeqCst);
-        if siblings().all(|s| inner.shards[s].queued.load(Ordering::SeqCst) == 0) {
-            match q.timers.peek().map(|Reverse(t)| t.at) {
-                Some(at) => {
-                    shard.cv.wait_until(&mut q, at);
-                }
-                None => shard.cv.wait(&mut q),
-            }
-        }
-        shard.parked.store(false, Ordering::SeqCst);
-        inner.waking.store(false, Ordering::SeqCst);
+        let Some(entry) = inner.pop() else { return };
+        inner.run(entry);
     }
 }
 
-/// The worker pool plus its sharded run queues. One per
+/// The worker pool plus its run queue. One per
 /// [`Fabric`](crate::threaded::Fabric).
 pub(crate) struct Executor {
     inner: Arc<ExecInner>,
@@ -567,28 +410,15 @@ pub(crate) struct Executor {
 }
 
 impl Executor {
-    /// One worker (and run-queue shard) per available core.
+    /// One worker per available core.
     pub fn new() -> Self {
         Self::with_workers(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
     pub(crate) fn with_workers(workers: usize) -> Self {
         let inner = Arc::new(ExecInner {
-            shards: (0..workers)
-                .map(|_| Shard {
-                    q: Mutex::new(ShardQueues {
-                        runq: VecDeque::new(),
-                        timers: BinaryHeap::new(),
-                    }),
-                    cv: Condvar::new(),
-                    queued: AtomicUsize::new(0),
-                    parked: AtomicBool::new(false),
-                })
-                .collect(),
-            stop: AtomicBool::new(false),
-            waking: AtomicBool::new(false),
-            timer_seq: AtomicU64::new(0),
-            next_task: AtomicU64::new(0),
+            queue: Mutex::new(RunQueue::default()),
+            cv: Condvar::new(),
             done_lock: Mutex::new(()),
             done_cv: Condvar::new(),
         });
@@ -597,7 +427,7 @@ impl Executor {
                 let inner = inner.clone();
                 std::thread::Builder::new()
                     .name(format!("couplink-worker-{w}"))
-                    .spawn(move || worker_loop(inner, w))
+                    .spawn(move || worker_loop(inner))
                     .expect("spawning pool worker")
             })
             .collect();
@@ -612,21 +442,16 @@ impl Executor {
         Helper(self.inner.clone())
     }
 
-    /// Spawns a task (home shard assigned round-robin) and schedules its
-    /// first poll so it can arm initial timers.
+    /// Spawns a task and schedules its first poll.
     pub fn spawn(
         &self,
         metrics: Arc<EngineMetrics>,
         panic_sink: PanicSink,
         task: Box<dyn Task>,
     ) -> TaskHandle {
-        let shard =
-            self.inner.next_task.fetch_add(1, Ordering::Relaxed) as usize % self.inner.shards.len();
         let entry = Arc::new(TaskEntry {
             state: AtomicU8::new(IDLE),
-            timer_gen: AtomicU64::new(0),
             heavy: task.heavy(),
-            shard,
             metrics,
             panic_sink,
             task: Mutex::new(Some(task)),
@@ -642,23 +467,18 @@ impl Executor {
     /// Blocks until every listed task has finished.
     pub fn wait_done(&self, tasks: &[TaskHandle]) {
         let mut g = self.inner.done_lock.lock();
+        // `retire` marks a task dead before it takes this lock to notify,
+        // so a check under the lock cannot miss the wake-up.
         while !tasks.iter().all(TaskHandle::is_done) {
-            // Timed as a belt against a missed notify; correctness comes
-            // from the DEAD check, not the wakeup.
-            self.inner
-                .done_cv
-                .wait_for(&mut g, Duration::from_millis(50));
+            self.inner.done_cv.wait(&mut g);
         }
     }
 
     /// Stops and joins the pool. Queued-but-unpolled tasks are abandoned —
     /// the fabric drains its tasks first.
     pub fn shutdown(&mut self) {
-        self.inner.stop.store(true, Ordering::Release);
-        for shard in &self.inner.shards {
-            let _g = shard.q.lock();
-            shard.cv.notify_all();
-        }
+        self.inner.queue.lock().stop = true;
+        self.inner.cv.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -674,6 +494,8 @@ impl Drop for Executor {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::time::{Duration, Instant};
 
     fn sink() -> PanicSink {
         Arc::new(|_| {})
@@ -686,7 +508,7 @@ pub(crate) mod tests {
     }
 
     impl Task for CountTask {
-        fn poll(&mut self, _now: Instant) -> Poll {
+        fn poll(&mut self) -> Poll {
             if !self.sleep.is_zero() {
                 std::thread::sleep(self.sleep);
             }
@@ -694,7 +516,6 @@ pub(crate) mod tests {
             Poll {
                 msgs: 1,
                 done: n >= self.done_after,
-                deadline: None,
                 more: false,
             }
         }
@@ -768,76 +589,46 @@ pub(crate) mod tests {
         assert_eq!(polls.load(Ordering::SeqCst), after, "retired task polled");
     }
 
-    struct TimerTask {
-        polls: Arc<AtomicUsize>,
-        interval: Duration,
-    }
-
-    impl Task for TimerTask {
-        fn poll(&mut self, now: Instant) -> Poll {
-            self.polls.fetch_add(1, Ordering::SeqCst);
-            Poll {
-                msgs: 0,
-                done: false,
-                deadline: Some(now + self.interval),
-                more: false,
-            }
-        }
-    }
-
-    /// A task that only arms timers is re-polled by the timer wheel with
-    /// no external schedules.
+    /// An idle worker takes a queued task beside a busy one: with one
+    /// worker held inside a poll, tasks spawned behind it are all polled
+    /// by the other before the held poll returns.
     #[test]
-    fn timer_wheel_repolls_without_schedules() {
-        let exec = Executor::with_workers(1);
-        let metrics = Arc::new(EngineMetrics::new());
-        let polls = Arc::new(AtomicUsize::new(0));
-        let _t = exec.spawn(
-            metrics,
-            sink(),
-            Box::new(TimerTask {
-                polls: polls.clone(),
-                interval: Duration::from_millis(10),
-            }),
-        );
-        std::thread::sleep(Duration::from_millis(120));
-        let n = polls.load(Ordering::SeqCst);
-        assert!(n >= 4, "timer should have fired repeatedly, saw {n} polls");
-    }
-
-    /// An idle worker steals queued tasks from a busy sibling's shard.
-    #[test]
-    fn idle_worker_steals_from_busy_shard() {
+    fn idle_worker_takes_a_task_beside_a_busy_one() {
         let exec = Executor::with_workers(2);
         let metrics = Arc::new(EngineMetrics::new());
+        let (held_tx, held_rx) = std::sync::mpsc::channel::<()>();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let holder = exec.spawn(
+            metrics.clone(),
+            sink(),
+            Box::new(FnTask(move || {
+                held_tx.send(()).unwrap();
+                let _ = release_rx.recv_timeout(Duration::from_secs(5));
+                Poll {
+                    done: true,
+                    ..Poll::idle()
+                }
+            })),
+        );
+        held_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("holder polled");
         let polls = Arc::new(AtomicUsize::new(0));
-        // Home shards alternate 0,1,0,1: the long sleeper occupies one
-        // worker while short tasks homed behind it wait — the other worker
-        // must steal them.
-        let mut tasks = Vec::new();
-        for i in 0..6 {
-            let sleep = if i == 0 {
-                Duration::from_millis(150)
-            } else {
-                Duration::ZERO
-            };
-            tasks.push(exec.spawn(
-                metrics.clone(),
-                sink(),
-                Box::new(CountTask {
+        let tasks: Vec<TaskHandle> = (0..5)
+            .map(|_| {
+                let task = CountTask {
                     polls: polls.clone(),
                     done_after: 1,
-                    sleep,
-                }),
-            ));
-        }
+                    sleep: Duration::ZERO,
+                };
+                exec.spawn(metrics.clone(), sink(), Box::new(task))
+            })
+            .collect();
         exec.wait_done(&tasks);
-        assert_eq!(polls.load(Ordering::SeqCst), 6);
-        assert!(
-            metrics.worker_steal.get() >= 1,
-            "expected at least one steal, saw {}",
-            metrics.worker_steal.get()
-        );
+        assert_eq!(polls.load(Ordering::SeqCst), 5);
+        assert!(!holder.is_done(), "the holder is still held");
+        release_tx.send(()).unwrap();
+        exec.wait_done(std::slice::from_ref(&holder));
     }
 
     /// A panicking poll is contained: reported to the sink, task retired,
@@ -846,7 +637,7 @@ pub(crate) mod tests {
     fn panicking_task_is_contained() {
         struct PanicTask;
         impl Task for PanicTask {
-            fn poll(&mut self, _now: Instant) -> Poll {
+            fn poll(&mut self) -> Poll {
                 panic!("injected poll panic");
             }
         }
@@ -879,7 +670,7 @@ pub(crate) mod tests {
     struct FnTask<F>(F);
 
     impl<F: FnMut() -> Poll + Send> Task for FnTask<F> {
-        fn poll(&mut self, _now: Instant) -> Poll {
+        fn poll(&mut self) -> Poll {
             (self.0)()
         }
     }
@@ -888,7 +679,7 @@ pub(crate) mod tests {
     struct HeavyTask<F>(F);
 
     impl<F: FnMut() -> Poll + Send> Task for HeavyTask<F> {
-        fn poll(&mut self, _now: Instant) -> Poll {
+        fn poll(&mut self) -> Poll {
             (self.0)()
         }
 
@@ -917,14 +708,9 @@ pub(crate) mod tests {
         }
     }
 
-    fn worker_index() -> Option<usize> {
-        let name = std::thread::current().name()?.to_owned();
-        name.strip_prefix("couplink-worker-")?.parse().ok()
-    }
-
     /// A task made runnable from inside a worker's poll is polled next by
-    /// the same thread and never enters a shard queue: every poll of it
-    /// after the spawn-time one is a chained one, and none was stolen.
+    /// the same thread and never enters the run queue: every poll of it
+    /// after the spawn-time one is a chained one.
     #[test]
     fn task_woken_inside_a_poll_runs_next_on_the_same_thread() {
         let exec = Executor::with_workers(2);
@@ -952,7 +738,6 @@ pub(crate) mod tests {
             })
         };
         threads.lock().clear();
-        let stolen_at_spawn = mb.worker_steal.get();
         go.store(true, Ordering::SeqCst);
         for round in 1..=50 {
             a.schedule();
@@ -966,14 +751,13 @@ pub(crate) mod tests {
         }
         assert_eq!(mb.tasks_chained.get(), 50);
         assert_eq!(mb.tasks_polled.get(), 51, "50 chained + the spawn-time pop");
-        assert_eq!(mb.worker_steal.get(), stolen_at_spawn);
         assert_eq!(mb.runq_depth.high_water_mark(), 1, "queued at spawn only");
     }
 
     /// Never nested: a poll that wakes a second task while holding a mutex
     /// the second task's poll needs completes — the second poll starts
     /// after the first returned. And a thread with no scope open (an
-    /// `export()`, the chaos relay) still goes through the shard queue.
+    /// `export()`, the chaos relay) still goes through the run queue.
     #[test]
     fn woken_task_is_not_polled_inside_the_waking_poll() {
         let exec = Executor::with_workers(1);
@@ -999,7 +783,7 @@ pub(crate) mod tests {
         drop(a);
         wait_for(|| mb.tasks_polled.get() == 2);
         assert_eq!(mb.tasks_chained.get(), 1);
-        // Foreign thread: no scope, so the shard queue and a worker.
+        // Foreign thread: no scope, so the run queue and a worker.
         b.schedule();
         wait_for(|| mb.tasks_polled.get() == 3);
         assert_eq!(mb.tasks_chained.get(), 1);
@@ -1052,10 +836,10 @@ pub(crate) mod tests {
     }
 
     /// The poll budget: a task that re-queues itself for ever on a
-    /// one-worker pool still lets a task waiting in the shard queue have
-    /// its turn, and one poll in `CHAIN_BUDGET + 1` comes off the queue.
+    /// one-worker pool still lets a task waiting in the run queue have its
+    /// turn, and one poll in `CHAIN_BUDGET + 1` comes off the queue.
     #[test]
-    fn chain_budget_returns_the_worker_to_its_shard_queue() {
+    fn chain_budget_returns_the_worker_to_the_run_queue() {
         let exec = Executor::with_workers(1);
         let (ml, mq) = (
             Arc::new(EngineMetrics::new()),
@@ -1069,7 +853,6 @@ pub(crate) mod tests {
             Box::new(FnTask(move || Poll {
                 msgs: 1,
                 done: stop2.load(Ordering::SeqCst),
-                deadline: None,
                 more: true,
             })),
         );
@@ -1083,50 +866,39 @@ pub(crate) mod tests {
         assert!(chained > 0 && polled - chained >= polled / (CHAIN_BUDGET as u64 + 1));
     }
 
-    /// A push wakes a worker that can run the task: with the home worker
-    /// held inside a poll and its sibling parked, a task homed on the busy
-    /// shard is stolen by the sibling at once — not left beside an idle
-    /// worker until the home worker comes back.
+    /// A push wakes a parked worker: with one worker held inside a poll
+    /// and the other parked, a task scheduled from outside the pool is
+    /// polled at once — not left in the queue until the held worker comes
+    /// back.
     #[test]
-    fn push_to_a_busy_home_shard_wakes_the_parked_sibling() {
+    fn push_wakes_a_parked_worker() {
         let exec = Executor::with_workers(2);
-        let mh = Arc::new(EngineMetrics::new());
-        let mt = [
+        let (mh, mt) = (
             Arc::new(EngineMetrics::new()),
             Arc::new(EngineMetrics::new()),
-        ];
-        // Home shards go round-robin: target 0 on shard 0, target 1 on 1.
-        let targets = [
-            spawn_fn(&exec, &mt[0], Poll::idle),
-            spawn_fn(&exec, &mt[1], Poll::idle),
-        ];
-        let (held_tx, held_rx) = std::sync::mpsc::channel::<usize>();
+        );
+        let target = spawn_fn(&exec, &mt, Poll::idle);
+        let (held_tx, held_rx) = std::sync::mpsc::channel::<()>();
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
         let go = Arc::new(AtomicBool::new(false));
         let go2 = go.clone();
         let holder = spawn_fn(&exec, &mh, move || {
             if go2.load(Ordering::SeqCst) {
-                held_tx
-                    .send(worker_index().expect("a pool worker"))
-                    .unwrap();
+                held_tx.send(()).unwrap();
                 let _ = release_rx.recv_timeout(Duration::from_secs(5));
             }
             Poll::idle()
         });
         go.store(true, Ordering::SeqCst);
         holder.schedule();
-        let busy = held_rx
+        held_rx
             .recv_timeout(Duration::from_secs(5))
             .expect("holder polled");
-        let idle = 1 - busy;
-        wait_for(|| exec.inner.shards[idle].parked.load(Ordering::SeqCst));
-        let stolen_before = mt[busy].worker_steal.get();
+        wait_for(|| exec.inner.queue.lock().idle == 1);
         let t0 = Instant::now();
-        targets[busy].schedule();
-        wait_for(|| mt[busy].tasks_polled.get() == 2);
+        target.schedule();
+        wait_for(|| mt.tasks_polled.get() == 2);
         let took = t0.elapsed();
-        let stolen = mt[busy].worker_steal.get() - stolen_before;
-        assert_eq!(stolen, 1, "the sibling stole it");
         assert!(mh.tasks_polled.get() == 2 && holder.entry.state.load(Ordering::SeqCst) == RUNNING);
         assert!(
             took < Duration::from_millis(100),
@@ -1179,7 +951,7 @@ pub(crate) mod tests {
 
     /// A heavy task is never kept on a run-next list: woken from inside a
     /// worker's poll next to a light one, the light one is chained and the
-    /// heavy one goes through the shard queue.
+    /// heavy one goes through the run queue.
     #[test]
     fn heavy_task_is_queued_not_chained() {
         let exec = Executor::with_workers(1);
@@ -1207,30 +979,22 @@ pub(crate) mod tests {
     }
 
     /// At most one wake-up is in flight for light tasks. Both workers are
-    /// held inside polls, so only this test touches `parked` and `waking`:
-    /// shard 0 is marked parked by hand and a test thread parks on shard
-    /// 1's condvar in its worker's stead. A light push for shard 0 claims
-    /// the wake-up; a light push for shard 1 then sends none (the stand-in
-    /// times out); a heavy push for shard 1 sends its own.
+    /// held inside polls, so only this test touches the queue's wake-up
+    /// state: it counts one idle worker by hand that is not on the condvar
+    /// and a test thread waits on the condvar in a worker's stead. A light
+    /// push claims the wake-up (which reaches nobody); with the stand-in
+    /// waiting, a second light push then sends none (the stand-in times
+    /// out), and a heavy push sends its own.
     #[test]
     fn light_pushes_share_a_wake_up_and_a_heavy_push_gets_its_own() {
         let exec = Executor::with_workers(2);
         let m = Arc::new(EngineMetrics::new());
-        // Home shards go round-robin: 0, 1, 0, 1.
         let light = [
             spawn_fn(&exec, &m, Poll::idle),
             spawn_fn(&exec, &m, Poll::idle),
         ];
-        let _filler = spawn_fn(&exec, &m, Poll::idle);
         let heavy = exec.spawn(m.clone(), sink(), Box::new(HeavyTask(Poll::idle)));
-        assert_eq!(
-            (
-                light[0].entry.shard,
-                light[1].entry.shard,
-                heavy.entry.shard
-            ),
-            (0, 1, 1)
-        );
+        wait_for(|| heavy.entry.state.load(Ordering::SeqCst) == IDLE);
         let (held_tx, held_rx) = std::sync::mpsc::channel::<()>();
         let release = Arc::new(AtomicBool::new(false));
         let go = Arc::new(AtomicBool::new(false));
@@ -1256,51 +1020,51 @@ pub(crate) mod tests {
                 .expect("a worker is held");
         }
         let inner = exec.inner.clone();
-        inner.waking.store(false, Ordering::SeqCst);
-        inner.shards[0].parked.store(true, Ordering::SeqCst);
+        {
+            let mut q = inner.queue.lock();
+            assert_eq!((q.idle, q.waking), (0, false), "both workers are held");
+            q.idle = 1;
+        }
+        light[0].schedule();
+        assert!(inner.queue.lock().waking, "a wake-up is in flight");
         let (woken_tx, woken_rx) = std::sync::mpsc::channel::<bool>();
         let stand_in = {
             let inner = inner.clone();
             std::thread::spawn(move || {
                 for _ in 0..2 {
-                    let shard = &inner.shards[1];
-                    let mut q = shard.q.lock();
-                    shard.parked.store(true, Ordering::SeqCst);
-                    let timed_out = shard
+                    let mut q = inner.queue.lock();
+                    q.idle += 1;
+                    let timed_out = inner
                         .cv
                         .wait_for(&mut q, Duration::from_millis(300))
                         .timed_out();
-                    shard.parked.store(false, Ordering::SeqCst);
+                    q.idle -= 1;
                     drop(q);
                     woken_tx.send(!timed_out).unwrap();
                 }
             })
         };
-        let parked_on_shard_1 = || {
-            wait_for(|| inner.shards[1].parked.load(Ordering::SeqCst));
-            drop(inner.shards[1].q.lock());
-        };
-        parked_on_shard_1();
-        light[0].schedule();
-        assert!(
-            inner.waking.load(Ordering::SeqCst),
-            "shard 0's wake-up is in flight"
-        );
+        let stand_in_waits = || wait_for(|| inner.queue.lock().idle == 2);
+        stand_in_waits();
         light[1].schedule();
         assert!(
             !woken_rx.recv().unwrap(),
             "the second light push sent no wake-up"
         );
-        parked_on_shard_1();
+        stand_in_waits();
         heavy.schedule();
         assert!(
             woken_rx.recv().unwrap(),
             "a heavy push always sends its own"
         );
         stand_in.join().unwrap();
-        inner.shards[0].parked.store(false, Ordering::SeqCst);
+        {
+            let mut q = inner.queue.lock();
+            q.idle = 0;
+            q.waking = false;
+        }
         release.store(true, Ordering::SeqCst);
-        // The released workers find the three pushed tasks in their queues.
+        // The released workers find the three pushed tasks in the queue.
         wait_for(|| m.runq_depth.level() == 0);
     }
 }

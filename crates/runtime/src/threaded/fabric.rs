@@ -52,7 +52,7 @@ use couplink_proto::{
     ConnectionId, CtrlMsg, ExportStats, ImportState, RepAnswer, RequestId, Trace,
 };
 use couplink_time::Timestamp;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, SendError, Sender};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -238,6 +238,8 @@ enum Msg {
         /// every piece, connection and resend it serves.
         payload: SharedArray,
     },
+    /// A crashed rep's dead window is over (rep mailboxes only).
+    Recover,
     Shutdown,
 }
 
@@ -254,6 +256,8 @@ enum Relayed {
     Ctrl(Endpoint, Option<WireMeta>, CtrlMsg),
     /// The broken link between two endpoints re-forms.
     Reform(Endpoint, Endpoint),
+    /// Program `prog`'s crashed rep recovers.
+    Recover(usize),
 }
 
 /// Fault-injection state shared through [`Net`].
@@ -593,9 +597,10 @@ impl Net {
         let _ = self.to_imp[conn.0 as usize][dst].push(Msg::Piece { req, rect, payload });
     }
 
-    /// Fires one event the chaos relay held: routes a delayed copy, or
+    /// Fires one event the chaos relay held: routes a delayed copy,
     /// re-forms a broken link — up first, so a fresh send on it is not
-    /// lost, then resent, so whatever it lost while down goes out again.
+    /// lost, then resent, so whatever it lost while down goes out again —
+    /// or ends a crashed rep's dead window through its mailbox.
     fn fire(&self, event: Relayed) {
         match event {
             Relayed::Ctrl(to, meta, msg) => self.deliver_ctrl(to, meta, msg),
@@ -605,6 +610,22 @@ impl Net {
                 }
                 self.reform(between(a, b));
             }
+            Relayed::Recover(prog) => {
+                if let Some(mbox) = &self.to_rep[prog] {
+                    mbox.push(Msg::Recover);
+                }
+            }
+        }
+    }
+
+    /// Has the chaos relay fire `event` at `at`, or fires it now when no
+    /// relay runs (it has stopped at shutdown).
+    fn hold(&self, at: Instant, event: Relayed) {
+        let Some(chaos) = &self.chaos else {
+            return self.fire(event);
+        };
+        if let Err(SendError(RelayMsg::At(_, event))) = chaos.relay.send(RelayMsg::At(at, event)) {
+            self.fire(event);
         }
     }
 
@@ -1171,14 +1192,16 @@ impl AgentTask {
 }
 
 impl Task for AgentTask {
-    fn poll(&mut self, _now: Instant) -> Poll {
+    fn poll(&mut self) -> Poll {
         let mut msgs = 0u64;
         for _ in 0..REP_BATCH {
             let step = match self.mbox.pop() {
                 None => break,
                 Some(Msg::Shutdown) => return poll_done(msgs),
                 Some(Msg::Ctrl(meta, m)) => self.on_ctrl(meta, m),
-                Some(Msg::Piece { .. }) => Err(ThreadedError::Config("piece for an agent".into())),
+                Some(Msg::Piece { .. } | Msg::Recover) => Err(ThreadedError::Config(
+                    "a rep's or importer's message for an agent".into(),
+                )),
             };
             self.net.metrics.queue_depth.sub(1);
             msgs += 1;
@@ -1190,7 +1213,6 @@ impl Task for AgentTask {
         Poll {
             msgs,
             done: false,
-            deadline: None,
             more: !self.mbox.is_empty(),
         }
     }
@@ -1205,13 +1227,14 @@ impl Task for AgentTask {
 /// dies and recovers in place across polls.
 ///
 /// The crash window is the engine's [`RepCrash`], packet-granular like the
-/// simulator's. While dead the rep discards its mailbox on every poll
-/// (everything unacked, so still pending at its senders) and its timer is
-/// armed at the recovery instant: `restart_after` wall seconds, or
-/// [`FAILOVER_DELAY`], after which the deterministic successor takes over
-/// and everything pending into it is resent. The successor inherits the
-/// journal because journal replay is deterministic: any member that
-/// recorded the same deliveries rebuilds the same state.
+/// simulator's. While dead the rep discards every control message it
+/// pops (everything unacked, so still pending at its senders). The crash
+/// hands its recovery instant — `restart_after` wall seconds on, or
+/// [`FAILOVER_DELAY`] — to the chaos relay, which pushes [`Msg::Recover`]
+/// into this mailbox then; at that message the deterministic successor
+/// takes over and everything pending into it is resent. The successor
+/// inherits the journal because journal replay is deterministic: any
+/// member that recorded the same deliveries rebuilds the same state.
 ///
 /// The crash-while-queued case the pooled executor introduces — the fatal
 /// packet is sitting in the mailbox while the task waits for a worker —
@@ -1226,8 +1249,6 @@ struct RepTask {
     crash: Option<RepCrash>,
     mbox: Arc<Mailbox>,
     node: RepNode,
-    /// While `Some`, the rep is dead and recovers at this instant.
-    dead_until: Option<Instant>,
     /// What the dead rep lost from senders in other processes: the fatal
     /// packet, what arrived while dead, what it held back. Such a sender
     /// sees no link break, so this process resends it on the sender's
@@ -1244,26 +1265,6 @@ impl RepTask {
     fn orphan(&mut self, meta: Option<WireMeta>, msg: CtrlMsg) {
         if let Some(meta) = meta.filter(|m| !self.net.is_local(m.from)) {
             self.orphans.push((meta, msg));
-        }
-    }
-
-    /// Discards everything queued while the rep is dead (unacked — the
-    /// recovery resends it), then sleeps until `du`. A shutdown marker
-    /// still terminates.
-    fn dead_poll(&mut self, msgs: u64, du: Instant) -> Poll {
-        while let Some(m) = self.mbox.pop() {
-            match m {
-                Msg::Shutdown => return poll_done(msgs),
-                Msg::Ctrl(meta, msg) => self.orphan(meta, msg),
-                Msg::Piece { .. } => {}
-            }
-            self.net.metrics.queue_depth.sub(1);
-        }
-        Poll {
-            msgs,
-            done: false,
-            deadline: Some(du),
-            more: false,
         }
     }
 
@@ -1294,13 +1295,31 @@ impl RepTask {
     }
 
     /// One received message through the reliability layer and the rep
-    /// node; what the node answers leaves at once.
+    /// node; what the node answers leaves at once. The fatal packet, and
+    /// every message while dead, dies unacked instead: the recovery
+    /// resends it.
     fn on_ctrl(
         &mut self,
         ep: Endpoint,
         meta: Option<WireMeta>,
         msg: CtrlMsg,
     ) -> Result<(), ThreadedError> {
+        let mut held = Vec::new();
+        if let (Some(crash), Some(rel)) = (&mut self.crash, &self.net.rel) {
+            let now = rel.epoch.elapsed().as_secs_f64();
+            if let Some(after) = crash.fires(now, FAILOVER_DELAY.as_secs_f64()) {
+                held = rel.layer.lock().crash_endpoint(ep);
+                let at = Instant::now() + Duration::from_secs_f64(after);
+                self.net.hold(at, Relayed::Recover(self.prog));
+            }
+        }
+        if self.crash.as_ref().is_some_and(RepCrash::is_dead) {
+            self.orphan(meta, msg);
+            for (meta, msg) in held {
+                self.orphan(Some(meta), msg);
+            }
+            return Ok(());
+        }
         self.net.admit(ep, meta, msg, |m| {
             if let Some(crash) = &mut self.crash {
                 crash.consumed();
@@ -1313,18 +1332,8 @@ impl RepTask {
 }
 
 impl Task for RepTask {
-    fn poll(&mut self, now: Instant) -> Poll {
+    fn poll(&mut self) -> Poll {
         let ep = Endpoint::Rep { prog: self.prog };
-        if let Some(du) = self.dead_until {
-            if now < du {
-                return self.dead_poll(0, du);
-            }
-            self.dead_until = None;
-            if let Err(e) = self.recover(ep) {
-                self.net.err.record_err(e);
-                return poll_done(0);
-            }
-        }
         let mut step = Ok(());
         let mut shutdown = false;
         let mut msgs = 0u64;
@@ -1337,26 +1346,15 @@ impl Task for RepTask {
                     shutdown = true;
                     break;
                 }
+                Some(Msg::Recover) => {
+                    step = self.recover(ep);
+                    continue;
+                }
                 Some(Msg::Ctrl(meta, m)) => (meta, m),
                 Some(Msg::Piece { .. }) => continue,
             };
             self.net.metrics.queue_depth.sub(1);
             msgs += 1;
-            if let (Some(crash), Some(rel)) = (&mut self.crash, &self.net.rel) {
-                let now = rel.epoch.elapsed().as_secs_f64();
-                if let Some(after) = crash.fires(now, FAILOVER_DELAY.as_secs_f64()) {
-                    // The fatal packet and everything arriving while dead
-                    // die unacked; the recovery resends them.
-                    let held = rel.layer.lock().crash_endpoint(ep);
-                    let du = Instant::now() + Duration::from_secs_f64(after);
-                    self.dead_until = Some(du);
-                    self.orphan(meta, m);
-                    for (meta, msg) in held {
-                        self.orphan(Some(meta), msg);
-                    }
-                    return self.dead_poll(msgs, du);
-                }
-            }
             step = self.on_ctrl(ep, meta, m);
         }
         if let Err(e) = step {
@@ -1366,7 +1364,6 @@ impl Task for RepTask {
         Poll {
             msgs,
             done: shutdown,
-            deadline: None,
             more: !shutdown && !self.mbox.is_empty(),
         }
     }
@@ -1441,7 +1438,7 @@ impl ImpTask {
 }
 
 impl Task for ImpTask {
-    fn poll(&mut self, _now: Instant) -> Poll {
+    fn poll(&mut self) -> Poll {
         let mut msgs = 0u64;
         let mut done = false;
         for _ in 0..REP_BATCH {
@@ -1452,6 +1449,9 @@ impl Task for ImpTask {
                     break;
                 }
                 Some(Msg::Piece { req, rect, payload }) => self.on_piece(req, rect, payload),
+                Some(Msg::Recover) => Err(ThreadedError::Config(
+                    "a rep's message for an importer".into(),
+                )),
                 Some(Msg::Ctrl(meta, m)) => {
                     self.net.metrics.queue_depth.sub(1);
                     self.on_ctrl(meta, m)
@@ -1484,20 +1484,21 @@ impl Task for ImpTask {
         Poll {
             msgs,
             done,
-            deadline: None,
             more: !done && !self.mbox.is_empty(),
         }
     }
 }
 
-/// The chaos relay: holds each delayed message copy and each link re-form
-/// until its instant, then fires it — a copy is routed, a re-form
-/// resends what is pending on the link. On shutdown (marker or
-/// disconnect) everything still held fires immediately — chaos delays
-/// messages, and a broken link still re-forms, which is what keeps the
-/// liveness oracle valid. This stays a dedicated thread (not a task): it
-/// exists only under chaos, and its seeded instants should not depend on
-/// worker-pool load.
+/// The chaos relay: holds each delayed message copy, each link re-form
+/// and a crashed rep's recovery until its instant, then fires it — a copy
+/// is routed, a re-form resends what is pending on the link, a recovery
+/// goes to the rep's mailbox. On shutdown (marker or disconnect)
+/// everything still held fires immediately — chaos delays messages, a
+/// broken link still re-forms and a crashed rep still recovers, which is
+/// what keeps the liveness oracle valid. This stays a dedicated thread
+/// (not a task): it exists only under chaos, its seeded instants should
+/// not depend on worker-pool load, and it is the one place the fabric's
+/// scheduling reads the clock.
 fn relay_loop(net: Arc<Net>, rx: Receiver<RelayMsg>) {
     let mut held: Vec<(Instant, Relayed)> = Vec::new();
     loop {
@@ -1770,7 +1771,6 @@ impl Fabric {
                     crash: fault.map(|f| RepCrash::new(pi, f)),
                     mbox: mbox.clone(),
                     node: RepNode::new(&topo, pi, opts.buddy_help, opts.hierarchical),
-                    dead_until: None,
                     orphans: Vec::new(),
                     outs: Vec::new(),
                 }),
@@ -2617,13 +2617,13 @@ mod tests {
     }
 
     /// A 2 → 2 lock-step pair: the rank that completes a collective runs
-    /// the control chain itself, so over 2 000 imports most polls are of
-    /// tasks the polling thread woke, and cross-worker steals — several per
-    /// import when every push went to the task's home shard — fall below
-    /// one per import. On a 2-core VM this reads 7–25 steals and 19 727 of
-    /// 19 745 to 21 797 of 23 455 polls chained over the 4 000 import
-    /// calls; with `take_run_next` returning `None` (no run-next lists) it
-    /// reads 6 121 steals and 0 of 20 854 polls chained, failing both.
+    /// the control chain itself, so over 2 000 imports nearly every poll is
+    /// of a task the polling thread woke, and polls off the run queue —
+    /// several per import when every push went through it — stay under a
+    /// quarter per import. On a 2-core VM 13–78 of 18 494 to 21 969 polls
+    /// came off the queue over the 4 000 import calls (50 runs, 30 of them
+    /// beside a `simtest --stress` load); with `take_run_next` returning
+    /// `None` (no run-next lists) all 20 264 did, failing both gates.
     #[test]
     fn lockstep_pair_chains_instead_of_stealing() {
         let d = Decomposition::row_block(Extent2::new(8, 8), 2).expect("decomp");
@@ -2655,7 +2655,10 @@ mod tests {
         }
         let c = fabric.shutdown().unwrap().metrics.counters;
         assert_eq!(c.import_calls, 2 * steps);
-        assert!(c.worker_steal < c.import_calls, "{c:?}");
+        assert!(
+            4 * (c.tasks_polled - c.tasks_chained) < c.import_calls,
+            "{c:?}"
+        );
         assert!(2 * c.tasks_chained >= c.tasks_polled, "{c:?}");
     }
 
@@ -2691,9 +2694,9 @@ mod tests {
         }
     }
 
-    /// Tasks polled, of them chained, and steals, over the `steps` imports
-    /// after the first.
-    type PollCounts = [u64; 3];
+    /// Tasks polled and, of them, chained, over the `steps` imports after
+    /// the first.
+    type PollCounts = [u64; 2];
 
     /// A pair topology run as the socket node runs it: each program a
     /// partial fabric on a pool of its own, and one plain thread per
@@ -2760,14 +2763,8 @@ mod tests {
         let mut imp = fabrics[1].take_import(1, 0, 0);
         let mut dest = LocalArray::zeros(imp_d.owned(0));
         let metrics = fabrics.each_ref().map(Fabric::metrics);
-        let counts = |m: &EngineMetrics| {
-            [
-                m.tasks_polled.get(),
-                m.tasks_chained.get(),
-                m.worker_steal.get(),
-            ]
-        };
-        let mut before = [[0; 3]; 2];
+        let counts = |m: &EngineMetrics| [m.tasks_polled.get(), m.tasks_chained.get()];
+        let mut before = [[0; 2]; 2];
         for j in 0..=steps {
             assert_eq!(
                 imp.import(ts(j as f64), &mut dest).unwrap(),
@@ -2784,27 +2781,26 @@ mod tests {
         for fabric in fabrics {
             fabric.shutdown().unwrap();
         }
-        [0, 1].map(|p| [0, 1, 2].map(|i| after[p][i] - before[p][i]))
+        [0, 1].map(|p| [0, 1].map(|i| after[p][i] - before[p][i]))
     }
 
     /// The mesh reader runs what its frame wakes: with light agents, every
     /// rep, agent and importer poll on both sides after the warm-up import
-    /// is a chained one on a reader or the importing thread, and no worker
-    /// steals anything.
+    /// is a chained one on a reader or the importing thread, and none
+    /// comes off the run queue.
     #[test]
     fn mesh_reader_polls_the_light_tasks_its_frame_wakes() {
         let d = |ranks| Decomposition::row_block(Extent2::new(8, 8), ranks).expect("decomp");
         let steps = 50;
         let [exp, imp] = run_with_readers(d(2), d(1), steps);
-        for (side, [polled, chained, stolen]) in [("exporter", exp), ("importer", imp)] {
+        for (side, [polled, chained]) in [("exporter", exp), ("importer", imp)] {
             assert!(polled >= 2 * steps as u64, "{side}: {polled} polls");
             assert_eq!(chained, polled, "{side}: every poll chained");
-            assert_eq!(stolen, 0, "{side}: no steals");
         }
     }
 
     /// A heavy agent (pieces past [`LIGHT_PIECE`]) is not chained on the
-    /// reader that woke it: its polls come off the shard queues — at least
+    /// reader that woke it: its polls come off the run queue — at least
     /// one per import (an agent's poll may drain the next request too) —
     /// while the rep's are chained.
     #[test]
@@ -2814,11 +2810,11 @@ mod tests {
         assert!(exp_d.owned(0).cells() * size_of::<f64>() > LIGHT_PIECE);
         let imp_d = Decomposition::row_block(extent, 1).expect("decomp");
         let steps = 20;
-        let [[polled, chained, _], _] = run_with_readers(exp_d, imp_d, steps);
+        let [[polled, chained], _] = run_with_readers(exp_d, imp_d, steps);
         assert!(chained >= steps as u64, "the rep's polls chain: {chained}");
         assert!(
             polled - chained >= steps as u64,
-            "the agents' polls come off the shards: {polled} polled, {chained} chained"
+            "the agents' polls come off the run queue: {polled} polled, {chained} chained"
         );
     }
 
@@ -2852,7 +2848,7 @@ mod tests {
         armed.store(true, Ordering::SeqCst);
         blocker.schedule();
         // The blocker cannot return before `held` drops, so this poll can
-        // only come from the other worker, off the shard queue.
+        // only come from the other worker, off the run queue.
         wait_for(|| polls.load(Ordering::SeqCst) == 2);
         assert_eq!(metrics.tasks_chained.get(), 0);
         drop(held);

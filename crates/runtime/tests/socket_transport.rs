@@ -119,9 +119,8 @@ fn uds_pair_end_to_end() {
     assert_eq!(rep.traces.len(), 2);
     // Each mesh reader polls the tasks its frame wakes instead of handing
     // them to a pool worker: only a task's first poll and what an
-    // `export()` wakes come off the shard queues (about 12 of 78 polls,
-    // against 36 when readers hand what they wake to the pool). Steals are
-    // mostly those first polls: six imports cannot tell the two apart.
+    // `export()` wakes come off the run queue (about 12 of 78 polls,
+    // against 36 when readers hand what they wake to the pool).
     let c = &rep.counters;
     assert!(
         3 * (c.tasks_polled - c.tasks_chained) < c.tasks_polled,
