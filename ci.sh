@@ -14,7 +14,10 @@
 #                       non-test part of crates/runtime/src/engine/*.rs
 #                       and crates/runtime/src/threaded/executor.rs,
 #                       split as `--loc` splits it, may not name
-#                       `Instant`, `SystemTime` or `thread::sleep`; and the facade
+#                       `Instant`, `SystemTime` or `thread::sleep`; the
+#                       runtime's one foreign function is the direct
+#                       write's `sendmsg`: `extern "C"` appears in
+#                       crates/runtime/src only in net/link.rs, once; and the facade
 #                       stays a facade: `TopologyConfig`, `NodePlan`,
 #                       `ExportSpec` and `ImportSpec` are built by struct
 #                       literal only in crates/runtime/src/facade.rs, the
@@ -37,7 +40,15 @@
 #                       node fault tests in net/node.rs (a flipped bit in
 #                       a payload's prefix, values or header CRC is one
 #                       metered reject over a real UDS pair, never a
-#                       delivery or a link failure))
+#                       delivery or a link failure); and the socket write
+#                       path's gates: over a UDS pair on socket_ctrl's
+#                       shape at most 0.1 writer-thread wake-ups and 2.0
+#                       exporter syscalls per import (net/node.rs), no
+#                       push blocks on a full link and every frame lands
+#                       once in push order, a cut-short direct write and a
+#                       sever inside a cork lose no byte (net/link.rs), and
+#                       the e2e adapter's 64 x 2 MiB link replay and
+#                       4 MiB-piece session (tests/socket_transport.rs))
 #   4. simtest         (seeded simulation corpus + oracle mutation smoke,
 #                       every rule armed through `Faults`: help-skip and
 #                       stale-skip fire on the simulator, relay-drop on both
@@ -170,6 +181,15 @@ echo "== the engine and the executor read no clock"
 if awk "$split"' !test { print FILENAME ":" FNR ": " $0 }' crates/runtime/src/engine/*.rs \
     crates/runtime/src/threaded/executor.rs | grep -E '\b(Instant|SystemTime)\b|thread::sleep'; then
     echo "the engine's or the executor's non-test code names a clock or a sleep (above)" >&2
+    exit 1
+fi
+echo "== the runtime's one foreign function lives in net/link.rs"
+if grep -rn 'extern "C"' crates/runtime/src | grep -v '^crates/runtime/src/net/link\.rs:'; then
+    echo "the runtime declares a foreign function outside net/link.rs (above)" >&2
+    exit 1
+fi
+if [[ $(grep -c 'extern "C"' crates/runtime/src/net/link.rs) -gt 1 ]]; then
+    echo "net/link.rs declares more than one extern \"C\" block" >&2
     exit 1
 fi
 echo "== the facade stays a facade"

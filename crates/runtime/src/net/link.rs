@@ -1,6 +1,7 @@
 //! Socket plumbing shared by the orchestrator and the node binary: address
-//! parsing, the UDS/TCP listener and stream pair, a writer thread that
-//! drains a frame queue into a socket, and a framing reader that feeds a
+//! parsing, the UDS/TCP listener and stream pair, a link writer whose
+//! frames the sending thread writes when the link is idle and a writer
+//! thread drains when it is not, and a framing reader that feeds a
 //! [`FrameDecoder`] and skips checksum-corrupt frames (metering them)
 //! while treating structural corruption as fatal — or hands a frame over
 //! with its checksum still to check, for a mesh reader that checks a
@@ -9,20 +10,22 @@
 //! Both backends speak exactly the same bytes — the backend choice is
 //! invisible above this module.
 
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
+use std::thread::ThreadId;
 use std::time::Duration;
 
 #[cfg(target_endian = "little")]
 use couplink_layout::SharedArray;
 use couplink_metrics::EngineMetrics;
 use couplink_proto::wire::{Frame, FrameDecoder, FrameSlot, UncheckedSlot, WireError};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 /// Which OS transport carries the session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -222,24 +225,37 @@ impl Read for Conn {
 
 impl Write for Conn {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        (&*self).write(buf)
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        (&*self).write_vectored(bufs)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        (&*self).flush()
+    }
+}
+
+/// Writes through a shared reference, as `&UnixStream` and `&TcpStream`
+/// do: a link's writers share one descriptor.
+impl Write for &Conn {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self {
-            Conn::Uds(s) => s.write(buf),
-            Conn::Tcp(s) => s.write(buf),
+            Conn::Uds(s) => (&*s).write(buf),
+            Conn::Tcp(s) => (&*s).write(buf),
         }
     }
 
     fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
         match self {
-            Conn::Uds(s) => s.write_vectored(bufs),
-            Conn::Tcp(s) => s.write_vectored(bufs),
+            Conn::Uds(s) => (&*s).write_vectored(bufs),
+            Conn::Tcp(s) => (&*s).write_vectored(bufs),
         }
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Uds(s) => s.flush(),
-            Conn::Tcp(s) => s.flush(),
-        }
+        Ok(())
     }
 }
 
@@ -374,63 +390,106 @@ impl TxFrame {
     }
 }
 
-/// The sending half of a link: encoded frames are queued on a channel and
-/// drained by a dedicated writer thread, so fabric tasks never block on a
-/// full socket buffer.
+/// The sending half of a link: one queue of frames under a mutex, written
+/// by whichever thread finds the socket free, and a writer thread kept for
+/// the backlog.
 ///
-/// A write error stops the writer but does not lose its queue: the failed
-/// frame and everything still enqueued are moved into a *salvage* buffer,
+/// A sender that finds the link idle — nobody writing, nothing queued —
+/// and a frame of at most 64 KiB writes it itself with one `sendmsg` that
+/// never blocks. What the socket does not take stays queued
+/// with its offset, and the writer thread, woken only if it is parked,
+/// finishes it with blocking `writev` bursts; every large frame and every
+/// frame that arrives behind a backlog goes the same way. A mesh reader's
+/// dispatch runs corked: frames for a link it sends on queue behind its
+/// own and leave in one `sendmsg` when the dispatch returns. Each link has
+/// one queue, so every frame leaves in push order, whoever writes it.
+///
+/// A write error stops the writer but does not lose the queue: the failed
+/// frame and everything still queued move into a *salvage* buffer,
 /// `is_dead` flips, and later sends land in the salvage directly. The
 /// reconnect path calls [`LinkWriter::retire`] to collect the salvage and
 /// replay what matters on the replacement writer; a run without reconnect
 /// support just drops the handle (the peer's reader owns failure
-/// reporting, exactly as before).
+/// reporting). Dropping the handle lets the writer thread finish the queue
+/// and exit.
 pub struct LinkWriter {
-    tx: mpsc::Sender<TxFrame>,
-    dead: Arc<AtomicBool>,
-    salvage: Arc<Mutex<Vec<TxFrame>>>,
-    /// Frames enqueued but not yet written or salvaged — zero means every
-    /// accepted frame has reached the socket (and been metered).
-    depth: Arc<AtomicU64>,
-    /// A control clone of the socket, so teardown can half-close the link
-    /// without joining a (possibly blocked) writer thread.
-    ctl: Option<Conn>,
+    link: Arc<Link>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
-/// Writer burst caps: one `write_vectored` covers at most this many frames
-/// / bytes. The caps bound syscall assembly cost and the latency of the
-/// frame at the back of a burst; a queue that runs dry flushes immediately
+/// Who may write to a link's socket.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Owner {
+    /// Nobody: the queue is empty and the next sender writes itself.
+    Idle,
+    /// The writer thread, draining a backlog with blocking writes.
+    Thread,
+    /// A mesh reader's dispatch ([`corked`]), which writes the queue when
+    /// it returns.
+    Cork(ThreadId),
+}
+
+/// One link's send side, shared by its [`LinkWriter`], its writer thread
+/// and any reader that corks it.
+struct Link {
+    state: Mutex<TxState>,
+    /// Signalled when the writer thread has work: a backlog, or the
+    /// handle's end.
+    work: Condvar,
+    /// The socket every writer writes to. It stays in blocking mode: only
+    /// a direct write asks not to block, per call.
+    conn: Conn,
+    metrics: Option<Arc<EngineMetrics>>,
+}
+
+struct TxState {
+    queue: VecDeque<TxFrame>,
+    /// Bytes of `queue[0]` already on the wire.
+    off: usize,
+    owner: Owner,
+    /// The writer thread waits on `work`.
+    parked: bool,
+    /// The handle is gone: the writer thread finishes the queue and exits.
+    closing: bool,
+    /// A write failed or the link was severed: frames go to `salvage`.
+    dead: bool,
+    salvage: Vec<TxFrame>,
+    /// Frames the sever fault still lets onto the wire (`None`: no fault).
+    sever_left: Option<u64>,
+    /// Writer-thread wake-ups a send paid for.
+    wakes: u64,
+}
+
+/// Writer burst caps: one `writev` covers at most this many frames / bytes.
+/// The caps bound syscall assembly cost and the latency of the frame at
+/// the back of a burst; a queue that runs dry flushes immediately
 /// regardless, so low-load latency is unchanged.
 const BURST_FRAMES: usize = 64;
 const BURST_BYTES: usize = 1 << 20;
 
-/// Writes `frames` with as few syscalls as possible: one `write_vectored`
-/// covering the remaining burst — a by-reference piece is two iovecs, its
-/// head and its shared values — re-issued after partial writes. Meters
-/// `net_syscalls` per syscall and `net_frames`/`net_bytes` per frame as it
-/// is fully written. On failure returns the count of frames fully written
-/// — the next frame may have been *partially* written, which is fine: the
-/// caller kills the link and salvages from that frame on.
+/// The most a sender writes itself, in one `sendmsg`: the fabric's
+/// `LIGHT_PIECE`, the largest piece a mesh reader's dispatch sends inline.
+/// A larger frame goes to the writer thread, which may block on it.
+const DIRECT_BYTES: usize = 64 << 10;
+
+/// Writes `frames`, the first from byte `off`, with as few syscalls as
+/// possible: one `write_vectored` covering the remaining burst — a
+/// by-reference piece is two iovecs, its head and its shared values —
+/// re-issued after partial writes. Meters `net_syscalls` per syscall and
+/// `net_frames`/`net_bytes` per frame as it is fully written. On failure
+/// returns the count of frames fully written — the next frame may have
+/// been *partially* written, which is fine: the caller kills the link and
+/// salvages from that frame on.
 fn write_batch(
     out: &mut impl Write,
     frames: &[TxFrame],
+    mut off: usize,
     metrics: Option<&EngineMetrics>,
 ) -> Result<(), usize> {
     let mut idx = 0;
-    // Bytes of `frames[idx]` already written.
-    let mut off = 0;
     let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(2 * frames.len());
     while idx < frames.len() {
-        slices.clear();
-        let mut skip = off;
-        for part in frames[idx..].iter().flat_map(TxFrame::parts) {
-            let cut = skip.min(part.len());
-            skip -= cut;
-            if cut < part.len() {
-                slices.push(IoSlice::new(&part[cut..]));
-            }
-        }
+        iovecs(&frames[idx..], off, &mut slices);
         let n = match out.write_vectored(&slices) {
             Ok(0) => return Err(idx),
             Ok(n) => n,
@@ -443,18 +502,14 @@ fn write_batch(
         let mut left = n;
         while left > 0 {
             let rem = frames[idx].len() - off;
-            if left >= rem {
-                left -= rem;
-                off = 0;
-                idx += 1;
-                if let Some(m) = metrics {
-                    m.net_frames.inc();
-                    m.net_bytes.add(frames[idx - 1].len() as u64);
-                }
-            } else {
+            if left < rem {
                 off += left;
-                left = 0;
+                break;
             }
+            left -= rem;
+            off = 0;
+            meter_frame(metrics, &frames[idx]);
+            idx += 1;
         }
     }
     if let Some(m) = metrics {
@@ -465,162 +520,404 @@ fn write_batch(
     Ok(())
 }
 
+/// Fills `out` with the iovecs of `frames`, skipping the first `off` bytes.
+fn iovecs<'a>(
+    frames: impl IntoIterator<Item = &'a TxFrame>,
+    off: usize,
+    out: &mut Vec<IoSlice<'a>>,
+) {
+    out.clear();
+    let mut skip = off;
+    for part in frames.into_iter().flat_map(TxFrame::parts) {
+        let cut = skip.min(part.len());
+        skip -= cut;
+        if cut < part.len() {
+            out.push(IoSlice::new(&part[cut..]));
+        }
+    }
+}
+
+/// Counts one frame fully written.
+fn meter_frame(metrics: Option<&EngineMetrics>, frame: &TxFrame) {
+    if let Some(m) = metrics {
+        m.net_frames.inc();
+        m.net_bytes.add(frame.len() as u64);
+    }
+}
+
+/// One `sendmsg(2)` of `bufs` that does not block (`MSG_DONTWAIT`) and
+/// raises no `SIGPIPE` (`MSG_NOSIGNAL`). Setting `O_NONBLOCK` instead would
+/// change the open file description that the reader's clone shares, and
+/// with it every blocking `read` and `writev` on the link; the flag makes
+/// just this call non-blocking. Works on UDS and TCP alike.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn send_nowait(conn: &Conn, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+    use std::os::fd::AsRawFd;
+    /// `struct msghdr` of 64-bit Linux: the name and control fields are
+    /// unused; `IoSlice` is ABI-compatible with `struct iovec`.
+    #[repr(C)]
+    struct MsgHdr {
+        name: *mut u8,
+        namelen: u32,
+        iov: *const IoSlice<'static>,
+        iovlen: usize,
+        control: *mut u8,
+        controllen: usize,
+        flags: i32,
+    }
+    extern "C" {
+        fn sendmsg(fd: i32, msg: *const MsgHdr, flags: i32) -> isize;
+    }
+    const MSG_DONTWAIT: i32 = 0x40;
+    const MSG_NOSIGNAL: i32 = 0x4000;
+    let fd = match conn {
+        Conn::Uds(s) => s.as_raw_fd(),
+        Conn::Tcp(s) => s.as_raw_fd(),
+    };
+    let msg = MsgHdr {
+        name: std::ptr::null_mut(),
+        namelen: 0,
+        iov: bufs.as_ptr().cast(),
+        iovlen: bufs.len(),
+        control: std::ptr::null_mut(),
+        controllen: 0,
+        flags: 0,
+    };
+    // SAFETY: `fd` is the open socket `conn` owns for the whole call; `msg`
+    // is a `struct msghdr` of this target's layout (checked by the cfg
+    // above) with no name and no control data, whose `iovlen` iovecs are
+    // `bufs`, live and readable for the call; `sendmsg` only reads them.
+    let n = unsafe { sendmsg(fd, &msg, MSG_DONTWAIT | MSG_NOSIGNAL) };
+    if n < 0 {
+        Err(io::Error::last_os_error())
+    } else {
+        Ok(n as usize)
+    }
+}
+
+/// Where `sendmsg` is not declared, the socket takes nothing from a
+/// sender, and the writer thread writes every frame.
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn send_nowait(_: &Conn, _: &[IoSlice<'_>]) -> io::Result<usize> {
+    Err(io::ErrorKind::WouldBlock.into())
+}
+
+thread_local! {
+    /// The links this thread holds corked, and whether it is running
+    /// [`corked`] at all.
+    static CORKED: RefCell<(bool, Vec<Arc<Link>>)> = const { RefCell::new((false, Vec::new())) };
+}
+
+/// Runs `f` with every idle link it sends on corked: its frames, and any
+/// other thread's frames for that link, queue until `f` returns, and then
+/// leave in one non-blocking `sendmsg` per link. A mesh reader's dispatch
+/// runs this way, so an exporter's pieces and its answer leave together.
+pub(crate) fn corked<R>(f: impl FnOnce() -> R) -> R {
+    /// Flushes on the way out, a panic included, so no link stays corked.
+    struct Uncork;
+    impl Drop for Uncork {
+        fn drop(&mut self) {
+            CORKED.with(|c| {
+                let mut c = c.borrow_mut();
+                c.0 = false;
+                for link in c.1.drain(..) {
+                    link.uncork();
+                }
+            });
+        }
+    }
+    CORKED.with(|c| c.borrow_mut().0 = true);
+    let _uncork = Uncork;
+    f()
+}
+
+impl Link {
+    /// Writes from the head of the queue with one `send` (production:
+    /// [`send_nowait`]): at most [`DIRECT_BYTES`], [`BURST_FRAMES`] frames
+    /// and what the sever fault still allows. Whatever the socket does not
+    /// take stays queued, with its offset, for the writer thread — so does
+    /// a failed write, which the thread's blocking write then meets and
+    /// salvages.
+    fn write_now(
+        &self,
+        st: &mut TxState,
+        send: impl Fn(&Conn, &[IoSlice<'_>]) -> io::Result<usize>,
+    ) {
+        let cap = st
+            .sever_left
+            .map_or(BURST_FRAMES, |s| s.min(BURST_FRAMES as u64) as usize);
+        let (mut frames, mut bytes) = (0, 0);
+        for f in st.queue.iter().take(cap) {
+            bytes += f.len();
+            if bytes - st.off > DIRECT_BYTES {
+                break;
+            }
+            frames += 1;
+        }
+        if frames > 0 {
+            let sent = {
+                let mut slices = Vec::with_capacity(2 * frames);
+                iovecs(st.queue.iter().take(frames), st.off, &mut slices);
+                loop {
+                    match send(&self.conn, &slices) {
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                        r => break r.unwrap_or(0),
+                    }
+                }
+            };
+            let metrics = self.metrics.as_deref();
+            if sent > 0 {
+                if let Some(m) = metrics {
+                    m.net_syscalls.inc();
+                }
+            }
+            let (mut left, mut done) = (sent, 0u64);
+            while let Some(f) = st.queue.front() {
+                let rem = f.len() - st.off;
+                if left < rem {
+                    st.off += left;
+                    break;
+                }
+                left -= rem;
+                st.off = 0;
+                meter_frame(metrics, f);
+                st.queue.pop_front();
+                done += 1;
+            }
+            if let Some(s) = &mut st.sever_left {
+                *s -= done;
+            }
+            if let Some(m) = metrics {
+                if frames > 1 {
+                    m.net_writev_frames.add(done);
+                }
+            }
+        }
+        if st.queue.is_empty() {
+            st.owner = Owner::Idle;
+        } else {
+            st.owner = Owner::Thread;
+            if st.parked {
+                st.parked = false;
+                st.wakes += 1;
+                self.work.notify_one();
+            }
+        }
+    }
+
+    /// Ends this thread's cork: writes what queued behind it. A cork the
+    /// writer thread took over at a retire is not this thread's any more.
+    fn uncork(&self) {
+        let mut st = self.state.lock();
+        if st.owner == Owner::Cork(std::thread::current().id()) {
+            self.write_now(&mut st, send_nowait);
+        }
+    }
+
+    /// The writer thread: parks until the link is handed to it, then
+    /// drains the queue in blocking bursts until it runs dry; once the
+    /// handle is gone, it finishes the queue — taking it over from a
+    /// reader's cork, so a retire never waits on a reader — and exits. A
+    /// failed write or the sever fault kills the link: the unsent frames
+    /// move to the salvage, in send order.
+    fn drain(&self) {
+        let metrics = self.metrics.as_deref();
+        let mut batch: Vec<TxFrame> = Vec::new();
+        let mut st = self.state.lock();
+        loop {
+            if st.owner != Owner::Thread {
+                if !st.closing {
+                    st.parked = true;
+                    self.work.wait(&mut st);
+                    continue;
+                }
+                if st.queue.is_empty() {
+                    return;
+                }
+                st.owner = Owner::Thread;
+            }
+            if st.queue.is_empty() {
+                st.owner = Owner::Idle;
+                continue;
+            }
+            let off = std::mem::take(&mut st.off);
+            let mut bytes = 0;
+            while batch.len() < BURST_FRAMES && bytes < BURST_BYTES {
+                let Some(f) = st.queue.pop_front() else { break };
+                bytes += f.len();
+                batch.push(f);
+            }
+            // Sever fault: exactly `sever_after` frames reach the wire,
+            // even when the limit lands mid-burst.
+            let allowed = st
+                .sever_left
+                .map_or(batch.len(), |s| s.min(batch.len() as u64) as usize);
+            drop(st);
+            let written = write_batch(&mut &self.conn, &batch[..allowed], off, metrics);
+            st = self.state.lock();
+            let done = written.err().unwrap_or(allowed);
+            if let Some(s) = &mut st.sever_left {
+                *s -= done as u64;
+            }
+            if written.is_err() || allowed < batch.len() {
+                if written.is_ok() {
+                    // FIN flushes everything already written; the unsent
+                    // frames go to the salvage like a failure.
+                    self.conn.shutdown_write();
+                }
+                let queued = std::mem::take(&mut st.queue);
+                st.salvage.extend(batch.drain(done..));
+                st.salvage.extend(queued);
+                st.off = 0;
+                st.owner = Owner::Idle;
+                st.dead = true;
+                return;
+            }
+            batch.clear();
+        }
+    }
+}
+
 impl LinkWriter {
-    /// Spawns the writer thread over (a clone of) `conn`.
+    /// Spawns the writer thread over `conn`.
     pub fn spawn(conn: Conn, label: String) -> LinkWriter {
         LinkWriter::spawn_with(conn, label, None, None)
     }
 
     /// Full-control spawn: an optional sever fault (after `sever_after`
-    /// frames have been written the writer half-closes the socket and
-    /// dies, salvaging its remaining queue — the deliberate mid-run link
-    /// sever the reconnect tests inject) and optional tx metering
+    /// frames have been written, by whichever thread, the writer thread
+    /// half-closes the socket and the link dies, salvaging its remaining
+    /// queue — the deliberate mid-run link sever the reconnect tests
+    /// inject) and optional tx metering
     /// (`net_syscalls`/`net_writev_frames`/`net_frames`/`net_bytes`,
-    /// counted when bytes actually reach the socket — not at enqueue).
+    /// counted where bytes reach the socket, whichever thread writes them
+    /// — not at enqueue).
     pub fn spawn_with(
-        mut conn: Conn,
+        conn: Conn,
         label: String,
         sever_after: Option<u64>,
         metrics: Option<Arc<EngineMetrics>>,
     ) -> LinkWriter {
-        let ctl = conn.try_clone().ok();
-        let (tx, rx) = mpsc::channel::<TxFrame>();
-        let dead = Arc::new(AtomicBool::new(false));
-        let salvage = Arc::new(Mutex::new(Vec::new()));
-        let depth = Arc::new(AtomicU64::new(0));
-        let (t_dead, t_salvage, t_depth) =
-            (Arc::clone(&dead), Arc::clone(&salvage), Arc::clone(&depth));
+        let link = Arc::new(Link {
+            state: Mutex::new(TxState {
+                queue: VecDeque::new(),
+                off: 0,
+                owner: Owner::Idle,
+                parked: false,
+                closing: false,
+                dead: false,
+                salvage: Vec::new(),
+                sever_left: sever_after,
+                wakes: 0,
+            }),
+            work: Condvar::new(),
+            conn,
+            metrics,
+        });
+        let draining = Arc::clone(&link);
         let thread = std::thread::Builder::new()
             .name(format!("couplink-net-wr-{label}"))
-            .spawn(move || {
-                let mut written = 0u64;
-                let mut batch: Vec<TxFrame> = Vec::new();
-                while let Ok(first) = rx.recv() {
-                    // Burst-drain: everything already queued goes into one
-                    // vectored write. An empty queue flushes immediately.
-                    let mut bytes = first.len();
-                    batch.push(first);
-                    while batch.len() < BURST_FRAMES && bytes < BURST_BYTES {
-                        match rx.try_recv() {
-                            Ok(f) => {
-                                bytes += f.len();
-                                batch.push(f);
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    // Sever fault: exactly `sever_after` frames reach the
-                    // wire, even when the limit lands mid-burst.
-                    let allowed = match sever_after {
-                        Some(s) => (s.saturating_sub(written)).min(batch.len() as u64) as usize,
-                        None => batch.len(),
-                    };
-                    let severed = allowed < batch.len();
-                    let (done, failed) =
-                        match write_batch(&mut conn, &batch[..allowed], metrics.as_deref()) {
-                            Ok(()) => (allowed, false),
-                            Err(done) => (done, true),
-                        };
-                    written += done as u64;
-                    t_depth.fetch_sub(done as u64, AtomicOrdering::Release);
-                    let rest = batch.split_off(done);
-                    batch.clear();
-                    if failed || severed {
-                        if severed && !failed {
-                            // FIN flushes everything already written; the
-                            // unsent frames go to the salvage like a
-                            // failure.
-                            conn.shutdown_write();
-                        }
-                        t_depth.fetch_sub(rest.len() as u64, AtomicOrdering::Release);
-                        t_salvage.lock().extend(rest);
-                        t_dead.store(true, AtomicOrdering::Release);
-                        // Keep salvaging until every sender hangs up so
-                        // nothing queued behind the failure is lost.
-                        while let Ok(f) = rx.recv() {
-                            t_depth.fetch_sub(1, AtomicOrdering::Release);
-                            t_salvage.lock().push(f);
-                        }
-                        return;
-                    }
-                }
-                let _ = conn.flush();
-            })
+            .spawn(move || draining.drain())
             .expect("spawning writer thread");
         LinkWriter {
-            tx,
-            dead,
-            salvage,
-            depth,
-            ctl,
+            link,
             thread: Some(thread),
         }
     }
 
-    /// Queues one already-encoded frame. Returns `false` if the writer is
+    /// Sends one already-encoded frame. Returns `false` if the link is
     /// dead — the frame went to the salvage, not the socket.
     pub fn send(&self, frame: Vec<u8>) -> bool {
         self.push(TxFrame::Frame(frame))
     }
 
-    /// Queues one frame, whole or by reference; [`LinkWriter::send`]'s
-    /// contract.
+    /// Sends one frame, whole or by reference; [`LinkWriter::send`]'s
+    /// contract. An idle link is written at once, or corked under a mesh
+    /// reader's dispatch; a busy one queues the frame behind its backlog.
     pub fn push(&self, frame: TxFrame) -> bool {
-        if self.dead.load(AtomicOrdering::Acquire) {
-            self.salvage.lock().push(frame);
+        let mut st = self.link.state.lock();
+        if st.dead {
+            st.salvage.push(frame);
             return false;
         }
-        self.depth.fetch_add(1, AtomicOrdering::Release);
-        if self.tx.send(frame).is_err() {
-            self.depth.fetch_sub(1, AtomicOrdering::Release);
-            return false;
+        st.queue.push_back(frame);
+        if st.owner == Owner::Idle {
+            let cork = CORKED.with(|c| {
+                let mut c = c.borrow_mut();
+                if c.0 {
+                    c.1.push(Arc::clone(&self.link));
+                }
+                c.0
+            });
+            if cork {
+                st.owner = Owner::Cork(std::thread::current().id());
+            } else {
+                self.link.write_now(&mut st, send_nowait);
+            }
         }
         true
     }
 
-    /// Whether the writer thread has died on a write error or sever.
+    /// Whether the link has died on a write error or sever.
     pub fn is_dead(&self) -> bool {
-        self.dead.load(AtomicOrdering::Acquire)
+        self.link.state.lock().dead
     }
 
     /// Whether every accepted frame has been written (and tx-metered) or
     /// salvaged — the teardown quiesce polls this before half-closing.
     pub fn idle(&self) -> bool {
-        self.depth.load(AtomicOrdering::Acquire) == 0
+        self.link.state.lock().owner == Owner::Idle
     }
 
-    /// Half-closes the link's write direction from outside the writer
-    /// thread (which may be blocked on a peer that stopped reading): the
-    /// peer observes EOF after everything already written.
+    /// Sends that had to wake the parked writer thread.
+    pub fn wakes(&self) -> u64 {
+        self.link.state.lock().wakes
+    }
+
+    /// Half-closes the link's write direction without waiting for the
+    /// writer thread (which may be blocked on a peer that stopped
+    /// reading): the peer observes EOF after everything already written.
     pub fn half_close(&self) {
-        if let Some(c) = &self.ctl {
-            c.shutdown_write();
-        }
+        self.link.conn.shutdown_write();
     }
 
     /// Ends the link in an orderly way: `bye` goes straight to the socket
     /// ahead of the half-close — unmetered, like the hello that opened the
-    /// link — so the peer can tell this EOF from a drop. A writer that is
+    /// link — so the peer can tell this EOF from a drop. A link that is
     /// dead or still holds queued frames (a peer that stopped reading) may
     /// be mid-frame and only half-closes.
     pub(crate) fn close_orderly(&self, bye: &[u8]) {
-        if let Some(c) = &self.ctl {
-            if self.idle() && !self.is_dead() {
-                let _ = c.try_clone().and_then(|mut w| w.write_all(bye));
-            }
+        if self.idle() && !self.is_dead() {
+            let _ = (&self.link.conn).write_all(bye);
         }
         self.half_close();
     }
 
     /// Tears the writer down and returns every unwritten frame in send
-    /// order: hangs up the queue, joins the thread (so the salvage is
-    /// complete), and drains the salvage buffer.
+    /// order: the writer thread finishes the queue (or salvages it on a
+    /// dead link) and is joined, so the salvage is complete.
     pub fn retire(mut self) -> Vec<TxFrame> {
-        drop(self.tx);
+        self.close();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
-        std::mem::take(&mut *self.salvage.lock())
+        std::mem::take(&mut self.link.state.lock().salvage)
+    }
+
+    /// Tells the writer thread the handle is gone.
+    fn close(&self) {
+        let mut st = self.link.state.lock();
+        st.closing = true;
+        if st.parked {
+            st.parked = false;
+            self.link.work.notify_one();
+        }
+    }
+}
+
+impl Drop for LinkWriter {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -654,6 +951,8 @@ const READ_CHUNK: usize = 64 * 1024;
 pub struct FrameReader {
     conn: Conn,
     dec: FrameDecoder,
+    /// `read` syscalls made.
+    reads: u64,
 }
 
 impl FrameReader {
@@ -662,12 +961,18 @@ impl FrameReader {
         FrameReader {
             conn,
             dec: FrameDecoder::new(),
+            reads: 0,
         }
     }
 
     /// The underlying connection (for shutdown/timeout control).
     pub fn conn(&self) -> &Conn {
         &self.conn
+    }
+
+    /// The `read` syscalls this reader has made.
+    pub fn reads(&self) -> u64 {
+        self.reads
     }
 
     /// Peak bytes the receive buffer ever held (the `net_rx_buf` gauge).
@@ -705,6 +1010,7 @@ impl FrameReader {
             if let Some(raw) = self.dec.poll_unchecked().map_err(NetError::Wire)? {
                 return Ok(Some(raw));
             }
+            self.reads += 1;
             match self.dec.read_from(&mut self.conn, READ_CHUNK) {
                 Ok(0) => return Ok(None),
                 Ok(_) => {}
@@ -737,6 +1043,7 @@ impl FrameReader {
 mod tests {
     use super::*;
     use couplink_proto::wire::{self as wire};
+    use std::time::Instant;
 
     #[test]
     fn reader_skips_checksum_corruption_and_keeps_framing() {
@@ -818,6 +1125,172 @@ mod tests {
         assert!(w.is_dead());
         assert!(!w.send(f.clone()), "send on a dead writer reports failure");
         assert_eq!(w.retire().len(), 2);
+    }
+
+    /// A sever that lands inside a corked batch: the flush writes the
+    /// frames the fault still allows, the writer thread severs the link,
+    /// and the rest of the batch goes to the salvage in send order.
+    #[test]
+    fn a_sever_inside_a_corked_batch_writes_its_prefix_and_salvages_the_rest() {
+        let (a, b) = UnixStream::pair().unwrap();
+        let w = LinkWriter::spawn_with(Conn::Uds(a), "cork-sever".into(), Some(2), None);
+        let f = |body: &[u8]| wire::encode_frame(wire::KIND_RUNTIME_BASE, body);
+        assert!(w.send(f(b"zero")));
+        corked(|| {
+            for body in [&b"one"[..], b"two", b"three"] {
+                assert!(w.send(f(body)), "queued behind the cork");
+            }
+        });
+        let mut r = FrameReader::new(Conn::Uds(b));
+        let mut reject = || {};
+        assert_eq!(r.next(&mut reject).unwrap().unwrap().body, b"zero");
+        assert_eq!(r.next(&mut reject).unwrap().unwrap().body, b"one");
+        assert!(r.next(&mut reject).unwrap().is_none(), "severed after two");
+        let salvage = w.retire();
+        let salvaged: Vec<_> = salvage.iter().map(|t| t.parts()[0].to_vec()).collect();
+        assert_eq!(salvaged, [f(b"two"), f(b"three")]);
+    }
+
+    /// No pusher blocks on a full link, and order holds. Two writers share
+    /// one UDS pair and neither end reads: on each side two threads,
+    /// standing in for mesh readers, push small frames — one of them in
+    /// corked pairs — until both socket buffers are full and both links
+    /// hold a backlog. No push takes `PUSH_BOUND`: a sender that found its
+    /// link idle wrote without blocking, one that found it busy only
+    /// queued. Once both ends read, every frame arrives exactly once,
+    /// intact, in its thread's push order.
+    #[test]
+    fn on_a_full_link_no_push_blocks_and_every_frame_lands_once_in_order() {
+        // Per thread; ~2 MiB a side, far past a UDS socket buffer.
+        const FRAMES: u32 = 1_500;
+        const PUSH_BOUND: Duration = Duration::from_secs(1);
+        /// Frame `seq` of thread `t`: 5 to 2 004 bytes that name it.
+        fn frame(t: u8, seq: u32) -> Vec<u8> {
+            let mut body = vec![t];
+            body.extend(seq.to_le_bytes());
+            let len = (seq as usize * 7_919) % 2_000;
+            body.extend((0..len).map(|i| (i as u32 ^ seq) as u8));
+            wire::encode_frame(wire::KIND_RUNTIME_BASE, &body)
+        }
+        let (a, b) = UnixStream::pair().unwrap();
+        let clone = |s: &UnixStream| s.try_clone().unwrap();
+        let (read_a, read_b, close_a, close_b) = (clone(&a), clone(&b), clone(&a), clone(&b));
+        let writers = [a, b].map(|s| Arc::new(LinkWriter::spawn(Conn::Uds(s), "full".into())));
+        let mut pushers = Vec::new();
+        for (side, w) in writers.iter().enumerate() {
+            for corking in [false, true] {
+                let (w, t) = (Arc::clone(w), 2 * side as u8 + corking as u8);
+                pushers.push(std::thread::spawn(move || {
+                    let mut slowest = Duration::ZERO;
+                    let mut seq = 0;
+                    while seq < FRAMES {
+                        let start = Instant::now();
+                        if corking {
+                            corked(|| {
+                                assert!(w.send(frame(t, seq)));
+                                assert!(w.send(frame(t, seq + 1)));
+                            });
+                            seq += 2;
+                        } else {
+                            assert!(w.send(frame(t, seq)));
+                            seq += 1;
+                        }
+                        slowest = slowest.max(start.elapsed());
+                    }
+                    slowest
+                }));
+            }
+        }
+        for p in pushers {
+            let slowest = p.join().unwrap();
+            assert!(slowest < PUSH_BOUND, "a push took {slowest:?}");
+        }
+        for w in &writers {
+            assert!(!w.idle(), "the socket buffer is full: a backlog waits");
+        }
+        // Writer `a` is read at `b`, by threads 0 and 1; `b` at `a`, by 2
+        // and 3.
+        let readers = [(read_b, 0u8), (read_a, 2)].map(|(s, first)| {
+            std::thread::spawn(move || {
+                let mut r = FrameReader::new(Conn::Uds(s));
+                let mut next = [0u32; 2];
+                let mut reject = || panic!("corrupt frame");
+                while let Some(f) = r.next(&mut reject).unwrap() {
+                    let t = f.body[0];
+                    let seq = u32::from_le_bytes(f.body[1..5].try_into().unwrap());
+                    let i = (t - first) as usize;
+                    assert_eq!(seq, next[i], "thread {t}'s frames out of order");
+                    assert_eq!(wire::encode_frame(f.kind, &f.body), frame(t, seq));
+                    next[i] += 1;
+                }
+                next
+            })
+        });
+        for (w, s) in writers.into_iter().zip([close_a, close_b]) {
+            let w = Arc::into_inner(w).expect("pushers are done");
+            assert!(w.retire().is_empty(), "every frame written");
+            s.shutdown(std::net::Shutdown::Write).unwrap();
+        }
+        for r in readers {
+            assert_eq!(r.join().unwrap(), [FRAMES; 2], "each frame once");
+        }
+    }
+
+    /// A direct write the socket takes only part of leaves the rest of the
+    /// frame, with its offset, to the writer thread, and later frames queue
+    /// behind it: wherever the cut lands — inside a by-reference piece's
+    /// head, on its head/values boundary or inside its values — the peer
+    /// reads every frame byte-identical, each tx-metered once.
+    #[test]
+    fn a_frame_a_direct_write_cut_short_arrives_byte_identical() {
+        use couplink_layout::{LocalArray, Rect};
+        use couplink_proto::{ConnectionId, Rank, RequestId};
+        let owned = Rect::new(0, 0, 3, 5);
+        let array = SharedArray::copy_from(&LocalArray::from_fn(owned, |r, c| (r * 5 + c) as f64));
+        let r = wire::WireRect {
+            row0: 0,
+            col0: 0,
+            rows: 3,
+            cols: 5,
+        };
+        let ids = (ConnectionId(1), Rank(0), RequestId(4));
+        let head =
+            wire::encode_payload_head(Vec::new(), ids.0, ids.1, ids.2, r, r, array.as_slice());
+        let whole = wire::encode_payload(ids.0, ids.1, ids.2, r, r, array.as_slice());
+        let piece = TxFrame::Piece { head, data: array };
+        let behind = wire::encode_frame(wire::KIND_RUNTIME_BASE, b"behind");
+        for cut in [1, wire::PAYLOAD_HEAD_LEN, wire::PAYLOAD_HEAD_LEN + 9] {
+            let (a, b) = UnixStream::pair().unwrap();
+            let metrics = Arc::new(EngineMetrics::new());
+            let w = LinkWriter::spawn_with(Conn::Uds(a), "cut".into(), None, Some(metrics.clone()));
+            // The socket takes the first `cut` bytes.
+            let send_some = |conn: &Conn, bufs: &[IoSlice<'_>]| {
+                let (mut left, mut some) = (cut, Vec::new());
+                for b in bufs {
+                    let n = b.len().min(left);
+                    some.push(IoSlice::new(&b[..n]));
+                    left -= n;
+                }
+                send_nowait(conn, &some)
+            };
+            {
+                let mut st = w.link.state.lock();
+                st.queue.push_back(piece.clone());
+                w.link.write_now(&mut st, send_some);
+                assert_eq!(
+                    (st.owner, st.off),
+                    (Owner::Thread, cut),
+                    "left to the thread"
+                );
+            }
+            assert!(w.send(behind.clone()));
+            assert!(w.retire().is_empty());
+            let mut got = Vec::new();
+            (&b).read_to_end(&mut got).unwrap();
+            assert_eq!(got, [&whole[..], &behind].concat(), "cut after {cut} bytes");
+            assert_eq!(metrics.net_frames.get(), 2);
+            assert_eq!(metrics.net_bytes.get(), got.len() as u64);
+        }
     }
 
     /// Carver et al.'s coalescing, counted: frames queued while the writer
@@ -914,7 +1387,7 @@ mod tests {
         for k in 1..=wire::PAYLOAD_HEAD_LEN + 16 {
             let metrics = EngineMetrics::new();
             let mut sink = Trickle { k, got: Vec::new() };
-            assert_eq!(write_batch(&mut sink, &frames, Some(&metrics)), Ok(()));
+            assert_eq!(write_batch(&mut sink, &frames, 0, Some(&metrics)), Ok(()));
             assert_eq!(sink.got, want, "{k} bytes per call");
             assert_eq!(metrics.net_frames.get(), 3);
             assert_eq!(metrics.net_bytes.get(), want.len() as u64);

@@ -19,7 +19,7 @@
 //! top; TCP's in-order delivery is treated as a fast path, not a
 //! correctness assumption.
 //!
-//! Submodules: [`link`] (backends, framing, writer threads), [`codec`]
+//! Submodules: [`link`] (backends, framing, the write path), [`codec`]
 //! (runtime envelopes and the bootstrap vocabulary), [`node`] (the child
 //! process), [`bootstrap`] (the parent).
 

@@ -10,8 +10,10 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use couplink_proto::wire;
 use couplink_proto::ConnectionId;
 use couplink_runtime::engine::oracle::check_net_conservation;
+use couplink_runtime::net::link::{Conn, FrameReader, LinkWriter, Listener};
 use couplink_runtime::net::node::{export_capacity, NODE_BUFFER_CAPACITY};
 use couplink_runtime::net::{
     run_plan, BootstrapError, KillSpec, NetOptions, NetReport, NodeFault, NodePlan, SocketBackend,
@@ -374,4 +376,84 @@ fn early_peer_drain_tolerated_by_survivors() {
         assert_eq!(*done, 5);
     }
     assert_eq!(rep.stats[0].len(), 2, "exporter stats must come home");
+}
+
+/// The benchmark adapter's link replay, as it calls the link API: spawn a
+/// writer, send 64 frames of 2 MiB (past the writer's burst cap and any
+/// socket buffer) while a reader drains, half-close, and drop the writer
+/// without retiring it. No send reports a dead link, and every frame
+/// arrives.
+#[test]
+fn a_dropped_writer_delivers_64_frames_of_2_mib() {
+    const FRAMES: usize = 64;
+    let dir = std::env::temp_dir();
+    let name = format!("couplink-replay-{}", std::process::id());
+    let listener = Listener::bind(SocketBackend::Uds, &dir, &name).expect("bind");
+    let addr = listener.addr().expect("addr");
+    let dial = std::thread::spawn(move || Conn::dial(&addr));
+    let rx = listener.accept().expect("accept");
+    let tx = dial.join().expect("dial thread").expect("dial");
+    let _ = std::fs::remove_file(dir.join(format!("{name}.sock")));
+    let frame = wire::encode_frame(
+        wire::KIND_PAYLOAD,
+        &vec![0x5A; (2 << 20) - wire::HEADER_LEN],
+    );
+    let reader = std::thread::spawn(move || {
+        let mut reader = FrameReader::new(rx);
+        let mut seen = 0;
+        while seen < FRAMES {
+            match reader.next_slot(&mut || {}) {
+                Ok(Some(_)) => seen += 1,
+                _ => break,
+            }
+        }
+        seen
+    });
+    let writer = LinkWriter::spawn(tx, "replay".into());
+    for i in 0..FRAMES {
+        assert!(writer.send(frame.clone()), "send {i} found the link dead");
+    }
+    assert_eq!(reader.join().expect("reader"), FRAMES);
+    writer.half_close();
+    drop(writer);
+}
+
+/// The benchmark adapter's bootstrap replay: a 2-program session of one
+/// import whose two pieces are 4 MiB each, larger than a socket buffer and
+/// than the largest frame a sender writes itself, ends with a clean report.
+#[test]
+fn a_one_import_session_of_4_mib_pieces_reports_clean() {
+    let (t0, dt, count) = (1.5, 1.0, 1);
+    let spec = RunSpec {
+        exports: vec![ExportSchedule {
+            program: "E0".into(),
+            region: "r".into(),
+            t0,
+            dt,
+            count,
+            compute: vec![0.0, 0.0],
+        }],
+        imports: vec![ImportSchedule {
+            program: "I0".into(),
+            region: "m".into(),
+            t0,
+            dt,
+            count,
+            compute: 0.0,
+            startup: 0.0,
+        }],
+        knobs: Knobs {
+            import_timeout: Duration::from_secs(30),
+            ..Knobs::default()
+        },
+        ..RunSpec::default()
+    };
+    let text = "E0 c0 /bin/e0 2\nI0 c0 /bin/i0 2\n#\nE0.r I0.m REG 0.25\n";
+    let plan = NodePlan::from_spec(&spec, text.into(), (1024, 1024)).expect("plan");
+    let rep = run_plan(&plan, &opts(SocketBackend::Uds)).expect("bootstrap");
+    assert_clean(&rep, 1);
+    assert!(
+        rep.counters.net_bytes > 8 << 20,
+        "both 4 MiB pieces crossed"
+    );
 }
